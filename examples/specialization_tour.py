@@ -80,7 +80,7 @@ def main():
 
     # The actual runtime arguments we specialize on (what the engine
     # reads off the interpreter stack at the hot call).
-    array = JSArray([1, 2, 3, 4, 5])
+    array = JSArray(interpreter.runtime.shapes.root, [1, 2, 3, 4, 5])
     inc_function = JSFunction(inc_code, ())
     arguments = [array, 2, 5, inc_function]
 

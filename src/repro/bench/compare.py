@@ -233,18 +233,6 @@ def compare_results(current, baseline, thresholds=None, sections=None):
                 if metric in base_sv:
                     diff("serving", "fleet", metric, "exact",
                          base_sv[metric], cur_sv.get(metric))
-            if cur_sv.get("isolation_violations", 0):
-                deltas.append({
-                    "section": "serving",
-                    "suite": "fleet",
-                    "metric": "isolation_violations",
-                    "kind": "exact",
-                    "baseline": base_sv.get("isolation_violations", 0),
-                    "current": cur_sv["isolation_violations"],
-                    "delta_pct": None,
-                    "threshold_pct": None,
-                    "status": "regressed",
-                })
             if not cur_sv.get("cycles_identical", True):
                 deltas.append({
                     "section": "serving",

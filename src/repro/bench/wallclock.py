@@ -298,7 +298,7 @@ def measure_serving(profile_kwargs=None, shards=4, cache_root=None):
     The warm pass's shard hit rate carries the acceptance floor
     (``SERVING_WARM_HIT_FLOOR``); cold and warm passes must agree on
     every latency (the artifact store is a host-time optimization
-    only) and must record zero isolation violations.
+    only).
     """
     from repro.serving.fleet import FleetProfile, run_fleet
 
@@ -341,8 +341,6 @@ def measure_serving(profile_kwargs=None, shards=4, cache_root=None):
         "total_latency_cycles": warm["total_latency_cycles"],
         "cold_hit_rate": round(cold["warm_hit_rate"], 5),
         "warm_hit_rate": round(warm["warm_hit_rate"], 5),
-        "isolation_violations": cold["isolation_violations"]
-        + warm["isolation_violations"],
         "cycles_identical": cold["total_latency_cycles"]
         == warm["total_latency_cycles"],
     }
@@ -580,7 +578,7 @@ def format_wallclock(results):
         )
         lines.append(
             "latency p50 %s / p99 %s cycles; warm shard hit rate %.3f "
-            "(cold %.3f); %d batches, %d rejected, %d isolation violations; "
+            "(cold %.3f); %d batches, %d rejected; "
             "cycles identical cold/warm: %s"
             % (
                 "{:,}".format(serving["p50_latency_cycles"]),
@@ -589,7 +587,6 @@ def format_wallclock(results):
                 serving["cold_hit_rate"],
                 serving["batches"],
                 serving["rejected"],
-                serving["isolation_violations"],
                 serving["cycles_identical"],
             )
         )
@@ -758,11 +755,6 @@ def check_gate(current, baseline, tolerance=0.15):
             failures.append(
                 "serving: warm shard hit rate %.3f below the %.2f acceptance floor"
                 % (serving["warm_hit_rate"], SERVING_WARM_HIT_FLOOR)
-            )
-        if serving.get("isolation_violations", 0):
-            failures.append(
-                "serving: %d tenant-isolation violations detected"
-                % serving["isolation_violations"]
             )
         if not serving.get("cycles_identical", True):
             failures.append(

@@ -40,7 +40,9 @@ class Uncacheable(Exception):
 #: v2: added the whole-function backend's module artifact ("whole").
 #: v3: guardshape bails carry the observed shape id (changes the
 #: generated closure/whole sources) and meta gained "ic_fingerprint".
-FORMAT_VERSION = 3
+#: v4: generated newobject/newarray take the runtime's root shape
+#: (``_JSObject(_root)``), changing the closure/whole sources.
+FORMAT_VERSION = 4
 
 _PRIMITIVES = (int, float, bool, str)
 

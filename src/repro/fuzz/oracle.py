@@ -34,7 +34,6 @@ from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.errors import CompilerError, ReproError
 from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.interpreter import Interpreter
-from repro.jsvm.objects import reset_shapes
 from repro.telemetry.tracing import Tracer
 
 #: Fast tiering thresholds: compile and OSR kick in quickly so short
@@ -103,7 +102,6 @@ def _strip(event):
 
 def _observe_interp(source):
     """Reference observation: the plain interpreter."""
-    reset_shapes()
     interpreter = Interpreter()
     error = None
     try:
@@ -120,13 +118,12 @@ def _observe_engine(source, **engine_kwargs):
     """One engine run as an :class:`Observation`.
 
     Resets the process-global code-id counter first so per-function
-    stats keys line up across variants, and the process-global shape
-    transition tree so shape ids (and with them IC contents, guard
-    extras and cache keys) line up too; folds the live counters in
-    (``Engine.finish``) even when the guest dies mid-run.
+    stats keys line up across variants (shape ids line up by
+    construction: each engine's runtime numbers its own tree); folds
+    the live counters in (``Engine.finish``) even when the guest dies
+    mid-run.
     """
     CodeObject._next_id = 1
-    reset_shapes()
     tracer = Tracer(channels=_COMPARED_CHANNELS)
     engine = Engine(
         tracer=tracer,

@@ -192,7 +192,7 @@ class Interpreter(object):
             return callee(UNDEFINED, args)
         if not isinstance(callee, JSFunction):
             raise JSTypeError("%s is not a constructor" % to_js_string(callee))
-        instance = JSObject()
+        instance = JSObject(self.runtime.shapes.root)
         result = self.call_function(callee, instance, args)
         if isinstance(result, JSObject):
             return result
@@ -505,13 +505,13 @@ def _op_newarray(ctx, pc, count):
         del stack[-count:]
     else:
         elements = []
-    stack.append(JSArray(elements))
+    stack.append(JSArray(ctx.interp.runtime.shapes.root, elements))
     return pc
 
 
 def _op_newobject(ctx, pc, count):
     stack = ctx.stack
-    obj = JSObject()
+    obj = JSObject(ctx.interp.runtime.shapes.root)
     if count:
         flat = stack[-2 * count :]
         del stack[-2 * count :]

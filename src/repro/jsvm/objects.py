@@ -5,16 +5,20 @@ Objects are property maps; arrays add a dense element store.  The JIT's
 operate directly on :class:`JSArray` element stores, matching how the
 paper's Figure 6 accesses ``s[i]``.
 
-Every object additionally carries a :class:`Shape` — a node in a
-process-wide transition tree describing *which* properties the object
-has, in insertion order.  Two objects built by the same code path share
-a shape, so a single integer comparison (``shape.shape_id``) stands in
-for "same property layout": the inline caches in the interpreter and
-the ``guardshape`` LIR op in the JIT key on it.  Shape ids are assigned
-in creation order from a shared root (id 0), which makes them
-deterministic for a given guest program — identical across executor
-backends, cache-cold vs cache-warm runs, and separate processes — so
-they are safe to embed in persisted binaries and compare in stats.
+Every object additionally carries a :class:`Shape` — a node in the
+transition tree of the :class:`~repro.jsvm.runtime.Runtime` that
+allocated it (``runtime.shapes``), describing *which* properties the
+object has, in insertion order.  Two objects built by the same code
+path share a shape, so a single integer comparison (``shape.shape_id``)
+stands in for "same property layout": the inline caches in the
+interpreter and the ``guardshape`` LIR op in the JIT key on it.  Shape
+ids are assigned in creation order from the tree's root (id 0).  A tree
+belongs to exactly one runtime and every object starts from that
+tree's root, so the numbering is a pure function of the guest program
+the runtime executes — identical across executor backends, cache-cold
+vs cache-warm runs, separate processes, and whatever other engines the
+process holds — which makes ids safe to embed in persisted binaries and
+compare in stats.
 """
 
 from repro.jsvm.values import UNDEFINED, normalize_number
@@ -36,9 +40,12 @@ class Shape(object):
     a direct index into the object's slot vector.
     """
 
-    __slots__ = ("shape_id", "names", "transitions", "deletions", "_offsets")
+    __slots__ = ("tree", "shape_id", "names", "transitions", "deletions", "_offsets")
 
-    def __init__(self, shape_id, names):
+    def __init__(self, tree, shape_id, names):
+        #: The :class:`ShapeTree` that issued this shape; transitions
+        #: out of it allocate their ids there.
+        self.tree = tree
         self.shape_id = shape_id
         self.names = names
         self.transitions = {}
@@ -63,21 +70,21 @@ class Shape(object):
 
 
 class ShapeTree(object):
-    """The shared transition tree; owns deterministic id numbering.
+    """One runtime's transition tree; owns deterministic id numbering.
 
     Ids count up from the root's 0 in creation order.  Because guest
     programs create properties deterministically, the numbering is a
     pure function of the executed guest code — the property that lets
     shape ids round-trip through the persistent code cache and stay
-    bit-identical across backends.  :func:`reset_shapes` rewinds the
-    tree (tests and the differential oracle call it between variants so
-    every variant numbers shapes from the same blank slate).
+    bit-identical across backends.  Every :class:`Shape` points back at
+    the tree that issued it, so an id is only ever resolved in the id
+    space it was allocated from.
     """
 
     __slots__ = ("root", "next_id", "by_id")
 
     def __init__(self):
-        self.root = Shape(0, ())
+        self.root = Shape(self, 0, ())
         self.next_id = 1
         #: Every shape ever created, keyed by id: the JIT resolves the
         #: ids recorded in inline caches back to layouts at codegen
@@ -88,7 +95,7 @@ class ShapeTree(object):
         """The child shape after adding ``name``; created on demand."""
         child = shape.transitions.get(name)
         if child is None:
-            child = Shape(self.next_id, shape.names + (name,))
+            child = Shape(self, self.next_id, shape.names + (name,))
             self.by_id[child.shape_id] = child
             self.next_id += 1
             shape.transitions[name] = child
@@ -99,48 +106,15 @@ class ShapeTree(object):
         child = shape.deletions.get(name)
         if child is None:
             names = tuple(n for n in shape.names if n != name)
-            child = Shape(self.next_id, names)
+            child = Shape(self, self.next_id, names)
             self.by_id[child.shape_id] = child
             self.next_id += 1
             shape.deletions[name] = child
         return child
 
 
-#: The process-wide transition tree all JSObjects hang off.
-SHAPE_TREE = ShapeTree()
-
-
-def reset_shapes():
-    """Rewind the shape tree to a fresh root (id 0, next id 1).
-
-    Used by tests and the fuzz oracle to make shape numbering start
-    identically for every run variant; live objects keep their old
-    Shape nodes, which simply become unreachable from the new root.
-    """
-    global SHAPE_TREE
-    SHAPE_TREE = ShapeTree()
-    return SHAPE_TREE
-
-
-def install_shape_tree(tree):
-    """Swap ``tree`` in as the live SHAPE_TREE and return the previous one.
-
-    This is the tenant-isolation boundary used by ``repro.serving``:
-    every tenant isolate owns a private ShapeTree, installs it for the
-    duration of a request, and restores the previous tree afterwards.
-    Because SHAPE_TREE is only ever referenced through this module's
-    globals, the swap fully redirects shape allocation, transitions and
-    ``common_slot_offset`` lookups to the tenant's tree — shape ids are
-    then deterministic per tenant regardless of what other tenants do.
-    """
-    global SHAPE_TREE
-    previous = SHAPE_TREE
-    SHAPE_TREE = tree
-    return previous
-
-
-def common_slot_offset(shape_ids, name):
-    """Slot offset of ``name`` shared by every shape in ``shape_ids``.
+def common_slot_offset(tree, shape_ids, name):
+    """Slot offset of ``name`` shared by every ``tree`` shape in ``shape_ids``.
 
     The codegen backends call this when emitting a ``loadprop`` or
     ``storeprop`` protected by a ``guardshape`` over ``shape_ids``: a
@@ -148,13 +122,13 @@ def common_slot_offset(shape_ids, name):
     the same index, so the guarded access compiles to a constant-offset
     slot read/write with no name lookup at all.  Returns None when the
     shapes disagree, when any shape lacks the property (a store that
-    transitions), or when an id is unknown to the live tree (a binary
-    thawed against a rewound tree) — all of which fall back to the
+    transitions), or when an id is unknown to ``tree`` (a binary thawed
+    before this run created the shape) — all of which fall back to the
     generic named path, never to wrong code: the result is only ever
     used under the matching shape guard, and shapes are immutable.
     """
     offset = None
-    by_id = SHAPE_TREE.by_id
+    by_id = tree.by_id
     for shape_id in shape_ids:
         shape = by_id.get(shape_id)
         if shape is None:
@@ -182,8 +156,9 @@ class JSObject(object):
 
     __slots__ = ("slots", "shape")
 
-    def __init__(self, properties=None):
-        self.shape = SHAPE_TREE.root
+    def __init__(self, root, properties=None):
+        #: ``root`` is the root shape of the allocating runtime's tree.
+        self.shape = root
         self.slots = []
         if properties:
             for name, value in properties.items():
@@ -211,9 +186,10 @@ class JSObject(object):
 
     def set(self, name, value):
         """Write property ``name``, transitioning shape on a new key."""
-        offset = self.shape.offset_of(name)
+        shape = self.shape
+        offset = shape.offset_of(name)
         if offset is None:
-            self.shape = SHAPE_TREE.transition_add(self.shape, name)
+            self.shape = shape.tree.transition_add(shape, name)
             self.slots.append(value)
         else:
             self.slots[offset] = value
@@ -224,10 +200,11 @@ class JSObject(object):
 
     def delete(self, name):
         """Remove property ``name``, transitioning shape if it existed."""
-        offset = self.shape.offset_of(name)
+        shape = self.shape
+        offset = shape.offset_of(name)
         if offset is not None:
             del self.slots[offset]
-            self.shape = SHAPE_TREE.transition_delete(self.shape, name)
+            self.shape = shape.tree.transition_delete(shape, name)
 
     def __repr__(self):
         inner = ", ".join(
@@ -247,8 +224,8 @@ class JSArray(JSObject):
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements=None):
-        super().__init__()
+    def __init__(self, root, elements=None):
+        super().__init__(root)
         self.elements = list(elements) if elements is not None else []
 
     @property

@@ -14,7 +14,7 @@ specialized constants.
 import math
 
 from repro.errors import JSRangeError, JSTypeError
-from repro.jsvm.objects import JSArray, JSObject
+from repro.jsvm.objects import JSArray, JSObject, ShapeTree
 from repro.jsvm.values import (
     NULL,
     UNDEFINED,
@@ -66,6 +66,9 @@ class Runtime(object):
         #: Collected output of ``print`` calls (one string per call).
         self.printed = output if output is not None else []
         self.globals = {}
+        #: The hidden-class tree every object of this runtime — builtins
+        #: and guest allocations alike — takes its shape from.
+        self.shapes = ShapeTree()
         self.string_methods = {}
         self.array_methods = {}
         self.number_methods = {}
@@ -80,6 +83,8 @@ class Runtime(object):
         return NativeFunction(name, fn, foldable)
 
     def _install_globals(self):
+        root = self.shapes.root
+
         def js_print(_this, args):
             self.printed.append(" ".join(to_js_string(a) for a in args))
             return UNDEFINED
@@ -91,8 +96,8 @@ class Runtime(object):
                 length = int(args[0])
                 if length < 0 or float(args[0]) != length:
                     raise JSRangeError("invalid array length")
-                return JSArray([UNDEFINED] * length)
-            return JSArray(list(args))
+                return JSArray(root, [UNDEFINED] * length)
+            return JSArray(root, list(args))
 
         self.globals["Array"] = self._native("Array", js_array_ctor)
 
@@ -166,7 +171,7 @@ class Runtime(object):
         self._install_string_statics(string_fn)
 
     def _make_math(self):
-        math_obj = JSObject()
+        math_obj = JSObject(self.shapes.root)
 
         def unary(name, fn, foldable=True):
             def wrapper(_this, args):
@@ -262,13 +267,14 @@ class Runtime(object):
         def from_char_code(_this, args):
             return "".join(chr(int(to_number(a)) & 0xFFFF) for a in args)
 
-        holder = JSObject()
+        holder = JSObject(self.shapes.root)
         holder.set("fromCharCode", self._native("String.fromCharCode", from_char_code, foldable=True))
         # GETPROP on a NativeFunction value consults this table:
         self.function_statics = {string_fn: holder}
 
     def _install_string_methods(self):
         methods = self.string_methods
+        root = self.shapes.root
 
         def char_at(this, args):
             s = _check_string_this(this, "charAt")
@@ -318,11 +324,11 @@ class Runtime(object):
             s = _check_string_this(this, "split")
             separator = _arg(args, 0)
             if separator is UNDEFINED:
-                return JSArray([s])
+                return JSArray(root, [s])
             separator = to_js_string(separator)
             if separator == "":
-                return JSArray(list(s))
-            return JSArray(s.split(separator))
+                return JSArray(root, list(s))
+            return JSArray(root, s.split(separator))
 
         def to_upper(this, _args):
             return _check_string_this(this, "toUpperCase").upper()
@@ -356,6 +362,7 @@ class Runtime(object):
 
     def _install_array_methods(self):
         methods = self.array_methods
+        root = self.shapes.root
 
         def push(this, args):
             array = _check_array_this(this, "push")
@@ -406,7 +413,7 @@ class Runtime(object):
             start = _int_arg(args, 0)
             end_arg = _arg(args, 1)
             end = len(array.elements) if end_arg is UNDEFINED else _int_arg(args, 1)
-            return JSArray(array.elements[start:end] if start >= 0 and end >= 0 else array.elements[start:end])
+            return JSArray(root, array.elements[start:end] if start >= 0 and end >= 0 else array.elements[start:end])
 
         def concat(this, args):
             array = _check_array_this(this, "concat")
@@ -416,7 +423,7 @@ class Runtime(object):
                     elements.extend(value.elements)
                 else:
                     elements.append(value)
-            return JSArray(elements)
+            return JSArray(root, elements)
 
         def sort(this, args):
             array = _check_array_this(this, "sort")

@@ -352,9 +352,9 @@ def _emit(out, index, instruction, binder, inject=False, slot_offset=None):
     elif op == "storeglobal":
         out.append("_set_global(%s, %s)" % (binder.lit(extra), v(srcs[0])))
     elif op == "newarray":
-        out.append("%s = _JSArray([%s])" % (d(), ", ".join(v(loc) for loc in srcs)))
+        out.append("%s = _JSArray(_root, [%s])" % (d(), ", ".join(v(loc) for loc in srcs)))
     elif op == "newobject":
-        out.append("_t = _JSObject()")
+        out.append("_t = _JSObject(_root)")
         for key, loc in zip(extra, srcs):
             out.append("_t.set(%s, %s)" % (binder.lit(key), v(loc)))
         out.append("%s = _t" % d())
@@ -427,7 +427,10 @@ class _ShapeGuardTracker(object):
     (:func:`repro.jsvm.objects.common_slot_offset`).
     """
 
-    def __init__(self):
+    def __init__(self, tree):
+        #: The executor runtime's ShapeTree — the id space the guards'
+        #: shape ids were recorded in.
+        self._tree = tree
         self._guards = {}
 
     def reset(self):
@@ -438,7 +441,7 @@ class _ShapeGuardTracker(object):
         shape_ids = self._guards.get(instruction.srcs[0])
         if not shape_ids:
             return None
-        return common_slot_offset(shape_ids, instruction.extra)
+        return common_slot_offset(self._tree, shape_ids, instruction.extra)
 
     def observe(self, instruction):
         """Update tracking *after* codegen of ``instruction``."""
@@ -505,6 +508,7 @@ def compile_closures(native, executor, capture=None):
         "_bail": executor._bail,
         "_interp": interpreter,
         "_runtime": runtime,
+        "_root": runtime.shapes.root,
         "_normalize": normalize_number,
         "_js_div": operations.js_div,
         "_js_mod": operations.js_mod,
@@ -562,7 +566,7 @@ def compile_closures(native, executor, capture=None):
             index += 1
 
         lines = ["def _b%d(_v, _c):" % leader, "    _i = 0", "    try:"]
-        shape_tracker = _ShapeGuardTracker()
+        shape_tracker = _ShapeGuardTracker(runtime.shapes)
         for offset, instr_index in enumerate(body):
             if offset:
                 lines.append("        _i = %d" % offset)

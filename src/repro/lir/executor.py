@@ -375,9 +375,11 @@ class NativeExecutor(object):
                 elif op == "storeglobal":
                     runtime.set_global(instruction.extra, values[srcs[0]])
                 elif op == "newarray":
-                    values[dest] = JSArray([values[loc] for loc in srcs])
+                    values[dest] = JSArray(
+                        runtime.shapes.root, [values[loc] for loc in srcs]
+                    )
                 elif op == "newobject":
-                    obj = JSObject()
+                    obj = JSObject(runtime.shapes.root)
                     for key, loc in zip(instruction.extra, srcs):
                         obj.set(key, values[loc])
                     values[dest] = obj

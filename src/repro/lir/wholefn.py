@@ -227,6 +227,7 @@ class _WholeEmitter(object):
             "_bw": publish_bailout,
             "_interp": executor.interpreter,
             "_runtime": executor.runtime,
+            "_root": executor.runtime.shapes.root,
             "_normalize": normalize_number,
             "_js_div": operations.js_div,
             "_js_mod": operations.js_mod,
@@ -628,9 +629,9 @@ class _WholeEmitter(object):
         elif op == "storeglobal":
             out.append("_set_global(%s, %s)" % (binder.lit(extra), v(srcs[0])))
         elif op == "newarray":
-            out.append("%s = _JSArray([%s])" % (d(), ", ".join(v(loc) for loc in srcs)))
+            out.append("%s = _JSArray(_root, [%s])" % (d(), ", ".join(v(loc) for loc in srcs)))
         elif op == "newobject":
-            out.append("_t = _JSObject()")
+            out.append("_t = _JSObject(_root)")
             for key, loc in zip(extra, srcs):
                 out.append("_t.set(%s, %s)" % (binder.lit(key), v(loc)))
             out.append("%s = _t" % d())
@@ -1031,7 +1032,7 @@ class _WholeEmitter(object):
         self.known_i = None
         self.args_in_t = False
         self.bool_locs = set()
-        shape_tracker = _ShapeGuardTracker()
+        shape_tracker = _ShapeGuardTracker(self.executor.runtime.shapes)
 
         def charge():
             if self.profiled:

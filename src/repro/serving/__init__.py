@@ -6,8 +6,8 @@ Layers, bottom up:
   per-tenant counter views.
 - :mod:`repro.serving.admission` — deterministic per-tenant
   admission/queueing lanes (compile-queue semantics, model cycles).
-- :mod:`repro.serving.isolate` — one engine + shape tree + metrics
-  registry per tenant; the tenant-isolation boundary.
+- :mod:`repro.serving.isolate` — one engine (which owns its shape
+  tree) + metrics registry per tenant; the tenant-isolation boundary.
 - :mod:`repro.serving.fleet` — seeded power-law fleet-traffic driver
   (`repro fleet`).
 - :mod:`repro.serving.pool` — tenant isolates spread over worker

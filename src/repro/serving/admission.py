@@ -25,7 +25,7 @@ globally — one tenant's burst cannot starve another's lane.
 """
 
 #: Lane-clock cycles charged once per batch for dispatch (socket parse,
-#: routing, isolate swap-in).  Mirrors the compile queue's
+#: routing, isolate lookup).  Mirrors the compile queue's
 #: ``dispatch_delay`` default scale.
 DISPATCH_DELAY = 30
 

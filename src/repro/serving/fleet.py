@@ -175,7 +175,6 @@ def _run_partition(records, catalog, host_kwargs):
     return {
         "responses": responses,
         "payloads": host.metrics_payloads(),
-        "isolation_violations": host.isolation_violations,
         "store_stats": host.store_stats(),
     }
 
@@ -265,9 +264,6 @@ def run_fleet(
         "rejected": counters["repro_serving_rejected_total"],
         "batches": counters["repro_serving_batches_total"],
         "tenants": merged["gauges"]["repro_serving_tenants"],
-        "isolation_violations": sum(
-            part["isolation_violations"] for part in partition_results
-        ),
         "p50_latency_cycles": percentile(latencies, 0.50),
         "p99_latency_cycles": percentile(latencies, 0.99),
         "total_latency_cycles": sum(latencies),

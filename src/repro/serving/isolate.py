@@ -1,19 +1,14 @@
-"""Tenant isolates: one engine, shape tree and metrics per tenant.
+"""Tenant isolates: one engine and one metrics registry per tenant.
 
-The isolation contract (docs/SERVING.md): every piece of *speculation
-state* — the shape transition tree, inline caches, type feedback, spec
-caches, deoptless tables, compile queue — belongs to exactly one
-tenant.  Only immutable compiled artifacts (content-addressed disk
-frames) may be shared across tenants.  The one piece of speculation
-state the VM keeps in a module global is the shape tree
-(``repro.jsvm.objects.SHAPE_TREE``), so the isolate swaps its private
-tree in around every request via
-:func:`repro.jsvm.objects.install_shape_tree` and verifies on the way
-out that nothing replaced it mid-request; a foreign tree observed
-there is counted as an isolation violation (it means another tenant's
-shapes could have leaked into this tenant's ICs).
+The isolation contract (docs/SERVING.md) is ownership: every piece of
+*speculation state* — the shape transition tree, inline caches, type
+feedback, spec caches, deoptless tables, compile queue — hangs off the
+tenant's own :class:`~repro.engine.runtime_engine.Engine` (the shape
+tree off its ``Runtime``), and nothing in the process is shared between
+engines.  Only immutable compiled artifacts (content-addressed disk
+frames) cross tenants.
 
-Because each tenant's tree starts from a fresh root, shape ids are
+Because each engine's runtime numbers its own shape tree, shape ids are
 deterministic *per tenant* — bit-identical to running that tenant's
 request stream alone in a dedicated engine, which is exactly what the
 cross-tenant bleed test asserts.
@@ -29,9 +24,8 @@ import os
 
 from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
-from repro.jsvm import objects
+from repro.errors import ReproError
 from repro.jsvm.bytecompiler import compile_source
-from repro.jsvm.objects import ShapeTree, install_shape_tree
 from repro.serving.admission import AdmissionLane
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -39,7 +33,7 @@ from repro.serving.shards import ShardedDiskCache, TenantCacheView
 
 
 class TenantIsolate(object):
-    """One tenant's engine, shape tree, programs, lane and metrics."""
+    """One tenant's engine, programs, lane and metrics."""
 
     def __init__(
         self,
@@ -50,7 +44,6 @@ class TenantIsolate(object):
         queue_capacity=None,
     ):
         self.tenant = tenant
-        self.shape_tree = ShapeTree()
         self.cache = cache
         self.metrics = MetricsRegistry()
         kwargs = dict(engine_kwargs or {})
@@ -62,42 +55,34 @@ class TenantIsolate(object):
         if queue_capacity is not None:
             lane_kwargs["capacity"] = queue_capacity
         self.lane = AdmissionLane(**lane_kwargs)
-        #: program name -> compiled toplevel CodeObject; reused across
-        #: requests so this tenant's feedback and spec caches warm up.
+        #: program name -> (source, compiled toplevel CodeObject); reused
+        #: across requests while the name keeps meaning the same source,
+        #: so this tenant's feedback and spec caches warm up.
         self.programs = {}
         self.requests = 0
-        self.isolation_violations = 0
         self.metrics.set_gauge("repro_serving_tenants", 1)
 
     def execute(self, program, source):
         """Run one request; returns ``(output_lines, service_cycles)``.
 
-        Swaps this tenant's shape tree in for the duration, measures
-        service time as the engine's deterministic cycle-clock delta,
-        and returns only the lines printed by *this* request (the
-        runtime's ``printed`` list is truncated back so long-lived
-        isolates stay bounded).
+        Measures service time as the engine's deterministic cycle-clock
+        delta and returns only the lines printed by *this* request (the
+        runtime's ``printed`` list is truncated back — also when the
+        guest raises — so long-lived isolates stay bounded).
         """
-        previous = install_shape_tree(self.shape_tree)
+        cached = self.programs.get(program)
+        if cached is None or cached[0] != source:
+            cached = self.programs[program] = (source, compile_source(source))
+        code = cached[1]
+        runtime = self.engine.interpreter.runtime
+        printed_before = len(runtime.printed)
+        cycles_before = self.engine.trace_clock()
         try:
-            code = self.programs.get(program)
-            if code is None:
-                code = compile_source(source)
-                self.programs[program] = code
-            runtime = self.engine.interpreter.runtime
-            printed_before = len(runtime.printed)
-            cycles_before = self.engine.trace_clock()
             self.engine.run_code(code)
-            service_cycles = self.engine.trace_clock() - cycles_before
             output = list(runtime.printed[printed_before:])
-            del runtime.printed[printed_before:]
         finally:
-            if objects.SHAPE_TREE is not self.shape_tree:
-                # Someone swapped a foreign tree in mid-request: this
-                # tenant's ICs may now hold another tenant's shape ids.
-                self.isolation_violations += 1
-                self.metrics.inc("repro_serving_isolation_violations_total")
-            install_shape_tree(previous)
+            del runtime.printed[printed_before:]
+        service_cycles = self.engine.trace_clock() - cycles_before
         self.requests += 1
         return output, service_cycles
 
@@ -149,10 +134,6 @@ class TenantIsolate(object):
             "latency_cycles": done - arrival,
             "wait_cycles": start - arrival,
             "service_cycles": service_cycles,
-            # Cumulative per-tenant violation count, so a live server
-            # can report isolation health without waiting for the
-            # shutdown summary.
-            "violations": self.isolation_violations,
         }
 
     def _sample_lane(self):
@@ -163,6 +144,16 @@ class TenantIsolate(object):
     def metrics_payload(self):
         """This tenant's finalized metrics payload (full schema keys)."""
         return self.metrics.as_dict()
+
+
+def _error_response(tenant, program, message):
+    return {
+        "tenant": tenant,
+        "program": program,
+        "status": "error",
+        "error": message,
+        "output": [],
+    }
 
 
 class TenantHost(object):
@@ -236,6 +227,9 @@ class TenantHost(object):
         name) or ``source`` (inline guest code; cached under
         ``program``'s name if both are given), optional ``arrival``
         and ``batch`` (virtual-clock mode), optional ``seq`` (echoed).
+        A guest that fails (syntax error, uncaught runtime error) gets
+        a ``status: "error"`` response naming the error class — the
+        same reply from an inline pool and from a worker process.
         """
         tenant = request["tenant"]
         program = request.get("program", "<inline>")
@@ -243,29 +237,26 @@ class TenantHost(object):
         if source is None:
             source = self.catalog.get(program)
         if source is None:
-            return {
-                "tenant": tenant,
-                "program": program,
-                "status": "error",
-                "error": "unknown program %r" % (program,),
-                "output": [],
-            }
+            return _error_response(
+                tenant, program, "unknown program %r" % (program,)
+            )
         isolate = self.isolate(tenant)
-        response = isolate.serve(
-            program,
-            source,
-            arrival=request.get("arrival"),
-            batch=request.get("batch"),
-        )
+        try:
+            response = isolate.serve(
+                program,
+                source,
+                arrival=request.get("arrival"),
+                batch=request.get("batch"),
+            )
+        except ReproError as exc:
+            response = _error_response(
+                tenant, program, "%s: %s" % (type(exc).__name__, exc)
+            )
         if "seq" in request:
             response["seq"] = request["seq"]
         return response
 
     # -- aggregation ---------------------------------------------------------
-
-    @property
-    def isolation_violations(self):
-        return sum(i.isolation_violations for i in self.isolates.values())
 
     def metrics_payloads(self):
         """Per-tenant finalized payloads, in sorted tenant order."""

@@ -15,9 +15,9 @@ the asyncio server when process isolation isn't needed.
 Shutdown is graceful by construction: the caller drains its in-flight
 requests first, then :meth:`WorkerPool.shutdown` sends one sentinel
 per worker, and each worker replies with a final summary (per-tenant
-metrics payloads, isolation-violation count, store stats) after
-finishing everything already in its inbox — per-worker queues are
-FIFO, so no response can be lost behind a summary.
+metrics payloads, store stats) after finishing everything already in
+its inbox — per-worker queues are FIFO, so no response can be lost
+behind a summary.
 """
 
 import multiprocessing
@@ -38,7 +38,6 @@ def tenant_worker(tenant, workers):
 def _worker_summary(host):
     return {
         "payloads": host.metrics_payloads(),
-        "isolation_violations": host.isolation_violations,
         "store_stats": host.store_stats(),
         "tenants": sorted(host.isolates),
     }
@@ -130,9 +129,9 @@ class WorkerPool(object):
         """Stop workers and return the merged fleet summary.
 
         Callers must have drained their in-flight responses first.
-        Returns ``{"payloads", "metrics", "isolation_violations",
-        "store_stats", "tenants"}`` with ``metrics`` the
-        ``merge_payloads`` fold over every tenant of every worker.
+        Returns ``{"payloads", "metrics", "store_stats", "tenants"}``
+        with ``metrics`` the ``merge_payloads`` fold over every tenant
+        of every worker.
         """
         summaries = []
         if self._inline_host is not None:
@@ -155,9 +154,6 @@ class WorkerPool(object):
         return {
             "payloads": payloads,
             "metrics": merge_payloads(payloads),
-            "isolation_violations": sum(
-                s["isolation_violations"] for s in summaries
-            ),
             "store_stats": [
                 s["store_stats"] for s in summaries if s["store_stats"]
             ],

@@ -7,7 +7,7 @@ Protocol — one JSON object per line, one JSON reply per line:
   names a catalog entry; an optional client ``id`` is echoed back)
 - ``{"op": "ping"}`` — liveness probe.
 - ``{"op": "stats"}`` — live counters: requests served/rejected,
-  pending, tenants seen, isolation violations.
+  pending, tenants seen.
 - ``{"op": "shutdown"}`` — graceful stop: the reply is sent, new runs
   are refused, in-flight requests drain, workers retire and report
   their per-tenant metrics payloads, and the merged payload is
@@ -78,7 +78,7 @@ class ServingServer(object):
         self._served = 0
         self._rejected = 0
         self._errors = 0
-        self._tenant_violations = {}
+        self._tenants = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -123,8 +123,7 @@ class ServingServer(object):
             status = payload.get("status")
             if status == "ok":
                 self._served += 1
-                tenant = payload.get("tenant")
-                self._tenant_violations[tenant] = payload.get("violations", 0)
+                self._tenants.add(payload.get("tenant"))
             elif status == "rejected":
                 self._rejected += 1
             else:
@@ -208,8 +207,7 @@ class ServingServer(object):
             "rejected": self._rejected,
             "errors": self._errors,
             "pending": len(self._pending),
-            "tenants": len(self._tenant_violations),
-            "isolation_violations": sum(self._tenant_violations.values()),
+            "tenants": len(self._tenants),
         }
 
     # -- graceful stop -------------------------------------------------------

@@ -290,10 +290,6 @@ METRIC_SCHEMA = {
         "type": "counter",
         "help": "request batches dispatched to tenant isolates",
     },
-    "repro_serving_isolation_violations_total": {
-        "type": "counter",
-        "help": "tenant-isolation breaches detected (foreign shape tree observed)",
-    },
     "repro_serving_tenants": {
         "type": "gauge",
         "merge": "sum",
@@ -374,7 +370,10 @@ class MetricsRegistry(object):
     :meth:`maybe_snapshot` at its safe points and a snapshot is taken
     each time the cycle clock crosses an interval boundary.  ``0``
     disables the time series; :meth:`finalize` always records one
-    closing snapshot.
+    closing snapshot — exactly one, however many runs a long-lived
+    engine finishes: a later ``finalize`` (or interval crossing)
+    replaces it, so the series is the one a single run over the same
+    span would have recorded.
     """
 
     def __init__(self, snapshot_interval=0, clock=None):
@@ -387,6 +386,8 @@ class MetricsRegistry(object):
         self.histograms = payload["histograms"]
         #: The cycle-stamped time series (list of snapshot dicts).
         self.snapshots = []
+        #: True while the newest snapshot is ``finalize``'s closing one.
+        self._closed = False
         #: 0-arg callables invoked before every snapshot so gauges and
         #: folded counters reflect the instant of the snapshot (the
         #: engine registers its collector here).
@@ -484,13 +485,21 @@ class MetricsRegistry(object):
         if now < self._next_due:
             return
         self.collect()
-        self.snapshots.append(self._snapshot_record(now))
+        self._append_snapshot(now)
         self._next_due = (now // self.snapshot_interval + 1) * self.snapshot_interval
 
     def finalize(self):
         """Collect and record the closing snapshot (any interval)."""
         self.collect()
-        self.snapshots.append(self._snapshot_record(self._clock()))
+        self._append_snapshot(self._clock())
+        self._closed = True
+
+    def _append_snapshot(self, ts):
+        if self._closed:
+            # A previous run's closing snapshot: superseded.
+            self.snapshots.pop()
+            self._closed = False
+        self.snapshots.append(self._snapshot_record(ts))
 
     # -- export ---------------------------------------------------------------
 

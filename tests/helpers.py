@@ -4,6 +4,11 @@ from repro.jsvm.bytecode import Op
 from repro.jsvm.bytecompiler import compile_source
 from repro.jsvm.feedback import TypeFeedback
 from repro.jsvm.interpreter import Interpreter
+from repro.jsvm.objects import ShapeTree
+
+#: Root shape of a standalone tree, for tests that build heap values by
+#: hand rather than through a Runtime.
+ROOT = ShapeTree().root
 
 
 def all_function_codes(toplevel):

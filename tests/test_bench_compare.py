@@ -69,7 +69,6 @@ def make_results():
             "total_latency_cycles": 120000000,
             "cold_hit_rate": 0.58,
             "warm_hit_rate": 1.0,
-            "isolation_violations": 0,
             "cycles_identical": True,
         },
     }
@@ -222,14 +221,6 @@ class TestClassification:
         assert report["status"] == "fail"
         (delta,) = [d for d in report["deltas"] if d["status"] == "regressed"]
         assert (delta["metric"], delta["kind"]) == ("warm_hit_rate", "ratio")
-
-    def test_serving_isolation_violations_always_regress(self):
-        current = make_results()
-        current["serving"]["isolation_violations"] = 1
-        report = compare_results(current, make_results())
-        assert report["status"] == "fail"
-        (delta,) = by_metric(report, "isolation_violations")
-        assert delta["status"] == "regressed" and delta["current"] == 1
 
     def test_serving_cold_warm_divergence_is_a_regression(self):
         current = make_results()

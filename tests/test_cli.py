@@ -259,7 +259,7 @@ class TestFleet:
         )
         assert code == 0
         assert "12 requests over 3 tenants" in output
-        assert "isolation violations: 0" in output
+        assert "hit rate 0.000)\n" in output
         with open(schedule) as handle:
             lines = handle.read().splitlines()
         assert len(lines) == 12

@@ -26,7 +26,6 @@ from repro.cache import DiskCodeCache
 from repro.engine.bailout import GuardFaultInjector, exercise_entry_guards
 from repro.engine.runtime_engine import _key_recurrable, _spec_key
 from repro.jsvm.bytecode import CodeObject
-from repro.jsvm.objects import reset_shapes
 from repro.jsvm.values import UNDEFINED
 from repro.lir.executor import Bailout
 from repro.telemetry.profiler import CycleProfiler
@@ -37,9 +36,8 @@ from tests.conftest import FAST
 
 
 def run(source, trace=False, **kwargs):
-    """One deterministic engine run: fresh code ids and shape registry."""
+    """One deterministic engine run: fresh code ids."""
     CodeObject._next_id = 1
-    reset_shapes()
     tracer = Tracer(channels=("deoptless", "deopt")) if trace else None
     engine = Engine(config=FULL_SPEC, tracer=tracer, **dict(FAST, **kwargs))
     printed = engine.run_source(source)
@@ -298,7 +296,6 @@ class TestRetrainNoop:
 
 def run_bench(bench, backend="simple", **kwargs):
     CodeObject._next_id = 1
-    reset_shapes()
     engine = Engine(config=FULL_SPEC, executor_backend=backend, **kwargs)
     printed = engine.run_source(bench.source)
     return engine, printed
@@ -325,7 +322,6 @@ class TestChurnDifferential:
         # through the profiler's entry accounting, so the attribution
         # identity (docs/PROFILING.md) must survive the feature.
         CodeObject._next_id = 1
-        reset_shapes()
         profiler = CycleProfiler()
         engine = Engine(config=FULL_SPEC, deoptless=True, cycle_profiler=profiler)
         engine.run_source(bench.source)
@@ -341,7 +337,6 @@ class TestChurnDifferential:
     def test_cache_cold_then_warm_with_the_table_on(self, tmp_path):
         def cached_run():
             CodeObject._next_id = 1
-            reset_shapes()
             cache = DiskCodeCache(root=str(tmp_path))
             engine = Engine(
                 config=FULL_SPEC,
@@ -387,7 +382,6 @@ print(walk());
 
 def run_chaos(source, injector, **kwargs):
     CodeObject._next_id = 1
-    reset_shapes()
     engine = Engine(
         config=FULL_SPEC,
         fault_injector=injector,

@@ -263,7 +263,7 @@ def test_shapes_doc_names_the_contract_vocabulary():
     assert "`guardshape`" in text
     assert "`%s`" % MEGAMORPHIC in text
     assert "shape-retrain" in text  # the deopt.discard reason
-    assert "reset_shapes" in text
+    assert "runtime.shapes" in text
 
 
 def _metrics_doc():
@@ -497,7 +497,8 @@ def test_serving_doc_names_the_contract_vocabulary():
         "TenantCacheView",
         "WorkerPool",
         "ServingServer",
-        "install_shape_tree",
+        "runtime.shapes",
+        "common_slot_offset",
         "merge_payloads",
         "measure_serving",
         "tools/serving_smoke.py",
@@ -510,7 +511,6 @@ def test_serving_doc_names_the_contract_vocabulary():
         "p50_latency_cycles",
         "p99_latency_cycles",
         "warm_hit_rate",
-        "isolation_violations",
         "cycles_identical",
     ):
         assert "`%s`" % field in text, "gate field %r undocumented" % field

@@ -9,7 +9,7 @@ from repro.mir.verifier import verify_dominance, verify_graph
 from repro.opts.loop_inversion import rotate_loops
 from repro.opts.pass_manager import optimize
 
-from tests.helpers import compile_and_profile
+from tests.helpers import ROOT, compile_and_profile
 
 KERNELS = [
     (
@@ -65,7 +65,7 @@ def test_dominance_holds_after_pipeline(kernel, config):
         code = map_code
         if config.loop_inversion:
             rotate_loops(code)
-        param_values = [JSArray([1, 2, 3]), 3, JSFunction(inc_code, ())]
+        param_values = [JSArray(ROOT, [1, 2, 3]), 3, JSFunction(inc_code, ())]
     graph = build_mir(code, feedback=code.feedback, param_values=param_values)
     optimize(graph, config)
     verify_graph(graph)

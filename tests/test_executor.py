@@ -85,7 +85,7 @@ class TestGuards:
 
         ex = executor()
         with pytest.raises(Bailout) as info:
-            ex.run(native, None, UNDEFINED, [JSArray([1, 2, 3]), 99])
+            ex.run(native, None, UNDEFINED, [JSArray(ex.runtime.shapes.root, [1, 2, 3]), 99])
         assert info.value.reason == "bounds check"
         assert info.value.mode == "at"
 

@@ -4,6 +4,8 @@ from repro.jsvm.feedback import TypeFeedback
 from repro.jsvm.objects import JSArray, JSObject
 from repro.jsvm.values import UNDEFINED
 
+from tests.helpers import ROOT
+
 
 class TestRecording:
     def test_record_args(self):
@@ -39,17 +41,17 @@ class TestRecording:
     def test_site_pollution(self):
         feedback = TypeFeedback(0)
         feedback.record_site(7, 42)
-        feedback.record_site(7, JSObject())
+        feedback.record_site(7, JSObject(ROOT))
         assert feedback.site_speculation(7) is None
 
     def test_receivers(self):
         feedback = TypeFeedback(0)
-        feedback.record_recv(3, JSArray([1]))
+        feedback.record_recv(3, JSArray(ROOT, [1]))
         assert feedback.recv_speculation(3) == "array"
 
     def test_this_speculation(self):
         feedback = TypeFeedback(0)
-        obj = JSObject()
+        obj = JSObject(ROOT)
         feedback.record_args([], obj)
         assert feedback.this_speculation() == "object"
 
@@ -57,7 +59,7 @@ class TestRecording:
         from repro.jsvm.feedback import MAX_TAGS_PER_SITE
 
         feedback = TypeFeedback(0)
-        for value in (1, "x", True, JSObject(), JSArray(), 1.5):
+        for value in (1, "x", True, JSObject(ROOT), JSArray(ROOT), 1.5):
             feedback.record_site(0, value)
         assert len(feedback.site_tags[0]) <= MAX_TAGS_PER_SITE
 

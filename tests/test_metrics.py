@@ -152,6 +152,21 @@ class TestSnapshotBoundaries:
         registry.finalize()
         assert len(registry.snapshots) == 1
 
+    def test_a_later_finalize_replaces_the_closing_snapshot(self):
+        now = [0]
+        registry = MetricsRegistry(snapshot_interval=100, clock=lambda: now[0])
+        now[0] = 150
+        registry.maybe_snapshot()
+        registry.finalize()
+        now[0] = 180
+        registry.finalize()  # same window: replaces, does not append
+        assert [snap["ts"] for snap in registry.snapshots] == [150, 180]
+        now[0] = 250  # an interval crossing supersedes it too
+        registry.maybe_snapshot()
+        registry.finalize()
+        assert [snap["ts"] for snap in registry.snapshots] == [150, 250, 250]
+        assert [snap["seq"] for snap in registry.snapshots] == [0, 1, 2]
+
     def test_collectors_run_before_every_snapshot(self):
         registry = MetricsRegistry()
         registry.collectors.append(

@@ -11,6 +11,8 @@ from repro.jsvm.objects import JSArray, JSObject
 from repro.jsvm.values import INT32_MAX, INT32_MIN, NULL, UNDEFINED
 from repro.errors import JSTypeError
 
+from tests.helpers import ROOT
+
 
 def binop(op, a, b):
     return operations.binary_op(op, a, b)
@@ -55,10 +57,10 @@ class TestAdd:
         assert binop(Op.ADD, 1, "a") == "1a"
 
     def test_array_concat(self):
-        assert binop(Op.ADD, JSArray([1, 2]), "!") == "1,2!"
+        assert binop(Op.ADD, JSArray(ROOT, [1, 2]), "!") == "1,2!"
 
     def test_object_concat(self):
-        assert binop(Op.ADD, JSObject(), "") == "[object Object]"
+        assert binop(Op.ADD, JSObject(ROOT), "") == "[object Object]"
 
     def test_undefined_add(self):
         assert math.isnan(binop(Op.ADD, UNDEFINED, 1))
@@ -180,11 +182,11 @@ class TestComparisons:
 
 class TestInOperator:
     def test_array_index(self):
-        assert binop(Op.IN, 0, JSArray([1]))
-        assert not binop(Op.IN, 1, JSArray([1]))
+        assert binop(Op.IN, 0, JSArray(ROOT, [1]))
+        assert not binop(Op.IN, 1, JSArray(ROOT, [1]))
 
     def test_object_property(self):
-        obj = JSObject({"k": 1})
+        obj = JSObject(ROOT, {"k": 1})
         assert binop(Op.IN, "k", obj)
         assert not binop(Op.IN, "z", obj)
 
@@ -216,10 +218,10 @@ class TestPropertyAccess:
         assert operations.get_property("hello", "length") == 5
 
     def test_array_length(self):
-        assert operations.get_property(JSArray([1, 2]), "length") == 2
+        assert operations.get_property(JSArray(ROOT, [1, 2]), "length") == 2
 
     def test_object_missing_is_undefined(self):
-        assert operations.get_property(JSObject(), "nope") is UNDEFINED
+        assert operations.get_property(JSObject(ROOT), "nope") is UNDEFINED
 
     def test_read_of_undefined_raises(self):
         with pytest.raises(JSTypeError):
@@ -239,13 +241,13 @@ class TestPropertyAccess:
         assert operations.get_element("abc", 9) is UNDEFINED
 
     def test_array_element(self):
-        assert operations.get_element(JSArray([7]), 0) == 7
+        assert operations.get_element(JSArray(ROOT, [7]), 0) == 7
 
     def test_array_hole_is_undefined(self):
-        assert operations.get_element(JSArray([7]), 3) is UNDEFINED
+        assert operations.get_element(JSArray(ROOT, [7]), 3) is UNDEFINED
 
     def test_set_element_grows(self):
-        array = JSArray()
+        array = JSArray(ROOT)
         operations.set_element(array, 3, "x")
         assert array.length == 4
         assert array.get_element(0) is UNDEFINED

@@ -16,7 +16,7 @@ from repro.opts.licm import run_licm
 from repro.opts.loop_inversion import rotate_loops
 from repro.opts.pass_manager import optimize
 
-from tests.helpers import compile_and_profile, count, instrs
+from tests.helpers import ROOT, compile_and_profile, count, instrs
 
 
 def built(source, name=None, param_values=None, rotate=False, this_value=None):
@@ -124,7 +124,7 @@ class TestConstProp:
             return count(graph, mi.MUnbox) + count(graph, mi.MTypeBarrier)
 
         generic_guards = guard_count(None)
-        specialized_guards = guard_count([JSArray([1, 2, 3]), 1])
+        specialized_guards = guard_count([JSArray(ROOT, [1, 2, 3]), 1])
         assert specialized_guards < generic_guards
 
     def test_strict_equality_of_disjoint_types(self):
@@ -382,7 +382,7 @@ class TestBoundsCheckElimination:
         from repro.jsvm.objects import JSArray
 
         _top, code = compile_and_profile(self.SOURCE, "f")
-        array = JSArray(list(range(100)))
+        array = JSArray(ROOT, list(range(100)))
         graph = build_mir(code, feedback=code.feedback, param_values=[array])
         specialize_types(graph)
         run_constant_propagation(graph)
@@ -409,7 +409,7 @@ class TestBoundsCheckElimination:
 
         source = self.SOURCE.replace("i < 100", "i < 200")
         _top, code = compile_and_profile(source, "f")
-        graph = build_mir(code, feedback=code.feedback, param_values=[JSArray(list(range(100)))])
+        graph = build_mir(code, feedback=code.feedback, param_values=[JSArray(ROOT, list(range(100)))])
         specialize_types(graph)
         run_constant_propagation(graph)
         assert run_bounds_check_elimination(graph) == 0
@@ -429,7 +429,7 @@ class TestBoundsCheckElimination:
         graph = build_mir(
             code,
             feedback=code.feedback,
-            param_values=[JSArray(list(range(10))), "notanobject"],
+            param_values=[JSArray(ROOT, list(range(10))), "notanobject"],
         )
         specialize_types(graph)
         run_constant_propagation(graph)
@@ -458,7 +458,7 @@ class TestInlining:
             c for c in top.constants if hasattr(c, "instructions") and c.name == "inc"
         ][0]
         inc_function = JSFunction(inc_code, ())
-        array = JSArray([1, 2, 3, 4, 5])
+        array = JSArray(ROOT, [1, 2, 3, 4, 5])
         graph = build_mir(
             code, feedback=code.feedback, param_values=[array, 2, 5, inc_function]
         )

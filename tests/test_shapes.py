@@ -29,7 +29,7 @@ from repro.fuzz.oracle import CHAOS_BAILOUT_LIMIT
 from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.feedback import MAX_IC_SHAPES, MEGAMORPHIC, TypeFeedback
 from repro.jsvm.interpreter import Interpreter
-from repro.jsvm.objects import JSArray, JSObject, reset_shapes
+from repro.jsvm.objects import JSArray, JSObject, ShapeTree
 from repro.lir.native import FAULT_INJECTED
 from repro.telemetry.profiler import CycleProfiler
 from repro.telemetry.tracing import Tracer
@@ -52,12 +52,10 @@ print(s);
 """
 
 
-@pytest.fixture(autouse=True)
-def _fresh_shape_tree():
-    """Number shapes from a blank tree so ids are comparable."""
-    reset_shapes()
-    yield
-    reset_shapes()
+@pytest.fixture
+def root():
+    """The root of a blank tree, as a fresh Runtime would hold."""
+    return ShapeTree().root
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +63,16 @@ def _fresh_shape_tree():
 
 
 class TestTransitionTree:
-    def test_same_insertion_order_shares_a_shape(self):
-        first, second = JSObject(), JSObject()
+    def test_same_insertion_order_shares_a_shape(self, root):
+        first, second = JSObject(root), JSObject(root)
         for obj in (first, second):
             obj.set("x", 1)
             obj.set("y", 2)
         assert first.shape is second.shape
         assert first.shape.names == ("x", "y")
 
-    def test_insertion_order_distinguishes_shapes(self):
-        xy, yx = JSObject(), JSObject()
+    def test_insertion_order_distinguishes_shapes(self, root):
+        xy, yx = JSObject(root), JSObject(root)
         xy.set("x", 1)
         xy.set("y", 2)
         yx.set("y", 2)
@@ -82,62 +80,62 @@ class TestTransitionTree:
         assert xy.shape is not yx.shape
         assert xy.shape.shape_id != yx.shape.shape_id
 
-    def test_ids_count_up_from_the_shared_root(self):
-        empty = JSObject()
+    def test_ids_count_up_from_the_shared_root(self, root):
+        empty = JSObject(root)
         assert empty.shape.shape_id == 0
         empty.set("a", 1)
         assert empty.shape.shape_id == 1
         empty.set("b", 2)
         assert empty.shape.shape_id == 2
 
-    def test_overwriting_an_existing_property_keeps_the_shape(self):
-        obj = JSObject()
+    def test_overwriting_an_existing_property_keeps_the_shape(self, root):
+        obj = JSObject(root)
         obj.set("x", 1)
         before = obj.shape
         obj.set("x", 99)
         assert obj.shape is before
 
-    def test_delete_is_a_first_class_transition(self):
-        obj = JSObject()
+    def test_delete_is_a_first_class_transition(self, root):
+        obj = JSObject(root)
         obj.set("x", 1)
         obj.set("y", 2)
         obj.delete("x")
         assert obj.shape.names == ("y",)
         # A sibling that walks the same add/delete path lands on the
         # very same node — deleted layouts are cacheable too.
-        twin = JSObject()
+        twin = JSObject(root)
         twin.set("x", 1)
         twin.set("y", 2)
         twin.delete("x")
         assert twin.shape is obj.shape
         # ... and is distinct from the object built as {y} directly.
-        direct = JSObject()
+        direct = JSObject(root)
         direct.set("y", 2)
         assert direct.shape is not obj.shape
 
-    def test_deleting_a_missing_property_is_a_no_op(self):
-        obj = JSObject()
+    def test_deleting_a_missing_property_is_a_no_op(self, root):
+        obj = JSObject(root)
         obj.set("x", 1)
         before = obj.shape
         obj.delete("nope")
         assert obj.shape is before
 
-    def test_array_length_never_transitions(self):
-        arr = JSArray([1, 2, 3])
+    def test_array_length_never_transitions(self, root):
+        arr = JSArray(root, [1, 2, 3])
         before = arr.shape
         assert arr.get("length") == 3
         arr.set("length", 10)
         arr.push(4)
         assert arr.shape is before
 
-    def test_reset_rewinds_the_numbering(self):
-        obj = JSObject()
+    def test_a_fresh_tree_rewinds_the_numbering(self, root):
+        obj = JSObject(root)
         obj.set("x", 1)
-        first_id = obj.shape.shape_id
-        reset_shapes()
-        again = JSObject()
+        again = JSObject(ShapeTree().root)
         again.set("x", 1)
-        assert again.shape.shape_id == first_id
+        assert again.shape.shape_id == obj.shape.shape_id
+        assert again.shape is not obj.shape
+        assert again.shape.tree is not obj.shape.tree
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +197,22 @@ class TestInlineCacheStateMachine:
 # Shape-guarded compilation, determinism across backends and processes
 
 
+def _fresh_process(script):
+    """Stdout of ``script`` run by a new interpreter (``repro`` and
+    ``tests`` importable)."""
+    repo = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(repo, "src"), repo])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout
+
+
 def _run_traced(source, backend="closure"):
-    reset_shapes()
     CodeObject._next_id = 1
     tracer = Tracer()
     profiler = CycleProfiler()
@@ -294,22 +306,10 @@ class TestShapeGuardedCompilation:
             "print(json.dumps(engine.stats.summary(), sort_keys=True))\n"
             % POLY_SOURCE
         )
-        env = dict(os.environ)
-        root = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(root)
-        runs = [
-            subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            ).stdout
-            for _ in range(2)
-        ]
+        runs = [_fresh_process(script) for _ in range(2)]
         assert runs[0] == runs[1]
         assert "'transition'" in runs[0]
-        # The fresh processes agree with this (reset) process too.
+        # The fresh processes agree with this long-lived one too.
         _, engine, events, _ = _run_traced(POLY_SOURCE)
         local = [
             str([e[k] for k in sorted(e) if k != "ts"])
@@ -320,6 +320,101 @@ class TestShapeGuardedCompilation:
         assert "\n".join(local) + "\n" == runs[0]
 
 
+#: POLY_SOURCE cut where the second insertion order first shows up, and
+#: a sibling program that meets the same two layouts in the opposite
+#: order — run as two scripts each so two engines can be interleaved.
+INTERLEAVE_PARTS = {
+    "price-first": (
+        """\
+function total(r) { return r.price * r.count; }
+var a = {price: 3, count: 5};
+var b = {count: 5, price: 3};
+var s = 0;
+for (var i = 0; i < 20; i++) s += total(a);
+""",
+        """\
+for (var j = 0; j < 20; j++) s += total(b) + total(a);
+print(s);
+""",
+    ),
+    "count-first": (
+        """\
+function total(r) { return r.price + r.count; }
+var a = {count: 5, price: 3, tag: 1};
+var b = {price: 3, count: 5};
+var s = 0;
+for (var i = 0; i < 20; i++) s += total(a);
+""",
+        """\
+for (var j = 0; j < 20; j++) s += total(b) - total(a);
+print(s);
+""",
+    ),
+}
+
+
+class _InterleavedRun(object):
+    """One engine fed a program's scripts one at a time."""
+
+    def __init__(self, name, root):
+        self.root = str(root)
+        self.tracer = Tracer(channels=("ic", "shape"))
+        self.engine = Engine(
+            config=FULL_SPEC,
+            executor_backend="closure",
+            tracer=self.tracer,
+            code_cache=DiskCodeCache(root=self.root),
+            **FAST
+        )
+        self.scripts = list(INTERLEAVE_PARTS[name])
+        # Code ids are still a process-wide counter: give each run the
+        # stretch of it a solo run would see.
+        self.next_code_id = 1
+
+    def step(self):
+        CodeObject._next_id = self.next_code_id
+        self.engine.run_source(self.scripts.pop(0))
+        self.next_code_id = CodeObject._next_id
+
+    def observed(self):
+        keys = sorted(
+            name for _, _, files in os.walk(self.root) for name in files
+        )
+        return list(self.tracer.events), keys, self.engine.stats.as_dict()
+
+
+def _solo_in_a_fresh_process(name, root):
+    """``_InterleavedRun(name)`` run to completion with no history at all."""
+    script = (
+        "import json\n"
+        "from tests.test_shapes import _InterleavedRun\n"
+        "run = _InterleavedRun(%r, %r)\n"
+        "run.step()\n"
+        "run.step()\n"
+        "print(json.dumps(run.observed()))\n" % (name, str(root))
+    )
+    return json.loads(_fresh_process(script))
+
+
+class TestEnginesDoNotShareAnIdSpace:
+    def test_interleaved_engines_match_their_solo_runs(self, tmp_path):
+        runs = {
+            name: _InterleavedRun(name, tmp_path / ("both-" + name))
+            for name in INTERLEAVE_PARTS
+        }
+        for _ in range(2):
+            for run in runs.values():
+                run.step()
+        for name, run in runs.items():
+            events, keys, ledger = json.loads(json.dumps(run.observed()))
+            solo = _solo_in_a_fresh_process(name, tmp_path / ("solo-" + name))
+            assert events == solo[0]
+            assert keys == solo[1]
+            assert ledger == solo[2]
+            assert any(e["ch"] == "shape" for e in events)
+            assert keys, "nothing reached the disk cache"
+
+
 # ---------------------------------------------------------------------------
 # Chaos: every compiled shape guard has a live, exact recovery path
 
@@ -327,11 +422,9 @@ class TestShapeGuardedCompilation:
 class TestShapeGuardChaos:
     @pytest.mark.parametrize("backend", ["simple", "closure"])
     def test_forced_shape_guards_recover_exactly(self, backend):
-        reset_shapes()
         expect = Engine(
             config=FULL_SPEC, executor_backend=backend, **FAST
         ).run_source(POLY_SOURCE)
-        reset_shapes()
         injector = GuardFaultInjector()
         profiler = CycleProfiler()
         engine = Engine(
@@ -371,7 +464,6 @@ class TestShapeGuardChaos:
 
 
 def _run_cached(source, root, backend="closure"):
-    reset_shapes()
     CodeObject._next_id = 1
     cache = DiskCodeCache(root=str(root))
     engine = Engine(

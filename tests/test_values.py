@@ -27,6 +27,8 @@ from repro.jsvm.values import (
 )
 from repro.jsvm.bytecompiler import compile_source
 
+from tests.helpers import ROOT
+
 
 def make_function():
     code = compile_source("function f(x) { return x; }")
@@ -100,10 +102,10 @@ class TestTypeOf:
         assert type_of(value) == expected
 
     def test_object(self):
-        assert type_of(JSObject()) == "object"
+        assert type_of(JSObject(ROOT)) == "object"
 
     def test_array_is_object(self):
-        assert type_of(JSArray()) == "object"
+        assert type_of(JSArray(ROOT)) == "object"
 
     def test_function(self):
         assert type_of(make_function()) == "function"
@@ -115,8 +117,8 @@ class TestTypeTag:
         assert type_tag(1.5) == "double"
 
     def test_distinguishes_array_object(self):
-        assert type_tag(JSArray()) == "array"
-        assert type_tag(JSObject()) == "object"
+        assert type_tag(JSArray(ROOT)) == "array"
+        assert type_tag(JSObject(ROOT)) == "object"
 
     def test_null_vs_undefined(self):
         assert type_tag(NULL) == "null"
@@ -138,8 +140,8 @@ class TestToBoolean:
         assert to_boolean(value) is True
 
     def test_objects_truthy(self):
-        assert to_boolean(JSObject()) is True
-        assert to_boolean(JSArray()) is True
+        assert to_boolean(JSObject(ROOT)) is True
+        assert to_boolean(JSArray(ROOT)) is True
 
 
 class TestToNumber:
@@ -172,10 +174,10 @@ class TestToNumber:
         assert to_number(NULL) == 0
 
     def test_object_is_nan(self):
-        assert math.isnan(to_number(JSObject()))
+        assert math.isnan(to_number(JSObject(ROOT)))
 
     def test_single_element_array(self):
-        assert to_number(JSArray([7])) == 7
+        assert to_number(JSArray(ROOT, [7])) == 7
 
 
 class TestToString:
@@ -201,13 +203,13 @@ class TestToString:
         assert to_js_string(NULL) == "null"
 
     def test_array_join(self):
-        assert to_js_string(JSArray([1, 2, 3])) == "1,2,3"
+        assert to_js_string(JSArray(ROOT, [1, 2, 3])) == "1,2,3"
 
     def test_array_holes(self):
-        assert to_js_string(JSArray([1, UNDEFINED, NULL, 2])) == "1,,,2"
+        assert to_js_string(JSArray(ROOT, [1, UNDEFINED, NULL, 2])) == "1,,,2"
 
     def test_object(self):
-        assert to_js_string(JSObject()) == "[object Object]"
+        assert to_js_string(JSObject(ROOT)) == "[object Object]"
 
     def test_format_number_fraction(self):
         assert format_number(0.5) == "0.5"
@@ -229,9 +231,9 @@ class TestEquality:
         assert not js_strict_equals(float("nan"), float("nan"))
 
     def test_strict_objects_by_identity(self):
-        a = JSObject()
+        a = JSObject(ROOT)
         assert js_strict_equals(a, a)
-        assert not js_strict_equals(a, JSObject())
+        assert not js_strict_equals(a, JSObject(ROOT))
 
     def test_loose_null_undefined(self):
         assert js_equals(NULL, UNDEFINED)
@@ -247,8 +249,8 @@ class TestEquality:
         assert js_equals(False, "0")
 
     def test_loose_array_to_primitive(self):
-        assert js_equals(JSArray([1]), 1)
-        assert js_equals(JSArray(["a"]), "a")
+        assert js_equals(JSArray(ROOT, [1]), 1)
+        assert js_equals(JSArray(ROOT, ["a"]), "a")
 
     @given(st.integers(min_value=-1000, max_value=1000))
     def test_loose_reflexive_numbers(self, n):
@@ -270,12 +272,12 @@ class TestValueKey:
         assert value_key(True) != value_key(1)
 
     def test_objects_by_identity(self):
-        a, b = JSObject(), JSObject()
+        a, b = JSObject(ROOT), JSObject(ROOT)
         assert value_key(a) == value_key(a)
         assert value_key(a) != value_key(b)
 
     def test_arguments_key(self):
-        a = JSArray()
+        a = JSArray(ROOT)
         assert arguments_key([1, "x", a]) == arguments_key([1, "x", a])
         assert arguments_key([1]) != arguments_key([2])
 

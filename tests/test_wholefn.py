@@ -24,7 +24,6 @@ from repro.engine.runtime_engine import Engine
 from repro.fuzz.oracle import CHAOS_BAILOUT_LIMIT
 from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.interpreter import Interpreter
-from repro.jsvm.objects import reset_shapes
 from repro.jsvm.values import UNDEFINED
 from repro.lir import wholefn
 from repro.lir.native import FAULT_INJECTED
@@ -61,10 +60,9 @@ def _bench_source(suite_name, bench_name):
 def _observables(source, backend, trace=False, **engine_kwargs):
     """One fresh-engine run; returns (observables, trace events or None).
 
-    Shape ids and code ids are process-global counters, so both reset
-    before each run to keep every id-carrying observable comparable.
+    Code ids are a process-global counter, reset before each run to
+    keep every id-carrying observable comparable.
     """
-    reset_shapes()
     CodeObject._next_id = 1
     tracer = Tracer() if trace else None
     engine = Engine(
@@ -148,7 +146,6 @@ class TestExactAttribution:
     @pytest.mark.parametrize("suite_name,bench_name", TRACE_SUBSET)
     def test_attributed_equals_total(self, suite_name, bench_name):
         source = _bench_source(suite_name, bench_name)
-        reset_shapes()
         CodeObject._next_id = 1
         profiler = CycleProfiler()
         engine = Engine(
@@ -177,7 +174,6 @@ class TestChaosGuardRecovery:
     @pytest.mark.parametrize("source", CHAOS_SOURCES)
     def test_chaos_recovers(self, source):
         expect, _ = _observables(source, "whole", **FAST)
-        reset_shapes()
         CodeObject._next_id = 1
         injector = GuardFaultInjector()
         profiler = CycleProfiler()

@@ -17,9 +17,17 @@ design) — proving the disk cache is a pure host-time optimization
 honest: nothing in-memory can leak between phases, and per-process
 counters (code ids) start from the same state.
 
+``--history`` checks instead that a cache key does not depend on what
+the process ran before: the cold process fills the store running
+``objects/poly-records`` alone; the warm process first runs the two
+other ``objects`` programs on engines of their own (no cache attached)
+and must then hit **every** key.  Shape ids enter the key through the
+IC fingerprint, so this holds only because each engine numbers its own
+shape tree (docs/SHAPES.md).
+
 Usage::
 
-    PYTHONPATH=src python tools/cache_roundtrip.py [--dir DIR] [--backend closure]
+    PYTHONPATH=src python tools/cache_roundtrip.py [--dir DIR] [--backend closure] [--history]
 
 Exit status 1 on any mismatch, 0 otherwise.  ``--phase`` is internal
 (the subprocess entry point).
@@ -37,7 +45,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 
-def run_phase(cache_dir, backend):
+#: ``--history``: the program whose keys must not move, and the
+#: suite-mates the warm process runs first.
+HISTORY_SUITE = "objects"
+HISTORY_PROGRAM = "poly-records"
+
+
+def run_phase(cache_dir, backend, phase, history):
     """One measured pass: run the workload through the cache at ``cache_dir``.
 
     Prints a JSON payload with the guest output, the full stats ledger
@@ -47,10 +61,25 @@ def run_phase(cache_dir, backend):
     from repro.cache import DiskCodeCache
     from repro.engine.runtime_engine import Engine
 
+    if history:
+        from repro.jsvm.bytecode import CodeObject
+        from repro.workloads import suite
+
+        programs = {bench.name: bench.source for bench in suite(HISTORY_SUITE)}
+        sources = [programs.pop(HISTORY_PROGRAM)]
+        if phase == "warm":
+            for name in sorted(programs):
+                Engine(executor_backend=backend).run_source(programs[name])
+        # Code ids are still a process-wide counter (they label the
+        # per-function stats, not the cache key): pin it in both
+        # phases so the ledgers compare.
+        CodeObject._next_id = 1
+    else:
+        sources = _web_programs()
     cache = DiskCodeCache(root=cache_dir)
     output = []
     stats = []
-    for source in _web_programs():
+    for source in sources:
         engine = Engine(executor_backend=backend, code_cache=cache)
         output.extend(engine.run_source(source))
         stats.append(engine.stats.as_dict())
@@ -58,21 +87,24 @@ def run_phase(cache_dir, backend):
     return 0
 
 
-def _spawn(phase, cache_dir, backend):
+def _spawn(phase, cache_dir, backend, history):
     """Run one phase in a fresh interpreter; returns its parsed payload."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    command = [
+        sys.executable,
+        os.path.abspath(__file__),
+        "--phase",
+        phase,
+        "--dir",
+        cache_dir,
+        "--backend",
+        backend,
+    ]
+    if history:
+        command.append("--history")
     proc = subprocess.run(
-        [
-            sys.executable,
-            os.path.abspath(__file__),
-            "--phase",
-            phase,
-            "--dir",
-            cache_dir,
-            "--backend",
-            backend,
-        ],
+        command,
         capture_output=True,
         text=True,
         env=env,
@@ -96,12 +128,17 @@ def main(argv=None):
         "--backend", default="closure", choices=["simple", "closure", "whole"]
     )
     parser.add_argument(
+        "--history",
+        action="store_true",
+        help="warm process runs other programs first and must still hit every key",
+    )
+    parser.add_argument(
         "--phase", default=None, choices=["cold", "warm"], help=argparse.SUPPRESS
     )
     args = parser.parse_args(argv)
 
     if args.phase is not None:
-        return run_phase(args.dir, args.backend)
+        return run_phase(args.dir, args.backend, args.phase, args.history)
 
     cache_dir = args.dir or os.environ.get("REPRO_CACHE_DIR")
     cleanup = False
@@ -110,14 +147,20 @@ def main(argv=None):
         cleanup = True
     try:
         shutil.rmtree(os.path.join(cache_dir, "code"), ignore_errors=True)
-        cold = _spawn("cold", cache_dir, args.backend)
-        warm = _spawn("warm", cache_dir, args.backend)
+        cold = _spawn("cold", cache_dir, args.backend, args.history)
+        warm = _spawn("warm", cache_dir, args.backend, args.history)
 
         failures = []
         if cold["cache"]["stores"] == 0:
             failures.append("cold phase stored nothing")
         if warm["cache"]["hits"] == 0:
             failures.append("warm phase had no disk hits")
+        if args.history and warm["cache"]["hits"] != cold["cache"]["stores"]:
+            failures.append(
+                "warm phase hit %d of the %d keys the cold phase stored: "
+                "cache keys depend on process history"
+                % (warm["cache"]["hits"], cold["cache"]["stores"])
+            )
         if warm["cache"]["stores"] != 0:
             failures.append(
                 "warm phase re-stored %d artifact(s)" % warm["cache"]["stores"]

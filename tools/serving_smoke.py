@@ -9,7 +9,8 @@ contract the serving tier documents (docs/SERVING.md):
 
 - every request gets a reply with a sane status (``ok``/``rejected``),
   and every ``ok`` reply echoes its client ``id``;
-- the ``stats`` op reports **zero isolation violations**;
+- the ``stats`` op agrees with what the client observed (requests
+  served, tenants seen);
 - ``shutdown`` drains gracefully: the server exits 0 and writes the
   merged metrics payload as JSONL (uploaded as a CI artifact), whose
   request counter matches what we actually sent.
@@ -158,10 +159,6 @@ def main(argv=None):
         stats = client.request({"op": "stats"})
         if stats.get("status") != "ok":
             failures.append("stats op failed: %r" % (stats,))
-        if stats.get("isolation_violations") != 0:
-            failures.append(
-                "isolation violations: %r" % (stats.get("isolation_violations"),)
-            )
         if stats.get("requests") != served:
             failures.append(
                 "stats served %r != client-observed %d" % (stats.get("requests"), served)
@@ -206,11 +203,6 @@ def main(argv=None):
                 failures.append(
                     "metrics requests_total %r != served %d" % (total, served)
                 )
-            violations = (
-                lines[0].get("counters", {}).get("repro_serving_isolation_violations_total", 0)
-            )
-            if violations != 0:
-                failures.append("metrics isolation violations: %r" % (violations,))
 
     if failures:
         print("SERVING SMOKE FAILED:")
@@ -220,7 +212,7 @@ def main(argv=None):
         return 1
     print(
         "serving smoke OK: %d served, %d rejected over %d tenants; "
-        "0 isolation violations; clean exit; metrics at %s"
+        "clean exit; metrics at %s"
         % (served, rejected, args.tenants, metrics_path)
     )
     return 0
