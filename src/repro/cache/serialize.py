@@ -42,7 +42,9 @@ class Uncacheable(Exception):
 #: generated closure/whole sources) and meta gained "ic_fingerprint".
 #: v4: generated newobject/newarray take the runtime's root shape
 #: (``_JSObject(_root)``), changing the closure/whole sources.
-FORMAT_VERSION = 4
+#: v5: the whole source is one space per nesting level and covers only
+#: the regions reachable from the binary's translation roots.
+FORMAT_VERSION = 5
 
 _PRIMITIVES = (int, float, bool, str)
 

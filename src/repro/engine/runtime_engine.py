@@ -53,9 +53,9 @@ BAILOUT_LIMIT = 8
 #: The selectable native-executor backends.  All are bit-identical in
 #: every observable (stats, cycles, output, traces; docs/PERF.md):
 #: "simple" is the reference re-decoding interpreter loop, "closure"
-#: pre-compiles each binary into per-block bound Python closures (the
-#: default), and "whole" lowers each binary to a single dispatch-free
-#: Python function (docs/CODEGEN.md) — the fastest backend.
+#: pre-compiles each binary into per-block bound Python closures, and
+#: "whole" lowers each binary to a single dispatch-free Python function
+#: (docs/CODEGEN.md) — the fastest backend, and the default.
 EXECUTOR_BACKENDS = {
     "simple": NativeExecutor,
     "closure": ClosureExecutor,
@@ -63,12 +63,12 @@ EXECUTOR_BACKENDS = {
 }
 
 #: Environment override for the executor backend (``REPRO_EXECUTOR=simple``
-#: is the escape hatch if the closure backend ever misbehaves).
+#: is the escape hatch if a code-generating backend ever misbehaves).
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 #: Backend used when neither the constructor argument nor the
 #: environment variable picks one.
-DEFAULT_EXECUTOR_BACKEND = "closure"
+DEFAULT_EXECUTOR_BACKEND = "whole"
 
 
 def resolve_executor_backend(name=None):
@@ -270,8 +270,9 @@ class Engine(object):
             tracer=tracer,
             cycle_profiler=cycle_profiler,
         )
-        #: Which native-executor backend runs compiled binaries; both
-        #: are observably identical (docs/PERF.md), "closure" is fast.
+        #: Which native-executor backend runs compiled binaries; all
+        #: three are observably identical (docs/PERF.md), differing
+        #: only in host speed.
         self.executor_backend = resolve_executor_backend(executor_backend)
         self.executor = EXECUTOR_BACKENDS[self.executor_backend](
             self.interpreter, self.cost_model

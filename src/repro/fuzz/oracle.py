@@ -6,7 +6,9 @@ off, background compilation, cold and warm persistent cache, chaos
 deopt (every guard force-failed) on all three backends plus a seeded
 random-schedule chaos run, and the deoptless dispatch table
 (docs/DEOPTLESS.md) on all three backends — and the observations are
-compared:
+compared.  Variants that are not about the backend (``nospec``, ``bg``,
+the cache pair, ``chaos-sched``) run on the engine's default backend,
+the one users get:
 
 * **output and guest errors** must agree across *every* variant.  The
   plain interpreter is the reference semantics; a chaos run agreeing
@@ -29,7 +31,7 @@ import tempfile
 from repro.cache import DiskCodeCache
 from repro.engine.bailout import GuardFaultInjector
 from repro.engine.config import BASELINE, FULL_SPEC
-from repro.engine.runtime_engine import Engine
+from repro.engine.runtime_engine import DEFAULT_EXECUTOR_BACKEND, Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.errors import CompilerError, ReproError
 from repro.jsvm.bytecode import CodeObject
@@ -165,19 +167,27 @@ def _run_whole(source, _context):
 
 
 def _run_nospec(source, _context):
-    return _observe_engine(source, config=BASELINE, executor_backend="closure")
+    return _observe_engine(
+        source, config=BASELINE, executor_backend=DEFAULT_EXECUTOR_BACKEND
+    )
 
 
 def _run_background(source, _context):
     return _observe_engine(
-        source, config=FULL_SPEC, executor_backend="closure", background_compile=True
+        source,
+        config=FULL_SPEC,
+        executor_backend=DEFAULT_EXECUTOR_BACKEND,
+        background_compile=True,
     )
 
 
 def _run_cache_cold(source, context):
     cache = DiskCodeCache(root=context["cache_root"])
     return _observe_engine(
-        source, config=FULL_SPEC, executor_backend="closure", code_cache=cache
+        source,
+        config=FULL_SPEC,
+        executor_backend=DEFAULT_EXECUTOR_BACKEND,
+        code_cache=cache,
     )
 
 
@@ -185,7 +195,10 @@ def _run_cache_warm(source, context):
     # Runs after cache-cold against the same root: artifacts are hot.
     cache = DiskCodeCache(root=context["cache_root"])
     return _observe_engine(
-        source, config=FULL_SPEC, executor_backend="closure", code_cache=cache
+        source,
+        config=FULL_SPEC,
+        executor_backend=DEFAULT_EXECUTOR_BACKEND,
+        code_cache=cache,
     )
 
 
@@ -226,7 +239,7 @@ def _run_chaos_sched(source, _context):
     return _observe_engine(
         source,
         config=FULL_SPEC,
-        executor_backend="closure",
+        executor_backend=DEFAULT_EXECUTOR_BACKEND,
         fault_injector=GuardFaultInjector(schedule_seed=CHAOS_SCHEDULE_SEED),
         bailout_limit=CHAOS_BAILOUT_LIMIT,
     )

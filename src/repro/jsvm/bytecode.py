@@ -150,6 +150,8 @@ class CodeObject(object):
         names: global/property name table.
         instructions: list of :class:`Instr`.
         uses_this: whether the body references ``this``.
+        is_script: whether this is a program's top-level code, which is
+            run once and never called (only functions are).
     """
 
     _next_id = 0
@@ -164,6 +166,7 @@ class CodeObject(object):
         self.names = []
         self.instructions = []
         self.uses_this = False
+        self.is_script = False
         #: For named function expressions: the local name bound to the
         #: function itself (enables self-recursion).
         self.self_name = None

@@ -630,7 +630,9 @@ def compile_program(program):
     _resolve_captures(toplevel)
     compiler = _FunctionCompiler(toplevel, program.body)
     # The top level keeps declared names global, so nothing extra to do.
-    return compiler.compile()
+    code = compiler.compile()
+    code.is_script = True
+    return code
 
 
 def compile_source(source):

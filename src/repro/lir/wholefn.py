@@ -58,7 +58,9 @@ blob is only used when the source generated *now* matches the stored
 source byte for byte (:func:`whole_artifact`).
 """
 
+import hashlib
 import marshal
+from collections import OrderedDict
 
 from repro.errors import CompilerError
 from repro.jsvm import operations
@@ -172,7 +174,11 @@ _LINEAR_LIMIT = 8
 #: the nesting is a pure optimization, so only speed is lost.
 _MAX_LOOP_DEPTH = 14
 
-
+#: Bytes of marshalled module code the process-wide translation memo
+#: may retain (:class:`_ModuleCodeMemo`): about three times what a pass
+#: over every benchmark suite leaves in it (1.4 MB; 1.0 MB for the 16
+#: hostbench pages), so those workloads never evict.
+_MODULE_CODE_MEMO_BUDGET = 4 << 20
 
 
 def publish_bailout(snapshot, vals, reason, op, actual=None):
@@ -198,10 +204,13 @@ def publish_bailout(snapshot, vals, reason, op, actual=None):
 
 def _region_labels(native):
     """Leaders that start an addressable region: the entry, the OSR
-    entry, and every jump target.  This is exactly the reachable subset
-    of the closure backend's block partition — a post-terminator block
-    that is not a jump target can never execute — so per-region
-    accounting lands on the same leaders as per-block accounting.
+    entry, and every jump target.  This is the closure backend's block
+    partition minus its post-terminator leaders (a block that follows a
+    terminator and is not a jump target can never execute), so region
+    bodies — and the per-region accounting tables — coincide with the
+    per-block ones.  It is a *partition*, not a reachability claim: a
+    jump target may itself sit in dead code; :func:`_reachable_labels`
+    picks the regions that are actually translated.
     """
     labels = {native.entry_index}
     if native.osr_index is not None:
@@ -214,12 +223,69 @@ def _region_labels(native):
     )
 
 
+def _entries(native):
+    """Both entry points of ``native`` (the OSR one only if present)."""
+    if native.osr_index is None:
+        return (native.entry_index,)
+    return (native.entry_index, native.osr_index)
+
+
+def translation_roots(native, executor):
+    """Entry points the translation of ``native`` is rooted at.
+
+    Only regions reachable from a root are translated.  A script's code
+    object is run once by ``Interpreter.run_code`` and never reaches
+    ``Engine.try_native_call``, so its binary — compiled at a loop back
+    edge — is only ever entered at the OSR entry, and everything
+    reachable from ``entry_index`` alone (the script's whole
+    straight-line prologue) is dead.  Function binaries keep both
+    entries; so does any chaos-instrumented translation, whose injector
+    addresses instructions by index and whose harness replays call
+    entries (``exercise_entry_guards``).
+
+    The store path (:func:`whole_artifact`) and the run path
+    (:meth:`WholeExecutor.run`) both get their roots here, so the
+    source persisted at store time is the source regenerated on a warm
+    load.
+    """
+    if (
+        native.code.is_script
+        and native.osr_index is not None
+        and executor.fault_injector is None
+    ):
+        return (native.osr_index,)
+    return _entries(native)
+
+
+def _region_successors(instructions, body, labels):
+    """Labels control can reach from the region ``body``: its
+    terminator's targets, or the label it falls through into."""
+    last = instructions[body[-1]]
+    if last.op in _TERMINATORS:
+        return last.targets or ()
+    fall = body[-1] + 1
+    return (fall,) if fall in labels else ()
+
+
+def _reachable_labels(instructions, bodies, roots):
+    """The labels of ``bodies`` reachable from ``roots``, sorted."""
+    seen = set(roots)
+    work = list(roots)
+    while work:
+        for target in _region_successors(instructions, bodies[work.pop()], bodies):
+            if target in bodies and target not in seen:
+                seen.add(target)
+                work.append(target)
+    return sorted(seen)
+
+
 class _WholeEmitter(object):
     """Generates the single-function module for one binary."""
 
-    def __init__(self, native, executor, profiled=False):
+    def __init__(self, native, executor, roots, profiled=False):
         self.native = native
         self.executor = executor
+        self.roots = roots
         self.profiled = profiled
         self.inject = executor.fault_injector is not None
         self.namespace = {
@@ -324,9 +390,9 @@ class _WholeEmitter(object):
         ):
             out.append("if _fire(%d):" % index)
             if self.known_i != offset:
-                out.append("    _i = %d" % offset)
+                out.append(" _i = %d" % offset)
             out.append(
-                "    _fw(%d, %s, %s)"
+                " _fw(%d, %s, %s)"
                 % (
                     index,
                     self.src_vals(instruction),
@@ -360,8 +426,8 @@ class _WholeEmitter(object):
         the progress marker (elided from the hot path) and raise
         through ``_bw``."""
         if self.known_i != self.cur_offset:
-            out.append("    _i = %d" % self.cur_offset)
-        out.append("    " + self._bail_call(instruction, reason, actual))
+            out.append(" _i = %d" % self.cur_offset)
+        out.append(" " + self._bail_call(instruction, reason, actual))
 
     def _bail_call(self, instruction, reason, actual="None"):
         snap = instruction.snapshot
@@ -519,16 +585,16 @@ class _WholeEmitter(object):
                     # non-integral float result passes through
                     # normalize_number unchanged, so only integral
                     # results (int32 demotion, -0.0) pay the helper.
-                    out.append("    _t = %s %s %s" % (a, py, b))
-                    out.append("    %s = _t if _t %% 1 else _normalize(_t)" % d())
+                    out.append(" _t = %s %s %s" % (a, py, b))
+                    out.append(" %s = _t if _t %% 1 else _normalize(_t)" % d())
                 else:
                     # Relational/equality on numbers is the host
                     # operator verbatim (NaN comparisons are False in
                     # both languages; int/float mixes compare exactly).
-                    out.append("    %s = %s %s %s" % (d(), a, py, b))
+                    out.append(" %s = %s %s %s" % (d(), a, py, b))
                 out.append("else:")
                 out.append(
-                    "    %s = _binary(%s, %s, %s)" % (d(), binder.lit(extra), a, b)
+                    " %s = _binary(%s, %s, %s)" % (d(), binder.lit(extra), a, b)
                 )
             else:
                 out.append(
@@ -587,18 +653,18 @@ class _WholeEmitter(object):
                 "if type(%s) is _JSArray and type(%s) is int and 0 <= %s < len(%s.elements):"
                 % (a, b, b, a)
             )
-            out.append("    %s = %s.elements[%s]" % (d(), a, b))
+            out.append(" %s = %s.elements[%s]" % (d(), a, b))
             out.append("else:")
-            out.append("    %s = _get_element(%s, %s, _runtime)" % (d(), a, b))
+            out.append(" %s = _get_element(%s, %s, _runtime)" % (d(), a, b))
         elif op == "setelem_v":
             a, b, c = v(srcs[0]), v(srcs[1]), v(srcs[2])
             out.append(
                 "if type(%s) is _JSArray and type(%s) is int and 0 <= %s < len(%s.elements):"
                 % (a, b, b, a)
             )
-            out.append("    %s.elements[%s] = %s" % (a, b, c))
+            out.append(" %s.elements[%s] = %s" % (a, b, c))
             out.append("else:")
-            out.append("    _set_element(%s, %s, %s)" % (a, b, c))
+            out.append(" _set_element(%s, %s, %s)" % (a, b, c))
         elif op == "loadprop":
             if slot_offset is not None:
                 out.append("%s = %s.slots[%d]" % (d(), v(srcs[0]), slot_offset))
@@ -621,9 +687,9 @@ class _WholeEmitter(object):
         elif op == "setprop_v":
             a, name, value = v(srcs[0]), binder.lit(extra), v(srcs[1])
             out.append("if type(%s) is _JSObject:" % a)
-            out.append("    %s.set(%s, %s)" % (a, name, value))
+            out.append(" %s.set(%s, %s)" % (a, name, value))
             out.append("else:")
-            out.append("    _set_property(%s, %s, %s)" % (a, name, value))
+            out.append(" _set_property(%s, %s, %s)" % (a, name, value))
         elif op == "loadglobal":
             out.append("%s = _get_global(%s)" % (d(), binder.lit(extra)))
         elif op == "storeglobal":
@@ -681,7 +747,7 @@ class _WholeEmitter(object):
 
     # -- region and skeleton emission ----------------------------------------
 
-    def _init_locations(self, labels, bodies):
+    def _init_locations(self, labels, bodies, entries):
         """Locations that must be pre-set to undefined on entry.
 
         The other backends allocate a value array initialized to
@@ -694,10 +760,10 @@ class _WholeEmitter(object):
         region can read it (as a source or a snapshot reconstruction
         value) without every path from an entry having written it
         first.  Reads of immediates are literals and never counted.
+        ``labels`` are the translated regions and ``entries`` the entry
+        points among them (every label is reachable from one).
         """
         instructions = self.native.instructions
-        native = self.native
-        label_set = set(labels)
         exposed = {}
         writes = {}
         successors = {}
@@ -719,19 +785,11 @@ class _WholeEmitter(object):
                     written.add(dest)
             exposed[label] = naked
             writes[label] = written
-            terminator = instructions[body[-1]]
-            if terminator.op in _TERMINATORS:
-                targets = terminator.targets
-                successors[label] = list(targets) if targets is not None else []
-            else:
-                fall = body[-1] + 1
-                successors[label] = [fall] if fall in label_set else []
+            successors[label] = _region_successors(instructions, body, bodies)
 
         # Definitely-assigned-on-entry per region: intersection over
         # predecessors, empty at the function entries.
-        assigned = {native.entry_index: set()}
-        if native.osr_index is not None:
-            assigned[native.osr_index] = set()
+        assigned = dict((entry, set()) for entry in entries)
         changed = True
         while changed:
             changed = False
@@ -750,11 +808,7 @@ class _WholeEmitter(object):
 
         needs = set()
         for label in labels:
-            known = assigned.get(label)
-            if known is None:
-                needs |= exposed[label]
-            else:
-                needs |= exposed[label] - known
+            needs |= exposed[label] - assigned[label]
         return sorted(needs)
 
     def _trampolines(self, labels, bodies):
@@ -825,7 +879,7 @@ class _WholeEmitter(object):
         self._res_cache[target] = result
         return result
 
-    def _loop_tree(self, labels, bodies):
+    def _loop_tree(self, labels):
         """Group the region sequence into a tree of natural loops.
 
         A back edge from region ``L`` to target ``T <= L`` makes ``T``
@@ -839,20 +893,10 @@ class _WholeEmitter(object):
         ``("region", label)`` or ``("loop", header, end, sub)``.
         """
         instructions = self.native.instructions
-        size = len(instructions)
-        label_set = set(labels)
+        bodies = self.bodies
         intervals = {}
         for label in labels:
-            terminator = instructions[bodies[label][-1]]
-            targets = terminator.targets
-            if targets is None:
-                if terminator.op in _TERMINATORS:
-                    continue
-                fall = bodies[label][-1] + 1
-                if fall >= size or fall not in self._all_labels:
-                    continue
-                targets = [fall]
-            for target in targets:
+            for target in _region_successors(instructions, bodies[label], bodies):
                 _splice, final, _ret = self._resolve_target(target)
                 if final is None:
                     continue
@@ -896,7 +940,7 @@ class _WholeEmitter(object):
                 position += 1
         return items
 
-    def _emit_items(self, items, bodies, counts, sums, out):
+    def _emit_items(self, items, out, indent):
         """Chain arms for a (sub)sequence of regions and nested loops.
 
         Short sequences emit as a linear chain — consecutive regions
@@ -907,61 +951,70 @@ class _WholeEmitter(object):
         scan; control that falls across a split boundary cascades to
         the enclosing redispatch point (loop bottom or skeleton top)
         and descends the tree again.
+
+        Lines are appended to ``out`` already carrying ``indent``, one
+        space per nesting level: the dispatch tree nests 8-14 deep on
+        big binaries, and the text is tokenised, persisted and compared
+        byte for byte on every warm load, so indentation is most of
+        what a wider step would add to it.
         """
+        inner = indent + " "
         if len(items) > _LINEAR_LIMIT:
             mid = len(items) // 2
-            out.append("if _pc < %d:" % items[mid][1])
-            left = []
-            self._emit_items(items[:mid], bodies, counts, sums, left)
-            out.extend("    " + line for line in left)
-            out.append("else:")
-            right = []
-            self._emit_items(items[mid:], bodies, counts, sums, right)
-            out.extend("    " + line for line in right)
+            out.append("%sif _pc < %d:" % (indent, items[mid][1]))
+            self._emit_items(items[:mid], out, inner)
+            out.append(indent + "else:")
+            self._emit_items(items[mid:], out, inner)
             return
         for item in items:
             if item[0] == "region":
                 label = item[1]
-                out.append("if _pc == %d:" % label)
-                region = self._emit_region(label, bodies[label], counts, sums)
-                out.extend("    " + line for line in region)
+                out.append("%sif _pc == %d:" % (indent, label))
+                out.extend(inner + line for line in self._emit_region(label))
             else:
                 _, header, end, sub_items = item
-                out.append("if %d <= _pc <= %d:" % (header, end))
-                out.append("    while True:")
-                sub = []
-                self._emit_items(sub_items, bodies, counts, sums, sub)
+                out.append("%sif %d <= _pc <= %d:" % (indent, header, end))
+                out.append(inner + "while True:")
+                body = inner + " "
+                self._emit_items(sub_items, out, body)
                 # Falling past every arm means a jump left this loop
                 # (break out to the enclosing chain) — unless a nested
                 # break cascaded up with the header as target, in which
                 # case re-enter.  Back edges never reach here: they
                 # ``continue`` directly at the jump site.
-                sub.append("if %d <= _pc <= %d:" % (header, end))
-                sub.append("    continue")
-                sub.append("break")
-                out.extend("        " + line for line in sub)
+                out.append("%sif %d <= _pc <= %d:" % (body, header, end))
+                out.append(body + " continue")
+                out.append(body + "break")
 
     def generate(self):
-        """Build the module source; returns ``(source, counts, sums, prefix)``."""
+        """Build the module source; returns ``(source, counts, sums, prefix)``.
+
+        Only the regions reachable from ``self.roots`` are translated;
+        the tables are filled for exactly those (``prefix[label]`` is
+        None for a leader that was not).
+        """
         native = self.native
         instructions = native.instructions
         costs = native.cost_table(self.executor.cost_model)
         size = len(instructions)
 
-        labels = _region_labels(native)
-        label_set = set(labels)
+        partition = _region_labels(native)
+        leaders = set(partition)
         bodies = {}
-        for label in labels:
+        for label in partition:
             body = []
             index = label
             while True:
                 body.append(index)
                 if instructions[index].op in _TERMINATORS:
                     break
-                if index + 1 >= size or index + 1 in label_set:
+                if index + 1 >= size or index + 1 in leaders:
                     break
                 index += 1
             bodies[label] = body
+        labels = _reachable_labels(instructions, bodies, self.roots)
+        bodies = dict((label, bodies[label]) for label in labels)
+        entries = [pc for pc in _entries(native) if pc in bodies]
 
         counts = [0] * size
         sums = [0] * size
@@ -979,16 +1032,14 @@ class _WholeEmitter(object):
         self.bodies = bodies
         self.counts = counts
         self.sums = sums
-        self._all_labels = label_set
         self.trivial = self._trampolines(labels, bodies)
         self._res_cache = {}
         # Trampolines are inlined at every jump to them, so they leave
-        # the dispatch chain — except the entries (dispatched by pc at
-        # call time) and any cycle-stopping label a resolution targets.
+        # the dispatch chain — except the translated entries (dispatched
+        # by pc at call time) and any cycle-stopping label a resolution
+        # targets.
         kept = set(label for label in labels if label not in self.trivial)
-        kept.add(native.entry_index)
-        if native.osr_index is not None:
-            kept.add(native.osr_index)
+        kept.update(entries)
         for label in labels:
             _splice, final, _ret = self._resolve_target(label)
             if final is not None:
@@ -996,38 +1047,35 @@ class _WholeEmitter(object):
         chain_labels = [label for label in labels if label in kept]
 
         lines = ["def _w(_c, _pc):"]
-        reads = self._init_locations(labels, bodies)
+        reads = self._init_locations(labels, bodies, entries)
         for start in range(0, len(reads), 12):
             chunk = reads[start : start + 12]
-            lines.append(
-                "    %s = _UNDEF" % " = ".join(self.val(loc) for loc in chunk)
-            )
-        lines.append("    _a = 0")
-        lines.append("    _i = 0")
-        lines.append("    try:")
-        lines.append("        while True:")
-        chain = []
-        self._emit_items(
-            self._loop_tree(chain_labels, bodies), bodies, counts, sums, chain
-        )
-        lines.extend("            " + line for line in chain)
+            lines.append(" %s = _UNDEF" % " = ".join(self.val(loc) for loc in chunk))
+        lines.append(" _a = 0")
+        lines.append(" _i = 0")
+        lines.append(" try:")
+        lines.append("  while True:")
+        self._emit_items(self._loop_tree(chain_labels), lines, "   ")
         # Falling past every arm is either a redispatch (control
         # crossed a split or loop boundary; rescan from the top) or a
         # fall off the end of the instruction stream (malformed
         # binary).
-        lines.append("            if _pc < %d:" % size)
-        lines.append("                continue")
-        lines.append("            raise _badpc(_pc)")
-        lines.append("    except BaseException:")
-        lines.append("        _c[%d] = _i" % CTX_FAULT)
-        lines.append("        _c[%d] = _a" % CTX_ACC)
-        lines.append("        _c[%d] = _pc" % CTX_PC)
-        lines.append("        raise")
+        lines.append("   if _pc < %d:" % size)
+        lines.append("    continue")
+        lines.append("   raise _badpc(_pc)")
+        lines.append(" except BaseException:")
+        lines.append("  _c[%d] = _i" % CTX_FAULT)
+        lines.append("  _c[%d] = _a" % CTX_ACC)
+        lines.append("  _c[%d] = _pc" % CTX_PC)
+        lines.append("  raise")
         return "\n".join(lines), counts, sums, prefix
 
-    def _emit_region(self, label, body, counts, sums):
+    def _emit_region(self, label):
         """Statements for one region (indented relative to its arm)."""
         instructions = self.native.instructions
+        body = self.bodies[label]
+        counts = self.counts
+        sums = self.sums
         out = []
         self.known_i = None
         self.args_in_t = False
@@ -1072,19 +1120,19 @@ class _WholeEmitter(object):
                 src = instruction.srcs[0]
                 if src in self.bool_locs:
                     out.append("if %s:" % self.val(src))
-                    out.extend("    " + line for line in self._jump_lines(t0, label))
+                    out.extend(" " + line for line in self._jump_lines(t0, label))
                     out.append("else:")
-                    out.extend("    " + line for line in self._jump_lines(t1, label))
+                    out.extend(" " + line for line in self._jump_lines(t1, label))
                 else:
                     out.append("_t = %s" % self.val(src))
                     out.append("if _t is True:")
-                    out.extend("    " + line for line in self._jump_lines(t0, label))
+                    out.extend(" " + line for line in self._jump_lines(t0, label))
                     out.append("elif _t is False:")
-                    out.extend("    " + line for line in self._jump_lines(t1, label))
+                    out.extend(" " + line for line in self._jump_lines(t1, label))
                     out.append("elif _to_boolean(_t):")
-                    out.extend("    " + line for line in self._jump_lines(t0, label))
+                    out.extend(" " + line for line in self._jump_lines(t0, label))
                     out.append("else:")
-                    out.extend("    " + line for line in self._jump_lines(t1, label))
+                    out.extend(" " + line for line in self._jump_lines(t1, label))
                 terminated = True
             else:
                 slot_offset = None
@@ -1139,21 +1187,69 @@ def _bad_pc(pc):
     return CompilerError("whole backend: control reached unknown pc %d" % pc)
 
 
-#: Process-wide source-text → module code object memo (see
-#: :func:`compile_whole`).  Cleared wholesale at the cap — entries are
-#: tiny and identical sources recur heavily within one process.
-_MODULE_CODE_MEMO = {}
-_MODULE_CODE_MEMO_CAP = 512
+class _ModuleCodeMemo(object):
+    """Source digest → marshalled module code, bounded in bytes.
+
+    The module code object is a pure function of the source text
+    (profiled and chaos variants emit different text, so they key
+    apart), and host ``compile()`` dominates translation cost, so fresh
+    engines re-translating the same binary — benchmark repeats, the
+    fuzz variant matrix, every page of a site sharing its library
+    functions — hit this instead.  It holds no source and no live code
+    object: keys are digests and values marshal blobs, so ``retained``
+    is exactly the bytes held, a hit costs one ``marshal.loads``
+    (a few percent of the ``compile()`` it replaces) and the code
+    objects themselves die with the engine that ran them.  Past
+    ``budget`` the least recently used entries go; a module bigger than
+    the whole budget is not retained at all.
+    """
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.retained = 0
+        self._blobs = OrderedDict()  # source digest -> marshalled module code
+
+    def __len__(self):
+        return len(self._blobs)
+
+    def clear(self):
+        self._blobs.clear()
+        self.retained = 0
+
+    def compiled(self, source, filename):
+        """The module code object for ``source``, compiling on a miss."""
+        key = hashlib.blake2b(source.encode("utf-8"), digest_size=16).digest()
+        blob = self._blobs.get(key)
+        if blob is not None:
+            self._blobs.move_to_end(key)
+            return marshal.loads(blob)
+        module_code = compile(source, filename, "exec")
+        blob = marshal.dumps(module_code)
+        if len(blob) <= self.budget:
+            self._blobs[key] = blob
+            self.retained += len(blob)
+            while self.retained > self.budget:
+                _key, dropped = self._blobs.popitem(last=False)
+                self.retained -= len(dropped)
+        return module_code
 
 
-def compile_whole(native, executor, profiled=False, capture=None):
+#: Process-wide translation memo (see :func:`compile_whole` and
+#: docs/CODEGEN.md, "Caching").  The budget is a constant, not an option.
+_MODULE_CODE_MEMO = _ModuleCodeMemo(budget=_MODULE_CODE_MEMO_BUDGET)
+
+
+def compile_whole(native, executor, profiled=False, capture=None, roots=None):
     """Translate ``native`` into a single whole-binary function.
 
     Returns ``(fn, counts, sums, prefix)``: the generated function
     (``fn(ctx, pc)``), and per-region-leader instruction counts, summed
     static cycle costs, and inclusive cycle prefix-sums — the same
     accounting tables the closure backend keeps per block, because the
-    region partition *is* the reachable block partition.
+    region partition *is* the block partition minus blocks that can
+    never execute.  Only regions reachable from ``roots`` (default:
+    :func:`translation_roots`) are translated; ``prefix[pc]`` is None
+    for an entry that was not.
 
     ``profiled`` selects the variant that bumps the binary's per-leader
     block counters inline (``_bc``), giving the cycle profiler the
@@ -1166,7 +1262,9 @@ def compile_whole(native, executor, profiled=False, capture=None):
     a byte-exact match against the source generated now — the same
     trust rule as the closure backend.
     """
-    emitter = _WholeEmitter(native, executor, profiled=profiled)
+    if roots is None:
+        roots = translation_roots(native, executor)
+    emitter = _WholeEmitter(native, executor, roots, profiled=profiled)
     source, counts, sums, prefix = emitter.generate()
     namespace = emitter.namespace
     if profiled:
@@ -1181,20 +1279,9 @@ def compile_whole(native, executor, profiled=False, capture=None):
     ):
         module_code = marshal.loads(disk[1])
     else:
-        # In-process translation cache: the module code object is a
-        # pure function of the source text (profiled and chaos variants
-        # emit different text, so they key separately), and host
-        # ``compile()`` dominates translation cost for small binaries.
-        # Fresh engines re-translating the same binary — benchmark
-        # repeats, the fuzz variant matrix — hit this instead.
-        module_code = _MODULE_CODE_MEMO.get(source)
-        if module_code is None:
-            module_code = compile(
-                source, "<whole-backend %s>" % native.code.name, "exec"
-            )
-            if len(_MODULE_CODE_MEMO) >= _MODULE_CODE_MEMO_CAP:
-                _MODULE_CODE_MEMO.clear()
-            _MODULE_CODE_MEMO[source] = module_code
+        module_code = _MODULE_CODE_MEMO.compiled(
+            source, "<whole-backend %s>" % native.code.name
+        )
     if capture is not None:
         capture["source"] = source
         capture["module_code"] = module_code
@@ -1236,6 +1323,16 @@ class WholeExecutor(NativeExecutor):
     streams are bit-identical to both.
     """
 
+    def _translate(self, native, roots=None):
+        """Translate ``native`` for this executor and install the result."""
+        profiled = self.cycle_profiler is not None
+        fn, counts, sums, prefix = compile_whole(
+            native, self, profiled=profiled, roots=roots
+        )
+        cache = (self, self.fault_injector, profiled, fn, counts, sums, prefix)
+        native.whole_cache = cache
+        return cache
+
     def run(self, native, function, this_value, args, entry="entry", osr_args=None, osr_locals=None):
         """Execute ``native`` via its whole-binary function."""
         # Profiled and chaos-instrumented translations are distinct
@@ -1247,10 +1344,7 @@ class WholeExecutor(NativeExecutor):
         # slow paths and for introspection.
         cache = native.whole_cache
         if cache is None or cache[0] is not self:
-            profiled = self.cycle_profiler is not None
-            fn, counts, sums, prefix = compile_whole(native, self, profiled=profiled)
-            cache = (self, self.fault_injector, profiled, fn, counts, sums, prefix)
-            native.whole_cache = cache
+            cache = self._translate(native)
 
         if entry == "osr":
             if native.osr_index is None:
@@ -1258,6 +1352,11 @@ class WholeExecutor(NativeExecutor):
             pc = native.osr_index
         else:
             pc = native.entry_index
+        if cache[6][pc] is None:
+            # The translation was rooted elsewhere (a script binary is
+            # rooted at its OSR entry only) and this entry's region was
+            # left out: widen to both entries and run.
+            cache = self._translate(native, roots=_entries(native))
         ctx = [this_value, args, function, osr_args, osr_locals, None, 0, 0, 0]
 
         profiled = cache[2]

@@ -48,7 +48,12 @@ import argparse
 import sys
 
 from repro.engine.config import BASELINE, EXTENDED, FULL_SPEC, PAPER_CONFIGS
-from repro.engine.runtime_engine import Engine
+from repro.engine.runtime_engine import (
+    DEFAULT_EXECUTOR_BACKEND,
+    EXECUTOR_BACKENDS,
+    EXECUTOR_ENV_VAR,
+    Engine,
+)
 
 
 def _config_registry():
@@ -790,6 +795,17 @@ def cmd_configs(args, out):
 # -- entry point --------------------------------------------------------------
 
 
+def _add_executor_flag(subparser, prefix=""):
+    """Attach ``--executor``; the help names the engine's real default."""
+    subparser.add_argument(
+        "--executor",
+        choices=list(EXECUTOR_BACKENDS),
+        default=None,
+        help="%sexecutor backend (default: %s, or $%s)"
+        % (prefix, DEFAULT_EXECUTOR_BACKEND, EXECUTOR_ENV_VAR),
+    )
+
+
 def _add_lane_and_cache_flags(subparser):
     """Attach ``--background/--no-background`` and ``--code-cache``."""
     subparser.add_argument(
@@ -825,12 +841,7 @@ def build_parser():
     run.add_argument(
         "--cache-capacity", type=int, default=1, help="specialized binaries kept per function"
     )
-    run.add_argument(
-        "--executor",
-        choices=["simple", "closure", "whole"],
-        default=None,
-        help="executor backend (default: closure, or $REPRO_EXECUTOR)",
-    )
+    _add_executor_flag(run)
     _add_lane_and_cache_flags(run)
     run.set_defaults(handler=cmd_run)
 
@@ -888,12 +899,7 @@ def build_parser():
     profile.add_argument(
         "--config", default="all", help="--cycles: optimization config (see `configs`)"
     )
-    profile.add_argument(
-        "--executor",
-        choices=["simple", "closure", "whole"],
-        default=None,
-        help="--cycles: executor backend (default: closure, or $REPRO_EXECUTOR)",
-    )
+    _add_executor_flag(profile, prefix="--cycles: ")
     profile.set_defaults(handler=cmd_profile)
 
     annotate = sub.add_parser(
@@ -906,12 +912,7 @@ def build_parser():
     )
     annotate.add_argument("--function", required=True, help="guest function name")
     annotate.add_argument("--config", default="all")
-    annotate.add_argument(
-        "--executor",
-        choices=["simple", "closure", "whole"],
-        default=None,
-        help="executor backend (default: closure, or $REPRO_EXECUTOR)",
-    )
+    _add_executor_flag(annotate)
     annotate.set_defaults(handler=cmd_annotate)
 
     disasm = sub.add_parser("disasm", help="show a function's MIR and native code")
@@ -999,12 +1000,7 @@ def build_parser():
             help="cycles between periodic snapshots (0: final snapshot only; "
             "default %d)" % default_interval,
         )
-        subparser.add_argument(
-            "--executor",
-            choices=["simple", "closure", "whole"],
-            default=None,
-            help="executor backend (default: closure, or $REPRO_EXECUTOR)",
-        )
+        _add_executor_flag(subparser)
         _add_lane_and_cache_flags(subparser)
 
     metrics = sub.add_parser(

@@ -276,10 +276,24 @@ class TestClosureExecutorDirect:
 class TestBackendSelection:
     """Engine backend registry, constructor arg and env var."""
 
-    def test_default_is_closure(self):
+    def test_default_is_whole_and_overrides_in_order(self, monkeypatch):
+        """explicit argument > $REPRO_EXECUTOR > the default, ``whole``."""
+        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         engine = Engine(config=FULL_SPEC)
-        assert engine.executor_backend == DEFAULT_EXECUTOR_BACKEND == "closure"
-        assert isinstance(engine.executor, ClosureExecutor)
+        assert engine.executor_backend == DEFAULT_EXECUTOR_BACKEND == "whole"
+        assert isinstance(engine.executor, WholeExecutor)
+        assert resolve_executor_backend() == "whole"
+
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "closure")
+        assert Engine(config=FULL_SPEC).executor_backend == "closure"
+        assert isinstance(Engine(config=FULL_SPEC).executor, ClosureExecutor)
+        explicit = Engine(config=FULL_SPEC, executor_backend="simple")
+        assert explicit.executor_backend == "simple"
+
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "turbofan")
+        with pytest.raises(ValueError):
+            Engine(config=FULL_SPEC)
+        assert Engine(config=FULL_SPEC, executor_backend="whole").executor_backend == "whole"
 
     def test_explicit_simple(self):
         engine = Engine(config=FULL_SPEC, executor_backend="simple")

@@ -118,6 +118,11 @@ def _spawn(phase, cache_dir, backend, history):
 
 def main(argv=None):
     """Run the round trip; returns the process exit code."""
+    from repro.engine.runtime_engine import (
+        DEFAULT_EXECUTOR_BACKEND,
+        EXECUTOR_BACKENDS,
+    )
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--dir",
@@ -125,7 +130,10 @@ def main(argv=None):
         help="cache directory (default: $REPRO_CACHE_DIR, else a temp dir)",
     )
     parser.add_argument(
-        "--backend", default="closure", choices=["simple", "closure", "whole"]
+        "--backend",
+        default=DEFAULT_EXECUTOR_BACKEND,
+        choices=list(EXECUTOR_BACKENDS),
+        help="executor backend (default: the engine's, %s)" % DEFAULT_EXECUTOR_BACKEND,
     )
     parser.add_argument(
         "--history",
