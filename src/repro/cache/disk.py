@@ -112,31 +112,41 @@ def _key_value(value):
 
 
 def _code_fingerprint(code):
-    """Recursive content fingerprint of one guest code object.
+    """Content digest of one guest code object, memoised on it.
 
-    Captures everything the MIR builder reads: the instruction stream
-    (post any bytecode rewriting, since the fingerprint is taken at
-    compile time), the name tables, and the constant pool with nested
-    function bodies fingerprinted recursively.
+    Covers everything the MIR builder reads: the instruction stream
+    (post any bytecode rewriting, since the digest is taken at compile
+    time), the name tables, and the constant pool with each nested
+    function body named by its own digest.  Only the digest is kept
+    (``rotate_loops`` resets it with the stream), so a code object is
+    walked once however many keys cover it and pins no fingerprint.
     """
-    constants = []
-    for constant in code.constants:
-        if type(constant) is CodeObject:
-            constants.append(("code", _code_fingerprint(constant)))
-        else:
-            constants.append(_key_value(constant))
-    return (
-        code.name,
-        tuple(code.params),
-        tuple(code.local_names),
-        tuple(code.cell_names),
-        tuple(code.free_names),
-        tuple(code.names),
-        code.uses_this,
-        code.self_name,
-        tuple((instr.op, _key_value(instr.arg)) for instr in code.instructions),
-        tuple(constants),
-    )
+    digest = code.fingerprint
+    if digest is None:
+        instructions = code.instructions
+        args = [instr.arg for instr in instructions]
+        if not {int, type(None)}.issuperset(map(type, args)):  # hand-built code
+            args = [_key_value(arg) for arg in args]
+        structure = (
+            code.name,
+            tuple(code.params),
+            tuple(code.local_names),
+            tuple(code.cell_names),
+            tuple(code.free_names),
+            tuple(code.names),
+            code.uses_this,
+            code.self_name,
+            [instr.op for instr in instructions],
+            args,
+            tuple(
+                ("code", _code_fingerprint(constant))
+                if type(constant) is CodeObject
+                else _key_value(constant)
+                for constant in code.constants
+            ),
+        )
+        digest = code.fingerprint = hashlib.sha256(repr(structure).encode("utf-8")).hexdigest()
+    return digest
 
 
 def _value_keys(values):
@@ -256,7 +266,7 @@ class DiskCodeCache(object):
 
         The key covers, in order: the artifact format version and host
         marshal format (so incompatible stores read as misses), the
-        recursive code fingerprint, the optimization configuration, the
+        recursive code digest, the optimization configuration, the
         generic and shape-guard flags, the OSR entry state (pc plus the
         value keys of the live frame), the specialization values (value
         keys of ``this`` and the arguments when parameter

@@ -44,7 +44,9 @@ class Uncacheable(Exception):
 #: (``_JSObject(_root)``), changing the closure/whole sources.
 #: v5: the whole source is one space per nesting level and covers only
 #: the regions reachable from the binary's translation roots.
-FORMAT_VERSION = 5
+#: v6: the key names a code object by the digest of its fingerprint
+#: (nested functions by theirs) instead of embedding the fingerprint.
+FORMAT_VERSION = 6
 
 _PRIMITIVES = (int, float, bool, str)
 

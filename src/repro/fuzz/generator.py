@@ -79,7 +79,7 @@ BOUNDARY_INTS = (
 )
 
 #: Double and string literals for the polymorphic arms.
-OTHER_LITERALS = ('0.5', '-0.25', '2.5', '1e9', '"s"', '"x7"', '""')
+OTHER_LITERALS = ('0.5', '(-0.25)', '2.5', '1e9', '"s"', '"x7"', '""')
 
 #: Loop trip counts straddling the FAST OSR back-edge threshold (10)
 #: and the default one (100).

@@ -19,8 +19,9 @@ import os
 
 from repro.errors import JSSyntaxError
 from repro.fuzz.generator import generate_program
-from repro.fuzz.oracle import check_program, resolve_matrix
+from repro.fuzz.oracle import Mismatch, check_program, resolve_matrix
 from repro.fuzz.shrink import shrink_program
+from repro.jsvm.bytecompiler import compile_source
 
 
 class FuzzSession(object):
@@ -67,6 +68,16 @@ class FuzzSession(object):
 
         return predicate
 
+    def _check(self, source):
+        """The oracle's mismatches, after holding the generator to its
+        own contract: every variant rejects an unparseable program
+        alike, which the oracle alone would read as agreement."""
+        try:
+            compile_source(source)
+        except JSSyntaxError as error:
+            return [Mismatch("generator", "generator", "program does not parse: %s" % error)]
+        return check_program(source, self.matrix)
+
     def _bank(self, source, iteration, mismatch):
         """Write ``source`` into the corpus directory; returns the path
         (or None when no corpus directory is configured)."""
@@ -89,7 +100,7 @@ class FuzzSession(object):
         """Run one iteration; returns the failure record or None."""
         source = generate_program(self.seed, iteration)
         line_count = source.count("\n")
-        mismatches = check_program(source, self.matrix)
+        mismatches = self._check(source)
         if not mismatches:
             self._emit(
                 "run",
@@ -114,7 +125,7 @@ class FuzzSession(object):
             % (iteration, first.kind, first.variant, first.detail)
         )
         reduced = source
-        if self.shrink:
+        if self.shrink and first.kind != "generator":
             result = shrink_program(source, self._predicate_for(first.kind))
             reduced = result.source
             self._emit(

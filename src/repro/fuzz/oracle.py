@@ -64,7 +64,8 @@ class Mismatch(object):
     """One oracle disagreement.
 
     ``kind`` is what diverged (``output``, ``error``, ``stats`` or
-    ``events``), ``variant`` the offending variant's name, ``detail``
+    ``events``; ``generator`` when the fuzzing loop finds its own
+    program unparseable), ``variant`` the offending variant's name, ``detail``
     a one-line human-readable description of the first divergence.
     """
 

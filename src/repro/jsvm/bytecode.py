@@ -177,29 +177,48 @@ class CodeObject(object):
         #: dispatch loop; reset by any pass that rewrites
         #: ``instructions`` (loop rotation).
         self.threaded = None
+        #: Digest of this object's content, memoised by the code cache
+        #: on the first key it takes; reset together with ``threaded``.
+        self.fingerprint = None
+        #: Set by ``rotate_loops`` so a code object is rotated once.
+        self.loops_rotated = False
+        # Pool slot by content key, so interning is a lookup, not a scan;
+        # dropped by :meth:`seal` once the pools are complete.
+        self._const_slots = {}
+        self._name_slots = {}
         self.code_id = CodeObject._next_id
         CodeObject._next_id = CodeObject._next_id + 1
 
     # -- table interning ---------------------------------------------------
 
     def const_index(self, value):
-        """Intern ``value`` in the constant pool and return its index."""
-        for index, existing in enumerate(self.constants):
-            if existing is value or (
-                type(existing) is type(value)
-                and type(value) in (int, float, str, bool)
-                and existing == value
-            ):
-                return index
-        self.constants.append(value)
-        return len(self.constants) - 1
+        """Intern ``value`` in the constant pool and return its index.
+
+        Primitives share a slot when they are equal *and* of one type
+        (``1``, ``1.0`` and ``True`` stay apart; ``0.0`` and ``-0.0``
+        share); anything else, and a NaN, is found only by identity.
+        """
+        kind = type(value)
+        if kind in (int, float, str, bool) and value == value:
+            key = (kind, value)
+        else:
+            key = id(value)
+        index = self._const_slots.get(key)
+        if index is None:
+            index = self._const_slots[key] = len(self.constants)
+            self.constants.append(value)
+        return index
 
     def name_index(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
+        index = self._name_slots.get(name)
+        if index is None:
+            index = self._name_slots[name] = len(self.names)
             self.names.append(name)
-            return len(self.names) - 1
+        return index
+
+    def seal(self):
+        """End interning: the compiler is done, the lookup tables can go."""
+        self._const_slots = self._name_slots = None
 
     # -- introspection -------------------------------------------------------
 

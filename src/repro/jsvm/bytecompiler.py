@@ -67,12 +67,9 @@ class FunctionScope(object):
         self.frees = set()  # names imported from enclosing functions
         self.function_decls = []  # hoisted FunctionDecl nodes
         self.self_name = None  # named function expression self-binding
+        self.is_toplevel = parent is None
         if parent is not None:
             parent.children.append(self)
-
-    @property
-    def is_toplevel(self):
-        return self.parent is None
 
     def declare(self, name):
         if name not in self.declared:
@@ -155,6 +152,11 @@ def _resolve_captures(scope):
         if not scope.is_toplevel and scope.ancestors_declare(name):
             scope.frees.add(name)
         unresolved.add(name)
+    # Nothing below looks upward again.  Without the back links the scope
+    # tree is no cycle, so scopes and the function bodies they hoist are
+    # freed with the AST instead of waiting for the cycle collector.
+    for child in scope.children:
+        child.parent = None
     return unresolved
 
 
@@ -264,6 +266,7 @@ class _FunctionCompiler(object):
         self.emit(Op.RETURN_UNDEF)
         self.patch_jumps()
         self.code.validate()
+        self.code.seal()
         return self.code
 
     # -- statements ----------------------------------------------------------

@@ -1,23 +1,30 @@
-"""Hand-written lexer for the JavaScript subset.
+"""Single-pattern scanner for the JavaScript subset.
 
 Supports decimal and hex integer literals, float literals with
 exponents, single- and double-quoted strings with the common escapes,
 ``//`` and ``/* */`` comments, and the punctuator set in
 :mod:`repro.jsvm.tokens`.  Regular-expression literals are not part of
 the subset.
+
+One compiled pattern recognises every common token; ``lastgroup`` says
+which.  What it leaves out — an identifier that starts with a non-ASCII
+letter, a string holding an escape, and every malformed input — goes
+through :func:`_lex_rare`.  Lines and columns come from the offset of
+the last newline seen, so no character is visited twice.
 """
+
+import re
 
 from repro.errors import JSSyntaxError
 from repro.jsvm.tokens import KEYWORDS, PUNCTUATORS, Token, TokenType
 from repro.jsvm.values import normalize_number
 
-# Punctuators bucketed by first character, preserving the registry's
-# longest-first order within each bucket (maximal munch).  The lexer
-# probes one bucket (≤4 entries) instead of scanning all ~35 entries.
-_PUNCT_BY_FIRST = {}
-for _punct in PUNCTUATORS:
-    _PUNCT_BY_FIRST.setdefault(_punct[0], []).append(_punct)
-del _punct
+EOF = TokenType.EOF
+IDENT = TokenType.IDENT
+KEYWORD = TokenType.KEYWORD
+NUMBER = TokenType.NUMBER
+PUNCT = TokenType.PUNCT
+STRING = TokenType.STRING
 
 _ESCAPES = {
     "n": "\n",
@@ -27,191 +34,114 @@ _ESCAPES = {
     "f": "\f",
     "v": "\v",
     "0": "\0",
-    "\\": "\\",
-    "'": "'",
-    '"': '"',
     "\n": "",  # line continuation
-}
+}  # any other escaped character stands for itself
+
+# Alternatives are tried in order: the float forms before a bare integer,
+# a leading-dot float before the ``.`` punctuator, an unterminated ``/*``
+# before the ``/`` punctuator, and the punctuators in registry order
+# (longest first: maximal munch).  Each match also takes the blanks after
+# the token, so the next one starts where this match ends.
+_MASTER = re.compile(
+    r"(?:"
+    r"(?P<ident>[A-Za-z_$][\w$]*)"
+    r"|(?P<blank>[ \t\r\n]+)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<float>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<string>\"[^\"\\\n]*\"|'[^'\\\n]*')"
+    r"|(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + r")"
+    r")[ \t\r]*"
+)
+
+_STRING = re.compile(r"""(["'])((?:(?!\1)[^\\\n]|\\[\s\S])*)(\1|\n|)""")
+_ESCAPE = re.compile(r"\\(?:x([0-9a-fA-F]{2})|u([0-9a-fA-F]{4})|([\s\S]))")
 
 
-class _Lexer(object):
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens = []
+def _error(message, source, pos):
+    """Raise ``JSSyntaxError`` blaming the character at offset ``pos``."""
+    line = source.count("\n", 0, pos) + 1
+    raise JSSyntaxError(message, line, pos - source.rfind("\n", 0, pos))
 
-    def error(self, message):
-        raise JSSyntaxError(message, self.line, self.column)
 
-    def peek(self, offset=0):
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
+def _lex_rare(source, start):
+    """The token at ``start`` that ``_MASTER`` leaves out: ``(type, value, end)``.
 
-    def advance(self, count=1):
-        source = self.source
-        pos = self.pos
-        end = pos + count
-        if end > len(source):
-            end = len(source)
-        line = self.line
-        column = self.column
-        while pos < end:
-            if source[pos] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            pos += 1
-        self.pos = pos
-        self.line = line
-        self.column = column
+    An identifier starting with a non-ASCII letter, or a string literal
+    with escapes; anything else (a broken string included) is an error.
+    """
+    if source[start].isalpha():
+        end = start + 1
+        while end < len(source) and (source[end].isalnum() or source[end] in "_$"):
+            end += 1
+        return IDENT, source[start:end], end
+    if source[start] not in "'\"":
+        _error("unexpected character %r" % source[start], source, start)
+    # Opening quote, body, and what ended the body: the closing quote,
+    # a raw newline, or nothing at all.
+    match = _STRING.match(source, start)
 
-    def at_end(self):
-        return self.pos >= len(self.source)
+    def unescape(escape):
+        code = escape.group(1) or escape.group(2)
+        if code:
+            return chr(int(code, 16))
+        char = escape.group(3)
+        if char in ("x", "u"):
+            _error("malformed \\%s escape" % char, source, start + 1 + escape.end())
+        return _ESCAPES.get(char, char)
 
-    def run(self):
-        while True:
-            self.skip_trivia()
-            if self.at_end():
-                self.tokens.append(Token(TokenType.EOF, None, self.line, self.column))
-                return self.tokens
-            ch = self.peek()
-            if ch.isdigit() or (ch == "." and self.peek(1).isdigit()):
-                self.lex_number()
-            elif ch.isalpha() or ch in "_$":
-                self.lex_identifier()
-            elif ch in "'\"":
-                self.lex_string()
-            else:
-                self.lex_punctuator()
-
-    def skip_trivia(self):
-        while not self.at_end():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "/" and self.peek(1) == "/":
-                while not self.at_end() and self.peek() != "\n":
-                    self.advance()
-            elif ch == "/" and self.peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self.advance(2)
-                while not (self.peek() == "*" and self.peek(1) == "/"):
-                    if self.at_end():
-                        raise JSSyntaxError("unterminated comment", start_line, start_col)
-                    self.advance()
-                self.advance(2)
-            else:
-                return
-
-    def lex_number(self):
-        line, column = self.line, self.column
-        start = self.pos
-        if self.peek() == "0" and self.peek(1) in ("x", "X"):
-            self.advance(2)
-            if not self._ishex(self.peek()):
-                self.error("malformed hex literal")
-            while self._ishex(self.peek()):
-                self.advance()
-            value = int(self.source[start : self.pos], 16)
-            self.tokens.append(Token(TokenType.NUMBER, normalize_number(value), line, column))
-            return
-        is_float = False
-        while self.peek().isdigit():
-            self.advance()
-        if self.peek() == "." and self.peek(1).isdigit():
-            is_float = True
-            self.advance()
-            while self.peek().isdigit():
-                self.advance()
-        elif self.peek() == ".":
-            # trailing dot, as in "1."
-            is_float = True
-            self.advance()
-        if self.peek() in "eE":
-            probe = 1
-            if self.peek(1) in "+-":
-                probe = 2
-            if self.peek(probe).isdigit():
-                is_float = True
-                self.advance(probe)
-                while self.peek().isdigit():
-                    self.advance()
-        text = self.source[start : self.pos]
-        value = float(text) if is_float else int(text)
-        self.tokens.append(Token(TokenType.NUMBER, normalize_number(value), line, column))
-
-    @staticmethod
-    def _ishex(ch):
-        return ch != "" and ch in "0123456789abcdefABCDEF"
-
-    def lex_identifier(self):
-        line, column = self.line, self.column
-        start = self.pos
-        while not self.at_end() and (self.peek().isalnum() or self.peek() in "_$"):
-            self.advance()
-        text = self.source[start : self.pos]
-        kind = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
-        self.tokens.append(Token(kind, text, line, column))
-
-    def lex_string(self):
-        line, column = self.line, self.column
-        quote = self.peek()
-        self.advance()
-        parts = []
-        while True:
-            if self.at_end():
-                raise JSSyntaxError("unterminated string", line, column)
-            ch = self.peek()
-            if ch == quote:
-                self.advance()
-                break
-            if ch == "\n":
-                raise JSSyntaxError("newline in string literal", line, column)
-            if ch == "\\":
-                self.advance()
-                esc = self.peek()
-                if esc == "x":
-                    self.advance()
-                    code = self.source[self.pos : self.pos + 2]
-                    if len(code) < 2 or not all(self._ishex(c) for c in code):
-                        self.error("malformed \\x escape")
-                    parts.append(chr(int(code, 16)))
-                    self.advance(2)
-                elif esc == "u":
-                    self.advance()
-                    code = self.source[self.pos : self.pos + 4]
-                    if len(code) < 4 or not all(self._ishex(c) for c in code):
-                        self.error("malformed \\u escape")
-                    parts.append(chr(int(code, 16)))
-                    self.advance(4)
-                elif esc in _ESCAPES:
-                    parts.append(_ESCAPES[esc])
-                    self.advance()
-                else:
-                    parts.append(esc)
-                    self.advance()
-            else:
-                parts.append(ch)
-                self.advance()
-        self.tokens.append(Token(TokenType.STRING, "".join(parts), line, column))
-
-    def lex_punctuator(self):
-        line, column = self.line, self.column
-        candidates = _PUNCT_BY_FIRST.get(self.source[self.pos])
-        if candidates is not None:
-            for punct in candidates:
-                if self.source.startswith(punct, self.pos):
-                    self.advance(len(punct))
-                    self.tokens.append(Token(TokenType.PUNCT, punct, line, column))
-                    return
-        self.error("unexpected character %r" % self.peek())
+    value = _ESCAPE.sub(unescape, match.group(2))
+    if match.group(3) == "\n":
+        _error("newline in string literal", source, start)
+    if not match.group(3):
+        _error("unterminated string", source, start)
+    return STRING, value, match.end()
 
 
 def tokenize(source):
     """Tokenize ``source`` into a list ending with an EOF token."""
-    return _Lexer(source).run()
+    tokens = []
+    append = tokens.append
+    scan = _MASTER.match
+    pos = 0
+    line = 1
+    line_start = 0  # offset just past the last newline seen
+    while True:
+        match = scan(source, pos)
+        start = pos
+        column = start - line_start + 1
+        if match is None:
+            if pos == len(source):
+                append(Token(EOF, None, line, column))
+                return tokens
+            token_type, value, pos = _lex_rare(source, start)
+            append(Token(token_type, value, line, column))
+            if "\n" in source[start:pos]:  # line continuations in a string
+                line += source.count("\n", start, pos)
+                line_start = source.rfind("\n", start, pos) + 1
+            continue
+        kind = match.lastgroup
+        text = match.group(kind)
+        pos = match.end()
+        if kind == "punct":
+            append(Token(PUNCT, text, line, column))
+        elif kind == "ident":
+            append(Token(KEYWORD if text in KEYWORDS else IDENT, text, line, column))
+        elif kind == "blank" or kind == "comment":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rfind("\n") + 1
+        elif kind == "int":
+            append(Token(NUMBER, normalize_number(int(text)), line, column))
+        elif kind == "string":
+            append(Token(STRING, text[1:-1], line, column))
+        elif kind == "float":
+            append(Token(NUMBER, normalize_number(float(text)), line, column))
+        elif kind == "hex":
+            if len(text) == 2:
+                _error("malformed hex literal", source, start + 2)
+            append(Token(NUMBER, normalize_number(int(text, 16)), line, column))
+        else:
+            _error("unterminated comment", source, start)

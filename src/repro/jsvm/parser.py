@@ -30,6 +30,10 @@ _BINARY_LEVELS = [
     ["*", "/", "%"],
 ]
 
+_BINARY_PRECEDENCE = {
+    operator: level for level, operators in enumerate(_BINARY_LEVELS) for operator in operators
+}
+
 _ASSIGNMENT_OPS = {
     "=": "",
     "+=": "+",
@@ -330,19 +334,17 @@ class Parser(object):
         return left
 
     def parse_binary(self, level):
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        operators = _BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
+        """Precedence climbing: operators at ``level`` or tighter, left-associative."""
+        left = self.parse_unary()
         while True:
             token = self.peek()
-            matches = (
-                token.type == TokenType.PUNCT or token.type == TokenType.KEYWORD
-            ) and token.value in operators
-            if not matches:
+            if token.type != TokenType.PUNCT and token.type != TokenType.KEYWORD:
+                return left
+            found = _BINARY_PRECEDENCE.get(token.value)
+            if found is None or found < level:
                 return left
             self.advance()
-            right = self.parse_binary(level + 1)
+            right = self.parse_binary(found + 1)
             left = ast.Binary(token.value, left, right, line=token.line)
 
     def parse_unary(self):

@@ -172,3 +172,37 @@ class TestSelfReference:
     def test_self_op_emitted(self):
         code = nested(compile_source("var f = function g() { return g; };"), "g")
         assert Op.SELF in ops_of(code)
+
+
+class TestNothingLingers:
+    """What only the compile needs dies with it, by reference counting: a
+    page's dead engine already waits for the cycle collector, and the
+    front half should not add its scratch data to that."""
+
+    SOURCE = """
+        function outer(a) {
+            var kept = a + 1;
+            function inner(b) { return b + kept; }
+            return (function named(c) { return c ? named(c - 1) : inner(c); })(a);
+        }
+        print(outer(2));
+    """
+
+    def test_compiling_leaves_no_cyclic_garbage(self):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            code = compile_source(self.SOURCE)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        interpreter = Interpreter()
+        interpreter.run_code(code)
+        assert interpreter.runtime.printed == ["3"]
+
+    def test_interning_tables_end_with_the_compile(self):
+        toplevel = compile_source(self.SOURCE)
+        for code in [toplevel, nested(toplevel)]:
+            assert code._const_slots is None and code._name_slots is None

@@ -276,6 +276,42 @@ class TestKeySensitivity:
         )
         assert first != second
 
+    def test_nested_body_moves_the_outer_key(self, tmp_path):
+        cache = DiskCodeCache(root=str(tmp_path))
+        outer = "function outer(x) { function inner(y) { return y + %d; } return inner(x); }"
+        keys = {
+            cache.key_for(self._code(outer % n), FULL_SPEC, param_values=[3]) for n in (1, 2, 1)
+        }
+        assert len(keys) == 2 and None not in keys
+
+    def test_fingerprint_is_memoised_as_a_digest_only(self, tmp_path):
+        cache = DiskCodeCache(root=str(tmp_path))
+        toplevel = compile_source("function f(a) { function g(b) { return b; } return g(a); }")
+        function = toplevel.constants[0]
+        assert toplevel.fingerprint is None and function.fingerprint is None
+        key = cache.key_for(function, FULL_SPEC, param_values=[3])
+        nested = function.constants[0]
+        for code in (function, nested):
+            assert isinstance(code.fingerprint, str) and len(code.fingerprint) == 64
+        assert toplevel.fingerprint is None
+        # A second compile of the same text has other code ids, the same key.
+        again = compile_source("function f(a) { function g(b) { return b; } return g(a); }")
+        assert cache.key_for(again.constants[0], FULL_SPEC, param_values=[3]) == key
+
+    def test_rewriting_instructions_after_a_key_moves_the_key(self, tmp_path):
+        from repro.opts.loop_inversion import rotate_loops
+
+        cache = DiskCodeCache(root=str(tmp_path))
+        source = "function f(n) { while (n) { n--; } return n; }"
+        code = self._code(source)
+        before = cache.key_for(code, FULL_SPEC, param_values=[3])
+        assert rotate_loops(code) == 1
+        after = cache.key_for(code, FULL_SPEC, param_values=[3])
+        assert after != before
+        fresh = self._code(source)
+        rotate_loops(fresh)
+        assert cache.key_for(fresh, FULL_SPEC, param_values=[3]) == after
+
     def test_feedback_moves_the_key(self, tmp_path):
         from repro.jsvm.feedback import TypeFeedback
 

@@ -42,7 +42,7 @@ from repro.fuzz import (
 from repro.fuzz.corpus import corpus_files, replay_corpus
 from repro.fuzz.oracle import CHAOS_BAILOUT_LIMIT, resolve_matrix
 from repro.fuzz.shrink import ddmin
-from repro.jsvm.parser import parse
+from repro.jsvm.bytecompiler import compile_source
 from repro.lir.native import FAULT_INJECTED
 from repro.telemetry.profiler import CycleProfiler
 from repro.telemetry.tracing import Tracer
@@ -108,10 +108,12 @@ class TestGenerator:
         programs = {generate_program(seed, 0) for seed in range(10)}
         assert len(programs) >= 8
 
-    def test_every_program_parses(self):
-        for iteration in range(30):
-            source = generate_program(0, iteration)
-            parse(source)
+    def test_every_program_compiles(self):
+        # 12 of these 1,000 used to render a negative literal under the
+        # unary-minus arm as ``(--0.25)``: "invalid update target".
+        for seed in range(40):
+            for iteration in range(25):
+                compile_source(generate_program(seed, iteration))
 
     def test_single_line_constructs_for_ddmin(self):
         # The shrinker removes whole lines, so every top-level
@@ -513,6 +515,29 @@ class TestFuzzSession:
         events = {event["event"] for event in tracer.events}
         assert {"mismatch", "shrink"} <= events
         assert any("shrunk" in line for line in log_lines)
+
+    def test_unparseable_program_is_a_generator_failure(self, tmp_path, monkeypatch):
+        # Every variant raises the same JSSyntaxError, which the oracle
+        # alone reads as agreement.
+        from repro.fuzz import harness
+
+        monkeypatch.setattr(
+            harness, "generate_program", lambda seed, iteration: "print((--0.25));\n"
+        )
+        tracer = Tracer(channels=("fuzz",))
+        session = FuzzSession(
+            seed=3, iterations=1, matrix=["jit"], corpus_dir=str(tmp_path), tracer=tracer
+        )
+        summary = session.run()
+        assert summary["failures"] == 1
+        (record,) = session.failures
+        assert record["kind"] == "generator"
+        assert "invalid update target" in record["detail"]
+        assert record["source"] == "print((--0.25));\n"
+        assert [event["event"] for event in tracer.events] == ["mismatch"]
+        code, output = run_cli(["fuzz", "--seed", "3", "--iterations", "1", "--matrix", "jit"])
+        assert code == 1
+        assert "generator mismatch" in output and "all variants agree" not in output
 
     def test_shrink_can_be_disabled(self, tmp_path, monkeypatch):
         from repro.fuzz import harness
