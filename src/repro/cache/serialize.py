@@ -46,7 +46,9 @@ class Uncacheable(Exception):
 #: the regions reachable from the binary's translation roots.
 #: v6: the key names a code object by the digest of its fingerprint
 #: (nested functions by theirs) instead of embedding the fingerprint.
-FORMAT_VERSION = 6
+#: v7: the whole source is host-typed (tests and helper calls the
+#: emitter can decide are gone; globals are dict subscripts).
+FORMAT_VERSION = 7
 
 _PRIMITIVES = (int, float, bool, str)
 

@@ -195,8 +195,20 @@ def exercise_entry_guards(engine):
     ``FunctionState.native``).  Cycle and stats ledgers advance as
     for any call, so compare ledgers *before* exercising.
 
+    Chaos runs only: the engine records ``last_call`` just when it was
+    built with a ``fault_injector`` (on any other engine that would be a
+    tuple per call and every function's last receiver and arguments
+    pinned for the engine's life), so an engine without one has nothing
+    to replay and is refused with a ``ValueError`` rather than reported
+    as "0 functions re-entered".
+
     Returns the number of functions re-entered.
     """
+    if engine.fault_injector is None:
+        raise ValueError(
+            "exercise_entry_guards needs an engine built with a fault_injector: "
+            "only such an engine records the calls this harness replays"
+        )
     reentered = 0
     for state in list(engine.states.values()):
         if state.native is None or state.last_call is None:

@@ -102,7 +102,9 @@ class FunctionState(object):
         "call_count",
         "backedge_count",
         "native",
-        "spec_key",
+        "_key",
+        "key_match",
+        "key_recorded",
         "osr_state_key",
         "spec_cache",
         "never_specialize",
@@ -154,10 +156,41 @@ class FunctionState(object):
         #: (docs/DEOPTLESS.md); bounded — cleared at
         #: ``_MISS_KEY_BOUND`` so churning identities cannot grow it.
         self.miss_keys = {}
-        #: Most recent call's ``(function, this_value, args)`` — host
-        #: bookkeeping for the post-run entry-guard re-entry harness
-        #: (``repro.engine.bailout.exercise_entry_guards``).
+        #: Most recent call's ``(function, this_value, args)``, kept
+        #: only on an engine with a fault injector — the chaos harness
+        #: ``repro.engine.bailout.exercise_entry_guards`` replays it.
+        #: Never recorded otherwise: it would cost a tuple per call and
+        #: pin every function's last receiver and arguments for the
+        #: engine's life.
         self.last_call = None
+
+    @property
+    def spec_key(self):
+        """The argument-set key ``native`` is specialized on, or None.
+
+        Installing a key also resets what the warm call derives from it:
+
+        ``key_match``
+            the key pre-digested for the inline comparison
+            (:func:`_key_matcher`), or None when the comparison must go
+            through :func:`_spec_key_matches` (in ``_call_policy``);
+        ``key_recorded``
+            the ``TypeFeedback`` on which the key's own values are known
+            to be recorded, or None.  While that is the code object's
+            live feedback, ``record_args`` on a primary-key hit is a
+            no-op (tag sets only grow) and the warm call skips it.  It
+            is forgotten with every installed key because only a
+            call-entry compile keys on values ``record_args`` just saw:
+            an OSR compile keys on ``frame.args``, which the body may
+            have reassigned to values no call ever recorded.
+        """
+        return self._key
+
+    @spec_key.setter
+    def spec_key(self, key):
+        self._key = key
+        self.key_match = None if key is None else _key_matcher(key)
+        self.key_recorded = None
 
 
 #: Cap on ``FunctionState.miss_keys``: past this many distinct miss
@@ -222,6 +255,40 @@ def _spec_key_matches(stored, this_value, args):
         if not _value_matches_key(key, value):
             return False
     return True
+
+
+#: ``value_key`` type name -> the exact Python type it names.
+_KEY_TYPES = dict((name, kind) for kind, name in _KEY_TYPE_NAMES.items())
+
+
+def _key_matcher(key):
+    """``key`` as ``(this_type, this_value, arg_types, arg_values)``.
+
+    A call matches an all-primitive key exactly when each value has the
+    recorded exact type and is (or equals) the recorded value — the
+    test :func:`_value_matches_key` makes, laid out so the warm call
+    can make it inline, without a Python call per argument.  The tags
+    ``record_args`` would derive from such a call are a function of the
+    key alone, which is what lets a matched call skip it
+    (``FunctionState.key_recorded``).  A key with a ``('ref', id)``
+    component has no such form (an ``id`` outlives its object): None.
+    """
+    kinds = []
+    values = []
+    for part in (key[0],) + key[1]:
+        name = part[0]
+        if name == "undefined":
+            kinds.append(type(UNDEFINED))
+            values.append(UNDEFINED)
+        elif name == "null":
+            kinds.append(type(NULL))
+            values.append(NULL)
+        elif name == "ref":
+            return None
+        else:
+            kinds.append(_KEY_TYPES[name])
+            values.append(part[1])
+    return kinds[0], values[0], tuple(kinds[1:]), tuple(values[1:])
 
 
 def _osr_key(args, locals_):
@@ -290,6 +357,14 @@ class Engine(object):
             self.executor.fault_injector = fault_injector
         if tracer is not None:
             tracer.bind_clock(self.trace_clock)
+        #: True when nothing watches the call path — no tracer, cycle
+        #: profiler or fault injector (all fixed at construction) — so a
+        #: warm call may go straight from ``try_native_call`` to the
+        #: executor (the call histogram ``profiler`` is the
+        #: interpreter's own hook and is served before the engine).
+        self._unobserved = (
+            tracer is None and cycle_profiler is None and fault_injector is None
+        )
         self.states = {}
         self.hot_call_threshold = hot_call_threshold
         self.osr_backedge_threshold = osr_backedge_threshold
@@ -528,11 +603,92 @@ class Engine(object):
         """Count the call; maybe compile; maybe execute natively.
 
         Returns ``(handled, result)``.
+
+        The steady state — a live binary, nothing observing, no
+        background job waiting to install — is decided here and goes
+        straight to the executor: state, key match, run.  Every other
+        call (first calls, misses, deoptless dispatch, lane installs,
+        anything a tracer, profiler or fault injector watches) takes
+        :meth:`_call_policy`, which only *decides*; the binary it leaves
+        in ``state.native`` is entered below, in the one place that
+        does the depth and entry-cost bookkeeping.
         """
         code = function.code
-        state = self._state(code)
+        state = self.states.get(code.code_id)
+        if state is None:
+            state = self._state(code)
         state.call_count += 1
-        state.last_call = (function, this_value, args)
+        native = state.native
+        feedback = code.feedback
+        queue = self.compile_queue
+        metrics = self.metrics
+        warm = False
+        if (
+            native is not None
+            and self._unobserved
+            and feedback is not None
+            and not state.not_compilable
+            and (queue is None or not queue.pending)
+        ):
+            if native.specialized:
+                # The primary key, compared in line; a key holding a heap
+                # reference has no such form and goes the long way.
+                match = state.key_match
+                if match is not None:
+                    this_kind, this_stored, kinds, stored_args = match
+                    if (
+                        type(this_value) is this_kind
+                        and (this_stored is this_value or this_stored == this_value)
+                        and len(args) == len(kinds)
+                    ):
+                        for kind, stored, value in zip(kinds, stored_args, args):
+                            if type(value) is not kind or (
+                                stored is not value and stored != value
+                            ):
+                                break
+                        else:
+                            warm = True
+                            if metrics is not None and metrics.snapshot_interval:
+                                metrics.maybe_snapshot()
+                            if state.key_recorded is not feedback:
+                                feedback.record_args(args, this_value)
+                                state.key_recorded = feedback
+                            if metrics is not None:
+                                metrics.inc("repro_spec_cache_hits_total")
+            elif not self.deoptless:
+                warm = True
+                if metrics is not None and metrics.snapshot_interval:
+                    metrics.maybe_snapshot()
+                feedback.record_args(args, this_value)
+        if not warm:
+            if not self._call_policy(state, function, this_value, args):
+                return False, None
+            native = state.native
+        interpreter = self.interpreter
+        interpreter.call_depth += 1
+        self.executor.cycles += self.cost_model.native_call_entry
+        if self.cycle_profiler is not None:
+            self.cycle_profiler.charge_entry(native, self.cost_model.native_call_entry)
+        try:
+            return True, self.executor.run(native, function, this_value, args)
+        except Bailout as bail:
+            return True, self._handle_call_bailout(state, function, this_value, args, bail)
+        finally:
+            interpreter.call_depth -= 1
+
+    def _call_policy(self, state, function, this_value, args):
+        """Everything a call may need besides running a matching binary.
+
+        Polls the metrics clock and the background lane, records
+        feedback, consults the specialization cache and the deoptless
+        table, compiles or enqueues — in that order, emitting every
+        trace event and metric of the call path.  Returns True when
+        ``state.native`` now accepts this call (the caller runs it),
+        False when the call is to be interpreted.
+        """
+        code = state.code
+        if self.fault_injector is not None:
+            state.last_call = (function, this_value, args)
         metrics = self.metrics
         if metrics is not None:
             metrics.maybe_snapshot()
@@ -553,7 +709,7 @@ class Engine(object):
             self.stats.interp_calls += 1
             if self.cycle_profiler is not None:
                 self.cycle_profiler.interp_call()
-            return False, None
+            return False
         if code.feedback is None:
             code.feedback = TypeFeedback(code.num_params)
         code.feedback.record_args(args, this_value)
@@ -570,7 +726,7 @@ class Engine(object):
 
         native = state.native
         if native is not None:
-            if native.meta["specialized"]:
+            if native.specialized:
                 if _spec_key_matches(state.spec_key, this_value, args):
                     if metrics is not None:
                         metrics.inc("repro_spec_cache_hits_total")
@@ -583,7 +739,7 @@ class Engine(object):
                             key=repr(state.spec_key),
                             primary=True,
                         )
-                    return True, self._run_call(state, function, this_value, args)
+                    return True
                 key = _spec_key(this_value, args)
                 cached = state.spec_cache.get(key)
                 if cached is not None:
@@ -602,7 +758,7 @@ class Engine(object):
                             key=repr(key),
                             primary=False,
                         )
-                    return True, self._run_call(state, function, this_value, args)
+                    return True
                 if metrics is not None:
                     metrics.inc("repro_spec_cache_misses_total")
                 if tracer is not None:
@@ -626,16 +782,16 @@ class Engine(object):
                         self.stats.interp_calls += 1
                         if self.cycle_profiler is not None:
                             self.cycle_profiler.interp_call()
-                        return False, None
+                        return False
                     if self._compile(state, function, this_value, args, osr_frame=None):
-                        return True, self._run_call(state, function, this_value, args)
+                        return True
                 if self.deoptless:
                     # Deoptless: the table is over capacity but nothing
                     # is discarded — dispatch into the generalized
                     # sibling (compiling it once the miss count proves
                     # real polymorphism), else interpret this call.
                     if self._deoptless_call(state, function, this_value, args, use_queue):
-                        return True, self._run_call(state, function, this_value, args)
+                        return True
                 else:
                     # §4: one distinct argument set too many — discard,
                     # mark, recompile in IonMonkey's traditional mode.
@@ -697,7 +853,7 @@ class Engine(object):
                             self._dispatch_into(
                                 state, state.generalized, "call", None
                             )
-                return True, self._run_call(state, function, this_value, args)
+                return True
 
         if state.native is None and state.call_count >= self.hot_call_threshold:
             if use_queue:
@@ -705,12 +861,12 @@ class Engine(object):
                 # binary installs at a later poll point.
                 self._enqueue_compile(state, function, this_value, args)
             elif self._compile(state, function, this_value, args, osr_frame=None):
-                return True, self._run_call(state, function, this_value, args)
+                return True
 
         self.stats.interp_calls += 1
         if self.cycle_profiler is not None:
             self.cycle_profiler.interp_call()
-        return False, None
+        return False
 
     # -- back-edge hook (interpreter loops) ----------------------------------------------
 
@@ -791,7 +947,7 @@ class Engine(object):
                 return None
             needs_osr_compile = False
         if needs_osr_compile:
-            if native is not None and native.meta["specialized"]:
+            if native is not None and native.specialized:
                 # Keep the specialized call-entry binary; adding an OSR
                 # entry means recompiling with the same constants.
                 if _spec_key(frame.this_value, frame.args) != state.spec_key:
@@ -821,7 +977,7 @@ class Engine(object):
             return False
         if native.meta.get("osr_pc") != target_pc:
             return False
-        if native.meta["specialized"]:
+        if native.specialized:
             return state.osr_state_key == _osr_key(frame.args, frame.locals)
         return True
 
@@ -1112,7 +1268,7 @@ class Engine(object):
                 "finish",
                 fn=code.name,
                 code_id=code.code_id,
-                specialized=result.native.meta["specialized"],
+                specialized=result.native.specialized,
                 osr=osr_pc is not None,
                 mir_instructions=result.mir_instructions,
                 lir_instructions=result.codegen_stats["lir_instructions"],
@@ -1138,7 +1294,7 @@ class Engine(object):
             osr_args = list(frame.args)
             osr_locals = list(frame.locals)
         state.native = result.native
-        if result.native.meta["specialized"]:
+        if result.native.specialized:
             self.stats.specialized_functions.add(code.code_id)
             state.spec_key = _spec_key(this_value, args)
             state.osr_state_key = (
@@ -1219,7 +1375,7 @@ class Engine(object):
         result, compile_cycles = produced
         job = CompileJob(state, function, this_value, args, result, compile_cycles)
         job.generalized = generalized
-        if result.native.meta["specialized"]:
+        if result.native.specialized:
             job.spec_key = _spec_key(this_value, args)
         queue.schedule(code.code_id, job, self.trace_clock())
         if tracer is not None:
@@ -1250,7 +1406,7 @@ class Engine(object):
         state = job.state
         code = state.code
         native = job.result.native
-        specialized = native.meta["specialized"]
+        specialized = native.specialized
         tracer = self.tracer
         stale = (
             state.not_compilable
@@ -1392,22 +1548,6 @@ class Engine(object):
             )
 
     # -- native execution -----------------------------------------------------------------------
-
-    def _run_call(self, state, function, this_value, args):
-        """Run the cached binary from its function entry point."""
-        interpreter = self.interpreter
-        interpreter.call_depth += 1
-        self.executor.cycles += self.cost_model.native_call_entry
-        if self.cycle_profiler is not None:
-            self.cycle_profiler.charge_entry(
-                state.native, self.cost_model.native_call_entry
-            )
-        try:
-            return self.executor.run(state.native, function, this_value, args)
-        except Bailout as bail:
-            return self._handle_call_bailout(state, function, this_value, args, bail)
-        finally:
-            interpreter.call_depth -= 1
 
     def _handle_call_bailout(self, state, function, this_value, args, bail):
         self._note_bailout(state, bail, this_value)

@@ -29,6 +29,15 @@ MAX_IC_SHAPES = MAX_TAGS_PER_SITE
 #: site is megamorphic and records (and speculates on) nothing further.
 MEGAMORPHIC = "megamorphic"
 
+#: Distinct call shapes (exact Python types of ``this`` and of each
+#: argument) one :class:`TypeFeedback` remembers having recorded; past
+#: it, calls of new shapes simply take the full walk every time.
+MAX_SEEN_CALL_SHAPES = 16
+
+#: Key marking "a recorded call shape ends here" in the seen-shapes trie
+#: (every other key is a type).
+_SHAPE_END = None
+
 
 def shape_ic_fingerprint(shape_ics):
     """Canonical snapshot of a per-site shape inline-cache table.
@@ -53,7 +62,15 @@ def shape_ic_fingerprint(shape_ics):
 class TypeFeedback(object):
     """Per-code-object profile of observed types."""
 
-    __slots__ = ("arg_tags", "this_tags", "site_tags", "recv_tags", "shape_ics")
+    __slots__ = (
+        "arg_tags",
+        "this_tags",
+        "site_tags",
+        "recv_tags",
+        "shape_ics",
+        "_seen_calls",
+        "_seen_count",
+    )
 
     def __init__(self, num_params):
         self.arg_tags = [set() for _ in range(num_params)]
@@ -64,16 +81,47 @@ class TypeFeedback(object):
         #: Per-site inline caches: pc -> ordered list of receiver shape
         #: ids (mono/poly), or :data:`MEGAMORPHIC` once overflowed.
         self.shape_ics = {}
+        #: Call shapes :meth:`record_args` has already walked, as a trie
+        #: of exact types: ``type(this)`` → ``type(args[0])`` → … →
+        #: ``_SHAPE_END``.
+        self._seen_calls = {}
+        self._seen_count = 0
 
     # -- recording (called from the interpreter's hot loop) -----------------
 
     def record_args(self, args, this_value):
+        """Record one call's argument and ``this`` tags.
+
+        Runs for every guest call for the function's whole lifetime, and
+        almost every call repeats a shape already recorded.  Tag sets
+        only grow, and a tag is a function of the value's exact Python
+        type — except for an ``int``, which tags ``double`` outside the
+        int32 range — so a call whose types were all walked before, with
+        every int in range, cannot add anything: one pass over the
+        arguments establishes that and returns.  Anything else takes
+        :meth:`_walk_args`.
+        """
+        node = self._seen_calls.get(type(this_value))
+        if node is not None:
+            for value in args:
+                kind = type(value)
+                if kind is int and not -2147483648 <= value <= 2147483647:
+                    break
+                node = node.get(kind)
+                if node is None:
+                    break
+            else:
+                if _SHAPE_END in node:
+                    return
+        self._walk_args(args, this_value)
+
+    def _walk_args(self, args, this_value):
+        """The full recording walk; remembers the call's shape after it."""
         nargs = len(args)
         tag = type_tag
         index = 0
-        # Numeric tags are computed inline: this runs for every guest
-        # call for the function's whole lifetime (monomorphic slots
-        # never saturate), and arguments are overwhelmingly numbers.
+        # Numeric tags are computed inline: arguments are overwhelmingly
+        # numbers.
         for slot in self.arg_tags:
             if len(slot) < MAX_TAGS_PER_SITE:
                 if index < nargs:
@@ -93,6 +141,18 @@ class TypeFeedback(object):
         this_tags = self.this_tags
         if len(this_tags) < MAX_TAGS_PER_SITE:
             this_tags.add(tag(this_value))
+        if self._seen_count < MAX_SEEN_CALL_SHAPES:
+            node = self._seen_calls.setdefault(type(this_value), {})
+            for value in args:
+                kind = type(value)
+                if kind is int and not -2147483648 <= value <= 2147483647:
+                    # Its tag was ``double``; an in-range int of the
+                    # same shape would still add ``int``.
+                    return
+                node = node.setdefault(kind, {})
+            if _SHAPE_END not in node:
+                node[_SHAPE_END] = True
+                self._seen_count += 1
 
     def record_site(self, pc, value):
         tags = self.site_tags.get(pc)

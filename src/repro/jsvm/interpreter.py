@@ -97,6 +97,15 @@ class Interpreter(object):
         #: node.  None (the default) means zero overhead: the hot
         #: dispatch loop is selected once per activation.
         self.cycle_profiler = cycle_profiler
+        #: The one decision ``call_function`` makes per call, taken
+        #: here: with an engine and no call hook (all four are fixed at
+        #: construction) a guest call goes straight to the engine.
+        self._plain_calls = (
+            engine is not None
+            and profiler is None
+            and tracer is None
+            and cycle_profiler is None
+        )
         self.call_depth = 0
         #: Count of bytecode instructions dispatched (for the cost model).
         self.ops_executed = 0
@@ -143,6 +152,15 @@ class Interpreter(object):
 
     def call_function(self, function, this_value, args):
         """Call a guest function, giving the JIT first refusal."""
+        if not self._plain_calls:
+            return self._call_function_hooked(function, this_value, args)
+        handled, result = self.engine.try_native_call(function, this_value, args)
+        if handled:
+            return result
+        return self.execute(self.build_frame(function, this_value, args))
+
+    def _call_function_hooked(self, function, this_value, args):
+        """``call_function`` with a profiler, tracer or no engine attached."""
         if self.profiler is not None:
             self.profiler.record_call(function, args)
         tracer = self.tracer
@@ -631,7 +649,12 @@ def _op_call(ctx, pc, count):
         args = []
     this_value = stack.pop()
     callee = stack.pop()
-    value = ctx.interp.call_value(callee, this_value, args)
+    interp = ctx.interp
+    if type(callee) is JSFunction:
+        # Guest-to-guest is the common call: skip call_value's dispatch.
+        value = interp.call_function(callee, this_value, args)
+    else:
+        value = interp.call_value(callee, this_value, args)
     feedback = ctx.feedback
     if feedback is not None:
         feedback.record_site(pc - 1, value)

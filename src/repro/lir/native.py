@@ -123,6 +123,10 @@ class NativeCode(object):
         self.immediates = list(immediates)
         #: Free-form compilation metadata (specialized args, stats...).
         self.meta = meta if meta is not None else {}
+        #: ``meta["specialized"]`` as a field: whether parameter values
+        #: are baked in, fixed when the binary is built (the engine
+        #: reads it on every call).
+        self.specialized = bool(self.meta.get("specialized"))
         #: Executor caches, paid once per binary: the per-pc cycle
         #: table (keyed by cost model) and the closure backend's
         #: compiled handlers (keyed by executor).  Both die with the

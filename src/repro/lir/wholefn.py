@@ -113,28 +113,19 @@ _ACC_SHIFT = 64
 _ACC_MASK = (1 << _ACC_SHIFT) - 1
 
 #: Ops whose generated statements can raise *outside the generated
-#: code's own control* — guest errors out of calls, generic operators
-#: and runtime helpers.  Only these need a hot-path ``_i`` progress
+#: code's own control* — guest errors out of calls and runtime helpers
+#: — on their hot path.  Only these need a hot-path ``_i`` progress
 #: marker.  Guards raise too, but only through their own explicit
 #: ``_bw``/``_fw`` cold branch, so their marker is emitted *inside*
-#: that branch and the speculation-holds path runs marker-free.
+#: that branch and the speculation-holds path runs marker-free; the
+#: generic ops with an inline arm (``binary_v``, ``unary_v``,
+#: ``getelem_v``, ``setelem_v``, ``loadglobal``) do the same for the
+#: arm that calls their helper (:meth:`_WholeEmitter._arms`).
 #: Everything else (moves, checked arithmetic whose guard passed,
-#: bounds-checked heap access, comparisons, allocation) is total by
-#: construction.
+#: bounds-checked heap access, comparisons, allocation, a global
+#: store) is total by construction.
 _HELPER_RAISES = frozenset(
-    [
-        "osrvalue",
-        "getelem_v",
-        "setelem_v",
-        "getprop_v",
-        "setprop_v",
-        "loadglobal",
-        "storeglobal",
-        "binary_v",
-        "unary_v",
-        "call",
-        "new",
-    ]
+    ["osrvalue", "getprop_v", "setprop_v", "call", "new"]
 )
 
 
@@ -160,6 +151,121 @@ _GENERIC_NUMERIC_PY = {
     Op.STRICTEQ: "==",
     Op.STRICTNE: "!=",
 }
+
+# -- the host-type map (docs/CODEGEN.md, "The host-type map") ------------------
+#
+# What the emitter can prove, at translation time, about the *Python*
+# value a location holds.  ``number`` is the join of ``int`` and
+# ``float``; ``other`` is a literal of none of these kinds (undefined,
+# null); absent means unknown.  A Python ``int`` in a location is an
+# int32: every producer normalizes.
+_INT = "int"
+_FLOAT = "float"
+_NUMBER = "number"
+_BOOL = "bool"
+_STR = "str"
+_ARRAY = "array"
+_OBJECT = "object"
+_FUNCTION = "function"
+_OTHER = "other"
+_NUMERIC = frozenset([_INT, _FLOAT, _NUMBER])
+
+#: The kind a value has once it passed an ``unbox``/``typebarrier`` of
+#: this type (``DOUBLE`` depends on the op and is handled there).
+_KIND_OF_MIRTYPE = {
+    MIRType.INT32: _INT,
+    MIRType.BOOLEAN: _BOOL,
+    MIRType.STRING: _STR,
+    MIRType.ARRAY: _ARRAY,
+    MIRType.OBJECT: _OBJECT,
+    MIRType.FUNCTION: _FUNCTION,
+}
+
+#: Ops whose result kind is fixed by the op alone.
+_RESULT_KIND = {
+    "add_i": _INT,
+    "sub_i": _INT,
+    "mul_i": _INT,
+    "neg_i": _INT,
+    "toint32": _INT,
+    "arraylength": _INT,
+    "stringlength": _INT,
+    "compare": _BOOL,
+    "not": _BOOL,
+    "add_d": _NUMBER,
+    "sub_d": _NUMBER,
+    "mul_d": _NUMBER,
+    "div_d": _NUMBER,
+    "mod_d": _NUMBER,
+    "neg_d": _NUMBER,
+    "todouble": _FLOAT,
+    "concat": _STR,
+    "typeof": _STR,
+    "newarray": _ARRAY,
+    "newobject": _OBJECT,
+    "lambda": _FUNCTION,
+}
+
+#: Result kind of a generic ``binary_v``/``unary_v`` by operator — what
+#: ``operations`` returns whatever the operands were (``+`` may
+#: concatenate and is decided from its operands).
+_GENERIC_RESULT_KIND = {
+    Op.SUB: _NUMBER,
+    Op.MUL: _NUMBER,
+    Op.DIV: _NUMBER,
+    Op.MOD: _NUMBER,
+    Op.BITAND: _INT,
+    Op.BITOR: _INT,
+    Op.BITXOR: _INT,
+    Op.SHL: _INT,
+    Op.SHR: _INT,
+    Op.USHR: _NUMBER,
+    Op.EQ: _BOOL,
+    Op.NE: _BOOL,
+    Op.STRICTEQ: _BOOL,
+    Op.STRICTNE: _BOOL,
+    Op.LT: _BOOL,
+    Op.LE: _BOOL,
+    Op.GT: _BOOL,
+    Op.GE: _BOOL,
+    Op.IN: _BOOL,
+    Op.NEG: _NUMBER,
+    Op.POS: _NUMBER,
+    Op.TONUM: _NUMBER,
+    Op.BITNOT: _INT,
+    Op.NOT: _BOOL,
+    Op.TYPEOF: _STR,
+}
+
+
+#: ``normalize_number(_t)`` in line, for an int ``_t`` and for a float one
+#: (:meth:`_WholeEmitter._normalized`).
+_NORMALIZED_INT = "_t if -2147483648 <= _t <= 2147483647 else float(_t)"
+_NORMALIZED_FLOAT = (
+    "_t if _t % 1 else int(_t) if _t and -2147483648.0 <= _t <= 2147483647.0 "
+    "else _normalize(_t)"
+)
+
+
+def _literal_kind(value):
+    """The kind of an immediate: its value is known exactly."""
+    kind = type(value)
+    if kind is int:
+        return _INT if -2147483648 <= value <= 2147483647 else None
+    if kind is float:
+        return _FLOAT
+    if kind is bool:
+        return _BOOL
+    if kind is str:
+        return _STR
+    if isinstance(value, JSArray):
+        return _ARRAY
+    if isinstance(value, JSObject):
+        return _OBJECT
+    if isinstance(value, (JSFunction, NativeFunction)):
+        return _FUNCTION
+    return _OTHER
+
 
 #: Longest run of chain items emitted linearly before switching to a
 #: binary dispatch tree (see :meth:`_WholeEmitter._emit_items`).
@@ -309,7 +415,7 @@ class _WholeEmitter(object):
             "_get_property": executor.interpreter.get_property,
             "_set_property": operations.set_property,
             "_get_global": executor.runtime.get_global,
-            "_set_global": executor.runtime.set_global,
+            "_G": executor.runtime.globals,
             "_call_value": executor.interpreter.call_value,
             "_call_function": executor.interpreter.call_function,
             "_construct": executor.interpreter.construct,
@@ -342,7 +448,9 @@ class _WholeEmitter(object):
         self.cur_offset = 0
         self.args_in_t = False
         self.known_i = None
-        self.bool_locs = set()
+        #: The host-type map: location -> kind, for what the region
+        #: emitted so far proves (see :meth:`kind`).
+        self.kinds = {}
 
     # -- operand text --------------------------------------------------------
 
@@ -380,9 +488,7 @@ class _WholeEmitter(object):
         if instruction.op != "getarg":
             self.args_in_t = False
         if instruction.op in _HELPER_RAISES:
-            if self.known_i != offset:
-                out.append("_i = %d" % offset)
-                self.known_i = offset
+            self._mark(out)
         if (
             self.inject
             and instruction.snapshot is not None
@@ -399,34 +505,280 @@ class _WholeEmitter(object):
                     self.snap_vals(instruction.snapshot),
                 )
             )
+        result = self._result_kind(instruction)
         self._emit_op(out, instruction, slot_offset)
+        self._record_kind(instruction, result)
+
+    # -- the host-type map ---------------------------------------------------------
+
+    def kind(self, loc):
+        """What this translation knows of the Python value in ``loc``.
+
+        One of the kind constants, or None for "anything".  Immediates
+        are known exactly; a register or slot is known by what the
+        region emitted so far did to it.  A chaos-instrumented
+        translation knows nothing: it must contain every guard and
+        every test, because the injector addresses them by index.
+        """
+        if self.inject:
+            return None
+        if loc < 0:
+            return _literal_kind(self.native.immediates[loc])
+        return self.kinds.get(loc)
+
+    def _passes(self, loc, expected):
+        """Whether the value in ``loc`` is known to pass an
+        ``unbox``/``typebarrier`` of MIR type ``expected``."""
+        kind = self.kind(loc)
+        if expected == MIRType.VALUE:
+            return True
+        if expected == MIRType.DOUBLE:
+            return kind in _NUMERIC
+        return kind is not None and kind == _KIND_OF_MIRTYPE.get(expected)
+
+    def _record_kind(self, instruction, result):
+        """Update the map for ``instruction`` having executed; ``result``
+        is its :meth:`_result_kind`, taken before the map moves."""
+        kinds = self.kinds
+        if instruction.op in ("unbox", "typebarrier") and instruction.srcs[0] >= 0:
+            # The value still sitting in the source passed the check too.
+            checked = self._checked_kind(instruction)
+            if checked is not None:
+                kinds[instruction.srcs[0]] = checked
         dest = instruction.dest
         if dest is not None and dest >= 0:
-            if self._produces_bool(instruction):
-                self.bool_locs.add(dest)
+            if result is None:
+                kinds.pop(dest, None)
             else:
-                self.bool_locs.discard(dest)
+                kinds[dest] = result
 
-    def _produces_bool(self, instruction):
-        """True when ``instruction``'s destination provably holds a
-        Python bool, letting a later ``test`` compile to a bare ``if``."""
+    def _checked_kind(self, instruction):
+        """Kind of a value that passed this ``unbox``/``typebarrier``."""
+        expected = instruction.extra
+        before = self.kind(instruction.srcs[0])
+        if expected == MIRType.VALUE:
+            return before
+        if expected == MIRType.DOUBLE:
+            return before if before in _NUMERIC else _NUMBER
+        return _KIND_OF_MIRTYPE.get(expected)
+
+    def _result_kind(self, instruction):
+        """Kind of ``instruction``'s result, from its operands' kinds now."""
         op = instruction.op
-        if op == "compare" or op == "not":
-            return True
-        if op in ("unbox", "typebarrier"):
-            return instruction.extra == MIRType.BOOLEAN
-        if op == "const":
-            return instruction.extra is True or instruction.extra is False
+        kind = _RESULT_KIND.get(op)
+        if kind is not None:
+            return kind
         if op == "move":
-            return instruction.srcs[0] in self.bool_locs
-        return False
+            return self.kind(instruction.srcs[0])
+        if op == "const":
+            return _literal_kind(instruction.extra)
+        if op == "unbox" and instruction.extra == MIRType.DOUBLE:
+            return _FLOAT
+        if op == "unbox" or op == "typebarrier":
+            return self._checked_kind(instruction)
+        if op == "bitop_i":
+            if instruction.extra == Op.USHR and instruction.snapshot is None:
+                return _NUMBER
+            return _INT
+        if op == "binary_v":
+            if instruction.extra == Op.ADD:
+                a, b = instruction.srcs
+                if self.kind(a) in _NUMERIC and self.kind(b) in _NUMERIC:
+                    return _NUMBER
+                return None
+            return _GENERIC_RESULT_KIND.get(instruction.extra)
+        if op == "unary_v":
+            if instruction.extra in (Op.POS, Op.TONUM) and self.kind(instruction.srcs[0]) == _INT:
+                return _INT
+            return _GENERIC_RESULT_KIND.get(instruction.extra)
+        return None
+
+    def _number_test(self, out, locs):
+        """Run-time test that every ``locs`` holds a number.
+
+        Returns the condition text — empty when it is known now — after
+        appending the ``type()`` reads it needs, or None when some
+        operand is known *not* to be a number (the helper arm alone).
+        """
+        unknown = []
+        for loc in locs:
+            kind = self.kind(loc)
+            if kind in _NUMERIC:
+                continue
+            if kind is not None:
+                return None
+            unknown.append(loc)
+        clauses = []
+        for name, loc in zip(("_t", "_x"), unknown):
+            out.append("%s = type(%s)" % (name, self.val(loc)))
+            clauses.append("%s is int or %s is float" % (name, name))
+        if len(clauses) == 2:
+            return "(%s) and (%s)" % tuple(clauses)
+        return "".join(clauses)
+
+    def _int_test(self, locs):
+        """Like :meth:`_number_test`, for "every ``locs`` holds an int"."""
+        clauses = []
+        for loc in locs:
+            kind = self.kind(loc)
+            if kind == _INT:
+                continue
+            if kind is not None and kind != _NUMBER:
+                return None
+            clauses.append("type(%s) is int" % self.val(loc))
+        return " and ".join(clauses)
+
+    def _mark(self, out):
+        """Stamp the progress marker on the hot path, once per offset."""
+        if self.known_i != self.cur_offset:
+            out.append("_i = %d" % self.cur_offset)
+            self.known_i = self.cur_offset
+
+    def _cold_mark(self, out):
+        """Stamp the progress marker inside a cold arm (one level in):
+        the hot path stays marker-free and learns nothing from it."""
+        if self.known_i != self.cur_offset:
+            out.append(" _i = %d" % self.cur_offset)
+
+    def _arms(self, out, test, inline, helper, raises=True):
+        """Append ``inline`` under ``test`` with ``helper`` as the else.
+
+        ``test`` is what :meth:`_number_test`/:meth:`_int_test` return:
+        empty emits the inline lines alone, None the helper alone.  The
+        inline lines cannot raise; when the helper can (``raises``) the
+        progress marker is stamped in its own arm, like a guard's.
+        """
+        if test is None:
+            if raises:
+                self._mark(out)
+            out.append(helper)
+        elif not test:
+            out.extend(inline)
+        else:
+            out.append("if %s:" % test)
+            out.extend(" " + line for line in inline)
+            out.append("else:")
+            if raises:
+                self._cold_mark(out)
+            out.append(" " + helper)
+
+    @staticmethod
+    def _int_operator(op, a, b, dest):
+        """Lines storing the int32 operator ``op`` of two ints in ``dest``.
+
+        Every operator but ``>>>`` closes over int32 (so ``bitop_i``'s
+        "uint32 overflow" guard can only fire for ``>>>``); an unguarded
+        ``>>>`` widens a result past int32 to the double.
+        """
+        if op == Op.SHL:
+            return [
+                "_t = (%s << (%s & 31)) & 4294967295" % (a, b),
+                "%s = _t - 4294967296 if _t >= 2147483648 else _t" % dest,
+            ]
+        if op == Op.SHR:
+            return ["%s = %s >> (%s & 31)" % (dest, a, b)]
+        if op == Op.USHR:
+            return [
+                "_t = (%s & 4294967295) >> (%s & 31)" % (a, b),
+                "%s = float(_t) if _t > 2147483647 else _t" % dest,
+            ]
+        if op in _BITOP_PY:
+            return ["%s = %s %s %s" % (dest, a, _BITOP_PY[op], b)]
+        raise CompilerError("whole backend: unknown bitop %r" % (op,))
+
+    def _literal(self, loc):
+        """The immediate ``loc`` names, or None for a register or slot
+        (and always for a chaos translation, which folds nothing)."""
+        if loc < 0 and not self.inject:
+            return self.native.immediates[loc]
+        return None
+
+    def _literal_int(self, loc):
+        """The value of an int immediate, else None."""
+        value = self._literal(loc)
+        return value if type(value) is int else None
+
+    def _dense_index_test(self, array, index):
+        """Test for the dense-array arm of ``getelem_v``/``setelem_v``:
+        an exact ``JSArray`` and an int index inside its elements."""
+        a, b = self.val(array), self.val(index)
+        literal = self._literal_int(index)
+        kind = self.kind(index)
+        if literal is not None:
+            if literal < 0:
+                return None
+            return "type(%s) is _JSArray and %d < len(%s.elements)" % (a, literal, a)
+        if kind == _INT:
+            return "type(%s) is _JSArray and 0 <= %s < len(%s.elements)" % (a, b, a)
+        if kind is not None and kind != _NUMBER:
+            return None
+        return "type(%s) is _JSArray and type(%s) is int and 0 <= %s < len(%s.elements)" % (
+            a, b, b, a
+        )
+
+    def _emit_div(self, out, dest, srcs, test, helper, raises=True):
+        """``a / b`` for two numbers (``test`` says what is left to check
+        of that): the host quotient when ``b`` is not a zero — both
+        round the exact quotient to the nearest double — else the helper
+        (``js_div``: the sign of an infinity, NaN for 0/0)."""
+        a, b = self.val(srcs[0]), self.val(srcs[1])
+        if test is not None:
+            divisor = self._literal(srcs[1])
+            if divisor is None:
+                test = "(%s) and %s" % (test, b) if test else b
+            elif divisor == 0:
+                test = None
+        inline = ["_t = %s / %s" % (a, b), "%s = %s" % (dest, _NORMALIZED_FLOAT)]
+        self._arms(out, test, inline, helper, raises)
+
+    def _emit_mod(self, out, dest, srcs, test, helper, raises=True):
+        """``a % b`` for two numbers (``test``: what is left to check of
+        that).  For a positive ``a`` and ``b`` the host operator is
+        ``fmod`` — they differ in sign conventions only — NaN operands
+        fail the comparison and infinite ones agree; zeros (the sign of
+        a zero result, NaN for ``% 0``) and negatives are the helper's,
+        except an int ``a`` of 0, which has no sign to lose."""
+        if test is not None:
+            clauses = ["(%s)" % test] if test else []
+            bounds = (">=" if self.kind(srcs[0]) == _INT else ">", ">")
+            for loc, bound in zip(srcs, bounds):
+                value = self._literal(loc)
+                if value is None:
+                    clauses.append("%s %s 0" % (self.val(loc), bound))
+                elif not (value > 0 or (bound == ">=" and value == 0)):
+                    clauses = None
+                    break
+            test = None if clauses is None else " and ".join(clauses)
+        inline = [
+            "_t = %s %% %s" % (self.val(srcs[0]), self.val(srcs[1])),
+            self._normalized(dest, srcs),
+        ]
+        self._arms(out, test, inline, helper, raises)
+
+    def _normalized(self, dest, srcs):
+        """The line storing ``normalize_number(_t)`` for ``_t = a ∘ b``.
+
+        An int result stays in line (in range: itself; beyond: the
+        double); a float with a fractional part, a NaN or an infinity
+        is what ``normalize_number`` returns unchanged, and ``_t % 1``
+        is truthy for exactly those; a non-zero integral float in int32
+        range is its ``int``; what is left for the helper is a zero
+        (whose sign it keeps) and an integral float beyond int32.
+        """
+        kinds = [self.kind(loc) for loc in srcs]
+        if kinds == [_INT, _INT]:
+            return "%s = %s" % (dest, _NORMALIZED_INT)
+        if _FLOAT in kinds:
+            return "%s = %s" % (dest, _NORMALIZED_FLOAT)
+        return "%s = (%s) if type(_t) is int else _t if _t %% 1 else _normalize(_t)" % (
+            dest, _NORMALIZED_INT
+        )
 
     def _bail(self, out, instruction, reason, actual="None"):
         """Append the cold bail-branch body for a failed guard: stamp
         the progress marker (elided from the hot path) and raise
         through ``_bw``."""
-        if self.known_i != self.cur_offset:
-            out.append(" _i = %d" % self.cur_offset)
+        self._cold_mark(out)
         out.append(" " + self._bail_call(instruction, reason, actual))
 
     def _bail_call(self, instruction, reason, actual="None"):
@@ -502,19 +854,18 @@ class _WholeEmitter(object):
                 self._bail(out, instruction, "overflow", "-float(_t)")
                 out.append("%s = -_t" % d())
         elif op in ("add_d", "sub_d", "mul_d"):
-            # ``_t % 1`` is truthy exactly when the result is a
-            # non-integral float, NaN or an infinity — every value
-            # ``normalize_number`` returns unchanged — so the common
-            # double result skips the helper call.  Integral results
-            # (and int operands) still go through ``_normalize`` for
-            # the int32/-0.0 canonicalization.
+            # Operands are numbers (a DOUBLE-typed value may well be a
+            # Python int: results are normalized), so only the result's
+            # canonical form is in question — see :meth:`_normalized`.
             sign = {"add_d": "+", "sub_d": "-", "mul_d": "*"}[op]
             out.append("_t = %s %s %s" % (v(srcs[0]), sign, v(srcs[1])))
-            out.append("%s = _t if _t %% 1 else _normalize(_t)" % d())
+            out.append(self._normalized(d(), srcs))
         elif op == "div_d":
-            out.append("%s = _js_div(%s, %s)" % (d(), v(srcs[0]), v(srcs[1])))
+            helper = "%s = _js_div(%s, %s)" % (d(), v(srcs[0]), v(srcs[1]))
+            self._emit_div(out, d(), srcs, "", helper, raises=False)
         elif op == "mod_d":
-            out.append("%s = _js_mod(%s, %s)" % (d(), v(srcs[0]), v(srcs[1])))
+            helper = "%s = _js_mod(%s, %s)" % (d(), v(srcs[0]), v(srcs[1]))
+            self._emit_mod(out, d(), srcs, "", helper, raises=False)
         elif op == "neg_d":
             out.append("%s = -%s" % (d(), v(srcs[0])))
         elif op == "bitop_i":
@@ -525,34 +876,31 @@ class _WholeEmitter(object):
             # int32, so its "uint32 overflow" guard can never fire and
             # is omitted — exactly the check ``type(result) is int``
             # the other backends evaluate to true.
-            if extra == Op.SHL:
-                out.append("_t = (%s << (%s & 31)) & 4294967295" % (v(srcs[0]), v(srcs[1])))
-                out.append("%s = _t - 4294967296 if _t >= 2147483648 else _t" % d())
-            elif extra == Op.SHR:
-                out.append("%s = %s >> (%s & 31)" % (d(), v(srcs[0]), v(srcs[1])))
-            elif extra == Op.USHR:
+            if extra == Op.USHR and snap is not None:
                 out.append(
                     "_t = (%s & 4294967295) >> (%s & 31)" % (v(srcs[0]), v(srcs[1]))
                 )
-                if snap is None:
-                    out.append("%s = float(_t) if _t > 2147483647 else _t" % d())
-                else:
-                    out.append("if _t > 2147483647:")
-                    self._bail(out, instruction, "uint32 overflow", "float(_t)")
-                    out.append("%s = _t" % d())
-            elif extra in _BITOP_PY:
-                out.append(
-                    "%s = %s %s %s" % (d(), v(srcs[0]), _BITOP_PY[extra], v(srcs[1]))
-                )
+                out.append("if _t > 2147483647:")
+                self._bail(out, instruction, "uint32 overflow", "float(_t)")
+                out.append("%s = _t" % d())
             else:
-                raise CompilerError("whole backend: unknown bitop %r" % (extra,))
+                out.extend(self._int_operator(extra, v(srcs[0]), v(srcs[1]), d()))
         elif op == "toint32":
             # INT32-range ints pass through ``ToInt32`` unchanged; only
             # doubles (and exotic inputs) need the helper.
-            out.append("_t = %s" % v(srcs[0]))
-            out.append("%s = _t if type(_t) is int else _to_int32(_t)" % d())
+            kind = self.kind(srcs[0])
+            if kind == _INT:
+                out.append("%s = %s" % (d(), v(srcs[0])))
+            elif kind == _FLOAT:
+                out.append("%s = _to_int32(%s)" % (d(), v(srcs[0])))
+            else:
+                out.append("_t = %s" % v(srcs[0]))
+                out.append("%s = _t if type(_t) is int else _to_int32(_t)" % d())
         elif op == "todouble":
-            out.append("%s = float(%s)" % (d(), v(srcs[0])))
+            if self.kind(srcs[0]) == _FLOAT:
+                out.append("%s = %s" % (d(), v(srcs[0])))
+            else:
+                out.append("%s = float(%s)" % (d(), v(srcs[0])))
         elif op == "concat":
             out.append("%s = %s + %s" % (d(), v(srcs[0]), v(srcs[1])))
         elif op == "compare":
@@ -566,61 +914,88 @@ class _WholeEmitter(object):
                     % (d(), binder.lit(cmp_op), binder.lit(kind), v(srcs[0]), v(srcs[1]))
                 )
         elif op == "binary_v":
-            # Generic binary sites still dominate unspecialized code;
-            # inline the numeric fast path (exactly the expression
-            # ``binary_op`` would evaluate for two numbers) and keep
-            # the helper call as the slow-path fallback.  Equality is
-            # inlined only when *both* operands are numbers — the
-            # abstract-equality coercion ladder stays in the helper.
-            py = _GENERIC_NUMERIC_PY.get(extra)
+            # Generic sites dominate unspecialized code.  Each operator
+            # with a cheap exact host form for numbers (or for ints)
+            # gets that form in line, under whatever run-time test the
+            # operands' kinds leave open, with the ``operations`` helper
+            # as the else.  Equality is in line only for two numbers —
+            # the abstract-equality coercion ladder stays in the helper.
             a, b = v(srcs[0]), v(srcs[1])
+            helper = "%s = _binary(%s, %s, %s)" % (d(), binder.lit(extra), a, b)
+            py = _GENERIC_NUMERIC_PY.get(extra)
             if py is not None:
-                out.append("_t = type(%s)" % a)
-                out.append("_x = type(%s)" % b)
-                out.append(
-                    "if (_t is int or _t is float) and (_x is int or _x is float):"
-                )
+                test = self._number_test(out, srcs)
                 if extra in (Op.ADD, Op.SUB):
-                    # Same normalization trick as add_d/sub_d: a
-                    # non-integral float result passes through
-                    # normalize_number unchanged, so only integral
-                    # results (int32 demotion, -0.0) pay the helper.
-                    out.append(" _t = %s %s %s" % (a, py, b))
-                    out.append(" %s = _t if _t %% 1 else _normalize(_t)" % d())
+                    inline = ["_t = %s %s %s" % (a, py, b), self._normalized(d(), srcs)]
                 else:
                     # Relational/equality on numbers is the host
                     # operator verbatim (NaN comparisons are False in
                     # both languages; int/float mixes compare exactly).
-                    out.append(" %s = %s %s %s" % (d(), a, py, b))
-                out.append("else:")
-                out.append(
-                    " %s = _binary(%s, %s, %s)" % (d(), binder.lit(extra), a, b)
-                )
+                    inline = ["%s = %s %s %s" % (d(), a, py, b)]
+                self._arms(out, test, inline, helper)
+            elif extra in _BITOP_PY or extra in (Op.SHL, Op.SHR, Op.USHR):
+                # ``ToInt32`` of an int is the int: the ``bitop_i`` text.
+                inline = self._int_operator(extra, a, b, d())
+                self._arms(out, self._int_test(srcs), inline, helper)
+            elif extra == Op.DIV:
+                self._emit_div(out, d(), srcs, self._number_test(out, srcs), helper)
+            elif extra == Op.MOD:
+                self._emit_mod(out, d(), srcs, self._number_test(out, srcs), helper)
             else:
-                out.append(
-                    "%s = _binary(%s, %s, %s)" % (d(), binder.lit(extra), a, b)
-                )
+                self._mark(out)
+                out.append(helper)
         elif op == "unary_v":
-            out.append("%s = _unary(%s, %s)" % (d(), binder.lit(extra), v(srcs[0])))
+            a = v(srcs[0])
+            helper = "%s = _unary(%s, %s)" % (d(), binder.lit(extra), a)
+            kind = self.kind(srcs[0])
+            if extra in (Op.POS, Op.TONUM):
+                # ToNumber of a number is the number, normalized: an int
+                # is canonical already, a float as in :meth:`_normalized`.
+                if kind == _FLOAT:
+                    out.append("_t = %s" % a)
+                    out.append("%s = %s" % (d(), _NORMALIZED_FLOAT))
+                else:
+                    self._arms(out, self._int_test(srcs), ["%s = %s" % (d(), a)], helper)
+            elif extra == Op.BITNOT:
+                self._arms(out, self._int_test(srcs), ["%s = ~%s" % (d(), a)], helper)
+            else:
+                self._mark(out)
+                out.append(helper)
         elif op == "not":
-            out.append("%s = not _to_boolean(%s)" % (d(), v(srcs[0])))
+            if self.kind(srcs[0]) == _BOOL:
+                out.append("%s = not %s" % (d(), v(srcs[0])))
+            else:
+                out.append("%s = not _to_boolean(%s)" % (d(), v(srcs[0])))
         elif op == "typeof":
             out.append("%s = _type_of(%s)" % (d(), v(srcs[0])))
         elif op == "unbox":
-            out.append("_t = %s" % v(srcs[0]))
+            kind = self.kind(srcs[0])
             if extra == MIRType.DOUBLE:
-                out.append("_x = type(_t)")
-                out.append("if _x is not float and _x is not int:")
-                self._bail(out, instruction, "type guard", "_t")
-                out.append("%s = float(_t) if _x is int else _t" % d())
+                if kind == _FLOAT:
+                    out.append("%s = %s" % (d(), v(srcs[0])))
+                elif kind in _NUMERIC:
+                    out.append("%s = float(%s)" % (d(), v(srcs[0])))
+                else:
+                    out.append("_t = %s" % v(srcs[0]))
+                    out.append("_x = type(_t)")
+                    out.append("if _x is not float and _x is not int:")
+                    self._bail(out, instruction, "type guard", "_t")
+                    out.append("%s = float(_t) if _x is int else _t" % d())
+            elif self._passes(srcs[0], extra):
+                # The value already passed this very check (the
+                # ``typebarrier`` before it, typically): a move.
+                out.append("%s = %s" % (d(), v(srcs[0])))
             else:
+                out.append("_t = %s" % v(srcs[0]))
                 self._emit_type_check(out, extra, instruction, "type guard")
                 out.append("%s = _t" % d())
         elif op == "typebarrier":
-            out.append("_t = %s" % v(srcs[0]))
-            if extra != MIRType.VALUE:
+            if self._passes(srcs[0], extra):
+                out.append("%s = %s" % (d(), v(srcs[0])))
+            else:
+                out.append("_t = %s" % v(srcs[0]))
                 self._emit_type_check(out, extra, instruction, "type barrier")
-            out.append("%s = _t" % d())
+                out.append("%s = _t" % d())
         elif op == "checkoverrecursed":
             out.append("if _interp.call_depth >= %d:" % MAX_CALL_DEPTH)
             self._bail(out, instruction, "over-recursed")
@@ -629,8 +1004,16 @@ class _WholeEmitter(object):
         elif op == "stringlength":
             out.append("%s = len(%s)" % (d(), v(srcs[0])))
         elif op == "boundscheck":
-            out.append("if %s < 0 or %s >= %s:" % (v(srcs[0]), v(srcs[0]), v(srcs[1])))
-            self._bail(out, instruction, "bounds check")
+            index, length = self._literal_int(srcs[0]), self._literal_int(srcs[1])
+            if index is not None and index >= 0:
+                # A literal index decides its own sign test (and, with a
+                # literal length, the whole check: a pass emits nothing).
+                if length is None or index >= length:
+                    out.append("if %d >= %s:" % (index, v(srcs[1])))
+                    self._bail(out, instruction, "bounds check")
+            else:
+                out.append("if %s < 0 or %s >= %s:" % (v(srcs[0]), v(srcs[0]), v(srcs[1])))
+                self._bail(out, instruction, "bounds check")
         elif op == "guardshape":
             out.append(
                 "if %s.shape.shape_id not in %s:" % (v(srcs[0]), binder.lit(extra))
@@ -649,22 +1032,20 @@ class _WholeEmitter(object):
             # for an in-range int index; everything else (doubles,
             # strings, objects, out-of-range) falls to the helper.
             a, b = v(srcs[0]), v(srcs[1])
-            out.append(
-                "if type(%s) is _JSArray and type(%s) is int and 0 <= %s < len(%s.elements):"
-                % (a, b, b, a)
+            self._arms(
+                out,
+                self._dense_index_test(srcs[0], srcs[1]),
+                ["%s = %s.elements[%s]" % (d(), a, b)],
+                "%s = _get_element(%s, %s, _runtime)" % (d(), a, b),
             )
-            out.append(" %s = %s.elements[%s]" % (d(), a, b))
-            out.append("else:")
-            out.append(" %s = _get_element(%s, %s, _runtime)" % (d(), a, b))
         elif op == "setelem_v":
             a, b, c = v(srcs[0]), v(srcs[1]), v(srcs[2])
-            out.append(
-                "if type(%s) is _JSArray and type(%s) is int and 0 <= %s < len(%s.elements):"
-                % (a, b, b, a)
+            self._arms(
+                out,
+                self._dense_index_test(srcs[0], srcs[1]),
+                ["%s.elements[%s] = %s" % (a, b, c)],
+                "_set_element(%s, %s, %s)" % (a, b, c),
             )
-            out.append(" %s.elements[%s] = %s" % (a, b, c))
-            out.append("else:")
-            out.append(" _set_element(%s, %s, %s)" % (a, b, c))
         elif op == "loadprop":
             if slot_offset is not None:
                 out.append("%s = %s.slots[%d]" % (d(), v(srcs[0]), slot_offset))
@@ -680,20 +1061,33 @@ class _WholeEmitter(object):
             # the helper) reads straight off its shape, skipping the
             # interpreter's receiver dispatch.
             a, name = v(srcs[0]), binder.lit(extra)
-            out.append(
-                "%s = %s.get(%s) if type(%s) is _JSObject else _get_property(%s, %s)"
-                % (d(), a, name, a, a, name)
-            )
+            if self.kind(srcs[0]) in (None, _OBJECT):
+                out.append(
+                    "%s = %s.get(%s) if type(%s) is _JSObject else _get_property(%s, %s)"
+                    % (d(), a, name, a, a, name)
+                )
+            else:
+                out.append("%s = _get_property(%s, %s)" % (d(), a, name))
         elif op == "setprop_v":
             a, name, value = v(srcs[0]), binder.lit(extra), v(srcs[1])
-            out.append("if type(%s) is _JSObject:" % a)
-            out.append(" %s.set(%s, %s)" % (a, name, value))
-            out.append("else:")
-            out.append(" _set_property(%s, %s, %s)" % (a, name, value))
+            if self.kind(srcs[0]) in (None, _OBJECT):
+                out.append("if type(%s) is _JSObject:" % a)
+                out.append(" %s.set(%s, %s)" % (a, name, value))
+                out.append("else:")
+                out.append(" _set_property(%s, %s, %s)" % (a, name, value))
+            else:
+                out.append("_set_property(%s, %s, %s)" % (a, name, value))
         elif op == "loadglobal":
-            out.append("%s = _get_global(%s)" % (d(), binder.lit(extra)))
+            # The runtime's globals dict, directly; the helper only on a
+            # miss, where it raises the ``JSReferenceError``.
+            name = binder.lit(extra)
+            out.append("try:")
+            out.append(" %s = _G[%s]" % (d(), name))
+            out.append("except KeyError:")
+            self._cold_mark(out)
+            out.append(" %s = _get_global(%s)" % (d(), name))
         elif op == "storeglobal":
-            out.append("_set_global(%s, %s)" % (binder.lit(extra), v(srcs[0])))
+            out.append("_G[%s] = %s" % (binder.lit(extra), v(srcs[0])))
         elif op == "newarray":
             out.append("%s = _JSArray(_root, [%s])" % (d(), ", ".join(v(loc) for loc in srcs)))
         elif op == "newobject":
@@ -1079,7 +1473,7 @@ class _WholeEmitter(object):
         out = []
         self.known_i = None
         self.args_in_t = False
-        self.bool_locs = set()
+        self.kinds = {}
         shape_tracker = _ShapeGuardTracker(self.executor.runtime.shapes)
 
         def charge():
@@ -1118,21 +1512,15 @@ class _WholeEmitter(object):
                 charge()
                 t0, t1 = instruction.targets
                 src = instruction.srcs[0]
-                if src in self.bool_locs:
+                if self.kind(src) in (_BOOL, _INT):
+                    # Host truthiness is ToBoolean for a bool and an int.
                     out.append("if %s:" % self.val(src))
-                    out.extend(" " + line for line in self._jump_lines(t0, label))
-                    out.append("else:")
-                    out.extend(" " + line for line in self._jump_lines(t1, label))
                 else:
                     out.append("_t = %s" % self.val(src))
-                    out.append("if _t is True:")
-                    out.extend(" " + line for line in self._jump_lines(t0, label))
-                    out.append("elif _t is False:")
-                    out.extend(" " + line for line in self._jump_lines(t1, label))
-                    out.append("elif _to_boolean(_t):")
-                    out.extend(" " + line for line in self._jump_lines(t0, label))
-                    out.append("else:")
-                    out.extend(" " + line for line in self._jump_lines(t1, label))
+                    out.append("if _t is True or (_t is not False and _to_boolean(_t)):")
+                out.extend(" " + line for line in self._jump_lines(t0, label))
+                out.append("else:")
+                out.extend(" " + line for line in self._jump_lines(t1, label))
                 terminated = True
             else:
                 slot_offset = None
@@ -1306,8 +1694,7 @@ def whole_artifact(native, executor):
     if executor.cycle_profiler is not None:
         return None
     capture = {}
-    fn, counts, sums, prefix = compile_whole(native, executor, capture=capture)
-    native.whole_cache = (executor, None, False, fn, counts, sums, prefix)
+    executor._translate(native, capture=capture)
     return {
         "source": capture["source"],
         "code": marshal.dumps(capture["module_code"]),
@@ -1323,15 +1710,42 @@ class WholeExecutor(NativeExecutor):
     streams are bit-identical to both.
     """
 
-    def _translate(self, native, roots=None):
-        """Translate ``native`` for this executor and install the result."""
+    def _translate(self, native, roots=None, capture=None):
+        """Translate ``native`` for this executor and install the result.
+
+        The installed tuple is everything :meth:`run` needs, derived
+        once: ``(executor, injector, profiled, fn, counts, sums, prefix,
+        entry_pc, osr_pc)`` — an entry pc is None when the binary has no
+        such entry or the translation was rooted elsewhere and left its
+        region out.
+        """
         profiled = self.cycle_profiler is not None
         fn, counts, sums, prefix = compile_whole(
-            native, self, profiled=profiled, roots=roots
+            native, self, profiled=profiled, capture=capture, roots=roots
         )
-        cache = (self, self.fault_injector, profiled, fn, counts, sums, prefix)
+        entry_pc = native.entry_index
+        if prefix[entry_pc] is None:
+            entry_pc = None
+        osr_pc = native.osr_index
+        if osr_pc is not None and prefix[osr_pc] is None:
+            osr_pc = None
+        cache = (
+            self, self.fault_injector, profiled, fn, counts, sums, prefix, entry_pc, osr_pc
+        )
         native.whole_cache = cache
         return cache
+
+    def _entry_pc(self, native, entry):
+        """Cold path of :meth:`run`: the installed translation lacks ``entry``.
+
+        A script binary is rooted at its OSR entry only; asked for the
+        other one, widen the translation to both entries and go on.
+        Returns ``(cache, pc)``.
+        """
+        if entry == "osr" and native.osr_index is None:
+            raise CompilerError("native code for %s has no OSR entry" % native.code.name)
+        cache = self._translate(native, roots=_entries(native))
+        return cache, cache[8] if entry == "osr" else cache[7]
 
     def run(self, native, function, this_value, args, entry="entry", osr_args=None, osr_locals=None):
         """Execute ``native`` via its whole-binary function."""
@@ -1345,47 +1759,41 @@ class WholeExecutor(NativeExecutor):
         cache = native.whole_cache
         if cache is None or cache[0] is not self:
             cache = self._translate(native)
-
-        if entry == "osr":
-            if native.osr_index is None:
-                raise CompilerError("native code for %s has no OSR entry" % native.code.name)
-            pc = native.osr_index
-        else:
-            pc = native.entry_index
-        if cache[6][pc] is None:
-            # The translation was rooted elsewhere (a script binary is
-            # rooted at its OSR entry only) and this entry's region was
-            # left out: widen to both entries and run.
-            cache = self._translate(native, roots=_entries(native))
+        pc = cache[8] if entry == "osr" else cache[7]
+        if pc is None:
+            cache, pc = self._entry_pc(native, entry)
         ctx = [this_value, args, function, osr_args, osr_locals, None, 0, 0, 0]
-
-        profiled = cache[2]
-        cycles = 0
-        executed = 0
         try:
             cache[3](ctx, pc)
-            acc = ctx[CTX_ACC]
-            cycles = acc >> _ACC_SHIFT
-            executed = acc & _ACC_MASK
-            return ctx[CTX_RESULT]
         except BaseException as exc:
-            # The function published its progress before re-raising:
-            # charge exactly through the faulting instruction, whose
-            # absolute index is the region leader plus the offset.
-            fault_pc = ctx[CTX_PC]
-            fault = ctx[CTX_FAULT]
-            acc = ctx[CTX_ACC]
-            cycles = (acc >> _ACC_SHIFT) + cache[6][fault_pc][fault]
-            executed = (acc & _ACC_MASK) + fault + 1
-            if profiled:
-                instr_counts = self.cycle_profiler.native_profile(native).instr_counts
-                for offset in range(fault + 1):
-                    instr_counts[fault_pc + offset] += 1
-            if isinstance(exc, Bailout) and exc.native_index is None:
-                exc.native_index = fault_pc + fault
+            self._charge_fault(native, cache, ctx, exc)
             raise
-        finally:
-            self.cycles += cycles
-            self.instructions_executed += executed
-            if profiled:
-                self.cycle_profiler.charge_native(cycles, executed)
+        acc = ctx[CTX_ACC]
+        self.cycles += acc >> _ACC_SHIFT
+        self.instructions_executed += acc & _ACC_MASK
+        if cache[2]:
+            self.cycle_profiler.charge_native(acc >> _ACC_SHIFT, acc & _ACC_MASK)
+        return ctx[CTX_RESULT]
+
+    def _charge_fault(self, native, cache, ctx, exc):
+        """Account a run that ended in ``exc`` (a bailout or a guest error).
+
+        The function published its progress before re-raising: charge
+        exactly through the faulting instruction, whose absolute index
+        is the region leader plus the offset.
+        """
+        fault_pc = ctx[CTX_PC]
+        fault = ctx[CTX_FAULT]
+        acc = ctx[CTX_ACC]
+        cycles = (acc >> _ACC_SHIFT) + cache[6][fault_pc][fault]
+        executed = (acc & _ACC_MASK) + fault + 1
+        self.cycles += cycles
+        self.instructions_executed += executed
+        if cache[2]:
+            profiler = self.cycle_profiler
+            instr_counts = profiler.native_profile(native).instr_counts
+            for offset in range(fault + 1):
+                instr_counts[fault_pc + offset] += 1
+            profiler.charge_native(cycles, executed)
+        if isinstance(exc, Bailout) and exc.native_index is None:
+            exc.native_index = fault_pc + fault

@@ -15,6 +15,7 @@ BENCH_wallclock.json's ``whole_speedup`` rows being comparable at all.
 
 import gc
 import marshal
+import re
 
 import pytest
 
@@ -24,12 +25,13 @@ from repro.engine.config import CostModel, FULL_SPEC
 from repro.engine.jit import compile_function
 from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
+from repro.errors import ReproError
 from repro.fuzz.oracle import CHAOS_BAILOUT_LIMIT
 from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.interpreter import Interpreter
-from repro.jsvm.values import UNDEFINED
+from repro.jsvm.values import UNDEFINED, NativeFunction
 from repro.lir import wholefn
-from repro.lir.native import FAULT_INJECTED
+from repro.lir.native import FAULT_INJECTED, guard_indices
 from repro.lir.wholefn import WholeExecutor, compile_whole, whole_artifact
 from repro.telemetry.profiler import CycleProfiler
 from repro.telemetry.tracing import Tracer
@@ -168,6 +170,19 @@ class TestDeepLoopNesting:
                 previous = indent
                 deepest = max(deepest, indent)
         assert 2 * wholefn._MAX_LOOP_DEPTH <= deepest < 4 * wholefn._MAX_LOOP_DEPTH
+
+    def test_global_reads_inside_the_deepest_loop(self):
+        """A global read is a ``try`` of its own, one more nested block
+        inside the materialized loops: still under the host's limit."""
+        body = "s = s + g;"
+        for level in range(25):
+            body = "for (var i%d = 0; i%d < 1; i%d++) { %s }" % (level, level, level, body)
+        source = (
+            "var g = 1; var s = 0; var w = 0; for (var q = 0; q < 150; q++) w += 1;"
+            " for (var k = 0; k < 3; k++) { %s } print(s);" % body
+        )
+        whole = _both(source)
+        assert whole["printed"] == ["3"] and whole["stats"]["compiles"] == 1
 
 
 #: A page-shaped script: a straight-line prologue (function definitions
@@ -505,3 +520,293 @@ class TestModuleRoundTrip:
         profiled = WholeExecutor(Interpreter(), CostModel())
         profiled.cycle_profiler = CycleProfiler()
         assert whole_artifact(native, profiled) is None
+
+
+# -- host-typed code (docs/CODEGEN.md, "The host-type map") ----------------------
+
+#: Edge values as guest expressions: signed zeros, the int32 bounds and
+#: the first double past them, a fraction, NaN, the infinities, and one
+#: value of every non-number kind.
+EDGE_VALUES = [
+    "0", "-0", "1", "-1", "2147483647", "-2147483648", "2147483648", "0.5",
+    "0 / 0", "Infinity", "-Infinity", "true", "'7'", "''", "'x'",
+    "undefined", "null", "{p: 1}", "[1, 2]",
+]
+EDGE_NUMBERS = EDGE_VALUES[:11]
+
+BINARY_OPERATORS = ["+", "-", "|", "&", "^", "<<", ">>", ">>>", "%", "/"]
+
+#: Run the script's first loop hot, so the rest of it — compiled into
+#: the same binary, with no feedback yet — is untyped LIR.
+OSR_PRELUDE = "var warm = 0; for (var w = 0; w < 150; w++) warm += 1;\n"
+
+
+def show(expression):
+    """Guest text appending a result to ``out`` so that -0 shows."""
+    return "r = %s; out += r + ':' + (1 / r) + ' ';" % expression
+
+
+def _both(source, **engine_kwargs):
+    reference, _ = _observables(source, "simple", **engine_kwargs)
+    whole, _ = _observables(source, "whole", **engine_kwargs)
+    assert whole == reference
+    return whole
+
+
+class TestInlineArmsOnEdgeValues:
+    """Every operator that gained an inline arm, on every edge value, in
+    untyped and typed position: output, cycles and instruction counts
+    equal ``simple``'s."""
+
+    def test_generic_operators_over_the_cross_product(self, monkeypatch):
+        body = "".join(show("a %s b" % operator) for operator in BINARY_OPERATORS)
+        # An int that left int32 must have become a double: the inline
+        # int arms downstream take any Python int at its word.
+        body += show("(a + b) | 0") + show("(a - b) | 0") + show("(a + b) >>> 1")
+        source = (
+            "var vals = [%s];\nvar out = ''; var r;\n" % ", ".join(EDGE_VALUES)
+            + OSR_PRELUDE
+            + "for (var i = 0; i < vals.length; i++) {"
+            " for (var j = 0; j < vals.length; j++) {"
+            " var a = vals[i]; var b = vals[j]; %s } out += '|'; }\nprint(out);" % body
+        )
+        translations = _spy_translations(monkeypatch)
+        whole = _both(source)
+        assert whole["stats"]["compiles"] > 0
+        text = "\n".join(text for _n, _r, text in translations)
+        # Both arms of each new template are in the code that ran.
+        for fragment in (
+            " | ", " & ", " ^ ", " << (", " >> (", ") >> (", " % ", " / ",
+            "_binary('BITOR'", "_binary('SHL'", "_binary('USHR'", "_binary('MOD'",
+            "_binary('DIV'", "_binary('ADD'", "_binary('SUB'",
+        ):
+            assert fragment in text, fragment
+        assert whole["printed"][0].count("|") == len(EDGE_VALUES)
+
+    def test_unary_operators_and_literal_operands(self, monkeypatch):
+        expressions = [
+            "+v", "~v", "v + 1", "1 + v", "v - 1", "7 - v", "v | 0", "v & 255",
+            "v ^ 1", "v << 2", "1 << v", "v >> 1", "v >>> 0", "v >>> 1", "v % 2",
+            "v % -2", "5 % v", "-5 % 3", "v / 2", "v / 0", "v / -0", "0 / v",
+            "v * 1", "v + 'x'", "v == null", "v === undefined", "v < 1", "1 <= v",
+        ]
+        body = "".join(show(expression) for expression in expressions)
+        source = (
+            "var vals = [%s];\nvar out = ''; var r; var n;\n" % ", ".join(EDGE_VALUES)
+            + OSR_PRELUDE
+            + "for (var i = 0; i < vals.length; i++) { var v = vals[i]; %s"
+            " n = v; n++; out += n + ' '; n = v; n--; out += n + '|'; }\nprint(out);" % body
+        )
+        translations = _spy_translations(monkeypatch)
+        whole = _both(source)
+        assert whole["stats"]["compiles"] > 0
+        text = "\n".join(text for _n, _r, text in translations)
+        assert "_unary('TONUM'" in text and "_unary('BITNOT'" in text
+        # No run-time question about a literal: not its type, not its sign.
+        assert "type(1)" not in text and "type(2)" not in text
+        assert "2 > 0" not in text and "type(-2)" not in text
+
+    def test_typed_position(self):
+        """The same operators compiled from number feedback: ``*_d``,
+        ``toint32`` + ``bitop_i`` and generic ops on typed operands."""
+        body = "".join(
+            "out += (a %s b) + ' ';" % operator for operator in BINARY_OPERATORS
+        ) + (
+            "out += (+a) + ' ' + (~a) + ' ' + ((a | 0) + b) + ' ' + ((a + b) / 2)"
+            " + ' ' + ((a - 1) % 3) + ' ' + ((a + b) | 0) + ' ' + ((a - b) >>> 1)"
+            " + ' ' + ((a * b) | 0) + '|';"
+        )
+        calls = "".join(
+            "f(%s, %s);" % (a, b) for a in EDGE_NUMBERS for b in EDGE_NUMBERS
+        )
+        source = (
+            "var out = '';\nfunction f(a, b) { %s }\n" % body
+            # Train on int/double mixes (numbers widen to double), then
+            # the numeric cross product, then every other kind.
+            + "for (var k = 0; k < 30; k++) f(k, k + 0.5);\nout = '';\n"
+            + calls
+            + "".join("f(%s, 3); f(3, %s);" % (v, v) for v in EDGE_VALUES)
+            + "print(out);"
+        )
+        whole = _both(source)
+        assert whole["stats"]["compiles"] > 0 and whole["native_instructions"] > 1000
+
+    def test_int_typed_position(self):
+        body = (
+            "out += (a + b) + ' ' + (a - b) + ' ' + (a & b) + ' ' + (a >>> b) + ' ' + (a % b)"
+            " + ' ' + (a / b) + ' ' + ((a + b) | 0) + ' ' + ((a - b) | 0) + '|';"
+        )
+        ints = ["0", "1", "-1", "2147483647", "-2147483648", "31", "32"]
+        source = (
+            "var out = '';\nfunction f(a, b) { %s }\n" % body
+            + "for (var k = 0; k < 30; k++) f(k, 3);\nout = '';\n"
+            + "".join("f(%s, %s);" % (a, b) for a in ints for b in ints)
+            + "print(out);"
+        )
+        _both(source)
+
+
+class TestGlobalsAsSubscripts:
+    """``loadglobal``/``storeglobal`` go to the runtime's dict; the helper
+    is the miss arm and raises what it always raised."""
+
+    def _run(self, backend, source, natives=()):
+        CodeObject._next_id = 1
+        engine = Engine(config=FULL_SPEC, executor_backend=backend)
+        for name, function in natives:
+            engine.interpreter.runtime.globals[name] = function(engine)
+        error = None
+        try:
+            engine.run_source(source)
+        except ReproError as exc:
+            error = (type(exc).__name__, str(exc))
+            engine.finish()
+        return {
+            "error": error,
+            "printed": list(engine.interpreter.runtime.printed),
+            "cycles": engine.executor.cycles,
+            "instructions": engine.executor.instructions_executed,
+            "summary": engine.stats.summary(),
+        }
+
+    def test_missing_global_mid_region(self):
+        source = (
+            "var total = 0;\n" + OSR_PRELUDE
+            + "for (var i = 0; i < 5; i++) total += i;\nprint(total);\n"
+            "total = total + 1; total = total + nowhere; print('unreachable');"
+        )
+        reference = self._run("simple", source)
+        whole = self._run("whole", source)
+        assert whole == reference
+        assert whole["error"] == ("JSReferenceError", "nowhere is not defined")
+        assert whole["printed"] == ["10"] and whole["instructions"] > 0
+
+    def test_global_retyped_and_deleted_between_iterations(self):
+        def zap(engine):
+            def delete_g(_this, _args):
+                del engine.interpreter.runtime.globals["g"]
+                return UNDEFINED
+
+            return NativeFunction("zap", delete_g)
+
+        source = (
+            "var g = 1; var out = '';\n" + OSR_PRELUDE
+            + "for (var i = 0; i < 12; i++) {"
+            " if (i == 3) g = 'three'; if (i == 5) g = 2.5; if (i == 7) g = {v: 1};"
+            " if (i == 9) g = 4; if (i == 11) zap();"
+            " out += (g + 1) + ' ' + (g | 0) + ','; g = g; }\nprint(out);"
+        )
+        reference = self._run("simple", source, natives=[("zap", zap)])
+        whole = self._run("whole", source, natives=[("zap", zap)])
+        assert whole == reference
+        assert whole["error"] == ("JSReferenceError", "g is not defined")
+        assert whole["instructions"] > 100
+
+
+class TestElidedChecksKeepTheirObservables:
+    def test_failed_barrier_before_an_elided_unbox_bails_as_the_barrier(self, monkeypatch):
+        source = (
+            "function f(a, i) { return a[i] + 1; }\n"
+            "var arr = [1, 2, 3, 4]; var t = 0;\n"
+            "for (var k = 0; k < 40; k++) t += f(arr, k % 4);\n"
+            "arr[2] = 'x';\nfor (var k = 0; k < 8; k++) t += f(arr, k % 4);\nprint(t);"
+        )
+        translations = _spy_translations(monkeypatch)
+        reference, ref_events = _observables(source, "simple", trace=True)
+        whole, whl_events = _observables(source, "whole", trace=True)
+        assert whole == reference
+        assert _normalized(whl_events) == _normalized(ref_events)
+        bails = [e for e in whl_events if e["ch"] == "bailout" and e["event"] == "guard"]
+        assert bails and all(e["guard_op"] == "typebarrier" for e in bails)
+        # ... and the unbox behind that barrier is a move in every binary of f.
+        elided = 0
+        for native, _roots, text in translations:
+            ops = [instruction.op for instruction in native.instructions]
+            pairs = sum(
+                1 for first, second in zip(ops, ops[1:])
+                if first == "typebarrier" and second == "unbox"
+            )
+            assert text.count("'type barrier'") == ops.count("typebarrier")
+            assert text.count("'type guard'") == ops.count("unbox") - pairs
+            elided += pairs
+        assert elided >= 2
+
+    def test_chaos_translation_contains_and_fires_every_guard(self, monkeypatch):
+        source = (
+            "function f(a, i) { var x = a[i]; return (x | 0) + (x % 3) + x / 2; }\n"
+            "var arr = [1, 2, 3, 4]; var t = 0;\n"
+            "for (var k = 0; k < 80; k++) t += f(arr, k % 4);\nprint(t);"
+        )
+        expect, _ = _observables(source, "simple", **FAST)
+        translations = _spy_translations(monkeypatch)
+        CodeObject._next_id = 1
+        injector = GuardFaultInjector()
+        engine = Engine(
+            config=FULL_SPEC,
+            executor_backend="whole",
+            bailout_limit=CHAOS_BAILOUT_LIMIT,
+            fault_injector=injector,
+            **FAST
+        )
+        assert list(engine.run_source(source)) == expect["printed"]
+        assert translations
+        for native, _roots, text in translations:
+            guards = guard_indices(native)
+            # Every guard has its hook, and its own check behind it.
+            assert text.count("if _fire(") == len(guards)
+            checks = sum(
+                1 for index in guards
+                if native.instructions[index].op in ("unbox", "typebarrier")
+                and native.instructions[index].extra != "Value"
+            )
+            assert text.count("'type guard'") + text.count("'type barrier'") == checks
+        fired = set((r["code_id"], r["native_index"]) for r in injector.fired)
+        executed_guards = [
+            (native.code.code_id, index)
+            for native, seen, guards in injector.coverage()
+            for index in seen
+        ]
+        assert fired == set(executed_guards) and fired
+
+    def test_profiled_translation_counts_blocks_as_before(self):
+        source = _bench_source("sunspider", "access-nsieve")
+
+        def block_counts(backend):
+            CodeObject._next_id = 1
+            profiler = CycleProfiler()
+            engine = Engine(
+                config=FULL_SPEC, executor_backend=backend, cycle_profiler=profiler
+            )
+            engine.run_source(source)
+            assert profiler.attributed_cycles() == engine.stats.total_cycles
+            return [
+                (record.native.code.name, record.resolved_counts())
+                for record in profiler.binaries
+            ]
+
+        assert block_counts("whole") == block_counts("simple")
+
+
+def test_served_script_binaries_ask_nothing_about_literals(monkeypatch):
+    """The serving catalog's scripts are the untyped LIR this is for."""
+    from repro.jsvm.bytecompiler import compile_source
+    from repro.serving.fleet import FleetProfile, build_catalog
+
+    catalog = build_catalog(FleetProfile(programs=6, seed=7, functions_per_program=10))
+    literal_type = re.compile(r"type\((-?\d|'|True|False|_k)")
+    translations = _spy_translations(monkeypatch)
+    for _name, source in sorted(catalog.items()):
+        engine = Engine(config=FULL_SPEC, executor_backend="whole")
+        code = compile_source(source)
+        for _request in range(3):  # a tenant re-running its program
+            engine.run_code(code)
+    scripts = [
+        (native, text) for native, _roots, text in translations if native.code.is_script
+    ]
+    assert len(set(id(native.code) for native, _text in scripts)) == 6
+    for native, text in scripts:
+        assert not literal_type.search(text), literal_type.search(text).group(0)
+        assert "_set_global" not in text and "_G[" in text
+        # A ``test`` emits each of its branches once.
+        tests = sum(1 for instruction in native.instructions if instruction.op == "test")
+        assert text.count("_to_boolean(") <= tests
