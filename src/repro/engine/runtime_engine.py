@@ -31,10 +31,10 @@ from repro.jsvm.bytecompiler import compile_source
 from repro.jsvm.feedback import TypeFeedback, shape_ic_fingerprint
 from repro.jsvm.interpreter import Frame, Interpreter
 from repro.jsvm.values import (
-    NULL,
-    UNDEFINED,
-    _KEY_TYPE_NAMES,
-    arguments_key,
+    _key_matcher,
+    _key_recurrable,
+    _spec_key,
+    _spec_key_matches,
     value_key,
 )
 from repro.lir.closures import ClosureExecutor
@@ -164,6 +164,12 @@ class FunctionState(object):
         #: engine's life.
         self.last_call = None
 
+    def install(self, native, spec_key=None, osr_state_key=None):
+        """Make ``native`` (None: nothing) the active binary, under its keys."""
+        self.native = native
+        self.spec_key = spec_key
+        self.osr_state_key = osr_state_key
+
     @property
     def spec_key(self):
         """The argument-set key ``native`` is specialized on, or None.
@@ -199,100 +205,57 @@ class FunctionState(object):
 _MISS_KEY_BOUND = 64
 
 
-def _spec_key(this_value, args):
-    return (value_key(this_value), arguments_key(args))
-
-
-def _key_recurrable(key):
-    """Whether a spec key can match again after its values die.
-
-    Primitive components match by value, so the same regime can return
-    forever; a ``('ref', id)`` component matches by identity and dies
-    with the object, so such a key marks a one-allocation regime that
-    is not worth a specialized table line of its own.
-    """
-    this_key, args_key = key
-    if this_key[0] == "ref":
-        return False
-    for part in args_key:
-        if part[0] == "ref":
-            return False
-    return True
-
-
-def _value_matches_key(key, value):
-    """Whether ``value_key(value)`` would equal ``key``, sans allocation.
-
-    Mirrors tuple equality on :func:`value_key` results exactly — the
-    ``is`` check before ``==`` preserves the identity shortcut tuple
-    comparison applies per element (it makes a repeatedly-passed NaN
-    object match itself, as the materialized keys would).
-    """
-    name = _KEY_TYPE_NAMES.get(type(value))
-    if name is not None:
-        return key[0] == name and (key[1] is value or key[1] == value)
-    if value is UNDEFINED:
-        return key[0] == "undefined"
-    if value is NULL:
-        return key[0] == "null"
-    return key[0] == "ref" and key[1] == id(value)
-
-
-def _spec_key_matches(stored, this_value, args):
-    """``_spec_key(this_value, args) == stored`` without building the key.
-
-    The per-call fast path of the specialization cache: a primary-entry
-    hit (the overwhelmingly common case) costs no tuple allocations.
-    """
-    if stored is None:
-        return False
-    this_key, args_key = stored
-    if len(args_key) != len(args):
-        return False
-    if not _value_matches_key(this_key, this_value):
-        return False
-    for key, value in zip(args_key, args):
-        if not _value_matches_key(key, value):
-            return False
-    return True
-
-
-#: ``value_key`` type name -> the exact Python type it names.
-_KEY_TYPES = dict((name, kind) for kind, name in _KEY_TYPE_NAMES.items())
-
-
-def _key_matcher(key):
-    """``key`` as ``(this_type, this_value, arg_types, arg_values)``.
-
-    A call matches an all-primitive key exactly when each value has the
-    recorded exact type and is (or equals) the recorded value — the
-    test :func:`_value_matches_key` makes, laid out so the warm call
-    can make it inline, without a Python call per argument.  The tags
-    ``record_args`` would derive from such a call are a function of the
-    key alone, which is what lets a matched call skip it
-    (``FunctionState.key_recorded``).  A key with a ``('ref', id)``
-    component has no such form (an ``id`` outlives its object): None.
-    """
-    kinds = []
-    values = []
-    for part in (key[0],) + key[1]:
-        name = part[0]
-        if name == "undefined":
-            kinds.append(type(UNDEFINED))
-            values.append(UNDEFINED)
-        elif name == "null":
-            kinds.append(type(NULL))
-            values.append(NULL)
-        elif name == "ref":
-            return None
-        else:
-            kinds.append(_KEY_TYPES[name])
-            values.append(part[1])
-    return kinds[0], values[0], tuple(kinds[1:]), tuple(values[1:])
-
-
 def _osr_key(args, locals_):
     return tuple(value_key(v) for v in args) + tuple(value_key(v) for v in locals_)
+
+
+#: Facts counted as well as traced: ``(channel, event)`` -> the counter
+#: :meth:`Engine._emit` bumps.  (A cache hit is also counted where no
+#: ``cache.hit`` event is due: the warm call, a respecialize dispatch.)
+_EVENT_COUNTERS = {
+    ("cache", "hit"): "repro_spec_cache_hits_total",
+    ("cache", "miss"): "repro_spec_cache_misses_total",
+    ("cache", "store"): "repro_spec_cache_stores_total",
+    ("osr", "enter"): "repro_engine_osr_enters_total",
+}
+
+#: Metrics mirrored from a live ledger, never counted at a site:
+#: ``(metric, Engine attribute holding the ledger, ledger attribute)``;
+#: ``Engine._collect_metrics`` re-reads every row before each snapshot.
+_MIRRORED_METRICS = (
+    ("repro_engine_calls_interp_total", "stats", "interp_calls"),
+    ("repro_engine_compiles_total", "stats", "compiles"),
+    ("repro_engine_osr_compiles_total", "stats", "osr_compiles"),
+    ("repro_engine_recompilations_total", "stats", "recompilations"),
+    ("repro_engine_bailouts_total", "stats", "bailouts"),
+    ("repro_engine_shape_guard_bailouts_total", "stats", "shape_guard_bailouts"),
+    ("repro_engine_invalidations_total", "stats", "invalidations"),
+    ("repro_engine_ic_transitions_total", "interpreter", "ic_transitions"),
+    ("repro_engine_retrain_noops_total", "stats", "retrain_noops"),
+    ("repro_deoptless_reentries_total", "stats", "deoptless_reentries"),
+    ("repro_deoptless_misses_total", "stats", "deoptless_misses"),
+    (
+        "repro_deoptless_generalized_compiles_total",
+        "stats",
+        "deoptless_generalized_compiles",
+    ),
+    ("repro_engine_native_cycles", "executor", "cycles"),
+    ("repro_engine_compile_cycles_stalled", "stats", "compile_cycles_stalled"),
+    ("repro_engine_compile_cycles_hidden", "stats", "compile_cycles_hidden"),
+    ("repro_engine_bailout_cycles", "stats", "bailout_cycles"),
+    ("repro_engine_invalidation_cycles", "stats", "invalidation_cycles"),
+    ("repro_compile_queue_enqueued_total", "compile_queue", "enqueued"),
+    ("repro_compile_queue_installed_total", "compile_queue", "installed"),
+    ("repro_compile_queue_dropped_total", "compile_queue", "dropped"),
+    ("repro_compile_queue_depth_high_water", "compile_queue", "depth_high_water"),
+    ("repro_compile_queue_lane_cycle", "compile_queue", "lane_high_water"),
+    ("repro_cache_disk_hits_total", "code_cache", "hits"),
+    ("repro_cache_disk_misses_total", "code_cache", "misses"),
+    ("repro_cache_disk_stores_total", "code_cache", "stores"),
+    ("repro_cache_disk_evictions_total", "code_cache", "evictions"),
+    ("repro_cache_disk_corrupt_total", "code_cache", "corrupt"),
+    ("repro_cache_disk_uncacheable_total", "code_cache", "uncacheable"),
+)
 
 
 class Engine(object):
@@ -365,6 +328,10 @@ class Engine(object):
         self._unobserved = (
             tracer is None and cycle_profiler is None and fault_injector is None
         )
+        #: True when :meth:`_emit` has a sink — a tracer or a metrics
+        #: registry; the one test in front of a fact whose fields cost
+        #: something to build (``repr(key)``, ``list(args)``).
+        self._watched = tracer is not None or metrics is not None
         self.states = {}
         self.hot_call_threshold = hot_call_threshold
         self.osr_backedge_threshold = osr_backedge_threshold
@@ -481,65 +448,81 @@ class Engine(object):
             + stats.invalidation_cycles
         )
 
+    # -- the emit point: each engine fact is stated once ---------------------------
+
+    def _emit(self, channel, event, code, **fields):
+        """State one fact about ``code``: its counter and its trace event.
+
+        ``fn``/``code_id`` are stamped here.  Reads only its arguments
+        and charges nothing, so attaching a sink moves no observable.
+        """
+        if self.metrics is not None:
+            counter = _EVENT_COUNTERS.get((channel, event))
+            if counter is not None:
+                self.metrics.inc(counter)
+        if self.tracer is not None:
+            self.tracer.emit(
+                channel, event, fn=code.name, code_id=code.code_id, **fields
+            )
+
+    def _queue_depth(self, code, action):
+        """The background lane's depth after ``action`` touched ``code``'s job."""
+        depth = len(self.compile_queue.pending)
+        self._emit("compile", "queue_depth", code, action=action, depth=depth)
+
+    def _interpret_call(self):
+        """Account a call left to the interpreter; the policy's False."""
+        self.stats.interp_calls += 1
+        if self.cycle_profiler is not None:
+            self.cycle_profiler.interp_call()
+        return False
+
+    def _charge_entry(self, native, cost):
+        """Charge one transition into ``native`` (the warm call does it in line)."""
+        self.executor.cycles += cost
+        if self.cycle_profiler is not None:
+            self.cycle_profiler.charge_entry(native, cost)
+
+    def _invalidate(self, code):
+        """Charge one discarded binary to the ledger and the profiler."""
+        self.stats.record_invalidation()
+        if self.cycle_profiler is not None:
+            self.cycle_profiler.record_invalidation(code, self.cost_model.invalidation)
+
     # -- metrics collection (docs/METRICS.md) --------------------------------------
 
     def _collect_metrics(self):
         """Sample the live engine state into the metrics registry.
 
         Registered as the registry's collector and run before every
-        snapshot: counters mirrored from authoritative ledgers (stats,
-        queue, disk cache) are re-read, occupancy gauges are recomputed.
-        Pure reads — never touches the cost model, so attaching metrics
-        cannot perturb any observable.
+        snapshot: the ``_MIRRORED_METRICS`` rows are re-read from their
+        ledgers (stats, queue, disk cache), occupancy gauges and the
+        clock-derived meters are recomputed.  Pure reads — never touches
+        the cost model, so attaching metrics cannot perturb any observable.
         """
         registry = self.metrics
         stats = self.stats
         cost = self.cost_model
         total_calls = 0
         spec_entries = 0
-        ic_mono = ic_poly = ic_mega = 0
+        ic_sites = {"mono": 0, "poly": 0, "mega": 0}
         for state in self.states.values():
             total_calls += state.call_count
             spec_entries += len(state.spec_cache)
             feedback = state.code.feedback
             if feedback is not None:
                 for pc in feedback.shape_ics:
-                    ic_state = feedback.ic_state(pc)
-                    if ic_state == "mono":
-                        ic_mono += 1
-                    elif ic_state == "poly":
-                        ic_poly += 1
-                    elif ic_state == "mega":
-                        ic_mega += 1
-        registry.set_counter("repro_engine_calls_interp_total", stats.interp_calls)
+                    ic_sites[feedback.ic_state(pc)] += 1
+        for name, ledger, attribute in _MIRRORED_METRICS:
+            source = getattr(self, ledger)
+            if source is None:
+                continue
+            if name in registry.counters:
+                registry.set_counter(name, getattr(source, attribute))
+            else:
+                registry.set_gauge(name, getattr(source, attribute))
         registry.set_counter(
             "repro_engine_calls_native_total", total_calls - stats.interp_calls
-        )
-        registry.set_counter("repro_engine_compiles_total", stats.compiles)
-        registry.set_counter("repro_engine_osr_compiles_total", stats.osr_compiles)
-        registry.set_counter(
-            "repro_engine_recompilations_total", stats.recompilations
-        )
-        registry.set_counter("repro_engine_bailouts_total", stats.bailouts)
-        registry.set_counter(
-            "repro_engine_shape_guard_bailouts_total", stats.shape_guard_bailouts
-        )
-        registry.set_counter(
-            "repro_engine_invalidations_total", stats.invalidations
-        )
-        registry.set_counter(
-            "repro_engine_ic_transitions_total", self.interpreter.ic_transitions
-        )
-        registry.set_counter(
-            "repro_engine_retrain_noops_total", stats.retrain_noops
-        )
-        registry.set_counter(
-            "repro_deoptless_reentries_total", stats.deoptless_reentries
-        )
-        registry.set_counter("repro_deoptless_misses_total", stats.deoptless_misses)
-        registry.set_counter(
-            "repro_deoptless_generalized_compiles_total",
-            stats.deoptless_generalized_compiles,
         )
         registry.set_gauge("repro_engine_total_cycles", self.trace_clock())
         registry.set_gauge(
@@ -547,45 +530,14 @@ class Engine(object):
             self.interpreter.ops_executed * cost.interp_op
             + stats.interp_calls * cost.interp_call,
         )
-        registry.set_gauge("repro_engine_native_cycles", self.executor.cycles)
-        registry.set_gauge(
-            "repro_engine_compile_cycles_stalled", stats.compile_cycles_stalled
-        )
-        registry.set_gauge(
-            "repro_engine_compile_cycles_hidden", stats.compile_cycles_hidden
-        )
-        registry.set_gauge("repro_engine_bailout_cycles", stats.bailout_cycles)
-        registry.set_gauge(
-            "repro_engine_invalidation_cycles", stats.invalidation_cycles
-        )
         registry.set_gauge("repro_engine_functions_hot", len(self.states))
         registry.set_gauge("repro_spec_cache_entries", spec_entries)
-        registry.set_gauge("repro_engine_ic_sites_mono", ic_mono)
-        registry.set_gauge("repro_engine_ic_sites_poly", ic_poly)
-        registry.set_gauge("repro_engine_ic_sites_mega", ic_mega)
-        queue = self.compile_queue
-        if queue is not None:
-            registry.set_counter("repro_compile_queue_enqueued_total", queue.enqueued)
-            registry.set_counter(
-                "repro_compile_queue_installed_total", queue.installed
-            )
-            registry.set_counter("repro_compile_queue_dropped_total", queue.dropped)
-            registry.set_gauge("repro_compile_queue_depth", len(queue.pending))
+        registry.set_gauge("repro_engine_ic_sites_mono", ic_sites["mono"])
+        registry.set_gauge("repro_engine_ic_sites_poly", ic_sites["poly"])
+        registry.set_gauge("repro_engine_ic_sites_mega", ic_sites["mega"])
+        if self.compile_queue is not None:
             registry.set_gauge(
-                "repro_compile_queue_depth_high_water", queue.depth_high_water
-            )
-            registry.set_gauge("repro_compile_queue_lane_cycle", queue.lane_high_water)
-        cache = self.code_cache
-        if cache is not None:
-            registry.set_counter("repro_cache_disk_hits_total", cache.hits)
-            registry.set_counter("repro_cache_disk_misses_total", cache.misses)
-            registry.set_counter("repro_cache_disk_stores_total", cache.stores)
-            registry.set_counter(
-                "repro_cache_disk_evictions_total", cache.evictions
-            )
-            registry.set_counter("repro_cache_disk_corrupt_total", cache.corrupt)
-            registry.set_counter(
-                "repro_cache_disk_uncacheable_total", cache.uncacheable
+                "repro_compile_queue_depth", len(self.compile_queue.pending)
             )
 
     # -- state -------------------------------------------------------------------
@@ -692,24 +644,10 @@ class Engine(object):
         metrics = self.metrics
         if metrics is not None:
             metrics.maybe_snapshot()
-        tracer = self.tracer
-        if (
-            tracer is not None
-            and state.call_count == self.hot_call_threshold
-            and not state.not_compilable
-        ):
-            tracer.emit(
-                "interp",
-                "hot_call",
-                fn=code.name,
-                code_id=code.code_id,
-                calls=state.call_count,
-            )
+        if state.call_count == self.hot_call_threshold and not state.not_compilable:
+            self._emit("interp", "hot_call", code, calls=state.call_count)
         if state.not_compilable:
-            self.stats.interp_calls += 1
-            if self.cycle_profiler is not None:
-                self.cycle_profiler.interp_call()
-            return False
+            return self._interpret_call()
         if code.feedback is None:
             code.feedback = TypeFeedback(code.num_params)
         code.feedback.record_args(args, this_value)
@@ -724,20 +662,14 @@ class Engine(object):
         # (and its loops stay eligible for OSR).
         use_queue = queue is not None and state.backedge_count == 0
 
+        watched = self._watched
         native = state.native
         if native is not None:
             if native.specialized:
                 if _spec_key_matches(state.spec_key, this_value, args):
-                    if metrics is not None:
-                        metrics.inc("repro_spec_cache_hits_total")
-                    if tracer is not None:
-                        tracer.emit(
-                            "cache",
-                            "hit",
-                            fn=code.name,
-                            code_id=code.code_id,
-                            key=repr(state.spec_key),
-                            primary=True,
+                    if watched:
+                        self._emit(
+                            "cache", "hit", code, key=repr(state.spec_key), primary=True
                         )
                     return True
                 key = _spec_key(this_value, args)
@@ -745,30 +677,13 @@ class Engine(object):
                 if cached is not None:
                     # Cache hit on a previously specialized set (only
                     # possible with capacity > 1, the §6 extension).
-                    state.native, state.osr_state_key = cached
-                    state.spec_key = key
-                    if metrics is not None:
-                        metrics.inc("repro_spec_cache_hits_total")
-                    if tracer is not None:
-                        tracer.emit(
-                            "cache",
-                            "hit",
-                            fn=code.name,
-                            code_id=code.code_id,
-                            key=repr(key),
-                            primary=False,
-                        )
+                    state.install(cached[0], key, cached[1])
+                    if watched:
+                        self._emit("cache", "hit", code, key=repr(key), primary=False)
                     return True
-                if metrics is not None:
-                    metrics.inc("repro_spec_cache_misses_total")
-                if tracer is not None:
-                    tracer.emit(
-                        "cache",
-                        "miss",
-                        fn=code.name,
-                        code_id=code.code_id,
-                        key=repr(key),
-                        entries=len(state.spec_cache),
+                if watched:
+                    self._emit(
+                        "cache", "miss", code, key=repr(key), entries=len(state.spec_cache)
                     )
                 if not self.deoptless and len(state.spec_cache) < self.spec_cache_capacity:
                     # Room for another specialized binary (the §6
@@ -779,10 +694,7 @@ class Engine(object):
                         # the interpreter while the lane compiles the
                         # new set; no discard — there is still room.
                         self._enqueue_compile(state, function, this_value, args)
-                        self.stats.interp_calls += 1
-                        if self.cycle_profiler is not None:
-                            self.cycle_profiler.interp_call()
-                        return False
+                        return self._interpret_call()
                     if self._compile(state, function, this_value, args, osr_frame=None):
                         return True
                 if self.deoptless:
@@ -798,7 +710,6 @@ class Engine(object):
                     self._discard_specialized(state, "new-args")
             else:
                 if self.deoptless:
-                    dispatched = False
                     key = _spec_key(this_value, args)
                     cached = state.spec_cache.get(key)
                     if cached is not None and cached[0] is not state.native:
@@ -808,37 +719,19 @@ class Engine(object):
                         # preconditions, dispatch back into it — the
                         # specialized code is strictly faster in its
                         # own steady state.
-                        state.native, state.osr_state_key = cached
-                        state.spec_key = key
-                        self._charge_dispatch(state.native)
-                        self.stats.deoptless_reentries += 1
-                        dispatched = True
-                        if metrics is not None:
-                            metrics.inc("repro_deoptless_reentries_total")
-                            metrics.inc("repro_spec_cache_hits_total")
-                        if tracer is not None:
-                            tracer.emit(
-                                "deoptless",
-                                "dispatch",
-                                fn=code.name,
-                                code_id=code.code_id,
-                                kind="respecialize",
-                                osr_pc=None,
-                                misses=state.deoptless_misses,
-                            )
-                    if (
-                        not dispatched
-                        and cached is None
-                        and self._deoptless_promote(
-                            state, function, this_value, args, key, use_queue
+                        self._dispatch_into(
+                            state, cached[0], "respecialize", None, key, cached[1]
                         )
+                        if metrics is not None:
+                            metrics.inc("repro_spec_cache_hits_total")
+                    elif cached is None and self._deoptless_promote(
+                        state, function, this_value, args, key, use_queue
                     ):
                         # A recurring regime reached the generalized
                         # catch-all often enough to earn its own line.
-                        dispatched = True
-                    if (
-                        not dispatched
-                        and state.native is state.generalized_osr
+                        pass
+                    elif (
+                        state.native is state.generalized_osr
                         and state.native is not state.generalized
                     ):
                         # A call landed on the OSR-entry sibling, which
@@ -863,10 +756,7 @@ class Engine(object):
             elif self._compile(state, function, this_value, args, osr_frame=None):
                 return True
 
-        self.stats.interp_calls += 1
-        if self.cycle_profiler is not None:
-            self.cycle_profiler.interp_call()
-        return False
+        return self._interpret_call()
 
     # -- back-edge hook (interpreter loops) ----------------------------------------------
 
@@ -886,23 +776,16 @@ class Engine(object):
             self._install_ready(queue)
         if state.not_compilable:
             return None
+        state.backedge_count += 1
         if queue is not None and queue.has_job(code.code_id):
             # A compile for this function is already in flight on the
             # background lane (Ion's "compiling" sentinel): keep
             # interpreting rather than racing it with a synchronous
             # OSR compile of the same function.
-            state.backedge_count += 1
             return None
-        state.backedge_count += 1
-        tracer = self.tracer
-        if tracer is not None and state.backedge_count == self.osr_backedge_threshold:
-            tracer.emit(
-                "osr",
-                "trip",
-                fn=code.name,
-                code_id=code.code_id,
-                backedges=state.backedge_count,
-                target_pc=target_pc,
+        if state.backedge_count == self.osr_backedge_threshold:
+            self._emit(
+                "osr", "trip", code, backedges=state.backedge_count, target_pc=target_pc
             )
         if state.backedge_count < self.osr_backedge_threshold:
             # A cached binary with a matching OSR entry can be re-entered
@@ -924,7 +807,6 @@ class Engine(object):
                 # discarded either way.
                 if not self._deoptless_osr(state, frame, target_pc):
                     return None
-                needs_osr_compile = False
             else:
                 # A specialized binary whose baked-in OSR state no longer
                 # matches this frame (e.g. we bailed out mid-loop and the
@@ -958,17 +840,7 @@ class Engine(object):
                 state, frame.function, frame.this_value, frame.args, osr_frame=(target_pc, frame)
             ):
                 return None
-        if self.metrics is not None:
-            self.metrics.inc("repro_engine_osr_enters_total")
-        if tracer is not None:
-            tracer.emit(
-                "osr",
-                "enter",
-                fn=code.name,
-                code_id=code.code_id,
-                osr_pc=target_pc,
-                backedges=state.backedge_count,
-            )
+        self._emit("osr", "enter", code, osr_pc=target_pc, backedges=state.backedge_count)
         return self._run_osr(state, frame, target_pc)
 
     def _can_reenter_osr(self, state, frame, target_pc):
@@ -985,46 +857,48 @@ class Engine(object):
 
     def _charge_dispatch(self, native):
         """Charge the table-consult + side-entry cost of one dispatch."""
-        cost = self.cost_model.deoptless_dispatch
-        self.executor.cycles += cost
-        if self.cycle_profiler is not None:
-            self.cycle_profiler.charge_entry(native, cost)
+        self._charge_entry(native, self.cost_model.deoptless_dispatch)
 
-    def _dispatch_into(self, state, native, kind, osr_pc):
-        """Activate a dispatch-table sibling for immediate re-entry."""
-        state.native = native
-        state.spec_key = None
-        state.osr_state_key = None
+    def _dispatch_into(self, state, native, kind, osr_pc, spec_key=None, osr_state_key=None):
+        """Activate a dispatch-table sibling for immediate re-entry.
+
+        The keys are a specialized sibling's; a generalized one has none.
+        """
+        state.install(native, spec_key, osr_state_key)
         self._charge_dispatch(native)
         self.stats.deoptless_reentries += 1
-        if self.metrics is not None:
-            self.metrics.inc("repro_deoptless_reentries_total")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "deoptless",
-                "dispatch",
-                fn=state.code.name,
-                code_id=state.code.code_id,
-                kind=kind,
-                osr_pc=osr_pc,
-                misses=state.deoptless_misses,
-            )
+        self._emit(
+            "deoptless",
+            "dispatch",
+            state.code,
+            kind=kind,
+            osr_pc=osr_pc,
+            misses=state.deoptless_misses,
+        )
 
     def _deoptless_miss(self, state, reason):
         """Count one dispatch-table miss (no compatible sibling yet)."""
         state.deoptless_misses += 1
         self.stats.deoptless_misses += 1
-        if self.metrics is not None:
-            self.metrics.inc("repro_deoptless_misses_total")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "deoptless",
-                "miss",
-                fn=state.code.name,
-                code_id=state.code.code_id,
-                reason=reason,
-                misses=state.deoptless_misses,
-            )
+        self._emit(
+            "deoptless", "miss", state.code, reason=reason, misses=state.deoptless_misses
+        )
+
+    def _record_generalized(self, state, native, osr_pc):
+        """File a generalized sibling in the table line of its entry kind."""
+        if osr_pc is not None:
+            state.generalized_osr = native
+        else:
+            state.generalized = native
+        self.stats.deoptless_generalized_compiles += 1
+        self._emit(
+            "deoptless",
+            "generalize",
+            state.code,
+            osr=osr_pc is not None,
+            osr_pc=osr_pc,
+            misses=state.deoptless_misses,
+        )
 
     def _generalize(self, state, function, this_value, args, osr_frame):
         """Compile the generalized sibling and record it in the table.
@@ -1044,25 +918,11 @@ class Engine(object):
         )
         if produced is None:
             return None
-        result, _cycles = produced
-        if osr_frame is not None:
-            state.generalized_osr = result.native
-        else:
-            state.generalized = result.native
-        self.stats.deoptless_generalized_compiles += 1
-        if self.metrics is not None:
-            self.metrics.inc("repro_deoptless_generalized_compiles_total")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "deoptless",
-                "generalize",
-                fn=state.code.name,
-                code_id=state.code.code_id,
-                osr=osr_frame is not None,
-                osr_pc=None if osr_frame is None else osr_frame[0],
-                misses=state.deoptless_misses,
-            )
-        return result.native
+        native = produced[0].native
+        self._record_generalized(
+            state, native, None if osr_frame is None else osr_frame[0]
+        )
+        return native
 
     def _deoptless_promote(self, state, function, this_value, args, key, use_queue):
         """Grow a specialized table line for a recurring argument set.
@@ -1173,9 +1033,7 @@ class Engine(object):
         (docs/DEOPTLESS.md).
         """
         code = state.code
-        tracer = self.tracer
         generic = state.force_generic
-        shape_guards = not generalized
         specialize = (
             self.config.param_spec
             and not state.never_specialize
@@ -1189,151 +1047,111 @@ class Engine(object):
             osr_pc, frame = osr_frame
             osr_args = list(frame.args)
             osr_locals = list(frame.locals)
-        if tracer is not None:
-            tracer.emit(
-                "compile",
-                "start",
-                fn=code.name,
-                code_id=code.code_id,
-                reason="osr" if osr_frame is not None else "call",
-                attempt_specialize=specialize,
-                generic=generic,
-            )
+        self._emit(
+            "compile",
+            "start",
+            code,
+            reason="osr" if osr_frame is not None else "call",
+            attempt_specialize=specialize,
+            generic=generic,
+        )
+        # The cache key's inputs are the compiler's inputs.
+        inputs = dict(
+            feedback=code.feedback,
+            param_values=list(args) if specialize else None,
+            this_value=this_value if specialize else None,
+            osr_pc=osr_pc,
+            osr_args=osr_args,
+            osr_locals=osr_locals,
+            generic=generic,
+            shape_guards=not generalized,
+        )
         result = None
         cache = self.code_cache
         cache_key = None
         if cache is not None:
-            cache_key = cache.key_for(
-                code,
-                self.config,
-                feedback=code.feedback,
-                param_values=list(args) if specialize else None,
-                this_value=this_value if specialize else None,
-                osr_pc=osr_pc,
-                osr_args=osr_args,
-                osr_locals=osr_locals,
-                generic=generic,
-                shape_guards=shape_guards,
-            )
+            cache_key = cache.key_for(code, self.config, **inputs)
             if cache_key is not None:
                 result = cache.load(cache_key, code)
-                if result is not None and tracer is not None:
-                    tracer.emit(
-                        "cache",
-                        "disk_hit",
-                        fn=code.name,
-                        code_id=code.code_id,
-                        key=cache_key,
-                    )
+                if result is not None:
+                    self._emit("cache", "disk_hit", code, key=cache_key)
         if result is None:
             try:
-                result = compile_function(
-                    code,
-                    self.config,
-                    feedback=code.feedback,
-                    param_values=list(args) if specialize else None,
-                    this_value=this_value if specialize else None,
-                    osr_pc=osr_pc,
-                    osr_args=osr_args,
-                    osr_locals=osr_locals,
-                    generic=generic,
-                    shape_guards=shape_guards,
-                    tracer=tracer,
-                )
+                result = compile_function(code, self.config, tracer=self.tracer, **inputs)
             except NotCompilable:
                 state.not_compilable = True
                 self.stats.not_compilable.add(code.code_id)
-                if tracer is not None:
-                    tracer.emit("compile", "reject", fn=code.name, code_id=code.code_id)
+                self._emit("compile", "reject", code)
                 return None
             if cache_key is not None:
                 cache.store(cache_key, result, executor=self.executor)
+        native = result.native
+        codegen = result.codegen_stats
         compile_cycles = self.stats.record_compile(
-            code,
-            result.native,
-            result.work.total_units,
-            result.codegen_stats,
-            osr_pc is not None,
-            hidden=hidden,
+            code, native, result.work.total_units, codegen, osr_pc is not None, hidden=hidden
         )
         if self.cycle_profiler is not None:
-            self.cycle_profiler.record_compile(
-                code, result.native, compile_cycles, hidden=hidden
-            )
+            self.cycle_profiler.record_compile(code, native, compile_cycles, hidden=hidden)
         if self.metrics is not None:
             self.metrics.observe("repro_compile_cycles_per_compile", compile_cycles)
-        if tracer is not None:
-            tracer.emit(
-                "compile",
-                "finish",
-                fn=code.name,
-                code_id=code.code_id,
-                specialized=result.native.specialized,
-                osr=osr_pc is not None,
-                mir_instructions=result.mir_instructions,
-                lir_instructions=result.codegen_stats["lir_instructions"],
-                native_size=result.native.size,
-                intervals=result.codegen_stats["intervals"],
-                spills=result.codegen_stats["spills"],
-                cycles=compile_cycles,
-            )
+        self._emit(
+            "compile",
+            "finish",
+            code,
+            specialized=native.specialized,
+            osr=osr_pc is not None,
+            mir_instructions=result.mir_instructions,
+            lir_instructions=codegen["lir_instructions"],
+            native_size=native.size,
+            intervals=codegen["intervals"],
+            spills=codegen["spills"],
+            cycles=compile_cycles,
+        )
         return result, compile_cycles
 
     def _compile(self, state, function, this_value, args, osr_frame):
-        code = state.code
-        tracer = self.tracer
+        """Compile synchronously and make the binary the active code."""
         produced = self._produce(state, function, this_value, args, osr_frame)
         if produced is None:
             return False
-        result, _ = produced
-        osr_pc = None
-        osr_args = None
-        osr_locals = None
-        if osr_frame is not None:
-            osr_pc, frame = osr_frame
-            osr_args = list(frame.args)
-            osr_locals = list(frame.locals)
-        state.native = result.native
-        if result.native.specialized:
+        native = produced[0].native
+        spec_key = osr_state_key = None
+        if native.specialized:
+            spec_key = _spec_key(this_value, args)
+            if osr_frame is not None:
+                osr_state_key = _osr_key(osr_frame[1].args, osr_frame[1].locals)
+        self._activate(state, native, spec_key, osr_state_key, args)
+        return True
+
+    def _activate(self, state, native, spec_key, osr_state_key, args):
+        """Make ``native`` the function's active code (both install routes).
+
+        A specialized binary also takes its specialization-cache line.
+        """
+        code = state.code
+        state.install(native, spec_key, osr_state_key)
+        if native.specialized:
             self.stats.specialized_functions.add(code.code_id)
-            state.spec_key = _spec_key(this_value, args)
-            state.osr_state_key = (
-                _osr_key(osr_args, osr_locals) if osr_pc is not None else None
-            )
-            state.spec_cache[state.spec_key] = (state.native, state.osr_state_key)
-            if self.metrics is not None:
-                self.metrics.inc("repro_spec_cache_stores_total")
-            if tracer is not None:
-                tracer.emit(
+            state.spec_cache[spec_key] = (native, osr_state_key)
+            if self._watched:
+                key = repr(spec_key)
+                self._emit(
                     "specialize",
                     "specialized",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    key=repr(state.spec_key),
+                    code,
+                    key=key,
                     args=list(args),
-                    osr=osr_pc is not None,
+                    osr=osr_state_key is not None,
                 )
-                tracer.emit(
-                    "cache",
-                    "store",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    key=repr(state.spec_key),
-                    entries=len(state.spec_cache),
-                )
-        else:
-            state.spec_key = None
-            state.osr_state_key = None
-            if tracer is not None and self.config.param_spec:
-                tracer.emit(
-                    "specialize",
-                    "generic",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    never_specialize=state.never_specialize,
-                    force_generic=state.force_generic,
-                )
-        return True
+                self._emit("cache", "store", code, key=key, entries=len(state.spec_cache))
+        elif self.config.param_spec:
+            self._emit(
+                "specialize",
+                "generic",
+                code,
+                never_specialize=state.never_specialize,
+                force_generic=state.force_generic,
+            )
 
     # -- background lane (docs/COMPILE_PIPELINE.md) -----------------------------------------
 
@@ -1352,15 +1170,9 @@ class Engine(object):
         code = state.code
         if code.code_id in queue.pending:
             return
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "compile",
-                "enqueue",
-                fn=code.name,
-                code_id=code.code_id,
-                reason="generalize" if generalized else "call",
-            )
+        self._emit(
+            "compile", "enqueue", code, reason="generalize" if generalized else "call"
+        )
         produced = self._produce(
             state,
             function,
@@ -1378,15 +1190,7 @@ class Engine(object):
         if result.native.specialized:
             job.spec_key = _spec_key(this_value, args)
         queue.schedule(code.code_id, job, self.trace_clock())
-        if tracer is not None:
-            tracer.emit(
-                "compile",
-                "queue_depth",
-                fn=code.name,
-                code_id=code.code_id,
-                action="enqueue",
-                depth=len(queue.pending),
-            )
+        self._queue_depth(code, "enqueue")
 
     def _install_ready(self, queue):
         """Install every finished background binary at this poll point."""
@@ -1406,29 +1210,18 @@ class Engine(object):
         state = job.state
         code = state.code
         native = job.result.native
-        specialized = native.specialized
-        tracer = self.tracer
         stale = (
             state.not_compilable
-            or (specialized and (state.never_specialize or state.force_generic))
+            or (native.specialized and (state.never_specialize or state.force_generic))
             or (state.native is not None and state.native.osr_index is not None)
             or (job.spec_key is not None and job.spec_key in state.spec_cache)
             or (job.generalized and state.generalized is not None)
         )
         if stale:
             queue.dropped += 1
-            if tracer is not None:
-                tracer.emit(
-                    "compile",
-                    "queue_depth",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    action="drop",
-                    depth=len(queue.pending),
-                )
+            self._queue_depth(code, "drop")
             return
         queue.installed += 1
-        state.native = native
         # Fresh binary, fresh loop-hotness clock: backedges taken while
         # the job was in flight should not instantly trigger an OSR
         # recompile of the binary that just landed.
@@ -1437,115 +1230,35 @@ class Engine(object):
         if job.generalized:
             # The deoptless sibling lands: record it in the dispatch
             # table — calls from here on enter it natively.
-            state.generalized = native
-            self.stats.deoptless_generalized_compiles += 1
-            if self.metrics is not None:
-                self.metrics.inc("repro_deoptless_generalized_compiles_total")
-            if tracer is not None:
-                tracer.emit(
-                    "deoptless",
-                    "generalize",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    osr=False,
-                    osr_pc=None,
-                    misses=state.deoptless_misses,
-                )
+            self._record_generalized(state, native, None)
         if self.metrics is not None:
             self.metrics.observe(
                 "repro_compile_install_latency_cycles", now - job.enqueue_cycle
             )
-        if tracer is not None:
-            tracer.emit(
-                "compile",
-                "install",
-                fn=code.name,
-                code_id=code.code_id,
-                ready_at=job.ready_at,
-                waited_cycles=now - job.ready_at,
-                specialized=specialized,
-            )
-            tracer.emit(
-                "compile",
-                "queue_depth",
-                fn=code.name,
-                code_id=code.code_id,
-                action="install",
-                depth=len(queue.pending),
-            )
-        if specialized:
-            self.stats.specialized_functions.add(code.code_id)
-            state.spec_key = job.spec_key
-            state.osr_state_key = None
-            state.spec_cache[state.spec_key] = (native, None)
-            if self.metrics is not None:
-                self.metrics.inc("repro_spec_cache_stores_total")
-            if tracer is not None:
-                tracer.emit(
-                    "specialize",
-                    "specialized",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    key=repr(state.spec_key),
-                    args=list(job.args),
-                    osr=False,
-                )
-                tracer.emit(
-                    "cache",
-                    "store",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    key=repr(state.spec_key),
-                    entries=len(state.spec_cache),
-                )
-        else:
-            state.spec_key = None
-            state.osr_state_key = None
-            if tracer is not None and self.config.param_spec:
-                tracer.emit(
-                    "specialize",
-                    "generic",
-                    fn=code.name,
-                    code_id=code.code_id,
-                    never_specialize=state.never_specialize,
-                    force_generic=state.force_generic,
-                )
+        self._emit(
+            "compile",
+            "install",
+            code,
+            ready_at=job.ready_at,
+            waited_cycles=now - job.ready_at,
+            specialized=native.specialized,
+        )
+        self._queue_depth(code, "install")
+        self._activate(state, native, job.spec_key, None, job.args)
 
     def _discard_specialized(self, state, reason):
-        if self.compile_queue is not None:
-            # Any in-flight job for this function compiled against a
-            # policy state that no longer exists; the lane's cycles
-            # are spent either way (wasted speculative work).
-            if self.compile_queue.cancel(state.code.code_id):
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "compile",
-                        "queue_depth",
-                        fn=state.code.name,
-                        code_id=state.code.code_id,
-                        action="drop",
-                        depth=len(self.compile_queue.pending),
-                    )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "deopt",
-                "discard",
-                fn=state.code.name,
-                code_id=state.code.code_id,
-                reason=reason,
-                dropped=len(state.spec_cache),
-            )
-        state.native = None
-        state.spec_key = None
-        state.osr_state_key = None
+        code = state.code
+        # Any in-flight job for this function compiled against a policy
+        # state that no longer exists; the lane's cycles are spent
+        # either way (wasted speculative work).
+        if self.compile_queue is not None and self.compile_queue.cancel(code.code_id):
+            self._queue_depth(code, "drop")
+        self._emit("deopt", "discard", code, reason=reason, dropped=len(state.spec_cache))
+        state.install(None)
         state.spec_cache.clear()
         state.never_specialize = True
-        self.stats.deoptimized_functions.add(state.code.code_id)
-        self.stats.record_invalidation()
-        if self.cycle_profiler is not None:
-            self.cycle_profiler.record_invalidation(
-                state.code, self.cost_model.invalidation
-            )
+        self.stats.deoptimized_functions.add(code.code_id)
+        self._invalidate(code)
 
     # -- native execution -----------------------------------------------------------------------
 
@@ -1564,9 +1277,7 @@ class Engine(object):
             # interpreter — its frame is mid-expression, not at an OSR
             # point).
             if self._generalize(state, function, this_value, args, osr_frame=None) is not None:
-                state.native = state.generalized
-                state.spec_key = None
-                state.osr_state_key = None
+                state.install(state.generalized)
         frame = Frame(state.code, function, this_value, list(bail.frame_args))
         frame.locals[:] = bail.frame_locals
         pc = bail.pc + 1 if bail.mode == "after" else bail.pc
@@ -1574,12 +1285,7 @@ class Engine(object):
 
     def _run_osr(self, state, frame, target_pc):
         """Enter the cached binary at its OSR entry for ``frame``."""
-        interpreter = self.interpreter
-        self.executor.cycles += self.cost_model.native_call_entry
-        if self.cycle_profiler is not None:
-            self.cycle_profiler.charge_entry(
-                state.native, self.cost_model.native_call_entry
-            )
+        self._charge_entry(state.native, self.cost_model.native_call_entry)
         try:
             value = self.executor.run(
                 state.native,
@@ -1620,54 +1326,44 @@ class Engine(object):
 
     def _note_bailout(self, state, bail, this_value):
         """Account a bailout and feed the observation back into typing."""
+        code = state.code
         self.stats.record_bailout()
         if self.cycle_profiler is not None:
             self.cycle_profiler.record_bailout(
-                state.code, state.native, bail, self.cost_model.bailout
+                code, state.native, bail, self.cost_model.bailout
             )
         state.bailout_count += 1
-        if bail.guard_op == "guardshape":
+        shape_guard = bail.guard_op == "guardshape"
+        if shape_guard:
             # A receiver reached a shape-guarded property site with a
             # shape the inline cache had not seen at compile time.  The
             # "at"-mode resume re-executes the property bytecode, whose
             # handler records the new shape into the IC, so the next
             # compile covers it.
             self.stats.shape_guard_bailouts += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "bailout",
-                "guard",
-                fn=state.code.name,
-                code_id=state.code.code_id,
-                count=state.bailout_count,
-                **describe_bailout(bail)
+        if self.tracer is not None:
+            self._emit(
+                "bailout", "guard", code, count=state.bailout_count, **describe_bailout(bail)
             )
-            if bail.guard_op == "guardshape" and tracer.wants("shape"):
-                tracer.emit(
+            if shape_guard:
+                self._emit(
                     "shape",
                     "guard",
-                    fn=state.code.name,
-                    code_id=state.code.code_id,
+                    code,
                     reason=bail.reason,
                     resume_pc=bail.pc,
                     native_index=bail.native_index,
                     count=self.stats.shape_guard_bailouts,
                 )
             if bail.reason == FAULT_INJECTED:
-                tracer.emit(
+                self._emit(
                     "fuzz",
                     "inject",
-                    fn=state.code.name,
-                    code_id=state.code.code_id,
+                    code,
                     native_index=bail.native_index,
                     guard_op=bail.guard_op,
                 )
-        if (
-            bail.guard_op == "guardshape"
-            and bail.reason != FAULT_INJECTED
-            and state.native is not None
-        ):
+        if shape_guard and bail.reason != FAULT_INJECTED and state.native is not None:
             if self.deoptless:
                 # Deoptless: keep the binary and its table entry — the
                 # resumed interpreter records the new shape into the
@@ -1680,17 +1376,9 @@ class Engine(object):
                 # was compiled from: a retrain recompile would land on
                 # the same content key.  Keep the binary.
                 self.stats.retrain_noops += 1
-                if self.metrics is not None:
-                    self.metrics.inc("repro_engine_retrain_noops_total")
-                if tracer is not None:
-                    tracer.emit(
-                        "deopt",
-                        "retrain_noop",
-                        fn=state.code.name,
-                        code_id=state.code.code_id,
-                        resume_pc=bail.pc,
-                        shape=bail.actual,
-                    )
+                self._emit(
+                    "deopt", "retrain_noop", code, resume_pc=bail.pc, shape=bail.actual
+                )
             else:
                 # Retrain rather than re-bail: the resumed interpreter is
                 # about to record the unexpected shape into the site's IC,
@@ -1703,26 +1391,12 @@ class Engine(object):
                 # fail actually holds, so the binary is still right.
                 if state.spec_key is not None:
                     state.spec_cache.pop(state.spec_key, None)
-                state.native = None
-                state.spec_key = None
-                state.osr_state_key = None
+                state.install(None)
                 if self.metrics is not None:
                     self.metrics.inc("repro_engine_retrains_total")
-                self.stats.record_invalidation()
-                if self.cycle_profiler is not None:
-                    self.cycle_profiler.record_invalidation(
-                        state.code, self.cost_model.invalidation
-                    )
-                if tracer is not None:
-                    tracer.emit(
-                        "deopt",
-                        "discard",
-                        fn=state.code.name,
-                        code_id=state.code.code_id,
-                        reason="shape-retrain",
-                        dropped=1,
-                    )
-        feedback = state.code.feedback
+                self._invalidate(code)
+                self._emit("deopt", "discard", code, reason="shape-retrain", dropped=1)
+        feedback = code.feedback
         if feedback is not None:
             if bail.mode == "after":
                 feedback.record_site(bail.pc, bail.actual)
@@ -1737,19 +1411,8 @@ class Engine(object):
             state.generalized = None
             state.generalized_osr = None
             state.force_generic = True
-            self.stats.record_invalidation()
-            if self.cycle_profiler is not None:
-                self.cycle_profiler.record_invalidation(
-                    state.code, self.cost_model.invalidation
-                )
-            if tracer is not None:
-                tracer.emit(
-                    "deopt",
-                    "force_generic",
-                    fn=state.code.name,
-                    code_id=state.code.code_id,
-                    bailouts=state.bailout_count,
-                )
+            self._invalidate(code)
+            self._emit("deopt", "force_generic", code, bailouts=state.bailout_count)
 
 
 def run_program(source, config=BASELINE, cost_model=None, profiler=None, engine_kwargs=None):

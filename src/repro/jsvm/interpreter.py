@@ -173,17 +173,11 @@ class Interpreter(object):
                 nargs=len(args),
             )
         cycle_profiler = self.cycle_profiler
-        if cycle_profiler is None:
-            if self.engine is not None:
-                handled, result = self.engine.try_native_call(function, this_value, args)
-                if handled:
-                    return result
-            frame = self.build_frame(function, this_value, args)
-            return self.execute(frame)
-        # The shadow-stack frame spans the whole activation — native
-        # execution, bailout-resumed interpretation and OSR included —
-        # so every cycle of this call lands on the callee's node.
-        cycle_profiler.enter_call(function.code)
+        if cycle_profiler is not None:
+            # The shadow-stack frame spans the whole activation — native
+            # execution, bailout-resumed interpretation and OSR included —
+            # so every cycle of this call lands on the callee's node.
+            cycle_profiler.enter_call(function.code)
         try:
             if self.engine is not None:
                 handled, result = self.engine.try_native_call(function, this_value, args)
@@ -192,7 +186,8 @@ class Interpreter(object):
             frame = self.build_frame(function, this_value, args)
             return self.execute(frame)
         finally:
-            cycle_profiler.exit_call()
+            if cycle_profiler is not None:
+                cycle_profiler.exit_call()
 
     def build_frame(self, function, this_value, args):
         code = function.code

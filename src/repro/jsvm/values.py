@@ -387,3 +387,96 @@ _KEY_TYPE_NAMES = {int: "int", float: "float", bool: "bool", str: "str"}
 def arguments_key(args):
     """The cache key for a full argument list."""
     return tuple([value_key(a) for a in args])
+
+
+def _spec_key(this_value, args):
+    """The specialization-cache key of one call: ``(this key, argument keys)``."""
+    return (value_key(this_value), arguments_key(args))
+
+
+def _value_matches_key(key, value):
+    """Whether ``value_key(value)`` would equal ``key``, sans allocation.
+
+    Mirrors tuple equality on :func:`value_key` results exactly — the
+    ``is`` check before ``==`` preserves the identity shortcut tuple
+    comparison applies per element (it makes a repeatedly-passed NaN
+    object match itself, as the materialized keys would).
+    """
+    name = _KEY_TYPE_NAMES.get(type(value))
+    if name is not None:
+        return key[0] == name and (key[1] is value or key[1] == value)
+    if value is UNDEFINED:
+        return key[0] == "undefined"
+    if value is NULL:
+        return key[0] == "null"
+    return key[0] == "ref" and key[1] == id(value)
+
+
+def _spec_key_matches(stored, this_value, args):
+    """``_spec_key(this_value, args) == stored`` without building the key.
+
+    The per-call fast path of the specialization cache: a primary-entry
+    hit (the overwhelmingly common case) costs no tuple allocations.
+    """
+    if stored is None:
+        return False
+    this_key, args_key = stored
+    if len(args_key) != len(args):
+        return False
+    if not _value_matches_key(this_key, this_value):
+        return False
+    for key, value in zip(args_key, args):
+        if not _value_matches_key(key, value):
+            return False
+    return True
+
+
+def _key_recurrable(key):
+    """Whether a spec key can match again after its values die.
+
+    Primitive components match by value, so the same regime can return
+    forever; a ``('ref', id)`` component matches by identity and dies
+    with the object, so such a key marks a one-allocation regime that
+    is not worth a specialized table line of its own.
+    """
+    this_key, args_key = key
+    if this_key[0] == "ref":
+        return False
+    for part in args_key:
+        if part[0] == "ref":
+            return False
+    return True
+
+
+#: ``value_key`` type name -> the exact Python type it names.
+_KEY_TYPES = dict((name, kind) for kind, name in _KEY_TYPE_NAMES.items())
+
+
+def _key_matcher(key):
+    """``key`` as ``(this_type, this_value, arg_types, arg_values)``.
+
+    A call matches an all-primitive key exactly when each value has the
+    recorded exact type and is (or equals) the recorded value — the
+    test :func:`_value_matches_key` makes, laid out so the warm call
+    can make it inline, without a Python call per argument.  The tags
+    ``record_args`` would derive from such a call are a function of the
+    key alone, which is what lets a matched call skip it
+    (``FunctionState.key_recorded``).  A key with a ``('ref', id)``
+    component has no such form (an ``id`` outlives its object): None.
+    """
+    kinds = []
+    values = []
+    for part in (key[0],) + key[1]:
+        name = part[0]
+        if name == "undefined":
+            kinds.append(type(UNDEFINED))
+            values.append(UNDEFINED)
+        elif name == "null":
+            kinds.append(type(NULL))
+            values.append(NULL)
+        elif name == "ref":
+            return None
+        else:
+            kinds.append(_KEY_TYPES[name])
+            values.append(part[1])
+    return kinds[0], values[0], tuple(kinds[1:]), tuple(values[1:])

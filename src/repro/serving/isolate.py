@@ -142,7 +142,8 @@ class TenantIsolate(object):
         )
 
     def metrics_payload(self):
-        """This tenant's finalized metrics payload (full schema keys)."""
+        """This tenant's metrics payload (full schema keys), collected now."""
+        self.metrics.collect()  # a guest that raised never reached ``finish``
         return self.metrics.as_dict()
 
 

@@ -11,9 +11,9 @@ processes into one fleet view.
 Design rules (the same contract as the trace layer, docs/TRACING.md):
 
 * **Zero overhead when disabled.**  The engine holds ``metrics = None``
-  by default; every instrumentation site is a single ``is not None``
-  check, and nothing here ever touches the cost model — enabling
-  metrics cannot change any observable (stats, cycles, output, traces).
+  by default; its one emit point tests that once per stated fact, and
+  nothing here ever touches the cost model — enabling metrics cannot
+  change any observable (stats, cycles, output, traces).
 * **A closed name registry.**  Every metric the engine may record is
   declared in :data:`METRIC_SCHEMA` with its type (``counter`` /
   ``gauge`` / ``histogram``), its merge policy, and — for histograms —
@@ -413,7 +413,9 @@ class MetricsRegistry(object):
         For counters mirrored from an authoritative live ledger (the
         stats object, the queue, the disk cache) rather than counted at
         instrumentation sites — the collector re-reads the source at
-        every snapshot, so the counter can only move forward.
+        every snapshot, so the counter can only move forward.  Between
+        snapshots such a counter is stale: a reader calls
+        :meth:`collect` (or reads after :meth:`finalize`) first.
         """
         if name not in self.counters:
             self._reject(name, "counter")

@@ -11,9 +11,9 @@ exactly reproducible run over run.
 Design rules:
 
 * **Zero overhead when disabled.**  The engine holds ``tracer = None``
-  by default and every instrumentation site is guarded by a single
-  ``is not None`` check; nothing in this module ever touches the cycle
-  cost model, so enabling tracing cannot change any measured number.
+  by default and tests for it once per fact, at ``Engine._emit`` (which
+  stamps ``fn``/``code_id``); nothing here ever touches the cycle cost
+  model, so enabling tracing cannot change any measured number.
 * **Named channels.**  Events belong to one of the channels in
   :data:`CHANNELS` (``compile``, ``specialize``, ``deopt``,
   ``deoptless``, ``bailout``, ``cache``, ``osr``, ``pass``,

@@ -82,36 +82,40 @@ def _read_source(path):
 # -- subcommands -------------------------------------------------------------
 
 
-def _make_code_cache(args):
-    """Build the persistent code cache requested by ``--code-cache``.
+def _engine_from_args(args, **sinks):
+    """The one way a subcommand builds its engine.
 
-    ``None`` (flag absent) disables the cache; an empty value (bare
-    ``--code-cache``) uses the default root (``$REPRO_CACHE_DIR`` or
-    ``~/.cache/repro``); anything else is an explicit directory.
+    ``sinks`` are the telemetry objects to attach (``tracer``,
+    ``metrics``, ``cycle_profiler``); a flag the subcommand does not
+    define reads as the engine's default.  ``--code-cache`` absent
+    (None) means no persistent cache, bare (empty) the default root
+    (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), anything else an
+    explicit directory.
     """
+    code_cache = None
     spec = getattr(args, "code_cache", None)
-    if spec is None:
-        return None
-    from repro.cache import DiskCodeCache
+    if spec is not None:
+        from repro.cache import DiskCodeCache
 
-    return DiskCodeCache(root=spec if spec else None)
+        code_cache = DiskCodeCache(root=spec if spec else None)
+    return Engine(
+        config=_resolve_config(args.config),
+        spec_cache_capacity=getattr(args, "cache_capacity", 1),
+        executor_backend=getattr(args, "executor", None),
+        background_compile=getattr(args, "background", False),
+        code_cache=code_cache,
+        **sinks
+    )
 
 
 def cmd_run(args, out):
     """``repro run``: execute a guest script under the JIT."""
-    config = _resolve_config(args.config)
-    engine = Engine(
-        config=config,
-        spec_cache_capacity=args.cache_capacity,
-        executor_backend=args.executor,
-        background_compile=args.background,
-        code_cache=_make_code_cache(args),
-    )
+    engine = _engine_from_args(args)
     printed = engine.run_source(_read_source(args.script))
     for line in printed:
         out.write(line + "\n")
     if args.stats:
-        out.write("\n-- engine stats (%s) --\n" % config.describe())
+        out.write("\n-- engine stats (%s) --\n" % engine.config.describe())
         for key, value in sorted(engine.stats.summary().items()):
             out.write("%-18s %s\n" % (key, value))
     return 0
@@ -164,7 +168,6 @@ def cmd_trace(args, out):
         write_jsonl,
     )
 
-    config = _resolve_config(args.config)
     channels = args.channels.split(",") if args.channels else None
     try:
         tracer = Tracer(channels=channels)
@@ -178,13 +181,7 @@ def cmd_trace(args, out):
         from repro.telemetry.profiler import CycleProfiler
 
         cycle_profiler = CycleProfiler()
-    engine = Engine(
-        config=config,
-        tracer=tracer,
-        cycle_profiler=cycle_profiler,
-        background_compile=args.background,
-        code_cache=_make_code_cache(args),
-    )
+    engine = _engine_from_args(args, tracer=tracer, cycle_profiler=cycle_profiler)
     engine.run_source(source)
     if args.jsonl:
         write_jsonl(tracer.events, args.jsonl)
@@ -199,7 +196,7 @@ def cmd_trace(args, out):
         out.write(format_timeline(tracer.events, limit=args.limit) + "\n")
     out.write(
         "-- %d events under %s (clock: model cycles) --\n"
-        % (len(tracer.events), config.describe())
+        % (len(tracer.events), engine.config.describe())
     )
     return 0
 
@@ -211,15 +208,8 @@ def _run_with_metrics(args):
     """
     from repro.telemetry.metrics import MetricsRegistry
 
-    config = _resolve_config(args.config)
     registry = MetricsRegistry(snapshot_interval=args.interval)
-    engine = Engine(
-        config=config,
-        metrics=registry,
-        executor_backend=args.executor,
-        background_compile=args.background,
-        code_cache=_make_code_cache(args),
-    )
+    engine = _engine_from_args(args, metrics=registry)
     engine.run_source(_resolve_workload(args.workload))
     return engine, registry
 
@@ -278,11 +268,8 @@ def _run_cycle_profile(args):
     """
     from repro.telemetry.profiler import CycleProfiler
 
-    config = _resolve_config(args.config)
     profiler = CycleProfiler()
-    engine = Engine(
-        config=config, cycle_profiler=profiler, executor_backend=args.executor
-    )
+    engine = _engine_from_args(args, cycle_profiler=profiler)
     engine.run_source(_resolve_workload(args.script))
     return engine, profiler
 

@@ -309,6 +309,31 @@ def test_metrics_doc_matches_metric_schema():
         )
 
 
+def test_metrics_doc_collection_model_matches_the_engine_tables():
+    """docs/METRICS.md's "Collection model" lists each engine metric
+    under the one source the code gives it: the emit point's event ->
+    counter table and the collector's mirror table row for row, the
+    computed and direct-site metrics by name."""
+    import re
+
+    from repro.engine.runtime_engine import _EVENT_COUNTERS, _MIRRORED_METRICS
+    from repro.telemetry.metrics import METRIC_SCHEMA
+
+    text = _metrics_doc()
+    section = text[text.index("## Collection model") : text.index("## Metric registry")]
+    events = re.findall(r"^ *\| `(\w+)\.(\w+)` \| `(repro_\w+)` \|$", section, re.MULTILINE)
+    assert {(ch, ev): name for ch, ev, name in events} == _EVENT_COUNTERS
+    mirrors = re.findall(r"^ *\| `(repro_\w+)` \| `(\w+)\.(\w+)` \|$", section, re.MULTILINE)
+    assert mirrors == [tuple(row) for row in _MIRRORED_METRICS]
+    tabled = set(_EVENT_COUNTERS.values()) | {row[0] for row in _MIRRORED_METRICS}
+    named = set(re.findall(r"`(repro_\w+)`", section)) - tabled
+    engine_metrics = {
+        name for name in METRIC_SCHEMA if not name.startswith("repro_serving_")
+    }
+    assert named == engine_metrics - tabled
+    assert "_collect_metrics" in section and "Engine._emit" in section
+
+
 def test_metrics_doc_names_the_contract_vocabulary():
     """The buckets, exporters and sentinel kinds are spelled exactly as
     the code spells them."""

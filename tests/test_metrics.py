@@ -13,6 +13,9 @@ Four contracts under test:
   executor backends;
 * **exact merge** — folding the per-worker payloads of a ``--jobs N``
   sweep yields the same numbers as a single-process sweep.
+
+Plus the collection model: every engine metric has exactly one source
+(the emit point's event table, the collector, or a named direct site).
 """
 
 import io
@@ -21,6 +24,7 @@ import json
 import pytest
 
 from repro import FULL_SPEC, Engine
+from repro.engine.runtime_engine import _EVENT_COUNTERS, _MIRRORED_METRICS
 from repro.telemetry.metrics import (
     METRIC_SCHEMA,
     MetricsRegistry,
@@ -30,7 +34,7 @@ from repro.telemetry.metrics import (
     snapshots_to_jsonl,
     to_prometheus,
 )
-from repro.telemetry.tracing import Tracer
+from repro.telemetry.tracing import EVENT_SCHEMA, Tracer
 from repro.tools.cli import main as cli_main
 
 from tests.conftest import FAST
@@ -248,6 +252,158 @@ class TestEngineIntegration:
         assert snapshots_to_jsonl(first.as_dict()) == snapshots_to_jsonl(
             second.as_dict()
         )
+
+
+#: Sampled by ``Engine._collect_metrics`` from live state (no ledger
+#: attribute holds them), and recorded in line where the fact is decided
+#: (``_note_bailout``, ``_produce``, ``_install_job``).
+COMPUTED_METRICS = {
+    "repro_engine_calls_native_total",
+    "repro_engine_total_cycles",
+    "repro_engine_interp_cycles",
+    "repro_engine_functions_hot",
+    "repro_spec_cache_entries",
+    "repro_engine_ic_sites_mono",
+    "repro_engine_ic_sites_poly",
+    "repro_engine_ic_sites_mega",
+    "repro_compile_queue_depth",
+}
+DIRECT_METRICS = {
+    "repro_engine_retrains_total",
+    "repro_compile_cycles_per_compile",
+    "repro_compile_install_latency_cycles",
+}
+
+CHURN = """
+function area(s) { return s.w * s.h; }
+function twice(n) { return n + n; }
+var shapes = [{w: 1, h: 2}, {h: 3, w: 4, d: 5}, {d: 1, w: 6, h: 7}];
+var s = 0;
+for (var i = 0; i < 90; i++) s += area(shapes[i % 3]) + twice(i % 5);
+print(s);
+"""
+
+
+class _SourceRecorder(MetricsRegistry):
+    """A registry that remembers which API fed each metric."""
+
+    def __init__(self):
+        MetricsRegistry.__init__(self)
+        self.counted = set()
+        self.collected = set()
+
+    def inc(self, name, amount=1):
+        self.counted.add(name)
+        MetricsRegistry.inc(self, name, amount)
+
+    def observe(self, name, value):
+        self.counted.add(name)
+        MetricsRegistry.observe(self, name, value)
+
+    def set_counter(self, name, value):
+        self.collected.add(name)
+        MetricsRegistry.set_counter(self, name, value)
+
+    def set_gauge(self, name, value):
+        self.collected.add(name)
+        MetricsRegistry.set_gauge(self, name, value)
+
+
+class TestOneSourcePerMetric:
+    def test_event_counter_table_is_in_both_schemas(self):
+        for (channel, event), counter in _EVENT_COUNTERS.items():
+            assert event in EVENT_SCHEMA[channel]
+            assert METRIC_SCHEMA[counter]["type"] == "counter"
+
+    def test_mirror_table_names_live_ledger_attributes(self, tmp_path):
+        from repro.cache import DiskCodeCache
+
+        engine = Engine(
+            background_compile=True, code_cache=DiskCodeCache(root=str(tmp_path))
+        )
+        for name, ledger, attribute in _MIRRORED_METRICS:
+            assert METRIC_SCHEMA[name]["type"] in ("counter", "gauge")
+            assert isinstance(getattr(getattr(engine, ledger), attribute), int)
+
+    def test_the_sources_partition_the_engine_metrics(self):
+        counted = set(_EVENT_COUNTERS.values())
+        mirrored = [name for name, _, _ in _MIRRORED_METRICS]
+        sources = [counted, set(mirrored), COMPUTED_METRICS, DIRECT_METRICS]
+        assert len(counted) == len(_EVENT_COUNTERS)
+        assert len(mirrored) == len(set(mirrored))
+        assert sum(len(source) for source in sources) == len(set().union(*sources))
+        assert set().union(*sources) == {
+            name for name in METRIC_SCHEMA if not name.startswith("repro_serving_")
+        }
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"background_compile": True},
+            {"deoptless": True},
+            {"deoptless": True, "background_compile": True},
+        ],
+    )
+    def test_no_metric_is_both_counted_and_collected(self, kwargs, tmp_path):
+        from repro.cache import DiskCodeCache
+
+        recorder = _SourceRecorder()
+        engine = Engine(
+            config=FULL_SPEC,
+            metrics=recorder,
+            code_cache=DiskCodeCache(root=str(tmp_path)),
+            **dict(FAST, **kwargs)
+        )
+        engine.run_source(CHURN)
+        assert not recorder.counted & recorder.collected
+        assert recorder.counted <= set(_EVENT_COUNTERS.values()) | DIRECT_METRICS
+        expected = {name for name, _, _ in _MIRRORED_METRICS} | COMPUTED_METRICS
+        if not kwargs.get("background_compile"):
+            expected = {n for n in expected if "compile_queue" not in n}
+        assert recorder.collected == expected
+        if kwargs == {}:
+            assert "repro_engine_retrains_total" in recorder.counted
+        if kwargs.get("deoptless"):
+            assert engine.stats.deoptless_misses > 0
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"spec_cache_capacity": 2}, {"background_compile": True}]
+    )
+    def test_counted_events_equal_their_counters(self, kwargs):
+        """With a tracer on, every call takes the policy path, so each
+        counted fact is one event and one increment — by construction."""
+        from repro.workloads import ALL_SUITES
+
+        totals = dict.fromkeys(_EVENT_COUNTERS.values(), 0)
+        picked = (
+            "math-cordic",
+            "string-base64",
+            "audio-beat-detection",
+            "imaging-gaussian-blur",
+            "spec-churn",
+            "crypto-sha1",
+        )
+        benchmarks = [b for suite in ALL_SUITES.values() for b in suite if b.name in picked]
+        assert len(benchmarks) == len(picked)
+        for benchmark in benchmarks:
+            tracer = Tracer(channels=("cache", "osr"))
+            registry = MetricsRegistry()
+            engine = Engine(
+                config=FULL_SPEC, tracer=tracer, metrics=registry, **kwargs
+            )
+            engine.run_source(benchmark.source)
+            seen = {}
+            for event in tracer.events:
+                key = (event["ch"], event["event"])
+                seen[key] = seen.get(key, 0) + 1
+            for key, counter in _EVENT_COUNTERS.items():
+                assert registry.counters[counter] == seen.get(key, 0), (
+                    benchmark.name,
+                    counter,
+                )
+                totals[counter] += seen.get(key, 0)
+        assert all(totals.values()), totals
 
 
 class TestZeroCostWhenEnabled:
