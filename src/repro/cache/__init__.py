@@ -8,7 +8,9 @@ artifacts content-addressable — hash the inputs, store the output —
 and lets a *warm* run skip the whole MIR → LIR → codegen pipeline on
 the host, the same trick every production JIT with a startup cache
 plays (JSC's bytecode cache, V8's code cache, HHVM's repo-authoritative
-mode).
+mode).  The front half is deterministic too, so the same store keeps
+each source text's rotated bytecode (a *program entry*) and a warm run
+is key → load → run.
 
 Two invariants keep the cache honest:
 

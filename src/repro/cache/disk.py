@@ -5,15 +5,17 @@ Layout (under ``$REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
     <root>/code/<key[:2]>/<key>.bin
 
 where ``key`` is the SHA-256 over every input that determines the
-compile's output — see :meth:`DiskCodeCache.key_for` for the full
-anatomy (also documented in docs/COMPILE_PIPELINE.md).  Entries are
+entry's content — see :meth:`DiskCodeCache.key_for` (compile artifacts)
+and :func:`program_key` (program entries) for the full anatomy, also
+documented in docs/COMPILE_PIPELINE.md.  Entries are
 written atomically (temp file + ``os.replace``) so concurrent runs
 sharing a cache directory never observe torn artifacts; corrupt or
 version-skewed entries read as misses, never as errors.
 
 Every entry is integrity-framed on disk: a magic tag, the payload
-length, and a SHA-256 digest precede the marshalled artifact (see
-:data:`ENTRY_MAGIC`).  :meth:`DiskCodeCache.load` verifies the frame
+length, and a SHA-256 digest precede the payload — one byte naming the
+entry kind (:data:`ENTRY_KINDS`), then the marshalled artifact (see
+:data:`ENTRY_MAGIC`).  A read verifies the frame
 *before* unmarshalling, so a truncated, bit-flipped or
 foreign-format file — e.g. a reader racing a non-atomic copy of the
 cache directory, or a crashed writer on a filesystem without atomic
@@ -30,7 +32,9 @@ import tempfile
 from repro.cache.serialize import (
     FORMAT_VERSION,
     Uncacheable,
+    freeze_program,
     freeze_result,
+    thaw_program,
     thaw_result,
 )
 from repro.jsvm.bytecode import CodeObject
@@ -48,8 +52,14 @@ ENTRY_MAGIC = b"RPC1"
 _FRAME_HEADER_SIZE = len(ENTRY_MAGIC) + 8 + 32
 
 
+#: Entry kind -> the payload's first byte.  A compile artifact is one
+#: function's native binary; a program entry is the rotated bytecode
+#: tree of one source text.  ``stats`` tells them apart by this byte.
+ENTRY_KINDS = {"compile": b"C", "program": b"P"}
+
+
 def _frame_entry(payload):
-    """Wrap a marshalled artifact in the integrity frame."""
+    """Wrap a payload (kind byte + marshalled artifact) in the integrity frame."""
     return b"".join(
         [
             ENTRY_MAGIC,
@@ -178,6 +188,22 @@ def _feedback_fingerprint(feedback):
     )
 
 
+def _digest(kind, *inputs):
+    """The key over ``inputs`` for an entry of ``kind``.
+
+    Every key opens with the entry kind, the artifact format and the
+    host Python / marshal versions, so skew in any of them is a miss.
+    """
+    structure = (
+        "repro-code-cache",
+        kind,
+        FORMAT_VERSION,
+        tuple(sys.version_info[:2]),
+        marshal.version,
+    ) + inputs
+    return hashlib.sha256(repr(structure).encode("utf-8")).hexdigest()
+
+
 def content_key(
     code,
     config,
@@ -200,11 +226,8 @@ def content_key(
     if not config.param_spec:
         param_values = None
         this_value = None
-    structure = (
-        "repro-code-cache",
-        FORMAT_VERSION,
-        tuple(sys.version_info[:2]),
-        marshal.version,
+    return _digest(
+        "compile",
         _code_fingerprint(code),
         tuple((slot, getattr(config, slot)) for slot in config.__slots__),
         bool(generic),
@@ -216,20 +239,39 @@ def content_key(
         None if osr_locals is None else _value_keys(osr_locals),
         _feedback_fingerprint(feedback),
     )
-    return hashlib.sha256(repr(structure).encode("utf-8")).hexdigest()
+
+
+def program_key(source, config):
+    """The content key of the program entry for one source text.
+
+    Covers the entry kind, the artifact format and host marshal format,
+    the SHA-256 of the source and ``config.loop_inversion`` — the one
+    option that decides what the stored bytecode looks like (rotated or
+    not).  Nothing here can be identity-based, so every source has a key.
+    """
+    return _digest(
+        "program",
+        hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        bool(config.loop_inversion),
+    )
 
 
 class DiskCodeCache(object):
     """Content-addressed store of compiled artifacts across runs.
 
-    The engine probes it inside ``_produce``: :meth:`key_for` names the
-    compile (or refuses), :meth:`load` returns a thawed
+    Two kinds of entry share the layout, the frame and the maintenance
+    (``evict``/``clear``).  *Compile artifacts*: the engine probes
+    inside ``_produce`` — :meth:`key_for` names the compile (or
+    refuses), :meth:`load` returns a thawed
     :class:`~repro.engine.jit.CompileResult` on a hit, and
-    :meth:`store` persists a fresh compile — including the closure
-    backend's generated module when ``executor`` is a
-    :class:`~repro.lir.closures.ClosureExecutor`.  In-process counters
-    (``hits``/``misses``/``stores``/``uncacheable``) feed the CLI's
-    ``repro cache`` report and the bench harness.
+    :meth:`store` persists a fresh compile, with the generated module
+    of whichever codegen backend (``closure`` or ``whole``) ran it.
+    *Program entries*: ``Engine.load_source`` asks :meth:`load_program`
+    for the bytecode of a source text (key: :func:`program_key`) and
+    hands a fresh compile to :meth:`store_program`.  The in-process
+    counters ``hits``/``misses``/``stores``/``uncacheable`` count
+    compile probes only and feed the CLI's ``repro cache`` report and
+    the bench harness; program traffic has its own pair.
     """
 
     def __init__(self, root=None):
@@ -238,10 +280,13 @@ class DiskCodeCache(object):
         self.misses = 0
         self.stores = 0
         self.uncacheable = 0
-        #: Misses caused by a *present but unusable* entry — torn or
-        #: bit-flipped frame, unmarshalable payload, version skew, or a
-        #: thaw failure.  Every corruption-degraded read also counts as
-        #: a miss; this counter says how many of the misses were
+        #: Program entries thawed / published by this process.
+        self.program_loads = 0
+        self.program_stores = 0
+        #: Reads of a *present but unusable* entry of either kind — torn
+        #: or bit-flipped frame, unmarshalable payload, version skew, or
+        #: a thaw failure.  A corruption-degraded compile probe also
+        #: counts as a miss; this counter says how many reads were
         #: degradations rather than absences.
         self.corrupt = 0
         #: Entries removed by :meth:`evict` (size/entry pressure).
@@ -264,7 +309,8 @@ class DiskCodeCache(object):
     ):
         """The content key for one compile, or None if uncacheable.
 
-        The key covers, in order: the artifact format version and host
+        The key covers, in order: the entry kind (``"compile"``), the
+        artifact format version and host
         marshal format (so incompatible stores read as misses), the
         recursive code digest, the optimization configuration, the
         generic and shape-guard flags, the OSR entry state (pc plus the
@@ -297,6 +343,56 @@ class DiskCodeCache(object):
     def _path(self, key):
         return os.path.join(self.root, "code", key[:2], key + ".bin")
 
+    def _thawed(self, key, kind, thaw):
+        """``thaw(artifact)`` of the intact ``kind`` entry under ``key``, or None.
+
+        An absent file is simply None.  A present one that is not a
+        complete frame of this kind and format, or that ``thaw``
+        refuses, also counts ``corrupt`` — never an exception.
+        """
+        try:
+            with open(self._path(key), "rb") as handle:
+                blob = handle.read()
+        except OSError:
+            return None
+        try:
+            payload = _unframe_entry(blob)
+            if payload is None or payload[:1] != ENTRY_KINDS[kind]:
+                raise ValueError("not an intact %s entry" % kind)
+            artifact = marshal.loads(memoryview(payload)[1:])
+            if artifact["format"] != FORMAT_VERSION:
+                raise ValueError("format skew")
+            return thaw(artifact)
+        except Exception:
+            self.corrupt += 1
+            return None
+
+    def _publish(self, key, kind, artifact):
+        """Write ``artifact`` under ``key``; False if the disk refused."""
+        path = self._path(key)
+        directory = os.path.dirname(path)
+        try:
+            os.makedirs(directory, exist_ok=True)
+            # Atomic publish: frame into a private temp file in the
+            # destination directory (same filesystem), then rename over
+            # the final name.  Concurrent writers race benignly — the
+            # last complete frame wins — and readers only ever see
+            # either no file or a complete frame.
+            handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            try:
+                with os.fdopen(handle, "wb") as out:
+                    out.write(_frame_entry(ENTRY_KINDS[kind] + marshal.dumps(artifact)))
+                os.replace(temp_path, path)
+            except BaseException:
+                try:
+                    os.unlink(temp_path)
+                except OSError:
+                    pass
+                raise
+        except OSError:
+            return False
+        return True
+
     def load(self, key, code):
         """Thaw the artifact stored under ``key`` for ``code``, or None.
 
@@ -304,44 +400,20 @@ class DiskCodeCache(object):
         corrupted frame — is a miss; the engine then compiles (and
         re-stores) normally.
         """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
+        result = self._thawed(key, "compile", lambda artifact: thaw_result(artifact, code))
+        if result is None:
             self.misses += 1
-            return None
-        payload = _unframe_entry(blob)
-        if payload is None:
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        try:
-            artifact = marshal.loads(payload)
-        except (ValueError, EOFError, TypeError):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        if not isinstance(artifact, dict) or artifact.get("format") != FORMAT_VERSION:
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        try:
-            result = thaw_result(artifact, code)
-        except Exception:
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def store(self, key, result, executor=None):
         """Persist ``result`` under ``key``; returns True on success.
 
-        When ``executor`` is a codegen backend (closure or whole), its
-        generated module (source + marshalled code object) rides along
-        so a warm run also skips host ``compile()`` time — the dominant
-        cost on those backends (see
+        When ``executor`` is a codegen backend, the module it generated
+        for this binary (source + marshalled code object) rides along
+        under that backend's name, so a warm run also skips host
+        ``compile()`` time — the dominant cost on those backends (see
         :func:`repro.lir.closures.closure_artifact` and
         :func:`repro.lir.wholefn.whole_artifact`).
         """
@@ -360,58 +432,71 @@ class DiskCodeCache(object):
             whole = whole_artifact(result.native, executor)
             if whole is not None:
                 artifact["whole"] = whole
-        path = self._path(key)
-        directory = os.path.dirname(path)
+        stored = self._publish(key, "compile", artifact)
+        self.stores += stored
+        return stored
+
+    def load_program(self, key):
+        """The bytecode tree stored under a :func:`program_key`, or None.
+
+        Trusted as far as a thawed native stream: intact frame,
+        matching format, and ``validate()`` passing on every code
+        object.  The result stands in for ``compile_source`` (plus
+        ``rotate_loops`` when the key says so), code ids included.
+        """
+        code = self._thawed(key, "program", thaw_program)
+        if code is not None:
+            self.program_loads += 1
+        return code
+
+    def store_program(self, key, code):
+        """Persist the sealed tree under ``code``; returns True on success."""
         try:
-            os.makedirs(directory, exist_ok=True)
-            # Atomic publish: frame into a private temp file in the
-            # destination directory (same filesystem), then rename over
-            # the final name.  Concurrent writers race benignly — the
-            # last complete frame wins — and readers only ever see
-            # either no file or a complete frame.
-            handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(handle, "wb") as out:
-                    out.write(_frame_entry(marshal.dumps(artifact)))
-                os.replace(temp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError:
+            artifact = freeze_program(code)
+        except Uncacheable:
             return False
-        self.stores += 1
-        return True
+        stored = self._publish(key, "program", artifact)
+        self.program_stores += stored
+        return stored
 
     # -- maintenance ---------------------------------------------------------
 
     def stats(self):
-        """Store-wide stats dict: location, entry count/bytes, counters."""
+        """Store-wide stats dict: location, entry count/bytes, counters.
+
+        ``kinds`` splits entries and bytes by entry kind, read from
+        each file's kind byte (a file too short to have one is in the
+        totals only).
+        """
         entries = 0
         total_bytes = 0
-        code_root = os.path.join(self.root, "code")
-        if os.path.isdir(code_root):
-            for dirpath, _dirnames, filenames in os.walk(code_root):
-                for filename in filenames:
-                    if not filename.endswith(".bin"):
-                        continue
-                    entries += 1
-                    try:
-                        total_bytes += os.path.getsize(os.path.join(dirpath, filename))
-                    except OSError:
-                        pass
+        kinds = {kind: {"entries": 0, "bytes": 0} for kind in ENTRY_KINDS}
+        names = {tag: kind for kind, tag in ENTRY_KINDS.items()}
+        for _mtime, path, size in self._entries():
+            entries += 1
+            total_bytes += size
+            try:
+                with open(path, "rb") as handle:
+                    handle.seek(_FRAME_HEADER_SIZE)
+                    kind = names.get(handle.read(1))
+            except OSError:
+                continue
+            if kind is not None:
+                kinds[kind]["entries"] += 1
+                kinds[kind]["bytes"] += size
         return {
             "root": self.root,
             "entries": entries,
             "bytes": total_bytes,
+            "kinds": kinds,
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "uncacheable": self.uncacheable,
             "corrupt": self.corrupt,
             "evictions": self.evictions,
+            "program_loads": self.program_loads,
+            "program_stores": self.program_stores,
         }
 
     def _entries(self):

@@ -19,9 +19,16 @@ not cached.  Nested :class:`~repro.jsvm.bytecode.CodeObject` references
 (the ``lambda`` instruction's payload) are encoded as constant-pool
 indices and re-resolved against the live code object at load time, so
 a thawed binary creates closures over the *current* run's code objects.
+
+The second artifact is the *program entry*: the bytecode tree of one
+source text (:func:`freeze_program` / :func:`thaw_program`), which lets
+a cached program skip the lexer, parser, bytecompiler and loop rotation.
 """
 
-from repro.jsvm.bytecode import CodeObject
+import marshal
+import zlib
+
+from repro.jsvm.bytecode import CodeObject, Instr
 from repro.jsvm.values import NULL, UNDEFINED
 from repro.lir.lir_nodes import LInstruction, Snapshot
 from repro.lir.native import NativeCode, annotate_static_costs
@@ -35,8 +42,10 @@ class Uncacheable(Exception):
     """
 
 
-#: Bump when the artifact layout changes; part of every cache key, so a
-#: layout change simply misses instead of misreading old entries.
+#: Bump when the artifact layout changes — or when the same key would
+#: now name different content (a front-end change moves what a source
+#: text's program entry should hold); part of every cache key, so a
+#: bump simply misses instead of misreading old entries.
 #: v2: added the whole-function backend's module artifact ("whole").
 #: v3: guardshape bails carry the observed shape id (changes the
 #: generated closure/whole sources) and meta gained "ic_fingerprint".
@@ -48,7 +57,9 @@ class Uncacheable(Exception):
 #: (nested functions by theirs) instead of embedding the fingerprint.
 #: v7: the whole source is host-typed (tests and helper calls the
 #: emitter can decide are gone; globals are dict subscripts).
-FORMAT_VERSION = 7
+#: v8: a payload opens with its entry kind, and there is a second kind —
+#: the program entry (:func:`freeze_program`).
+FORMAT_VERSION = 8
 
 _PRIMITIVES = (int, float, bool, str)
 
@@ -243,3 +254,145 @@ def thaw_result(artifact, code):
         None,
         mir_instructions=artifact["mir_instructions"],
     )
+
+
+# -- program entries: the bytecode tree of one source text ---------------------
+
+#: Pool stand-ins for the two guest singletons.  Every other tuple in a
+#: frozen pool is a nested code object (the compiler pools no tuples).
+_FROZEN_UNDEFINED = ("u",)
+_FROZEN_NULL = ("z",)
+
+
+def freeze_program(root):
+    """Encode the sealed code tree under ``root`` as a program artifact.
+
+    Code ids are stored as offsets from the root's, with their count:
+    the compiler makes the root first and pools every object it makes,
+    so the tree's ids are the block the compile consumed.  Not stored:
+    ``feedback``, ``threaded`` and ``fingerprint`` — run-time state that
+    a freshly compiled tree does not have either.  Raises
+    :class:`Uncacheable` for a tree the encoding would not bring back
+    exactly (hand-built operands, ids that are not one block).
+    """
+    base = root.code_id
+    seen = []
+
+    def freeze(code):
+        offset = code.code_id - base
+        seen.append(offset)
+        instructions = code.instructions
+        args = [instr.arg for instr in instructions]
+        if not {int, type(None)}.issuperset(map(type, args)):
+            raise Uncacheable("operand of %s is not a plain int" % code.name)
+        pool = []
+        for constant in code.constants:
+            kind = type(constant)
+            if kind is CodeObject:
+                constant = freeze(constant)
+            elif constant is UNDEFINED:
+                constant = _FROZEN_UNDEFINED
+            elif constant is NULL:
+                constant = _FROZEN_NULL
+            elif kind not in _PRIMITIVES:
+                raise Uncacheable("constant %r of %s" % (constant, code.name))
+            pool.append(constant)
+        return (
+            code.name,
+            code.params,
+            code.local_names,
+            code.cell_names,
+            code.free_names,
+            code.names,
+            code.uses_this,
+            code.is_script,
+            code.self_name,
+            code.loops_rotated,
+            offset,
+            [instr.op for instr in instructions],
+            args,
+            [instr.line for instr in instructions],
+            pool,
+        )
+
+    tree = freeze(root)
+    if sorted(seen) != list(range(len(seen))):
+        raise Uncacheable("code ids of %s are not one compile's" % root.name)
+    # Deflated: the streams are one small object per instruction, which
+    # marshal spells at 16 bytes each and zlib's fastest level at 2.
+    return {
+        "format": FORMAT_VERSION,
+        "ids": len(seen),
+        "code": zlib.compress(marshal.dumps(tree), 1),
+    }
+
+
+def thaw_program(artifact):
+    """Rebuild the code tree of a program artifact, as if just compiled.
+
+    Code ids continue from ``CodeObject._next_id``, which ends up
+    advanced by the count the original compile consumed — or, when the
+    entry is refused (any exception, ``validate()`` included), where it
+    was, which is where the fallback compile expects it.  Objects come
+    from the constructor, so they have the instance layout and the
+    defaults (``feedback``, ``threaded``, ``fingerprint``) of compiled ones.
+    """
+    base = CodeObject._next_id
+    id_count = artifact["ids"]
+    seen = []
+
+    def thaw(fields):
+        (
+            name,
+            params,
+            local_names,
+            cell_names,
+            free_names,
+            names,
+            uses_this,
+            is_script,
+            self_name,
+            loops_rotated,
+            offset,
+            ops,
+            args,
+            lines,
+            pool,
+        ) = fields
+        if not len(ops) == len(args) == len(lines):
+            raise ValueError("ragged instruction streams")
+        code = CodeObject(name, params)
+        code.local_names = local_names
+        code.cell_names = cell_names
+        code.free_names = free_names
+        code.constants = [
+            constant
+            if type(constant) is not tuple
+            else UNDEFINED
+            if constant == _FROZEN_UNDEFINED
+            else NULL
+            if constant == _FROZEN_NULL
+            else thaw(constant)
+            for constant in pool
+        ]
+        code.names = names
+        code.instructions = list(map(Instr, ops, args, lines))
+        code.uses_this = uses_this
+        code.is_script = is_script
+        code.self_name = self_name
+        code.loops_rotated = loops_rotated
+        code.seal()
+        seen.append(offset)
+        code.code_id = base + offset
+        code.validate()
+        return code
+
+    try:
+        root = thaw(marshal.loads(zlib.decompress(artifact["code"])))
+        if sorted(seen) != list(range(id_count)):
+            raise ValueError("code ids are not one compile's")
+    except BaseException:
+        CodeObject._next_id = base
+        raise
+    CodeObject._next_id = base + id_count
+    return root

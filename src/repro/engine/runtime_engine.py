@@ -21,12 +21,14 @@ recompiles without type speculation.
 
 import os
 
+from repro.cache.disk import program_key
 from repro.engine.bailout import describe_bailout
 from repro.engine.compile_queue import CompileJob, CompileQueue
 from repro.engine.config import BASELINE, CostModel
 from repro.engine.jit import compile_function
 from repro.engine.stats import EngineStats
 from repro.errors import NotCompilable
+from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.bytecompiler import compile_source
 from repro.jsvm.feedback import TypeFeedback, shape_ic_fingerprint
 from repro.jsvm.interpreter import Frame, Interpreter
@@ -390,8 +392,36 @@ class Engine(object):
 
     def run_source(self, source):
         """Compile and run a whole script under this engine."""
-        code = compile_source(source)
-        return self.run_code(code)
+        return self.run_code(self.load_source(source))
+
+    def load_source(self, source):
+        """Source text to the bytecode :meth:`run_code` takes.
+
+        With a code cache attached this is key → load: the program
+        entry holds the tree as compiled and rotated, so a cached source
+        is never lexed, parsed, bytecompiled or rotated again
+        (docs/COMPILE_PIPELINE.md, "Program entries").  A miss compiles,
+        rotates and stores.  Either way the tree, its code ids and
+        ``CodeObject._next_id`` come out the same.
+        """
+        cache = self.code_cache
+        if cache is None:
+            return compile_source(source)  # run_code rotates
+        key = program_key(source, self.config)
+        code = cache.load_program(key)
+        if code is None:
+            code = compile_source(source)
+            if self.config.loop_inversion:
+                rotate_loops(code)
+            cache.store_program(key, code)
+        return code
+
+    def forget(self, code):
+        """Drop the per-function state of a code tree no one will run again."""
+        self.states.pop(code.code_id, None)
+        for constant in code.constants:
+            if type(constant) is CodeObject:
+                self.forget(constant)
 
     def run_code(self, code):
         if self.config.loop_inversion:

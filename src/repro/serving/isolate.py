@@ -25,7 +25,6 @@ import os
 from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
 from repro.errors import ReproError
-from repro.jsvm.bytecompiler import compile_source
 from repro.serving.admission import AdmissionLane
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -72,7 +71,9 @@ class TenantIsolate(object):
         """
         cached = self.programs.get(program)
         if cached is None or cached[0] != source:
-            cached = self.programs[program] = (source, compile_source(source))
+            if cached is not None:
+                self.engine.forget(cached[1])  # a re-deploy: the old tree is dead
+            cached = self.programs[program] = (source, self.engine.load_source(source))
         code = cached[1]
         runtime = self.engine.interpreter.runtime
         printed_before = len(runtime.printed)

@@ -11,23 +11,30 @@ coordination.
 
 Tenant accounting is layered on top: a :class:`TenantCacheView` gives
 each tenant isolate its own hit/miss/store counters while delegating
-actual storage to the shared shards.  Only immutable compiled
-artifacts cross the view boundary — speculation state (shapes, ICs,
-spec caches) never does; that is the tenant-isolation contract
+actual storage to the shared shards.  Only immutable content —
+compiled artifacts and program entries (the bytecode of a source text)
+— crosses the view boundary; speculation state (shapes, ICs, spec
+caches) never does; that is the tenant-isolation contract
 (docs/SERVING.md).
 """
 
 import os
 
-from repro.cache.disk import DiskCodeCache, content_key, default_cache_root
+from repro.cache.disk import (
+    ENTRY_KINDS,
+    DiskCodeCache,
+    content_key,
+    default_cache_root,
+)
 from repro.cache.serialize import Uncacheable
 
 
 class ShardedDiskCache(object):
     """N DiskCodeCache shards behind the single-cache interface.
 
-    Drop-in for the engine's ``code_cache`` slot: ``key_for``, ``load``
-    and ``store`` have the same signatures, and the counter attributes
+    Drop-in for the engine's ``code_cache`` slot: ``key_for``, ``load``,
+    ``store``, ``load_program`` and ``store_program`` have the same
+    signatures, and the counter attributes
     the engine mirrors into its stats (``hits``/``misses``/``stores``/
     ``uncacheable``/``corrupt``/``evictions``) are live sums over the
     shards.
@@ -68,6 +75,12 @@ class ShardedDiskCache(object):
 
     def store(self, key, result, executor=None):
         return self.shard_for(key).store(key, result, executor=executor)
+
+    def load_program(self, key):
+        return self.shard_for(key).load_program(key)
+
+    def store_program(self, key, code):
+        return self.shard_for(key).store_program(key, code)
 
     # -- aggregated counters -------------------------------------------------
 
@@ -125,12 +138,21 @@ class ShardedDiskCache(object):
             "shards": len(self.shards),
             "entries": sum(s["entries"] for s in per_shard),
             "bytes": sum(s["bytes"] for s in per_shard),
+            "kinds": {
+                kind: {
+                    field: sum(s["kinds"][kind][field] for s in per_shard)
+                    for field in ("entries", "bytes")
+                }
+                for kind in ENTRY_KINDS
+            },
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "uncacheable": self.uncacheable,
             "corrupt": self.corrupt,
             "evictions": self.evictions,
+            "program_loads": sum(s["program_loads"] for s in per_shard),
+            "program_stores": sum(s["program_stores"] for s in per_shard),
             "per_shard": per_shard,
         }
         probes = total["hits"] + total["misses"]
@@ -191,3 +213,13 @@ class TenantCacheView(object):
         else:
             self.uncacheable += shard.uncacheable - uncacheable_before
         return stored
+
+    def load_program(self, key):
+        shard = self.backing.shard_for(key)
+        corrupt_before = shard.corrupt
+        code = shard.load_program(key)
+        self.corrupt += shard.corrupt - corrupt_before
+        return code
+
+    def store_program(self, key, code):
+        return self.backing.store_program(key, code)

@@ -118,6 +118,12 @@ def cmd_run(args, out):
         out.write("\n-- engine stats (%s) --\n" % engine.config.describe())
         for key, value in sorted(engine.stats.summary().items()):
             out.write("%-18s %s\n" % (key, value))
+        cache = engine.code_cache
+        if cache is not None:
+            # The cache's own ledger, not the engine's: the script's
+            # bytecode came off the disk (1 load) or went onto it.
+            out.write("%-18s %s\n" % ("program_loads", cache.program_loads))
+            out.write("%-18s %s\n" % ("program_stores", cache.program_stores))
     return 0
 
 
@@ -755,6 +761,11 @@ def cmd_cache(args, out):
         out.write("cache root: %s\n" % info["root"])
         out.write("entries:    %d\n" % info["entries"])
         out.write("bytes:      %d\n" % info["bytes"])
+        for kind in sorted(info["kinds"]):
+            held = info["kinds"][kind]
+            out.write(
+                "  %-9s %d entries, %d bytes\n" % (kind + ":", held["entries"], held["bytes"])
+            )
         return 0
     if args.action == "evict":
         if args.max_bytes is None and args.max_entries is None:

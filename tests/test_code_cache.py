@@ -156,7 +156,11 @@ class TestRoundTrip:
             path.write_bytes(b"not a marshalled artifact")
         warm_printed, warm_engine, warm_cache, _ = run_cached(HOT_LOOP, tmp_path)
         assert warm_cache.hits == 0
-        assert warm_cache.misses >= len(stored)
+        # Every file was read and refused: the compile artifacts as
+        # misses, the program entry on its own ledger.
+        assert warm_cache.corrupt >= len(stored)
+        assert warm_cache.misses >= len(stored) - 1
+        assert warm_cache.program_loads == 0 and warm_cache.program_stores == 1
         assert warm_cache.stores == cold_cache.stores  # re-stored fresh
         assert warm_printed == ["%d" % sum(
             (i % 4) ** 2 + 3 * (i % 4) + 1 for i in range(80)
@@ -179,12 +183,14 @@ class TestRoundTrip:
             path.write_bytes(blob[: keep if keep >= 0 else len(blob) - 1])
         warm_printed, _, warm_cache, _ = run_cached(HOT_LOOP, tmp_path)
         assert warm_cache.hits == 0
-        assert warm_cache.misses >= len(stored)
+        assert warm_cache.corrupt >= len(stored)  # both entry kinds
+        assert warm_cache.misses >= len(stored) - 1  # compile probes only
         assert warm_cache.stores == cold_cache.stores
         assert warm_printed == cold_printed
         # The re-store healed the cache: a third run hits everything.
         healed_printed, _, healed_cache, _ = run_cached(HOT_LOOP, tmp_path)
         assert healed_cache.hits == cold_cache.stores
+        assert healed_cache.program_loads == 1 and healed_cache.corrupt == 0
         assert healed_printed == cold_printed
 
     def test_bitflip_inside_payload_degrades_to_miss(self, tmp_path):
@@ -331,7 +337,9 @@ class TestStoreManagement:
     def test_stats_and_clear(self, tmp_path):
         _, _, cache, _ = run_cached(HOT_LOOP, tmp_path)
         info = cache.stats()
-        assert info["entries"] == cache.stores > 0
+        assert info["kinds"]["compile"]["entries"] == cache.stores > 0
+        assert info["kinds"]["program"]["entries"] == cache.program_stores == 1
+        assert info["entries"] == cache.stores + 1
         assert info["bytes"] > 0
         assert info["root"] == str(tmp_path)
         removed = cache.clear()

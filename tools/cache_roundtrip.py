@@ -6,7 +6,10 @@ processes* sharing one cache directory:
 
 1. **cold** — cleared directory; every compile misses and stores;
 2. **warm** — same directory; compiles load from disk (``disk hits``
-   must be > 0).
+   must be > 0) and so does each program's bytecode: the phase counts
+   its calls into ``parse``, ``compile_program`` and the loop-rotation
+   planner, and all three must be 0 (docs/COMPILE_PIPELINE.md, "Program
+   entries").
 
 The check passes only when both phases print the same guest output and
 the same ``EngineStats.as_dict()`` ledger — byte for byte once
@@ -51,11 +54,41 @@ HISTORY_SUITE = "objects"
 HISTORY_PROGRAM = "poly-records"
 
 
+#: ``(module, attribute)`` of the front-half stages a warm run must not
+#: enter, each where its caller reads it.
+FRONT_HALF = (
+    ("repro.jsvm.bytecompiler", "parse"),
+    ("repro.jsvm.bytecompiler", "compile_program"),
+    ("repro.opts.loop_inversion", "_plan"),
+)
+
+
+def count_front_half_calls():
+    """Wrap every :data:`FRONT_HALF` stage; returns the live count dict."""
+    import importlib
+
+    counts = {}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    for module_name, attribute in FRONT_HALF:
+        module = importlib.import_module(module_name)
+        counts[attribute] = 0
+        setattr(module, attribute, counting(attribute, getattr(module, attribute)))
+    return counts
+
+
 def run_phase(cache_dir, backend, phase, history):
     """One measured pass: run the workload through the cache at ``cache_dir``.
 
-    Prints a JSON payload with the guest output, the full stats ledger
-    and the cache counters; consumed by :func:`main` in check mode.
+    Prints a JSON payload with the guest output, the full stats ledger,
+    the cache counters and the front-half call counts of the cached
+    runs; consumed by :func:`main` in check mode.
     """
     from repro.bench.wallclock import _web_programs
     from repro.cache import DiskCodeCache
@@ -77,13 +110,24 @@ def run_phase(cache_dir, backend, phase, history):
     else:
         sources = _web_programs()
     cache = DiskCodeCache(root=cache_dir)
+    front_half = count_front_half_calls()  # after the --history warm-up runs
     output = []
     stats = []
     for source in sources:
         engine = Engine(executor_backend=backend, code_cache=cache)
         output.extend(engine.run_source(source))
         stats.append(engine.stats.as_dict())
-    print(json.dumps({"output": output, "stats": stats, "cache": cache.stats()}))
+    print(
+        json.dumps(
+            {
+                "output": output,
+                "stats": stats,
+                "cache": cache.stats(),
+                "front_half": front_half,
+                "programs": len(sources),
+            }
+        )
+    )
     return 0
 
 
@@ -173,6 +217,23 @@ def main(argv=None):
             failures.append(
                 "warm phase re-stored %d artifact(s)" % warm["cache"]["stores"]
             )
+        if cold["front_half"]["parse"] != cold["programs"]:
+            failures.append(
+                "cold phase parsed %d of %d programs: the call counter is not "
+                "where compile_source reads it"
+                % (cold["front_half"]["parse"], cold["programs"])
+            )
+        for stage, calls in sorted(warm["front_half"].items()):
+            if calls:
+                failures.append(
+                    "warm phase called %s %d time(s): a cached program "
+                    "crossed the front half" % (stage, calls)
+                )
+        if warm["cache"]["program_loads"] != warm["programs"]:
+            failures.append(
+                "warm phase loaded %d of %d program entries"
+                % (warm["cache"]["program_loads"], warm["programs"])
+            )
         if cold["output"] != warm["output"]:
             failures.append("guest output differs between cold and warm")
         from repro.engine.stats import DISK_TRAFFIC_KEYS
@@ -194,11 +255,13 @@ def main(argv=None):
                 print("  " + failure)
             return 1
         print(
-            "cache round trip OK: %d stores cold, %d hits warm, "
+            "cache round trip OK: %d stores cold, %d hits warm, %d program "
+            "entries loaded with 0 front-half calls, "
             "output and stats bit-identical (%s backend, dir %s)"
             % (
                 cold["cache"]["stores"],
                 warm["cache"]["hits"],
+                warm["cache"]["program_loads"],
                 args.backend,
                 cache_dir,
             )
