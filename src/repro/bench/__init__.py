@@ -3,10 +3,12 @@
 :mod:`repro.bench.harness` runs suites under optimization
 configurations and aggregates the Figure 9 tables;
 :mod:`repro.bench.figures` regenerates the Section 2 histograms and the
-Figure 10 code-size study; :mod:`repro.bench.wallclock` measures host
-wall-clock seconds of the executor backends and feeds the perf gate
-(``tools/perf_gate.py``).  The runnable entry points live in the
-repository's ``benchmarks/`` directory.
+Figure 10 code-size study; :mod:`repro.bench.cycles` measures the
+deterministic cycle sections ``BENCH_cycles.json`` holds and
+:mod:`repro.bench.compare` gates a run against that file (``python -m
+repro bench --compare``).  Host seconds are ``hostbench/``'s alone.
+The runnable entry points live in the repository's ``benchmarks/``
+directory.
 """
 
 from repro.bench.harness import (
@@ -25,20 +27,8 @@ from repro.bench.figures import (
     policy_stats,
     recompilation_stats,
 )
-from repro.bench.wallclock import (
-    check_gate,
-    format_wallclock,
-    load_wallclock_json,
-    run_wallclock,
-    write_wallclock_json,
-)
 
 __all__ = [
-    "check_gate",
-    "format_wallclock",
-    "load_wallclock_json",
-    "run_wallclock",
-    "write_wallclock_json",
     "BenchmarkRun",
     "SweepResult",
     "run_benchmark",

@@ -33,7 +33,7 @@ every generated statement is a transliteration of the corresponding
 if/elif arm, guards raise the same :class:`Bailout` with the same
 frame reconstruction, and cycles accumulate in locals folded into the
 executor's counters only on frame exit, so mid-run trace timestamps
-match too (``python -m repro bench --wallclock`` measures the
+match too (``python3 hostbench/run.py --report`` measures the
 wall-clock difference; the differential test suite proves stats,
 cycles, printed output and trace streams match).
 """

@@ -206,8 +206,8 @@ def run_fleet(
 
     ``cache_root=None`` with a caching mode uses a private temporary
     root, deleted afterwards — every run starts cold.  Pass an
-    existing root to measure warm-start behaviour (the wallclock
-    harness's ``serving`` section does exactly that).
+    existing root to measure warm-start behaviour (the cycle
+    bench's ``serving`` section does exactly that).
     """
     catalog = build_catalog(profile)
     schedule = generate_schedule(profile)

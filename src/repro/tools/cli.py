@@ -9,8 +9,8 @@ Subcommands::
     python -m repro annotate script.js --function f [--config all]
     python -m repro disasm script.js --function f [--config all]
     python -m repro bench --suite sunspider [--configs PS,PS+CP,all] [--jobs N] [--metrics]
-    python -m repro bench --wallclock [--repeats 3] [--output BENCH_wallclock.json]
-    python -m repro bench --compare BASELINE.json [--input NEW.json] [--report-only]
+    python -m repro bench --cycles [--sections background,serving] [--output BENCH_cycles.json]
+    python -m repro bench --compare BENCH_cycles.json [--input NEW.json] [--sections S] [--json-out f] [--report-only]
     python -m repro metrics workload [--interval N] [--prometheus f] [--jsonl f] [--json]
     python -m repro top workload [--interval N]
     python -m repro fuzz [--seed 0] [--iterations 100] [--matrix jit,chaos] [--corpus-dir DIR]
@@ -27,9 +27,10 @@ writing JSONL and Chrome ``trace_event`` files (see docs/TRACING.md);
 ``annotate`` interleaves a function's native disassembly with
 per-instruction execution counts, cycle shares and guard failures;
 ``disasm`` shows a function's optimized MIR and native code; ``bench``
-runs a suite sweep and prints its Figure 9 row — with ``--compare``
-it instead runs the bench regression sentinel against a stored
-baseline (docs/METRICS.md); ``metrics`` runs a workload with the
+runs a suite sweep and prints its Figure 9 row — with ``--cycles``
+it instead measures the deterministic cycle sections and with
+``--compare`` gates them against a stored baseline
+(docs/METRICS.md); ``metrics`` runs a workload with the
 deterministic metrics registry attached and exports Prometheus text
 or JSONL snapshots; ``top`` renders the same registry as a one-shot
 console dashboard; ``fuzz`` runs the
@@ -457,77 +458,47 @@ def cmd_disasm(args, out):
 
 
 def cmd_bench(args, out):
-    """``repro bench``: Figure 9 rows, ``--wallclock`` timing, or
-    ``--compare`` regression sentinel."""
+    """``repro bench``: Figure 9 rows, the ``--cycles`` sections, or
+    the ``--compare`` gate against a stored baseline."""
     from repro.bench.harness import format_figure9, run_suite_sweep
     from repro.workloads import ALL_SUITES
 
-    if args.compare:
+    if args.compare or args.cycles:
         import os
 
-        from repro.bench.compare import (
-            compare_results,
-            format_compare,
-            write_compare_json,
-        )
-        from repro.bench.wallclock import (
-            ALL_SECTIONS,
-            load_wallclock_json,
-            run_wallclock,
-        )
+        from repro.bench import cycles
+        from repro.bench.compare import compare_results, format_compare
 
-        if not os.path.exists(args.compare):
+        if args.compare and not os.path.exists(args.compare):
             raise SystemExit("no baseline at %s" % args.compare)
-        sections = ALL_SECTIONS
+        named = None
         if args.sections:
-            sections = tuple(
-                part.strip() for part in args.sections.split(",") if part.strip()
-            )
-            unknown = [part for part in sections if part not in ALL_SECTIONS]
-            if unknown:
-                raise SystemExit(
-                    "unknown sections %s; available: %s"
-                    % (", ".join(unknown), ", ".join(ALL_SECTIONS))
-                )
-        baseline = load_wallclock_json(args.compare)
+            try:
+                named = cycles.select_sections(args.sections)
+            except ValueError as error:
+                raise SystemExit(str(error))
         if args.input:
-            current = load_wallclock_json(args.input)
+            current = cycles.load_json(args.input)
         else:
-            current = run_wallclock(repeats=args.repeats, sections=sections)
-        report = compare_results(current, baseline, sections=sections)
+            current = cycles.run(named or cycles.SECTIONS)
+        if args.cycles:
+            out.write(cycles.format_cycles(current) + "\n")
+            if args.output:
+                cycles.write_json(current, args.output)
+                out.write("wrote %s\n" % args.output)
+        if not args.compare:
+            return 0
+        report = compare_results(current, cycles.load_json(args.compare), named)
         out.write(format_compare(report) + "\n")
         if args.json_out:
-            write_compare_json(report, args.json_out)
+            cycles.write_json(report, args.json_out)
             out.write("delta report written: %s\n" % args.json_out)
         if report["regressions"] and not args.report_only:
             return 1
         return 0
 
-    if args.wallclock:
-        from repro.bench.wallclock import (
-            format_wallclock,
-            run_wallclock,
-            write_wallclock_json,
-        )
-
-        if args.suite:
-            if args.suite not in ALL_SUITES:
-                raise SystemExit(
-                    "unknown suite %r; available: %s"
-                    % (args.suite, ", ".join(sorted(ALL_SUITES)))
-                )
-            suites = {args.suite: ALL_SUITES[args.suite]}
-        else:
-            suites = ALL_SUITES
-        results = run_wallclock(suites=suites, repeats=args.repeats)
-        out.write(format_wallclock(results) + "\n")
-        if args.output:
-            write_wallclock_json(results, args.output)
-            out.write("wrote %s\n" % args.output)
-        return 0
-
     if not args.suite:
-        raise SystemExit("--suite is required (or use --wallclock)")
+        raise SystemExit("--suite is required (or use --cycles / --compare)")
     if args.suite not in ALL_SUITES:
         raise SystemExit(
             "unknown suite %r; available: %s" % (args.suite, ", ".join(sorted(ALL_SUITES)))
@@ -920,23 +891,22 @@ def build_parser():
     disasm.set_defaults(handler=cmd_disasm)
 
     bench = sub.add_parser(
-        "bench", help="run a suite sweep (Figure 9 row) or --wallclock backend timing"
+        "bench",
+        help="run a suite sweep (Figure 9 row), or the --cycles sections "
+        "and the --compare gate",
     )
-    bench.add_argument("--suite", help="sunspider | v8 | kraken (default for --wallclock: all)")
+    bench.add_argument("--suite", help="suite sweep: sunspider | v8 | kraken | objects | churn")
     bench.add_argument("--configs", help="comma-separated config names (default: all 11)")
     bench.add_argument(
-        "--wallclock",
+        "--cycles",
         action="store_true",
-        help="compare executor backends in host seconds (docs/PERF.md)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="wallclock: best-of-N suite passes"
+        help="measure the deterministic cycle sections (docs/METRICS.md)",
     )
     bench.add_argument(
         "--output",
         metavar="PATH",
         default=None,
-        help="wallclock: write results JSON (e.g. BENCH_wallclock.json)",
+        help="--cycles: write results JSON (e.g. BENCH_cycles.json)",
     )
     bench.add_argument(
         "--jobs",
@@ -955,20 +925,19 @@ def build_parser():
         "--compare",
         metavar="BASELINE_JSON",
         default=None,
-        help="regression sentinel: diff a bench run against this baseline "
-        "(e.g. BENCH_wallclock.json) instead of sweeping",
+        help="the gate: judge the cycle sections against this baseline "
+        "(e.g. BENCH_cycles.json)",
     )
     bench.add_argument(
         "--input",
         metavar="PATH",
         default=None,
-        help="--compare: stored current results JSON (default: measure now)",
+        help="--cycles / --compare: stored results JSON (default: measure now)",
     )
     bench.add_argument(
         "--sections",
         default=None,
-        help="--compare: comma-separated subset of "
-        "backends,background,warm-cache,deoptless,serving",
+        help="--cycles / --compare: comma-separated section names (default: all)",
     )
     bench.add_argument(
         "--json-out",

@@ -153,6 +153,22 @@ WEBSITES = [
 ]
 
 
+def website_programs():
+    """One program per ``WEBSITES`` row: the deterministic page-load
+    workload of ``tools/cache_roundtrip.py``."""
+    return [
+        generate_website_program(
+            name,
+            num_functions,
+            polymorphic_fraction,
+            # Explicit seed: the generator's default derives from
+            # hash(name), which PYTHONHASHSEED randomizes per process.
+            seed=sum(ord(char) for char in name),
+        )
+        for name, num_functions, polymorphic_fraction in WEBSITES
+    ]
+
+
 def generate_website_program(name, num_functions=40, polymorphic_fraction=0.1, seed=None):
     """Build one runnable guest program imitating a website's JS.
 

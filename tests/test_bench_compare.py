@@ -1,63 +1,66 @@
-"""The bench regression sentinel (repro.bench.compare + the tools).
+"""The cycle baseline and its one gate (repro.bench.cycles / compare).
 
-The contract under test, straight from docs/METRICS.md: deterministic
-model cycles compare with **zero tolerance** — a planted 10% cycle
-regression is flagged while two runs of the same tree compare clean —
-host seconds get the widest band (15%), speedup ratios a 10% band,
+The contract under test, straight from docs/METRICS.md: everything in
+``BENCH_cycles.json`` is deterministic, so it compares with **zero
+tolerance** — a planted one-cycle regression is flagged while two runs
+of the same tree compare clean — ``rate`` rows read the other way,
+documented bounds and identity flags hold whatever the baseline says,
 and exact work counters are report-only.
 """
 
 import copy
-import importlib.util
 import io
 import json
 import os
 
 import pytest
 
-from repro.bench.compare import (
-    THRESHOLDS,
-    compare_results,
-    format_compare,
-    load_compare_json,
-    write_compare_json,
+from repro.bench import cycles
+from repro.bench.compare import compare_results, format_compare
+from repro.engine.runtime_engine import (
+    EXECUTOR_BACKENDS,
+    Engine,
+    resolve_executor_backend,
 )
 from repro.tools.cli import main as cli_main
 
+BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_cycles.json")
+
 
 def make_results():
-    """A minimal result dict in the BENCH_wallclock.json shape."""
+    """A minimal result dict in the BENCH_cycles.json shape."""
     return {
-        "protocol": {"repeats": 3},
-        "suites": {
-            "sunspider": {
-                "reference_seconds": 1.20,
-                "closure_seconds": 0.60,
-                "whole_seconds": 0.40,
-                "sim_instructions": 100000,
-                "closure_sips": 166666.0,
-                "speedup": 2.0,
-                "whole_speedup": 3.0,
-            }
-        },
-        "geomean_speedup": 2.0,
-        "geomean_whole_speedup": 3.0,
         "background_compile": {
             "suites": {
                 "sunspider": {
                     "sync_cycles": 1000000,
                     "background_cycles": 900000,
                     "cycle_ratio": 0.9,
-                }
+                },
+                "v8": {
+                    "sync_cycles": 500000,
+                    "background_cycles": 500000,
+                    "cycle_ratio": 1.0,
+                },
             },
             "geomean_cycle_ratio": 0.9,
         },
-        "warm_cache": {
-            "cold_seconds": 0.5,
-            "warm_seconds": 0.25,
-            "speedup": 2.0,
-            "disk_hits": 12,
-            "cycles_identical": True,
+        "deoptless": {
+            "suite": "churn",
+            "off_cycles": 2000,
+            "on_cycles": 1500,
+            "cycle_ratio": 0.75,
+            "off_invalidations": 46,
+            "on_invalidations": 0,
+            "invalidation_ratio": 0.0,
+            "deoptless_reentries": 21,
+            "deoptless_misses": 36,
+            "deoptless_generalized_compiles": 21,
+            "outputs_identical": True,
+            "backends_identical": True,
+            "benchmarks": {
+                "spec-churn": {"off_cycles": 2000, "on_cycles": 1500, "cycle_ratio": 0.75}
+            },
         },
         "serving": {
             "requests": 160,
@@ -78,17 +81,118 @@ def by_metric(report, metric):
     return [d for d in report["deltas"] if d["metric"] == metric]
 
 
-def statuses(report):
-    return {d["status"] for d in report["deltas"]}
+def failing(report):
+    """(section, metric, status) of every row that fails the gate."""
+    return [
+        (d["section"], d["metric"], d["status"])
+        for d in report["deltas"]
+        if d["status"] in ("regressed", "missing")
+    ]
 
 
-def _load_tool(name):
-    """Import a tools/*.py script as a module (they are not packages)."""
-    path = os.path.join(os.path.dirname(__file__), "..", "tools", name + ".py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def plant(results, section, path, value):
+    """A copy of ``results`` with ``value`` at dotted ``path`` (deleted if None)."""
+    planted = copy.deepcopy(results)
+    tree = planted[section]
+    *parents, leaf = path.split(".")
+    for part in parents:
+        tree = tree[part]
+    if value is None:
+        del tree[leaf]
+    else:
+        tree[leaf] = value
+    return planted
+
+
+@pytest.fixture(scope="module")
+def measured():
+    """The three sections measured once, with every Engine the bench
+    constructs recorded by backend."""
+    constructed = []
+
+    class RecordingEngine(Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            constructed.append(self.executor_backend)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "Engine", RecordingEngine)
+        return cycles.run(), constructed
+
+
+class TestCheckedInBaseline:
+    """ROADMAP's "every BENCH cycle section unchanged", mechanically."""
+
+    def test_this_tree_reproduces_the_checked_in_baseline(self, measured):
+        results, _ = measured
+        report = compare_results(results, cycles.load_json(BASELINE_PATH))
+        assert [d for d in report["deltas"] if d["status"] != "ok"] == []
+        assert {d["section"] for d in report["deltas"]} == {
+            section.name for section in cycles.SECTIONS
+        }
+
+    def test_baseline_holds_exactly_the_tables_sections(self):
+        baseline = cycles.load_json(BASELINE_PATH)
+        assert sorted(baseline) == sorted(section.key for section in cycles.SECTIONS)
+
+    def test_deoptless_section_runs_every_registered_backend(self, measured):
+        _, constructed = measured
+        assert set(constructed) == set(EXECUTOR_BACKENDS)
+
+    def test_divergent_reference_backend_flips_backends_identical(self, monkeypatch):
+        default = resolve_executor_backend()
+
+        class OffByOne(Engine):
+            def run_source(self, source):
+                output = super().run_source(source)
+                if self.executor_backend != default:
+                    self.stats.bailout_cycles += 1
+                return output
+
+        monkeypatch.setattr(cycles, "Engine", OffByOne)
+        section = cycles.measure_deoptless_cycles()
+        assert section["backends_identical"] is False
+        assert section["outputs_identical"] is True
+        report = compare_results({"deoptless": section}, cycles.load_json(BASELINE_PATH))
+        assert failing(report) == [("deoptless", "backends_identical", "regressed")]
+
+    def test_every_gated_row_catches_the_smallest_fault(self):
+        baseline = cycles.load_json(BASELINE_PATH)
+        for section in cycles.SECTIONS:
+            tree = baseline[section.key]
+            for path, kind, _ in cycles.expand_rows(section, tree):
+                if kind == "exact":
+                    continue
+                value = cycles.lookup(tree, path)
+                step = 1 if isinstance(value, int) else 0.00001
+                worse = {"cycles": value + step, "rate": value - step, "flag": False}[kind]
+                for fault, status in ((worse, "regressed"), (None, "missing")):
+                    report = compare_results(
+                        plant(baseline, section.key, path, fault), baseline
+                    )
+                    assert failing(report) == [(section.name, path, status)]
+
+    # The acceptance limits and the zero-baseline rises neither retired
+    # gate caught: each alone fails the gate and names its row.
+    @pytest.mark.parametrize(
+        "section, path, value",
+        [
+            ("deoptless", "cycle_ratio", 0.81),
+            ("deoptless", "invalidation_ratio", 0.4),
+            ("deoptless", "on_invalidations", 18),
+            ("serving", "warm_hit_rate", 0.89),
+            ("serving", "rejected", 7),
+            ("deoptless", "benchmarks", None),
+        ],
+    )
+    def test_each_planted_fault_fails_the_gate_and_names_the_row(
+        self, section, path, value
+    ):
+        baseline = cycles.load_json(BASELINE_PATH)
+        report = compare_results(plant(baseline, section, path, value), baseline)
+        assert report["status"] == "fail"
+        named = {metric for _, metric, _ in failing(report)}
+        assert named and all(metric.startswith(path) for metric in named)
 
 
 class TestClassification:
@@ -98,17 +202,12 @@ class TestClassification:
         assert report["regressions"] == 0
         assert report["improvements"] == 0
         assert report["changes"] == 0
-        assert statuses(report) == {"ok"}
+        assert {d["status"] for d in report["deltas"]} == {"ok"}
         assert {d["section"] for d in report["deltas"]} == {
-            "backends",
             "background",
-            "warm-cache",
+            "deoptless",
             "serving",
         }
-
-    def test_sips_metrics_are_not_diffed(self):
-        report = compare_results(make_results(), make_results())
-        assert not by_metric(report, "closure_sips")
 
     def test_planted_10pct_cycle_regression_is_flagged(self):
         current = make_results()
@@ -116,84 +215,80 @@ class TestClassification:
         row["background_cycles"] = int(row["background_cycles"] * 1.10)
         report = compare_results(current, make_results())
         assert report["status"] == "fail"
-        regressed = [d for d in report["deltas"] if d["status"] == "regressed"]
-        assert [(d["suite"], d["metric"]) for d in regressed] == [
-            ("sunspider", "background_cycles")
-        ]
-        assert regressed[0]["kind"] == "cycles"
-        assert regressed[0]["delta_pct"] == pytest.approx(10.0, abs=0.01)
-        assert regressed[0]["threshold_pct"] == 0.0
+        (regressed,) = [d for d in report["deltas"] if d["status"] == "regressed"]
+        assert regressed["metric"] == "suites.sunspider.background_cycles"
+        assert regressed["kind"] == "cycles"
+        assert regressed["delta_pct"] == pytest.approx(10.0, abs=0.01)
 
     def test_cycles_have_zero_tolerance(self):
         current = make_results()
         current["background_compile"]["suites"]["sunspider"]["sync_cycles"] += 1
         report = compare_results(current, make_results())
         assert report["regressions"] == 1  # a single cycle is a regression
-
-    def test_time_band_is_15_percent(self):
-        baseline = make_results()
-        within = make_results()
-        within["suites"]["sunspider"]["closure_seconds"] = 0.60 * 1.10
-        assert compare_results(within, baseline)["status"] == "pass"
-        over = make_results()
-        over["suites"]["sunspider"]["closure_seconds"] = 0.60 * 1.20
-        report = compare_results(over, baseline)
-        assert report["status"] == "fail"
-        (delta,) = [d for d in report["deltas"] if d["status"] == "regressed"]
-        assert delta["metric"] == "closure_seconds" and delta["kind"] == "time"
-        faster = make_results()
-        faster["suites"]["sunspider"]["closure_seconds"] = 0.60 * 0.80
-        report = compare_results(faster, baseline)
+        current["background_compile"]["suites"]["sunspider"]["sync_cycles"] -= 2
+        report = compare_results(current, make_results())
         assert report["status"] == "pass" and report["improvements"] == 1
+
+    def test_a_rise_from_a_zero_baseline_is_a_regression(self):
+        for metric, value in (("on_invalidations", 18), ("invalidation_ratio", 0.4)):
+            report = compare_results(
+                plant(make_results(), "deoptless", metric, value), make_results()
+            )
+            assert failing(report) == [("deoptless", metric, "regressed")]
+            assert by_metric(report, metric)[0]["delta_pct"] is None
 
     def test_ratio_direction_higher_is_better(self):
         baseline = make_results()
-        slower = make_results()
-        slower["suites"]["sunspider"]["speedup"] = 2.0 * 0.85  # -15% < -10%
-        report = compare_results(slower, baseline)
-        assert [d["status"] for d in by_metric(report, "speedup")
-                if d["section"] == "backends"] == ["regressed"]
-        better = make_results()
-        better["suites"]["sunspider"]["speedup"] = 2.0 * 1.20
-        report = compare_results(better, baseline)
-        assert [d["status"] for d in by_metric(report, "speedup")
-                if d["section"] == "backends"] == ["improved"]
+        report = compare_results(plant(baseline, "serving", "cold_hit_rate", 0.57), baseline)
+        assert [d["status"] for d in by_metric(report, "cold_hit_rate")] == ["regressed"]
+        report = compare_results(plant(baseline, "serving", "cold_hit_rate", 0.6), baseline)
+        assert [d["status"] for d in by_metric(report, "cold_hit_rate")] == ["improved"]
+        assert report["status"] == "pass"
 
     def test_exact_metrics_report_but_never_fail(self):
         current = make_results()
-        current["suites"]["sunspider"]["sim_instructions"] += 5000
+        current["deoptless"]["deoptless_misses"] += 5
         report = compare_results(current, make_results())
         assert report["status"] == "pass"
         assert report["changes"] == 1
-        (delta,) = by_metric(report, "sim_instructions")
-        assert delta["status"] == "changed" and delta["threshold_pct"] is None
+        (delta,) = by_metric(report, "deoptless_misses")
+        assert delta["status"] == "changed" and delta["kind"] == "exact"
 
     def test_metric_missing_from_current_is_a_regression(self):
         current = make_results()
-        del current["suites"]["sunspider"]["whole_speedup"]
+        del current["serving"]["total_latency_cycles"]
         report = compare_results(current, make_results())
         assert report["status"] == "fail"
-        (delta,) = by_metric(report, "whole_speedup")
+        (delta,) = by_metric(report, "total_latency_cycles")
         assert delta["status"] == "missing" and delta["current"] is None
 
-    def test_warm_cache_divergence_is_a_regression(self):
+    def test_missing_suite_fails_loudly(self):
         current = make_results()
-        current["warm_cache"]["cycles_identical"] = False
+        del current["background_compile"]["suites"]["v8"]
         report = compare_results(current, make_results())
-        assert report["status"] == "fail"
-        (delta,) = by_metric(report, "cycles_identical")
-        assert delta["status"] == "regressed"
+        assert {metric for _, metric, _ in failing(report)} == {
+            "suites.v8.sync_cycles",
+            "suites.v8.background_cycles",
+            "suites.v8.cycle_ratio",
+        }
 
-    def test_threshold_override_widens_the_band(self):
+    def test_new_suite_passes_trivially(self):
+        baseline = make_results()
+        del baseline["background_compile"]["suites"]["v8"]
+        report = compare_results(make_results(), baseline)
+        assert report["status"] == "pass" and report["changes"] == 3
+
+    def test_bounds_and_flags_hold_without_a_baseline_value(self):
         current = make_results()
-        current["suites"]["sunspider"]["closure_seconds"] = 0.60 * 1.20
-        assert compare_results(current, make_results())["status"] == "fail"
-        relaxed = compare_results(
-            current, make_results(), thresholds={"time": 0.50}
-        )
-        assert relaxed["status"] == "pass"
-        assert relaxed["thresholds"]["time"] == 0.50
-        assert relaxed["thresholds"]["cycles"] == THRESHOLDS["cycles"]
+        current["deoptless"]["cycle_ratio"] = 0.81
+        current["deoptless"]["outputs_identical"] = False
+        current["serving"]["warm_hit_rate"] = 0.89
+        report = compare_results(current, {})
+        assert failing(report) == [
+            ("deoptless", "cycle_ratio", "regressed"),
+            ("deoptless", "outputs_identical", "regressed"),
+            ("serving", "warm_hit_rate", "regressed"),
+        ]
 
     def test_planted_serving_latency_regression_is_flagged(self):
         current = make_results()
@@ -201,13 +296,8 @@ class TestClassification:
             current["serving"]["p99_latency_cycles"] * 1.05
         )
         report = compare_results(current, make_results())
-        assert report["status"] == "fail"
-        regressed = [d for d in report["deltas"] if d["status"] == "regressed"]
-        assert [(d["section"], d["metric"]) for d in regressed] == [
-            ("serving", "p99_latency_cycles")
-        ]
-        assert regressed[0]["kind"] == "cycles"
-        assert regressed[0]["threshold_pct"] == 0.0
+        assert failing(report) == [("serving", "p99_latency_cycles", "regressed")]
+        assert by_metric(report, "p99_latency_cycles")[0]["kind"] == "cycles"
 
     def test_serving_latencies_have_zero_tolerance(self):
         current = make_results()
@@ -216,21 +306,16 @@ class TestClassification:
 
     def test_serving_hit_rate_drop_is_a_ratio_regression(self):
         current = make_results()
-        current["serving"]["warm_hit_rate"] = 0.85  # -15% < the 10% band
+        current["serving"]["warm_hit_rate"] = 0.99  # above the floor, below the baseline
         report = compare_results(current, make_results())
-        assert report["status"] == "fail"
-        (delta,) = [d for d in report["deltas"] if d["status"] == "regressed"]
-        assert (delta["metric"], delta["kind"]) == ("warm_hit_rate", "ratio")
+        assert failing(report) == [("serving", "warm_hit_rate", "regressed")]
+        assert by_metric(report, "warm_hit_rate")[0]["kind"] == "rate"
 
     def test_serving_cold_warm_divergence_is_a_regression(self):
         current = make_results()
         current["serving"]["cycles_identical"] = False
         report = compare_results(current, make_results())
-        assert report["status"] == "fail"
-        regressed = [d for d in report["deltas"] if d["status"] == "regressed"]
-        assert [(d["section"], d["metric"]) for d in regressed] == [
-            ("serving", "cycles_identical")
-        ]
+        assert failing(report) == [("serving", "cycles_identical", "regressed")]
 
     def test_serving_request_counts_are_report_only(self):
         current = make_results()
@@ -242,16 +327,22 @@ class TestClassification:
 
     def test_sections_narrow_the_comparison(self):
         report = compare_results(
-            make_results(), make_results(), sections=("background",)
+            make_results(), make_results(), cycles.select_sections("background")
         )
         assert {d["section"] for d in report["deltas"]} == {"background"}
 
     def test_section_absent_from_current_is_skipped(self):
         current = make_results()
-        del current["warm_cache"]
+        del current["serving"]
         report = compare_results(current, make_results())
         assert report["status"] == "pass"
-        assert "warm-cache" not in {d["section"] for d in report["deltas"]}
+        assert "serving" not in {d["section"] for d in report["deltas"]}
+        # ...unless it was asked for by name: then its absence is loud.
+        report = compare_results(
+            current, make_results(), cycles.select_sections("serving")
+        )
+        assert report["status"] == "fail"
+        assert {status for _, _, status in failing(report)} == {"missing"}
 
 
 class TestFormatting:
@@ -263,127 +354,31 @@ class TestFormatting:
         report = compare_results(current, make_results())
         table = format_compare(report)
         assert "FAIL" in table and "background_cycles" in table
-        assert "closure_seconds" not in table  # ok rows hidden by default
-        assert "closure_seconds" in format_compare(report, verbose=True)
+        assert "p50_latency_cycles" not in table  # ok rows hidden by default
+        assert "p50_latency_cycles" in format_compare(report, verbose=True)
 
     def test_format_clean_report(self):
         table = format_compare(compare_results(make_results(), make_results()))
-        assert "PASS" in table and "within thresholds" in table
+        assert "PASS" in table and "equal to the baseline" in table
+
+    def test_cycles_report_lists_every_row_with_its_limit(self):
+        listing = cycles.format_cycles(make_results())
+        for section in cycles.SECTIONS:
+            assert section.title in listing
+        assert "suites.sunspider.sync_cycles" in listing
+        assert "(limit %s)" % cycles.DEOPTLESS_CYCLE_CEILING in listing
 
     def test_json_roundtrip(self, tmp_path):
-        report = compare_results(make_results(), make_results())
-        path = str(tmp_path / "delta.json")
-        write_compare_json(report, path)
-        assert load_compare_json(path) == report
-
-
-class TestSentinelTools:
-    """tools/bench_compare.py and tools/perf_gate.py --from-compare."""
-
-    @pytest.fixture
-    def files(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_results()))
-        regressed = make_results()
-        row = regressed["background_compile"]["suites"]["sunspider"]
-        row["background_cycles"] = int(row["background_cycles"] * 1.10)
-        bad = tmp_path / "regressed.json"
-        bad.write_text(json.dumps(regressed))
-        return str(baseline), str(bad), tmp_path
-
-    def test_clean_diff_exits_zero(self, files, capsys):
-        baseline, _, _ = files
-        tool = _load_tool("bench_compare")
-        assert tool.main(["--baseline", baseline, "--input", baseline]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_regression_exits_one_unless_report_only(self, files, capsys):
-        baseline, bad, tmp_path = files
-        tool = _load_tool("bench_compare")
-        delta = str(tmp_path / "bench-delta.json")
-        assert (
-            tool.main(
-                ["--baseline", baseline, "--input", bad, "--json-out", delta]
-            )
-            == 1
-        )
-        assert "FAIL" in capsys.readouterr().out
-        report = load_compare_json(delta)
-        assert report["status"] == "fail" and report["regressions"] == 1
-        assert (
-            tool.main(
-                ["--baseline", baseline, "--input", bad, "--report-only"]
-            )
-            == 0
-        )
-        capsys.readouterr()
-
-    def test_usage_errors_exit_two(self, files, capsys):
-        baseline, _, tmp_path = files
-        tool = _load_tool("bench_compare")
-        assert (
-            tool.main(
-                ["--baseline", baseline, "--input", baseline, "--sections", "nope"]
-            )
-            == 2
-        )
-        assert (
-            tool.main(
-                [
-                    "--baseline",
-                    baseline,
-                    "--input",
-                    baseline,
-                    "--threshold",
-                    "bogus=0.5",
-                ]
-            )
-            == 2
-        )
-        assert tool.main(["--baseline", str(tmp_path / "absent.json")]) == 2
-        capsys.readouterr()
-
-    def test_threshold_flag_widens_the_band(self, files, capsys):
-        baseline, _, tmp_path = files
-        slow = make_results()
-        slow["suites"]["sunspider"]["closure_seconds"] = 0.60 * 1.20
-        slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(slow))
-        tool = _load_tool("bench_compare")
-        argv = ["--baseline", baseline, "--input", str(slow_path)]
-        assert tool.main(argv) == 1
-        assert tool.main(argv + ["--threshold", "time=0.5"]) == 0
-        capsys.readouterr()
-
-    def test_perf_gate_consumes_the_delta_report(self, files, capsys):
-        baseline, bad, tmp_path = files
-        compare = _load_tool("bench_compare")
-        gate = _load_tool("perf_gate")
-        clean = str(tmp_path / "clean-delta.json")
-        broken = str(tmp_path / "broken-delta.json")
-        compare.main(
-            ["--baseline", baseline, "--input", baseline, "--json-out", clean]
-        )
-        compare.main(
-            [
-                "--baseline",
-                baseline,
-                "--input",
-                bad,
-                "--json-out",
-                broken,
-                "--report-only",
-            ]
-        )
-        capsys.readouterr()
-        assert gate.main(["--from-compare", clean]) == 0
-        assert "perf gate passed" in capsys.readouterr().out
-        assert gate.main(["--from-compare", broken]) == 1
-        assert "PERF GATE FAILED" in capsys.readouterr().out
+        for data in (make_results(), compare_results(make_results(), make_results())):
+            path = str(tmp_path / "data.json")
+            cycles.write_json(data, path)
+            assert cycles.load_json(path) == data
+            with open(path) as handle:
+                assert json.load(handle) == data
 
 
 class TestCompareCLI:
-    """``repro bench --compare`` — the sentinel inside the main CLI."""
+    """``repro bench --compare`` — the one front end of the gate."""
 
     def run_cli(self, argv):
         out = io.StringIO()
@@ -416,25 +411,31 @@ class TestCompareCLI:
         )
         assert code == 1
         assert "FAIL" in output and "background_cycles" in output
-        assert load_compare_json(delta)["regressions"] == 1
+        report = cycles.load_json(delta)
+        assert report["status"] == "fail" and report["regressions"] == 1
         code, _ = self.run_cli(
             ["bench", "--compare", baseline, "--input", bad, "--report-only"]
         )
         assert code == 0
+        code, output = self.run_cli(
+            ["bench", "--compare", baseline, "--input", bad, "--sections", "serving"]
+        )
+        assert code == 0 and "PASS" in output  # the regressed section is not compared
 
     def test_bad_inputs_raise_usage_errors(self, files):
         baseline, _, tmp_path = files
         with pytest.raises(SystemExit, match="no baseline"):
             self.run_cli(["bench", "--compare", str(tmp_path / "absent.json")])
-        with pytest.raises(SystemExit, match="unknown sections"):
-            self.run_cli(
-                [
-                    "bench",
-                    "--compare",
-                    baseline,
-                    "--input",
-                    baseline,
-                    "--sections",
-                    "nope",
-                ]
-            )
+        for flag in ("--compare", "--cycles"):
+            argv = ["bench", flag] + ([baseline] if flag == "--compare" else [])
+            with pytest.raises(SystemExit, match="unknown sections nope; available"):
+                self.run_cli(argv + ["--input", baseline, "--sections", "nope"])
+
+    def test_cycles_writes_the_results_file(self, files):
+        baseline, _, tmp_path = files
+        output_path = str(tmp_path / "out.json")
+        code, output = self.run_cli(
+            ["bench", "--cycles", "--input", baseline, "--output", output_path]
+        )
+        assert code == 0 and "suites.sunspider.sync_cycles" in output
+        assert cycles.load_json(output_path) == make_results()

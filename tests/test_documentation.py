@@ -337,7 +337,7 @@ def test_metrics_doc_collection_model_matches_the_engine_tables():
 def test_metrics_doc_names_the_contract_vocabulary():
     """The buckets, exporters and sentinel kinds are spelled exactly as
     the code spells them."""
-    from repro.bench.compare import THRESHOLDS
+    from repro.bench.cycles import SECTIONS
 
     text = _metrics_doc()
     assert "INSTALL_LATENCY_BUCKETS" in text
@@ -346,9 +346,11 @@ def test_metrics_doc_names_the_contract_vocabulary():
     assert "to_prometheus" in text
     assert "write_metrics_jsonl" in text
     assert "format_dashboard" in text
-    for kind in THRESHOLDS:
-        assert "`%s`" % kind in text, "sentinel kind %r undocumented" % kind
-    assert "--from-compare" in text
+    for section in SECTIONS:
+        assert "`%s`" % section.name in text, "section %r undocumented" % section.name
+        for row in section.rows:
+            assert "`%s`" % row[1] in text, "sentinel kind %r undocumented" % row[1]
+    assert "bench --compare BENCH_cycles.json" in text
     assert "bench-delta.json" in text
 
 
@@ -410,7 +412,7 @@ def test_deoptless_doc_matches_engine_defaults():
 def test_deoptless_doc_names_the_contract_vocabulary():
     """Counters, floors, kernels and the fuzz/chaos hooks are spelled
     exactly as the code spells them."""
-    from repro.bench.wallclock import (
+    from repro.bench.cycles import (
         DEOPTLESS_CYCLE_CEILING,
         DEOPTLESS_DISCARD_CEILING,
     )
@@ -501,7 +503,7 @@ def test_serving_doc_metric_table_matches_schema():
 def test_serving_doc_matches_admission_defaults():
     """The documented admission constants match the code."""
     from repro.serving.admission import DISPATCH_DELAY, QUEUE_CAPACITY
-    from repro.bench.wallclock import SERVING_QUEUE_CAPACITY, SERVING_WARM_HIT_FLOOR
+    from repro.bench.cycles import SERVING_QUEUE_CAPACITY, SERVING_WARM_HIT_FLOOR
 
     text = _serving_doc()
     assert "`DISPATCH_DELAY` (%d cycles)" % DISPATCH_DELAY in text
@@ -527,7 +529,7 @@ def test_serving_doc_names_the_contract_vocabulary():
         "merge_payloads",
         "measure_serving",
         "tools/serving_smoke.py",
-        "tools/bench_compare.py",
+        "repro bench --compare",
     ):
         assert name in text, "%r undocumented" % name
     for mode in ("`off`", "`tenant`", "`shared`"):
@@ -536,6 +538,40 @@ def test_serving_doc_names_the_contract_vocabulary():
         "p50_latency_cycles",
         "p99_latency_cycles",
         "warm_hit_rate",
+        "rejected",
         "cycles_identical",
     ):
         assert "`%s`" % field in text, "gate field %r undocumented" % field
+
+
+def test_documented_tools_and_cli_flags_exist():
+    """Every ``tools/*.py`` path and every ``python -m repro
+    <subcommand> --flag`` spelled in the living documents exists on
+    disk / is accepted by the CLI's parser (ROADMAP.md and CHANGES.md
+    are history and exempt)."""
+    import argparse
+    import glob
+    import os
+    import re
+
+    from repro.tools.cli import build_parser
+
+    root = os.path.join(os.path.dirname(repro.__file__), "..", "..")
+    documents = [os.path.join(root, name) for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    documents += sorted(glob.glob(os.path.join(root, "docs", "*.md")))
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for document in documents:
+        with open(document) as handle:
+            text = handle.read().replace("\\\n", " ")
+        where = os.path.basename(document)
+        for tool in re.findall(r"(?<![\w/.])tools/\w+\.py", text):
+            assert os.path.exists(os.path.join(root, tool)), "%s names %s" % (where, tool)
+        for subcommand, rest in re.findall(r"python -m repro (\w+)([^\n`#]*)", text):
+            assert subcommand in subparsers.choices, "%s: repro %s" % (where, subcommand)
+            accepted = subparsers.choices[subcommand]._option_string_actions
+            for flag in re.findall(r"(?<![\w-])--[\w-]+", rest):
+                assert flag in accepted, "%s: repro %s %s" % (where, subcommand, flag)

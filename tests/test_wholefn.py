@@ -10,7 +10,7 @@ trips through the persistent cache under the byte-exact trust rule.
 
 The three-way sweep below runs **every** benchmark of every suite
 through all three backends; this is the acceptance check behind
-BENCH_wallclock.json's ``whole_speedup`` rows being comparable at all.
+hostbench's per-backend seconds being comparable at all.
 """
 
 import gc

@@ -90,9 +90,9 @@ def run_phase(cache_dir, backend, phase, history):
     the cache counters and the front-half call counts of the cached
     runs; consumed by :func:`main` in check mode.
     """
-    from repro.bench.wallclock import _web_programs
     from repro.cache import DiskCodeCache
     from repro.engine.runtime_engine import Engine
+    from repro.workloads.web import website_programs
 
     if history:
         from repro.jsvm.bytecode import CodeObject
@@ -108,7 +108,7 @@ def run_phase(cache_dir, backend, phase, history):
         # phases so the ledgers compare.
         CodeObject._next_id = 1
     else:
-        sources = _web_programs()
+        sources = website_programs()
     cache = DiskCodeCache(root=cache_dir)
     front_half = count_front_half_calls()  # after the --history warm-up runs
     output = []
