@@ -43,6 +43,7 @@ from repro.errors import (
     JSSyntaxError,
     JSTypeError,
     NotCompilable,
+    OwnerDropped,
     ReproError,
 )
 
@@ -67,5 +68,6 @@ __all__ = [
     "JSRangeError",
     "CompilerError",
     "NotCompilable",
+    "OwnerDropped",
     "__version__",
 ]

@@ -264,6 +264,45 @@ _FROZEN_UNDEFINED = ("u",)
 _FROZEN_NULL = ("z",)
 
 
+def _freeze_code(code, base, seen):
+    """One code object (and, recursively, its nested ones) as plain data."""
+    offset = code.code_id - base
+    seen.append(offset)
+    instructions = code.instructions
+    args = [instr.arg for instr in instructions]
+    if not {int, type(None)}.issuperset(map(type, args)):
+        raise Uncacheable("operand of %s is not a plain int" % code.name)
+    pool = []
+    for constant in code.constants:
+        kind = type(constant)
+        if kind is CodeObject:
+            constant = _freeze_code(constant, base, seen)
+        elif constant is UNDEFINED:
+            constant = _FROZEN_UNDEFINED
+        elif constant is NULL:
+            constant = _FROZEN_NULL
+        elif kind not in _PRIMITIVES:
+            raise Uncacheable("constant %r of %s" % (constant, code.name))
+        pool.append(constant)
+    return (
+        code.name,
+        code.params,
+        code.local_names,
+        code.cell_names,
+        code.free_names,
+        code.names,
+        code.uses_this,
+        code.is_script,
+        code.self_name,
+        code.loops_rotated,
+        offset,
+        [instr.op for instr in instructions],
+        args,
+        [instr.line for instr in instructions],
+        pool,
+    )
+
+
 def freeze_program(root):
     """Encode the sealed code tree under ``root`` as a program artifact.
 
@@ -275,47 +314,8 @@ def freeze_program(root):
     :class:`Uncacheable` for a tree the encoding would not bring back
     exactly (hand-built operands, ids that are not one block).
     """
-    base = root.code_id
     seen = []
-
-    def freeze(code):
-        offset = code.code_id - base
-        seen.append(offset)
-        instructions = code.instructions
-        args = [instr.arg for instr in instructions]
-        if not {int, type(None)}.issuperset(map(type, args)):
-            raise Uncacheable("operand of %s is not a plain int" % code.name)
-        pool = []
-        for constant in code.constants:
-            kind = type(constant)
-            if kind is CodeObject:
-                constant = freeze(constant)
-            elif constant is UNDEFINED:
-                constant = _FROZEN_UNDEFINED
-            elif constant is NULL:
-                constant = _FROZEN_NULL
-            elif kind not in _PRIMITIVES:
-                raise Uncacheable("constant %r of %s" % (constant, code.name))
-            pool.append(constant)
-        return (
-            code.name,
-            code.params,
-            code.local_names,
-            code.cell_names,
-            code.free_names,
-            code.names,
-            code.uses_this,
-            code.is_script,
-            code.self_name,
-            code.loops_rotated,
-            offset,
-            [instr.op for instr in instructions],
-            args,
-            [instr.line for instr in instructions],
-            pool,
-        )
-
-    tree = freeze(root)
+    tree = _freeze_code(root, root.code_id, seen)
     if sorted(seen) != list(range(len(seen))):
         raise Uncacheable("code ids of %s are not one compile's" % root.name)
     # Deflated: the streams are one small object per instruction, which
@@ -325,6 +325,54 @@ def freeze_program(root):
         "ids": len(seen),
         "code": zlib.compress(marshal.dumps(tree), 1),
     }
+
+
+def _thaw_code(fields, base, seen):
+    """One code object (and, recursively, its nested ones) of a program."""
+    (
+        name,
+        params,
+        local_names,
+        cell_names,
+        free_names,
+        names,
+        uses_this,
+        is_script,
+        self_name,
+        loops_rotated,
+        offset,
+        ops,
+        args,
+        lines,
+        pool,
+    ) = fields
+    if not len(ops) == len(args) == len(lines):
+        raise ValueError("ragged instruction streams")
+    code = CodeObject(name, params)
+    code.local_names = local_names
+    code.cell_names = cell_names
+    code.free_names = free_names
+    code.constants = [
+        constant
+        if type(constant) is not tuple
+        else UNDEFINED
+        if constant == _FROZEN_UNDEFINED
+        else NULL
+        if constant == _FROZEN_NULL
+        else _thaw_code(constant, base, seen)
+        for constant in pool
+    ]
+    code.names = names
+    code.instructions = list(map(Instr, ops, args, lines))
+    code.uses_this = uses_this
+    code.is_script = is_script
+    code.self_name = self_name
+    code.loops_rotated = loops_rotated
+    code.seal()
+    seen.append(offset)
+    code.code_id = base + offset
+    code.validate()
+    return code
 
 
 def thaw_program(artifact):
@@ -340,55 +388,8 @@ def thaw_program(artifact):
     base = CodeObject._next_id
     id_count = artifact["ids"]
     seen = []
-
-    def thaw(fields):
-        (
-            name,
-            params,
-            local_names,
-            cell_names,
-            free_names,
-            names,
-            uses_this,
-            is_script,
-            self_name,
-            loops_rotated,
-            offset,
-            ops,
-            args,
-            lines,
-            pool,
-        ) = fields
-        if not len(ops) == len(args) == len(lines):
-            raise ValueError("ragged instruction streams")
-        code = CodeObject(name, params)
-        code.local_names = local_names
-        code.cell_names = cell_names
-        code.free_names = free_names
-        code.constants = [
-            constant
-            if type(constant) is not tuple
-            else UNDEFINED
-            if constant == _FROZEN_UNDEFINED
-            else NULL
-            if constant == _FROZEN_NULL
-            else thaw(constant)
-            for constant in pool
-        ]
-        code.names = names
-        code.instructions = list(map(Instr, ops, args, lines))
-        code.uses_this = uses_this
-        code.is_script = is_script
-        code.self_name = self_name
-        code.loops_rotated = loops_rotated
-        code.seal()
-        seen.append(offset)
-        code.code_id = base + offset
-        code.validate()
-        return code
-
     try:
-        root = thaw(marshal.loads(zlib.decompress(artifact["code"])))
+        root = _thaw_code(marshal.loads(zlib.decompress(artifact["code"])), base, seen)
         if sorted(seen) != list(range(id_count)):
             raise ValueError("code ids are not one compile's")
     except BaseException:

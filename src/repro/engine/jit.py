@@ -73,10 +73,17 @@ def compile_function(
         generic=generic,
         shape_guards=shape_guards,
     )
-    work = optimize(
-        graph, config, loop_inversion_applied=config.loop_inversion, tracer=tracer
-    )
-    native, codegen_stats = generate_native(graph)
+    try:
+        work = optimize(
+            graph, config, loop_inversion_applied=config.loop_inversion, tracer=tracer
+        )
+        native, codegen_stats = generate_native(graph)
+        mir_instructions = graph.num_instructions()
+    finally:
+        # The graph is this compile's temporary: unlinked here, it is
+        # freed by reference count instead of waiting for a collection.
+        if not keep_graph:
+            graph.release()
     # Stamp the IC snapshot the compile consumed: the engine compares
     # it against the live IC on a shape-retrain to detect recompiles
     # that would reproduce the binary bit-identically (retrain_noop,
@@ -92,5 +99,5 @@ def compile_function(
         work,
         codegen_stats,
         graph if keep_graph else None,
-        mir_instructions=graph.num_instructions(),
+        mir_instructions=mir_instructions,
     )

@@ -20,6 +20,7 @@ recompiles without type speculation.
 """
 
 import os
+import weakref
 
 from repro.cache.disk import program_key
 from repro.engine.bailout import describe_bailout
@@ -118,6 +119,7 @@ class FunctionState(object):
         "deoptless_misses",
         "miss_keys",
         "last_call",
+        "__weakref__",
     )
 
     def __init__(self, code):
@@ -260,6 +262,28 @@ _MIRRORED_METRICS = (
 )
 
 
+def _unowned(method):
+    """Bound ``method`` as a callable that does not own its object.
+
+    A tracer or a metrics registry is handed to the engine and outlives
+    it in its owner's hands; given ``engine.trace_clock`` itself it
+    would own the engine back, and neither would be freed without a
+    collection.  Once the engine is gone a call is its last answer: the
+    clock stands still and the collector refreshes nothing, so the
+    registry reads (``collect``, ``finalize``) as the engine left it.
+    """
+    method = weakref.WeakMethod(method)
+    last = [0]
+
+    def call():
+        bound = method()
+        if bound is not None:
+            last[0] = bound()
+        return last[0]
+
+    return call
+
+
 class Engine(object):
     """The orchestrator the interpreter consults (Figure 5)."""
 
@@ -321,7 +345,7 @@ class Engine(object):
         if fault_injector is not None:
             self.executor.fault_injector = fault_injector
         if tracer is not None:
-            tracer.bind_clock(self.trace_clock)
+            tracer.bind_clock(_unowned(self.trace_clock))
         #: True when nothing watches the call path — no tracer, cycle
         #: profiler or fault injector (all fixed at construction) — so a
         #: warm call may go straight from ``try_native_call`` to the
@@ -366,8 +390,8 @@ class Engine(object):
         #: engine state at every snapshot (docs/METRICS.md).
         self.metrics = metrics
         if metrics is not None:
-            metrics.bind_clock(self.trace_clock)
-            metrics.collectors.append(self._collect_metrics)
+            metrics.bind_clock(_unowned(self.trace_clock))
+            metrics.collectors.append(_unowned(self._collect_metrics))
         #: Deoptless recovery (docs/DEOPTLESS.md): keep every compiled
         #: sibling in the per-function dispatch table and, on a guard
         #: precondition miss, dispatch into a compatible sibling (via

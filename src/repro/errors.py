@@ -43,3 +43,21 @@ class NotCompilable(ReproError):
     enclosing locals are interpreter-only in this reproduction (see
     DESIGN.md, "Honest limits").
     """
+
+
+class OwnerDropped(ReproError):
+    """A part was used after the object that owns it was freed.
+
+    Ownership runs one way (``Engine`` → ``Interpreter`` → ``Runtime``)
+    and the pointers back up are non-owning (docs/PERF.md, "Memory and
+    lifetime").  An interpreter kept after its engine was dropped has
+    lost its JIT and its ledger: running it raises this, naming the
+    dropped owner, rather than quietly interpreting on another tier.
+    """
+
+    def __init__(self, owner, part):
+        self.owner = owner
+        super().__init__(
+            "the %s that owned this %s has been dropped; keep a reference to it "
+            "for as long as the %s runs" % (owner, part, part)
+        )

@@ -70,6 +70,7 @@ class TypeFeedback(object):
         "shape_ics",
         "_seen_calls",
         "_seen_count",
+        "__weakref__",
     )
 
     def __init__(self, num_params):

@@ -19,8 +19,9 @@ guard's resume point and the interpreter continues from there.
 """
 
 import sys
+import weakref
 
-from repro.errors import CompilerError, JSRangeError, JSTypeError
+from repro.errors import CompilerError, JSRangeError, JSTypeError, OwnerDropped
 from repro.jsvm import operations
 from repro.jsvm.bytecode import Cell, Op
 from repro.jsvm.bytecompiler import compile_source
@@ -84,8 +85,13 @@ class Interpreter(object):
         self, runtime=None, engine=None, profiler=None, tracer=None, cycle_profiler=None
     ):
         self.runtime = runtime if runtime is not None else Runtime()
-        self.runtime.interpreter = self
-        self.engine = engine
+        self.runtime.adopted_by(self)
+        #: Weak reference to the engine that owns this interpreter, or
+        #: None for an engine-less (reference) interpreter.  The engine
+        #: holds the interpreter, never the reverse, so a finished
+        #: engine is freed by reference count; the hooks dereference it
+        #: per use and a dead one is :class:`OwnerDropped`.
+        self._engine = None if engine is None else weakref.ref(engine)
         self.profiler = profiler
         #: Optional JIT event tracer (see repro.telemetry.tracing); the
         #: engine assigns its own tracer here so the ``interp`` channel
@@ -154,7 +160,10 @@ class Interpreter(object):
         """Call a guest function, giving the JIT first refusal."""
         if not self._plain_calls:
             return self._call_function_hooked(function, this_value, args)
-        handled, result = self.engine.try_native_call(function, this_value, args)
+        engine = self._engine()
+        if engine is None:
+            raise OwnerDropped("Engine", "Interpreter")
+        handled, result = engine.try_native_call(function, this_value, args)
         if handled:
             return result
         return self.execute(self.build_frame(function, this_value, args))
@@ -179,8 +188,11 @@ class Interpreter(object):
             # so every cycle of this call lands on the callee's node.
             cycle_profiler.enter_call(function.code)
         try:
-            if self.engine is not None:
-                handled, result = self.engine.try_native_call(function, this_value, args)
+            if self._engine is not None:
+                engine = self._engine()
+                if engine is None:
+                    raise OwnerDropped("Engine", "Interpreter")
+                handled, result = engine.try_native_call(function, this_value, args)
                 if handled:
                     return result
             frame = self.build_frame(function, this_value, args)
@@ -276,13 +288,16 @@ class Interpreter(object):
         Top-level scripts (``frame.function is None``) participate too:
         IonMonkey compiles hot global code the same way.
         """
-        if self.engine is None:
+        if self._engine is None:
             return None
         if stack:
             # Loop headers always have an empty expression stack in the
             # bytecode our compiler emits; OSR relies on this.
             return None
-        return self.engine.on_backedge(self, frame, target)
+        engine = self._engine()
+        if engine is None:
+            raise OwnerDropped("Engine", "Interpreter")
+        return engine.on_backedge(self, frame, target)
 
     # -- helpers ------------------------------------------------------------------
 

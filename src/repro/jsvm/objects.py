@@ -21,6 +21,8 @@ process holds — which makes ids safe to embed in persisted binaries and
 compare in stats.
 """
 
+import weakref
+
 from repro.jsvm.values import UNDEFINED, normalize_number
 from repro.errors import JSRangeError
 
@@ -40,13 +42,17 @@ class Shape(object):
     a direct index into the object's slot vector.
     """
 
-    __slots__ = ("tree", "shape_id", "names", "transitions", "deletions", "_offsets")
+    __slots__ = (
+        "ids", "shape_id", "names", "transitions", "deletions", "_offsets", "__weakref__"
+    )
 
-    def __init__(self, tree, shape_id, names):
-        #: The :class:`ShapeTree` that issued this shape; transitions
-        #: out of it allocate their ids there.
-        self.tree = tree
-        self.shape_id = shape_id
+    def __init__(self, ids, names):
+        #: The :class:`ShapeIds` of the tree this shape belongs to;
+        #: transitions out of it allocate their ids there.  It owns no
+        #: shape, so the pointer pins nothing: a shape is owned by its
+        #: parent's transition table, the root by the tree.
+        self.ids = ids
+        self.shape_id = ids.register(self)
         self.names = names
         self.transitions = {}
         self.deletions = {}
@@ -65,52 +71,76 @@ class Shape(object):
             }
         return offsets.get(name)
 
+    def transition_add(self, name):
+        """The child shape after adding ``name``; created on demand."""
+        child = self.transitions.get(name)
+        if child is None:
+            child = self.transitions[name] = Shape(self.ids, self.names + (name,))
+        return child
+
+    def transition_delete(self, name):
+        """The child shape after deleting ``name``; created on demand."""
+        child = self.deletions.get(name)
+        if child is None:
+            names = tuple(n for n in self.names if n != name)
+            child = self.deletions[name] = Shape(self.ids, names)
+        return child
+
     def __repr__(self):
         return "<Shape %d {%s}>" % (self.shape_id, ", ".join(self.names))
 
 
-class ShapeTree(object):
-    """One runtime's transition tree; owns deterministic id numbering.
+class ShapeIds(object):
+    """One tree's deterministic id numbering, shared by all its shapes.
 
-    Ids count up from the root's 0 in creation order.  Because guest
-    programs create properties deterministically, the numbering is a
-    pure function of the executed guest code — the property that lets
-    shape ids round-trip through the persistent code cache and stay
-    bit-identical across backends.  Every :class:`Shape` points back at
-    the tree that issued it, so an id is only ever resolved in the id
-    space it was allocated from.
+    Ids count up from the root's 0 in creation order.  ``by_id`` is
+    every live shape keyed by id — the JIT resolves the ids recorded in
+    inline caches back to layouts at codegen time
+    (:func:`common_slot_offset`) — and holds its shapes *weakly*:
+    every shape points here, so a strong table would make each shape
+    part of a reference cycle and leave a finished runtime's tree to the
+    cycle collector.
     """
 
-    __slots__ = ("root", "next_id", "by_id")
+    __slots__ = ("next_id", "by_id")
 
     def __init__(self):
-        self.root = Shape(self, 0, ())
-        self.next_id = 1
-        #: Every shape ever created, keyed by id: the JIT resolves the
-        #: ids recorded in inline caches back to layouts at codegen
-        #: time (:func:`common_slot_offset`).
-        self.by_id = {0: self.root}
+        self.next_id = 0
+        self.by_id = weakref.WeakValueDictionary()
 
-    def transition_add(self, shape, name):
-        """The child shape after adding ``name``; created on demand."""
-        child = shape.transitions.get(name)
-        if child is None:
-            child = Shape(self, self.next_id, shape.names + (name,))
-            self.by_id[child.shape_id] = child
-            self.next_id += 1
-            shape.transitions[name] = child
-        return child
+    def register(self, shape):
+        """Issue the next id to ``shape``."""
+        shape_id = self.next_id
+        self.next_id = shape_id + 1
+        self.by_id[shape_id] = shape
+        return shape_id
 
-    def transition_delete(self, shape, name):
-        """The child shape after deleting ``name``; created on demand."""
-        child = shape.deletions.get(name)
-        if child is None:
-            names = tuple(n for n in shape.names if n != name)
-            child = Shape(self, self.next_id, names)
-            self.by_id[child.shape_id] = child
-            self.next_id += 1
-            shape.deletions[name] = child
-        return child
+
+class ShapeTree(object):
+    """One runtime's transition tree: the root, and the id numbering.
+
+    Because guest programs create properties deterministically, the
+    numbering is a pure function of the executed guest code — the
+    property that lets shape ids round-trip through the persistent code
+    cache and stay bit-identical across backends.  The tree owns the
+    root, each shape owns its children, and every :class:`Shape` shares
+    the tree's :class:`ShapeIds`, so an id is only ever resolved in the
+    id space it was allocated from.
+    """
+
+    __slots__ = ("root", "ids", "__weakref__")
+
+    def __init__(self):
+        self.ids = ShapeIds()
+        self.root = Shape(self.ids, ())
+
+    @property
+    def next_id(self):
+        return self.ids.next_id
+
+    @property
+    def by_id(self):
+        return self.ids.by_id
 
 
 def common_slot_offset(tree, shape_ids, name):
@@ -189,7 +219,7 @@ class JSObject(object):
         shape = self.shape
         offset = shape.offset_of(name)
         if offset is None:
-            self.shape = shape.tree.transition_add(shape, name)
+            self.shape = shape.transition_add(name)
             self.slots.append(value)
         else:
             self.slots[offset] = value
@@ -204,7 +234,7 @@ class JSObject(object):
         offset = shape.offset_of(name)
         if offset is not None:
             del self.slots[offset]
-            self.shape = shape.tree.transition_delete(shape, name)
+            self.shape = shape.transition_delete(name)
 
     def __repr__(self):
         inner = ", ".join(

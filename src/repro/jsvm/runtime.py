@@ -12,8 +12,9 @@ specialized constants.
 """
 
 import math
+import weakref
 
-from repro.errors import JSRangeError, JSTypeError
+from repro.errors import JSRangeError, JSTypeError, OwnerDropped
 from repro.jsvm.objects import JSArray, JSObject, ShapeTree
 from repro.jsvm.values import (
     NULL,
@@ -72,6 +73,11 @@ class Runtime(object):
         self.string_methods = {}
         self.array_methods = {}
         self.number_methods = {}
+        #: At most one weak reference: the interpreter that adopted this
+        #: runtime.  It owns the runtime, not the reverse; the builtins
+        #: that call back into guest code (``Array.prototype.sort``)
+        #: share this list instead of capturing the runtime.
+        self._adopter = []
         self._install_globals()
         self._install_string_methods()
         self._install_array_methods()
@@ -84,9 +90,10 @@ class Runtime(object):
 
     def _install_globals(self):
         root = self.shapes.root
+        printed = self.printed
 
         def js_print(_this, args):
-            self.printed.append(" ".join(to_js_string(a) for a in args))
+            printed.append(" ".join(to_js_string(a) for a in args))
             return UNDEFINED
 
         self.globals["print"] = self._native("print", js_print)
@@ -363,6 +370,7 @@ class Runtime(object):
     def _install_array_methods(self):
         methods = self.array_methods
         root = self.shapes.root
+        adopter = self._adopter
 
         def push(this, args):
             array = _check_array_this(this, "push")
@@ -433,9 +441,11 @@ class Runtime(object):
             else:
                 import functools
 
-                interpreter = self.interpreter
-                if interpreter is None:
+                if not adopter:
                     raise JSTypeError("sort with comparator requires an interpreter")
+                interpreter = adopter[0]()
+                if interpreter is None:
+                    raise OwnerDropped("Interpreter", "Runtime")
 
                 def compare(a, b):
                     result = to_number(interpreter.call_value(comparator, UNDEFINED, [a, b]))
@@ -483,9 +493,10 @@ class Runtime(object):
         self.number_methods["toString"] = self._native("toString", to_string, foldable=True)
         self.number_methods["toFixed"] = self._native("toFixed", to_fixed, foldable=True)
 
-    #: Set by the interpreter when it adopts this runtime, so builtins
-    #: that call back into guest code (Array.prototype.sort) work.
-    interpreter = None
+    def adopted_by(self, interpreter):
+        """Called by the interpreter that adopts this runtime, so builtins
+        that call back into guest code (Array.prototype.sort) work."""
+        self._adopter[:] = [weakref.ref(interpreter)]
 
     # -- global access ----------------------------------------------------------
 

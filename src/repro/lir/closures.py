@@ -615,7 +615,8 @@ def compile_closures(native, executor, capture=None):
         capture["module_code"] = module_code
     exec(module_code, namespace)
     for leader in leaders:
-        handlers[leader] = namespace["_b%d" % leader]
+        # Taken out of the module's globals: see ``compile_whole``.
+        handlers[leader] = namespace.pop("_b%d" % leader)
     return handlers, counts, sums, prefix
 
 

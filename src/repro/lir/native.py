@@ -10,6 +10,8 @@ values.
 the paper's Figure 10.
 """
 
+import copy
+
 from repro.errors import CompilerError
 from repro.lir.lir_nodes import LInstruction
 from repro.lir.regalloc import NUM_REGS, allocate_registers
@@ -164,6 +166,16 @@ class NativeCode(object):
         self._cost_table = table
         self._cost_table_model = cost_model
         return table
+
+    def without_caches(self):
+        """A copy sharing everything but the executors' translations.
+
+        Those refer to the executor, and through it to a whole engine;
+        the copy is the binary as data (the profiler's record of it).
+        """
+        twin = copy.copy(self)
+        twin.closure_cache = twin.whole_cache = None
+        return twin
 
     @property
     def size(self):

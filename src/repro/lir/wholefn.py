@@ -1674,7 +1674,9 @@ def compile_whole(native, executor, profiled=False, capture=None, roots=None):
         capture["source"] = source
         capture["module_code"] = module_code
     exec(module_code, namespace)
-    return namespace["_w"], counts, sums, prefix
+    # Taken out, not read: ``_w`` never names itself, and left in, the
+    # module's globals would hold the function whose globals they are.
+    return namespace.pop("_w"), counts, sums, prefix
 
 
 def whole_artifact(native, executor):

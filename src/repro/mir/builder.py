@@ -654,4 +654,10 @@ def build_mir(
         generic=generic,
         shape_guards=shape_guards,
     )
-    return builder.build()
+    try:
+        return builder.build()
+    except NotCompilable:
+        # A refusal leaves a half-built graph nobody is handed: unlinked
+        # here, it is freed by reference count like a finished compile's.
+        builder.graph.release()
+        raise

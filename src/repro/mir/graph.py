@@ -14,7 +14,9 @@ from repro.mir.instructions import MPhi
 class MBasicBlock(object):
     """One basic block: phis, body instructions, and a terminator."""
 
-    __slots__ = ("id", "graph", "phis", "instructions", "predecessors", "loop_depth")
+    __slots__ = (
+        "id", "graph", "phis", "instructions", "predecessors", "loop_depth", "__weakref__"
+    )
 
     def __init__(self, graph, block_id):
         self.graph = graph
@@ -104,6 +106,9 @@ class MIRGraph(object):
         self.specialized = False
         #: Argument values baked in by specialization (for the cache).
         self.specialized_args = None
+        #: Callee graphs the inliner built for this one, spliced in or
+        #: rejected: this graph's to release.
+        self.callee_graphs = []
 
     # -- construction ----------------------------------------------------------
 
@@ -203,6 +208,32 @@ class MIRGraph(object):
             if changed:
                 reachable = self.reachable_blocks()
         return removed
+
+    def release(self):
+        """Unlink the graph so that reference counting frees it.
+
+        A MIR graph is reference cycles all through — definition and
+        use, block and instruction, block and graph, the edges of every
+        loop — so dropping the last reference to one frees nothing until
+        the cycle collector runs.  This cuts each kind of cycle once:
+        the use lists (leaving operands, which point only backwards
+        except through phis), the phis' operands, and each block's
+        lists; also in the callee graphs built on the way.  The graph is
+        not usable afterwards.
+        """
+        for callee in self.callee_graphs:
+            callee.release()
+        for block in self.blocks:
+            for phi in block.phis:
+                phi.operands.clear()
+                phi.uses.clear()
+            for instruction in block.instructions:
+                instruction.uses.clear()
+            block.phis.clear()
+            block.instructions.clear()
+            block.predecessors.clear()
+        self.blocks.clear()
+        self.entry = self.osr_entry = None
 
     def verify_no_dangling(self):
         """Debug helper: check operand/use symmetry across the graph."""

@@ -44,7 +44,7 @@ class ResumePoint(object):
     MODE_AT = "at"
     MODE_AFTER = "after"
 
-    __slots__ = ("pc", "mode", "operands", "num_args", "num_locals", "instruction")
+    __slots__ = ("pc", "mode", "operands", "num_args", "num_locals")
 
     def __init__(self, pc, mode, args, locals_, stack):
         self.pc = pc
@@ -53,7 +53,6 @@ class ResumePoint(object):
         self.operands = operands
         self.num_args = len(args)
         self.num_locals = len(locals_)
-        self.instruction = None
         # Inlined add_use: this runs for every live value at every
         # resume point, the hottest loop of MIR graph construction.
         index = 0
@@ -150,8 +149,6 @@ class MDefinition(object):
 
     def attach_resume_point(self, resume_point):
         self.resume_point = resume_point
-        if resume_point is not None:
-            resume_point.instruction = self
 
     def release_operands(self):
         """Drop operand uses and the resume point (before removal)."""

@@ -16,29 +16,34 @@ from repro.mir.instructions import MBinaryV
 from repro.opts.dominators import DominatorTree
 
 
+def _visit(block, scope, tree):
+    """Number ``block`` under ``scope``, then its dominator-tree children.
+
+    Module-level, not a closure inside :func:`run_gvn`: a nested
+    function that calls itself is a reference cycle (function -> cell ->
+    function) that would pin the dominator tree and the graph.
+    """
+    merged = 0
+    local = dict(scope)
+    for instruction in list(block.instructions):
+        if isinstance(instruction, MBinaryV) and instruction.op == Op.IN:
+            continue  # reads the heap; not congruent across stores
+        key = instruction.congruence_key()
+        if key is None:
+            continue
+        existing = local.get(key)
+        if existing is not None:
+            instruction.replace_all_uses_with(existing)
+            block.remove_instruction(instruction)
+            merged += 1
+        else:
+            local[key] = instruction
+    for child in tree.dominator_tree_children(block):
+        merged += _visit(child, local, tree)
+    return merged
+
+
 def run_gvn(graph, dominator_tree=None):
     """Run GVN over ``graph``; returns the number of merged values."""
     tree = dominator_tree if dominator_tree is not None else DominatorTree(graph)
-    merged = [0]
-
-    def visit(block, scope):
-        local = dict(scope)
-        for instruction in list(block.instructions):
-            if isinstance(instruction, MBinaryV) and instruction.op == Op.IN:
-                continue  # reads the heap; not congruent across stores
-            key = instruction.congruence_key()
-            if key is None:
-                continue
-            existing = local.get(key)
-            if existing is not None:
-                instruction.replace_all_uses_with(existing)
-                block.remove_instruction(instruction)
-                merged[0] += 1
-            else:
-                local[key] = instruction
-        for child in tree.dominator_tree_children(block):
-            visit(child, local)
-
-    for entry in graph.entries():
-        visit(entry, {})
-    return merged[0]
+    return sum(_visit(entry, {}, tree) for entry in graph.entries())

@@ -106,6 +106,7 @@ def _try_inline(graph, call, build_callee):
         sub = build_callee(code)
     except NotCompilable:
         return 0
+    graph.callee_graphs.append(sub)
     size = sub.num_instructions()
     if size > MAX_CALLEE_SIZE:
         return 0

@@ -48,6 +48,8 @@ Design rules (shared with the tracer):
 See ``docs/PROFILING.md`` for a worked walkthrough.
 """
 
+import weakref
+
 from repro.lir.closures import _TERMINATORS, _block_leaders
 
 #: Attribution tier names, in reporting order.  These are the *main
@@ -183,7 +185,10 @@ class NativeProfile(object):
     )
 
     def __init__(self, native, generation):
-        self.native = native
+        #: The binary without what an executor caches on it (which
+        #: refers to the executor, interpreter and runtime): a profiler
+        #: is read after the run and must not hold a finished engine.
+        self.native = native.without_caches()
         self.code_id = native.code.code_id
         self.name = native.code.name
         #: 1-based compile ordinal of this binary for its function.
@@ -267,7 +272,9 @@ class CycleProfiler(object):
         self.current = self.root
         #: NativeProfile records in registration order.
         self.binaries = []
-        self._by_native = {}
+        #: Live binary -> its record; weakly keyed, so a record outlives
+        #: the binary it describes without keeping it (or its address).
+        self._by_native = weakref.WeakKeyDictionary()
         self._generations = {}
         #: code_id -> event counts for the transition tiers.
         self.compile_counts = {}
@@ -358,13 +365,13 @@ class CycleProfiler(object):
 
     def native_profile(self, native):
         """Get (or create) the :class:`NativeProfile` for ``native``."""
-        record = self._by_native.get(id(native))
+        record = self._by_native.get(native)
         if record is None:
             code_id = native.code.code_id
             generation = self._generations.get(code_id, 0) + 1
             self._generations[code_id] = generation
             record = NativeProfile(native, generation)
-            self._by_native[id(native)] = record
+            self._by_native[native] = record
             self.binaries.append(record)
         return record
 
@@ -517,46 +524,45 @@ class CycleProfiler(object):
         recursive function's cycles count once per distinct stack, not
         once per nested occurrence).
         """
-        cost_model = self._cm()
         totals = {}
-
-        def entry_for(node):
-            entry = totals.get(node.code_id)
-            if entry is None:
-                entry = totals[node.code_id] = {
-                    "code_id": node.code_id,
-                    "name": node.name,
-                    "self_cycles": 0,
-                    "inclusive_cycles": 0,
-                    "tiers": dict.fromkeys(TIERS, 0),
-                    "lane_cycles": 0,
-                    "native_instructions": 0,
-                    "interp_ops": 0,
-                }
-            return entry
-
-        def visit(node, active):
-            entry = entry_for(node)
-            self_cycles = node.self_cycles(cost_model)
-            entry["self_cycles"] += self_cycles
-            entry["lane_cycles"] += node.hidden_compile_cycles
-            entry["interp_ops"] += node.interp_ops
-            entry["native_instructions"] += node.native_instructions
-            for tier, cycles in node.tier_cycles(cost_model).items():
-                entry["tiers"][tier] += cycles
-            subtree = self_cycles
-            topmost = node.code_id not in active
-            if topmost:
-                active.add(node.code_id)
-            for child in node.children.values():
-                subtree += visit(child, active)
-            if topmost:
-                active.remove(node.code_id)
-                entry["inclusive_cycles"] += subtree
-            return subtree
-
-        visit(self.root, set())
+        self._total_subtree(self.root, set(), totals, self._cm())
         return totals
+
+    def _total_subtree(self, node, active, totals, cost_model):
+        """Fold ``node`` and its callees into ``totals``; the subtree's cycles.
+
+        A method, not a closure in :meth:`function_totals`: a nested
+        function that calls itself is a reference cycle.
+        """
+        entry = totals.get(node.code_id)
+        if entry is None:
+            entry = totals[node.code_id] = {
+                "code_id": node.code_id,
+                "name": node.name,
+                "self_cycles": 0,
+                "inclusive_cycles": 0,
+                "tiers": dict.fromkeys(TIERS, 0),
+                "lane_cycles": 0,
+                "native_instructions": 0,
+                "interp_ops": 0,
+            }
+        self_cycles = node.self_cycles(cost_model)
+        entry["self_cycles"] += self_cycles
+        entry["lane_cycles"] += node.hidden_compile_cycles
+        entry["interp_ops"] += node.interp_ops
+        entry["native_instructions"] += node.native_instructions
+        for tier, cycles in node.tier_cycles(cost_model).items():
+            entry["tiers"][tier] += cycles
+        subtree = self_cycles
+        topmost = node.code_id not in active
+        if topmost:
+            active.add(node.code_id)
+        for child in node.children.values():
+            subtree += self._total_subtree(child, active, totals, cost_model)
+        if topmost:
+            active.remove(node.code_id)
+            entry["inclusive_cycles"] += subtree
+        return subtree
 
     def summary(self):
         """Headline numbers (the ``profile.summary`` trace payload)."""

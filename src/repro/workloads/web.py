@@ -21,6 +21,7 @@ polymorphic so the §4 web code-size/recompilation numbers have teeth.
 """
 
 import random
+import zlib
 
 #: Figure 4 (WEB column): probability of each parameter type.
 WEB_PARAM_TYPE_WEIGHTS = [
@@ -161,8 +162,8 @@ def website_programs():
             name,
             num_functions,
             polymorphic_fraction,
-            # Explicit seed: the generator's default derives from
-            # hash(name), which PYTHONHASHSEED randomizes per process.
+            # Explicit seed, kept as it was: the tool's digests and the
+            # cached artifacts of these three pages depend on it.
             seed=sum(ord(char) for char in name),
         )
         for name, num_functions, polymorphic_fraction in WEBSITES
@@ -179,7 +180,10 @@ def generate_website_program(name, num_functions=40, polymorphic_fraction=0.1, s
     with varying arguments (forcing specialized binaries to be
     discarded, as on real pages).
     """
-    rng = random.Random(seed if seed is not None else hash(name) & 0xFFFFFF)
+    if seed is None:
+        # Not hash(name): that is salted per process (PYTHONHASHSEED).
+        seed = zlib.crc32(name.encode("utf-8"))
+    rng = random.Random(seed)
     parts = []
     hot_calls = []
     cold_calls = []

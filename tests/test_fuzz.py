@@ -203,10 +203,12 @@ def assert_chaos_invariants(expect, got, injector, profiler):
     assert got == expect
     assert injector.fired, "chaos run forced no guards at all"
 
-    records = {id(record.native): record for record in profiler.binaries}
+    # A record holds a twin of its binary, not the binary (holding a
+    # profiler must not hold a finished engine): look records up.
+    known = len(profiler.binaries)
     for native, fired, guards in injector.coverage():
-        record = records.get(id(native))
-        assert record is not None, "injector saw a binary the profiler missed"
+        record = profiler.native_profile(native)
+        assert len(profiler.binaries) == known, "injector saw a binary the profiler missed"
         counts = record.resolved_counts()
         executed = frozenset(index for index in guards if counts[index] > 0)
         assert fired == executed, (

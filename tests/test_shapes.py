@@ -135,7 +135,7 @@ class TestTransitionTree:
         again.set("x", 1)
         assert again.shape.shape_id == obj.shape.shape_id
         assert again.shape is not obj.shape
-        assert again.shape.tree is not obj.shape.tree
+        assert again.shape.ids is not obj.shape.ids
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +442,12 @@ class TestShapeGuardChaos:
         # Every executed shape guard fired exactly once, with forensics
         # blaming the injector — the PR 5 chaos contract extended to
         # the new guard op.
-        records = {id(record.native): record for record in profiler.binaries}
+        known = len(profiler.binaries)
         checked = 0
         for native, fired, guards in injector.coverage():
-            record = records[id(native)]
+            # A record holds a twin of its binary: look it up, don't match ids.
+            record = profiler.native_profile(native)
+            assert len(profiler.binaries) == known
             counts = record.resolved_counts()
             for index in guards:
                 if native.instructions[index].op != "guardshape":

@@ -441,10 +441,11 @@ class TestChaosGuardRecovery:
         got = engine.run_source(source)
         assert got == expect["printed"]
         assert injector.fired, "chaos run forced no guards at all"
-        records = {id(record.native): record for record in profiler.binaries}
+        known = len(profiler.binaries)
         for native, fired, _guards in injector.coverage():
-            record = records.get(id(native))
-            assert record is not None
+            # A record holds a twin of its binary: look it up, don't match ids.
+            record = profiler.native_profile(native)
+            assert len(profiler.binaries) == known
             for index in fired:
                 entry = record.forensics.get(index)
                 assert entry is not None, "no forensics for guard %d" % index

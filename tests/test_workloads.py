@@ -107,6 +107,47 @@ class TestWebsitePrograms:
         source_b = generate_website_program("www.example.com", 20, 0.1)
         assert source_a == source_b
 
+    def test_default_seed_does_not_depend_on_the_hash_seed(self):
+        """``hash(str)`` is salted per process; the default seed must not be."""
+        import hashlib
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import hashlib\n"
+            "from repro.workloads.web import WEBSITES, generate_website_program\n"
+            "for site, functions, poly in WEBSITES:\n"
+            "    page = generate_website_program(site, functions, poly)\n"
+            "    print(site, hashlib.sha256(page.encode('utf-8')).hexdigest())\n"
+        )
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    check=True,
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                ).stdout
+            )
+        assert outputs[0] == outputs[1]
+        here = "".join(
+            "%s %s\n"
+            % (
+                site,
+                hashlib.sha256(
+                    generate_website_program(site, functions, poly).encode("utf-8")
+                ).hexdigest(),
+            )
+            for site, functions, poly in WEBSITES
+        )
+        assert outputs[0] == here
+
     def test_output_stable_across_engines(self):
         from repro import BASELINE, FULL_SPEC, Engine
 

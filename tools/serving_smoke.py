@@ -15,6 +15,12 @@ contract the serving tier documents (docs/SERVING.md):
   merged metrics payload as JSONL (uploaded as a CI artifact), whose
   request counter matches what we actually sent.
 
+The server is ready when it *answers* ``ping``, not when its socket
+path appears (bound is not yet listening).  It runs in its own process
+group, and the group is killed on every way out, so a failed run leaves
+no orphan server or worker; a phase that hangs (``start``, ``requests``,
+``shutdown``) fails the run by name.
+
 Deterministic on purpose: tenants and programs are picked round-robin
 (no randomness), so two runs issue byte-identical traffic.
 
@@ -29,6 +35,7 @@ Exit status 1 on any contract violation, 0 otherwise.
 import argparse
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -41,7 +48,12 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 CATALOG_PROGRAMS = 4
 CATALOG_FUNCTIONS = 3
 START_TIMEOUT = 30.0
+REPLY_TIMEOUT = 60.0
 SHUTDOWN_TIMEOUT = 60.0
+
+
+class PhaseTimeout(Exception):
+    """A phase of the smoke run did not finish in its time."""
 
 
 class LineClient(object):
@@ -49,7 +61,12 @@ class LineClient(object):
 
     def __init__(self, path):
         self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self.sock.connect(path)
+        try:
+            self.sock.settimeout(REPLY_TIMEOUT)
+            self.sock.connect(path)
+        except OSError:
+            self.sock.close()
+            raise
         self.reader = self.sock.makefile("r", encoding="utf-8")
 
     def request(self, payload):
@@ -66,17 +83,36 @@ class LineClient(object):
             self.sock.close()
 
 
-def wait_for_socket(path, proc, timeout=START_TIMEOUT):
+def wait_until_serving(path, proc, timeout=START_TIMEOUT):
+    """Connect and ``ping`` until the server answers; returns the client."""
     deadline = time.time() + timeout
     while time.time() < deadline:
         if proc.poll() is not None:
             raise SystemExit(
-                "server exited before binding (exit %d)" % proc.returncode
+                "server exited before serving (exit %d)" % proc.returncode
             )
-        if os.path.exists(path):
-            return
+        try:
+            client = LineClient(path)
+        except OSError:
+            time.sleep(0.05)  # not bound yet, or bound and not yet listening
+            continue
+        try:
+            if client.request({"op": "ping"}).get("status") == "ok":
+                return client
+        except OSError:
+            pass
+        client.close()
         time.sleep(0.05)
-    raise SystemExit("server did not bind %s within %ds" % (path, timeout))
+    raise PhaseTimeout("server did not answer ping within %ds" % timeout)
+
+
+def kill_group(proc):
+    """Kill the server's whole process group (it leads one); reap it."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # every member already exited
+    proc.wait()
 
 
 def main(argv=None):
@@ -123,18 +159,17 @@ def main(argv=None):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,  # its own process group: see kill_group
     )
 
     failures = []
     served = 0
     rejected = 0
+    phase = "start"
     try:
-        wait_for_socket(socket_path, proc)
-        client = LineClient(socket_path)
-        ping = client.request({"op": "ping"})
-        if ping.get("status") != "ok":
-            failures.append("ping failed: %r" % (ping,))
+        client = wait_until_serving(socket_path, proc)
 
+        phase = "requests"
         for index in range(args.requests):
             tenant = "t%02d" % (index % args.tenants)
             program = "app-%02d" % (index % CATALOG_PROGRAMS)
@@ -170,19 +205,16 @@ def main(argv=None):
         if served == 0:
             failures.append("no request was served")
 
+        phase = "shutdown"
         down = client.request({"op": "shutdown"})
         if down.get("status") != "ok":
             failures.append("shutdown op failed: %r" % (down,))
         client.close()
-        try:
-            proc.wait(timeout=SHUTDOWN_TIMEOUT)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            failures.append("server did not exit within %ds" % SHUTDOWN_TIMEOUT)
+        proc.wait(timeout=SHUTDOWN_TIMEOUT)
+    except (PhaseTimeout, socket.timeout, subprocess.TimeoutExpired) as error:
+        failures.append("timed out in phase %r: %s" % (phase, error))
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        kill_group(proc)
 
     output = proc.stdout.read() if proc.stdout else ""
     if proc.returncode != 0:
