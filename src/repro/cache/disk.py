@@ -411,11 +411,11 @@ class DiskCodeCache(object):
         """Persist ``result`` under ``key``; returns True on success.
 
         When ``executor`` is a codegen backend, the module it generated
-        for this binary (source + marshalled code object) rides along
-        under that backend's name, so a warm run also skips host
-        ``compile()`` time — the dominant cost on those backends (see
-        :func:`repro.lir.closures.closure_artifact` and
-        :func:`repro.lir.wholefn.whole_artifact`).
+        for this binary rides along under that backend's name, so a
+        warm run also skips host ``compile()`` — and, on ``whole``, the
+        emitter: ``closure`` stores source + marshalled code
+        (:func:`repro.lir.closures.closure_artifact`), ``whole`` a link
+        record with no source (:func:`repro.lir.wholefn.whole_artifact`).
         """
         try:
             artifact = freeze_result(result, result.native.code)

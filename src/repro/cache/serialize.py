@@ -31,7 +31,8 @@ import zlib
 from repro.jsvm.bytecode import CodeObject, Instr
 from repro.jsvm.values import NULL, UNDEFINED
 from repro.lir.lir_nodes import LInstruction, Snapshot
-from repro.lir.native import NativeCode, annotate_static_costs
+from repro.lir.native import NativeCode
+from repro.lir.wholefn import checked_link_record
 
 
 class Uncacheable(Exception):
@@ -59,7 +60,8 @@ class Uncacheable(Exception):
 #: emitter can decide are gone; globals are dict subscripts).
 #: v8: a payload opens with its entry kind, and there is a second kind —
 #: the program entry (:func:`freeze_program`).
-FORMAT_VERSION = 8
+#: v9: the ``whole`` sub-artifact is a link record, with no source text.
+FORMAT_VERSION = 9
 
 _PRIMITIVES = (int, float, bool, str)
 
@@ -220,10 +222,11 @@ def thaw_result(artifact, code):
     """Rebuild a :class:`CompileResult` from an artifact dict.
 
     ``code`` must be the same guest function the artifact was frozen
-    from (the cache key guarantees it).  The rebuilt native is
-    re-priced with :func:`annotate_static_costs` exactly as
-    ``generate_native`` would have, so cycle accounting is identical
-    to a fresh compile.
+    from (the cache key guarantees it).  A ``whole`` link record is
+    checked against the rebuilt stream here
+    (:func:`repro.lir.wholefn.checked_link_record`), so a malformed one
+    raises — a corrupt entry, a miss — instead of surfacing at the
+    binary's first call.
     """
     from repro.engine.jit import CompileResult
 
@@ -231,7 +234,6 @@ def thaw_result(artifact, code):
     instructions = [
         _decode_instruction(encoded, code) for encoded in blob["instructions"]
     ]
-    annotate_static_costs(instructions)
     native = NativeCode(
         code,
         instructions,
@@ -246,7 +248,7 @@ def thaw_result(artifact, code):
         native.disk_closure = (closure["source"], closure["code"])
     whole = artifact.get("whole")
     if whole is not None:
-        native.disk_whole = (whole["source"], whole["code"])
+        native.disk_whole = checked_link_record(native, whole)
     return CompileResult(
         native,
         ReplayedPassWork(artifact["work_units"]),

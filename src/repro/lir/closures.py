@@ -96,37 +96,64 @@ _COMPARE_PY = {
 }
 
 
+#: Where a bound object comes from, as a kind and an index: the
+#: snapshot or the ``extra`` of ``native.instructions[index]``, or
+#: ``native.immediates[index]`` (a negative pool location).  Everything
+#: codegen binds is one of the three, so a persisted module can have
+#: its names re-attached to another copy of the same binary.
+BIND_SNAPSHOT = "snapshot"
+BIND_EXTRA = "extra"
+BIND_IMMEDIATE = "immediate"
+
+
+def bound_value(native, kind, index):
+    """The object of ``native`` a binding of ``(kind, index)`` names."""
+    if kind == BIND_SNAPSHOT:
+        return native.instructions[index].snapshot
+    if kind == BIND_EXTRA:
+        return native.instructions[index].extra
+    if kind == BIND_IMMEDIATE:
+        return native.immediates[index]
+    return None
+
+
 class _Binder(object):
     """Names runtime objects for the generated module's namespace.
 
     Codegen inlines what it can as source literals; everything else
     (snapshots, code objects, odd floats...) is bound to a fresh
     ``_kN`` name resolved through the exec namespace — the moral
-    equivalent of a constant pool referenced rip-relative.
+    equivalent of a constant pool referenced rip-relative.  Given a
+    ``bindings`` list, every bind is also recorded there as ``(name,
+    kind, index)`` — the origin its caller states (:func:`bound_value`;
+    None when it states none).
     """
 
-    def __init__(self, namespace):
+    def __init__(self, namespace, bindings=None):
         self.namespace = namespace
+        self.bindings = bindings
 
-    def bind(self, value):
+    def bind(self, value, kind=None, index=None):
         """Bind ``value`` into the namespace; returns its name."""
         name = "_k%d" % len(self.namespace)
         self.namespace[name] = value
+        if self.bindings is not None:
+            self.bindings.append((name, kind, index))
         return name
 
-    def lit(self, value):
+    def lit(self, value, kind=None, index=None):
         """Source text evaluating to ``value`` (literal when safe)."""
         if value is None or value is True or value is False:
             return repr(value)
-        kind = type(value)
-        if kind is int or kind is str:
+        host = type(value)
+        if host is int or host is str:
             return repr(value)
-        if kind is float:
+        if host is float:
             # NaN/inf have no literal spelling; -0.0 and friends do.
             if value != value or value in (float("inf"), float("-inf")):
-                return self.bind(value)
+                return self.bind(value, kind, index)
             return repr(value)
-        return self.bind(value)
+        return self.bind(value, kind, index)
 
 
 def _emit(out, index, instruction, binder, inject=False, slot_offset=None):
@@ -427,11 +454,15 @@ class _ShapeGuardTracker(object):
     (:func:`repro.jsvm.objects.common_slot_offset`).
     """
 
-    def __init__(self, tree):
+    def __init__(self, tree, answers=None):
         #: The executor runtime's ShapeTree — the id space the guards'
         #: shape ids were recorded in.
         self._tree = tree
         self._guards = {}
+        #: ``(shape ids, name) -> offset or None`` for every question
+        #: put to the tree, when the caller keeps them (the whole
+        #: backend's link record: what was read of *this* runtime).
+        self._answers = answers
 
     def reset(self):
         self._guards.clear()
@@ -441,7 +472,10 @@ class _ShapeGuardTracker(object):
         shape_ids = self._guards.get(instruction.srcs[0])
         if not shape_ids:
             return None
-        return common_slot_offset(self._tree, shape_ids, instruction.extra)
+        offset = common_slot_offset(self._tree, shape_ids, instruction.extra)
+        if self._answers is not None:
+            self._answers[tuple(shape_ids), instruction.extra] = offset
+        return offset
 
     def observe(self, instruction):
         """Update tracking *after* codegen of ``instruction``."""

@@ -43,7 +43,7 @@ class LInstruction(object):
     on guards.
     """
 
-    __slots__ = ("op", "dest", "srcs", "extra", "snapshot", "targets", "static_cost")
+    __slots__ = ("op", "dest", "srcs", "extra", "snapshot", "targets")
 
     def __init__(self, op, dest=None, srcs=(), extra=None, snapshot=None, targets=None):
         self.op = op
@@ -52,10 +52,6 @@ class LInstruction(object):
         self.extra = extra
         self.snapshot = snapshot
         self.targets = targets  # block ids for goto/test
-        #: Cycle price of one execution, precomputed at assembly time
-        #: (``repro.lir.native.annotate_static_costs``); None while the
-        #: instruction is still in virtual-register form.
-        self.static_cost = None
 
     @property
     def is_guard(self):

@@ -11,6 +11,7 @@ the paper's Figure 10.
 """
 
 import copy
+import hashlib
 
 from repro.errors import CompilerError
 from repro.lir.lir_nodes import LInstruction
@@ -59,19 +60,6 @@ def guard_indices(native):
         if instruction.snapshot is not None and instruction.op in GUARD_OPS
     ]
 
-#: Default cost model instance, created lazily (importing it at module
-#: scope would cycle through ``repro.engine``).
-_DEFAULT_COST_MODEL = None
-
-
-def _default_cost_model():
-    global _DEFAULT_COST_MODEL
-    if _DEFAULT_COST_MODEL is None:
-        from repro.engine.config import CostModel
-
-        _DEFAULT_COST_MODEL = CostModel()
-    return _DEFAULT_COST_MODEL
-
 
 def static_instruction_cost(instruction, cost_model):
     """Cycle price of one execution of ``instruction``.
@@ -95,17 +83,11 @@ def static_instruction_cost(instruction, cost_model):
     return cost
 
 
-def annotate_static_costs(instructions, cost_model=None):
-    """Stamp ``static_cost`` on every finalized native instruction.
-
-    Runs once at assembly time (the tail of :func:`generate_native`),
-    so no executor ever recomputes per-step dict lookups or spill
-    scans in its dispatch loop.
-    """
-    if cost_model is None:
-        cost_model = _default_cost_model()
-    for instruction in instructions:
-        instruction.static_cost = static_instruction_cost(instruction, cost_model)
+def native_price_digest(cost_model):
+    """A digest of everything :func:`static_instruction_cost` reads of
+    ``cost_model`` — equal digests price every binary alike."""
+    prices = (sorted(cost_model.native_costs.items()), cost_model.native_op, cost_model.spill_access)
+    return hashlib.blake2b(repr(prices).encode("utf-8"), digest_size=16).digest()
 
 
 class NativeCode(object):
@@ -146,16 +128,19 @@ class NativeCode(object):
         #: object only after a byte-exact source match, so a stale or
         #: foreign blob silently falls back to compiling fresh.
         self.disk_closure = None
-        #: Same, for the whole-function backend's generated module
-        #: (repro.lir.wholefn applies the identical byte-exact rule).
+        #: Persistent-cache payload for the whole-function backend: the
+        #: thawed *link record* — marshalled module code, accounting
+        #: tables, the origin of every bound name and the facts the
+        #: emitter read.  ``compile_whole`` links it when those facts
+        #: still hold of the live executor, and emits otherwise.
         self.disk_whole = None
 
     def cost_table(self, cost_model):
-        """Per-pc cycle prices under ``cost_model``, cached.
+        """Per-pc cycle prices under ``cost_model``, memoized per binary.
 
-        Assembly already stamps ``static_cost`` using the default
-        model; this recomputes only for a different model instance and
-        memoizes per binary either way.
+        The one place a binary is priced: operands have physical
+        locations, so every cost component is static and no executor
+        prices an instruction in its dispatch loop.
         """
         if self._cost_table is not None and self._cost_table_model is cost_model:
             return self._cost_table
@@ -400,10 +385,6 @@ def generate_native(graph):
         if instruction.snapshot is not None:
             instruction.snapshot.snapshot_id = next_snapshot_id
             next_snapshot_id += 1
-
-    # Operands have physical locations now: every cycle-cost component
-    # is static, so price each instruction once, at assembly time.
-    annotate_static_costs(instructions)
 
     native = NativeCode(
         graph.code,

@@ -52,21 +52,44 @@ cycles, the same ``Bailout.native_index``, bit-identical to both other
 backends (the differential suites prove stats, cycles, output and
 trace streams match on every suite benchmark).
 
-The generated module round-trips through the persistent code cache
-under the closure backend's byte-exact trust rule: the stored marshal
-blob is only used when the source generated *now* matches the stored
-source byte for byte (:func:`whole_artifact`).
+The generated module round-trips through the persistent code cache as
+a **link record** (:func:`whole_artifact`): the marshalled module code,
+its accounting tables, where each bound ``_kN`` came from, and the facts
+the emitter read beyond the native stream itself.  A binary thawed with
+one is *linked*, not re-emitted (:func:`_link`) — after four checks,
+each guarding one thing the stored text baked in:
+
+- the **translation roots** equal the ones asked for now (which regions
+  the module contains at all);
+- the **emitter digest** — this file and the five it reads constants and
+  helpers from — equals this process's (what text any stream maps to);
+- the **price digest** of the cost model equals the executor's (the
+  ``_a += K`` literals and the tables are sums of native prices);
+- every **shape resolution** the emitter was given — ``(shape ids,
+  property) -> slot offset or None`` — resolves the same in the live
+  runtime's tree (``.slots[k]`` is baked in, and shape ids number one
+  runtime's tree, not the program's).
+
+A failed check, like a blob that is not a module defining ``_w`` over
+bound names only, is never an error: the binary takes the ordinary emit
+path.  Profiled and chaos translations are never persisted and never
+link.  tests/test_whole_link.py holds the property the old per-load
+source comparison stood for: a link builds what the emitter would.
 """
 
+import functools
 import hashlib
 import marshal
+import os
+import re
 from collections import OrderedDict
+from types import CodeType
 
 from repro.errors import CompilerError
 from repro.jsvm import operations
 from repro.jsvm.bytecode import Op
 from repro.jsvm.interpreter import MAX_CALL_DEPTH
-from repro.jsvm.objects import JSArray, JSObject
+from repro.jsvm.objects import JSArray, JSObject, common_slot_offset
 from repro.jsvm.values import (
     UNDEFINED,
     JSFunction,
@@ -76,10 +99,14 @@ from repro.jsvm.values import (
     type_of,
 )
 from repro.lir.closures import (
+    BIND_EXTRA,
+    BIND_IMMEDIATE,
+    BIND_SNAPSHOT,
     _COMPARE_PY,
     _Binder,
     _ShapeGuardTracker,
     _TERMINATORS,
+    bound_value,
     CTX_OSR_ARGS,
     CTX_OSR_LOCALS,
     CTX_RESULT,
@@ -92,7 +119,7 @@ from repro.lir.executor import (
     _matches,
     forced_recovery_value,
 )
-from repro.lir.native import FAULT_INJECTED, GUARD_OPS
+from repro.lir.native import FAULT_INJECTED, GUARD_OPS, native_price_digest
 from repro.lir.regalloc import NUM_REGS
 from repro.mir.types import MIRType
 
@@ -351,8 +378,8 @@ def translation_roots(native, executor):
 
     The store path (:func:`whole_artifact`) and the run path
     (:meth:`WholeExecutor.run`) both get their roots here, so the
-    source persisted at store time is the source regenerated on a warm
-    load.
+    module persisted at store time is rooted where a warm load asks
+    (a link record names its roots; other roots refuse it).
     """
     if (
         native.code.is_script
@@ -385,6 +412,48 @@ def _reachable_labels(instructions, bodies, roots):
     return sorted(seen)
 
 
+def _base_namespace(executor):
+    """The names every generated module resolves through its globals.
+
+    Bound afresh per translation — emitted or linked — to this
+    executor's interpreter and runtime; the ``_kN`` constants of one
+    binary are numbered on from ``len()`` of it (:class:`_Binder`).
+    """
+    interpreter = executor.interpreter
+    runtime = executor.runtime
+    return {
+        "_UNDEF": UNDEFINED,
+        "_bw": publish_bailout,
+        "_interp": interpreter,
+        "_runtime": runtime,
+        "_root": runtime.shapes.root,
+        "_normalize": normalize_number,
+        "_js_div": operations.js_div,
+        "_js_mod": operations.js_mod,
+        "_binary": operations.binary_op,
+        "_unary": operations.unary_op,
+        "_to_int32": operations.to_int32,
+        "_to_boolean": to_boolean,
+        "_type_of": type_of,
+        "_cmp": _compare,
+        "_matches": _matches,
+        "_get_element": operations.get_element,
+        "_set_element": operations.set_element,
+        "_get_property": interpreter.get_property,
+        "_set_property": operations.set_property,
+        "_get_global": runtime.get_global,
+        "_G": runtime.globals,
+        "_call_value": interpreter.call_value,
+        "_call_function": interpreter.call_function,
+        "_construct": interpreter.construct,
+        "_JSArray": JSArray,
+        "_JSObject": JSObject,
+        "_JSFunction": JSFunction,
+        "_FUNCS": (JSFunction, NativeFunction),
+        "_badpc": _bad_pc,
+    }
+
+
 class _WholeEmitter(object):
     """Generates the single-function module for one binary."""
 
@@ -394,37 +463,7 @@ class _WholeEmitter(object):
         self.roots = roots
         self.profiled = profiled
         self.inject = executor.fault_injector is not None
-        self.namespace = {
-            "_UNDEF": UNDEFINED,
-            "_bw": publish_bailout,
-            "_interp": executor.interpreter,
-            "_runtime": executor.runtime,
-            "_root": executor.runtime.shapes.root,
-            "_normalize": normalize_number,
-            "_js_div": operations.js_div,
-            "_js_mod": operations.js_mod,
-            "_binary": operations.binary_op,
-            "_unary": operations.unary_op,
-            "_to_int32": operations.to_int32,
-            "_to_boolean": to_boolean,
-            "_type_of": type_of,
-            "_cmp": _compare,
-            "_matches": _matches,
-            "_get_element": operations.get_element,
-            "_set_element": operations.set_element,
-            "_get_property": executor.interpreter.get_property,
-            "_set_property": operations.set_property,
-            "_get_global": executor.runtime.get_global,
-            "_G": executor.runtime.globals,
-            "_call_value": executor.interpreter.call_value,
-            "_call_function": executor.interpreter.call_function,
-            "_construct": executor.interpreter.construct,
-            "_JSArray": JSArray,
-            "_JSObject": JSObject,
-            "_JSFunction": JSFunction,
-            "_FUNCS": (JSFunction, NativeFunction),
-            "_badpc": _bad_pc,
-        }
+        self.namespace = _base_namespace(executor)
         if self.inject:
             injector = executor.fault_injector
             instructions = native.instructions
@@ -443,8 +482,13 @@ class _WholeEmitter(object):
 
             self.namespace["_fire"] = _fire
             self.namespace["_fw"] = _fw
-        self.binder = _Binder(self.namespace)
+        #: What a link record keeps of this emission beside the code:
+        #: where each ``_kN`` came from, and what the shape tree said.
+        self.bindings = []
+        self.shape_answers = {}
+        self.binder = _Binder(self.namespace, self.bindings)
         # Per-region emission state.
+        self.cur_index = 0
         self.cur_offset = 0
         self.args_in_t = False
         self.known_i = None
@@ -457,7 +501,7 @@ class _WholeEmitter(object):
     def val(self, loc):
         """Source text reading physical location ``loc``."""
         if loc < 0:
-            return self.binder.lit(self.native.immediates[loc])
+            return self.binder.lit(self.native.immediates[loc], BIND_IMMEDIATE, loc)
         if loc < NUM_REGS:
             return "_r%d" % loc
         return "_s%d" % (loc - NUM_REGS)
@@ -484,6 +528,7 @@ class _WholeEmitter(object):
         own cold bail branch instead (:meth:`_bail`), so passing
         speculation costs nothing.
         """
+        self.cur_index = index
         self.cur_offset = offset
         if instruction.op != "getarg":
             self.args_in_t = False
@@ -784,7 +829,7 @@ class _WholeEmitter(object):
     def _bail_call(self, instruction, reason, actual="None"):
         snap = instruction.snapshot
         return "_bw(%s, %s, %r, %r, %s)" % (
-            self.binder.bind(snap),
+            self.binder.bind(snap, BIND_SNAPSHOT, self.cur_index),
             self.snap_vals(snap),
             reason,
             instruction.op,
@@ -803,7 +848,7 @@ class _WholeEmitter(object):
         if op == "move":
             out.append("%s = %s" % (d(), v(srcs[0])))
         elif op == "const":
-            out.append("%s = %s" % (d(), binder.lit(extra)))
+            out.append("%s = %s" % (d(), binder.lit(extra, BIND_EXTRA, self.cur_index)))
         elif op == "getarg":
             if extra == -1:
                 out.append("%s = _c[0]" % d())
@@ -1016,7 +1061,7 @@ class _WholeEmitter(object):
                 self._bail(out, instruction, "bounds check")
         elif op == "guardshape":
             out.append(
-                "if %s.shape.shape_id not in %s:" % (v(srcs[0]), binder.lit(extra))
+                "if %s.shape.shape_id not in %s:" % (v(srcs[0]), binder.lit(extra, BIND_EXTRA, self.cur_index))
             )
             # Observed shape id as the bailout ``actual`` (engine-side
             # retrain-noop detection; never pushed by "at"-mode resume).
@@ -1096,7 +1141,7 @@ class _WholeEmitter(object):
                 out.append("_t.set(%s, %s)" % (binder.lit(key), v(loc)))
             out.append("%s = _t" % d())
         elif op == "lambda":
-            out.append("%s = _JSFunction(%s, ())" % (d(), binder.bind(extra)))
+            out.append("%s = _JSFunction(%s, ())" % (d(), binder.bind(extra, BIND_EXTRA, self.cur_index)))
         elif op == "call":
             # Calling a guest function is by far the common case:
             # dispatch straight to call_function (what call_value does
@@ -1136,7 +1181,9 @@ class _WholeEmitter(object):
         elif expected == MIRType.OBJECT:
             out.append("if not isinstance(_t, _JSObject) or isinstance(_t, _JSArray):")
         else:
-            out.append("if not _matches(_t, %s):" % self.binder.bind(expected))
+            # ``expected`` is the instruction's ``extra`` at both call sites.
+            name = self.binder.bind(expected, BIND_EXTRA, self.cur_index)
+            out.append("if not _matches(_t, %s):" % name)
         self._bail(out, instruction, reason, "_t")
 
     # -- region and skeleton emission ----------------------------------------
@@ -1474,7 +1521,7 @@ class _WholeEmitter(object):
         self.known_i = None
         self.args_in_t = False
         self.kinds = {}
-        shape_tracker = _ShapeGuardTracker(self.executor.runtime.shapes)
+        shape_tracker = _ShapeGuardTracker(self.executor.runtime.shapes, self.shape_answers)
 
         def charge():
             if self.profiled:
@@ -1627,6 +1674,117 @@ class _ModuleCodeMemo(object):
 _MODULE_CODE_MEMO = _ModuleCodeMemo(budget=_MODULE_CODE_MEMO_BUDGET)
 
 
+#: Files whose text decides what :class:`_WholeEmitter` emits for a
+#: given native stream (relative to the ``repro`` package).
+_EMITTER_FILES = (
+    "lir/wholefn.py",
+    "lir/closures.py",
+    "lir/native.py",
+    "lir/lir_nodes.py",
+    "lir/regalloc.py",
+    "jsvm/objects.py",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _emitter_digest():
+    """A digest of the emitting code, once per process; None if unreadable.
+
+    Covers the bytes of :data:`_EMITTER_FILES` and the one constant the
+    emitted text bakes in from outside them.  Without the source there
+    is nothing to compare, so nothing is persisted and nothing links.
+    """
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.blake2b(repr(MAX_CALL_DEPTH).encode("utf-8"), digest_size=16)
+    try:
+        for relative in _EMITTER_FILES:
+            with open(os.path.join(package, relative), "rb") as handle:
+                digest.update(handle.read())
+    except OSError:
+        return None
+    return digest.digest()
+
+
+_BOUND_NAME = re.compile(r"_k\d+\Z")
+
+
+def checked_link_record(native, record):
+    """``record`` if it has the shape of a link record of ``native``.
+
+    Raises (any exception: the caller counts a corrupt entry) when a
+    binding's name, kind or index, a table's leader or extent, or a root
+    does not fit the thawed stream.  Translation is lazy, so without
+    this a malformed record would surface inside ``WholeExecutor.run``.
+    Shape only: whether the record still *holds* is :func:`_link`'s.
+    """
+    instructions = native.instructions
+    size = len(instructions)
+    for name, kind, index in record["bindings"]:
+        if kind == BIND_IMMEDIATE:
+            fits = -len(native.immediates) <= index < 0
+        elif kind == BIND_SNAPSHOT:
+            fits = 0 <= index < size and instructions[index].snapshot is not None
+        else:
+            fits = kind == BIND_EXTRA and 0 <= index < size
+        if not fits or not _BOUND_NAME.match(name):
+            raise ValueError("binding %r does not fit the stream" % ((name, kind, index),))
+    leaders = set(_region_labels(native))
+    for label, region in record["prefix"]:
+        if label not in leaders or not 0 < len(region) <= size - label:
+            raise ValueError("table for %r, which is no region" % (label,))
+    if not set(record["roots"]) <= set(_entries(native)):
+        raise ValueError("roots %r are not entries" % (record["roots"],))
+    for ids, name, _offset in record["shapes"]:
+        if type(ids) is not tuple or type(name) is not str:
+            raise ValueError("shape question %r" % ((ids, name),))
+    return record
+
+
+def _link(native, executor, roots, record):
+    """Attach ``record``'s stored module to the live executor, or None.
+
+    Links only if what the emission read still reads the same (the
+    four checks of the module docstring); then rebuilds the base
+    namespace, re-binds each ``_kN`` to the thawed native's own
+    snapshot / payload / immediate and executes the module.  None — a
+    failed check, or a blob that is not a module defining ``_w`` over
+    bound names only — sends the caller down the ordinary emit path.
+    """
+    if (
+        record["roots"] != tuple(roots)
+        or record["emitter"] != _emitter_digest()
+        or record["prices"] != executor.price_digest
+    ):
+        return None
+    tree = executor.runtime.shapes
+    for ids, name, offset in record["shapes"]:
+        if common_slot_offset(tree, ids, name) != offset:
+            return None
+    namespace = _base_namespace(executor)
+    for name, kind, index in record["bindings"]:
+        namespace[name] = bound_value(native, kind, index)
+    try:
+        module_code = marshal.loads(record["code"])
+        if type(module_code) is not CodeType:
+            return None
+        exec(module_code, namespace)
+        fn = namespace.pop("_w")
+        names = fn.__code__.co_names
+    except Exception:
+        return None
+    if any(name.startswith("_k") and name not in namespace for name in names):
+        return None
+    size = len(native.instructions)
+    counts = [0] * size
+    sums = [0] * size
+    prefix = [None] * size
+    for label, region in record["prefix"]:
+        counts[label] = len(region)
+        sums[label] = region[-1]
+        prefix[label] = region
+    return fn, counts, sums, prefix
+
+
 def compile_whole(native, executor, profiled=False, capture=None, roots=None):
     """Translate ``native`` into a single whole-binary function.
 
@@ -1643,36 +1801,40 @@ def compile_whole(native, executor, profiled=False, capture=None, roots=None):
     block counters inline (``_bc``), giving the cycle profiler the
     exact per-block execution counts it folds into per-instruction
     counts.  Profiled and chaos-instrumented variants are distinct
-    generated code, cached separately and never persisted.
+    generated code, cached separately, never persisted and never linked.
 
-    When the binary carries a thawed module (``native.disk_whole``), the
-    stored code object replaces the host ``compile()`` step only after
-    a byte-exact match against the source generated now — the same
-    trust rule as the closure backend.
+    A thawed binary's link record (``native.disk_whole``) is *linked*
+    when its facts hold (:func:`_link`), and the emitter does not run.
+    Otherwise — no record, a refused one, or a caller that wants the
+    module text in ``capture``, which only the emitter has — the module
+    is emitted and compiled through the process-wide memo.
     """
     if roots is None:
         roots = translation_roots(native, executor)
+    record = native.disk_whole
+    if (
+        record is not None
+        and capture is None
+        and not profiled
+        and executor.fault_injector is None
+    ):
+        linked = _link(native, executor, roots, record)
+        if linked is not None:
+            executor.modules_linked += 1
+            return linked
+    executor.modules_emitted += 1
     emitter = _WholeEmitter(native, executor, roots, profiled=profiled)
     source, counts, sums, prefix = emitter.generate()
     namespace = emitter.namespace
     if profiled:
         namespace["_bc"] = executor.cycle_profiler.native_profile(native).block_counts
-
-    disk = native.disk_whole
-    if (
-        disk is not None
-        and not profiled
-        and executor.fault_injector is None
-        and disk[0] == source
-    ):
-        module_code = marshal.loads(disk[1])
-    else:
-        module_code = _MODULE_CODE_MEMO.compiled(
-            source, "<whole-backend %s>" % native.code.name
-        )
+    module_code = _MODULE_CODE_MEMO.compiled(
+        source, "<whole-backend %s>" % native.code.name
+    )
     if capture is not None:
         capture["source"] = source
         capture["module_code"] = module_code
+        capture["emitter"] = emitter
     exec(module_code, namespace)
     # Taken out, not read: ``_w`` never names itself, and left in, the
     # module's globals would hold the function whose globals they are.
@@ -1680,14 +1842,19 @@ def compile_whole(native, executor, profiled=False, capture=None, roots=None):
 
 
 def whole_artifact(native, executor):
-    """The persistable whole-function module for ``native``, or None.
+    """The persistable link record for ``native``, or None.
 
-    The whole-backend twin of
-    :func:`repro.lir.closures.closure_artifact`: translates the binary
-    now (installing ``native.whole_cache``) and returns ``{"source",
-    "code"}``.  Returns None for other executor types and whenever a
-    fault injector or profiler is armed — instrumented source must
-    never reach the persistent cache.
+    Translates the binary now (installing ``native.whole_cache``) and
+    returns what a later process needs to run the same module without
+    emitting it, and no source text: the marshalled ``code``; the
+    tables as ``prefix`` (translated leaders only; counts and sums are
+    its lengths and last entries); ``bindings`` as the binder recorded
+    them; and the facts :func:`_link` re-checks.  None for other
+    executor types, whenever a fault injector or profiler is armed —
+    instrumented code must never reach the persistent cache — when the
+    emitting code cannot be read, and when a bound name does not
+    resolve back to the very object it was bound to (the translation
+    stays; only the record is withheld).
     """
     if not isinstance(executor, WholeExecutor):
         return None
@@ -1695,11 +1862,26 @@ def whole_artifact(native, executor):
         return None
     if executor.cycle_profiler is not None:
         return None
+    emitter_digest = _emitter_digest()
+    if emitter_digest is None:
+        return None
     capture = {}
-    executor._translate(native, capture=capture)
+    cache = executor._translate(native, capture=capture)
+    emitter = capture["emitter"]
+    namespace = emitter.namespace
+    for name, kind, index in emitter.bindings:
+        if bound_value(native, kind, index) is not namespace[name]:
+            return None
     return {
-        "source": capture["source"],
         "code": marshal.dumps(capture["module_code"]),
+        "prefix": [(label, cache[6][label]) for label in emitter.bodies],
+        "bindings": emitter.bindings,
+        "roots": tuple(emitter.roots),
+        "emitter": emitter_digest,
+        "prices": executor.price_digest,
+        "shapes": [
+            (ids, name, offset) for (ids, name), offset in emitter.shape_answers.items()
+        ],
     }
 
 
@@ -1711,6 +1893,16 @@ class WholeExecutor(NativeExecutor):
     backends.  ``EngineStats``, cycle counts, printed output and trace
     streams are bit-identical to both.
     """
+
+    def __init__(self, interpreter, cost_model):
+        super(WholeExecutor, self).__init__(interpreter, cost_model)
+        #: Translations that attached a stored module / ran the emitter
+        #: (:func:`compile_whole`).  Host-side bookkeeping for tools and
+        #: tests; no ledger reads them, so cold and warm stats agree.
+        self.modules_linked = 0
+        self.modules_emitted = 0
+        #: What a link record's ``prices`` must equal (:func:`_link`).
+        self.price_digest = native_price_digest(cost_model)
 
     def _translate(self, native, roots=None, capture=None):
         """Translate ``native`` for this executor and install the result.

@@ -132,19 +132,19 @@ class TestRoundTrip:
         run_cached(HOT_LOOP, tmp_path, "whole")
         _, warm_engine, warm_cache, _ = run_cached(HOT_LOOP, tmp_path, "whole")
         assert warm_cache.hits > 0
-        # The warm load carried the whole-function source + marshalled
-        # module, and running it installed the translation under the
-        # byte-exact trust rule.
+        # The warm load carried the whole backend's link record, and
+        # running it attached the stored module instead of emitting one.
         natives = [
             state.native
             for state in warm_engine.states.values()
             if state.native is not None
         ]
-        assert any(native.disk_whole is not None for native in natives)
-        source_text, code_bytes = next(
-            native.disk_whole for native in natives if native.disk_whole is not None
-        )
-        assert isinstance(source_text, str) and isinstance(code_bytes, bytes)
+        records = [native.disk_whole for native in natives if native.disk_whole is not None]
+        assert records
+        assert all("source" not in record for record in records)
+        assert all(isinstance(record["code"], bytes) for record in records)
+        assert warm_engine.executor.modules_linked == warm_cache.hits
+        assert warm_engine.executor.modules_emitted == 0
         ran = [n for n in natives if n.whole_cache is not None]
         assert ran  # the thawed module was translated and executed
 

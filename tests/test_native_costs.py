@@ -1,8 +1,8 @@
 """Static cycle pricing: assembly-time costs equal the dynamic formula.
 
 The executor used to price every instruction inside its dispatch loop
-(dict lookup + overflow surcharge + spill scan).  Assembly now stamps
-``static_cost`` once per instruction; these tests pin the static
+(dict lookup + overflow surcharge + spill scan).  A binary is now priced
+once, by ``NativeCode.cost_table``; these tests pin the static
 price to an independent reimplementation of the old dynamic formula,
 for every opcode in the cost model and across every operand-placement
 variant that contributes to the price.
@@ -16,7 +16,6 @@ from repro.engine.config import BASELINE
 from repro.lir.lir_nodes import LInstruction, Snapshot
 from repro.lir.native import (
     CHECKED_ARITH,
-    annotate_static_costs,
     static_instruction_cost,
 )
 from repro.lir.regalloc import NUM_REGS
@@ -104,36 +103,15 @@ def test_spill_pricing_is_per_operand():
     assert imm == base
 
 
-def test_annotate_stamps_every_instruction():
-    instructions = [
-        LInstruction("add_i", dest=REG, srcs=[REG, REG]),
-        LInstruction("move", dest=SPILL, srcs=[REG]),
-    ]
-    assert all(instruction.static_cost is None for instruction in instructions)
-    annotate_static_costs(instructions)
-    model = CostModel()
-    for instruction in instructions:
-        assert instruction.static_cost == static_instruction_cost(instruction, model)
-
-
-def test_generate_native_prices_whole_binary():
-    _top, code = compile_and_profile(
-        "function f(a, b) { var s = 0; for (var i = 0; i < a; i++) s += b; return s; }"
-        " f(3, 4);"
-    )
-    native = compile_function(code, BASELINE, feedback=code.feedback).native
-    model = CostModel()
-    assert native.instructions
-    for instruction in native.instructions:
-        assert instruction.static_cost == static_instruction_cost(instruction, model)
-
-
 def test_cost_table_cached_per_model():
     _top, code = compile_and_profile("function f(a) { return a + 1; } f(1);")
     native = compile_function(code, BASELINE, feedback=code.feedback).native
     model = CostModel()
     table = native.cost_table(model)
-    assert table == [instruction.static_cost for instruction in native.instructions]
+    assert native.instructions
+    assert table == [
+        static_instruction_cost(instruction, model) for instruction in native.instructions
+    ]
     assert native.cost_table(model) is table  # memoized per binary
     other = CostModel()
     assert native.cost_table(other) is not table  # keyed by model identity

@@ -229,6 +229,7 @@ def observed_run(source, root, base, config=FULL_SPEC):
         "trace": _REF_ADDR.sub("('ref', _)", to_jsonl(tracer.events)),
         "counters": counters,
         "next_id": CodeObject._next_id,
+        "modules": (engine.executor.modules_linked, engine.executor.modules_emitted),
     }, cache
 
 
@@ -382,6 +383,141 @@ def test_hostile_entry_is_a_miss_that_heals(tmp_path, damage):
     assert healed["trace"] == hurt["trace"]
     assert hurt["stats"].pop("disk_corrupt") == 1 and healed["stats"].pop("disk_corrupt") == 0
     assert healed["stats"] == hurt["stats"]
+
+
+# The same for the link record a compile artifact carries (``whole``,
+# docs/CODEGEN.md): one that does not fit its stream is refused at load;
+# one whose module is not a module defining ``_w`` over bound names is
+# refused at link.  Either way the binary runs, emitted.
+
+
+def drop_last(record, artifact):
+    record["bindings"] = record["bindings"][:-1]
+
+
+def cut_last_short(record, artifact):
+    record["bindings"] = record["bindings"][:-1] + [record["bindings"][-1][:2]]
+
+
+def index_past_stream(record, artifact):
+    name, kind, _index = record["bindings"][-1]
+    record["bindings"][-1] = (name, kind, 1 << 20)
+
+
+def snapshot_of_a_plain_instruction(record, artifact):
+    plain = next(
+        index
+        for index, encoded in enumerate(artifact["native"]["instructions"])
+        if encoded[4] is None
+    )
+    record["bindings"].append(("_k999", "snapshot", plain))
+
+
+def unknown_kind(record, artifact):
+    name, _kind, index = record["bindings"][-1]
+    record["bindings"][-1] = (name, "closure cell", index)
+
+
+def foreign_name(record, artifact):
+    _name, kind, index = record["bindings"][-1]
+    record["bindings"][-1] = ("_interp", kind, index)
+
+
+def table_for_a_non_leader(record, artifact):
+    label, region = record["prefix"][-1]
+    record["prefix"][-1] = (label + 1, region[1:])
+
+
+def table_past_the_stream(record, artifact):
+    label, region = record["prefix"][-1]
+    record["prefix"][-1] = (label, region + [region[-1]] * 4096)
+
+
+def root_that_is_no_entry(record, artifact):
+    record["roots"] = record["roots"] + (3,)
+
+
+def code_is_not_code(record, artifact):
+    record["code"] = marshal.dumps("raise SystemExit('executed a string')")
+
+
+def module_without_w(record, artifact):
+    record["code"] = marshal.dumps(compile("_v = 1", "<no _w>", "exec"))
+
+
+REFUSED_AT_LOAD = {
+    "binding-cut-short": cut_last_short,
+    "index-past-stream": index_past_stream,
+    "snapshot-of-plain-instruction": snapshot_of_a_plain_instruction,
+    "unknown-kind": unknown_kind,
+    "foreign-name": foreign_name,
+    "table-for-non-leader": table_for_a_non_leader,
+    "table-past-stream": table_past_the_stream,
+    "root-not-an-entry": root_that_is_no_entry,
+}
+REFUSED_AT_LINK = {
+    "binding-dropped": drop_last,
+    "code-is-not-code": code_is_not_code,
+    "module-without-w": module_without_w,
+}
+
+
+def damage_link_records(root, mutate):
+    """Apply ``mutate`` to the link record of every compile entry under ``root``."""
+    damaged = 0
+    for path in sorted(root.rglob("*.bin")):
+        blob = path.read_bytes()
+        if blob[_FRAME_HEADER_SIZE : _FRAME_HEADER_SIZE + 1] != ENTRY_KINDS["compile"]:
+            continue
+        artifact = marshal.loads(blob[_FRAME_HEADER_SIZE + 1 :])
+        if not artifact["whole"]["bindings"]:
+            continue  # a binary with no guard: nothing to mis-bind
+        mutate(artifact["whole"], artifact)
+        path.write_bytes(_frame_entry(ENTRY_KINDS["compile"] + marshal.dumps(artifact)))
+        damaged += 1
+    return damaged
+
+
+@pytest.mark.parametrize("damage", sorted(REFUSED_AT_LOAD))
+def test_malformed_link_record_is_a_miss_that_heals(tmp_path, damage):
+    clean, cache = observed_run(HOT, tmp_path, 1)
+    stored = cache.stores
+    damaged = damage_link_records(tmp_path, REFUSED_AT_LOAD[damage])
+    assert damaged >= 1
+
+    hurt, cache = observed_run(HOT, tmp_path, 1)
+    assert cache.corrupt == damaged
+    assert hurt["counters"] == {
+        "hits": stored - damaged, "misses": damaged, "stores": damaged, "uncacheable": 0
+    }
+    assert hurt["printed"] == clean["printed"]
+    assert hurt["modules"] == (stored - damaged, damaged)
+
+    healed, cache = observed_run(HOT, tmp_path, 1)
+    assert cache.corrupt == 0 and healed["counters"]["hits"] == stored
+    assert healed["modules"] == (stored, 0)
+    for run in (hurt, healed):
+        for field, value in clean["stats"].items():
+            if field not in DISK_TRAFFIC_KEYS:
+                assert run["stats"][field] == value, field
+
+
+@pytest.mark.parametrize("damage", sorted(REFUSED_AT_LINK))
+def test_unlinkable_module_is_emitted_instead(tmp_path, damage):
+    clean, cache = observed_run(HOT, tmp_path, 1)
+    stored = cache.stores
+    damaged = damage_link_records(tmp_path, REFUSED_AT_LINK[damage])
+    assert damaged >= 1
+
+    hurt, cache = observed_run(HOT, tmp_path, 1)
+    # Well-formed on disk: a hit — and no exception at the first call.
+    assert cache.corrupt == 0
+    assert hurt["counters"] == {"hits": stored, "misses": 0, "stores": 0, "uncacheable": 0}
+    assert hurt["modules"] == (stored - damaged, damaged)
+    assert hurt["printed"] == clean["printed"]
+    for field, value in clean["stats"].items():
+        if field not in DISK_TRAFFIC_KEYS:
+            assert hurt["stats"][field] == value, field
 
 
 def test_syntax_error_stores_nothing_and_repeats(tmp_path):

@@ -5,8 +5,9 @@ binary to a single generated Python function.  Its contract is the
 same bit-identity rule the closure backend lives under — for any
 program and configuration, ``EngineStats``, cycle counts, printed
 output and trace streams must equal the reference executor's exactly —
-plus exact profiler attribution and source/marshalled-module round
-trips through the persistent cache under the byte-exact trust rule.
+plus exact profiler attribution and marshalled-module round trips
+through the persistent cache as link records (tests/test_whole_link.py
+holds the record's own property tests).
 
 The three-way sweep below runs **every** benchmark of every suite
 through all three backends; this is the acceptance check behind
@@ -285,18 +286,17 @@ class TestEntryRootedTranslation:
         # Leave the stored module as the only way around host compile().
         wholefn._MODULE_CODE_MEMO.clear()
         host_compiles = _count_host_compiles(monkeypatch)
-        translations = _spy_translations(monkeypatch)
         warm, warm_printed = run_cached()
         assert warm.code_cache.hits == cold.code_cache.stores
         assert warm_printed == cold_printed
-        # Source regenerated now == source stored, for every binary
-        # (the script's included), so nothing was compiled again.
-        script = _script_native(warm)
-        assert script in [native for native, _roots, _text in translations]
-        for native, _roots, text in translations:
-            assert native.disk_whole is not None
-            assert native.disk_whole[0] == text
+        # Every binary (the script's included) linked its stored module:
+        # the emitter never ran and nothing was compiled again.
+        assert warm.executor.modules_emitted == 0
+        assert warm.executor.modules_linked == warm.code_cache.hits
         assert host_compiles == []
+        script = _script_native(warm)
+        assert script.disk_whole["roots"] == (script.osr_index,)
+        assert _translated(script) == _translated(_script_native(cold))
 
         def simulated(ledger):
             return {k: v for k, v in ledger.items() if k not in DISK_TRAFFIC_KEYS}
@@ -459,59 +459,63 @@ def _compiled_native(source):
 
 
 class TestModuleRoundTrip:
-    """whole_artifact → disk_whole → compile_whole honors the
-    byte-exact trust rule in both directions."""
+    """whole_artifact → disk_whole → compile_whole: the stored module is
+    linked while the record's facts hold, and emitted afresh otherwise."""
 
-    def test_marshalled_module_trusted_when_byte_exact(self, monkeypatch):
-        native = _compiled_native("function f(a) { return a + 1; } f(1); f(2);")
-        executor = WholeExecutor(Interpreter(), CostModel())
-        artifact = whole_artifact(native, executor)
-        assert artifact is not None
-        assert isinstance(artifact["source"], str) and artifact["source"]
-        assert isinstance(artifact["code"], bytes)
-
-        loads_calls = []
-        real_loads = marshal.loads
-
-        class _Marshal(object):
-            dumps = staticmethod(marshal.dumps)
-
-            @staticmethod
-            def loads(blob):
-                loads_calls.append(len(blob))
-                return real_loads(blob)
-
-        monkeypatch.setattr(wholefn, "marshal", _Marshal)
-
-        native.whole_cache = None
-        native.disk_whole = (artifact["source"], artifact["code"])
-        fn, _counts, _sums, _prefix = compile_whole(native, executor)
-        assert loads_calls, "byte-exact module was not thawed from marshal"
-        assert callable(fn)
-        assert executor.run(native, None, UNDEFINED, [41]) == 42
-
-    def test_stale_source_falls_back_to_host_compile(self, monkeypatch):
-        native = _compiled_native("function f(a) { return a * 2; } f(3); f(4);")
-        executor = WholeExecutor(Interpreter(), CostModel())
-        artifact = whole_artifact(native, executor)
-        assert artifact is not None
-
+    @staticmethod
+    def _marshal_spy(monkeypatch, loads):
         monkeypatch.setattr(
             wholefn,
             "marshal",
-            type("NoMarshal", (), {
-                "loads": staticmethod(
-                    lambda blob: (_ for _ in ()).throw(AssertionError("trusted stale module"))
-                ),
-                "dumps": staticmethod(marshal.dumps),
+            type("Marshal", (), {
+                "loads": staticmethod(loads), "dumps": staticmethod(marshal.dumps),
             }),
         )
+
+    def test_marshalled_module_linked_when_the_record_holds(self, monkeypatch):
+        native = _compiled_native("function f(a) { return a + 1; } f(1); f(2);")
+        executor = WholeExecutor(Interpreter(), CostModel())
+        record = whole_artifact(native, executor)
+        assert record is not None
+        assert "source" not in record
+        assert isinstance(record["code"], bytes)
+        assert record["roots"] == wholefn.translation_roots(native, executor)
+        emitted = native.whole_cache
+
+        loads_calls = []
+
+        def loads(blob):
+            loads_calls.append(len(blob))
+            return marshal.loads(blob)
+
+        self._marshal_spy(monkeypatch, loads)
         native.whole_cache = None
-        native.disk_whole = ("// not the generated source", artifact["code"])
+        native.disk_whole = wholefn.checked_link_record(native, record)
+        fresh = WholeExecutor(Interpreter(), CostModel())
+        fn, counts, sums, prefix = compile_whole(native, fresh)
+        assert loads_calls == [len(record["code"])]
+        assert (fresh.modules_linked, fresh.modules_emitted) == (1, 0)
+        assert fn.__code__ == emitted[3].__code__
+        assert (counts, sums, prefix) == emitted[4:7]
+        assert fresh.run(native, None, UNDEFINED, [41]) == 42
+
+    def test_refused_record_falls_back_to_emission(self, monkeypatch):
+        native = _compiled_native("function f(a) { return a * 2; } f(3); f(4);")
+        executor = WholeExecutor(Interpreter(), CostModel())
+        record = whole_artifact(native, executor)
+        assert record is not None
+
+        def loads(blob):
+            raise AssertionError("linked a record whose facts do not hold")
+
+        self._marshal_spy(monkeypatch, loads)
+        native.whole_cache = None
+        native.disk_whole = dict(record, emitter=b"another emitter")
         # Empty the memo too, so the only blob in reach is the stale one.
         wholefn._MODULE_CODE_MEMO.clear()
         executor_fresh = WholeExecutor(Interpreter(), CostModel())
         assert executor_fresh.run(native, None, UNDEFINED, [21]) == 42
+        assert (executor_fresh.modules_linked, executor_fresh.modules_emitted) == (0, 1)
 
     def test_artifact_refused_when_instrumented(self):
         native = _compiled_native("function f(a) { return a - 1; } f(1); f(2);")

@@ -9,7 +9,10 @@ processes* sharing one cache directory:
    must be > 0) and so does each program's bytecode: the phase counts
    its calls into ``parse``, ``compile_program`` and the loop-rotation
    planner, and all three must be 0 (docs/COMPILE_PIPELINE.md, "Program
-   entries").
+   entries").  On the ``whole`` backend it also counts *emissions*: a
+   hit links its stored module (docs/CODEGEN.md, "Caching"), so the
+   emitter must have run exactly ``compiles - disk hits`` times; the
+   excess is refused links, reported and (outside ``--history``) fatal.
 
 The check passes only when both phases print the same guest output and
 the same ``EngineStats.as_dict()`` ledger — byte for byte once
@@ -26,7 +29,8 @@ the process ran before: the cold process fills the store running
 other ``objects`` programs on engines of their own (no cache attached)
 and must then hit **every** key.  Shape ids enter the key through the
 IC fingerprint, so this holds only because each engine numbers its own
-shape tree (docs/SHAPES.md).
+shape tree (docs/SHAPES.md).  The same numbering is what a link record
+re-checks, so this mode prints its linked / refused counts too.
 
 Usage::
 
@@ -113,10 +117,14 @@ def run_phase(cache_dir, backend, phase, history):
     front_half = count_front_half_calls()  # after the --history warm-up runs
     output = []
     stats = []
+    modules = {"linked": 0, "emitted": 0}
     for source in sources:
         engine = Engine(executor_backend=backend, code_cache=cache)
         output.extend(engine.run_source(source))
         stats.append(engine.stats.as_dict())
+        # Plain integers on the whole backend's executor only.
+        modules["linked"] += getattr(engine.executor, "modules_linked", 0)
+        modules["emitted"] += getattr(engine.executor, "modules_emitted", 0)
     print(
         json.dumps(
             {
@@ -125,6 +133,7 @@ def run_phase(cache_dir, backend, phase, history):
                 "cache": cache.stats(),
                 "front_half": front_half,
                 "programs": len(sources),
+                "modules": modules,
             }
         )
     )
@@ -234,6 +243,23 @@ def main(argv=None):
                 "warm phase loaded %d of %d program entries"
                 % (warm["cache"]["program_loads"], warm["programs"])
             )
+        links = ""
+        if args.backend == "whole":
+            linked = warm["modules"]["linked"]
+            compiled = sum(stats["compiles"] for stats in warm["stats"]) - warm["cache"]["hits"]
+            refused = warm["modules"]["emitted"] - compiled
+            links = " (%d linked, %d refused)" % (linked, refused)
+            if linked + refused != warm["cache"]["hits"]:
+                failures.append(
+                    "warm phase linked %d and emitted %d modules for %d hits and "
+                    "%d compiles: a binary was translated twice or never"
+                    % (linked, warm["modules"]["emitted"], warm["cache"]["hits"], compiled)
+                )
+            if refused and not args.history:
+                failures.append(
+                    "warm phase refused %d of %d links: the emitter ran for a hit"
+                    % (refused, warm["cache"]["hits"])
+                )
         if cold["output"] != warm["output"]:
             failures.append("guest output differs between cold and warm")
         from repro.engine.stats import DISK_TRAFFIC_KEYS
@@ -255,12 +281,13 @@ def main(argv=None):
                 print("  " + failure)
             return 1
         print(
-            "cache round trip OK: %d stores cold, %d hits warm, %d program "
+            "cache round trip OK: %d stores cold, %d hits warm%s, %d program "
             "entries loaded with 0 front-half calls, "
             "output and stats bit-identical (%s backend, dir %s)"
             % (
                 cold["cache"]["stores"],
                 warm["cache"]["hits"],
+                links,
                 warm["cache"]["program_loads"],
                 args.backend,
                 cache_dir,

@@ -22,10 +22,22 @@ from run to run, say nothing about seconds, and answer "how much of what
 executes goes through a helper" (ROADMAP audit "``whole``'s typed
 arithmetic"; before/after table in docs/PERF.md).
 
+``--interp-ops`` counts something else, the same way: the bytecode ops the
+*interpreter* executes in one warm page-load pass (hostbench's
+``pageload-warm``: its 16 pages of ``--seed``, default 1, against a cache
+a cold pass just filled) — per opcode, per adjacent pair within one
+activation, and by where they ran: at top level, in a function called
+once, in one called again but never compiled, in one before its first
+compile, or in one that had been compiled (a bailout's resume, a
+discarded binary).  The interpreter is the largest layer of a warm page;
+this is the table to read before changing it (docs/PERF.md, "What the
+interpreter runs on a warm page").
+
 Usage::
 
     PYTHONPATH=src python tools/host_ops.py [--seed N] [--requests N] [--json]
     PYTHONPATH=src python tools/host_ops.py --check   # CI: fail above the budget
+    PYTHONPATH=src python tools/host_ops.py --interp-ops [--seed N] [--json]
 
 ``--check`` compares against ``tools/host_ops_budget.json`` (default
 seed and request count only) and exits 1 when any count is above its
@@ -159,6 +171,145 @@ def replay(seed, requests):
     return counter
 
 
+#: Where an interpreted op ran, in report order.
+OP_PLACES = (
+    "top level",
+    "function called once",
+    "function called again, never compiled",
+    "function before its first compile",
+    "function after a compile",
+)
+
+PAGE_SEED = 1
+
+
+class InterpOpCounter(object):
+    """Stands in for ``Interpreter._run``: the same loop, counting what it runs."""
+
+    def __init__(self):
+        self.opcodes = collections.Counter()
+        self.pairs = collections.Counter()
+        #: code object -> [ops run before its first compile, ops after, calls]
+        self.per_code = {}
+        self.compiled = set()
+        self._streams = {}
+
+    def run(self, interpreter, frame, pc, stack):
+        from repro.jsvm import interpreter as module
+
+        code = frame.code
+        table = code.threaded
+        if table is None:
+            table = code.threaded = module.build_threaded(code)
+        ops = self._streams.get(code)
+        if ops is None:
+            ops = self._streams[code] = [instr.op for instr in code.instructions]
+        row = self.per_code.setdefault(code, [0, 0, 0])
+        if pc == 0:
+            row[2] += 1
+        after = code in self.compiled
+        ctx = module._DispatchContext(interpreter, frame, stack, code.feedback)
+        opcodes = self.opcodes
+        pairs = self.pairs
+        previous = None
+        executed = 0
+        try:
+            while True:
+                handler, arg = table[pc]
+                interpreter.ops_executed += 1
+                op = ops[pc]
+                opcodes[op] += 1
+                if previous is not None:
+                    pairs[previous, op] += 1
+                previous = op
+                executed += 1
+                pc = handler(ctx, pc + 1, arg)
+                if pc < 0:
+                    return ctx.return_value
+        finally:
+            row[after] += executed
+
+    def places(self):
+        """Ops per :data:`OP_PLACES` entry, decided once the pass is over."""
+        totals = dict.fromkeys(OP_PLACES, 0)
+        for code, (before, after, calls) in self.per_code.items():
+            if code.is_script:
+                totals["top level"] += before + after
+                continue
+            totals["function after a compile"] += after
+            if code in self.compiled:
+                totals["function before its first compile"] += before
+            elif calls == 1:
+                totals["function called once"] += before
+            else:
+                totals["function called again, never compiled"] += before
+        return totals
+
+
+def interp_ops(seed):
+    """Count the interpreter's ops over one warm page-load pass of ``seed``."""
+    sys.path.insert(0, REPO_ROOT)
+    from hostbench import workloads
+
+    from repro.cache import DiskCodeCache
+    from repro.engine.config import FULL_SPEC
+    from repro.engine.runtime_engine import Engine
+    from repro.engine.stats import EngineStats
+    from repro.jsvm.interpreter import Interpreter
+
+    pages = workloads.page_operations(seed)
+    root = tempfile.mkdtemp(prefix="repro-interp-ops-")
+    counter = InterpOpCounter()
+    run, record_compile = Interpreter._run, EngineStats.record_compile
+
+    def recording(stats, code, *args, **kwargs):
+        counter.compiled.add(code)
+        return record_compile(stats, code, *args, **kwargs)
+
+    try:
+        for _name, source in pages:  # the cold pass: fills the cache
+            Engine(config=FULL_SPEC, code_cache=DiskCodeCache(root=root)).run_source(source)
+        Interpreter._run = lambda self, frame, pc, stack: counter.run(self, frame, pc, stack)
+        EngineStats.record_compile = recording
+        executed = 0
+        for _name, source in pages:
+            engine = Engine(config=FULL_SPEC, code_cache=DiskCodeCache(root=root))
+            engine.run_source(source)
+            executed += engine.interpreter.ops_executed
+    finally:
+        Interpreter._run, EngineStats.record_compile = run, record_compile
+        shutil.rmtree(root, ignore_errors=True)
+    total = sum(counter.opcodes.values())
+    if total != executed:
+        raise SystemExit("counted %d ops, the interpreter reports %d" % (total, executed))
+    return {
+        "seed": seed,
+        "pages": len(pages),
+        "ops": total,
+        "places": counter.places(),
+        "opcodes": dict(counter.opcodes.most_common()),
+        "pairs": [[first, second, count] for (first, second), count in counter.pairs.most_common()],
+    }
+
+
+def print_interp_ops(report, top=20):
+    total = report["ops"]
+    print(
+        "warm page-load pass: seed %d, %d pages, %d interpreter ops"
+        % (report["seed"], report["pages"], total)
+    )
+    print("\nwhere they ran")
+    for place in OP_PLACES:
+        count = report["places"][place]
+        print("  %-40s %8d  %5.1f%%" % (place, count, 100.0 * count / total))
+    print("\nopcodes (all %d)" % len(report["opcodes"]))
+    for op, count in report["opcodes"].items():
+        print("  %-16s %8d  %5.1f%%" % (op, count, 100.0 * count / total))
+    print("\nadjacent pairs (top %d of %d)" % (top, len(report["pairs"])))
+    for first, second, count in report["pairs"][:top]:
+        print("  %-28s %8d  %5.1f%%" % (first + " " + second, count, 100.0 * count / total))
+
+
 def summarize(counter):
     """The report as a plain dict (what ``--json`` prints and ``--check`` reads)."""
     report = {"helper_calls": dict(sorted(counter.counts.items())), "frames_per_call": {}}
@@ -192,13 +343,29 @@ def check(report, budget):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=SCHEDULE_SEED, help="schedule seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="schedule seed (with --interp-ops: page seed)"
+    )
     parser.add_argument("--requests", type=int, default=REQUESTS)
     parser.add_argument("--json", action="store_true", help="print the report as JSON")
     parser.add_argument(
         "--check", action="store_true", help="fail above tools/host_ops_budget.json"
     )
+    parser.add_argument(
+        "--interp-ops",
+        action="store_true",
+        help="count the interpreter's ops over one warm page-load pass instead",
+    )
     args = parser.parse_args(argv)
+    if args.interp_ops:
+        report = interp_ops(PAGE_SEED if args.seed is None else args.seed)
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            print_interp_ops(report)
+        return 0
+    if args.seed is None:
+        args.seed = SCHEDULE_SEED
     if args.check and (args.seed != SCHEDULE_SEED or args.requests != REQUESTS):
         parser.error("--check is defined for the default seed and request count")
 
