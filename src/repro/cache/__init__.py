@@ -21,11 +21,13 @@ Two invariants keep the cache honest:
   time changes.  (The one visible trace difference: per-pass
   ``pass.run`` events are absent on a disk hit, replaced by a
   ``cache.disk_hit`` event; see docs/TRACING.md.)
-* **Refuse rather than guess.**  Any input the key cannot capture
-  faithfully — an object-reference argument under specialization, an
-  unserializable constant — makes the compile uncacheable
-  (:meth:`DiskCodeCache.key_for` returns ``None``) and the engine
-  compiles normally.
+* **Refuse rather than guess.**  A plain object or array argument is
+  keyed by what the compiler reads of it — class, position among the
+  inputs, an array's length — and stored as a relocatable slot bound to
+  the live call's value on load.  Any input the key cannot capture
+  faithfully — a function argument, an unserializable constant — makes
+  the compile uncacheable (:meth:`DiskCodeCache.key_for` returns
+  ``None``) and the engine compiles normally.
 
 The store lives under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro``); see docs/COMPILE_PIPELINE.md for the key anatomy

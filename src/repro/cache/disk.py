@@ -39,6 +39,7 @@ from repro.cache.serialize import (
 )
 from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.feedback import shape_ic_fingerprint
+from repro.jsvm.objects import JSArray, JSObject
 from repro.jsvm.values import value_key
 
 
@@ -159,13 +160,50 @@ def _code_fingerprint(code):
     return digest
 
 
-def _value_keys(values):
-    """``value_key`` per value; :class:`Uncacheable` on any reference key."""
+def compile_inputs(
+    this_value=None, param_values=None, osr_args=None, osr_locals=None, **_options
+):
+    """One compile's input values in key order, and where each group ends.
+
+    Returns ``(layout, values)``: ``values`` is ``this``, the arguments,
+    the OSR arguments and the OSR locals, flattened; ``layout`` is each
+    group's length, None when the compile has no such group.  The key,
+    a stored artifact and a load all name a heap reference by its first
+    position in ``values`` — the one ordering of the three.
+    ``_options`` takes the rest of a ``key_for`` keyword set, so a
+    caller passes ``load``/``store`` the dict it keyed with.
+    """
+    groups = (
+        None if this_value is None else (this_value,),
+        param_values,
+        osr_args,
+        osr_locals,
+    )
+    layout = tuple(None if group is None else len(group) for group in groups)
+    return layout, [value for group in groups if group is not None for value in group]
+
+
+def _input_keys(values):
+    """The key of each compile input; :class:`Uncacheable` on a refusal.
+
+    Primitives by ``value_key``; a plain ``JSObject`` as ``("object", p)``
+    and a ``JSArray`` as ``("array", p, length)``, ``p`` the first
+    position holding the same object — its class, aliasing and length
+    are all the compiler reads of it (docs/COMPILE_PIPELINE.md).  Any
+    other reference has no such name.
+    """
+    first = {}
     keys = []
-    for value in values:
+    for position, value in enumerate(values):
         key = value_key(value)
         if key[0] == "ref":
-            raise Uncacheable("object-reference value %r" % (value,))
+            kind = type(value)
+            if kind is JSObject:
+                key = ("object", first.setdefault(id(value), position))
+            elif kind is JSArray:
+                key = ("array", first.setdefault(id(value), position), len(value.elements))
+            else:
+                raise Uncacheable("object-reference value %r" % (value,))
         keys.append(key)
     return tuple(keys)
 
@@ -226,6 +264,7 @@ def content_key(
     if not config.param_spec:
         param_values = None
         this_value = None
+    layout, values = compile_inputs(this_value, param_values, osr_args, osr_locals)
     return _digest(
         "compile",
         _code_fingerprint(code),
@@ -233,10 +272,8 @@ def content_key(
         bool(generic),
         bool(shape_guards),
         osr_pc,
-        None if param_values is None else _value_keys(param_values),
-        None if this_value is None else _value_keys([this_value]),
-        None if osr_args is None else _value_keys(osr_args),
-        None if osr_locals is None else _value_keys(osr_locals),
+        layout,
+        _input_keys(values),
         _feedback_fingerprint(feedback),
     )
 
@@ -313,13 +350,14 @@ class DiskCodeCache(object):
         artifact format version and host
         marshal format (so incompatible stores read as misses), the
         recursive code digest, the optimization configuration, the
-        generic and shape-guard flags, the OSR entry state (pc plus the
-        value keys of the live frame), the specialization values (value
-        keys of ``this`` and the arguments when parameter
-        specialization will bake them in), and the type-feedback
-        snapshot.  Any component that is identity-based — an
-        object-reference argument, a constant with no content name —
-        makes the whole compile uncacheable.
+        generic and shape-guard flags, the OSR pc, the input values
+        (:func:`compile_inputs`: ``this`` and the arguments when
+        parameter specialization will bake them in, the live frame's
+        arguments and locals for OSR) with their layout, and the
+        type-feedback snapshot.  A plain object or array input is keyed
+        by class and position (:func:`_input_keys`); any other
+        identity-based component — a function argument, a constant with
+        no content name — makes the whole compile uncacheable.
         """
         try:
             return content_key(
@@ -393,32 +431,40 @@ class DiskCodeCache(object):
             return False
         return True
 
-    def load(self, key, code):
+    def load(self, key, code, inputs=None):
         """Thaw the artifact stored under ``key`` for ``code``, or None.
 
-        Anything unexpected — missing file, version skew, a torn or
-        corrupted frame — is a miss; the engine then compiles (and
-        re-stores) normally.
+        ``inputs`` is the keyword set the key was computed from; its
+        relocatable values are bound into the thawed binary.  Anything
+        unexpected — missing file, version skew, a torn or corrupted
+        frame, a slot the call has no value for — is a miss; the engine
+        then compiles (and re-stores) normally.
         """
-        result = self._thawed(key, "compile", lambda artifact: thaw_result(artifact, code))
+        values = compile_inputs(**inputs)[1] if inputs else ()
+        result = self._thawed(
+            key, "compile", lambda artifact: thaw_result(artifact, code, values)
+        )
         if result is None:
             self.misses += 1
         else:
             self.hits += 1
         return result
 
-    def store(self, key, result, executor=None):
+    def store(self, key, result, executor=None, inputs=None):
         """Persist ``result`` under ``key``; returns True on success.
 
-        When ``executor`` is a codegen backend, the module it generated
-        for this binary rides along under that backend's name, so a
+        ``inputs`` is the keyword set the key was computed from: a
+        relocatable value of it baked into the binary is stored as its
+        slot.  When ``executor`` is a codegen backend, the module it
+        generated for this binary rides along under that backend's name, so a
         warm run also skips host ``compile()`` — and, on ``whole``, the
         emitter: ``closure`` stores source + marshalled code
         (:func:`repro.lir.closures.closure_artifact`), ``whole`` a link
         record with no source (:func:`repro.lir.wholefn.whole_artifact`).
         """
+        values = compile_inputs(**inputs)[1] if inputs else ()
         try:
-            artifact = freeze_result(result, result.native.code)
+            artifact = freeze_result(result, result.native.code, values)
         except Uncacheable:
             self.uncacheable += 1
             return False

@@ -12,13 +12,18 @@ code (which is only trusted after a byte-exact source match, see
 :mod:`repro.lir.closures`).
 
 Guest values that appear in artifacts (immediates, specialized-args
-metadata, instruction extras) are encoded with a small tagged scheme;
-anything the scheme cannot represent faithfully — object references,
-live functions — raises :class:`Uncacheable` and the compile is simply
-not cached.  Nested :class:`~repro.jsvm.bytecode.CodeObject` references
-(the ``lambda`` instruction's payload) are encoded as constant-pool
-indices and re-resolved against the live code object at load time, so
-a thawed binary creates closures over the *current* run's code objects.
+metadata, instruction extras) are encoded with a small tagged scheme.
+A plain object or array among the compile's inputs
+(:func:`repro.cache.disk.compile_inputs`) is stored as a *relocatable
+slot* ``("r", p)``, its first position among them, and a load binds
+``p`` to the live call's value, as a linker patches an address.
+Anything else the scheme cannot represent faithfully — other object
+references, live functions — raises :class:`Uncacheable` and the
+compile is simply not cached.  Nested
+:class:`~repro.jsvm.bytecode.CodeObject` references (the ``lambda``
+instruction's payload) are encoded as constant-pool indices and
+re-resolved against the live code object at load time, so a thawed
+binary creates closures over the *current* run's code objects.
 
 The second artifact is the *program entry*: the bytecode tree of one
 source text (:func:`freeze_program` / :func:`thaw_program`), which lets
@@ -29,6 +34,7 @@ import marshal
 import zlib
 
 from repro.jsvm.bytecode import CodeObject, Instr
+from repro.jsvm.objects import JSArray, JSObject
 from repro.jsvm.values import NULL, UNDEFINED
 from repro.lir.lir_nodes import LInstruction, Snapshot
 from repro.lir.native import NativeCode
@@ -61,17 +67,25 @@ class Uncacheable(Exception):
 #: v8: a payload opens with its entry kind, and there is a second kind —
 #: the program entry (:func:`freeze_program`).
 #: v9: the ``whole`` sub-artifact is a link record, with no source text.
-FORMAT_VERSION = 9
+#: v10: a plain object or array input is keyed by class and position and
+#: stored as a relocatable slot ``("r", p)``.
+FORMAT_VERSION = 10
+
+#: The heap classes a cached compile's inputs may hold (exact classes):
+#: the key names one by position, the artifact relocates it.
+RELOCATABLE = (JSObject, JSArray)
 
 _PRIMITIVES = (int, float, bool, str)
 
 
-def encode_value(value, code):
+def encode_value(value, code, positions=None):
     """Encode one guest value (or instruction payload) as plain data.
 
     ``code`` is the function being compiled; nested code objects are
-    encoded as indices into its constant pool.  Raises
-    :class:`Uncacheable` for anything identity-based.
+    encoded as indices into its constant pool.  ``positions`` maps the
+    ``id`` of each relocatable input to its position (encoded as the
+    slot ``("r", position)``).  Raises :class:`Uncacheable` for anything
+    else identity-based.
     """
     if value is None:
         return ("n",)
@@ -87,15 +101,15 @@ def encode_value(value, code):
     if value is NULL:
         return ("z",)
     if kind is tuple:
-        return ("t", [encode_value(item, code) for item in value])
+        return ("t", [encode_value(item, code, positions) for item in value])
     if kind is list:
-        return ("l", [encode_value(item, code) for item in value])
+        return ("l", [encode_value(item, code, positions) for item in value])
     if kind is dict:
         items = []
         for key in value:
             if type(key) is not str:
                 raise Uncacheable("non-string dict key %r" % (key,))
-            items.append((key, encode_value(value[key], code)))
+            items.append((key, encode_value(value[key], code, positions)))
         items.sort()
         return ("d", items)
     if kind is CodeObject:
@@ -103,11 +117,20 @@ def encode_value(value, code):
             if constant is value:
                 return ("c", index)
         raise Uncacheable("code object %r not in the constant pool" % value.name)
+    if positions:
+        position = positions.get(id(value))
+        if position is not None:
+            return ("r", position)
     raise Uncacheable("unserializable value %r" % (value,))
 
 
-def decode_value(encoded, code):
-    """Invert :func:`encode_value` against the live ``code`` object."""
+def decode_value(encoded, code, inputs=()):
+    """Invert :func:`encode_value` against the live ``code`` object.
+
+    ``inputs`` are the live call's compile inputs, in the order the
+    slots were numbered; a slot naming a position they do not have, or
+    one that does not hold a relocatable value, raises.
+    """
     tag = encoded[0]
     if tag == "n":
         return None
@@ -120,13 +143,18 @@ def decode_value(encoded, code):
     if tag == "z":
         return NULL
     if tag == "t":
-        return tuple(decode_value(item, code) for item in encoded[1])
+        return tuple(decode_value(item, code, inputs) for item in encoded[1])
     if tag == "l":
-        return [decode_value(item, code) for item in encoded[1]]
+        return [decode_value(item, code, inputs) for item in encoded[1]]
     if tag == "d":
-        return {key: decode_value(item, code) for key, item in encoded[1]}
+        return {key: decode_value(item, code, inputs) for key, item in encoded[1]}
     if tag == "c":
         return code.constants[encoded[1]]
+    if tag == "r":
+        position = encoded[1]
+        if not 0 <= position < len(inputs) or type(inputs[position]) not in RELOCATABLE:
+            raise ValueError("slot %r is no relocatable input of this call" % (position,))
+        return inputs[position]
     raise ValueError("unknown value tag %r" % (tag,))
 
 
@@ -151,36 +179,42 @@ def _decode_snapshot(encoded):
     return snapshot
 
 
-def _encode_instruction(instruction, code):
+def _encode_instruction(instruction, code, positions):
     return (
         instruction.op,
         instruction.dest,
         list(instruction.srcs),
-        encode_value(instruction.extra, code),
+        encode_value(instruction.extra, code, positions),
         None if instruction.snapshot is None else _encode_snapshot(instruction.snapshot),
         None if instruction.targets is None else list(instruction.targets),
     )
 
 
-def _decode_instruction(encoded, code):
+def _decode_instruction(encoded, code, inputs):
     op, dest, srcs, extra, snapshot, targets = encoded
     return LInstruction(
         op,
         dest=dest,
         srcs=srcs,
-        extra=decode_value(extra, code),
+        extra=decode_value(extra, code, inputs),
         snapshot=None if snapshot is None else _decode_snapshot(snapshot),
         targets=None if targets is None else list(targets),
     )
 
 
-def freeze_result(result, code):
+def freeze_result(result, code, inputs=()):
     """Encode a :class:`CompileResult` as a plain-data artifact dict.
 
+    ``inputs`` are the compile's input values in key order; a
+    relocatable one baked into the binary is stored as its slot.
     Raises :class:`Uncacheable` when any component resists faithful
     serialization (the caller then skips the store).
     """
     native = result.native
+    positions = {}
+    for position, value in enumerate(inputs):
+        if type(value) in RELOCATABLE:
+            positions.setdefault(id(value), position)
     return {
         "format": FORMAT_VERSION,
         "fn": code.name,
@@ -188,10 +222,10 @@ def freeze_result(result, code):
             "entry_index": native.entry_index,
             "osr_index": native.osr_index,
             "num_slots": native.num_slots,
-            "immediates": [encode_value(value, code) for value in native.immediates],
-            "meta": encode_value(dict(native.meta), code),
+            "immediates": [encode_value(value, code, positions) for value in native.immediates],
+            "meta": encode_value(dict(native.meta), code, positions),
             "instructions": [
-                _encode_instruction(instruction, code)
+                _encode_instruction(instruction, code, positions)
                 for instruction in native.instructions
             ],
         },
@@ -218,11 +252,13 @@ class ReplayedPassWork(object):
         self.total_units = total_units
 
 
-def thaw_result(artifact, code):
+def thaw_result(artifact, code, inputs=()):
     """Rebuild a :class:`CompileResult` from an artifact dict.
 
     ``code`` must be the same guest function the artifact was frozen
-    from (the cache key guarantees it).  A ``whole`` link record is
+    from, and ``inputs`` the live call's input values in key order (the
+    cache key guarantees both fit): each relocatable slot is bound to
+    the value at its position.  A ``whole`` link record is
     checked against the rebuilt stream here
     (:func:`repro.lir.wholefn.checked_link_record`), so a malformed one
     raises — a corrupt entry, a miss — instead of surfacing at the
@@ -232,7 +268,7 @@ def thaw_result(artifact, code):
 
     blob = artifact["native"]
     instructions = [
-        _decode_instruction(encoded, code) for encoded in blob["instructions"]
+        _decode_instruction(encoded, code, inputs) for encoded in blob["instructions"]
     ]
     native = NativeCode(
         code,
@@ -240,8 +276,8 @@ def thaw_result(artifact, code):
         entry_index=blob["entry_index"],
         osr_index=blob["osr_index"],
         num_slots=blob["num_slots"],
-        meta=decode_value(blob["meta"], code),
-        immediates=[decode_value(value, code) for value in blob["immediates"]],
+        meta=decode_value(blob["meta"], code, inputs),
+        immediates=[decode_value(value, code, inputs) for value in blob["immediates"]],
     )
     closure = artifact.get("closure")
     if closure is not None:

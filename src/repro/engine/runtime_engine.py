@@ -1126,7 +1126,7 @@ class Engine(object):
         if cache is not None:
             cache_key = cache.key_for(code, self.config, **inputs)
             if cache_key is not None:
-                result = cache.load(cache_key, code)
+                result = cache.load(cache_key, code, inputs)
                 if result is not None:
                     self._emit("cache", "disk_hit", code, key=cache_key)
         if result is None:
@@ -1138,7 +1138,7 @@ class Engine(object):
                 self._emit("compile", "reject", code)
                 return None
             if cache_key is not None:
-                cache.store(cache_key, result, executor=self.executor)
+                cache.store(cache_key, result, executor=self.executor, inputs=inputs)
         native = result.native
         codegen = result.codegen_stats
         compile_cycles = self.stats.record_compile(

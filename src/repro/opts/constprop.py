@@ -25,6 +25,10 @@ Folded forms:
   guards;
 * ``length`` of constant strings;
 * calls to pure (``foldable``) native builtins with constant arguments.
+
+No fold converts a baked-in array (:func:`_reads_elements`): ToPrimitive
+joins its elements, which a later store may change under the same
+reference — and the persistent cache keys it by length, not contents.
 """
 
 import math
@@ -32,6 +36,7 @@ import math
 from repro.errors import ReproError
 from repro.jsvm import operations
 from repro.jsvm.bytecode import Op
+from repro.jsvm.objects import JSArray
 from repro.jsvm.values import NativeFunction, to_boolean, type_of
 from repro.mir.instructions import (
     MBinaryArithD,
@@ -112,6 +117,26 @@ _EVALUATED_KINDS = (
     MGetPropV,
     MCall,
 )
+
+
+#: Kinds that fold by their operand's class alone, converting nothing.
+_CLASS_ONLY_KINDS = (MNot, MTypeOf, MUnbox, MTypeBarrier)
+
+
+def _reads_elements(op, values):
+    """Whether evaluating ``op`` over ``values`` reads an array's elements.
+
+    Identity comparisons never convert; ``==``/``!=`` convert an array
+    only against a number, string or boolean; every other operator
+    converts each operand.
+    """
+    if not any(isinstance(value, JSArray) for value in values):
+        return False
+    if op in (Op.STRICTEQ, Op.STRICTNE):
+        return False
+    if op in (Op.EQ, Op.NE):
+        return any(type_of(value) in ("number", "string", "boolean") for value in values)
+    return True
 
 
 def _meet(a, b):
@@ -255,6 +280,12 @@ class ConstantPropagation(object):
             return _TOP
         constants = self._operand_constants(instruction)
         folded = constants not in (_TOP, _BOTTOM)
+        if (
+            folded
+            and not isinstance(instruction, _CLASS_ONLY_KINDS)
+            and _reads_elements(getattr(instruction, "op", None), constants)
+        ):
+            return _TOP
 
         try:
             if isinstance(instruction, (MBinaryArithI, MBinaryArithD, MBitOpI, MBinaryV)):

@@ -16,11 +16,13 @@ interpreter.  Every guard inside the inlined body therefore adopts the
 caller's resume point at the call bytecode (mode "at"), which re-runs
 the CALL op.  Pure loads and guards are fine anywhere.
 
-This also covers the paper's "methods from objects passed as
-parameters": a method load from a constant object folds to a constant
-function (constant propagation), and a second inlining round picks it
-up — the pass manager runs inlining before and after constant
-propagation.
+The paper's "methods from objects passed as parameters" are not
+covered: constant propagation folds no property load (``MLoadProperty``
+is not among ``constprop._EVALUATED_KINDS``; ``MGetPropV`` folds only a
+constant string's ``length``), so a method read from a constant object
+stays a load — a promise the persistent cache's key relies on
+(docs/COMPILE_PIPELINE.md).  The pass manager runs inlining again after
+constant propagation, for a callee that only then becomes a constant.
 """
 
 from repro.jsvm.values import UNDEFINED, JSFunction

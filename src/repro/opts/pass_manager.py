@@ -96,7 +96,7 @@ def optimize(graph, config, loop_inversion_applied=False, tracer=None):
         folded = run_constant_propagation(graph)
         work.charge("constprop", graph, folded)
         if config.param_spec and graph.specialized:
-            # Second round: method loads folded to constant functions.
+            # Second round: callees constant propagation made constant.
             inlined = run_inlining(graph)
             if inlined:
                 specialize_types(graph)

@@ -70,11 +70,11 @@ class ShardedDiskCache(object):
             self.uncacheable += 1
             return None
 
-    def load(self, key, code):
-        return self.shard_for(key).load(key, code)
+    def load(self, key, code, inputs=None):
+        return self.shard_for(key).load(key, code, inputs)
 
-    def store(self, key, result, executor=None):
-        return self.shard_for(key).store(key, result, executor=executor)
+    def store(self, key, result, executor=None, inputs=None):
+        return self.shard_for(key).store(key, result, executor=executor, inputs=inputs)
 
     def load_program(self, key):
         return self.shard_for(key).load_program(key)
@@ -193,10 +193,10 @@ class TenantCacheView(object):
             self.uncacheable += 1
             return None
 
-    def load(self, key, code):
+    def load(self, key, code, inputs=None):
         shard = self.backing.shard_for(key)
         corrupt_before = shard.corrupt
-        result = shard.load(key, code)
+        result = shard.load(key, code, inputs)
         if result is None:
             self.misses += 1
             self.corrupt += shard.corrupt - corrupt_before
@@ -204,10 +204,10 @@ class TenantCacheView(object):
             self.hits += 1
         return result
 
-    def store(self, key, result, executor=None):
+    def store(self, key, result, executor=None, inputs=None):
         shard = self.backing.shard_for(key)
         uncacheable_before = shard.uncacheable
-        stored = shard.store(key, result, executor=executor)
+        stored = shard.store(key, result, executor=executor, inputs=inputs)
         if stored:
             self.stores += 1
         else:

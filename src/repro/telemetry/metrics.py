@@ -187,7 +187,7 @@ METRIC_SCHEMA = {
     },
     "repro_cache_disk_uncacheable_total": {
         "type": "counter",
-        "help": "compiles that could not be content-addressed (identity values)",
+        "help": "compiles that could not be content-addressed (a function or other non-relocatable reference input)",
     },
     # -- cycle meters (gauges: monotonically sampled from the clock) ------
     "repro_engine_total_cycles": {

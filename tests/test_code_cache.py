@@ -6,26 +6,48 @@ The cache's contract (docs/COMPILE_PIPELINE.md) has two halves:
   disk instead of running MIR→LIR→codegen, but every simulated
   observable (output, cycles, the full stats ledger) is bit-identical
   to the cold run;
-* **refuse rather than guess** — any compile input without a content
-  name (an object-reference argument) makes the compile uncacheable,
-  and any stored byte the loader does not fully recognize reads as a
-  miss followed by a normal compile.
+* **refuse rather than guess** — a plain object or array input is named
+  by what the compiler reads of it (class, position among the inputs,
+  an array's length) and relocated on load; any other input without a
+  content name (a function argument) makes the compile uncacheable, and
+  any stored byte the loader does not fully recognize reads as a miss
+  followed by a normal compile.
+
+``TestReferenceKeys`` and the invariance sweep at the end hold the
+relocation half: a reference-keyed binary must not depend on anything
+of its constants that the key leaves out.
 """
 
 import io
+import marshal
 
 import pytest
 
 from repro.cache import DiskCodeCache
-from repro.engine.config import BASELINE, FULL_SPEC
+from repro.cache.disk import (
+    ENTRY_KINDS,
+    _frame_entry,
+    _unframe_entry,
+    compile_inputs,
+    content_key,
+)
+from repro.cache.serialize import RELOCATABLE, freeze_result
+from repro.engine import runtime_engine
+from repro.engine.config import BASELINE, FULL_SPEC, CostModel
 from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.bytecompiler import compile_source
+from repro.jsvm.interpreter import Interpreter
+from repro.jsvm.objects import JSArray, JSObject, ShapeTree
+from repro.jsvm.values import JSFunction, NativeFunction, value_key
+from repro.lir.wholefn import WholeExecutor, compile_whole
 from repro.telemetry.tracing import Tracer
 from repro.tools.cli import main as cli_main
 
-from tests.conftest import FAST
+from tests.conftest import FAST, run_interp
+from tests.helpers import ROOT
+from tests.test_whole_link import _pages, _suite_programs
 
 HOT_LOOP = """
 function poly(a) { return a * a + 3 * a + 1; }
@@ -228,22 +250,174 @@ class TestRoundTrip:
         assert warm_cache.hits > 0 and warm_cache.misses == 0
 
 
-class TestUncacheable:
-    def test_object_arguments_refuse_caching(self, tmp_path):
-        printed, _, cache, _ = run_cached(OBJECT_ARGS, tmp_path)
-        assert printed == ["280"]
-        # ``getx`` specializes on a heap object: identity, not content.
-        assert cache.uncacheable > 0
-        warm_printed, _, warm_cache, _ = run_cached(OBJECT_ARGS, tmp_path)
-        assert warm_printed == printed
-        assert warm_cache.uncacheable > 0
+ARRAY_ARGS = """
+function total(a) { var s = 0; for (var i = 0; i < a.length; i++) s += a[i]; return s; }
+var xs = [1, 2, 3, 4];
+var s = 0;
+for (var i = 0; i < 40; i++) s += total(xs);
+print(s);
+"""
 
-    def test_key_for_returns_none_for_reference_values(self):
-        cache = DiskCodeCache.__new__(DiskCodeCache)
-        cache.uncacheable = 0
-        code = compile_source("function id(x) { return x; }").constants[0]
-        assert cache.key_for(code, FULL_SPEC, param_values=[{"a": 1}]) is None
-        assert cache.uncacheable == 1
+#: ``third`` drops its bounds check for an array known to hold three
+#: elements; a shorter one reads ``undefined`` there too, so the type
+#: feedback is the same and only the key's length keeps them apart.
+THIRD = """
+function third(a) { return a[2]; }
+var u = undefined;
+var xs = %s;
+var s;
+for (var i = 0; i < 40; i++) s = third(xs);
+print(s);
+"""
+
+#: A function that hands a function (and a builtin) to another.
+FUNCTION_ARGS = """
+function apply(g, x) { return g(x); }
+function inc(x) { return x + 1; }
+var s = 0;
+for (var i = 0; i < 40; i++) s += apply(inc, i) + apply(Math.abs, -i);
+print(s);
+"""
+
+
+def _simulated(engine):
+    """Everything a cache must not move: the ledger minus disk traffic, the clock."""
+    ledger = engine.stats.as_dict()
+    return (
+        {key: value for key, value in ledger.items() if key not in DISK_TRAFFIC_KEYS},
+        engine.executor.cycles,
+        engine.executor.instructions_executed,
+        engine.interpreter.ops_executed,
+    )
+
+
+def _key(code, **inputs):
+    return content_key(code, FULL_SPEC, **inputs)
+
+
+class TestReferenceKeys:
+    @pytest.mark.parametrize("backend", ["simple", "whole"])
+    @pytest.mark.parametrize("source", [OBJECT_ARGS, ARRAY_ARGS], ids=["object", "array"])
+    def test_object_and_array_arguments_hit_warm(self, tmp_path, backend, source):
+        CodeObject._next_id = 1
+        reference = Engine(config=FULL_SPEC, executor_backend=backend, **FAST)
+        expected = reference.run_source(source)
+        cold_printed, cold, cold_cache, _ = run_cached(source, tmp_path, backend)
+        assert cold_cache.uncacheable == 0 and cold_cache.stores > 0
+        warm_printed, warm, warm_cache, _ = run_cached(source, tmp_path, backend)
+        assert warm_cache.hits == cold_cache.stores
+        assert (warm_cache.misses, warm_cache.stores, warm_cache.uncacheable) == (0, 0, 0)
+        assert warm_printed == cold_printed == expected == run_interp(source)
+        assert _simulated(warm) == _simulated(cold) == _simulated(reference)
+        if backend == "whole":
+            assert warm.executor.modules_linked == warm_cache.hits
+        # The thawed binary holds this run's object, not a stored copy.
+        live = warm.interpreter.runtime.globals["box" if source is OBJECT_ARGS else "xs"]
+        natives = [state.native for state in warm.states.values() if state.native is not None]
+        assert any(any(value is live for value in native.immediates) for native in natives)
+
+    def test_the_key_moves_with_class_length_aliasing_and_position(self):
+        code = compile_source("function f(a, b) { return a; }").constants[0]
+
+        def obj(**properties):
+            return JSObject(ROOT, properties)
+
+        a, b = obj(x=1), obj(y="two", z=3)
+        # Contents are not keyed: other objects, other properties, one key.
+        assert _key(code, param_values=[a, b]) == _key(code, param_values=[obj(), obj(w=4)])
+        assert _key(code, param_values=[JSArray(ROOT, [1, 2]), 0]) == _key(
+            code, param_values=[JSArray(ROOT, ["x", None]), 0]
+        )
+        keys = [
+            _key(code, param_values=[a, b]),
+            _key(code, param_values=[a, a]),  # aliasing
+            _key(code, param_values=[JSArray(ROOT), b]),  # class
+            _key(code, param_values=[JSArray(ROOT, [1]), b]),  # length
+            _key(code, param_values=[JSArray(ROOT, [1, 2]), b]),
+            _key(code, param_values=[b, 0]),  # position
+            _key(code, param_values=[0, b]),
+            _key(code, this_value=a, param_values=[a, b]),  # aliasing across groups
+            _key(code, this_value=a, param_values=[b, a]),
+            _key(code, this_value=a, param_values=[b, b]),
+            _key(code, param_values=[a, b], osr_pc=2, osr_args=[a, b], osr_locals=[b]),
+            _key(code, param_values=[a, b], osr_pc=2, osr_args=[a, b], osr_locals=[a]),
+        ]
+        assert None not in keys and len(set(keys)) == len(keys)
+
+    def test_functions_natives_and_other_objects_stay_uncacheable(self, tmp_path):
+        code = compile_source("function f(a) { return a; }").constants[0]
+
+        class Special(JSObject):
+            __slots__ = ()
+
+        cache = DiskCodeCache(root=str(tmp_path))
+        refused = [
+            JSFunction(code, ()),
+            NativeFunction("id", lambda this, args: args[0]),
+            Special(ROOT),
+            {"a": 1},
+        ]
+        for value in refused:
+            assert cache.key_for(code, FULL_SPEC, param_values=[value]) is None
+        assert cache.uncacheable == len(refused)
+        printed, _, cold_cache, _ = run_cached(FUNCTION_ARGS, tmp_path)
+        assert printed == run_interp(FUNCTION_ARGS)
+        assert cold_cache.uncacheable > 0
+
+    def test_a_slot_the_call_lacks_is_a_corrupt_miss_then_restores(self, tmp_path):
+        cold_printed, _, cold_cache, _ = run_cached(OBJECT_ARGS, tmp_path)
+        retargeted = 0
+        for path in sorted((tmp_path / "code").rglob("*.bin")):
+            payload = _unframe_entry(path.read_bytes())
+            if payload[:1] != ENTRY_KINDS["compile"]:
+                continue
+            artifact = marshal.loads(payload[1:])
+            immediates = artifact["native"]["immediates"]
+            slots = [index for index, value in enumerate(immediates) if value[0] == "r"]
+            for index in slots:
+                immediates[index] = ("r", 99)
+            if slots:
+                retargeted += 1
+                path.write_bytes(
+                    _frame_entry(ENTRY_KINDS["compile"] + marshal.dumps(artifact))
+                )
+        assert retargeted == 1  # ``getx``, keyed on ``box``
+        warm_printed, _, warm_cache, _ = run_cached(OBJECT_ARGS, tmp_path)
+        assert (warm_cache.corrupt, warm_cache.misses, warm_cache.stores) == (1, 1, 1)
+        assert warm_cache.hits == cold_cache.stores - 1
+        assert warm_printed == cold_printed == ["280"]
+        healed_printed, _, healed_cache, _ = run_cached(OBJECT_ARGS, tmp_path)
+        assert healed_cache.hits == cold_cache.stores and healed_cache.corrupt == 0
+        assert healed_printed == cold_printed
+
+    def test_programs_sharing_a_function_pass_arrays_of_other_lengths(self, tmp_path):
+        programs = [THIRD % array for array in ("[u, u, u]", "[u, u]", "[undefined, u, u]")]
+        caches = []
+        for source in programs:
+            printed, _, cache, _ = run_cached(source, tmp_path)
+            assert printed == run_interp(source) == ["undefined"], source
+            caches.append(cache)
+        # The length-2 array compiles its own ``third``; the other length-3
+        # one hits the first's (each top-level script is its own code).
+        assert [cache.hits for cache in caches] == [0, 0, 1]
+
+    def test_a_binary_never_holds_an_arrays_elements(self, tmp_path):
+        # Folding ``a + ""`` would bake in the elements the compile saw:
+        # wrong once a store changes them, and wrong for the next array of
+        # the same length to hit the stored binary.
+        mutated = """
+        function show(a) { return a + ""; }
+        var xs = [1];
+        var s;
+        for (var i = 0; i < 30; i++) { xs[0] = i; s = show(xs); }
+        print(s);
+        """
+        assert run_cached(mutated, tmp_path / "m")[0] == ["29"]
+        shown = "function show(a) { return a + ''; } var xs = [%d]; var s;" \
+            " for (var i = 0; i < 30; i++) s = show(xs); print(s);"
+        assert run_cached(shown % 1, tmp_path / "s")[0] == ["1"]
+        printed, _, cache, _ = run_cached(shown % 2, tmp_path / "s")
+        assert printed == ["2"] and cache.hits > 0
 
 
 class TestKeySensitivity:
@@ -582,3 +756,96 @@ class TestEvictionCLI:
     def test_cache_evict_requires_a_bound(self, tmp_path):
         with pytest.raises(SystemExit, match="need --max-bytes"):
             self.run_cli(["cache", "evict", "--dir", str(tmp_path)])
+
+
+# -- the invariance sweep: nothing of a constant but its key is read -------------
+
+
+def _twin(value, tree):
+    """Same class and length as ``value``; other elements, other property
+    values and one more property, in a shape tree of its own."""
+    if type(value) is JSArray:
+        twin = JSArray(tree.root, ["twin-%d" % index for index in range(len(value.elements))])
+    else:
+        twin = JSObject(tree.root)
+    for name in value.shape.names:
+        twin.set(name, "twin-" + name)
+    twin.set("twin", twin)
+    return twin
+
+
+class _TwinEveryReference(object):
+    """Wraps the engine's ``compile_function``: each compile keyed on a
+    plain object or array is compiled again against twins of its
+    references (one twin per distinct reference, so the aliasing holds)
+    and must freeze — and emit on ``whole`` — to the same artifact."""
+
+    def __init__(self, monkeypatch):
+        self.compared = 0
+        self.compile = runtime_engine.compile_function
+        self.tree = ShapeTree()
+        self.executor = WholeExecutor(Interpreter(), CostModel())
+        monkeypatch.setattr(runtime_engine, "compile_function", self)
+
+    def image(self, result, code, inputs):
+        capture = {}
+        compile_whole(result.native, self.executor, capture=capture)
+        frozen = freeze_result(result, code, compile_inputs(**inputs)[1])
+        return repr(frozen), capture["source"]
+
+    def __call__(self, code, config, tracer=None, **inputs):
+        result = self.compile(code, config, tracer=tracer, **inputs)
+        values = compile_inputs(**inputs)[1]
+        references = [value for value in values if value_key(value)[0] == "ref"]
+        if not references or any(type(value) not in RELOCATABLE for value in references):
+            return result
+        twins = {}
+        for value in references:
+            if id(value) not in twins:
+                twins[id(value)] = _twin(value, self.tree)
+
+        def swap(group):
+            return None if group is None else [twins.get(id(value), value) for value in group]
+
+        this_value = inputs["this_value"]
+        twin_inputs = dict(
+            inputs,
+            this_value=twins.get(id(this_value), this_value),
+            param_values=swap(inputs["param_values"]),
+            osr_args=swap(inputs["osr_args"]),
+            osr_locals=swap(inputs["osr_locals"]),
+        )
+        twin = self.compile(code, config, **twin_inputs)
+        assert self.image(twin, code, twin_inputs) == self.image(result, code, inputs), code.name
+        self.compared += 1
+        return result
+
+
+def _sweep(programs, monkeypatch):
+    twins = _TwinEveryReference(monkeypatch)
+    for name, source in programs:
+        CodeObject._next_id = 1
+        Engine(config=FULL_SPEC).run_source(source)
+    return twins.compared
+
+
+#: Suite programs whose reference constants meet a shape guard, an
+#: element load and a property load, beside three pages.
+SWEEP_SAMPLE = [
+    ("objects", "poly-records"),
+    ("sunspider", "access-binary-trees"),
+    ("v8", "splay"),
+    ("kraken", "ai-astar"),
+]
+
+
+def test_reference_constants_are_never_read(monkeypatch):
+    programs = _suite_programs(SWEEP_SAMPLE) + _pages(per_seed=1)
+    assert _sweep(programs, monkeypatch) > 30
+
+
+@pytest.mark.nightly
+def test_reference_constants_are_never_read_anywhere(monkeypatch):
+    programs = _suite_programs() + _pages()
+    assert len(programs) == 38 + 48
+    assert _sweep(programs, monkeypatch) > 0

@@ -156,6 +156,28 @@ class TestConstProp:
         assert 1024 in constants
         assert count(graph, mi.MCall) == 0
 
+    def test_never_folds_an_arrays_elements(self):
+        # A baked-in array is a reference whose elements a store may
+        # change: only identity, truthiness and typeof fold over one.
+        from repro.jsvm.objects import JSArray
+
+        def folded(body, *extra):
+            xs = JSArray(ROOT, [7])
+            source = "function f(a, b) { return %s; } f([7], [7]);" % body
+            graph = typed(source, param_values=[xs, xs] if not extra else [xs, extra[0]])
+            run_constant_propagation(graph)
+            returned = instrs(graph, mi.MReturn)[0].operands[0]
+            return returned.value if isinstance(returned, mi.MConstant) else None
+
+        for body in ("a + ''", "a < 5", "-a", "a | 0", "a == 7", "a * 2"):
+            assert folded(body) is None, body
+        assert folded("a === b") is True
+        assert folded("a == b") is True
+        assert folded("a === b", JSArray(ROOT, [7])) is False
+        assert folded("a == null") is False
+        assert folded("typeof a") == "object"
+        assert folded("!a") is False
+
     def test_impure_native_not_folded(self):
         source = "function f() { return Math.random(); } f();"
         graph = typed(source, param_values=[])

@@ -2,11 +2,15 @@
 """CI check: the persistent code cache round-trips bit-identically.
 
 Runs the deterministic web workload twice in *separate interpreter
-processes* sharing one cache directory:
+processes* sharing one cache directory, each phase under the default
+configuration and then under ``FULL_SPEC`` (parameter specialization,
+so the keys hold argument values — plain objects and arrays among them,
+relocated on load):
 
 1. **cold** — cleared directory; every compile misses and stores;
-2. **warm** — same directory; compiles load from disk (``disk hits``
-   must be > 0) and so does each program's bytecode: the phase counts
+2. **warm** — same directory; every compile the cold phase stored loads
+   from disk (``disk hits`` must equal the cold ``stores``, and no
+   compile may be uncacheable) and so does each program's bytecode: the phase counts
    its calls into ``parse``, ``compile_program`` and the loop-rotation
    planner, and all three must be 0 (docs/COMPILE_PIPELINE.md, "Program
    entries").  On the ``whole`` backend it also counts *emissions*: a
@@ -95,6 +99,7 @@ def run_phase(cache_dir, backend, phase, history):
     runs; consumed by :func:`main` in check mode.
     """
     from repro.cache import DiskCodeCache
+    from repro.engine.config import FULL_SPEC
     from repro.engine.runtime_engine import Engine
     from repro.workloads.web import website_programs
 
@@ -118,13 +123,14 @@ def run_phase(cache_dir, backend, phase, history):
     output = []
     stats = []
     modules = {"linked": 0, "emitted": 0}
-    for source in sources:
-        engine = Engine(executor_backend=backend, code_cache=cache)
-        output.extend(engine.run_source(source))
-        stats.append(engine.stats.as_dict())
-        # Plain integers on the whole backend's executor only.
-        modules["linked"] += getattr(engine.executor, "modules_linked", 0)
-        modules["emitted"] += getattr(engine.executor, "modules_emitted", 0)
+    for config in ({}, {"config": FULL_SPEC}):
+        for source in sources:
+            engine = Engine(executor_backend=backend, code_cache=cache, **config)
+            output.extend(engine.run_source(source))
+            stats.append(engine.stats.as_dict())
+            # Plain integers on the whole backend's executor only.
+            modules["linked"] += getattr(engine.executor, "modules_linked", 0)
+            modules["emitted"] += getattr(engine.executor, "modules_emitted", 0)
     print(
         json.dumps(
             {
@@ -133,6 +139,7 @@ def run_phase(cache_dir, backend, phase, history):
                 "cache": cache.stats(),
                 "front_half": front_half,
                 "programs": len(sources),
+                "runs": len(stats),
                 "modules": modules,
             }
         )
@@ -216,21 +223,29 @@ def main(argv=None):
             failures.append("cold phase stored nothing")
         if warm["cache"]["hits"] == 0:
             failures.append("warm phase had no disk hits")
-        if args.history and warm["cache"]["hits"] != cold["cache"]["stores"]:
+        if warm["cache"]["hits"] != cold["cache"]["stores"]:
             failures.append(
-                "warm phase hit %d of the %d keys the cold phase stored: "
-                "cache keys depend on process history"
-                % (warm["cache"]["hits"], cold["cache"]["stores"])
+                "warm phase hit %d of the %d keys the cold phase stored%s"
+                % (
+                    warm["cache"]["hits"],
+                    cold["cache"]["stores"],
+                    ": cache keys depend on process history" if args.history else "",
+                )
+            )
+        if warm["cache"]["uncacheable"]:
+            failures.append(
+                "warm phase refused to key %d compile(s)" % warm["cache"]["uncacheable"]
             )
         if warm["cache"]["stores"] != 0:
             failures.append(
                 "warm phase re-stored %d artifact(s)" % warm["cache"]["stores"]
             )
-        if cold["front_half"]["parse"] != cold["programs"]:
+        parsed = cold["front_half"]["parse"]
+        if not cold["programs"] <= parsed == cold["cache"]["program_stores"]:
             failures.append(
-                "cold phase parsed %d of %d programs: the call counter is not "
-                "where compile_source reads it"
-                % (cold["front_half"]["parse"], cold["programs"])
+                "cold phase parsed %d times for %d programs and %d program stores: "
+                "the call counter is not where compile_source reads it"
+                % (parsed, cold["programs"], cold["cache"]["program_stores"])
             )
         for stage, calls in sorted(warm["front_half"].items()):
             if calls:
@@ -238,10 +253,10 @@ def main(argv=None):
                     "warm phase called %s %d time(s): a cached program "
                     "crossed the front half" % (stage, calls)
                 )
-        if warm["cache"]["program_loads"] != warm["programs"]:
+        if warm["cache"]["program_loads"] != warm["runs"]:
             failures.append(
-                "warm phase loaded %d of %d program entries"
-                % (warm["cache"]["program_loads"], warm["programs"])
+                "warm phase loaded %d program entries for %d runs"
+                % (warm["cache"]["program_loads"], warm["runs"])
             )
         links = ""
         if args.backend == "whole":
@@ -281,8 +296,8 @@ def main(argv=None):
                 print("  " + failure)
             return 1
         print(
-            "cache round trip OK: %d stores cold, %d hits warm%s, %d program "
-            "entries loaded with 0 front-half calls, "
+            "cache round trip OK: %d stores cold, %d hits warm%s, 0 uncacheable, "
+            "%d program entries loaded with 0 front-half calls, "
             "output and stats bit-identical (%s backend, dir %s)"
             % (
                 cold["cache"]["stores"],
