@@ -25,7 +25,6 @@ a floor for ``rate``) that holds whatever the baseline says.
 
 import collections
 import json
-import math
 import shutil
 import tempfile
 
@@ -66,44 +65,6 @@ SERVING_SHARDS = 4
 #: hot tenant's lane legitimately queues deep; the gate then asserts
 #: *zero* rejections at this depth rather than tuning the burst away.
 SERVING_QUEUE_CAPACITY = 256
-
-
-def _geomean(ratios):
-    return math.exp(sum(math.log(r) for r in ratios) / len(ratios)) if ratios else 1.0
-
-
-def measure_background_cycles():
-    """Synchronous compilation vs the background lane, per suite.
-
-    Summed ``total_cycles`` under ``background_compile=False`` and
-    ``=True``, plus the per-benchmark geomean of the ``background /
-    sync`` ratio (< 1.0 means the lane hides compile stalls).
-    """
-    section = {"suites": {}}
-    all_ratios = []
-    for name, suite in ALL_SUITES.items():
-        sync_total = 0
-        background_total = 0
-        ratios = []
-        for benchmark in suite:
-            cycles = []
-            for background in (False, True):
-                engine = Engine(config=FULL_SPEC, background_compile=background)
-                engine.run_source(benchmark.source)
-                cycles.append(engine.stats.total_cycles)
-            sync_total += cycles[0]
-            background_total += cycles[1]
-            if cycles[0] > 0:
-                ratios.append(cycles[1] / cycles[0])
-        section["suites"][name] = {
-            "sync_cycles": sync_total,
-            "background_cycles": background_total,
-            "cycle_ratio": round(_geomean(ratios), 5),
-        }
-        all_ratios.extend(ratios)
-    if all_ratios:
-        section["geomean_cycle_ratio"] = round(_geomean(all_ratios), 5)
-    return section
 
 
 def _off_on(off_cycles, on_cycles):
@@ -226,18 +187,6 @@ Section = collections.namedtuple("Section", "name key title measure rows")
 #: The one statement of every section.  A ``*`` in a path stands for
 #: each key found at that level (suite or benchmark names).
 SECTIONS = (
-    Section(
-        "background",
-        "background_compile",
-        "background compilation lane (sync vs lane)",
-        measure_background_cycles,
-        (
-            ("suites.*.sync_cycles", "cycles"),
-            ("suites.*.background_cycles", "cycles"),
-            ("suites.*.cycle_ratio", "cycles"),
-            ("geomean_cycle_ratio", "cycles"),
-        ),
-    ),
     Section(
         "deoptless",
         "deoptless",

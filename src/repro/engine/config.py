@@ -209,12 +209,6 @@ class CostModel(object):
     #: — the effect the paper credits for improved compile times).
     compile_per_interval = 14
 
-    #: Latency before the background compiler lane picks up a queued
-    #: job (main-lane cycles between ``compile.enqueue`` and the lane
-    #: starting work).  Models the hand-off to an off-main-thread
-    #: helper; only charged when ``background_compile=True``.
-    compile_dispatch = 100
-
     # -- transitions -----------------------------------------------------------------
     #: Price of one bailout (state reconstruction + interpreter re-entry).
     bailout = 200

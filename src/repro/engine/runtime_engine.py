@@ -24,7 +24,6 @@ import weakref
 
 from repro.cache.disk import program_key
 from repro.engine.bailout import describe_bailout
-from repro.engine.compile_queue import CompileJob, CompileQueue
 from repro.engine.config import BASELINE, CostModel
 from repro.engine.jit import compile_function
 from repro.engine.stats import EngineStats
@@ -244,15 +243,9 @@ _MIRRORED_METRICS = (
         "deoptless_generalized_compiles",
     ),
     ("repro_engine_native_cycles", "executor", "cycles"),
-    ("repro_engine_compile_cycles_stalled", "stats", "compile_cycles_stalled"),
-    ("repro_engine_compile_cycles_hidden", "stats", "compile_cycles_hidden"),
+    ("repro_engine_compile_cycles", "stats", "compile_cycles"),
     ("repro_engine_bailout_cycles", "stats", "bailout_cycles"),
     ("repro_engine_invalidation_cycles", "stats", "invalidation_cycles"),
-    ("repro_compile_queue_enqueued_total", "compile_queue", "enqueued"),
-    ("repro_compile_queue_installed_total", "compile_queue", "installed"),
-    ("repro_compile_queue_dropped_total", "compile_queue", "dropped"),
-    ("repro_compile_queue_depth_high_water", "compile_queue", "depth_high_water"),
-    ("repro_compile_queue_lane_cycle", "compile_queue", "lane_high_water"),
     ("repro_cache_disk_hits_total", "code_cache", "hits"),
     ("repro_cache_disk_misses_total", "code_cache", "misses"),
     ("repro_cache_disk_stores_total", "code_cache", "stores"),
@@ -300,7 +293,6 @@ class Engine(object):
         tracer=None,
         executor_backend=None,
         cycle_profiler=None,
-        background_compile=False,
         code_cache=None,
         fault_injector=None,
         metrics=None,
@@ -367,16 +359,6 @@ class Engine(object):
         #: heuristics" follow-up (a function deoptimizes only after
         #: exceeding the capacity in distinct argument sets).
         self.spec_cache_capacity = spec_cache_capacity
-        #: Deterministic background-compilation lane (docs/
-        #: COMPILE_PIPELINE.md).  Off by default: ``False`` keeps every
-        #: compile synchronous and all observables bit-identical to an
-        #: engine without the lane.
-        self.background_compile = background_compile
-        self.compile_queue = (
-            CompileQueue(self.cost_model.compile_dispatch)
-            if background_compile
-            else None
-        )
         #: Optional persistent cross-run code cache
         #: (``repro.cache.DiskCodeCache``).  A hit skips the
         #: MIR→LIR→codegen pipeline on the host — pure wall-clock; the
@@ -497,7 +479,7 @@ class Engine(object):
             self.interpreter.ops_executed * cost.interp_op
             + stats.interp_calls * cost.interp_call
             + self.executor.cycles
-            + stats.compile_cycles_stalled
+            + stats.compile_cycles
             + stats.bailout_cycles
             + stats.invalidation_cycles
         )
@@ -518,11 +500,6 @@ class Engine(object):
             self.tracer.emit(
                 channel, event, fn=code.name, code_id=code.code_id, **fields
             )
-
-    def _queue_depth(self, code, action):
-        """The background lane's depth after ``action`` touched ``code``'s job."""
-        depth = len(self.compile_queue.pending)
-        self._emit("compile", "queue_depth", code, action=action, depth=depth)
 
     def _interpret_call(self):
         """Account a call left to the interpreter; the policy's False."""
@@ -550,7 +527,7 @@ class Engine(object):
 
         Registered as the registry's collector and run before every
         snapshot: the ``_MIRRORED_METRICS`` rows are re-read from their
-        ledgers (stats, queue, disk cache), occupancy gauges and the
+        ledgers (stats, disk cache), occupancy gauges and the
         clock-derived meters are recomputed.  Pure reads — never touches
         the cost model, so attaching metrics cannot perturb any observable.
         """
@@ -589,10 +566,6 @@ class Engine(object):
         registry.set_gauge("repro_engine_ic_sites_mono", ic_sites["mono"])
         registry.set_gauge("repro_engine_ic_sites_poly", ic_sites["poly"])
         registry.set_gauge("repro_engine_ic_sites_mega", ic_sites["mega"])
-        if self.compile_queue is not None:
-            registry.set_gauge(
-                "repro_compile_queue_depth", len(self.compile_queue.pending)
-            )
 
     # -- state -------------------------------------------------------------------
 
@@ -610,10 +583,9 @@ class Engine(object):
 
         Returns ``(handled, result)``.
 
-        The steady state — a live binary, nothing observing, no
-        background job waiting to install — is decided here and goes
-        straight to the executor: state, key match, run.  Every other
-        call (first calls, misses, deoptless dispatch, lane installs,
+        The steady state — a live binary, nothing observing — is decided
+        here and goes straight to the executor: state, key match, run.
+        Every other call (first calls, misses, deoptless dispatch,
         anything a tracer, profiler or fault injector watches) takes
         :meth:`_call_policy`, which only *decides*; the binary it leaves
         in ``state.native`` is entered below, in the one place that
@@ -626,7 +598,6 @@ class Engine(object):
         state.call_count += 1
         native = state.native
         feedback = code.feedback
-        queue = self.compile_queue
         metrics = self.metrics
         warm = False
         if (
@@ -634,7 +605,6 @@ class Engine(object):
             and self._unobserved
             and feedback is not None
             and not state.not_compilable
-            and (queue is None or not queue.pending)
         ):
             if native.specialized:
                 # The primary key, compared in line; a key holding a heap
@@ -685,12 +655,11 @@ class Engine(object):
     def _call_policy(self, state, function, this_value, args):
         """Everything a call may need besides running a matching binary.
 
-        Polls the metrics clock and the background lane, records
-        feedback, consults the specialization cache and the deoptless
-        table, compiles or enqueues — in that order, emitting every
-        trace event and metric of the call path.  Returns True when
-        ``state.native`` now accepts this call (the caller runs it),
-        False when the call is to be interpreted.
+        Polls the metrics clock, records feedback, consults the
+        specialization cache and the deoptless table, compiles — in that
+        order, emitting every trace event and metric of the call path.
+        Returns True when ``state.native`` now accepts this call (the
+        caller runs it), False when the call is to be interpreted.
         """
         code = state.code
         if self.fault_injector is not None:
@@ -705,16 +674,6 @@ class Engine(object):
         if code.feedback is None:
             code.feedback = TypeFeedback(code.num_params)
         code.feedback.record_args(args, this_value)
-
-        queue = self.compile_queue
-        if queue is not None and queue.pending:
-            self._install_ready(queue)
-        # Lane policy: a loop-free body is cheap to keep interpreting
-        # while the lane works, so its compile is worth hiding; a body
-        # that takes backedges costs far more to interpret once than
-        # the compile stall it would hide, so it compiles synchronously
-        # (and its loops stay eligible for OSR).
-        use_queue = queue is not None and state.backedge_count == 0
 
         watched = self._watched
         native = state.native
@@ -743,12 +702,6 @@ class Engine(object):
                     # Room for another specialized binary (the §6
                     # eager extension; under deoptless, growth instead
                     # waits for the key to recur — ``_deoptless_call``).
-                    if use_queue:
-                        # Keep running the current binary's sibling in
-                        # the interpreter while the lane compiles the
-                        # new set; no discard — there is still room.
-                        self._enqueue_compile(state, function, this_value, args)
-                        return self._interpret_call()
                     if self._compile(state, function, this_value, args, osr_frame=None):
                         return True
                 if self.deoptless:
@@ -756,7 +709,7 @@ class Engine(object):
                     # is discarded — dispatch into the generalized
                     # sibling (compiling it once the miss count proves
                     # real polymorphism), else interpret this call.
-                    if self._deoptless_call(state, function, this_value, args, use_queue):
+                    if self._deoptless_call(state, function, this_value, args):
                         return True
                 else:
                     # §4: one distinct argument set too many — discard,
@@ -779,7 +732,7 @@ class Engine(object):
                         if metrics is not None:
                             metrics.inc("repro_spec_cache_hits_total")
                     elif cached is None and self._deoptless_promote(
-                        state, function, this_value, args, key, use_queue
+                        state, function, this_value, args, key
                     ):
                         # A recurring regime reached the generalized
                         # catch-all often enough to earn its own line.
@@ -803,11 +756,7 @@ class Engine(object):
                 return True
 
         if state.native is None and state.call_count >= self.hot_call_threshold:
-            if use_queue:
-                # Background lane: enqueue and keep interpreting; the
-                # binary installs at a later poll point.
-                self._enqueue_compile(state, function, this_value, args)
-            elif self._compile(state, function, this_value, args, osr_frame=None):
+            if self._compile(state, function, this_value, args, osr_frame=None):
                 return True
 
         return self._interpret_call()
@@ -825,18 +774,9 @@ class Engine(object):
         state = self._state(code)
         if self.metrics is not None:
             self.metrics.maybe_snapshot()
-        queue = self.compile_queue
-        if queue is not None and queue.pending:
-            self._install_ready(queue)
         if state.not_compilable:
             return None
         state.backedge_count += 1
-        if queue is not None and queue.has_job(code.code_id):
-            # A compile for this function is already in flight on the
-            # background lane (Ion's "compiling" sentinel): keep
-            # interpreting rather than racing it with a synchronous
-            # OSR compile of the same function.
-            return None
         if state.backedge_count == self.osr_backedge_threshold:
             self._emit(
                 "osr", "trip", code, backedges=state.backedge_count, target_pc=target_pc
@@ -967,18 +907,18 @@ class Engine(object):
         ``generalized`` (the call-entry line) otherwise.
         Returns the new native, or None when the JIT refuses.
         """
-        produced = self._produce(
+        result = self._produce(
             state, function, this_value, args, osr_frame=osr_frame, generalized=True
         )
-        if produced is None:
+        if result is None:
             return None
-        native = produced[0].native
+        native = result.native
         self._record_generalized(
             state, native, None if osr_frame is None else osr_frame[0]
         )
         return native
 
-    def _deoptless_promote(self, state, function, this_value, args, key, use_queue):
+    def _deoptless_promote(self, state, function, this_value, args, key):
         """Grow a specialized table line for a recurring argument set.
 
         Counts ``key`` against the function's recurrence counters and,
@@ -986,9 +926,7 @@ class Engine(object):
         specialized sibling for it — the table's "multiple compiled
         versions keyed by guard preconditions" (docs/DEOPTLESS.md).
         One-allocation keys (identity-matched components) never earn a
-        line.  Returns True when ``state.native`` is now that sibling;
-        False also covers the background lane, which hides the compile
-        and installs the line at a later poll point.
+        line.  Returns True when ``state.native`` is now that sibling.
         """
         if not _key_recurrable(key):
             return False
@@ -998,15 +936,12 @@ class Engine(object):
         state.miss_keys[key] = seen
         if seen < 2 or len(state.spec_cache) >= self.deoptless_table_capacity:
             return False
-        if use_queue:
-            self._enqueue_compile(state, function, this_value, args)
-            return False
         if self._compile(state, function, this_value, args, osr_frame=None):
             state.miss_keys.pop(key, None)
             return True
         return False
 
-    def _deoptless_call(self, state, function, this_value, args, use_queue):
+    def _deoptless_call(self, state, function, this_value, args):
         """Spec-table miss on the call path: grow, dispatch, or widen.
 
         Policy, in order: an argument-set key arriving for the second
@@ -1020,7 +955,7 @@ class Engine(object):
         caller runs it natively); False to interpret this call.
         """
         if self._deoptless_promote(
-            state, function, this_value, args, _spec_key(this_value, args), use_queue
+            state, function, this_value, args, _spec_key(this_value, args)
         ):
             return True
         if state.generalized is not None:
@@ -1028,11 +963,6 @@ class Engine(object):
             return True
         self._deoptless_miss(state, "new-args")
         if state.deoptless_misses < self.deoptless_miss_threshold:
-            return False
-        if use_queue:
-            # Siblings compile on the background lane when one is
-            # available: keep interpreting, install at a poll point.
-            self._enqueue_compile(state, function, this_value, args, generalized=True)
             return False
         if self._generalize(state, function, this_value, args, osr_frame=None) is None:
             return False
@@ -1072,15 +1002,15 @@ class Engine(object):
 
     # -- compilation -------------------------------------------------------------------------
 
-    def _produce(self, state, function, this_value, args, osr_frame, hidden=False, generalized=False):
+    def _produce(self, state, function, this_value, args, osr_frame, generalized=False):
         """Run one compilation and account it; no installation.
 
         Emits ``compile.start``/``compile.finish`` (or ``reject``),
-        charges the compile cycles to the stalled or hidden lane, and
-        returns ``(result, compile_cycles)`` — or None when the JIT
-        refuses the function.  Consulting the persistent code cache
-        happens here: a disk hit replays the stored artifact instead of
-        running MIR→LIR→codegen, with identical cycle accounting.
+        charges the compile cycles, and returns the compile result — or
+        None when the JIT refuses the function.  Consulting the
+        persistent code cache happens here: a disk hit replays the
+        stored artifact instead of running MIR→LIR→codegen, with
+        identical cycle accounting.
         ``generalized`` compiles the deoptless sibling: parameter
         values unbaked and shape guards widened away, but type
         speculation kept and no §4 policy bit on the function flipped
@@ -1142,10 +1072,10 @@ class Engine(object):
         native = result.native
         codegen = result.codegen_stats
         compile_cycles = self.stats.record_compile(
-            code, native, result.work.total_units, codegen, osr_pc is not None, hidden=hidden
+            code, native, result.work.total_units, codegen, osr_pc is not None
         )
         if self.cycle_profiler is not None:
-            self.cycle_profiler.record_compile(code, native, compile_cycles, hidden=hidden)
+            self.cycle_profiler.record_compile(code, native, compile_cycles)
         if self.metrics is not None:
             self.metrics.observe("repro_compile_cycles_per_compile", compile_cycles)
         self._emit(
@@ -1161,30 +1091,23 @@ class Engine(object):
             spills=codegen["spills"],
             cycles=compile_cycles,
         )
-        return result, compile_cycles
+        return result
 
     def _compile(self, state, function, this_value, args, osr_frame):
         """Compile synchronously and make the binary the active code."""
-        produced = self._produce(state, function, this_value, args, osr_frame)
-        if produced is None:
+        result = self._produce(state, function, this_value, args, osr_frame)
+        if result is None:
             return False
-        native = produced[0].native
+        native = result.native
+        code = state.code
         spec_key = osr_state_key = None
         if native.specialized:
             spec_key = _spec_key(this_value, args)
             if osr_frame is not None:
                 osr_state_key = _osr_key(osr_frame[1].args, osr_frame[1].locals)
-        self._activate(state, native, spec_key, osr_state_key, args)
-        return True
-
-    def _activate(self, state, native, spec_key, osr_state_key, args):
-        """Make ``native`` the function's active code (both install routes).
-
-        A specialized binary also takes its specialization-cache line.
-        """
-        code = state.code
         state.install(native, spec_key, osr_state_key)
         if native.specialized:
+            # A specialized binary also takes its specialization-cache line.
             self.stats.specialized_functions.add(code.code_id)
             state.spec_cache[spec_key] = (native, osr_state_key)
             if self._watched:
@@ -1206,107 +1129,10 @@ class Engine(object):
                 never_specialize=state.never_specialize,
                 force_generic=state.force_generic,
             )
-
-    # -- background lane (docs/COMPILE_PIPELINE.md) -----------------------------------------
-
-    def _enqueue_compile(self, state, function, this_value, args, generalized=False):
-        """Hand a call-path compile to the background lane.
-
-        The compilation itself runs now (its inputs — bytecode,
-        feedback, argument values — are snapshotted at enqueue, as a
-        real engine does before dispatching to a helper thread) but is
-        charged to the lane's clock as hidden cycles; the binary only
-        becomes visible at ``ready_at`` on the main-lane clock.  At
-        most one job per function is in flight.  ``generalized`` jobs
-        carry the deoptless sibling compile (docs/DEOPTLESS.md).
-        """
-        queue = self.compile_queue
-        code = state.code
-        if code.code_id in queue.pending:
-            return
-        self._emit(
-            "compile", "enqueue", code, reason="generalize" if generalized else "call"
-        )
-        produced = self._produce(
-            state,
-            function,
-            this_value,
-            args,
-            osr_frame=None,
-            hidden=True,
-            generalized=generalized,
-        )
-        if produced is None:
-            return
-        result, compile_cycles = produced
-        job = CompileJob(state, function, this_value, args, result, compile_cycles)
-        job.generalized = generalized
-        if result.native.specialized:
-            job.spec_key = _spec_key(this_value, args)
-        queue.schedule(code.code_id, job, self.trace_clock())
-        self._queue_depth(code, "enqueue")
-
-    def _install_ready(self, queue):
-        """Install every finished background binary at this poll point."""
-        now = self.trace_clock()
-        for job in queue.take_ready(now):
-            self._install_job(queue, job, now)
-
-    def _install_job(self, queue, job, now):
-        """Make one background binary active, or drop it if stale.
-
-        A job is stale when the function's policy state moved on while
-        it sat on the lane: the function deoptimized (specialized code
-        is no longer allowed), a synchronous OSR compile already
-        produced a more capable binary, or another route installed a
-        binary for the same argument set.
-        """
-        state = job.state
-        code = state.code
-        native = job.result.native
-        stale = (
-            state.not_compilable
-            or (native.specialized and (state.never_specialize or state.force_generic))
-            or (state.native is not None and state.native.osr_index is not None)
-            or (job.spec_key is not None and job.spec_key in state.spec_cache)
-            or (job.generalized and state.generalized is not None)
-        )
-        if stale:
-            queue.dropped += 1
-            self._queue_depth(code, "drop")
-            return
-        queue.installed += 1
-        # Fresh binary, fresh loop-hotness clock: backedges taken while
-        # the job was in flight should not instantly trigger an OSR
-        # recompile of the binary that just landed.
-        state.backedge_count = 0
-        self.stats.background_installs += 1
-        if job.generalized:
-            # The deoptless sibling lands: record it in the dispatch
-            # table — calls from here on enter it natively.
-            self._record_generalized(state, native, None)
-        if self.metrics is not None:
-            self.metrics.observe(
-                "repro_compile_install_latency_cycles", now - job.enqueue_cycle
-            )
-        self._emit(
-            "compile",
-            "install",
-            code,
-            ready_at=job.ready_at,
-            waited_cycles=now - job.ready_at,
-            specialized=native.specialized,
-        )
-        self._queue_depth(code, "install")
-        self._activate(state, native, job.spec_key, None, job.args)
+        return True
 
     def _discard_specialized(self, state, reason):
         code = state.code
-        # Any in-flight job for this function compiled against a policy
-        # state that no longer exists; the lane's cycles are spent
-        # either way (wasted speculative work).
-        if self.compile_queue is not None and self.compile_queue.cancel(code.code_id):
-            self._queue_depth(code, "drop")
         self._emit("deopt", "discard", code, reason=reason, dropped=len(state.spec_cache))
         state.install(None)
         state.spec_cache.clear()

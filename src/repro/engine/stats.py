@@ -35,18 +35,10 @@ class EngineStats(object):
         self.interp_calls = 0
         self.native_cycles = 0
         self.native_instructions = 0
-        #: Compile cycles charged on the main lane (the engine stalled
-        #: the program while compiling — the only compile cycles that
-        #: enter ``total_cycles``).
-        self.compile_cycles_stalled = 0
-        #: Compile cycles charged to the background compiler lane
-        #: (overlapped with interpretation; never on the critical path).
-        self.compile_cycles_hidden = 0
+        #: Cycles spent compiling; the program waits for every compile.
+        self.compile_cycles = 0
         self.bailout_cycles = 0
         self.invalidation_cycles = 0
-        #: Binaries produced by the background lane and installed at a
-        #: main-lane poll point (``compile.install`` trace events).
-        self.background_installs = 0
 
         # -- events --------------------------------------------------------
         self.compiles = 0
@@ -111,16 +103,13 @@ class EngineStats(object):
 
     # -- recording -----------------------------------------------------------
 
-    def record_compile(self, code, native, work_units, codegen_stats, osr, hidden=False):
+    def record_compile(self, code, native, work_units, codegen_stats, osr):
         cost = self.cost_model
         cycles = cost.compile_base
         cycles += work_units * cost.compile_per_instruction_pass
         cycles += codegen_stats["lir_instructions"] * cost.compile_per_lir
         cycles += codegen_stats["intervals"] * cost.compile_per_interval
-        if hidden:
-            self.compile_cycles_hidden += cycles
-        else:
-            self.compile_cycles_stalled += cycles
+        self.compile_cycles += cycles
         self.compiles += 1
         if osr:
             self.osr_compiles += 1
@@ -152,24 +141,17 @@ class EngineStats(object):
         )
 
     @property
-    def compile_cycles(self):
-        """All compilation work, whichever lane it ran on."""
-        return self.compile_cycles_stalled + self.compile_cycles_hidden
-
-    @property
     def total_cycles(self):
         """The paper's 'time measured in each run': interpretation,
         compilation and native execution (plus transition costs).
 
-        Only *stalled* compile cycles count — background-lane work is
-        overlapped with interpretation, exactly the stall off-main-
-        thread compilation hides.  With ``background_compile=False``
-        every compile is stalled, so this reduces to the original sum.
+        Every compile cycle counts: as in the paper, the program waits
+        while a function compiles.
         """
         return (
             self.interp_cycles
             + self.native_cycles
-            + self.compile_cycles_stalled
+            + self.compile_cycles
             + self.bailout_cycles
             + self.invalidation_cycles
         )
@@ -197,11 +179,8 @@ class EngineStats(object):
             "interp_cycles": self.interp_cycles,
             "native_cycles": self.native_cycles,
             "compile_cycles": self.compile_cycles,
-            "compile_cycles_stalled": self.compile_cycles_stalled,
-            "compile_cycles_hidden": self.compile_cycles_hidden,
             "bailout_cycles": self.bailout_cycles,
             "invalidation_cycles": self.invalidation_cycles,
-            "background_installs": self.background_installs,
             "interp_ops": self.interp_ops,
             "interp_calls": self.interp_calls,
             "native_instructions": self.native_instructions,
@@ -236,11 +215,8 @@ class EngineStats(object):
             "interp_cycles": self.interp_cycles,
             "native_cycles": self.native_cycles,
             "compile_cycles": self.compile_cycles,
-            "compile_cycles_stalled": self.compile_cycles_stalled,
-            "compile_cycles_hidden": self.compile_cycles_hidden,
             "bailout_cycles": self.bailout_cycles,
             "compiles": self.compiles,
-            "background_installs": self.background_installs,
             "recompilations": self.recompilations,
             "bailouts": self.bailouts,
             "ic_transitions": self.ic_transitions,

@@ -2,13 +2,12 @@
 
 A program is executed under every *variant* in the requested matrix —
 interpreter, JIT on all three executor backends, specialization forced
-off, background compilation, cold and warm persistent cache, chaos
-deopt (every guard force-failed) on all three backends plus a seeded
-random-schedule chaos run, and the deoptless dispatch table
-(docs/DEOPTLESS.md) on all three backends — and the observations are
-compared.  Variants that are not about the backend (``nospec``, ``bg``,
-the cache pair, ``chaos-sched``) run on the engine's default backend,
-the one users get:
+off, cold and warm persistent cache, chaos deopt (every guard
+force-failed) on all three backends plus a seeded random-schedule chaos
+run, and the deoptless dispatch table (docs/DEOPTLESS.md) on all three
+backends — and the observations are compared.  Variants that are not
+about the backend (``nospec``, the cache pair, ``chaos-sched``) run on
+the engine's default backend, the one users get:
 
 * **output and guest errors** must agree across *every* variant.  The
   plain interpreter is the reference semantics; a chaos run agreeing
@@ -17,9 +16,8 @@ the one users get:
 * **stats ledgers and deopt/bailout event streams** must agree within
   *equivalence classes* of variants that promise bit-identical
   simulation: the three executor backends, and cold vs warm cache runs.
-  (Background compilation intentionally reorders work, and chaos runs
-  intentionally add bailouts, so those classes only pin the backends
-  against each other.)
+  (Chaos runs intentionally add bailouts, so their class only pins the
+  backends against each other.)
 
 Any disagreement is returned as a :class:`Mismatch`; an empty list is
 the oracle's "all variants agree" verdict.
@@ -173,15 +171,6 @@ def _run_nospec(source, _context):
     )
 
 
-def _run_background(source, _context):
-    return _observe_engine(
-        source,
-        config=FULL_SPEC,
-        executor_backend=DEFAULT_EXECUTOR_BACKEND,
-        background_compile=True,
-    )
-
-
 def _run_cache_cold(source, context):
     cache = DiskCodeCache(root=context["cache_root"])
     return _observe_engine(
@@ -272,7 +261,6 @@ _RUNNERS = (
     ("jit-simple", _run_jit_simple),
     ("whole", _run_whole),
     ("nospec", _run_nospec),
-    ("bg", _run_background),
     ("cache-cold", _run_cache_cold),
     ("cache-warm", _run_cache_warm),
     ("chaos", _run_chaos),

@@ -5,7 +5,8 @@ Layers, bottom up:
 - :mod:`repro.serving.shards` — sharded shared disk code cache plus
   per-tenant counter views.
 - :mod:`repro.serving.admission` — deterministic per-tenant
-  admission/queueing lanes (compile-queue semantics, model cycles).
+  admission/queueing lanes (``max(arrival + delay, lane_cycle)``,
+  model cycles).
 - :mod:`repro.serving.isolate` — one engine (which owns its shape
   tree) + metrics registry per tenant; the tenant-isolation boundary.
 - :mod:`repro.serving.fleet` — seeded power-law fleet-traffic driver

@@ -1,14 +1,21 @@
 """Admission and queueing policy for the serving tier.
 
 Each tenant owns one :class:`AdmissionLane` — a deterministic virtual
-timeline with the same semantics as the engine's background compile
-lane (:mod:`repro.engine.compile_queue`): work starts at
-``max(arrival + dispatch_delay, lane_cycle)`` and the lane clock
-advances by the request's measured service cycles.  Batching amortizes
-the dispatch delay: consecutive requests of the same batch pay it only
-once (the fleet driver precomputes batch ids in the *global* schedule,
-so batch boundaries are identical however the schedule is partitioned
-across worker processes).
+timeline on one clock, ``lane_cycle``, the completion cycle of the
+newest finished request.  A request arriving at ``arrival`` starts at
+``start = max(arrival + dispatch_delay, lane_cycle)``:
+
+* an idle lane (``lane_cycle`` already passed) starts it after the
+  dispatch delay alone, however long the lane sat idle;
+* a busy lane (``lane_cycle`` still ahead) queues it until the previous
+  request completes.
+
+The request then completes at ``start + service_cycles`` (its measured
+model cycles) and the lane clock moves there, so it never runs
+backwards.  Batching amortizes the dispatch delay: consecutive requests
+of the same batch pay it only once (the fleet driver precomputes batch
+ids in the *global* schedule, so batch boundaries are identical however
+the schedule is partitioned across worker processes).
 
 All quantities are model cycles from the engine's deterministic cost
 model, never wall time — so latency percentiles are bit-reproducible
@@ -25,8 +32,7 @@ globally — one tenant's burst cannot starve another's lane.
 """
 
 #: Lane-clock cycles charged once per batch for dispatch (socket parse,
-#: routing, isolate lookup).  Mirrors the compile queue's
-#: ``dispatch_delay`` default scale.
+#: routing, isolate lookup).
 DISPATCH_DELAY = 30
 
 #: Default per-tenant concurrent-request cap.

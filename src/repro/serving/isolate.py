@@ -2,11 +2,11 @@
 
 The isolation contract (docs/SERVING.md) is ownership: every piece of
 *speculation state* — the shape transition tree, inline caches, type
-feedback, spec caches, deoptless tables, compile queue — hangs off the
-tenant's own :class:`~repro.engine.runtime_engine.Engine` (the shape
-tree off its ``Runtime``), and nothing in the process is shared between
-engines.  Only immutable compiled artifacts (content-addressed disk
-frames) cross tenants.
+feedback, spec caches, deoptless tables — hangs off the tenant's own
+:class:`~repro.engine.runtime_engine.Engine` (the shape tree off its
+``Runtime``), and nothing in the process is shared between engines.
+Only immutable compiled artifacts (content-addressed disk frames) cross
+tenants.
 
 Because each engine's runtime numbers its own shape tree, shape ids are
 deterministic *per tenant* — bit-identical to running that tenant's

@@ -3,10 +3,10 @@ the per-run :class:`~repro.engine.stats.EngineStats` ledger.
 
 `EngineStats` answers "what did this run cost"; this module answers the
 questions a production serving tier asks continuously — tier mix, deopt
-and invalidation rates, specialization-cache occupancy, compile-lane
-depth and install latency, disk-cache hit rate — as a **time series**
-over the engine's deterministic cycle clock, mergeable across worker
-processes into one fleet view.
+and invalidation rates, specialization-cache occupancy, compile cost,
+disk-cache hit rate — as a **time series** over the engine's
+deterministic cycle clock, mergeable across worker processes into one
+fleet view.
 
 Design rules (the same contract as the trace layer, docs/TRACING.md):
 
@@ -43,12 +43,6 @@ schemes, exporter formats and merge semantics.
 """
 
 import json
-
-#: Fixed bucket upper bounds (cycles) for the background-lane install
-#: latency histogram: enqueue-to-install distance on the main-lane
-#: clock.  Powers of four, spanning "installed at the next poll point"
-#: through "sat behind a deep queue".
-INSTALL_LATENCY_BUCKETS = (256, 1024, 4096, 16384, 65536, 262144)
 
 #: Fixed bucket upper bounds (cycles) for the per-compilation cost
 #: histogram (the ``cycles`` field of ``compile.finish`` events).
@@ -90,7 +84,7 @@ METRIC_SCHEMA = {
     # -- compilation ------------------------------------------------------
     "repro_engine_compiles_total": {
         "type": "counter",
-        "help": "successful compilations (either lane)",
+        "help": "successful compilations",
     },
     "repro_engine_osr_compiles_total": {
         "type": "counter",
@@ -151,19 +145,6 @@ METRIC_SCHEMA = {
         "type": "counter",
         "help": "specialized binaries inserted into the per-function cache",
     },
-    # -- background compile lane ------------------------------------------
-    "repro_compile_queue_enqueued_total": {
-        "type": "counter",
-        "help": "compile jobs handed to the background lane",
-    },
-    "repro_compile_queue_installed_total": {
-        "type": "counter",
-        "help": "background binaries installed at a main-lane poll point",
-    },
-    "repro_compile_queue_dropped_total": {
-        "type": "counter",
-        "help": "background jobs dropped (stale policy state or cancelled)",
-    },
     # -- persistent disk code cache ---------------------------------------
     "repro_cache_disk_hits_total": {
         "type": "counter",
@@ -193,7 +174,7 @@ METRIC_SCHEMA = {
     "repro_engine_total_cycles": {
         "type": "gauge",
         "merge": "sum",
-        "help": "the deterministic cycle clock (interp + native + stalled compile + penalties)",
+        "help": "the deterministic cycle clock (interp + native + compile + penalties)",
     },
     "repro_engine_interp_cycles": {
         "type": "gauge",
@@ -205,15 +186,10 @@ METRIC_SCHEMA = {
         "merge": "sum",
         "help": "cycles spent in compiled code",
     },
-    "repro_engine_compile_cycles_stalled": {
+    "repro_engine_compile_cycles": {
         "type": "gauge",
         "merge": "sum",
-        "help": "compile cycles charged on the main lane (program stalled)",
-    },
-    "repro_engine_compile_cycles_hidden": {
-        "type": "gauge",
-        "merge": "sum",
-        "help": "compile cycles charged to the background lane (overlapped)",
+        "help": "cycles spent compiling (the program waits for every compile)",
     },
     "repro_engine_bailout_cycles": {
         "type": "gauge",
@@ -251,27 +227,7 @@ METRIC_SCHEMA = {
         "merge": "sum",
         "help": "property sites degraded to megamorphic",
     },
-    "repro_compile_queue_depth": {
-        "type": "gauge",
-        "merge": "sum",
-        "help": "compile jobs currently pending on the background lane",
-    },
-    "repro_compile_queue_depth_high_water": {
-        "type": "gauge",
-        "merge": "max",
-        "help": "deepest the background lane's queue has ever been",
-    },
-    "repro_compile_queue_lane_cycle": {
-        "type": "gauge",
-        "merge": "max",
-        "help": "the compiler lane clock's high-water mark (when it last goes idle)",
-    },
     # -- histograms -------------------------------------------------------
-    "repro_compile_install_latency_cycles": {
-        "type": "histogram",
-        "help": "main-lane cycles between enqueue and install of background binaries",
-        "buckets": INSTALL_LATENCY_BUCKETS,
-    },
     "repro_compile_cycles_per_compile": {
         "type": "histogram",
         "help": "cycle cost of each compilation",
@@ -411,7 +367,7 @@ class MetricsRegistry(object):
         """Set a *collected* counter to its monotonic source value.
 
         For counters mirrored from an authoritative live ledger (the
-        stats object, the queue, the disk cache) rather than counted at
+        stats object, the disk cache) rather than counted at
         instrumentation sites — the collector re-reads the source at
         every snapshot, so the counter can only move forward.  Between
         snapshots such a counter is stale: a reader calls
@@ -674,9 +630,9 @@ def format_dashboard(source, title="repro top"):
     """Render the ``repro top`` console health dashboard.
 
     A static, deterministic panel: tier mix, compile/deopt health,
-    specialization- and disk-cache hit rates, lane occupancy and IC
-    distribution, plus per-snapshot sparklines of the cycle clock and
-    the lane depth when a time series was recorded.
+    specialization- and disk-cache hit rates and IC distribution, plus
+    a per-snapshot sparkline of the cycle clock when a time series was
+    recorded.
     """
     payload = _coerce_payload(source)
     c = payload["counters"]
@@ -685,13 +641,12 @@ def format_dashboard(source, title="repro top"):
     lines.append("== %s ==" % title)
     total = g["repro_engine_total_cycles"]
     lines.append(
-        "cycles     total %s  (interp %s · native %s · compile-stalled %s · hidden %s)"
+        "cycles     total %s  (interp %s · native %s · compile %s)"
         % (
             "{:,}".format(total),
             "{:,}".format(g["repro_engine_interp_cycles"]),
             "{:,}".format(g["repro_engine_native_cycles"]),
-            "{:,}".format(g["repro_engine_compile_cycles_stalled"]),
-            "{:,}".format(g["repro_engine_compile_cycles_hidden"]),
+            "{:,}".format(g["repro_engine_compile_cycles"]),
         )
     )
     interp_calls = c["repro_engine_calls_interp_total"]
@@ -707,16 +662,11 @@ def format_dashboard(source, title="repro top"):
         )
     )
     lines.append(
-        "compile    %d compiles (%d OSR, %d recompiles) · queue depth %d (hwm %d) · "
-        "installed %d · dropped %d"
+        "compile    %d compiles (%d OSR, %d recompiles)"
         % (
             c["repro_engine_compiles_total"],
             c["repro_engine_osr_compiles_total"],
             c["repro_engine_recompilations_total"],
-            g["repro_compile_queue_depth"],
-            g["repro_compile_queue_depth_high_water"],
-            c["repro_compile_queue_installed_total"],
-            c["repro_compile_queue_dropped_total"],
         )
     )
     lines.append(
@@ -770,9 +720,7 @@ def format_dashboard(source, title="repro top"):
         for snap in snapshots:
             deltas.append(snap["gauges"]["repro_engine_total_cycles"] - previous)
             previous = snap["gauges"]["repro_engine_total_cycles"]
-        depths = [snap["gauges"]["repro_compile_queue_depth"] for snap in snapshots]
         lines.append(
             "cycle rate %s (%d snapshots)" % (sparkline(deltas), len(snapshots))
         )
-        lines.append("lane depth %s" % sparkline(depths))
     return "\n".join(lines)

@@ -52,16 +52,9 @@ import weakref
 
 from repro.lir.closures import _TERMINATORS, _block_leaders
 
-#: Attribution tier names, in reporting order.  These are the *main
-#: lane* tiers: their cycles sum to ``EngineStats.total_cycles``.
+#: Attribution tier names, in reporting order; their cycles sum to
+#: ``EngineStats.total_cycles``.
 TIERS = ("interp", "native", "compile", "bailout", "invalidate")
-
-#: Tier label for background-compilation work (docs/COMPILE_PIPELINE.md).
-#: Lane cycles are attributed per function like ``compile`` cycles but
-#: kept out of every main-lane sum: ``attributed_cycles()`` still
-#: equals ``total_cycles`` exactly, and the lane shows up as its own
-#: ``[compile-lane]`` frame in flamegraphs and reports.
-LANE_TIER = "compile-lane"
 
 #: Pseudo-block label for the engine's per-entry transition charge
 #: (``CostModel.native_call_entry``), which belongs to no instruction.
@@ -112,7 +105,6 @@ class ProfileNode(object):
         "native_instructions",
         "entry_cycles",
         "compile_cycles",
-        "hidden_compile_cycles",
         "bailout_cycles",
         "invalidation_cycles",
     )
@@ -128,10 +120,6 @@ class ProfileNode(object):
         self.native_instructions = 0
         self.entry_cycles = 0
         self.compile_cycles = 0
-        #: Background-lane compile cycles (:data:`LANE_TIER`); excluded
-        #: from :meth:`self_cycles` and :meth:`tier_cycles` so the
-        #: main-lane exactness invariant is untouched.
-        self.hidden_compile_cycles = 0
         self.bailout_cycles = 0
         self.invalidation_cycles = 0
 
@@ -280,8 +268,6 @@ class CycleProfiler(object):
         self.compile_counts = {}
         self.bailout_counts = {}
         self.invalidation_counts = {}
-        #: code_id -> background (hidden) compile count.
-        self.lane_compile_counts = {}
 
     # -- binding ------------------------------------------------------------
 
@@ -331,22 +317,10 @@ class CycleProfiler(object):
         record.entry_count += 1
         record.entry_cycles += cycles
 
-    def record_compile(self, code, native, cycles, hidden=False):
-        """Charge one compilation and register its binary.
-
-        ``hidden=True`` charges the background compiler lane instead of
-        the main-lane ``compile`` tier (docs/COMPILE_PIPELINE.md).
-        """
-        if hidden:
-            self.current.hidden_compile_cycles += cycles
-            self.lane_compile_counts[code.code_id] = (
-                self.lane_compile_counts.get(code.code_id, 0) + 1
-            )
-        else:
-            self.current.compile_cycles += cycles
-            self.compile_counts[code.code_id] = (
-                self.compile_counts.get(code.code_id, 0) + 1
-            )
+    def record_compile(self, code, native, cycles):
+        """Charge one compilation and register its binary."""
+        self.current.compile_cycles += cycles
+        self.compile_counts[code.code_id] = self.compile_counts.get(code.code_id, 0) + 1
         self.native_profile(native)
 
     def record_bailout(self, code, native, bail, cycles):
@@ -390,15 +364,9 @@ class CycleProfiler(object):
                 todo.append((path + (child.name,), child))
 
     def attributed_cycles(self):
-        """Total main-lane cycles charged anywhere — equals
-        ``total_cycles`` (background-lane cycles are not in either)."""
+        """Total cycles charged anywhere — equals ``total_cycles``."""
         cost_model = self._cm()
         return sum(node.self_cycles(cost_model) for _path, node in self.walk())
-
-    def lane_cycles(self):
-        """Total background-lane compile cycles — equals
-        ``EngineStats.compile_cycles_hidden``."""
-        return sum(node.hidden_compile_cycles for _path, node in self.walk())
 
     def guard_failures(self):
         """Total guard failures recorded across all binaries."""
@@ -421,10 +389,8 @@ class CycleProfiler(object):
         (``block`` is None); the native tier attributes per basic
         block of each compiled binary (``block`` is the block-leader
         instruction index, or :data:`ENTRY_BLOCK` for the per-entry
-        transition charge).  The main-lane rows' cycles sum exactly to
-        ``EngineStats.total_cycles``; rows with ``tier ==
-        "compile-lane"`` (background compilation) sit outside that sum
-        and total ``compile_cycles_hidden`` instead.
+        transition charge).  The rows' cycles sum exactly to
+        ``EngineStats.total_cycles``.
         """
         cost_model = self._cm()
         per_code = {}
@@ -438,7 +404,6 @@ class CycleProfiler(object):
                     "ops": 0,
                     "calls": 0,
                     "compile": 0,
-                    "lane": 0,
                     "bailout": 0,
                     "invalidate": 0,
                 }
@@ -446,7 +411,6 @@ class CycleProfiler(object):
             agg["ops"] += node.interp_ops
             agg["calls"] += node.interp_calls
             agg["compile"] += node.compile_cycles
-            agg["lane"] += node.hidden_compile_cycles
             agg["bailout"] += node.bailout_cycles
             agg["invalidate"] += node.invalidation_cycles
 
@@ -487,13 +451,6 @@ class CycleProfiler(object):
                 row(
                     key, agg["name"], "invalidate", None,
                     self.invalidation_counts.get(key, 0), agg["invalidate"],
-                )
-            if agg["lane"]:
-                # Background-lane compiles: a distinct tier, outside
-                # the main-lane rows' total_cycles sum.
-                row(
-                    key, agg["name"], LANE_TIER, None,
-                    self.lane_compile_counts.get(key, 0), agg["lane"],
                 )
 
         for record in self.binaries:
@@ -542,13 +499,11 @@ class CycleProfiler(object):
                 "self_cycles": 0,
                 "inclusive_cycles": 0,
                 "tiers": dict.fromkeys(TIERS, 0),
-                "lane_cycles": 0,
                 "native_instructions": 0,
                 "interp_ops": 0,
             }
         self_cycles = node.self_cycles(cost_model)
         entry["self_cycles"] += self_cycles
-        entry["lane_cycles"] += node.hidden_compile_cycles
         entry["interp_ops"] += node.interp_ops
         entry["native_instructions"] += node.native_instructions
         for tier, cycles in node.tier_cycles(cost_model).items():

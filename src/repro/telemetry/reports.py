@@ -20,7 +20,7 @@ All output is deterministic: ordering is by cycles (descending) with
 code-id tiebreaks, never by hash order.
 """
 
-from repro.telemetry.profiler import ENTRY_BLOCK, LANE_TIER, TIERS
+from repro.telemetry.profiler import ENTRY_BLOCK, TIERS
 
 
 def function_table_rows(profiler):
@@ -41,23 +41,15 @@ def function_table_rows(profiler):
 
 
 def format_function_table(profiler, total_cycles=None, top=None):
-    """The self/inclusive hot-function table as text.
-
-    When any function was compiled on the background lane an extra
-    ``lane`` column appears (hidden cycles, outside the self sum);
-    synchronous-only profiles render exactly as before.
-    """
+    """The self/inclusive hot-function table as text."""
     rows = function_table_rows(profiler)
     if total_cycles is None:
         total_cycles = profiler.attributed_cycles()
-    show_lane = any(entry["lane_cycles"] for entry in rows)
     shown = rows if top is None else rows[:top]
     header = "%-24s %12s %7s %12s %10s %10s %9s %9s %9s" % (
         "function", "self", "self%", "inclusive",
         "interp", "native", "compile", "bailout", "invalid",
     )
-    if show_lane:
-        header += " %9s" % "lane"
     lines = [header]
     for entry in shown:
         tiers = entry["tiers"]
@@ -73,8 +65,6 @@ def format_function_table(profiler, total_cycles=None, top=None):
             tiers["bailout"],
             tiers["invalidate"],
         )
-        if show_lane:
-            line += " %9d" % entry["lane_cycles"]
         lines.append(line)
     if top is not None and len(rows) > top:
         lines.append("... %d more" % (len(rows) - top))
@@ -92,10 +82,7 @@ def to_collapsed(profiler):
     ``[compile]``, ``[bailout]``, ``[invalidate]``); counts are model
     cycles.  The format is what ``flamegraph.pl``, speedscope and
     inferno consume directly.  Zero-cycle stacks are omitted, so the
-    main-lane line counts sum exactly to ``total_cycles``.  Background
-    compilation adds distinct ``[compile-lane]`` leaf frames whose
-    counts sum to ``compile_cycles_hidden``, outside the main-lane
-    total (absent entirely for synchronous-only runs).
+    line counts sum exactly to ``total_cycles``.
     """
     cost_model = profiler._cm()
     lines = []
@@ -105,8 +92,6 @@ def to_collapsed(profiler):
             cycles = node.tier_cycles(cost_model)[tier]
             if cycles:
                 lines.append("%s;[%s] %d" % (base, tier, cycles))
-        if node.hidden_compile_cycles:
-            lines.append("%s;[%s] %d" % (base, LANE_TIER, node.hidden_compile_cycles))
     lines.sort()
     return "\n".join(lines)
 
@@ -182,19 +167,6 @@ def annotate_function(profiler, fn_name):
         if record.specialized:
             lines.append(
                 ";; specialized on: %r" % (native.meta.get("specialized_args"),)
-            )
-        lane_count = profiler.lane_compile_counts.get(record.code_id, 0)
-        if lane_count:
-            lines.append(
-                ";; compiler lane: %d background compile(s), %d hidden cycles"
-                % (
-                    lane_count,
-                    sum(
-                        node.hidden_compile_cycles
-                        for _path, node in profiler.walk()
-                        if node.code_id == record.code_id
-                    ),
-                )
             )
         lines.append(
             "   %5s %10s %12s %7s %7s  %s"

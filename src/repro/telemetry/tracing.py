@@ -59,9 +59,6 @@ EVENT_SCHEMA = {
             "cycles",
         ),
         "reject": ("fn", "code_id"),
-        "enqueue": ("fn", "code_id", "reason"),
-        "install": ("fn", "code_id", "ready_at", "waited_cycles", "specialized"),
-        "queue_depth": ("fn", "code_id", "action", "depth"),
     },
     "specialize": {
         "specialized": ("fn", "code_id", "key", "args", "osr"),

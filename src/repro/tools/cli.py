@@ -9,7 +9,7 @@ Subcommands::
     python -m repro annotate script.js --function f [--config all]
     python -m repro disasm script.js --function f [--config all]
     python -m repro bench --suite sunspider [--configs PS,PS+CP,all] [--jobs N] [--metrics]
-    python -m repro bench --cycles [--sections background,serving] [--output BENCH_cycles.json]
+    python -m repro bench --cycles [--sections deoptless,serving] [--output BENCH_cycles.json]
     python -m repro bench --compare BENCH_cycles.json [--input NEW.json] [--sections S] [--json-out f] [--report-only]
     python -m repro metrics workload [--interval N] [--prometheus f] [--jsonl f] [--json]
     python -m repro top workload [--interval N]
@@ -40,9 +40,8 @@ inspects or clears the persistent cross-run code cache
 (docs/COMPILE_PIPELINE.md); ``configs`` lists the available
 optimization configurations.
 
-``run`` and ``trace`` accept ``--background``/``--no-background`` to
-toggle the background compilation lane and ``--code-cache [DIR]`` to
-compile through the persistent code cache.
+``run``, ``trace``, ``metrics`` and ``top`` accept ``--code-cache [DIR]``
+to compile through the persistent code cache.
 """
 
 import argparse
@@ -103,7 +102,6 @@ def _engine_from_args(args, **sinks):
         config=_resolve_config(args.config),
         spec_cache_capacity=getattr(args, "cache_capacity", 1),
         executor_backend=getattr(args, "executor", None),
-        background_compile=getattr(args, "background", False),
         code_cache=code_cache,
         **sinks
     )
@@ -775,15 +773,8 @@ def _add_executor_flag(subparser, prefix=""):
     )
 
 
-def _add_lane_and_cache_flags(subparser):
-    """Attach ``--background/--no-background`` and ``--code-cache``."""
-    subparser.add_argument(
-        "--background",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="compile hot functions on the background lane instead of "
-        "stalling (docs/COMPILE_PIPELINE.md)",
-    )
+def _add_code_cache_flag(subparser):
+    """Attach ``--code-cache``."""
     subparser.add_argument(
         "--code-cache",
         metavar="DIR",
@@ -811,7 +802,7 @@ def build_parser():
         "--cache-capacity", type=int, default=1, help="specialized binaries kept per function"
     )
     _add_executor_flag(run)
-    _add_lane_and_cache_flags(run)
+    _add_code_cache_flag(run)
     run.set_defaults(handler=cmd_run)
 
     trace = sub.add_parser(
@@ -840,7 +831,7 @@ def build_parser():
     trace.add_argument(
         "--limit", type=int, default=None, help="max timeline rows per function"
     )
-    _add_lane_and_cache_flags(trace)
+    _add_code_cache_flag(trace)
     trace.set_defaults(handler=cmd_trace)
 
     profile = sub.add_parser(
@@ -968,7 +959,7 @@ def build_parser():
             "default %d)" % default_interval,
         )
         _add_executor_flag(subparser)
-        _add_lane_and_cache_flags(subparser)
+        _add_code_cache_flag(subparser)
 
     metrics = sub.add_parser(
         "metrics",
@@ -1006,7 +997,7 @@ def build_parser():
     fuzz.add_argument(
         "--matrix",
         help="comma-separated variant subset (default: all): interp,jit,jit-simple,"
-        "whole,nospec,bg,cache-cold,cache-warm,chaos,chaos-simple,chaos-whole,"
+        "whole,nospec,cache-cold,cache-warm,chaos,chaos-simple,chaos-whole,"
         "chaos-sched,deoptless,deoptless-simple,deoptless-whole",
     )
     fuzz.add_argument(

@@ -84,16 +84,6 @@ class ReferenceEngine(Engine):
             code.feedback = TypeFeedback(code.num_params)
         record_args(code.feedback, args, this_value)
 
-        queue = self.compile_queue
-        if queue is not None and queue.pending:
-            self._install_ready(queue)
-        # Lane policy: a loop-free body is cheap to keep interpreting
-        # while the lane works, so its compile is worth hiding; a body
-        # that takes backedges costs far more to interpret once than
-        # the compile stall it would hide, so it compiles synchronously
-        # (and its loops stay eligible for OSR).
-        use_queue = queue is not None and state.backedge_count == 0
-
         native = state.native
         if native is not None:
             if native.meta["specialized"]:
@@ -144,15 +134,6 @@ class ReferenceEngine(Engine):
                     # Room for another specialized binary (the §6
                     # eager extension; under deoptless, growth instead
                     # waits for the key to recur — ``_deoptless_call``).
-                    if use_queue:
-                        # Keep running the current binary's sibling in
-                        # the interpreter while the lane compiles the
-                        # new set; no discard — there is still room.
-                        self._enqueue_compile(state, function, this_value, args)
-                        self.stats.interp_calls += 1
-                        if self.cycle_profiler is not None:
-                            self.cycle_profiler.interp_call()
-                        return False, None
                     if self._compile(state, function, this_value, args, osr_frame=None):
                         return True, self._run_call(state, function, this_value, args)
                 if self.deoptless:
@@ -160,7 +141,7 @@ class ReferenceEngine(Engine):
                     # is discarded — dispatch into the generalized
                     # sibling (compiling it once the miss count proves
                     # real polymorphism), else interpret this call.
-                    if self._deoptless_call(state, function, this_value, args, use_queue):
+                    if self._deoptless_call(state, function, this_value, args):
                         return True, self._run_call(state, function, this_value, args)
                 else:
                     # §4: one distinct argument set too many — discard,
@@ -200,7 +181,7 @@ class ReferenceEngine(Engine):
                         not dispatched
                         and cached is None
                         and self._deoptless_promote(
-                            state, function, this_value, args, key, use_queue
+                            state, function, this_value, args, key
                         )
                     ):
                         # A recurring regime reached the generalized
@@ -226,11 +207,7 @@ class ReferenceEngine(Engine):
                 return True, self._run_call(state, function, this_value, args)
 
         if state.native is None and state.call_count >= self.hot_call_threshold:
-            if use_queue:
-                # Background lane: enqueue and keep interpreting; the
-                # binary installs at a later poll point.
-                self._enqueue_compile(state, function, this_value, args)
-            elif self._compile(state, function, this_value, args, osr_frame=None):
+            if self._compile(state, function, this_value, args, osr_frame=None):
                 return True, self._run_call(state, function, this_value, args)
 
         self.stats.interp_calls += 1

@@ -30,21 +30,6 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_cycles.json
 def make_results():
     """A minimal result dict in the BENCH_cycles.json shape."""
     return {
-        "background_compile": {
-            "suites": {
-                "sunspider": {
-                    "sync_cycles": 1000000,
-                    "background_cycles": 900000,
-                    "cycle_ratio": 0.9,
-                },
-                "v8": {
-                    "sync_cycles": 500000,
-                    "background_cycles": 500000,
-                    "cycle_ratio": 1.0,
-                },
-            },
-            "geomean_cycle_ratio": 0.9,
-        },
         "deoptless": {
             "suite": "churn",
             "off_cycles": 2000,
@@ -59,7 +44,8 @@ def make_results():
             "outputs_identical": True,
             "backends_identical": True,
             "benchmarks": {
-                "spec-churn": {"off_cycles": 2000, "on_cycles": 1500, "cycle_ratio": 0.75}
+                "spec-churn": {"off_cycles": 1200, "on_cycles": 900, "cycle_ratio": 0.75},
+                "shape-flip": {"off_cycles": 800, "on_cycles": 600, "cycle_ratio": 0.75},
             },
         },
         "serving": {
@@ -106,7 +92,7 @@ def plant(results, section, path, value):
 
 @pytest.fixture(scope="module")
 def measured():
-    """The three sections measured once, with every Engine the bench
+    """Every section measured once, with every Engine the bench
     constructs recorded by backend."""
     constructed = []
 
@@ -203,29 +189,25 @@ class TestClassification:
         assert report["improvements"] == 0
         assert report["changes"] == 0
         assert {d["status"] for d in report["deltas"]} == {"ok"}
-        assert {d["section"] for d in report["deltas"]} == {
-            "background",
-            "deoptless",
-            "serving",
-        }
+        assert {d["section"] for d in report["deltas"]} == {"deoptless", "serving"}
 
     def test_planted_10pct_cycle_regression_is_flagged(self):
         current = make_results()
-        row = current["background_compile"]["suites"]["sunspider"]
-        row["background_cycles"] = int(row["background_cycles"] * 1.10)
+        row = current["deoptless"]["benchmarks"]["spec-churn"]
+        row["on_cycles"] = int(row["on_cycles"] * 1.10)
         report = compare_results(current, make_results())
         assert report["status"] == "fail"
         (regressed,) = [d for d in report["deltas"] if d["status"] == "regressed"]
-        assert regressed["metric"] == "suites.sunspider.background_cycles"
+        assert regressed["metric"] == "benchmarks.spec-churn.on_cycles"
         assert regressed["kind"] == "cycles"
         assert regressed["delta_pct"] == pytest.approx(10.0, abs=0.01)
 
     def test_cycles_have_zero_tolerance(self):
         current = make_results()
-        current["background_compile"]["suites"]["sunspider"]["sync_cycles"] += 1
+        current["deoptless"]["benchmarks"]["spec-churn"]["off_cycles"] += 1
         report = compare_results(current, make_results())
         assert report["regressions"] == 1  # a single cycle is a regression
-        current["background_compile"]["suites"]["sunspider"]["sync_cycles"] -= 2
+        current["deoptless"]["benchmarks"]["spec-churn"]["off_cycles"] -= 2
         report = compare_results(current, make_results())
         assert report["status"] == "pass" and report["improvements"] == 1
 
@@ -264,17 +246,17 @@ class TestClassification:
 
     def test_missing_suite_fails_loudly(self):
         current = make_results()
-        del current["background_compile"]["suites"]["v8"]
+        del current["deoptless"]["benchmarks"]["shape-flip"]
         report = compare_results(current, make_results())
         assert {metric for _, metric, _ in failing(report)} == {
-            "suites.v8.sync_cycles",
-            "suites.v8.background_cycles",
-            "suites.v8.cycle_ratio",
+            "benchmarks.shape-flip.off_cycles",
+            "benchmarks.shape-flip.on_cycles",
+            "benchmarks.shape-flip.cycle_ratio",
         }
 
     def test_new_suite_passes_trivially(self):
         baseline = make_results()
-        del baseline["background_compile"]["suites"]["v8"]
+        del baseline["deoptless"]["benchmarks"]["shape-flip"]
         report = compare_results(make_results(), baseline)
         assert report["status"] == "pass" and report["changes"] == 3
 
@@ -327,9 +309,9 @@ class TestClassification:
 
     def test_sections_narrow_the_comparison(self):
         report = compare_results(
-            make_results(), make_results(), cycles.select_sections("background")
+            make_results(), make_results(), cycles.select_sections("deoptless")
         )
-        assert {d["section"] for d in report["deltas"]} == {"background"}
+        assert {d["section"] for d in report["deltas"]} == {"deoptless"}
 
     def test_section_absent_from_current_is_skipped(self):
         current = make_results()
@@ -348,12 +330,10 @@ class TestClassification:
 class TestFormatting:
     def test_format_elides_quiet_rows(self):
         current = make_results()
-        current["background_compile"]["suites"]["sunspider"][
-            "background_cycles"
-        ] = 990000
+        current["deoptless"]["benchmarks"]["spec-churn"]["on_cycles"] = 990
         report = compare_results(current, make_results())
         table = format_compare(report)
-        assert "FAIL" in table and "background_cycles" in table
+        assert "FAIL" in table and "benchmarks.spec-churn.on_cycles" in table
         assert "p50_latency_cycles" not in table  # ok rows hidden by default
         assert "p50_latency_cycles" in format_compare(report, verbose=True)
 
@@ -365,7 +345,7 @@ class TestFormatting:
         listing = cycles.format_cycles(make_results())
         for section in cycles.SECTIONS:
             assert section.title in listing
-        assert "suites.sunspider.sync_cycles" in listing
+        assert "benchmarks.spec-churn.off_cycles" in listing
         assert "(limit %s)" % cycles.DEOPTLESS_CYCLE_CEILING in listing
 
     def test_json_roundtrip(self, tmp_path):
@@ -389,8 +369,8 @@ class TestCompareCLI:
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(make_results()))
         regressed = make_results()
-        row = regressed["background_compile"]["suites"]["sunspider"]
-        row["background_cycles"] = int(row["background_cycles"] * 1.10)
+        row = regressed["deoptless"]["benchmarks"]["spec-churn"]
+        row["on_cycles"] = int(row["on_cycles"] * 1.10)
         bad = tmp_path / "regressed.json"
         bad.write_text(json.dumps(regressed))
         return str(baseline), str(bad), tmp_path
@@ -410,7 +390,7 @@ class TestCompareCLI:
             ["bench", "--compare", baseline, "--input", bad, "--json-out", delta]
         )
         assert code == 1
-        assert "FAIL" in output and "background_cycles" in output
+        assert "FAIL" in output and "benchmarks.spec-churn.on_cycles" in output
         report = cycles.load_json(delta)
         assert report["status"] == "fail" and report["regressions"] == 1
         code, _ = self.run_cli(
@@ -437,5 +417,5 @@ class TestCompareCLI:
         code, output = self.run_cli(
             ["bench", "--cycles", "--input", baseline, "--output", output_path]
         )
-        assert code == 0 and "suites.sunspider.sync_cycles" in output
+        assert code == 0 and "benchmarks.spec-churn.off_cycles" in output
         assert cycles.load_json(output_path) == make_results()

@@ -36,8 +36,8 @@ CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.j
 VARIANTS = {
     "default": {},
     "deoptless": {"deoptless": True},
-    "background": {"background_compile": True},
     "capacity2": {"spec_cache_capacity": 2},
+    "deoptless-capacity2": {"deoptless": True, "spec_cache_capacity": 2},
 }
 
 

@@ -340,7 +340,7 @@ def test_metrics_doc_names_the_contract_vocabulary():
     from repro.bench.cycles import SECTIONS
 
     text = _metrics_doc()
-    assert "INSTALL_LATENCY_BUCKETS" in text
+    assert "REQUEST_LATENCY_BUCKETS" in text
     assert "COMPILE_COST_BUCKETS" in text
     assert "merge_payloads" in text
     assert "to_prometheus" in text

@@ -146,11 +146,11 @@ class TestAFinishedPageFreesItself:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"deoptless": True}, {"background_compile": True}],
-        ids=["deoptless", "background_compile"],
+        [{"deoptless": True}, {"spec_cache_capacity": 2}],
+        ids=["deoptless", "capacity2"],
     )
     @pytest.mark.parametrize("backend", ["simple", "whole"])
-    def test_deoptless_and_background_lane(self, backend, kwargs):
+    def test_deoptless_and_spec_cache_churn(self, backend, kwargs):
         source = suite_source("churn", "shape-flip")
         assert_freed(run_and_watch(source, executor_backend=backend, **kwargs))
         assert_freed(run_and_watch(PAGE, executor_backend=backend, **kwargs))

@@ -193,6 +193,30 @@ class TestEngineIntegration:
         assert c["repro_engine_calls_native_total"] > 0
         assert registry.gauges["repro_engine_total_cycles"] == stats.total_cycles
 
+    @pytest.mark.parametrize("backend", ["simple", "closure", "whole"])
+    def test_every_compile_is_charged_to_total_cycles(self, backend):
+        """Each compile's cost is observed once, and the observations sum
+        to the one compile counter that ``total_cycles`` adds in whole."""
+        _, engine, registry = run_metered(CHURN, executor_backend=backend)
+        stats = engine.stats
+        assert stats.compiles > 1
+        cost = registry.histograms["repro_compile_cycles_per_compile"]
+        assert cost["count"] == stats.compiles
+        assert cost["sum"] == stats.compile_cycles > 0
+        assert registry.gauges["repro_engine_compile_cycles"] == stats.compile_cycles
+        ledger = stats.as_dict()
+        assert ledger["total_cycles"] == sum(
+            ledger[part]
+            for part in (
+                "interp_cycles",
+                "native_cycles",
+                "compile_cycles",
+                "bailout_cycles",
+                "invalidation_cycles",
+            )
+        )
+        assert registry.gauges["repro_engine_total_cycles"] == stats.total_cycles
+
     def test_spec_cache_and_ic_instrumentation(self):
         _, engine, registry = run_metered(SHAPY)
         c = registry.counters
@@ -205,47 +229,9 @@ class TestEngineIntegration:
         assert g["repro_engine_ic_sites_poly"] >= 1
         assert c["repro_engine_ic_transitions_total"] >= 2
 
-    def test_background_queue_metrics(self):
-        _, engine, registry = run_metered(HOT_LOOP, background_compile=True)
-        queue = engine.compile_queue
-        c = registry.counters
-        assert c["repro_compile_queue_enqueued_total"] == queue.enqueued > 0
-        assert c["repro_compile_queue_installed_total"] == queue.installed > 0
-        assert registry.gauges["repro_compile_queue_depth_high_water"] >= 1
-        assert registry.gauges["repro_compile_queue_lane_cycle"] > 0
-        latency = registry.histograms["repro_compile_install_latency_cycles"]
-        assert latency["count"] == queue.installed
-        assert sum(latency["counts"]) == latency["count"]
-        cost = registry.histograms["repro_compile_cycles_per_compile"]
-        assert cost["count"] == engine.stats.compiles
-
-    def test_queue_depth_trace_events(self):
-        tracer = Tracer(channels=("compile",))
-        registry = MetricsRegistry()
-        engine = Engine(
-            config=FULL_SPEC,
-            background_compile=True,
-            metrics=registry,
-            tracer=tracer,
-            **FAST
-        )
-        engine.run_source(HOT_LOOP)
-        depth_events = [
-            event for event in tracer.events if event["event"] == "queue_depth"
-        ]
-        assert depth_events
-        assert {event["action"] for event in depth_events} <= {
-            "enqueue",
-            "install",
-            "drop",
-        }
-        assert all(event["depth"] >= 0 for event in depth_events)
-        enqueues = [e for e in depth_events if e["action"] == "enqueue"]
-        assert len(enqueues) == engine.compile_queue.enqueued
-
     def test_periodic_snapshots_are_deterministic(self):
-        _, _, first = run_metered(HOT_LOOP, interval=2000, background_compile=True)
-        _, _, second = run_metered(HOT_LOOP, interval=2000, background_compile=True)
+        _, _, first = run_metered(HOT_LOOP, interval=2000)
+        _, _, second = run_metered(HOT_LOOP, interval=2000)
         assert len(first.snapshots) > 1
         timestamps = [snap["ts"] for snap in first.snapshots]
         assert timestamps == sorted(timestamps)
@@ -256,7 +242,7 @@ class TestEngineIntegration:
 
 #: Sampled by ``Engine._collect_metrics`` from live state (no ledger
 #: attribute holds them), and recorded in line where the fact is decided
-#: (``_note_bailout``, ``_produce``, ``_install_job``).
+#: (``_note_bailout``, ``_produce``).
 COMPUTED_METRICS = {
     "repro_engine_calls_native_total",
     "repro_engine_total_cycles",
@@ -266,12 +252,10 @@ COMPUTED_METRICS = {
     "repro_engine_ic_sites_mono",
     "repro_engine_ic_sites_poly",
     "repro_engine_ic_sites_mega",
-    "repro_compile_queue_depth",
 }
 DIRECT_METRICS = {
     "repro_engine_retrains_total",
     "repro_compile_cycles_per_compile",
-    "repro_compile_install_latency_cycles",
 }
 
 CHURN = """
@@ -318,9 +302,7 @@ class TestOneSourcePerMetric:
     def test_mirror_table_names_live_ledger_attributes(self, tmp_path):
         from repro.cache import DiskCodeCache
 
-        engine = Engine(
-            background_compile=True, code_cache=DiskCodeCache(root=str(tmp_path))
-        )
+        engine = Engine(code_cache=DiskCodeCache(root=str(tmp_path)))
         for name, ledger, attribute in _MIRRORED_METRICS:
             assert METRIC_SCHEMA[name]["type"] in ("counter", "gauge")
             assert isinstance(getattr(getattr(engine, ledger), attribute), int)
@@ -340,9 +322,9 @@ class TestOneSourcePerMetric:
         "kwargs",
         [
             {},
-            {"background_compile": True},
             {"deoptless": True},
-            {"deoptless": True, "background_compile": True},
+            {"spec_cache_capacity": 2},
+            {"deoptless": True, "spec_cache_capacity": 2},
         ],
     )
     def test_no_metric_is_both_counted_and_collected(self, kwargs, tmp_path):
@@ -359,8 +341,6 @@ class TestOneSourcePerMetric:
         assert not recorder.counted & recorder.collected
         assert recorder.counted <= set(_EVENT_COUNTERS.values()) | DIRECT_METRICS
         expected = {name for name, _, _ in _MIRRORED_METRICS} | COMPUTED_METRICS
-        if not kwargs.get("background_compile"):
-            expected = {n for n in expected if "compile_queue" not in n}
         assert recorder.collected == expected
         if kwargs == {}:
             assert "repro_engine_retrains_total" in recorder.counted
@@ -368,7 +348,7 @@ class TestOneSourcePerMetric:
             assert engine.stats.deoptless_misses > 0
 
     @pytest.mark.parametrize(
-        "kwargs", [{}, {"spec_cache_capacity": 2}, {"background_compile": True}]
+        "kwargs", [{}, {"spec_cache_capacity": 2}, {"executor_backend": "closure"}]
     )
     def test_counted_events_equal_their_counters(self, kwargs):
         """With a tracer on, every call takes the policy path, so each
@@ -463,18 +443,18 @@ class TestMergeExactness:
         right.inc("repro_engine_compiles_total", 4)
         left.set_gauge("repro_spec_cache_entries", 5)  # merge: sum
         right.set_gauge("repro_spec_cache_entries", 2)
-        left.set_gauge("repro_compile_queue_depth_high_water", 3)  # merge: max
-        right.set_gauge("repro_compile_queue_depth_high_water", 9)
-        left.observe("repro_compile_install_latency_cycles", 300)
-        right.observe("repro_compile_install_latency_cycles", 300)
-        right.observe("repro_compile_install_latency_cycles", 10 ** 9)
+        left.set_gauge("repro_serving_queue_depth_high_water", 3)  # merge: max
+        right.set_gauge("repro_serving_queue_depth_high_water", 9)
+        left.observe("repro_serving_queue_wait_cycles", 300)
+        right.observe("repro_serving_queue_wait_cycles", 300)
+        right.observe("repro_serving_queue_wait_cycles", 10 ** 9)
         merged = merge_payloads([left.as_dict(), right.as_dict()])
         assert merged["counters"]["repro_engine_compiles_total"] == 7
         assert merged["gauges"]["repro_spec_cache_entries"] == 7
-        assert merged["gauges"]["repro_compile_queue_depth_high_water"] == 9
-        cell = merged["histograms"]["repro_compile_install_latency_cycles"]
+        assert merged["gauges"]["repro_serving_queue_depth_high_water"] == 9
+        cell = merged["histograms"]["repro_serving_queue_wait_cycles"]
         assert cell["count"] == 3
-        assert cell["counts"][1] == 2  # two 300s in the (256, 1024] bucket
+        assert cell["counts"][2] == 2  # two 300s in the (256, 1024] bucket
         assert cell["counts"][-1] == 1  # the outlier in +Inf
         assert cell["sum"] == 600 + 10 ** 9
         assert merged["snapshots"] == []  # time series never merge
@@ -490,7 +470,7 @@ class TestMergeExactness:
         for seed in (1, 2, 3):
             registry = MetricsRegistry()
             registry.inc("repro_spec_cache_hits_total", seed)
-            registry.set_gauge("repro_compile_queue_lane_cycle", seed * 100)
+            registry.set_gauge("repro_serving_queue_depth_high_water", seed * 100)
             payloads.append(registry.as_dict())
         forward = merge_payloads(payloads)
         backward = merge_payloads(list(reversed(payloads)))
@@ -527,7 +507,7 @@ class TestMergeExactness:
 
 class TestExporters:
     def test_prometheus_exposition_parses(self):
-        _, _, registry = run_metered(HOT_LOOP, background_compile=True)
+        _, _, registry = run_metered(HOT_LOOP)
         text = to_prometheus(registry)
         samples = {}
         for line in text.strip().splitlines():
@@ -561,7 +541,7 @@ class TestExporters:
             assert set(record) == {"ts", "seq", "counters", "gauges", "histograms"}
 
     def test_dashboard_renders_health_lines(self):
-        _, _, registry = run_metered(HOT_LOOP, interval=2000, background_compile=True)
+        _, _, registry = run_metered(HOT_LOOP, interval=2000)
         panel = format_dashboard(registry.as_dict(), title="unit test")
         assert "== unit test ==" in panel
         assert "tier mix" in panel
@@ -591,7 +571,7 @@ class TestMetricsCLI:
         assert code == 0
         assert output.startswith("# HELP ")
         assert "# TYPE repro_engine_total_cycles gauge" in output
-        assert "# TYPE repro_compile_install_latency_cycles histogram" in output
+        assert "# TYPE repro_compile_cycles_per_compile histogram" in output
 
     def test_metrics_writes_exports(self, script, tmp_path):
         prom = tmp_path / "metrics.prom"

@@ -174,6 +174,29 @@ class TestExactness:
         _obs, _events, engine = _run(source, backend, profile=True)
         _assert_exact(engine.cycle_profiler, engine.stats)
 
+    @pytest.mark.parametrize("backend", ["simple", "closure", "whole"])
+    @pytest.mark.parametrize(
+        "source", [HOT_SRC, DEOPT_SRC, OSR_SRC], ids=["hot", "deopt", "osr"]
+    )
+    def test_each_tier_sums_to_its_ledger_field(self, backend, source):
+        """Every compile is charged on the program's clock, to the compile
+        tier, as are the other tiers to their own ledger fields."""
+        _obs, _events, engine = _run(source, backend, profile=True)
+        profiler = engine.cycle_profiler
+        ledger = engine.stats.as_dict()
+        by_tier = dict.fromkeys(TIERS, 0)
+        for row in profiler.attribution():
+            by_tier[row["tier"]] += row["cycles"]
+        assert by_tier == {
+            "interp": ledger["interp_cycles"],
+            "native": ledger["native_cycles"],
+            "compile": ledger["compile_cycles"],
+            "bailout": ledger["bailout_cycles"],
+            "invalidate": ledger["invalidation_cycles"],
+        }
+        assert by_tier["compile"] > 0
+        assert sum(profiler.compile_counts.values()) == ledger["compiles"]
+
 
 class TestBitIdentity:
     """Profiling never perturbs any deterministic observable."""

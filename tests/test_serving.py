@@ -104,6 +104,34 @@ class TestAdmissionLane:
         fresh = lane.admit(2000, batch=8)
         assert fresh == 2030
 
+    def test_busy_lane_absorbs_a_new_batchs_dispatch_delay(self):
+        lane = AdmissionLane(dispatch_delay=30)
+        lane.complete(lane.admit(0, batch=1), 1000)
+        # start = max(100 + 30, 1030): the delay runs while the lane is
+        # busy, so it is not added on top of the wait.
+        assert lane.admit(100, batch=2) == 1030
+
+    def test_idle_lane_restarts_from_the_arrival_not_its_stale_clock(self):
+        lane = AdmissionLane(dispatch_delay=30)
+        lane.complete(lane.admit(50, batch=1), 10)
+        assert lane.lane_cycle == 90
+        assert lane.admit(5000, batch=2) == 5000 + 30
+
+    def test_a_request_done_at_the_arrival_is_no_longer_in_flight(self):
+        lane = AdmissionLane(dispatch_delay=0, capacity=1)
+        lane.complete(lane.admit(0, batch=0), 100)
+        assert lane.admit(99, batch=0) is None
+        assert lane.admit(100, batch=0) == 100
+
+    def test_a_rejection_moves_neither_the_clock_nor_the_batch(self):
+        lane = AdmissionLane(dispatch_delay=30, capacity=1)
+        lane.complete(lane.admit(0, batch=1), 500)
+        assert lane.admit(10, batch=2) is None
+        assert lane.lane_cycle == 530 and lane.admitted == 1
+        # Batch 2 never dispatched, so its first admitted request still
+        # pays the delay.
+        assert lane.admit(600, batch=2) == 630
+
     def test_capacity_rejections_and_high_water(self):
         lane = AdmissionLane(dispatch_delay=0, capacity=2)
         for _ in range(2):
@@ -119,12 +147,16 @@ class TestAdmissionLane:
         def drive():
             lane = AdmissionLane()
             marks = []
-            for arrival, batch in ((0, 0), (5, 0), (5, 1), (900, 1)):
+            for arrival, batch in ((0, 0), (5, 0), (5, 1), (900, 1), (300, 2)):
                 start = lane.admit(arrival, batch=batch)
                 marks.append(lane.complete(start, 100))
             return marks
 
-        assert drive() == drive()
+        marks = drive()
+        assert marks == drive()
+        # The last request arrives at 300, behind the lane clock (1000):
+        # it starts at the clock, so time never runs backwards.
+        assert marks == sorted(marks) and marks[-1] == 1000 + 100
 
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")

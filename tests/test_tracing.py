@@ -127,6 +127,24 @@ def test_timestamps_are_monotone_and_seq_dense():
     assert [event["seq"] for event in tracer.events] == list(range(len(ts)))
 
 
+@pytest.mark.parametrize("backend", ["simple", "closure", "whole"])
+def test_a_compile_stalls_the_clock_by_its_own_cycles(backend):
+    """The program waits while a function compiles: between a compile's
+    start and finish the clock moves by exactly that compile's cycles."""
+    tracer = Tracer(channels=["compile"])
+    engine = Engine(config=FULL_SPEC, executor_backend=backend, tracer=tracer)
+    engine.run_source(SOURCE)
+    engine.finish()
+    starts = [e for e in tracer.events if e["event"] == "start"]
+    finishes = [e for e in tracer.events if e["event"] == "finish"]
+    assert len(starts) == len(finishes) == engine.stats.compiles > 0
+    for start, finish in zip(starts, finishes):
+        assert finish["fn"] == start["fn"]
+        assert finish["ts"] - start["ts"] == finish["cycles"] > 0
+    assert sum(e["cycles"] for e in finishes) == engine.stats.compile_cycles
+    assert engine.trace_clock() == engine.stats.total_cycles
+
+
 def test_trace_is_deterministic_across_runs():
     first = Tracer(channels=["compile", "specialize", "osr", "pass"])
     second = Tracer(channels=["compile", "specialize", "osr", "pass"])
