@@ -57,8 +57,8 @@ def code_size_study(suite, spec_config=None, engine_kwargs=None):
         base_engine.run_source(benchmark.source)
         spec_engine = Engine(config=spec_config, **(engine_kwargs or {}))
         spec_engine.run_source(benchmark.source)
-        # code ids are process-global and fresh per compile_source, so
-        # match functions by (benchmark, name) instead.
+        # code ids restart at 1 in every engine, so match functions by
+        # (benchmark, name) instead.
         for cid, size in base_engine.stats.code_sizes.items():
             key = (benchmark.name, base_engine.stats.function_names[cid])
             if key not in baseline_sizes or size < baseline_sizes[key]:

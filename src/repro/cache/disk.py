@@ -482,15 +482,17 @@ class DiskCodeCache(object):
         self.stores += stored
         return stored
 
-    def load_program(self, key):
+    def load_program(self, key, ids):
         """The bytecode tree stored under a :func:`program_key`, or None.
 
         Trusted as far as a thawed native stream: intact frame,
         matching format, and ``validate()`` passing on every code
-        object.  The result stands in for ``compile_source`` (plus
-        ``rotate_loops`` when the key says so), code ids included.
+        object.  The result stands in for ``compile_source(source, ids)``
+        (plus ``rotate_loops`` when the key says so), code ids included.
         """
-        code = self._thawed(key, "program", thaw_program)
+        code = self._thawed(
+            key, "program", lambda artifact: thaw_program(artifact, ids)
+        )
         if code is not None:
             self.program_loads += 1
         return code

@@ -386,7 +386,7 @@ def _thaw_code(fields, base, seen):
     ) = fields
     if not len(ops) == len(args) == len(lines):
         raise ValueError("ragged instruction streams")
-    code = CodeObject(name, params)
+    code = CodeObject(name, params, base + offset)
     code.local_names = local_names
     code.cell_names = cell_names
     code.free_names = free_names
@@ -408,30 +408,24 @@ def _thaw_code(fields, base, seen):
     code.loops_rotated = loops_rotated
     code.seal()
     seen.append(offset)
-    code.code_id = base + offset
     code.validate()
     return code
 
 
-def thaw_program(artifact):
+def thaw_program(artifact, ids):
     """Rebuild the code tree of a program artifact, as if just compiled.
 
-    Code ids continue from ``CodeObject._next_id``, which ends up
-    advanced by the count the original compile consumed — or, when the
-    entry is refused (any exception, ``validate()`` included), where it
-    was, which is where the fallback compile expects it.  Objects come
-    from the constructor, so they have the instance layout and the
-    defaults (``feedback``, ``threaded``, ``fingerprint``) of compiled ones.
+    Code ids continue from ``ids`` (the loading runtime's counter), which
+    advances by the count the original compile consumed — only once the
+    tree is accepted, so a refused entry leaves it where the fallback
+    compile expects it.  Objects come from the constructor, so they have
+    the layout and defaults (``feedback``, ``threaded``, ``fingerprint``)
+    of compiled ones.
     """
-    base = CodeObject._next_id
-    id_count = artifact["ids"]
+    base = ids.next_id
     seen = []
-    try:
-        root = _thaw_code(marshal.loads(zlib.decompress(artifact["code"])), base, seen)
-        if sorted(seen) != list(range(id_count)):
-            raise ValueError("code ids are not one compile's")
-    except BaseException:
-        CodeObject._next_id = base
-        raise
-    CodeObject._next_id = base + id_count
+    root = _thaw_code(marshal.loads(zlib.decompress(artifact["code"])), base, seen)
+    if sorted(seen) != list(range(artifact["ids"])):
+        raise ValueError("code ids are not one compile's")
+    ids.next_id = base + len(seen)
     return root

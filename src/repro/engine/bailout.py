@@ -24,6 +24,10 @@ is built on it.
 
 from repro.lir.native import FAULT_INJECTED, guard_indices
 
+#: A seeded schedule fires each guard on one of its first this many
+#: executions (:class:`GuardFaultInjector`).
+SCHEDULE_WINDOW = 8
+
 
 def describe_bailout(bail):
     """Extract the ``bailout.guard`` trace-event fields from ``bail``.
@@ -62,19 +66,15 @@ class GuardFaultInjector(object):
     recompile, post-deopt generic code) starts with a clean slate, so
     chaos mode sweeps every guard of every generation.
 
-    Two knobs move the firing *later* than the first execution —
-    speculation that survives a warm-up and then dies is the regime
-    the deoptless dispatch table (docs/DEOPTLESS.md) recovers from,
-    and first-execution-only chaos never exercises it:
-
-    * ``on_execution`` — fire each selected guard on its Nth
-      *execution* (default 1, the classic first-execution sweep);
-    * ``schedule_seed`` — give every (binary, guard) its own
-      deterministic pseudo-random firing execution in
-      ``[1, schedule_window]``, derived only from the seed, the code
-      id and the guard's native index (no host ``hash()``, so the
-      schedule is stable across processes and ``PYTHONHASHSEED``).
-      Overrides ``on_execution``.
+    ``schedule_seed`` moves the firing *later* than the first
+    execution — speculation that survives a warm-up and then dies is
+    the regime the deoptless dispatch table (docs/DEOPTLESS.md)
+    recovers from, and first-execution-only chaos never exercises it.
+    It gives every (binary, guard) its own deterministic pseudo-random
+    firing execution in ``[1, SCHEDULE_WINDOW]``, derived only from
+    the seed, the code id and the guard's native index (no host
+    ``hash()``, and code ids are per runtime, so the schedule is
+    stable across processes and ``PYTHONHASHSEED``).
 
     The default constructor — no selectors — is full chaos: every
     guard of every binary fails on its first execution.  Pair it with
@@ -82,15 +82,10 @@ class GuardFaultInjector(object):
     fall back to generic code before the sweep finishes.
     """
 
-    def __init__(
-        self, function=None, nth=None, on_execution=1, schedule_seed=None,
-        schedule_window=8,
-    ):
+    def __init__(self, function=None, nth=None, schedule_seed=None):
         self.function = function
         self.nth = nth
-        self.on_execution = on_execution
         self.schedule_seed = schedule_seed
-        self.schedule_window = schedule_window
         #: id(native) -> (native, fired index set, guard index list,
         #: per-guard execution counts).  The native is kept strongly
         #: referenced so ids stay unique for the injector's lifetime
@@ -108,14 +103,14 @@ class GuardFaultInjector(object):
 
     def _scheduled_execution(self, code_id, index):
         """The seeded schedule: a stable mix of (seed, code id, guard
-        index) folded into ``[1, schedule_window]``."""
+        index) folded into ``[1, SCHEDULE_WINDOW]``."""
         mixed = (
             self.schedule_seed * 2654435761 + code_id * 40503 + index * 9973
         ) & 0xFFFFFFFF
         mixed ^= mixed >> 16
         mixed = (mixed * 2246822519) & 0xFFFFFFFF
         mixed ^= mixed >> 13
-        return 1 + mixed % self.schedule_window
+        return 1 + mixed % SCHEDULE_WINDOW
 
     def should_fire(self, native, index):
         """Decide whether the guard at ``index`` must fail now.
@@ -135,11 +130,9 @@ class GuardFaultInjector(object):
                 return False
         count = executions.get(index, 0) + 1
         executions[index] = count
-        if self.schedule_seed is not None:
-            target = self._scheduled_execution(code.code_id, index)
-        else:
-            target = self.on_execution
-        if count < target:
+        if self.schedule_seed is not None and count < self._scheduled_execution(
+            code.code_id, index
+        ):
             return False
         fired.add(index)
         self.fired.append(

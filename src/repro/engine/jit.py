@@ -12,13 +12,6 @@ from repro.lir.native import generate_native
 from repro.mir.builder import build_mir
 from repro.opts.pass_manager import optimize
 
-#: Test-only hook: when set to a callable, every freshly generated
-#: binary is passed through it before being returned to the engine.
-#: The differential fuzzer's self-test plants a deliberate miscompile
-#: here (e.g. flipping one opcode) to prove the oracle catches a wrong
-#: binary end-to-end.  Never set in production paths.
-_MISCOMPILE_HOOK = None
-
 
 class CompileResult(object):
     """A finished compilation plus its cost-model inputs."""
@@ -92,8 +85,6 @@ def compile_function(
     native.meta["ic_fingerprint"] = repr(
         shape_ic_fingerprint(feedback.shape_ics) if feedback is not None else ()
     )
-    if _MISCOMPILE_HOOK is not None:
-        _MISCOMPILE_HOOK(native)
     return CompileResult(
         native,
         work,

@@ -37,6 +37,7 @@ from repro.jsvm.values import (
     _key_recurrable,
     _spec_key,
     _spec_key_matches,
+    describe_key,
     value_key,
 )
 from repro.lir.closures import ClosureExecutor
@@ -51,6 +52,12 @@ HOT_CALL_THRESHOLD = 10
 OSR_BACKEDGE_THRESHOLD = 100
 #: Give up on type speculation after this many bailouts.
 BAILOUT_LIMIT = 8
+#: Deoptless (docs/DEOPTLESS.md): table misses per function before its
+#: generalized sibling is compiled, so the table converges...
+DEOPTLESS_MISS_THRESHOLD = 2
+#: ...and specialized lines per function before calls fall through to
+#: that sibling (never below the engine's ``spec_cache_capacity``).
+DEOPTLESS_TABLE_CAPACITY = 4
 
 #: The selectable native-executor backends.  All are bit-identical in
 #: every observable (stats, cycles, output, traces; docs/PERF.md):
@@ -284,7 +291,6 @@ class Engine(object):
         self,
         config=BASELINE,
         cost_model=None,
-        runtime=None,
         profiler=None,
         hot_call_threshold=HOT_CALL_THRESHOLD,
         osr_backedge_threshold=OSR_BACKEDGE_THRESHOLD,
@@ -297,8 +303,6 @@ class Engine(object):
         fault_injector=None,
         metrics=None,
         deoptless=False,
-        deoptless_miss_threshold=2,
-        deoptless_table_capacity=4,
     ):
         self.config = config
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -312,7 +316,6 @@ class Engine(object):
         #: (function, tier, block) triple.  None means zero overhead.
         self.cycle_profiler = cycle_profiler
         self.interpreter = Interpreter(
-            runtime=runtime,
             engine=self,
             profiler=profiler,
             tracer=tracer,
@@ -347,8 +350,8 @@ class Engine(object):
             tracer is None and cycle_profiler is None and fault_injector is None
         )
         #: True when :meth:`_emit` has a sink — a tracer or a metrics
-        #: registry; the one test in front of a fact whose fields cost
-        #: something to build (``repr(key)``, ``list(args)``).
+        #: registry; tested in front of the facts the long call path
+        #: states on every call, so an unwatched engine makes no call.
         self._watched = tracer is not None or metrics is not None
         self.states = {}
         self.hot_call_threshold = hot_call_threshold
@@ -381,17 +384,8 @@ class Engine(object):
         #: of the §4 discard-and-recompile.  Off by default: ``False``
         #: keeps every observable bit-identical to the paper's policy.
         self.deoptless = deoptless
-        #: Table misses per function before the engine judges it
-        #: genuinely polymorphic and compiles one generalized sibling
-        #: (guards widened to accept anything) so the table converges.
-        self.deoptless_miss_threshold = deoptless_miss_threshold
-        #: Specialized table lines per function under deoptless: a
-        #: recurring argument-set regime earns its own sibling while
-        #: the table is below this; past it, calls fall through to the
-        #: generalized catch-all.  Never below the engine's plain
-        #: ``spec_cache_capacity``.
         self.deoptless_table_capacity = max(
-            spec_cache_capacity, deoptless_table_capacity
+            spec_cache_capacity, DEOPTLESS_TABLE_CAPACITY
         )
 
     # -- program entry -------------------------------------------------------
@@ -407,16 +401,17 @@ class Engine(object):
         entry holds the tree as compiled and rotated, so a cached source
         is never lexed, parsed, bytecompiled or rotated again
         (docs/COMPILE_PIPELINE.md, "Program entries").  A miss compiles,
-        rotates and stores.  Either way the tree, its code ids and
-        ``CodeObject._next_id`` come out the same.
+        rotates and stores.  Either way the tree and its code ids, which
+        the runtime's counter issues, come out the same.
         """
+        ids = self.interpreter.runtime.code_ids
         cache = self.code_cache
         if cache is None:
-            return compile_source(source)  # run_code rotates
+            return compile_source(source, ids)  # run_code rotates
         key = program_key(source, self.config)
-        code = cache.load_program(key)
+        code = cache.load_program(key, ids)
         if code is None:
-            code = compile_source(source)
+            code = compile_source(source, ids)
             if self.config.loop_inversion:
                 rotate_loops(code)
             cache.store_program(key, code)
@@ -489,14 +484,17 @@ class Engine(object):
     def _emit(self, channel, event, code, **fields):
         """State one fact about ``code``: its counter and its trace event.
 
-        ``fn``/``code_id`` are stamped here.  Reads only its arguments
-        and charges nothing, so attaching a sink moves no observable.
+        ``fn``/``code_id`` are stamped here, and a spec key in ``key``
+        becomes text (:func:`describe_key`) for a tracer only.  Reads only
+        its arguments and charges nothing, so a sink moves no observable.
         """
         if self.metrics is not None:
             counter = _EVENT_COUNTERS.get((channel, event))
             if counter is not None:
                 self.metrics.inc(counter)
         if self.tracer is not None:
+            if type(fields.get("key")) is tuple:
+                fields["key"] = describe_key(fields["key"])
             self.tracer.emit(
                 channel, event, fn=code.name, code_id=code.code_id, **fields
             )
@@ -682,7 +680,7 @@ class Engine(object):
                 if _spec_key_matches(state.spec_key, this_value, args):
                     if watched:
                         self._emit(
-                            "cache", "hit", code, key=repr(state.spec_key), primary=True
+                            "cache", "hit", code, key=state.spec_key, primary=True
                         )
                     return True
                 key = _spec_key(this_value, args)
@@ -692,11 +690,11 @@ class Engine(object):
                     # possible with capacity > 1, the §6 extension).
                     state.install(cached[0], key, cached[1])
                     if watched:
-                        self._emit("cache", "hit", code, key=repr(key), primary=False)
+                        self._emit("cache", "hit", code, key=key, primary=False)
                     return True
                 if watched:
                     self._emit(
-                        "cache", "miss", code, key=repr(key), entries=len(state.spec_cache)
+                        "cache", "miss", code, key=key, entries=len(state.spec_cache)
                     )
                 if not self.deoptless and len(state.spec_cache) < self.spec_cache_capacity:
                     # Room for another specialized binary (the §6
@@ -962,7 +960,7 @@ class Engine(object):
             self._dispatch_into(state, state.generalized, "call", None)
             return True
         self._deoptless_miss(state, "new-args")
-        if state.deoptless_misses < self.deoptless_miss_threshold:
+        if state.deoptless_misses < DEOPTLESS_MISS_THRESHOLD:
             return False
         if self._generalize(state, function, this_value, args, osr_frame=None) is None:
             return False
@@ -986,7 +984,7 @@ class Engine(object):
             return True
         if generalized is None and state.generalized is None:
             self._deoptless_miss(state, "osr-state-mismatch")
-            if state.deoptless_misses < self.deoptless_miss_threshold:
+            if state.deoptless_misses < DEOPTLESS_MISS_THRESHOLD:
                 return False
         generalized = self._generalize(
             state,
@@ -1110,17 +1108,15 @@ class Engine(object):
             # A specialized binary also takes its specialization-cache line.
             self.stats.specialized_functions.add(code.code_id)
             state.spec_cache[spec_key] = (native, osr_state_key)
-            if self._watched:
-                key = repr(spec_key)
-                self._emit(
-                    "specialize",
-                    "specialized",
-                    code,
-                    key=key,
-                    args=list(args),
-                    osr=osr_state_key is not None,
-                )
-                self._emit("cache", "store", code, key=key, entries=len(state.spec_cache))
+            self._emit(
+                "specialize",
+                "specialized",
+                code,
+                key=spec_key,
+                args=args,
+                osr=osr_state_key is not None,
+            )
+            self._emit("cache", "store", code, key=spec_key, entries=len(state.spec_cache))
         elif self.config.param_spec:
             self._emit(
                 "specialize",
@@ -1148,7 +1144,7 @@ class Engine(object):
             self.deoptless
             and state.generalized is None
             and state.backedge_count == 0
-            and state.deoptless_misses >= self.deoptless_miss_threshold
+            and state.deoptless_misses >= DEOPTLESS_MISS_THRESHOLD
             and not state.not_compilable
         ):
             # A loop-free function churning on shape guards has no back

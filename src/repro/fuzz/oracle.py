@@ -32,7 +32,6 @@ from repro.engine.config import BASELINE, FULL_SPEC
 from repro.engine.runtime_engine import DEFAULT_EXECUTOR_BACKEND, Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.errors import CompilerError, ReproError
-from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.interpreter import Interpreter
 from repro.telemetry.tracing import Tracer
 
@@ -118,13 +117,9 @@ def _observe_interp(source):
 def _observe_engine(source, **engine_kwargs):
     """One engine run as an :class:`Observation`.
 
-    Resets the process-global code-id counter first so per-function
-    stats keys line up across variants (shape ids line up by
-    construction: each engine's runtime numbers its own tree); folds
-    the live counters in (``Engine.finish``) even when the guest dies
-    mid-run.
+    Folds the live counters in (``Engine.finish``) even when the guest
+    dies mid-run.
     """
-    CodeObject._next_id = 1
     tracer = Tracer(channels=_COMPARED_CHANNELS)
     engine = Engine(
         tracer=tracer,

@@ -135,10 +135,27 @@ class Instr(object):
         return "%s %r" % (self.op.lower(), self.arg)
 
 
+class CodeIds(object):
+    """One runtime's code ids, as :class:`~repro.jsvm.objects.ShapeIds` for
+    shapes: from 1, in the order its loader makes code objects."""
+
+    __slots__ = ("next_id",)
+
+    def __init__(self):
+        self.next_id = 1
+
+    def issue(self):
+        code_id = self.next_id
+        self.next_id = code_id + 1
+        return code_id
+
+
 class CodeObject(object):
     """Compiled bytecode for one function (or for the top-level script).
 
     Attributes:
+        code_id: issued by its runtime's :class:`CodeIds` (0 if built by
+            hand); names the function in stats, traces and profiles.
         name: function name, or ``"<toplevel>"``.
         params: parameter names, in order.
         local_names: names of local slots (parameters excluded).
@@ -154,9 +171,8 @@ class CodeObject(object):
             run once and never called (only functions are).
     """
 
-    _next_id = 0
-
-    def __init__(self, name, params):
+    def __init__(self, name, params, code_id=0):
+        self.code_id = code_id
         self.name = name
         self.params = list(params)
         self.local_names = []
@@ -186,8 +202,6 @@ class CodeObject(object):
         # dropped by :meth:`seal` once the pools are complete.
         self._const_slots = {}
         self._name_slots = {}
-        self.code_id = CodeObject._next_id
-        CodeObject._next_id = CodeObject._next_id + 1
 
     # -- table interning ---------------------------------------------------
 

@@ -17,7 +17,7 @@ uniform for both the interpreter and the MIR builder.
 
 from repro.errors import CompilerError
 from repro.jsvm import ast_nodes as ast
-from repro.jsvm.bytecode import CodeObject, Op
+from repro.jsvm.bytecode import CodeIds, CodeObject, Op
 from repro.jsvm.parser import parse
 from repro.jsvm.values import UNDEFINED
 
@@ -172,10 +172,11 @@ class _Label(object):
 class _FunctionCompiler(object):
     """Emits bytecode for a single function scope."""
 
-    def __init__(self, scope, body):
+    def __init__(self, scope, body, ids):
         self.scope = scope
         self.body = body
-        self.code = CodeObject(scope.name, scope.params)
+        self.ids = ids
+        self.code = CodeObject(scope.name, scope.params, ids.issue())
         self.code.cell_names = sorted(scope.cells)
         self.code.free_names = sorted(scope.frees)
         if not scope.is_toplevel:
@@ -258,7 +259,7 @@ class _FunctionCompiler(object):
             self.emit_store(self.scope.self_name)
         # Hoisted function declarations bind first, so forward calls work.
         for decl in self.scope.function_decls:
-            child_code = compile_function(decl.scope, decl.body)
+            child_code = compile_function(decl.scope, decl.body, self.ids)
             self.emit(Op.CLOSURE, self.code.const_index(child_code), decl.line)
             self.emit_store(decl.name, decl.line)
         for statement in self.body:
@@ -396,7 +397,7 @@ class _FunctionCompiler(object):
                 self.compile_expression(value)
             self.emit(Op.NEWOBJECT, len(node.properties), node.line)
         elif node_type is ast.FunctionExpression:
-            child_code = compile_function(node.scope, node.body)
+            child_code = compile_function(node.scope, node.body, self.ids)
             self.emit(Op.CLOSURE, self.code.const_index(child_code), node.line)
         elif node_type is ast.Unary:
             self.compile_unary(node)
@@ -621,23 +622,24 @@ class _FunctionCompiler(object):
         self.emit(Op.CALL, len(node.arguments), node.line)
 
 
-def compile_function(scope, body):
+def compile_function(scope, body, ids):
     """Compile one analyzed :class:`FunctionScope` into a CodeObject."""
-    return _FunctionCompiler(scope, body).compile()
+    return _FunctionCompiler(scope, body, ids).compile()
 
 
-def compile_program(program):
-    """Compile a parsed :class:`ast.Program` into a top-level CodeObject."""
+def compile_program(program, ids=None):
+    """Compile a parsed :class:`ast.Program` into a top-level CodeObject,
+    numbered by ``ids`` (a runtime's :class:`CodeIds`; None: a fresh one)."""
     toplevel = FunctionScope("<toplevel>", [], None)
     _collect_body(program.body, toplevel)
     _resolve_captures(toplevel)
-    compiler = _FunctionCompiler(toplevel, program.body)
+    compiler = _FunctionCompiler(toplevel, program.body, ids or CodeIds())
     # The top level keeps declared names global, so nothing extra to do.
     code = compiler.compile()
     code.is_script = True
     return code
 
 
-def compile_source(source):
-    """Parse and compile JavaScript-subset source text."""
-    return compile_program(parse(source))
+def compile_source(source, ids=None):
+    """Parse and compile JavaScript-subset source text (ids: :func:`compile_program`)."""
+    return compile_program(parse(source), ids)

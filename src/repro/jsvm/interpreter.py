@@ -124,7 +124,7 @@ class Interpreter(object):
 
     def run_source(self, source):
         """Compile and run a whole script; returns the printed output list."""
-        code = compile_source(source)
+        code = compile_source(source, self.runtime.code_ids)
         self.run_code(code)
         return self.runtime.printed
 

@@ -15,6 +15,7 @@ import math
 import weakref
 
 from repro.errors import JSRangeError, JSTypeError, OwnerDropped
+from repro.jsvm.bytecode import CodeIds
 from repro.jsvm.objects import JSArray, JSObject, ShapeTree
 from repro.jsvm.values import (
     NULL,
@@ -70,6 +71,8 @@ class Runtime(object):
         #: The hidden-class tree every object of this runtime — builtins
         #: and guest allocations alike — takes its shape from.
         self.shapes = ShapeTree()
+        #: Numbers the code objects this runtime loads, as ``shapes`` does.
+        self.code_ids = CodeIds()
         self.string_methods = {}
         self.array_methods = {}
         self.number_methods = {}

@@ -77,22 +77,18 @@ class JSFunction(object):
     over (``None`` for top-level functions that only see globals).
     """
 
-    __slots__ = ("code", "scope", "function_id")
-
-    _next_id = 0
+    __slots__ = ("code", "scope")
 
     def __init__(self, code, scope=None):
         self.code = code
         self.scope = scope
-        self.function_id = JSFunction._next_id
-        JSFunction._next_id += 1
 
     @property
     def name(self):
         return self.code.name
 
     def __repr__(self):
-        return "<function %s#%d>" % (self.name or "<anonymous>", self.function_id)
+        return "<function %s>" % (self.name or "<anonymous>")
 
 
 class NativeFunction(object):
@@ -392,6 +388,19 @@ def arguments_key(args):
 def _spec_key(this_value, args):
     """The specialization-cache key of one call: ``(this key, argument keys)``."""
     return (value_key(this_value), arguments_key(args))
+
+
+def describe_key(key):
+    """A spec key as trace text, the same in every process: ``repr(key)``
+    with each ``('ref', id)`` named by the first position holding that
+    object among ``this`` (0) and the arguments (1, ...), the ordering of
+    ``repro.cache.disk.compile_inputs``."""
+    first = {}
+    parts = [
+        ("ref", first.setdefault(part[1], position)) if part[0] == "ref" else part
+        for position, part in enumerate((key[0],) + key[1])
+    ]
+    return repr((parts[0], tuple(parts[1:])))
 
 
 def _value_matches_key(key, value):

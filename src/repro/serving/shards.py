@@ -76,8 +76,8 @@ class ShardedDiskCache(object):
     def store(self, key, result, executor=None, inputs=None):
         return self.shard_for(key).store(key, result, executor=executor, inputs=inputs)
 
-    def load_program(self, key):
-        return self.shard_for(key).load_program(key)
+    def load_program(self, key, ids):
+        return self.shard_for(key).load_program(key, ids)
 
     def store_program(self, key, code):
         return self.shard_for(key).store_program(key, code)
@@ -214,10 +214,10 @@ class TenantCacheView(object):
             self.uncacheable += shard.uncacheable - uncacheable_before
         return stored
 
-    def load_program(self, key):
+    def load_program(self, key, ids):
         shard = self.backing.shard_for(key)
         corrupt_before = shard.corrupt
-        code = shard.load_program(key)
+        code = shard.load_program(key, ids)
         self.corrupt += shard.corrupt - corrupt_before
         return code
 

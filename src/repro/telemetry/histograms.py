@@ -61,13 +61,10 @@ class CallProfiler(object):
         self.profiles = {}
 
     def record_call(self, function, args):
-        key = getattr(function, "function_id", None)
-        if key is None:
-            key = id(function)
-        profile = self.profiles.get(key)
+        profile = self.profiles.get(function)
         if profile is None:
             profile = FunctionProfile(getattr(function, "name", str(function)))
-            self.profiles[key] = profile
+            self.profiles[function] = profile
         profile.call_count += 1
         profile.argument_sets.add(arguments_key(args))
         if profile.first_arg_tags is None:

@@ -15,7 +15,7 @@ from repro.engine.runtime_engine import (
     _spec_key_matches,
 )
 from repro.jsvm.feedback import MAX_TAGS_PER_SITE, TypeFeedback
-from repro.jsvm.values import type_tag
+from repro.jsvm.values import describe_key, type_tag
 from repro.lir.executor import Bailout
 
 
@@ -96,7 +96,7 @@ class ReferenceEngine(Engine):
                             "hit",
                             fn=code.name,
                             code_id=code.code_id,
-                            key=repr(state.spec_key),
+                            key=describe_key(state.spec_key),
                             primary=True,
                         )
                     return True, self._run_call(state, function, this_value, args)
@@ -115,7 +115,7 @@ class ReferenceEngine(Engine):
                             "hit",
                             fn=code.name,
                             code_id=code.code_id,
-                            key=repr(key),
+                            key=describe_key(key),
                             primary=False,
                         )
                     return True, self._run_call(state, function, this_value, args)
@@ -127,7 +127,7 @@ class ReferenceEngine(Engine):
                         "miss",
                         fn=code.name,
                         code_id=code.code_id,
-                        key=repr(key),
+                        key=describe_key(key),
                         entries=len(state.spec_cache),
                     )
                 if not self.deoptless and len(state.spec_cache) < self.spec_cache_capacity:

@@ -19,10 +19,8 @@ import pytest
 from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
 from repro.errors import JSRangeError
-from repro.jsvm.bytecode import CodeObject
-from repro.jsvm.bytecompiler import compile_source
 from repro.jsvm.interpreter import MAX_CALL_DEPTH, Interpreter
-from repro.jsvm.values import UNDEFINED, JSFunction
+from repro.jsvm.values import UNDEFINED
 from repro.serving import isolate as serving_isolate
 from repro.serving.fleet import FleetProfile, build_catalog, generate_schedule
 from repro.telemetry.metrics import MetricsRegistry
@@ -101,10 +99,8 @@ def observables(engine, toplevels):
 
 def run_under(engine_class, source, error=None, **kwargs):
     """Run ``source`` on a fresh ``engine_class``; returns its observables."""
-    CodeObject._next_id = 0
-    JSFunction._next_id = 0
     engine = engine_class(config=FULL_SPEC, metrics=MetricsRegistry(), **kwargs)
-    code = compile_source(source)
+    code = engine.load_source(source)
     if error is None:
         engine.run_code(code)
     else:
@@ -145,8 +141,6 @@ def test_corpus_agrees_with_the_reference_policy(path, variant):
 
 def _serve(monkeypatch, engine_class, engine_kwargs):
     """Replay a 200-request schedule over the catalog; responses + per-tenant state."""
-    CodeObject._next_id = 0
-    JSFunction._next_id = 0
     monkeypatch.setattr(serving_isolate, "Engine", engine_class)
     profile = FleetProfile(tenants=4, programs=6, requests=200, seed=5)
     host = serving_isolate.TenantHost(
@@ -280,8 +274,6 @@ def test_recursion_to_the_depth_limit(variant):
 def test_out_of_int32_python_int_argument(engine_class):
     """A host embedder can pass a raw Python int outside int32; its tag is
     ``double``, whatever shape of call was seen before it."""
-    CodeObject._next_id = 0
-    JSFunction._next_id = 0
     engine = engine_class(config=FULL_SPEC)
     engine.run_source(
         "function id(a) { return a; } id(1); id(2);"

@@ -139,11 +139,7 @@ class TestAnnotate:
             run_cli(["annotate", script, "--function", "nope"])
 
     def test_annotate_simple_backend_matches(self, script):
-        from repro.jsvm.bytecode import CodeObject
-
-        CodeObject._next_id = 1
         _code, closure = run_cli(["annotate", script, "--function", "square"])
-        CodeObject._next_id = 1
         _code, simple = run_cli(
             ["annotate", script, "--function", "square", "--executor", "simple"]
         )

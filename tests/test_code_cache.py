@@ -36,7 +36,6 @@ from repro.engine import runtime_engine
 from repro.engine.config import BASELINE, FULL_SPEC, CostModel
 from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
-from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.bytecompiler import compile_source
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.objects import JSArray, JSObject, ShapeTree
@@ -66,12 +65,7 @@ print(s);
 
 
 def run_cached(source, root, backend="closure", trace=False):
-    """One engine pass against the cache at ``root``.
-
-    Resets the process-global code-id counter first so repeat runs
-    produce comparable ids (and therefore comparable stats ledgers).
-    """
-    CodeObject._next_id = 1
+    """One engine pass against the cache at ``root``."""
     tracer = Tracer() if trace else None
     cache = DiskCodeCache(root=str(root))
     engine = Engine(
@@ -299,7 +293,6 @@ class TestReferenceKeys:
     @pytest.mark.parametrize("backend", ["simple", "whole"])
     @pytest.mark.parametrize("source", [OBJECT_ARGS, ARRAY_ARGS], ids=["object", "array"])
     def test_object_and_array_arguments_hit_warm(self, tmp_path, backend, source):
-        CodeObject._next_id = 1
         reference = Engine(config=FULL_SPEC, executor_backend=backend, **FAST)
         expected = reference.run_source(source)
         cold_printed, cold, cold_cache, _ = run_cached(source, tmp_path, backend)
@@ -824,7 +817,6 @@ class _TwinEveryReference(object):
 def _sweep(programs, monkeypatch):
     twins = _TwinEveryReference(monkeypatch)
     for name, source in programs:
-        CodeObject._next_id = 1
         Engine(config=FULL_SPEC).run_source(source)
     return twins.compared
 

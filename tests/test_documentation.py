@@ -390,21 +390,20 @@ def test_deoptless_doc_trace_event_table_matches_schema():
 
 
 def test_deoptless_doc_matches_engine_defaults():
-    """The documented knob defaults match the code's signatures."""
+    """The documented switch default and constants match the code's."""
     import inspect
 
+    from repro.engine import runtime_engine
     from repro.engine.config import CostModel
-    from repro.engine.runtime_engine import Engine
 
     text = _deoptless_doc()
-    signature = inspect.signature(Engine.__init__)
+    signature = inspect.signature(runtime_engine.Engine.__init__)
     assert signature.parameters["deoptless"].default is False
     assert "``Engine(deoptless=True)``" in text
-    for knob in ("deoptless_miss_threshold", "deoptless_table_capacity"):
-        default = signature.parameters[knob].default
-        assert "``%s``" % knob in text, "knob %r undocumented" % knob
-        assert "| %d |" % default in text, (
-            "documented default for %r must match the code's %d" % (knob, default)
+    for name in ("DEOPTLESS_MISS_THRESHOLD", "DEOPTLESS_TABLE_CAPACITY"):
+        value = getattr(runtime_engine, name)
+        assert "| ``%s`` | %d |" % (name, value) in text, (
+            "documented value of %s must match the code's %d" % (name, value)
         )
     assert "| %d |" % CostModel().deoptless_dispatch in text
 

@@ -7,14 +7,7 @@ reference executor's exactly.  These tests enforce the contract on
 real suite benchmarks across configurations, on hand-compiled natives
 (guards, bailout payloads, cycle accounting under partial execution),
 and on the backend selection machinery itself.
-
-``CodeObject.code_id`` is a process-global counter, so each run
-re-compiling the same source gets different ids; every differential
-run resets the counter first to make ids (and the trace events that
-embed them) comparable.
 """
-
-import re
 
 import pytest
 
@@ -72,7 +65,6 @@ def _bench_source(suite_name, bench_name):
 
 def _run_full(source, backend, config, trace=False, **engine_kwargs):
     """One engine run; returns (observables dict, trace events or None)."""
-    CodeObject._next_id = 1
     tracer = Tracer() if trace else None
     engine = Engine(
         config=config, executor_backend=backend, tracer=tracer, **engine_kwargs
@@ -90,23 +82,6 @@ def _run_full(source, backend, config, trace=False, **engine_kwargs):
         "deoptimized": set(engine.stats.deoptimized_functions),
     }
     return observables, (list(tracer.events) if tracer is not None else None)
-
-
-#: Specialization-cache keys interpolate ``('ref', id(obj))`` for
-#: non-primitive arguments; the address differs between *any* two
-#: runs, backend or not, so trace comparison masks the number.
-_REF_ADDR = re.compile(r"\('ref', \d+\)")
-
-
-def _normalized(events):
-    out = []
-    for event in events:
-        event = dict(event)
-        for field, value in event.items():
-            if isinstance(value, str):
-                event[field] = _REF_ADDR.sub("('ref', _)", value)
-        out.append(event)
-    return out
 
 
 class TestSuiteDifferential:
@@ -135,8 +110,8 @@ class TestSuiteDifferential:
         whole, whl_events = _run_full(source, "whole", FULL_SPEC, trace=True)
         assert closure == reference
         assert whole == reference
-        assert _normalized(clo_events) == _normalized(ref_events)
-        assert _normalized(whl_events) == _normalized(ref_events)
+        assert clo_events == ref_events
+        assert whl_events == ref_events
 
     def test_osr_differential(self):
         # A loop hot enough for on-stack replacement under the fast

@@ -79,14 +79,21 @@ print(hot(7, 8));
 """
 
 
-def plant_miscompile(native):
-    """Test-only miscompile: turn the binary's first addition into a
+def plant_miscompile(monkeypatch):
+    """Miscompile every fresh binary: its first addition becomes a
     subtraction (the accumulator add — stream order puts it before the
     loop-counter increment, so the loop still terminates)."""
-    for instruction in native.instructions:
-        if instruction.op == "add_i":
-            instruction.op = "sub_i"
-            return
+    generate_native = jit.generate_native
+
+    def miscompiled(graph):
+        native, codegen_stats = generate_native(graph)
+        for instruction in native.instructions:
+            if instruction.op == "add_i":
+                instruction.op = "sub_i"
+                break
+        return native, codegen_stats
+
+    monkeypatch.setattr(jit, "generate_native", miscompiled)
 
 
 # ---------------------------------------------------------------------------
@@ -438,29 +445,27 @@ class TestPlantedMiscompile:
     """End-to-end acceptance: a deliberate miscompile is caught by the
     oracle and shrunk to a ≤10-line reproducer."""
 
-    def test_oracle_catches_and_shrinker_reduces(self):
-        jit._MISCOMPILE_HOOK = plant_miscompile
-        try:
-            mismatches = check_program(MISCOMPILE_SOURCE, ["jit"])
-            assert any(
-                mismatch.kind == "output" and mismatch.variant == "jit"
-                for mismatch in mismatches
-            ), mismatches
+    def test_oracle_catches_and_shrinker_reduces(self, monkeypatch):
+        plant_miscompile(monkeypatch)
+        mismatches = check_program(MISCOMPILE_SOURCE, ["jit"])
+        assert any(
+            mismatch.kind == "output" and mismatch.variant == "jit"
+            for mismatch in mismatches
+        ), mismatches
 
-            def predicate(candidate):
-                try:
-                    found = check_program(candidate, ["jit"])
-                except JSSyntaxError:
-                    return False
-                return any(mismatch.kind == "output" for mismatch in found)
+        def predicate(candidate):
+            try:
+                found = check_program(candidate, ["jit"])
+            except JSSyntaxError:
+                return False
+            return any(mismatch.kind == "output" for mismatch in found)
 
-            result = shrink_program(MISCOMPILE_SOURCE, predicate)
-            assert result.to_lines <= 10
-            assert result.to_lines < result.from_lines
-            # The reduced program still witnesses the miscompile ...
-            assert predicate(result.source)
-        finally:
-            jit._MISCOMPILE_HOOK = None
+        result = shrink_program(MISCOMPILE_SOURCE, predicate)
+        assert result.to_lines <= 10
+        assert result.to_lines < result.from_lines
+        # The reduced program still witnesses the miscompile ...
+        assert predicate(result.source)
+        monkeypatch.undo()
         # ... and is clean once the corruption is gone.
         assert check_program(MISCOMPILE_SOURCE, ["jit"]) == []
 
@@ -491,7 +496,7 @@ class TestFuzzSession:
             "generate_program",
             lambda seed, iteration: MISCOMPILE_SOURCE,
         )
-        monkeypatch.setattr(jit, "_MISCOMPILE_HOOK", plant_miscompile)
+        plant_miscompile(monkeypatch)
         tracer = Tracer(channels=("fuzz",))
         log_lines = []
         session = FuzzSession(
@@ -549,7 +554,7 @@ class TestFuzzSession:
             "generate_program",
             lambda seed, iteration: MISCOMPILE_SOURCE,
         )
-        monkeypatch.setattr(jit, "_MISCOMPILE_HOOK", plant_miscompile)
+        plant_miscompile(monkeypatch)
         session = FuzzSession(
             seed=9, iterations=1, matrix=["jit"], shrink=False,
             corpus_dir=str(tmp_path),
@@ -597,7 +602,7 @@ class TestFuzzCLI:
             "generate_program",
             lambda seed, iteration: MISCOMPILE_SOURCE,
         )
-        monkeypatch.setattr(jit, "_MISCOMPILE_HOOK", plant_miscompile)
+        plant_miscompile(monkeypatch)
         code, output = run_cli(
             [
                 "fuzz",

@@ -393,11 +393,6 @@ class TestZeroCostWhenEnabled:
         the registry attached or absent, on every executor backend."""
 
         def run(metrics):
-            from repro.jsvm.bytecode import CodeObject
-
-            # Comparable code ids across the two runs (the id counter is
-            # process-global), so the trace streams can be diffed whole.
-            CodeObject._next_id = 1
             tracer = Tracer()
             engine = Engine(
                 config=FULL_SPEC,
@@ -409,22 +404,6 @@ class TestZeroCostWhenEnabled:
             printed = engine.run_source(SHAPY)
             return printed, engine, list(tracer.events)
 
-        import re
-
-        def normalize(events):
-            # Spec keys embed heap-object identities (``('ref', id)``)
-            # that differ between any two runs; mask them so the rest of
-            # the stream must match exactly.
-            return [
-                {
-                    field: re.sub(r"'ref', \d+", "'ref', 0", value)
-                    if isinstance(value, str)
-                    else value
-                    for field, value in event.items()
-                }
-                for event in events
-            ]
-
         plain_printed, plain_engine, plain_events = run(None)
         metered_printed, metered_engine, metered_events = run(
             MetricsRegistry(snapshot_interval=1000)
@@ -432,7 +411,7 @@ class TestZeroCostWhenEnabled:
         assert metered_printed == plain_printed
         assert metered_engine.stats.total_cycles == plain_engine.stats.total_cycles
         assert metered_engine.stats.summary() == plain_engine.stats.summary()
-        assert normalize(metered_events) == normalize(plain_events)
+        assert metered_events == plain_events
 
 
 class TestMergeExactness:

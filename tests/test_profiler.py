@@ -23,7 +23,6 @@ import pytest
 
 from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
-from repro.jsvm.bytecode import CodeObject
 from repro.telemetry.profiler import ENTRY_BLOCK, TIERS, CycleProfiler, block_bodies
 from repro.telemetry.reports import (
     annotate_function,
@@ -94,7 +93,6 @@ def _bench(suite_name, bench_name):
 
 def _run(source, backend="closure", trace=False, profile=False, **engine_kwargs):
     """One engine run; returns (observables, events or None, engine)."""
-    CodeObject._next_id = 1
     tracer = Tracer() if trace else None
     profiler = CycleProfiler() if profile else None
     engine = Engine(
@@ -114,20 +112,6 @@ def _run(source, backend="closure", trace=False, profile=False, **engine_kwargs)
         "interp_ops": engine.interpreter.ops_executed,
     }
     return observables, (list(tracer.events) if tracer is not None else None), engine
-
-
-_REF_ADDR = re.compile(r"\('ref', \d+\)")
-
-
-def _normalized(events):
-    out = []
-    for event in events:
-        event = dict(event)
-        for field, value in event.items():
-            if isinstance(value, str):
-                event[field] = _REF_ADDR.sub("('ref', _)", value)
-        out.append(event)
-    return out
 
 
 def _assert_exact(profiler, stats):
@@ -207,9 +191,7 @@ class TestBitIdentity:
         plain, plain_events, _ = _run(source, backend, trace=True)
         profiled, prof_events, engine = _run(source, backend, trace=True, profile=True)
         assert profiled == plain
-        assert _normalized(
-            [e for e in prof_events if e["ch"] != "profile"]
-        ) == _normalized(plain_events)
+        assert [e for e in prof_events if e["ch"] != "profile"] == plain_events
         # The only difference is one trailing summary event.
         extra = [e for e in prof_events if e["ch"] == "profile"]
         assert len(extra) == 1 and extra[0] is prof_events[-1]
@@ -229,9 +211,7 @@ class TestBitIdentity:
         plain, plain_events, _ = _run(source, backend, trace=True)
         profiled, prof_events, _ = _run(source, backend, trace=True, profile=True)
         assert profiled == plain
-        assert _normalized(
-            [e for e in prof_events if e["ch"] != "profile"]
-        ) == _normalized(plain_events)
+        assert [e for e in prof_events if e["ch"] != "profile"] == plain_events
 
     def test_summary_event_needs_both_tracer_and_profiler(self):
         _obs, events, _ = _run(HOT_SRC, trace=True)

@@ -9,7 +9,6 @@ not fully recognise is a miss that recompiles and re-stores.
 """
 
 import marshal
-import re
 import struct
 import zlib
 
@@ -25,9 +24,9 @@ from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.errors import JSSyntaxError
 from repro.jsvm import bytecompiler
-from repro.jsvm.bytecode import CodeObject, Op
+from repro.jsvm.bytecode import CodeIds, CodeObject, Op
 from repro.jsvm.bytecompiler import compile_source
-from repro.jsvm.values import NULL, UNDEFINED, JSFunction
+from repro.jsvm.values import NULL, UNDEFINED
 from repro.opts import loop_inversion
 from repro.opts.loop_inversion import rotate_loops
 from repro.serving.isolate import TenantHost, TenantIsolate
@@ -77,24 +76,31 @@ def describe(code):
     return list(fields.items())
 
 
-def compiled(source):
+def compiled(source, ids=None):
     """The tree exactly as ``Engine.load_source`` makes it on a miss."""
-    code = compile_source(source)
+    code = compile_source(source, ids)
     rotate_loops(code)
     return code
 
 
+def ids_from(base):
+    """A runtime's code id counter after it issued ``base - 1`` ids."""
+    ids = CodeIds()
+    ids.next_id = base
+    return ids
+
+
 def assert_round_trips(cache, name, source, base=1):
     """Compile at ``base``; store; load at ``base`` again; compare everything."""
-    CodeObject._next_id = base
-    code = compiled(source)
-    after_compile = CodeObject._next_id
+    ids = ids_from(base)
+    code = compiled(source, ids)
+    after_compile = ids.next_id
     key = program_key(source, FULL_SPEC)
     assert cache.store_program(key, code), name
-    CodeObject._next_id = base
-    thawed = cache.load_program(key)
+    ids = ids_from(base)
+    thawed = cache.load_program(key, ids)
     assert thawed is not None, name
-    assert CodeObject._next_id == after_compile, name
+    assert ids.next_id == after_compile, name
     assert describe(thawed) == describe(code), name
     assert thawed.fingerprint is None and thawed.threaded is None and thawed.feedback is None
 
@@ -117,12 +123,10 @@ def test_pool_types_survive_exactly():
     """``1``/``1.0``/``True``, ``-0.0`` and NaN payloads are not literals the
     compiler pools today; the codec must still keep them apart."""
     nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
-    CodeObject._next_id = 1
     code = compiled("function f() { return 1; } f();")
     pool = [1, 1.0, True, False, 0.0, -0.0, nan, float("inf"), "1", "", UNDEFINED, NULL, 2**40]
     code.constants.extend(pool)
-    CodeObject._next_id = 1
-    thawed = thaw_program(marshal.loads(marshal.dumps(freeze_program(code))))
+    thawed = thaw_program(marshal.loads(marshal.dumps(freeze_program(code))), CodeIds())
     assert describe(thawed) == describe(code)
     tail = thawed.constants[-len(pool):]
     assert [type(c) for c in tail] == [type(c) for c in pool]
@@ -139,7 +143,7 @@ def test_flags_and_names_survive(tmp_path):
     )
     cache = DiskCodeCache(root=str(tmp_path))
     assert_round_trips(cache, "flags", source)
-    thawed = cache.load_program(program_key(source, FULL_SPEC))
+    thawed = cache.load_program(program_key(source, FULL_SPEC), CodeIds())
     by_name = {c.name: c for c in [thawed] + _nested(thawed)}
     assert thawed.is_script and thawed.loops_rotated
     assert by_name["named"].self_name == "named" and by_name["named"].uses_this
@@ -170,9 +174,9 @@ def test_ids_assigned_in_thaw_order_are_caught(tmp_path, monkeypatch):
                 yield from finished(constant)
         yield code
 
-    def in_thaw_order(artifact):
-        base = CodeObject._next_id
-        root = real(artifact)
+    def in_thaw_order(artifact, ids):
+        base = ids.next_id
+        root = real(artifact, ids)
         for offset, code in enumerate(finished(root)):
             code.code_id = base + offset
         return root
@@ -209,16 +213,12 @@ def test_true_thawed_as_one_is_caught(tmp_path, monkeypatch):
 # -- a run from a thawed tree is the run from source --------------------------------
 
 
-#: A spec key names a heap object by host address; not comparable across runs.
-_REF_ADDR = re.compile(r"\('ref', \d+\)")
-
-
 def observed_run(source, root, base, config=FULL_SPEC):
-    CodeObject._next_id = base
-    JSFunction._next_id = 0
     tracer = Tracer()
     cache = DiskCodeCache(root=str(root))
     engine = Engine(config=config, code_cache=cache, tracer=tracer, **FAST)
+    code_ids = engine.interpreter.runtime.code_ids
+    code_ids.next_id = base
     printed = engine.run_source(source)
     counters = {
         name: getattr(cache, name) for name in ("hits", "misses", "stores", "uncacheable")
@@ -226,9 +226,9 @@ def observed_run(source, root, base, config=FULL_SPEC):
     return {
         "printed": printed,
         "stats": engine.stats.as_dict(),
-        "trace": _REF_ADDR.sub("('ref', _)", to_jsonl(tracer.events)),
+        "trace": to_jsonl(tracer.events),
         "counters": counters,
-        "next_id": CodeObject._next_id,
+        "next_id": code_ids.next_id,
         "modules": (engine.executor.modules_linked, engine.executor.modules_emitted),
     }, cache
 
@@ -248,9 +248,9 @@ RUN_PROGRAMS = [
 def test_run_from_thawed_tree_equals_run_from_source(tmp_path, base):
     """Same compile artifacts on disk both times; only the program entry differs.
 
-    ``base`` 7001 is a process where unrelated programs already moved
-    the code-id counter: ids key stats and trace events, so they have
-    to continue from wherever the counter stands.
+    ``base`` 7001 is a runtime whose earlier programs already moved its
+    code-id counter (a serving tenant's): ids key stats and trace
+    events, so they have to continue from wherever the counter stands.
     """
     import os
 
@@ -279,7 +279,6 @@ def test_runtime_error_blames_the_same_line(tmp_path):
     source = "var a = 1;\nvar b = 2;\nfunction f() {\n  return missing(a);\n}\nf();\n"
     messages = []
     for _ in range(2):
-        CodeObject._next_id = 1
         cache = DiskCodeCache(root=str(tmp_path))
         with pytest.raises(ReproError) as raised:
             Engine(config=FULL_SPEC, code_cache=cache).run_source(source)
@@ -367,10 +366,10 @@ def test_hostile_entry_is_a_miss_that_heals(tmp_path, damage):
     assert open(path, "rb").read() != intact
 
     probe = DiskCodeCache(root=str(tmp_path))
-    CodeObject._next_id = 50
-    assert probe.load_program(program_key(HOT, FULL_SPEC)) is None
+    ids = ids_from(50)
+    assert probe.load_program(program_key(HOT, FULL_SPEC), ids) is None
     assert probe.corrupt == 1 and probe.program_loads == 0
-    assert CodeObject._next_id == 50  # a refused entry consumes no ids
+    assert ids.next_id == 50  # a refused entry consumes no ids
 
     hurt, cache = observed_run(HOT, tmp_path, 1)
     assert (cache.corrupt, cache.program_loads, cache.program_stores) == (1, 0, 1)
@@ -644,7 +643,6 @@ def test_stats_by_kind_through_selective_loss(tmp_path, make):
         return info["program_loads"], info["program_stores"]
 
     def run():
-        CodeObject._next_id = 1
         cache = make(root=str(tmp_path))
         printed = Engine(config=FULL_SPEC, code_cache=cache, **FAST).run_source(HOT)
         return printed, cache

@@ -40,6 +40,7 @@ from repro.serving.isolate import TenantHost, TenantIsolate
 from repro.serving.pool import WorkerPool, tenant_worker
 from repro.serving.server import ServingServer
 from repro.serving.shards import ShardedDiskCache, TenantCacheView
+from repro.telemetry.tracing import Tracer
 
 from tests.conftest import FAST
 
@@ -173,6 +174,9 @@ class TestTenantIsolation:
 
     def test_hosted_tenant_is_bit_identical_to_a_dedicated_engine(self):
         host = TenantHost(engine_kwargs=FAST)
+        # Tenant a carries a tracer of its own; its neighbour b does not.
+        traced = dict(FAST, tracer=Tracer())
+        host.isolates["a"] = TenantIsolate("a", engine_kwargs=traced)
         hosted = []
         # Interleave two tenants with conflicting shape histories.
         for _ in range(4):
@@ -184,13 +188,19 @@ class TestTenantIsolation:
             host.execute_request(
                 {"tenant": "b", "program": "yx", "source": PROGRAM_YX}
             )
-        solo = TenantIsolate("a", engine_kwargs=FAST)
+        solo = TenantIsolate("a", engine_kwargs=dict(FAST, tracer=Tracer()))
         expected = self._serve_stream(solo, "xy", PROGRAM_XY, 4)
         assert _strip_responses(hosted) == _strip_responses(expected)
         # The full speculation state lines up, not just the outputs:
-        # identical shape numbering and identical metrics payloads.
-        assert _shapes(host.isolates["a"]).next_id == _shapes(solo).next_id
-        assert host.isolates["a"].metrics_payload() == solo.metrics_payload()
+        # identical shape numbering and identical metrics payloads, and
+        # the ledger and every trace event, code ids and keys included.
+        tenant = host.isolates["a"]
+        assert _shapes(tenant).next_id == _shapes(solo).next_id
+        assert tenant.metrics_payload() == solo.metrics_payload()
+        assert tenant.engine.stats.as_dict() == solo.engine.stats.as_dict()
+        events = tenant.engine.tracer.events
+        assert events == solo.engine.tracer.events
+        assert any("('ref', 1)" in event.get("key", "") for event in events)
 
     def test_conflicting_shape_orders_number_independently(self):
         host = TenantHost(engine_kwargs=FAST)

@@ -150,14 +150,67 @@ def test_trace_is_deterministic_across_runs():
     second = Tracer(channels=["compile", "specialize", "osr", "pass"])
     run_workload(FULL_SPEC, tracer=first)
     run_workload(FULL_SPEC, tracer=second)
-    # `code_id` is a process-global counter, and `key`/`args` can embed
-    # code ids or object identities; everything else must be
-    # bit-identical run to run.
-    strip = lambda events: [
-        {k: v for k, v in e.items() if k not in ("key", "code_id", "args")}
-        for e in events
+    assert first.events == second.events
+
+
+#: ``f`` specializes on an object, an array, a guest function and a
+#: builtin: every kind of heap argument a key or an ``args`` field names.
+HEAP_ARGUMENTS = """
+function f(o, a, g, b) { return o.x + a[0] + g(1) + b(2.5); }
+function g(v) { return v + 1; }
+var o = {x: 1};
+var a = [2, 3];
+for (var i = 0; i < 30; i++) f(o, a, g, Math.floor);
+print(f(o, a, g, Math.floor));
+"""
+
+#: Run first by the second process, so its code ids and heap addresses
+#: would move if either leaked into the trace.
+UNRELATED = """
+function pair(p) { return [p, {p: p}]; }
+for (var i = 0; i < 40; i++) pair({i: i});
+"""
+
+
+def test_trace_bytes_do_not_depend_on_the_process(tmp_path):
+    """`repro trace --jsonl` writes the same file in two fresh processes,
+    the second of which ran an unrelated program first."""
+    import os
+    import subprocess
+    import sys
+
+    program = tmp_path / "prog.js"
+    program.write_text(HEAP_ARGUMENTS)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    trace = ["trace", str(program), "--jsonl"]
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    subprocess.run(
+        [sys.executable, "-m", "repro"] + trace + [str(first)],
+        env=env, check=True, capture_output=True,
+    )
+    script = (
+        "import runpy, sys\n"
+        "from repro import Engine, FULL_SPEC\n"
+        "Engine(config=FULL_SPEC).run_source(%r)\n"
+        "sys.argv = ['repro'] + %r\n"
+        "runpy.run_module('repro', run_name='__main__')\n"
+        % (UNRELATED, trace + [str(second)])
+    )
+    subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True
+    )
+    text = first.read_text()
+    assert second.read_text() == text
+    specialized = [
+        json.loads(line) for line in text.splitlines() if '"specialized", "ts"' in line
     ]
-    assert strip(first.events) == strip(second.events)
+    assert [(event["key"], event["args"]) for event in specialized] == [
+        (
+            "(('undefined',), (('ref', 1), ('ref', 2), ('ref', 3), ('ref', 4)))",
+            ["{x: 1}", "[2, 3]", "<function g>", "<native function Math.floor>"],
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.engine.config import BASELINE, CostModel, FULL_SPEC
 from repro.engine.jit import compile_function
 from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
-from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.interpreter import MAX_CALL_DEPTH, Interpreter
 from repro.jsvm.objects import JSArray, JSObject
 from repro.jsvm.values import UNDEFINED
@@ -66,7 +65,6 @@ def _pages(per_seed=None):
 
 def _run(source, root=None, **engine_kwargs):
     """One fresh engine over ``source`` (with the cache at ``root``, if given)."""
-    CodeObject._next_id = 1
     cache = None if root is None else DiskCodeCache(root=str(root))
     engine = Engine(config=FULL_SPEC, code_cache=cache, **engine_kwargs)
     return engine, list(engine.run_source(source))

@@ -28,7 +28,6 @@ from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.errors import ReproError
 from repro.fuzz.oracle import CHAOS_BAILOUT_LIMIT
-from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.values import UNDEFINED, NativeFunction
 from repro.lir import wholefn
@@ -40,7 +39,6 @@ from repro.workloads import ALL_SUITES
 
 from tests.conftest import FAST
 from tests.helpers import compile_and_profile
-from tests.test_executor_backends import _normalized
 
 ALL_BENCHMARKS = [
     (suite_name, benchmark.name)
@@ -64,12 +62,7 @@ def _bench_source(suite_name, bench_name):
 
 
 def _observables(source, backend, trace=False, **engine_kwargs):
-    """One fresh-engine run; returns (observables, trace events or None).
-
-    Code ids are a process-global counter, reset before each run to
-    keep every id-carrying observable comparable.
-    """
-    CodeObject._next_id = 1
+    """One fresh-engine run; returns (observables, trace events or None)."""
     tracer = Tracer() if trace else None
     engine = Engine(
         config=FULL_SPEC, executor_backend=backend, tracer=tracer, **engine_kwargs
@@ -109,7 +102,7 @@ class TestThreeWayBitIdentity:
         reference, ref_events = _observables(source, "simple", trace=True)
         whole, whl_events = _observables(source, "whole", trace=True)
         assert whole == reference
-        assert _normalized(whl_events) == _normalized(ref_events)
+        assert whl_events == ref_events
 
 
 def _spy_translations(monkeypatch):
@@ -232,7 +225,6 @@ class TestEntryRootedTranslation:
     at are translated; anything else is translated on demand."""
 
     def _run(self, backend):
-        CodeObject._next_id = 1
         engine = Engine(config=FULL_SPEC, executor_backend=backend, **FAST)
         printed = list(engine.run_source(SCRIPT_WITH_PROLOGUE))
         return engine, printed
@@ -272,7 +264,6 @@ class TestEntryRootedTranslation:
 
     def test_script_module_survives_the_disk_cache(self, tmp_path, monkeypatch):
         def run_cached():
-            CodeObject._next_id = 1
             engine = Engine(
                 config=FULL_SPEC,
                 executor_backend="whole",
@@ -399,7 +390,6 @@ class TestExactAttribution:
     @pytest.mark.parametrize("suite_name,bench_name", TRACE_SUBSET)
     def test_attributed_equals_total(self, suite_name, bench_name):
         source = _bench_source(suite_name, bench_name)
-        CodeObject._next_id = 1
         profiler = CycleProfiler()
         engine = Engine(
             config=FULL_SPEC, executor_backend="whole", cycle_profiler=profiler
@@ -427,7 +417,6 @@ class TestChaosGuardRecovery:
     @pytest.mark.parametrize("source", CHAOS_SOURCES)
     def test_chaos_recovers(self, source):
         expect, _ = _observables(source, "whole", **FAST)
-        CodeObject._next_id = 1
         injector = GuardFaultInjector()
         profiler = CycleProfiler()
         engine = Engine(
@@ -656,7 +645,6 @@ class TestGlobalsAsSubscripts:
     is the miss arm and raises what it always raised."""
 
     def _run(self, backend, source, natives=()):
-        CodeObject._next_id = 1
         engine = Engine(config=FULL_SPEC, executor_backend=backend)
         for name, function in natives:
             engine.interpreter.runtime.globals[name] = function(engine)
@@ -720,7 +708,7 @@ class TestElidedChecksKeepTheirObservables:
         reference, ref_events = _observables(source, "simple", trace=True)
         whole, whl_events = _observables(source, "whole", trace=True)
         assert whole == reference
-        assert _normalized(whl_events) == _normalized(ref_events)
+        assert whl_events == ref_events
         bails = [e for e in whl_events if e["ch"] == "bailout" and e["event"] == "guard"]
         assert bails and all(e["guard_op"] == "typebarrier" for e in bails)
         # ... and the unbox behind that barrier is a move in every binary of f.
@@ -744,7 +732,6 @@ class TestElidedChecksKeepTheirObservables:
         )
         expect, _ = _observables(source, "simple", **FAST)
         translations = _spy_translations(monkeypatch)
-        CodeObject._next_id = 1
         injector = GuardFaultInjector()
         engine = Engine(
             config=FULL_SPEC,
@@ -777,7 +764,6 @@ class TestElidedChecksKeepTheirObservables:
         source = _bench_source("sunspider", "access-nsieve")
 
         def block_counts(backend):
-            CodeObject._next_id = 1
             profiler = CycleProfiler()
             engine = Engine(
                 config=FULL_SPEC, executor_backend=backend, cycle_profiler=profiler

@@ -24,17 +24,18 @@ JSON-encoded, modulo the host-side disk-traffic counters
 (``DISK_TRAFFIC_KEYS``: the cold run stores, the warm run hits, by
 design) — proving the disk cache is a pure host-time optimization
 (docs/COMPILE_PIPELINE.md).  Separate processes make the comparison
-honest: nothing in-memory can leak between phases, and per-process
-counters (code ids) start from the same state.
+honest: nothing in-memory can leak between phases.
 
 ``--history`` checks instead that a cache key does not depend on what
 the process ran before: the cold process fills the store running
 ``objects/poly-records`` alone; the warm process first runs the two
 other ``objects`` programs on engines of their own (no cache attached)
-and must then hit **every** key.  Shape ids enter the key through the
-IC fingerprint, so this holds only because each engine numbers its own
-shape tree (docs/SHAPES.md).  The same numbering is what a link record
-re-checks, so this mode prints its linked / refused counts too.
+and must then hit **every** key, and print the same ledgers.  Shape ids
+enter the key through the IC fingerprint, and code ids label the
+ledgers, so this holds only because each engine numbers its own shape
+tree (docs/SHAPES.md) and code objects.  The shape numbering is what a
+link record re-checks, so this mode prints its linked / refused counts
+too.
 
 Usage::
 
@@ -104,7 +105,6 @@ def run_phase(cache_dir, backend, phase, history):
     from repro.workloads.web import website_programs
 
     if history:
-        from repro.jsvm.bytecode import CodeObject
         from repro.workloads import suite
 
         programs = {bench.name: bench.source for bench in suite(HISTORY_SUITE)}
@@ -112,10 +112,6 @@ def run_phase(cache_dir, backend, phase, history):
         if phase == "warm":
             for name in sorted(programs):
                 Engine(executor_backend=backend).run_source(programs[name])
-        # Code ids are still a process-wide counter (they label the
-        # per-function stats, not the cache key): pin it in both
-        # phases so the ledgers compare.
-        CodeObject._next_id = 1
     else:
         sources = website_programs()
     cache = DiskCodeCache(root=cache_dir)
