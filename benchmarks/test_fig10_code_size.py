@@ -10,12 +10,12 @@ rough magnitude (positive double-digit reduction).
 import pytest
 
 from repro.bench.figures import code_size_study
-from repro.workloads import ALL_SUITES
+from repro.workloads import ALL_SUITES, PAPER_SUITES
 
 PAPER_REDUCTIONS = {"sunspider": 16.72, "v8": 18.84, "kraken": 15.94}
 
 
-@pytest.mark.parametrize("suite_name", sorted(ALL_SUITES))
+@pytest.mark.parametrize("suite_name", PAPER_SUITES)
 def test_figure10_code_size(benchmark, suite_name):
     report = benchmark.pedantic(
         lambda: code_size_study(ALL_SUITES[suite_name]), rounds=1, iterations=1

@@ -12,15 +12,15 @@ import pytest
 
 from repro.bench.figures import parameter_types, suite_histograms, web_histograms
 from repro.telemetry.histograms import FIGURE4_CATEGORIES
-from repro.workloads import ALL_SUITES
+from repro.workloads import ALL_SUITES, PAPER_SUITES
 from repro.workloads.web import WebCorpusConfig
 
 
 @pytest.fixture(scope="module")
 def distributions():
     rows = {"WEB": parameter_types(web_histograms(WebCorpusConfig(num_functions=2300)))}
-    for name, suite in ALL_SUITES.items():
-        rows[name] = parameter_types(suite_histograms(suite))
+    for name in PAPER_SUITES:
+        rows[name] = parameter_types(suite_histograms(ALL_SUITES[name]))
     return rows
 
 
@@ -39,7 +39,7 @@ def test_figure4_distributions(benchmark, distributions):
     assert web["int"] < 0.15
 
     # Benchmarks use integers much more often than the web.
-    for suite_name in ALL_SUITES:
+    for suite_name in PAPER_SUITES:
         assert rows[suite_name]["int"] > web["int"], (
             "%s should be more integer-heavy than the web" % suite_name
         )

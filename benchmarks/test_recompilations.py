@@ -9,10 +9,10 @@ growth is positive but bounded.
 
 import pytest
 
-from repro.workloads import ALL_SUITES
+from repro.workloads import PAPER_SUITES
 
 
-@pytest.mark.parametrize("suite_name", sorted(ALL_SUITES))
+@pytest.mark.parametrize("suite_name", PAPER_SUITES)
 def test_recompilation_growth(benchmark, suite_name, all_sweeps):
     sweeps = {s.suite_name: s for s in all_sweeps}
     sweep = sweeps[suite_name]

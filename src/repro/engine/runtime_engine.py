@@ -36,7 +36,6 @@ from repro.jsvm.values import (
     _key_matcher,
     _key_recurrable,
     _spec_key,
-    _spec_key_matches,
     describe_key,
     value_key,
 )
@@ -184,12 +183,15 @@ class FunctionState(object):
     def spec_key(self):
         """The argument-set key ``native`` is specialized on, or None.
 
-        Installing a key also resets what the warm call derives from it:
+        ``_spec_key(this, args)`` of the call it was compiled for: the
+        values themselves, an object as ``('ref', object)``.  A call
+        matches exactly when its own key equals this one.  Installing a
+        key also resets what the warm call derives from it:
 
         ``key_match``
-            the key pre-digested for the inline comparison
-            (:func:`_key_matcher`), or None when the comparison must go
-            through :func:`_spec_key_matches` (in ``_call_policy``);
+            the key pre-digested for the one comparison every call on a
+            specialized binary makes, in ``try_native_call``
+            (:func:`_key_matcher`); None only while no key is installed;
         ``key_recorded``
             the ``TypeFeedback`` on which the key's own values are known
             to be recorded, or None.  While that is the code object's
@@ -597,45 +599,39 @@ class Engine(object):
         native = state.native
         feedback = code.feedback
         metrics = self.metrics
-        warm = False
-        if (
-            native is not None
-            and self._unobserved
-            and feedback is not None
-            and not state.not_compilable
-        ):
+        warm = hit = False
+        if native is not None:
+            steady = self._unobserved and feedback is not None and not state.not_compilable
             if native.specialized:
-                # The primary key, compared in line; a key holding a heap
-                # reference has no such form and goes the long way.
-                match = state.key_match
-                if match is not None:
-                    this_kind, this_stored, kinds, stored_args = match
-                    if (
-                        type(this_value) is this_kind
-                        and (this_stored is this_value or this_stored == this_value)
-                        and len(args) == len(kinds)
-                    ):
-                        for kind, stored, value in zip(kinds, stored_args, args):
-                            if type(value) is not kind or (
-                                stored is not value and stored != value
-                            ):
-                                break
-                        else:
-                            warm = True
-                            if metrics is not None and metrics.snapshot_interval:
-                                metrics.maybe_snapshot()
-                            if state.key_recorded is not feedback:
-                                feedback.record_args(args, this_value)
-                                state.key_recorded = feedback
-                            if metrics is not None:
-                                metrics.inc("repro_spec_cache_hits_total")
-            elif not self.deoptless:
+                # The primary key, compared in line: the one matcher of the
+                # specialization cache (a specialized binary always has a key).
+                this_kind, this_stored, kinds, stored_args = state.key_match
+                if (
+                    type(this_value) is this_kind
+                    and (this_stored is this_value or this_stored == this_value)
+                    and len(args) == len(kinds)
+                ):
+                    for kind, stored, value in zip(kinds, stored_args, args):
+                        if type(value) is not kind or (stored is not value and stored != value):
+                            break
+                    else:
+                        hit = True
+                if hit and steady:
+                    warm = True
+                    if metrics is not None and metrics.snapshot_interval:
+                        metrics.maybe_snapshot()
+                    if state.key_recorded is not feedback:
+                        feedback.record_args(args, this_value)
+                        state.key_recorded = feedback
+                    if metrics is not None:
+                        metrics.inc("repro_spec_cache_hits_total")
+            elif steady and not self.deoptless:
                 warm = True
                 if metrics is not None and metrics.snapshot_interval:
                     metrics.maybe_snapshot()
                 feedback.record_args(args, this_value)
         if not warm:
-            if not self._call_policy(state, function, this_value, args):
+            if not self._call_policy(state, function, this_value, args, hit):
                 return False, None
             native = state.native
         interpreter = self.interpreter
@@ -650,14 +646,16 @@ class Engine(object):
         finally:
             interpreter.call_depth -= 1
 
-    def _call_policy(self, state, function, this_value, args):
+    def _call_policy(self, state, function, this_value, args, hit):
         """Everything a call may need besides running a matching binary.
 
         Polls the metrics clock, records feedback, consults the
         specialization cache and the deoptless table, compiles — in that
         order, emitting every trace event and metric of the call path.
-        Returns True when ``state.native`` now accepts this call (the
-        caller runs it), False when the call is to be interpreted.
+        ``hit`` is ``try_native_call``'s verdict that the call matches
+        the active specialized binary's key; the policy matches nothing
+        itself.  Returns True when ``state.native`` now accepts this call
+        (the caller runs it), False when the call is to be interpreted.
         """
         code = state.code
         if self.fault_injector is not None:
@@ -677,7 +675,7 @@ class Engine(object):
         native = state.native
         if native is not None:
             if native.specialized:
-                if _spec_key_matches(state.spec_key, this_value, args):
+                if hit:
                     if watched:
                         self._emit(
                             "cache", "hit", code, key=state.spec_key, primary=True

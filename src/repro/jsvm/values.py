@@ -362,7 +362,10 @@ def value_key(value):
     whether a call's arguments match the cached ones.  Primitives match
     by value *and* representation type; objects, arrays and functions
     match by identity — exactly the notion under which specialized code
-    remains valid (an object constant is a baked-in reference).
+    remains valid (an object constant is a baked-in reference).  A
+    ``("ref", value)`` key holds the object itself, which compares by
+    identity (no heap class defines ``__eq__``) and lives as long as
+    the key, so no later object can take its place.
     """
     name = _KEY_TYPE_NAMES.get(type(value))
     if name is not None:
@@ -371,7 +374,7 @@ def value_key(value):
         return ("undefined",)
     if value is NULL:
         return ("null",)
-    return ("ref", id(value))
+    return ("ref", value)
 
 
 #: Primitive types keyed by value in :func:`value_key`; one dict probe
@@ -392,7 +395,7 @@ def _spec_key(this_value, args):
 
 def describe_key(key):
     """A spec key as trace text, the same in every process: ``repr(key)``
-    with each ``('ref', id)`` named by the first position holding that
+    with each ``('ref', object)`` named by the first position holding that
     object among ``this`` (0) and the arguments (1, ...), the ordering of
     ``repro.cache.disk.compile_inputs``."""
     first = {}
@@ -403,50 +406,13 @@ def describe_key(key):
     return repr((parts[0], tuple(parts[1:])))
 
 
-def _value_matches_key(key, value):
-    """Whether ``value_key(value)`` would equal ``key``, sans allocation.
-
-    Mirrors tuple equality on :func:`value_key` results exactly — the
-    ``is`` check before ``==`` preserves the identity shortcut tuple
-    comparison applies per element (it makes a repeatedly-passed NaN
-    object match itself, as the materialized keys would).
-    """
-    name = _KEY_TYPE_NAMES.get(type(value))
-    if name is not None:
-        return key[0] == name and (key[1] is value or key[1] == value)
-    if value is UNDEFINED:
-        return key[0] == "undefined"
-    if value is NULL:
-        return key[0] == "null"
-    return key[0] == "ref" and key[1] == id(value)
-
-
-def _spec_key_matches(stored, this_value, args):
-    """``_spec_key(this_value, args) == stored`` without building the key.
-
-    The per-call fast path of the specialization cache: a primary-entry
-    hit (the overwhelmingly common case) costs no tuple allocations.
-    """
-    if stored is None:
-        return False
-    this_key, args_key = stored
-    if len(args_key) != len(args):
-        return False
-    if not _value_matches_key(this_key, this_value):
-        return False
-    for key, value in zip(args_key, args):
-        if not _value_matches_key(key, value):
-            return False
-    return True
-
-
 def _key_recurrable(key):
     """Whether a spec key can match again after its values die.
 
     Primitive components match by value, so the same regime can return
-    forever; a ``('ref', id)`` component matches by identity and dies
-    with the object, so such a key marks a one-allocation regime that
-    is not worth a specialized table line of its own.
+    forever; a ``('ref', object)`` component matches only that object,
+    so such a key marks a one-allocation regime that is not worth a
+    specialized table line of its own.
     """
     this_key, args_key = key
     if this_key[0] == "ref":
@@ -457,35 +423,23 @@ def _key_recurrable(key):
     return True
 
 
-#: ``value_key`` type name -> the exact Python type it names.
-_KEY_TYPES = dict((name, kind) for kind, name in _KEY_TYPE_NAMES.items())
-
-
 def _key_matcher(key):
     """``key`` as ``(this_type, this_value, arg_types, arg_values)``.
 
-    A call matches an all-primitive key exactly when each value has the
-    recorded exact type and is (or equals) the recorded value — the
-    test :func:`_value_matches_key` makes, laid out so the warm call
-    can make it inline, without a Python call per argument.  The tags
-    ``record_args`` would derive from such a call are a function of the
-    key alone, which is what lets a matched call skip it
-    (``FunctionState.key_recorded``).  A key with a ``('ref', id)``
-    component has no such form (an ``id`` outlives its object): None.
+    A call matches ``key`` — ``_spec_key(this, args) == key`` — exactly
+    when each value has the exact type of the recorded value and is (or
+    equals) it: the one matcher of the specialization cache, laid out so
+    the warm call can test it inline, without a Python call per
+    argument.  Every component holds its value (undefined and null are
+    implied by their tag), and :func:`value_key` names a value by its
+    exact type, so that type is the component's.  The tags
+    ``record_args`` would derive from a matching call are a function of
+    the key alone, which is what lets a matched call skip it
+    (``FunctionState.key_recorded``).
     """
-    kinds = []
-    values = []
-    for part in (key[0],) + key[1]:
-        name = part[0]
-        if name == "undefined":
-            kinds.append(type(UNDEFINED))
-            values.append(UNDEFINED)
-        elif name == "null":
-            kinds.append(type(NULL))
-            values.append(NULL)
-        elif name == "ref":
-            return None
-        else:
-            kinds.append(_KEY_TYPES[name])
-            values.append(part[1])
+    values = [
+        part[1] if len(part) == 2 else (UNDEFINED if part[0] == "undefined" else NULL)
+        for part in (key[0],) + key[1]
+    ]
+    kinds = [type(value) for value in values]
     return kinds[0], values[0], tuple(kinds[1:]), tuple(values[1:])

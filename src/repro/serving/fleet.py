@@ -22,14 +22,11 @@ cannot depend on how tenants are partitioned across workers.
 """
 
 import json
-import multiprocessing
-import os
 import random
 import shutil
 import tempfile
 
-from repro.serving.isolate import TenantHost
-from repro.telemetry.metrics import merge_payloads
+from repro.serving.pool import WorkerPool
 from repro.workloads.web import generate_website_program
 
 #: Seed stride separating the schedule RNG from the catalog RNGs.
@@ -168,23 +165,6 @@ def percentile(values, fraction):
     return ordered[rank]
 
 
-def _run_partition(records, catalog, host_kwargs):
-    """Serve one tenant partition's records in schedule order."""
-    host = TenantHost(catalog=catalog, **host_kwargs)
-    responses = [host.execute_request(record) for record in records]
-    return {
-        "responses": responses,
-        "payloads": host.metrics_payloads(),
-        "store_stats": host.store_stats(),
-    }
-
-
-def _run_partition_job(job):
-    """Picklable pool worker (module-level, bench-harness idiom)."""
-    records, catalog, host_kwargs = job
-    return _run_partition(records, catalog, host_kwargs)
-
-
 def run_fleet(
     profile,
     jobs=1,
@@ -197,12 +177,17 @@ def run_fleet(
 ):
     """Generate and serve one fleet schedule; returns the result dict.
 
-    Tenants are partitioned across ``jobs`` worker processes by tenant
-    index modulo ``jobs`` (whole tenants, schedule order preserved
-    within a partition), so per-tenant lanes and caches see the exact
-    same request stream at any job count; metrics are per-tenant and
-    latency is virtual-clock cycles, so the merged payload is
-    identical across job counts and across runs with the same seed.
+    The schedule goes through a :class:`~repro.serving.pool.WorkerPool`
+    of ``jobs`` worker processes (``jobs=1``: one in-process host), the
+    pool ``repro serve`` runs on.  It routes whole tenants, in schedule
+    order, so per-tenant lanes and caches see the exact same request
+    stream at any job count; metrics are per-tenant and latency is
+    virtual-clock cycles, so responses, cycles and the merged payload
+    are identical across job counts and across runs with the same seed.
+    One exception: with ``cache_mode="shared"`` and ``jobs > 1`` the
+    workers share one store, and which process stores an artifact first
+    decides which tenants count disk hits — the disk-hit counters move,
+    cycles do not.
 
     ``cache_root=None`` with a caching mode uses a private temporary
     root, deleted afterwards — every run starts cold.  Pass an
@@ -223,28 +208,23 @@ def run_fleet(
         "dispatch_delay": dispatch_delay,
         "queue_capacity": queue_capacity,
     }
+    jobs = min(jobs, profile.tenants)
+    pool = WorkerPool(
+        workers=jobs if jobs > 1 else 0, host_kwargs=host_kwargs, catalog=catalog
+    )
     try:
-        jobs = max(1, min(jobs, profile.tenants))
-        if jobs == 1:
-            partition_results = [_run_partition(schedule, catalog, host_kwargs)]
-        else:
-            partitions = [[] for _ in range(jobs)]
-            for record in schedule:
-                tenant_index = int(record["tenant"][1:])
-                partitions[tenant_index % jobs].append(record)
-            work = [(part, catalog, host_kwargs) for part in partitions if part]
-            with multiprocessing.Pool(processes=len(work)) as pool:
-                partition_results = pool.map(_run_partition_job, work)
+        pool.start()
+        for record in schedule:
+            pool.submit(record)
+        # Nothing but responses arrives before shutdown asks for summaries.
+        responses = [pool.next_response()[2] for _record in schedule]
+        summary = pool.shutdown()
     finally:
         if temp_root is not None:
             shutil.rmtree(temp_root, ignore_errors=True)
 
-    responses = sorted(
-        (r for part in partition_results for r in part["responses"]),
-        key=lambda r: r["seq"],
-    )
-    payloads = [p for part in partition_results for p in part["payloads"]]
-    merged = merge_payloads(payloads)
+    responses.sort(key=lambda r: r["seq"])
+    merged = summary["metrics"]
     latencies = [
         r["latency_cycles"] for r in responses if r["status"] == "ok"
     ]
@@ -253,9 +233,6 @@ def run_fleet(
         counters["repro_cache_disk_hits_total"]
         + counters["repro_cache_disk_misses_total"]
     )
-    store_stats = [
-        part["store_stats"] for part in partition_results if part["store_stats"]
-    ]
     return {
         "profile": profile.as_dict(),
         "responses": responses,
@@ -274,5 +251,5 @@ def run_fleet(
         ),
         "disk_hits": counters["repro_cache_disk_hits_total"],
         "disk_misses": counters["repro_cache_disk_misses_total"],
-        "store_stats": store_stats,
+        "store_stats": summary["store_stats"],
     }

@@ -6,7 +6,9 @@ and records, per guest function:
 * how many times it was called (Figure 1 / Figure 3 top),
 * how many *distinct argument sets* it received (Figure 2 / Figure 3
   bottom), under the same matching the specialization cache uses
-  (primitives by value and representation, references by identity),
+  (primitives by value and representation, references by identity) —
+  the profile holds the arguments it counted, so a freed object's
+  address can never make two argument sets one,
 * the type tags of the parameters of functions only ever called with a
   single argument set (Figure 4).
 

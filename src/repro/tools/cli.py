@@ -1091,8 +1091,8 @@ def build_parser():
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (tenants partitioned by index; results are "
-        "identical at any job count)",
+        help="worker processes (whole tenants routed as `repro serve` routes "
+        "them; cycles and outputs are identical at any job count)",
     )
     fleet.add_argument(
         "--schedule-out",

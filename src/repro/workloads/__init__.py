@@ -29,6 +29,11 @@ ALL_SUITES = {
     "churn": CHURN,
 }
 
+#: The suites standing in for the paper's three, in its order: the only
+#: ones its figures give numbers for (``objects`` and ``churn`` are this
+#: repository's own).
+PAPER_SUITES = ("sunspider", "v8", "kraken")
+
 
 def suite(name):
     """Look up a suite by name: 'sunspider', 'v8', 'kraken', 'objects' or 'churn'."""
@@ -39,6 +44,7 @@ __all__ = [
     "Benchmark",
     "suite",
     "ALL_SUITES",
+    "PAPER_SUITES",
     "SUNSPIDER",
     "V8",
     "KRAKEN",

@@ -9,11 +9,7 @@ runs programs under both engines and requires every observable to be
 equal; nothing under ``src/`` selects this code.
 """
 
-from repro.engine.runtime_engine import (
-    Engine,
-    _spec_key,
-    _spec_key_matches,
-)
+from repro.engine.runtime_engine import Engine, _spec_key
 from repro.jsvm.feedback import MAX_TAGS_PER_SITE, TypeFeedback
 from repro.jsvm.values import describe_key, type_tag
 from repro.lir.executor import Bailout
@@ -87,7 +83,7 @@ class ReferenceEngine(Engine):
         native = state.native
         if native is not None:
             if native.meta["specialized"]:
-                if _spec_key_matches(state.spec_key, this_value, args):
+                if _spec_key(this_value, args) == state.spec_key:
                     if metrics is not None:
                         metrics.inc("repro_spec_cache_hits_total")
                     if tracer is not None:

@@ -13,19 +13,31 @@ number of Python frames between a call site and the callee's body.
 import glob
 import os
 import sys
+import types
 
 import pytest
 
 from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
 from repro.errors import JSRangeError
+from repro.jsvm.bytecompiler import compile_source
 from repro.jsvm.interpreter import MAX_CALL_DEPTH, Interpreter
-from repro.jsvm.values import UNDEFINED
+from repro.jsvm.objects import JSArray, JSObject
+from repro.jsvm.values import (
+    INT32_MAX,
+    INT32_MIN,
+    NULL,
+    UNDEFINED,
+    JSFunction,
+    NativeFunction,
+    _spec_key,
+)
 from repro.serving import isolate as serving_isolate
 from repro.serving.fleet import FleetProfile, build_catalog, generate_schedule
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.tracing import Tracer
 from repro.workloads import ALL_SUITES
-from tests.helpers import all_function_codes
+from tests.helpers import ROOT, all_function_codes
 from tests.reference_policy import ReferenceEngine
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.js")))
@@ -301,6 +313,115 @@ def test_wide_int_first_then_narrow_int_of_the_same_shape():
     feedback.record_args([6], UNDEFINED)
     assert feedback.arg_tags == [{"double", "int"}]
     assert feedback.this_tags == {"undefined"}
+
+
+# -- the one matcher ---------------------------------------------------------------
+
+
+def key_forms():
+    """One value of every form a spec key component takes, with the pairs
+    that make the forms differ: an int in and out of int32 (two equal wide
+    ints that are distinct objects), one NaN object reused and a second
+    NaN, −0.0 beside 0.0, a bool beside the int it equals, strings,
+    undefined and null, and two of each heap class."""
+    code = compile_source("function f() { return 0; }").constants[0]
+    wide = INT32_MAX + 1
+    nan = float("nan")
+    return [
+        0, 1, -1, INT32_MAX, INT32_MIN, wide, int(str(wide)), INT32_MIN - 1,
+        1.0, 0.0, -0.0, 1.5, nan, nan, float("nan"), float("inf"),
+        True, False, "", "a", "1",
+        UNDEFINED, NULL,
+        JSObject(ROOT), JSObject(ROOT),
+        JSArray(ROOT, [1]), JSArray(ROOT, [1]),
+        JSFunction(code), JSFunction(code),
+        NativeFunction("n", lambda this, args: 0), NativeFunction("n", lambda this, args: 0),
+    ]
+
+
+def test_the_warm_key_test_accepts_exactly_the_equal_keys(monkeypatch):
+    """``try_native_call``'s inline test is the only spec-key matcher.  Over
+    every component form, in the ``this`` slot and in each argument slot,
+    it passes a call exactly when the call's own key equals the stored one
+    (read from the ``hit`` it hands ``_call_policy``: a tracer sends every
+    call there)."""
+    verdicts = []
+    monkeypatch.setattr(
+        Engine, "_call_policy", lambda self, state, function, this, args, hit: verdicts.append(hit)
+    )
+    engine = Engine(config=FULL_SPEC, tracer=Tracer())
+    function = JSFunction(compile_source("function g(a, b) { return a; }").constants[0])
+    state = engine._state(function.code)
+    specialized = types.SimpleNamespace(specialized=True)
+
+    def accepts(key_this, key_args, this_value, args):
+        state.install(specialized, _spec_key(key_this, key_args))
+        assert engine.try_native_call(function, this_value, args) == (False, None)
+        return verdicts.pop()
+
+    forms = key_forms()
+    outcomes = set()
+    for stored in forms:
+        for value in forms:
+            for key_this, key_args, this_value, args in (
+                (stored, [1, 1], value, [1, 1]),
+                (UNDEFINED, [stored, 1], UNDEFINED, [value, 1]),
+                (UNDEFINED, [1, stored], UNDEFINED, [1, value]),
+            ):
+                equal = _spec_key(this_value, args) == _spec_key(key_this, key_args)
+                assert accepts(key_this, key_args, this_value, args) == equal, (stored, value)
+                outcomes.add(equal)
+        for args in ([], [stored], [stored, stored, stored]):
+            assert not accepts(UNDEFINED, [stored, stored], UNDEFINED, args)
+    assert outcomes == {True, False}
+    # The named cases, as tuple equality decides them.
+    nan = float("nan")
+    assert accepts(UNDEFINED, [nan], UNDEFINED, [nan])
+    assert not accepts(UNDEFINED, [nan], UNDEFINED, [float("nan")])
+    assert accepts(UNDEFINED, [-0.0], UNDEFINED, [0.0])
+    assert not accepts(UNDEFINED, [1], UNDEFINED, [True])
+    wide = INT32_MAX + 1
+    assert accepts(UNDEFINED, [wide], UNDEFINED, [int(str(wide))])
+    heap = [value for value in forms if _spec_key(value, [])[0][0] == "ref"]
+    assert len(heap) == 8
+    for first, second in zip(heap[::2], heap[1::2]):
+        assert accepts(first, [], first, [])
+        assert not accepts(first, [], second, [])
+    assert state.key_match is not None
+
+
+def test_a_call_specialized_on_an_object_takes_the_warm_path(monkeypatch):
+    """Once ``get`` is specialized on ``box``, no call of it reaches
+    ``_call_policy`` again; a traced run, which sends every call there,
+    counts the same."""
+    source = """
+    function get(o) { return o.v + 1; }
+    var box = {v: 41};
+    var total = 0;
+    for (var i = 0; i < 60; i++) total += get(box);
+    print(total);
+    """
+    policy = Engine._call_policy
+    reached = []
+
+    def counting(self, state, *rest):
+        if state.native is not None and state.native.specialized:
+            reached.append(state.code.name)
+        return policy(self, state, *rest)
+
+    monkeypatch.setattr(Engine, "_call_policy", counting)
+    plain = Engine(config=FULL_SPEC)
+    plain.run_source(source)
+    function = plain.interpreter.runtime.globals["get"]
+    state = plain.states[function.code.code_id]
+    assert state.native.specialized
+    assert state.spec_key == (("undefined",), (("ref", plain.interpreter.runtime.globals["box"]),))
+    assert reached == []
+    traced = Engine(config=FULL_SPEC, tracer=Tracer())
+    traced.run_source(source)
+    assert len(reached) == 50
+    assert plain.interpreter.runtime.printed == traced.interpreter.runtime.printed == ["2520"]
+    assert plain.stats.as_dict() == traced.stats.as_dict()
 
 
 # -- the frame budget ----------------------------------------------------------------

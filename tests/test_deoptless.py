@@ -33,6 +33,7 @@ from repro.engine.runtime_engine import (
     _key_recurrable,
     _spec_key,
 )
+from repro.jsvm.objects import JSObject
 from repro.jsvm.values import UNDEFINED
 from repro.lir.executor import Bailout
 from repro.telemetry.profiler import CycleProfiler
@@ -40,6 +41,7 @@ from repro.telemetry.tracing import Tracer
 from repro.workloads.churn import CHURN, POLYMORPHIC_DISPATCH, SPEC_CHURN
 
 from tests.conftest import FAST
+from tests.helpers import ROOT
 
 
 def run(source, trace=False, **kwargs):
@@ -117,7 +119,7 @@ print(total);
 """
 
 #: A fresh receiver allocation per call: every spec key carries a
-#: ('ref', id) component that can never match again.
+#: ('ref', object) component that can never match again.
 ONE_SHOT_RECEIVERS = """
 function h(o) { return o.v + 1; }
 var total = 0;
@@ -202,10 +204,10 @@ class TestDispatchTable:
         # Primitive components match by value: recurrable.
         assert _key_recurrable(_spec_key(UNDEFINED, [1]))
         assert _key_recurrable(_spec_key(UNDEFINED, [1.5, "s", True]))
-        # Any ('ref', id) component matches by identity and dies with
-        # its allocation: never recurrable.
-        assert not _key_recurrable((("undefined",), (("ref", 123),)))
-        assert not _key_recurrable((("ref", 5), ()))
+        # Any ('ref', object) component matches that one allocation
+        # only: never recurrable.
+        assert not _key_recurrable(_spec_key(UNDEFINED, [1, JSObject(ROOT)]))
+        assert not _key_recurrable(_spec_key(JSObject(ROOT), []))
 
     def test_stats_ledger_carries_the_deoptless_counters(self):
         engine, _, _ = run(CYCLING_REGIMES, deoptless=True)

@@ -41,7 +41,9 @@ Usage::
 
 ``--check`` compares against ``tools/host_ops_budget.json`` (default
 seed and request count only) and exits 1 when any count is above its
-budget or a warm call takes more frames than budgeted.
+budget, a warm call takes more frames than budgeted, or fewer calls of
+a binary kind take the warm path than its floor (a specialized call
+that goes the long way through ``Engine._call_policy`` is not warm).
 """
 
 import argparse
@@ -338,6 +340,10 @@ def check(report, budget):
         seen = report["frames_per_call"].get(kind, {}).get("warm_frames")
         if seen is None or seen > limit:
             problems.append("%s warm call: %r frames, budget %d" % (kind, seen, limit))
+    for kind, floor in sorted(budget["warm_share_floor"].items()):
+        seen = report["frames_per_call"].get(kind, {}).get("warm_share")
+        if seen is None or seen < floor:
+            problems.append("%s warm share: %r, floor %r" % (kind, seen, floor))
     return problems
 
 
