@@ -31,7 +31,7 @@ from repro.engine.config import (
     CostModel,
     OptConfig,
 )
-from repro.engine.runtime_engine import Engine, run_program
+from repro.engine.runtime_engine import Engine
 from repro.engine.stats import EngineStats
 from repro.telemetry.profiler import CycleProfiler
 from repro.jsvm.interpreter import Interpreter
@@ -51,7 +51,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Engine",
-    "run_program",
     "EngineStats",
     "CycleProfiler",
     "Interpreter",

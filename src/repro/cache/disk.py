@@ -301,8 +301,8 @@ class DiskCodeCache(object):
     inside ``_produce`` — :meth:`key_for` names the compile (or
     refuses), :meth:`load` returns a thawed
     :class:`~repro.engine.jit.CompileResult` on a hit, and
-    :meth:`store` persists a fresh compile, with the generated module
-    of whichever codegen backend (``closure`` or ``whole``) ran it.
+    :meth:`store` persists a fresh compile, with the link record of
+    its generated module when the ``whole`` backend ran it.
     *Program entries*: ``Engine.load_source`` asks :meth:`load_program`
     for the bytecode of a source text (key: :func:`program_key`) and
     hands a fresh compile to :meth:`store_program`.  The in-process
@@ -455,12 +455,9 @@ class DiskCodeCache(object):
 
         ``inputs`` is the keyword set the key was computed from: a
         relocatable value of it baked into the binary is stored as its
-        slot.  When ``executor`` is a codegen backend, the module it
-        generated for this binary rides along under that backend's name, so a
-        warm run also skips host ``compile()`` — and, on ``whole``, the
-        emitter: ``closure`` stores source + marshalled code
-        (:func:`repro.lir.closures.closure_artifact`), ``whole`` a link
-        record with no source (:func:`repro.lir.wholefn.whole_artifact`).
+        slot.  When ``executor`` is the ``whole`` backend, its link record
+        for this binary rides along (:func:`repro.lir.wholefn.whole_artifact`),
+        so a warm run skips the emitter and host ``compile()`` as well.
         """
         values = compile_inputs(**inputs)[1] if inputs else ()
         try:
@@ -469,12 +466,8 @@ class DiskCodeCache(object):
             self.uncacheable += 1
             return False
         if executor is not None:
-            from repro.lir.closures import closure_artifact
             from repro.lir.wholefn import whole_artifact
 
-            closure = closure_artifact(result.native, executor)
-            if closure is not None:
-                artifact["closure"] = closure
             whole = whole_artifact(result.native, executor)
             if whole is not None:
                 artifact["whole"] = whole

@@ -4,12 +4,13 @@ A cached artifact is a plain-data snapshot of one
 :class:`~repro.engine.jit.CompileResult`: the finalized native
 instruction stream (physical operand locations, resolved jump targets,
 guard snapshots), the immediate pool, the compile-cost inputs (pass
-work units, codegen stats, MIR size) and, when the closure backend
-produced one, the generated Python source plus its marshalled code
-object.  Everything is encoded to structures :mod:`marshal` handles
-natively — no pickle, no executable state beyond the closure module
-code (which is only trusted after a byte-exact source match, see
-:mod:`repro.lir.closures`).
+work units, codegen stats, MIR size) and, when the ``whole`` backend
+produced one, its link record (:func:`repro.lir.wholefn.whole_artifact`)
+— the one persisted module format; the closure backend stores none and
+re-translates a thawed binary.  Everything is encoded to structures
+:mod:`marshal` handles natively — no pickle, no executable state beyond
+the linked module code (which links only while the facts its emitter
+read still hold, see :func:`repro.lir.wholefn._link`).
 
 Guest values that appear in artifacts (immediates, specialized-args
 metadata, instruction extras) are encoded with a small tagged scheme.
@@ -69,7 +70,10 @@ class Uncacheable(Exception):
 #: v9: the ``whole`` sub-artifact is a link record, with no source text.
 #: v10: a plain object or array input is keyed by class and position and
 #: stored as a relocatable slot ``("r", p)``.
-FORMAT_VERSION = 10
+#: v11: the link record has no ``prices`` (the emitter digest covers the
+#: native price list), and the closure backend's module (``"closure"``)
+#: is no longer stored — ``whole``'s link record is the one module format.
+FORMAT_VERSION = 11
 
 #: The heap classes a cached compile's inputs may hold (exact classes):
 #: the key names one by position, the artifact relocates it.
@@ -232,7 +236,6 @@ def freeze_result(result, code, inputs=()):
         "work_units": result.work.total_units,
         "codegen_stats": dict(result.codegen_stats),
         "mir_instructions": result.mir_instructions,
-        "closure": None,
         "whole": None,
     }
 
@@ -279,9 +282,6 @@ def thaw_result(artifact, code, inputs=()):
         meta=decode_value(blob["meta"], code, inputs),
         immediates=[decode_value(value, code, inputs) for value in blob["immediates"]],
     )
-    closure = artifact.get("closure")
-    if closure is not None:
-        native.disk_closure = (closure["source"], closure["code"])
     whole = artifact.get("whole")
     if whole is not None:
         native.disk_whole = checked_link_record(native, whole)

@@ -12,7 +12,7 @@ from repro.engine.config import (
     FULL_SPEC,
     PAPER_CONFIGS,
 )
-from repro.engine.runtime_engine import Engine, run_program
+from repro.engine.runtime_engine import Engine
 from repro.engine.stats import EngineStats
 
 __all__ = [
@@ -23,5 +23,4 @@ __all__ = [
     "PAPER_CONFIGS",
     "Engine",
     "EngineStats",
-    "run_program",
 ]

@@ -126,7 +126,12 @@ PAPER_CONFIGS = [
 
 
 class CostModel(object):
-    """Cycle prices for the deterministic performance model."""
+    """Cycle prices for the deterministic performance model.
+
+    The one price list: every charge reads it from the class, and
+    nothing constructs or passes one.  A test that needs other prices
+    monkeypatches the class.
+    """
 
     # -- interpretation ---------------------------------------------------
     #: One bytecode dispatch in the interpreter.
@@ -222,5 +227,7 @@ class CostModel(object):
     #: (docs/DEOPTLESS.md).  Charged on top of ``native_call_entry``.
     deoptless_dispatch = 30
 
-    def native_cost(self, op):
-        return self.native_costs.get(op, self.native_op)
+
+def interp_cycles(ops, calls):
+    """Cycles of ``ops`` bytecode dispatches and ``calls`` interpreted-call setups."""
+    return ops * CostModel.interp_op + calls * CostModel.interp_call

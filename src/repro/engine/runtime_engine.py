@@ -24,7 +24,7 @@ import weakref
 
 from repro.cache.disk import program_key
 from repro.engine.bailout import describe_bailout
-from repro.engine.config import BASELINE, CostModel
+from repro.engine.config import BASELINE, CostModel, interp_cycles
 from repro.engine.jit import compile_function
 from repro.engine.stats import EngineStats
 from repro.errors import NotCompilable
@@ -292,8 +292,6 @@ class Engine(object):
     def __init__(
         self,
         config=BASELINE,
-        cost_model=None,
-        profiler=None,
         hot_call_threshold=HOT_CALL_THRESHOLD,
         osr_backedge_threshold=OSR_BACKEDGE_THRESHOLD,
         bailout_limit=BAILOUT_LIMIT,
@@ -307,31 +305,25 @@ class Engine(object):
         deoptless=False,
     ):
         self.config = config
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.stats = EngineStats(self.cost_model)
+        self.stats = EngineStats()
         #: Optional structured event tracer (repro.telemetry.tracing);
         #: None (the default) means no events and zero overhead.
         self.tracer = tracer
-        #: Optional cycle-exact profiler (repro.telemetry.profiler).
-        #: Distinct from ``profiler`` (the §2 call histogram): this one
+        #: Optional cycle-exact profiler (repro.telemetry.profiler): it
         #: attributes every cycle of ``stats.total_cycles`` to a
         #: (function, tier, block) triple.  None means zero overhead.
+        #: (The §2 call histogram is the interpreter's own hook,
+        #: ``Interpreter(profiler=)``, and needs no engine.)
         self.cycle_profiler = cycle_profiler
         self.interpreter = Interpreter(
-            engine=self,
-            profiler=profiler,
-            tracer=tracer,
-            cycle_profiler=cycle_profiler,
+            engine=self, tracer=tracer, cycle_profiler=cycle_profiler
         )
         #: Which native-executor backend runs compiled binaries; all
         #: three are observably identical (docs/PERF.md), differing
         #: only in host speed.
         self.executor_backend = resolve_executor_backend(executor_backend)
-        self.executor = EXECUTOR_BACKENDS[self.executor_backend](
-            self.interpreter, self.cost_model
-        )
+        self.executor = EXECUTOR_BACKENDS[self.executor_backend](self.interpreter)
         if cycle_profiler is not None:
-            cycle_profiler.bind_cost_model(self.cost_model)
             self.executor.cycle_profiler = cycle_profiler
         #: Optional chaos-deopt injector
         #: (``repro.engine.bailout.GuardFaultInjector``).  Armed, both
@@ -346,8 +338,7 @@ class Engine(object):
         #: True when nothing watches the call path — no tracer, cycle
         #: profiler or fault injector (all fixed at construction) — so a
         #: warm call may go straight from ``try_native_call`` to the
-        #: executor (the call histogram ``profiler`` is the
-        #: interpreter's own hook and is served before the engine).
+        #: executor.
         self._unobserved = (
             tracer is None and cycle_profiler is None and fault_injector is None
         )
@@ -470,11 +461,9 @@ class Engine(object):
         end of a run), so it is monotonically non-decreasing over the
         whole execution.
         """
-        cost = self.cost_model
         stats = self.stats
         return (
-            self.interpreter.ops_executed * cost.interp_op
-            + stats.interp_calls * cost.interp_call
+            interp_cycles(self.interpreter.ops_executed, stats.interp_calls)
             + self.executor.cycles
             + stats.compile_cycles
             + stats.bailout_cycles
@@ -518,7 +507,7 @@ class Engine(object):
         """Charge one discarded binary to the ledger and the profiler."""
         self.stats.record_invalidation()
         if self.cycle_profiler is not None:
-            self.cycle_profiler.record_invalidation(code, self.cost_model.invalidation)
+            self.cycle_profiler.record_invalidation(code, CostModel.invalidation)
 
     # -- metrics collection (docs/METRICS.md) --------------------------------------
 
@@ -528,12 +517,11 @@ class Engine(object):
         Registered as the registry's collector and run before every
         snapshot: the ``_MIRRORED_METRICS`` rows are re-read from their
         ledgers (stats, disk cache), occupancy gauges and the
-        clock-derived meters are recomputed.  Pure reads — never touches
-        the cost model, so attaching metrics cannot perturb any observable.
+        clock-derived meters are recomputed.  Pure reads — never charges
+        a cycle, so attaching metrics cannot perturb any observable.
         """
         registry = self.metrics
         stats = self.stats
-        cost = self.cost_model
         total_calls = 0
         spec_entries = 0
         ic_sites = {"mono": 0, "poly": 0, "mega": 0}
@@ -558,8 +546,7 @@ class Engine(object):
         registry.set_gauge("repro_engine_total_cycles", self.trace_clock())
         registry.set_gauge(
             "repro_engine_interp_cycles",
-            self.interpreter.ops_executed * cost.interp_op
-            + stats.interp_calls * cost.interp_call,
+            interp_cycles(self.interpreter.ops_executed, stats.interp_calls),
         )
         registry.set_gauge("repro_engine_functions_hot", len(self.states))
         registry.set_gauge("repro_spec_cache_entries", spec_entries)
@@ -636,9 +623,9 @@ class Engine(object):
             native = state.native
         interpreter = self.interpreter
         interpreter.call_depth += 1
-        self.executor.cycles += self.cost_model.native_call_entry
+        self.executor.cycles += CostModel.native_call_entry
         if self.cycle_profiler is not None:
-            self.cycle_profiler.charge_entry(native, self.cost_model.native_call_entry)
+            self.cycle_profiler.charge_entry(native, CostModel.native_call_entry)
         try:
             return True, self.executor.run(native, function, this_value, args)
         except Bailout as bail:
@@ -847,7 +834,7 @@ class Engine(object):
 
     def _charge_dispatch(self, native):
         """Charge the table-consult + side-entry cost of one dispatch."""
-        self._charge_entry(native, self.cost_model.deoptless_dispatch)
+        self._charge_entry(native, CostModel.deoptless_dispatch)
 
     def _dispatch_into(self, state, native, kind, osr_pc, spec_key=None, osr_state_key=None):
         """Activate a dispatch-table sibling for immediate re-entry.
@@ -1159,7 +1146,7 @@ class Engine(object):
 
     def _run_osr(self, state, frame, target_pc):
         """Enter the cached binary at its OSR entry for ``frame``."""
-        self._charge_entry(state.native, self.cost_model.native_call_entry)
+        self._charge_entry(state.native, CostModel.native_call_entry)
         try:
             value = self.executor.run(
                 state.native,
@@ -1204,7 +1191,7 @@ class Engine(object):
         self.stats.record_bailout()
         if self.cycle_profiler is not None:
             self.cycle_profiler.record_bailout(
-                code, state.native, bail, self.cost_model.bailout
+                code, state.native, bail, CostModel.bailout
             )
         state.bailout_count += 1
         shape_guard = bail.guard_op == "guardshape"
@@ -1287,18 +1274,3 @@ class Engine(object):
             state.force_generic = True
             self._invalidate(code)
             self._emit("deopt", "force_generic", code, bailouts=state.bailout_count)
-
-
-def run_program(source, config=BASELINE, cost_model=None, profiler=None, engine_kwargs=None):
-    """Convenience: run ``source`` under a fresh engine.
-
-    Returns ``(engine, printed_output)``.
-    """
-    engine = Engine(
-        config=config,
-        cost_model=cost_model,
-        profiler=profiler,
-        **(engine_kwargs or {})
-    )
-    printed = engine.run_source(source)
-    return engine, printed

@@ -9,6 +9,8 @@ compilation overhead; per-function native sizes feed Figure 10; the
 specialization counters feed the §4 policy paragraphs.
 """
 
+from repro.engine.config import CostModel, interp_cycles
+
 
 #: Ledger keys that count *host-side* disk-cache traffic rather than
 #: simulated work.  They legitimately differ between a cold and a warm
@@ -27,9 +29,7 @@ DISK_TRAFFIC_KEYS = (
 class EngineStats(object):
     """Counters for one engine run."""
 
-    def __init__(self, cost_model):
-        self.cost_model = cost_model
-
+    def __init__(self):
         # -- time components (cycles) ------------------------------------
         self.interp_ops = 0
         self.interp_calls = 0
@@ -104,11 +104,10 @@ class EngineStats(object):
     # -- recording -----------------------------------------------------------
 
     def record_compile(self, code, native, work_units, codegen_stats, osr):
-        cost = self.cost_model
-        cycles = cost.compile_base
-        cycles += work_units * cost.compile_per_instruction_pass
-        cycles += codegen_stats["lir_instructions"] * cost.compile_per_lir
-        cycles += codegen_stats["intervals"] * cost.compile_per_interval
+        cycles = CostModel.compile_base
+        cycles += work_units * CostModel.compile_per_instruction_pass
+        cycles += codegen_stats["lir_instructions"] * CostModel.compile_per_lir
+        cycles += codegen_stats["intervals"] * CostModel.compile_per_interval
         self.compile_cycles += cycles
         self.compiles += 1
         if osr:
@@ -125,20 +124,17 @@ class EngineStats(object):
 
     def record_bailout(self):
         self.bailouts += 1
-        self.bailout_cycles += self.cost_model.bailout
+        self.bailout_cycles += CostModel.bailout
 
     def record_invalidation(self):
         self.invalidations += 1
-        self.invalidation_cycles += self.cost_model.invalidation
+        self.invalidation_cycles += CostModel.invalidation
 
     # -- reporting --------------------------------------------------------------
 
     @property
     def interp_cycles(self):
-        return (
-            self.interp_ops * self.cost_model.interp_op
-            + self.interp_calls * self.cost_model.interp_call
-        )
+        return interp_cycles(self.interp_ops, self.interp_calls)
 
     @property
     def total_cycles(self):

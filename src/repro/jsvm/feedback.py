@@ -163,11 +163,6 @@ class TypeFeedback(object):
         if len(tags) < MAX_TAGS_PER_SITE:
             tags.add(type_tag(value))
 
-    def record_site_tag(self, pc, tag):
-        tags = self.site_tags.setdefault(pc, set())
-        if len(tags) < MAX_TAGS_PER_SITE:
-            tags.add(tag)
-
     def record_recv(self, pc, value):
         tags = self.recv_tags.get(pc)
         if tags is None:

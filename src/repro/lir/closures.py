@@ -38,8 +38,6 @@ wall-clock difference; the differential test suite proves stats,
 cycles, printed output and trace streams match).
 """
 
-import marshal
-
 from repro.errors import CompilerError
 from repro.jsvm import operations
 from repro.jsvm.bytecode import Op
@@ -504,7 +502,7 @@ def _block_leaders(native):
     return sorted(leader for leader in leaders if 0 <= leader < len(instructions))
 
 
-def compile_closures(native, executor, capture=None):
+def compile_closures(native, executor):
     """Translate ``native`` into one pre-bound closure per basic block.
 
     Returns ``(handlers, counts, sums, prefix)``:
@@ -522,17 +520,11 @@ def compile_closures(native, executor, capture=None):
     All four are cached on the :class:`NativeCode` by the caller, so
     translation is paid once per binary and invalidated exactly when
     the engine discards the binary (deoptimization drops the object).
-
-    When the binary was thawed from the persistent code cache
-    (``native.disk_closure``), the stored module code object replaces
-    the host ``compile()`` step — but only after a byte-exact match
-    against the source generated *now*, so correctness never depends
-    on the blob.  ``capture``, when given, receives the generated
-    ``source`` text and the final ``module_code`` object so the cache
-    can persist them (:func:`closure_artifact`).
+    Nothing of it is persisted: a binary thawed from the code cache is
+    translated afresh, like a compiled one.
     """
     instructions = native.instructions
-    costs = native.cost_table(executor.cost_model)
+    costs = native.cost_table()
     interpreter = executor.interpreter
     runtime = executor.runtime
     injector = executor.fault_injector
@@ -639,45 +631,11 @@ def compile_closures(native, executor, capture=None):
         prefix[leader] = block_prefix
 
     text = "\n\n".join(source)
-    disk = native.disk_closure
-    if disk is not None and disk[0] == text:
-        module_code = marshal.loads(disk[1])
-    else:
-        module_code = compile(text, "<closure-backend %s>" % native.code.name, "exec")
-    if capture is not None:
-        capture["source"] = text
-        capture["module_code"] = module_code
-    exec(module_code, namespace)
+    exec(compile(text, "<closure-backend %s>" % native.code.name, "exec"), namespace)
     for leader in leaders:
         # Taken out of the module's globals: see ``compile_whole``.
         handlers[leader] = namespace.pop("_b%d" % leader)
     return handlers, counts, sums, prefix
-
-
-def closure_artifact(native, executor):
-    """The persistable closure module for ``native``, or None.
-
-    Called by :meth:`repro.cache.DiskCodeCache.store` right after a
-    fresh compile on the closure backend: translates the binary now
-    (installing ``native.closure_cache`` so the work is not repeated on
-    first execution) and returns ``{"source", "code"}`` — the generated
-    module text plus its marshalled code object.  Returns None for
-    other executor types, which have nothing host-compiled to persist,
-    and when a fault injector is armed — chaos-instrumented source must
-    never reach the persistent cache, where a later clean run could
-    byte-match it.
-    """
-    if not isinstance(executor, ClosureExecutor):
-        return None
-    if executor.fault_injector is not None:
-        return None
-    capture = {}
-    handlers, counts, sums, prefix = compile_closures(native, executor, capture=capture)
-    native.closure_cache = (executor, handlers, counts, sums, prefix)
-    return {
-        "source": capture["source"],
-        "code": marshal.dumps(capture["module_code"]),
-    }
 
 
 class ClosureExecutor(NativeExecutor):

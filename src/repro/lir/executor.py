@@ -3,7 +3,7 @@
 The executor is a small register machine — eight registers plus stack
 slots — whose instruction semantics mirror the interpreter's exactly
 (both defer to :mod:`repro.jsvm.operations`).  Each instruction is
-billed cycles from the engine's :class:`CostModel`; operands living in
+billed cycles from the :class:`CostModel` price list; operands living in
 stack slots cost extra, modelling memory traffic from spills.
 
 Guards check the speculation they encode and raise :class:`Bailout`
@@ -33,7 +33,7 @@ from repro.jsvm.values import (
     to_boolean,
     type_of,
 )
-from repro.lir.native import CHECKED_ARITH, FAULT_INJECTED, GUARD_OPS
+from repro.lir.native import FAULT_INJECTED, GUARD_OPS
 from repro.lir.regalloc import NUM_REGS
 from repro.mir.types import MIRType
 
@@ -81,11 +81,6 @@ def _matches(value, mirtype):
     if mirtype == MIRType.VALUE:
         return True
     return False
-
-
-#: Back-compat alias: the checked-arith set moved to ``lir.native`` so
-#: assembly-time cost precomputation and executors share one source.
-_CHECKED_ARITH = CHECKED_ARITH
 
 
 def forced_recovery_value(op, extra, srcvals):
@@ -149,10 +144,9 @@ def forced_bailout(executor, instruction, values):
 class NativeExecutor(object):
     """Runs native code against the shared heap and runtime."""
 
-    def __init__(self, interpreter, cost_model):
+    def __init__(self, interpreter):
         self.interpreter = interpreter
         self.runtime = interpreter.runtime
-        self.cost_model = cost_model
         #: Cycles burned by native execution (cumulative).
         self.cycles = 0
         #: Native instructions executed (cumulative).
@@ -200,7 +194,7 @@ class NativeExecutor(object):
         # Per-pc cycle prices, precomputed at assembly time: the
         # dispatch loop pays one list index instead of a dict lookup,
         # a checked-arith test and a spill scan per instruction.
-        static_costs = native.cost_table(self.cost_model)
+        static_costs = native.cost_table()
         interpreter = self.interpreter
         runtime = self.runtime
         profiler = self.cycle_profiler
@@ -415,10 +409,6 @@ class NativeExecutor(object):
             self.instructions_executed += executed
             if profiler is not None:
                 profiler.charge_native(cycles, executed)
-
-
-def _double(value):
-    return float(value)
 
 
 def _div_d(a, b):

@@ -11,8 +11,8 @@ the paper's Figure 10.
 """
 
 import copy
-import hashlib
 
+from repro.engine.config import CostModel
 from repro.errors import CompilerError
 from repro.lir.lir_nodes import LInstruction
 from repro.lir.regalloc import NUM_REGS, allocate_registers
@@ -61,7 +61,7 @@ def guard_indices(native):
     ]
 
 
-def static_instruction_cost(instruction, cost_model):
+def static_instruction_cost(instruction):
     """Cycle price of one execution of ``instruction``.
 
     Every component is statically known once operands have physical
@@ -71,23 +71,16 @@ def static_instruction_cost(instruction, cost_model):
     in a stack slot.  Negative source locations index the immediate
     pool — instruction-encoded constants, free of memory traffic.
     """
-    cost = cost_model.native_costs.get(instruction.op, cost_model.native_op)
+    cost = CostModel.native_costs.get(instruction.op, CostModel.native_op)
     if instruction.snapshot is not None and instruction.op in CHECKED_ARITH:
         cost += 1
     dest = instruction.dest
     if dest is not None and dest >= NUM_REGS:
-        cost += cost_model.spill_access
+        cost += CostModel.spill_access
     for loc in instruction.srcs:
         if loc >= NUM_REGS:
-            cost += cost_model.spill_access
+            cost += CostModel.spill_access
     return cost
-
-
-def native_price_digest(cost_model):
-    """A digest of everything :func:`static_instruction_cost` reads of
-    ``cost_model`` — equal digests price every binary alike."""
-    prices = (sorted(cost_model.native_costs.items()), cost_model.native_op, cost_model.spill_access)
-    return hashlib.blake2b(repr(prices).encode("utf-8"), digest_size=16).digest()
 
 
 class NativeCode(object):
@@ -112,22 +105,15 @@ class NativeCode(object):
         #: reads it on every call).
         self.specialized = bool(self.meta.get("specialized"))
         #: Executor caches, paid once per binary: the per-pc cycle
-        #: table (keyed by cost model) and the closure backend's
-        #: compiled handlers (keyed by executor).  Both die with the
-        #: binary, so invalidation is the engine discarding it.
+        #: table and the closure backend's compiled handlers (keyed by
+        #: executor).  Both die with the binary, so invalidation is the
+        #: engine discarding it.
         self._cost_table = None
-        self._cost_table_model = None
         self.closure_cache = None
         #: The whole-function backend's compiled module, keyed by
         #: (executor, injector, profiled) — distinct instrumentation
         #: means distinct generated code (repro.lir.wholefn).
         self.whole_cache = None
-        #: Persistent-cache payload for the closure backend: the
-        #: generated module ``(source_text, marshalled_code_bytes)``
-        #: thawed from disk.  ``compile_closures`` reuses the code
-        #: object only after a byte-exact source match, so a stale or
-        #: foreign blob silently falls back to compiling fresh.
-        self.disk_closure = None
         #: Persistent-cache payload for the whole-function backend: the
         #: thawed *link record* — marshalled module code, accounting
         #: tables, the origin of every bound name and the facts the
@@ -135,22 +121,18 @@ class NativeCode(object):
         #: still hold of the live executor, and emits otherwise.
         self.disk_whole = None
 
-    def cost_table(self, cost_model):
-        """Per-pc cycle prices under ``cost_model``, memoized per binary.
+    def cost_table(self):
+        """Per-pc cycle prices, memoized per binary.
 
         The one place a binary is priced: operands have physical
         locations, so every cost component is static and no executor
         prices an instruction in its dispatch loop.
         """
-        if self._cost_table is not None and self._cost_table_model is cost_model:
-            return self._cost_table
-        table = [
-            static_instruction_cost(instruction, cost_model)
-            for instruction in self.instructions
-        ]
-        self._cost_table = table
-        self._cost_table_model = cost_model
-        return table
+        if self._cost_table is None:
+            self._cost_table = [
+                static_instruction_cost(instruction) for instruction in self.instructions
+            ]
+        return self._cost_table
 
     def without_caches(self):
         """A copy sharing everything but the executors' translations.

@@ -207,42 +207,6 @@ def _move_hints(lir):
     return hints
 
 
-def _loop_depths(lir):
-    """Approximate loop depth per position from backward branches."""
-    instructions = lir.instructions
-    starts = {block_id: start for block_id, start in lir.block_starts.items()}
-    delta = [0] * (len(instructions) + 1)
-    for index, instruction in enumerate(instructions):
-        if instruction.targets is None:
-            continue
-        for target_id in instruction.targets:
-            target = starts.get(target_id)
-            if target is not None and target <= index:
-                delta[target] += 1
-                delta[index + 1] -= 1
-    depths = []
-    depth = 0
-    for index in range(len(instructions)):
-        depth += delta[index]
-        depths.append(depth)
-    return depths
-
-
-def _use_weights(lir):
-    """Spill weights: each use counts 8^loop-depth (a use inside a
-    loop matters roughly a trip-count more than one outside)."""
-    depths = _loop_depths(lir)
-    weights = {}
-    for position, instruction in enumerate(lir.instructions):
-        weight = 8 ** min(depths[position], 4)
-        for vreg in instruction.srcs:
-            if type(vreg) is int:
-                weights[vreg] = weights.get(vreg, 0) + weight
-        if instruction.dest is not None:
-            weights[instruction.dest] = weights.get(instruction.dest, 0) + weight
-    return weights
-
-
 def allocate_registers(lir):
     """Run linear scan over ``lir``; returns an :class:`Allocation`."""
     intervals = build_intervals(lir)

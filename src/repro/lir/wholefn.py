@@ -56,15 +56,15 @@ The generated module round-trips through the persistent code cache as
 a **link record** (:func:`whole_artifact`): the marshalled module code,
 its accounting tables, where each bound ``_kN`` came from, and the facts
 the emitter read beyond the native stream itself.  A binary thawed with
-one is *linked*, not re-emitted (:func:`_link`) — after four checks,
+one is *linked*, not re-emitted (:func:`_link`) — after three checks,
 each guarding one thing the stored text baked in:
 
 - the **translation roots** equal the ones asked for now (which regions
   the module contains at all);
-- the **emitter digest** — this file and the five it reads constants and
-  helpers from — equals this process's (what text any stream maps to);
-- the **price digest** of the cost model equals the executor's (the
-  ``_a += K`` literals and the tables are sums of native prices);
+- the **emitter digest** — this file, the five it reads constants and
+  helpers from, and the native price list — equals this process's (what
+  text any stream maps to; the ``_a += K`` literals and the tables are
+  sums of native prices);
 - every **shape resolution** the emitter was given — ``(shape ids,
   property) -> slot offset or None`` — resolves the same in the live
   runtime's tree (``.slots[k]`` is baked in, and shape ids number one
@@ -85,6 +85,7 @@ import re
 from collections import OrderedDict
 from types import CodeType
 
+from repro.engine.config import CostModel
 from repro.errors import CompilerError
 from repro.jsvm import operations
 from repro.jsvm.bytecode import Op
@@ -119,7 +120,7 @@ from repro.lir.executor import (
     _matches,
     forced_recovery_value,
 )
-from repro.lir.native import FAULT_INJECTED, GUARD_OPS, native_price_digest
+from repro.lir.native import FAULT_INJECTED, GUARD_OPS
 from repro.lir.regalloc import NUM_REGS
 from repro.mir.types import MIRType
 
@@ -1436,7 +1437,7 @@ class _WholeEmitter(object):
         """
         native = self.native
         instructions = native.instructions
-        costs = native.cost_table(self.executor.cost_model)
+        costs = native.cost_table()
         size = len(instructions)
 
         partition = _region_labels(native)
@@ -1690,12 +1691,20 @@ _EMITTER_FILES = (
 def _emitter_digest():
     """A digest of the emitting code, once per process; None if unreadable.
 
-    Covers the bytes of :data:`_EMITTER_FILES` and the one constant the
-    emitted text bakes in from outside them.  Without the source there
-    is nothing to compare, so nothing is persisted and nothing links.
+    Covers the bytes of :data:`_EMITTER_FILES` and what the emitted text
+    bakes in from outside them: ``MAX_CALL_DEPTH`` and every price
+    :func:`~repro.lir.native.static_instruction_cost` reads.  Without the
+    source there is nothing to compare, so nothing is persisted and
+    nothing links.
     """
     package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    digest = hashlib.blake2b(repr(MAX_CALL_DEPTH).encode("utf-8"), digest_size=16)
+    baked = (
+        MAX_CALL_DEPTH,
+        sorted(CostModel.native_costs.items()),
+        CostModel.native_op,
+        CostModel.spill_access,
+    )
+    digest = hashlib.blake2b(repr(baked).encode("utf-8"), digest_size=16)
     try:
         for relative in _EMITTER_FILES:
             with open(os.path.join(package, relative), "rb") as handle:
@@ -1744,17 +1753,13 @@ def _link(native, executor, roots, record):
     """Attach ``record``'s stored module to the live executor, or None.
 
     Links only if what the emission read still reads the same (the
-    four checks of the module docstring); then rebuilds the base
+    three checks of the module docstring); then rebuilds the base
     namespace, re-binds each ``_kN`` to the thawed native's own
     snapshot / payload / immediate and executes the module.  None — a
     failed check, or a blob that is not a module defining ``_w`` over
     bound names only — sends the caller down the ordinary emit path.
     """
-    if (
-        record["roots"] != tuple(roots)
-        or record["emitter"] != _emitter_digest()
-        or record["prices"] != executor.price_digest
-    ):
+    if record["roots"] != tuple(roots) or record["emitter"] != _emitter_digest():
         return None
     tree = executor.runtime.shapes
     for ids, name, offset in record["shapes"]:
@@ -1878,7 +1883,6 @@ def whole_artifact(native, executor):
         "bindings": emitter.bindings,
         "roots": tuple(emitter.roots),
         "emitter": emitter_digest,
-        "prices": executor.price_digest,
         "shapes": [
             (ids, name, offset) for (ids, name), offset in emitter.shape_answers.items()
         ],
@@ -1894,15 +1898,13 @@ class WholeExecutor(NativeExecutor):
     streams are bit-identical to both.
     """
 
-    def __init__(self, interpreter, cost_model):
-        super(WholeExecutor, self).__init__(interpreter, cost_model)
+    def __init__(self, interpreter):
+        super(WholeExecutor, self).__init__(interpreter)
         #: Translations that attached a stored module / ran the emitter
         #: (:func:`compile_whole`).  Host-side bookkeeping for tools and
         #: tests; no ledger reads them, so cold and warm stats agree.
         self.modules_linked = 0
         self.modules_emitted = 0
-        #: What a link record's ``prices`` must equal (:func:`_link`).
-        self.price_digest = native_price_digest(cost_model)
 
     def _translate(self, native, roots=None, capture=None):
         """Translate ``native`` for this executor and install the result.

@@ -7,7 +7,6 @@ list) followed by instructions, the last of which is a control
 instruction.
 """
 
-from repro.errors import CompilerError
 from repro.mir.instructions import MPhi
 
 
@@ -234,16 +233,6 @@ class MIRGraph(object):
             block.predecessors.clear()
         self.blocks.clear()
         self.entry = self.osr_entry = None
-
-    def verify_no_dangling(self):
-        """Debug helper: check operand/use symmetry across the graph."""
-        block_ids = set(block.id for block in self.blocks)
-        for instruction in self.all_instructions():
-            for operand in instruction.operands:
-                if operand.block is not None and operand.block.id not in block_ids:
-                    raise CompilerError(
-                        "instruction %r uses value from removed block" % instruction
-                    )
 
     def __repr__(self):
         return "<MIRGraph %s (%d blocks, %d defs)>" % (

@@ -50,6 +50,7 @@ See ``docs/PROFILING.md`` for a worked walkthrough.
 
 import weakref
 
+from repro.engine.config import interp_cycles
 from repro.lir.closures import _TERMINATORS, _block_leaders
 
 #: Attribution tier names, in reporting order; their cycles sum to
@@ -123,24 +124,20 @@ class ProfileNode(object):
         self.bailout_cycles = 0
         self.invalidation_cycles = 0
 
-    def tier_cycles(self, cost_model):
+    def tier_cycles(self):
         """This node's self cycles, split by tier (see :data:`TIERS`)."""
         return {
-            "interp": (
-                self.interp_ops * cost_model.interp_op
-                + self.interp_calls * cost_model.interp_call
-            ),
+            "interp": interp_cycles(self.interp_ops, self.interp_calls),
             "native": self.native_cycles + self.entry_cycles,
             "compile": self.compile_cycles,
             "bailout": self.bailout_cycles,
             "invalidate": self.invalidation_cycles,
         }
 
-    def self_cycles(self, cost_model):
+    def self_cycles(self):
         """Total self cycles charged to this node."""
         return (
-            self.interp_ops * cost_model.interp_op
-            + self.interp_calls * cost_model.interp_call
+            interp_cycles(self.interp_ops, self.interp_calls)
             + self.native_cycles
             + self.entry_cycles
             + self.compile_cycles
@@ -243,17 +240,13 @@ class CycleProfiler(object):
 
     Attach with ``Engine(cycle_profiler=CycleProfiler())`` (or
     ``run_benchmark(..., profile=True)``, or the ``repro profile
-    --cycles`` / ``repro annotate`` CLI modes).  The engine binds its
-    cost model at construction; the interpreter and executors charge
-    into the profiler at the same points they feed the stats ledger,
+    --cycles`` / ``repro annotate`` CLI modes).  The interpreter and
+    executors charge into the profiler at the same points they feed the stats ledger,
     so after a run :meth:`attributed_cycles` equals
     ``EngineStats.total_cycles`` exactly.
     """
 
-    def __init__(self, cost_model=None):
-        #: Bound by the engine (:meth:`bind_cost_model`); used only for
-        #: pricing reports, never consulted by instrumentation sites.
-        self.cost_model = cost_model
+    def __init__(self):
         self.root = ProfileNode(None, "(engine)")
         self.stack = [self.root]
         #: The node charges land on; maintained by enter/exit_call.
@@ -268,19 +261,6 @@ class CycleProfiler(object):
         self.compile_counts = {}
         self.bailout_counts = {}
         self.invalidation_counts = {}
-
-    # -- binding ------------------------------------------------------------
-
-    def bind_cost_model(self, cost_model):
-        """Use ``cost_model`` for report pricing (the engine's model)."""
-        self.cost_model = cost_model
-
-    def _cm(self):
-        if self.cost_model is None:
-            from repro.engine.config import CostModel
-
-            self.cost_model = CostModel()
-        return self.cost_model
 
     # -- call-boundary hooks (interpreter) ---------------------------------
 
@@ -365,8 +345,7 @@ class CycleProfiler(object):
 
     def attributed_cycles(self):
         """Total cycles charged anywhere — equals ``total_cycles``."""
-        cost_model = self._cm()
-        return sum(node.self_cycles(cost_model) for _path, node in self.walk())
+        return sum(node.self_cycles() for _path, node in self.walk())
 
     def guard_failures(self):
         """Total guard failures recorded across all binaries."""
@@ -392,7 +371,6 @@ class CycleProfiler(object):
         transition charge).  The rows' cycles sum exactly to
         ``EngineStats.total_cycles``.
         """
-        cost_model = self._cm()
         per_code = {}
         order = []
         for _path, node in self.walk():
@@ -431,12 +409,11 @@ class CycleProfiler(object):
 
         for key in order:
             agg = per_code[key]
-            interp_cycles = (
-                agg["ops"] * cost_model.interp_op
-                + agg["calls"] * cost_model.interp_call
-            )
             if agg["ops"] or agg["calls"]:
-                row(key, agg["name"], "interp", None, agg["ops"], interp_cycles)
+                row(
+                    key, agg["name"], "interp", None,
+                    agg["ops"], interp_cycles(agg["ops"], agg["calls"]),
+                )
             if agg["compile"]:
                 row(
                     key, agg["name"], "compile", None,
@@ -454,7 +431,7 @@ class CycleProfiler(object):
                 )
 
         for record in self.binaries:
-            costs = record.native.cost_table(cost_model)
+            costs = record.native.cost_table()
             final = record.resolved_counts()
             for leader in sorted(record.bodies()):
                 body = record.bodies()[leader]
@@ -482,10 +459,10 @@ class CycleProfiler(object):
         once per nested occurrence).
         """
         totals = {}
-        self._total_subtree(self.root, set(), totals, self._cm())
+        self._total_subtree(self.root, set(), totals)
         return totals
 
-    def _total_subtree(self, node, active, totals, cost_model):
+    def _total_subtree(self, node, active, totals):
         """Fold ``node`` and its callees into ``totals``; the subtree's cycles.
 
         A method, not a closure in :meth:`function_totals`: a nested
@@ -502,18 +479,18 @@ class CycleProfiler(object):
                 "native_instructions": 0,
                 "interp_ops": 0,
             }
-        self_cycles = node.self_cycles(cost_model)
+        self_cycles = node.self_cycles()
         entry["self_cycles"] += self_cycles
         entry["interp_ops"] += node.interp_ops
         entry["native_instructions"] += node.native_instructions
-        for tier, cycles in node.tier_cycles(cost_model).items():
+        for tier, cycles in node.tier_cycles().items():
             entry["tiers"][tier] += cycles
         subtree = self_cycles
         topmost = node.code_id not in active
         if topmost:
             active.add(node.code_id)
         for child in node.children.values():
-            subtree += self._total_subtree(child, active, totals, cost_model)
+            subtree += self._total_subtree(child, active, totals)
         if topmost:
             active.remove(node.code_id)
             entry["inclusive_cycles"] += subtree

@@ -84,12 +84,11 @@ def to_collapsed(profiler):
     inferno consume directly.  Zero-cycle stacks are omitted, so the
     line counts sum exactly to ``total_cycles``.
     """
-    cost_model = profiler._cm()
     lines = []
     for path, node in profiler.walk():
         base = ";".join(path) if path else "(engine)"
         for tier in TIERS:
-            cycles = node.tier_cycles(cost_model)[tier]
+            cycles = node.tier_cycles()[tier]
             if cycles:
                 lines.append("%s;[%s] %d" % (base, tier, cycles))
     lines.sort()
@@ -143,11 +142,10 @@ def annotate_function(profiler, fn_name):
             "no compiled binary for %r; compiled functions: %s"
             % (fn_name, ", ".join(known) if known else "(none)")
         )
-    cost_model = profiler._cm()
     sections = []
     for record in records:
         native = record.native
-        costs = native.cost_table(cost_model)
+        costs = native.cost_table()
         final = record.resolved_counts()
         total = sum(count * cost for count, cost in zip(final, costs))
         lines = [

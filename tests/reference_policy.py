@@ -9,6 +9,7 @@ runs programs under both engines and requires every observable to be
 equal; nothing under ``src/`` selects this code.
 """
 
+from repro.engine.config import CostModel
 from repro.engine.runtime_engine import Engine, _spec_key
 from repro.jsvm.feedback import MAX_TAGS_PER_SITE, TypeFeedback
 from repro.jsvm.values import describe_key, type_tag
@@ -215,10 +216,10 @@ class ReferenceEngine(Engine):
         """Run the cached binary from its function entry point."""
         interpreter = self.interpreter
         interpreter.call_depth += 1
-        self.executor.cycles += self.cost_model.native_call_entry
+        self.executor.cycles += CostModel.native_call_entry
         if self.cycle_profiler is not None:
             self.cycle_profiler.charge_entry(
-                state.native, self.cost_model.native_call_entry
+                state.native, CostModel.native_call_entry
             )
         try:
             return self.executor.run(state.native, function, this_value, args)

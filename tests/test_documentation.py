@@ -131,7 +131,6 @@ def test_stats_doc_matches_as_dict_keys():
     import os
     import re
 
-    from repro.engine.config import CostModel
     from repro.engine.stats import EngineStats
 
     path = os.path.join(
@@ -142,7 +141,7 @@ def test_stats_doc_matches_as_dict_keys():
     match = re.search(r"^Keys: (.+?)(?:\n\n|\Z)", text, re.MULTILINE | re.DOTALL)
     assert match, "docs/STATS.md must carry a parseable 'Keys: ...' paragraph"
     documented = set(re.findall(r"`(\w+)`", match.group(1)))
-    actual = set(EngineStats(CostModel()).as_dict())
+    actual = set(EngineStats().as_dict())
     assert documented == actual, (
         "keys documented but not returned: %s; returned but undocumented: %s"
         % (sorted(documented - actual), sorted(actual - documented))
@@ -154,7 +153,6 @@ def test_stats_doc_matches_summary_keys():
     import os
     import re
 
-    from repro.engine.config import CostModel
     from repro.engine.stats import EngineStats
 
     path = os.path.join(
@@ -167,7 +165,7 @@ def test_stats_doc_matches_summary_keys():
     )
     assert match, "docs/STATS.md must carry a parseable 'Summary keys: ...' paragraph"
     documented = set(re.findall(r"`(\w+)`", match.group(1)))
-    actual = set(EngineStats(CostModel()).summary())
+    actual = set(EngineStats().summary())
     assert documented == actual, (
         "keys documented but not returned: %s; returned but undocumented: %s"
         % (sorted(documented - actual), sorted(actual - documented))
@@ -405,7 +403,7 @@ def test_deoptless_doc_matches_engine_defaults():
         assert "| ``%s`` | %d |" % (name, value) in text, (
             "documented value of %s must match the code's %d" % (name, value)
         )
-    assert "| %d |" % CostModel().deoptless_dispatch in text
+    assert "| %d |" % CostModel.deoptless_dispatch in text
 
 
 def test_deoptless_doc_names_the_contract_vocabulary():
@@ -415,7 +413,6 @@ def test_deoptless_doc_names_the_contract_vocabulary():
         DEOPTLESS_CYCLE_CEILING,
         DEOPTLESS_DISCARD_CEILING,
     )
-    from repro.engine.config import CostModel
     from repro.engine.stats import EngineStats
     from repro.workloads import ALL_SUITES
 
@@ -424,7 +421,7 @@ def test_deoptless_doc_names_the_contract_vocabulary():
         assert "``%s``" % benchmark.name in text, (
             "churn kernel %r undocumented" % benchmark.name
         )
-    ledger = EngineStats(CostModel()).as_dict()
+    ledger = EngineStats().as_dict()
     for counter in (
         "deoptless_reentries",
         "deoptless_misses",

@@ -3,7 +3,7 @@ cycle accounting."""
 
 import pytest
 
-from repro.engine.config import BASELINE, CostModel, FULL_SPEC
+from repro.engine.config import BASELINE, FULL_SPEC
 from repro.engine.jit import compile_function
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.values import UNDEFINED
@@ -23,7 +23,7 @@ def compiled(source, name=None, config=BASELINE, param_values=None):
 
 
 def executor():
-    return NativeExecutor(Interpreter(), CostModel())
+    return NativeExecutor(Interpreter())
 
 
 class TestExecution:

@@ -11,7 +11,7 @@ and on the backend selection machinery itself.
 
 import pytest
 
-from repro.engine.config import BASELINE, CostModel, FULL_SPEC
+from repro.engine.config import BASELINE, FULL_SPEC
 from repro.engine.jit import compile_function
 from repro.engine.runtime_engine import (
     DEFAULT_EXECUTOR_BACKEND,
@@ -140,8 +140,8 @@ def _compiled(source, name=None, config=BASELINE, param_values=None):
 
 def _executor_pair():
     return (
-        NativeExecutor(Interpreter(), CostModel()),
-        ClosureExecutor(Interpreter(), CostModel()),
+        NativeExecutor(Interpreter()),
+        ClosureExecutor(Interpreter()),
     )
 
 
@@ -213,7 +213,7 @@ class TestClosureExecutorDirect:
 
     def test_compiled_blocks_cached_per_binary(self):
         _code, native = _compiled("function f(a) { return a + 1; } f(1);")
-        closure = ClosureExecutor(Interpreter(), CostModel())
+        closure = ClosureExecutor(Interpreter())
         assert native.closure_cache is None
         closure.run(native, None, UNDEFINED, [1])
         cache = native.closure_cache
@@ -222,7 +222,7 @@ class TestClosureExecutorDirect:
         assert native.closure_cache is cache  # reused, not rebuilt
         # A different executor instance owns different bound hooks and
         # must recompile.
-        other = ClosureExecutor(Interpreter(), CostModel())
+        other = ClosureExecutor(Interpreter())
         other.run(native, None, UNDEFINED, [3])
         assert native.closure_cache is not cache
         assert native.closure_cache[0] is other
@@ -236,14 +236,14 @@ class TestClosureExecutorDirect:
             osr_index=None,
             num_slots=0,
         )
-        closure = ClosureExecutor(Interpreter(), CostModel())
+        closure = ClosureExecutor(Interpreter())
         with pytest.raises(CompilerError):
             closure.run(native, None, UNDEFINED, [])
 
     def test_missing_osr_entry_raises(self):
         _code, native = _compiled("function f(a) { return a + 1; } f(1);")
         assert native.osr_index is None
-        closure = ClosureExecutor(Interpreter(), CostModel())
+        closure = ClosureExecutor(Interpreter())
         with pytest.raises(CompilerError):
             closure.run(native, None, UNDEFINED, [1], entry="osr")
 

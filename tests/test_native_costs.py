@@ -23,16 +23,16 @@ from repro.lir.regalloc import NUM_REGS
 from tests.helpers import compile_and_profile
 
 
-def _dynamic_cost(instruction, cost_model):
+def _dynamic_cost(instruction):
     """The retired per-step pricing, reimplemented as an oracle."""
-    cost = cost_model.native_costs.get(instruction.op, cost_model.native_op)
+    cost = CostModel.native_costs.get(instruction.op, CostModel.native_op)
     if instruction.snapshot is not None and instruction.op in CHECKED_ARITH:
         cost += 1
     if instruction.dest is not None and instruction.dest >= NUM_REGS:
-        cost += cost_model.spill_access
+        cost += CostModel.spill_access
     for loc in instruction.srcs:
         if loc >= NUM_REGS:
-            cost += cost_model.spill_access
+            cost += CostModel.spill_access
     return cost
 
 
@@ -56,63 +56,45 @@ VARIANTS = [
     dict(dest=SPILL, srcs=[SPILL, REG], snapshot=_snapshot()),
 ]
 
-_MODEL = CostModel()
-ALL_OPS = sorted(_MODEL.native_costs) + ["some_unknown_op"]
+ALL_OPS = sorted(CostModel.native_costs) + ["some_unknown_op"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
 def test_static_matches_dynamic_for_every_op(op):
-    model = CostModel()
     for variant in VARIANTS:
         instruction = LInstruction(op, **variant)
-        assert static_instruction_cost(instruction, model) == _dynamic_cost(
-            instruction, model
-        ), (op, variant)
+        assert static_instruction_cost(instruction) == _dynamic_cost(instruction), (
+            op,
+            variant,
+        )
 
 
 def test_checked_arith_surcharge_requires_guard():
-    model = CostModel()
     for op in sorted(CHECKED_ARITH):
         bare = LInstruction(op, dest=REG, srcs=[REG, REG])
         guarded = LInstruction(op, dest=REG, srcs=[REG, REG], snapshot=_snapshot())
-        assert (
-            static_instruction_cost(guarded, model)
-            == static_instruction_cost(bare, model) + 1
-        )
+        assert static_instruction_cost(guarded) == static_instruction_cost(bare) + 1
     # A guard on non-arithmetic carries no surcharge.
     bare = LInstruction("move", dest=REG, srcs=[REG])
     guarded = LInstruction("move", dest=REG, srcs=[REG], snapshot=_snapshot())
-    assert static_instruction_cost(guarded, model) == static_instruction_cost(
-        bare, model
-    )
+    assert static_instruction_cost(guarded) == static_instruction_cost(bare)
 
 
 def test_spill_pricing_is_per_operand():
-    model = CostModel()
-    base = static_instruction_cost(LInstruction("add_i", dest=REG, srcs=[REG, REG]), model)
-    one = static_instruction_cost(LInstruction("add_i", dest=REG, srcs=[SPILL, REG]), model)
-    three = static_instruction_cost(
-        LInstruction("add_i", dest=SPILL, srcs=[SPILL, SPILL]), model
-    )
-    assert one == base + model.spill_access
-    assert three == base + 3 * model.spill_access
+    base = static_instruction_cost(LInstruction("add_i", dest=REG, srcs=[REG, REG]))
+    one = static_instruction_cost(LInstruction("add_i", dest=REG, srcs=[SPILL, REG]))
+    three = static_instruction_cost(LInstruction("add_i", dest=SPILL, srcs=[SPILL, SPILL]))
+    assert one == base + CostModel.spill_access
+    assert three == base + 3 * CostModel.spill_access
     # Immediates are instruction-encoded constants: no spill traffic.
-    imm = static_instruction_cost(
-        LInstruction("add_i", dest=REG, srcs=[IMMEDIATE, REG]), model
-    )
+    imm = static_instruction_cost(LInstruction("add_i", dest=REG, srcs=[IMMEDIATE, REG]))
     assert imm == base
 
 
-def test_cost_table_cached_per_model():
+def test_cost_table_memoized_per_binary():
     _top, code = compile_and_profile("function f(a) { return a + 1; } f(1);")
     native = compile_function(code, BASELINE, feedback=code.feedback).native
-    model = CostModel()
-    table = native.cost_table(model)
+    table = native.cost_table()
     assert native.instructions
-    assert table == [
-        static_instruction_cost(instruction, model) for instruction in native.instructions
-    ]
-    assert native.cost_table(model) is table  # memoized per binary
-    other = CostModel()
-    assert native.cost_table(other) is not table  # keyed by model identity
-    assert native.cost_table(other) == table
+    assert table == [static_instruction_cost(instruction) for instruction in native.instructions]
+    assert native.cost_table() is table

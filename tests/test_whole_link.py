@@ -8,13 +8,14 @@ once, as properties:
 
 1. **equivalence** — what a link builds is what the emitter would have
    built on the same thawed native (code object, tables, namespace);
-2. **each check refuses alone** — emitter digest, native prices, roots,
-   shape numbering — and a refused link still prints the right answer
-   with the right cycles;
+2. **each check refuses alone** — emitter digest (which covers the
+   native prices), roots, shape numbering — and a refused link still
+   prints the right answer with the right cycles;
 3. **recovery** — a linked binary bails out exactly as an emitted one,
    through the thawed native's own snapshots.
 """
 
+import contextlib
 import marshal
 
 import pytest
@@ -176,17 +177,37 @@ def test_unreadable_emitter_source_persists_and_links_nothing(tmp_path, monkeypa
     assert warm_printed == cold_printed and _clock(warm) == _clock(cold)
 
 
-def test_a_changed_native_price_refuses_every_link(tmp_path):
+@contextlib.contextmanager
+def _native_prices(monkeypatch, **prices):
+    """``CostModel.native_costs`` with ``prices`` changed, inside the block.
+
+    The emitter digest is computed once per process, so it is dropped on
+    the way in and on the way out: each side sees the prices it runs under.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(CostModel, "native_costs", dict(CostModel.native_costs, **prices))
+        wholefn._emitter_digest.cache_clear()
+        try:
+            yield
+        finally:
+            patch.undo()
+            wholefn._emitter_digest.cache_clear()
+
+
+def test_the_emitter_digest_covers_native_prices(monkeypatch):
+    before = wholefn._emitter_digest()
+    with _native_prices(monkeypatch, add_i=5):
+        dearer = wholefn._emitter_digest()
+    assert dearer is not None and before is not None
+    assert dearer != before
+    assert wholefn._emitter_digest() == before
+
+
+def test_a_changed_native_price_refuses_every_link(tmp_path, monkeypatch):
     cold, cold_printed = _run(HOT, tmp_path, **FAST)
-
-    def dearer():
-        model = CostModel()
-        model.native_costs = dict(model.native_costs, add_i=5)
-        return model
-
-    assert wholefn.native_price_digest(dearer()) != wholefn.native_price_digest(CostModel())
-    reference, _ = _run(HOT, cost_model=dearer(), **FAST)
-    warm, warm_printed = _run(HOT, tmp_path, cost_model=dearer(), **FAST)
+    with _native_prices(monkeypatch, add_i=5):
+        reference, _ = _run(HOT, **FAST)
+        warm, warm_printed = _run(HOT, tmp_path, **FAST)
     assert warm.code_cache.hits > 0
     assert warm.executor.modules_linked == 0
     assert warm_printed == cold_printed
@@ -307,7 +328,7 @@ GUARD_FAILURES = {
 def _failing_run(kind, native):
     """Run ``native`` into its ``kind`` guard on a fresh executor."""
     _source, args, _reason = GUARD_FAILURES[kind]
-    executor = WholeExecutor(Interpreter(), CostModel())
+    executor = WholeExecutor(Interpreter())
     if callable(args):
         args = args(executor.runtime)
     if kind == "typebarrier":
@@ -324,7 +345,7 @@ def test_a_linked_guard_fails_as_an_emitted_one(kind):
     source, _args, reason = GUARD_FAILURES[kind]
     _top, code = compile_and_profile(source)
     result = compile_function(code, BASELINE, feedback=code.feedback)
-    store = WholeExecutor(Interpreter(), CostModel())
+    store = WholeExecutor(Interpreter())
     _other_shape(store.runtime)
     artifact = freeze_result(result, code)
     artifact["whole"] = whole_artifact(result.native, store)

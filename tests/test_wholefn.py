@@ -22,7 +22,7 @@ import pytest
 
 from repro.cache import DiskCodeCache
 from repro.engine.bailout import GuardFaultInjector
-from repro.engine.config import CostModel, FULL_SPEC
+from repro.engine.config import FULL_SPEC
 from repro.engine.jit import compile_function
 from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
@@ -463,7 +463,7 @@ class TestModuleRoundTrip:
 
     def test_marshalled_module_linked_when_the_record_holds(self, monkeypatch):
         native = _compiled_native("function f(a) { return a + 1; } f(1); f(2);")
-        executor = WholeExecutor(Interpreter(), CostModel())
+        executor = WholeExecutor(Interpreter())
         record = whole_artifact(native, executor)
         assert record is not None
         assert "source" not in record
@@ -480,7 +480,7 @@ class TestModuleRoundTrip:
         self._marshal_spy(monkeypatch, loads)
         native.whole_cache = None
         native.disk_whole = wholefn.checked_link_record(native, record)
-        fresh = WholeExecutor(Interpreter(), CostModel())
+        fresh = WholeExecutor(Interpreter())
         fn, counts, sums, prefix = compile_whole(native, fresh)
         assert loads_calls == [len(record["code"])]
         assert (fresh.modules_linked, fresh.modules_emitted) == (1, 0)
@@ -490,7 +490,7 @@ class TestModuleRoundTrip:
 
     def test_refused_record_falls_back_to_emission(self, monkeypatch):
         native = _compiled_native("function f(a) { return a * 2; } f(3); f(4);")
-        executor = WholeExecutor(Interpreter(), CostModel())
+        executor = WholeExecutor(Interpreter())
         record = whole_artifact(native, executor)
         assert record is not None
 
@@ -502,16 +502,16 @@ class TestModuleRoundTrip:
         native.disk_whole = dict(record, emitter=b"another emitter")
         # Empty the memo too, so the only blob in reach is the stale one.
         wholefn._MODULE_CODE_MEMO.clear()
-        executor_fresh = WholeExecutor(Interpreter(), CostModel())
+        executor_fresh = WholeExecutor(Interpreter())
         assert executor_fresh.run(native, None, UNDEFINED, [21]) == 42
         assert (executor_fresh.modules_linked, executor_fresh.modules_emitted) == (0, 1)
 
     def test_artifact_refused_when_instrumented(self):
         native = _compiled_native("function f(a) { return a - 1; } f(1); f(2);")
-        chaotic = WholeExecutor(Interpreter(), CostModel())
+        chaotic = WholeExecutor(Interpreter())
         chaotic.fault_injector = GuardFaultInjector()
         assert whole_artifact(native, chaotic) is None
-        profiled = WholeExecutor(Interpreter(), CostModel())
+        profiled = WholeExecutor(Interpreter())
         profiled.cycle_profiler = CycleProfiler()
         assert whole_artifact(native, profiled) is None
 

@@ -17,6 +17,8 @@ relocated on load):
    hit links its stored module (docs/CODEGEN.md, "Caching"), so the
    emitter must have run exactly ``compiles - disk hits`` times; the
    excess is refused links, reported and (outside ``--history``) fatal.
+   The ``closure`` backend stores no module, so there the warm phase
+   re-translates every hit and must still match bit for bit.
 
 The check passes only when both phases print the same guest output and
 the same ``EngineStats.as_dict()`` ledger — byte for byte once
