@@ -71,7 +71,6 @@ def run_benchmark(
     trace_channels=None,
     profile=False,
     collect_metrics=False,
-    metrics_interval=0,
 ):
     """Run one benchmark under one configuration; returns BenchmarkRun.
 
@@ -81,8 +80,7 @@ def run_benchmark(
     configuration can be traced this way.  With ``profile``, it runs
     with a fresh cycle-exact profiler (docs/PROFILING.md), returned in
     ``run.profile``.  With ``collect_metrics``, it runs with a fresh
-    metrics registry (docs/METRICS.md; ``metrics_interval`` > 0 adds
-    periodic cycle-driven snapshots) and the finalized payload dict is
+    metrics registry (docs/METRICS.md) and the finished payload dict is
     returned in ``run.metrics``.  None of these flags perturbs any
     measured number.
     """
@@ -96,7 +94,7 @@ def run_benchmark(
     if collect_metrics:
         from repro.telemetry.metrics import MetricsRegistry
 
-        metrics = MetricsRegistry(snapshot_interval=metrics_interval)
+        metrics = MetricsRegistry()
     engine = Engine(
         config=config,
         tracer=tracer,

@@ -233,7 +233,7 @@ _EVENT_COUNTERS = {
 
 #: Metrics mirrored from a live ledger, never counted at a site:
 #: ``(metric, Engine attribute holding the ledger, ledger attribute)``;
-#: ``Engine._collect_metrics`` re-reads every row before each snapshot.
+#: ``Engine.collect_metrics`` writes every row when a run finishes.
 _MIRRORED_METRICS = (
     ("repro_engine_calls_interp_total", "stats", "interp_calls"),
     ("repro_engine_compiles_total", "stats", "compiles"),
@@ -267,12 +267,10 @@ _MIRRORED_METRICS = (
 def _unowned(method):
     """Bound ``method`` as a callable that does not own its object.
 
-    A tracer or a metrics registry is handed to the engine and outlives
-    it in its owner's hands; given ``engine.trace_clock`` itself it
-    would own the engine back, and neither would be freed without a
-    collection.  Once the engine is gone a call is its last answer: the
-    clock stands still and the collector refreshes nothing, so the
-    registry reads (``collect``, ``finalize``) as the engine left it.
+    A tracer is handed to the engine and outlives it in its owner's
+    hands; given ``engine.trace_clock`` itself it would own the engine
+    back, and neither would be freed without a collection.  Once the
+    engine is gone a call is its last answer: the clock stands still.
     """
     method = weakref.WeakMethod(method)
     last = [0]
@@ -363,13 +361,11 @@ class Engine(object):
         #: Optional deterministic metrics registry
         #: (``repro.telemetry.metrics.MetricsRegistry``).  None (the
         #: default) means zero events and zero overhead — the same
-        #: contract as the tracer; attached, the registry's clock is
-        #: the engine's cycle clock and its collector samples the live
-        #: engine state at every snapshot (docs/METRICS.md).
+        #: contract as the tracer; attached, sites count into it as
+        #: facts happen and :meth:`finish` writes the rest
+        #: (:meth:`collect_metrics`, docs/METRICS.md).  The registry
+        #: holds no reference back to the engine.
         self.metrics = metrics
-        if metrics is not None:
-            metrics.bind_clock(_unowned(self.trace_clock))
-            metrics.collectors.append(_unowned(self._collect_metrics))
         #: Deoptless recovery (docs/DEOPTLESS.md): keep every compiled
         #: sibling in the per-function dispatch table and, on a guard
         #: precondition miss, dispatch into a compatible sibling (via
@@ -444,7 +440,7 @@ class Engine(object):
             self.stats.disk_corrupt = cache.corrupt
             self.stats.disk_evictions = cache.evictions
         if self.metrics is not None:
-            self.metrics.finalize()
+            self.collect_metrics()
         if self.tracer is not None and self.cycle_profiler is not None:
             self.tracer.emit(
                 "profile",
@@ -511,12 +507,13 @@ class Engine(object):
 
     # -- metrics collection (docs/METRICS.md) --------------------------------------
 
-    def _collect_metrics(self):
-        """Sample the live engine state into the metrics registry.
+    def collect_metrics(self):
+        """Write the live engine state into the metrics registry.
 
-        Registered as the registry's collector and run before every
-        snapshot: the ``_MIRRORED_METRICS`` rows are re-read from their
-        ledgers (stats, disk cache), occupancy gauges and the
+        :meth:`finish` calls it at the end of every run; an owner that
+        reads the registry after a guest raised (so ``finish`` never
+        ran) calls it first.  The ``_MIRRORED_METRICS`` rows are re-read
+        from their ledgers (stats, disk cache), occupancy gauges and the
         clock-derived meters are recomputed.  Pure reads — never charges
         a cycle, so attaching metrics cannot perturb any observable.
         """
@@ -585,7 +582,6 @@ class Engine(object):
         state.call_count += 1
         native = state.native
         feedback = code.feedback
-        metrics = self.metrics
         warm = hit = False
         if native is not None:
             steady = self._unobserved and feedback is not None and not state.not_compilable
@@ -605,17 +601,13 @@ class Engine(object):
                         hit = True
                 if hit and steady:
                     warm = True
-                    if metrics is not None and metrics.snapshot_interval:
-                        metrics.maybe_snapshot()
                     if state.key_recorded is not feedback:
                         feedback.record_args(args, this_value)
                         state.key_recorded = feedback
-                    if metrics is not None:
-                        metrics.inc("repro_spec_cache_hits_total")
+                    if self.metrics is not None:
+                        self.metrics.inc("repro_spec_cache_hits_total")
             elif steady and not self.deoptless:
                 warm = True
-                if metrics is not None and metrics.snapshot_interval:
-                    metrics.maybe_snapshot()
                 feedback.record_args(args, this_value)
         if not warm:
             if not self._call_policy(state, function, this_value, args, hit):
@@ -636,10 +628,9 @@ class Engine(object):
     def _call_policy(self, state, function, this_value, args, hit):
         """Everything a call may need besides running a matching binary.
 
-        Polls the metrics clock, records feedback, consults the
-        specialization cache and the deoptless table, compiles — in that
-        order, emitting every trace event and metric of the call path.
-        ``hit`` is ``try_native_call``'s verdict that the call matches
+        Records feedback, consults the specialization cache and the
+        deoptless table, compiles — in that order, emitting every trace
+        event and metric of the call path.  ``hit`` is ``try_native_call``'s verdict that the call matches
         the active specialized binary's key; the policy matches nothing
         itself.  Returns True when ``state.native`` now accepts this call
         (the caller runs it), False when the call is to be interpreted.
@@ -647,9 +638,6 @@ class Engine(object):
         code = state.code
         if self.fault_injector is not None:
             state.last_call = (function, this_value, args)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.maybe_snapshot()
         if state.call_count == self.hot_call_threshold and not state.not_compilable:
             self._emit("interp", "hot_call", code, calls=state.call_count)
         if state.not_compilable:
@@ -712,8 +700,8 @@ class Engine(object):
                         self._dispatch_into(
                             state, cached[0], "respecialize", None, key, cached[1]
                         )
-                        if metrics is not None:
-                            metrics.inc("repro_spec_cache_hits_total")
+                        if self.metrics is not None:
+                            self.metrics.inc("repro_spec_cache_hits_total")
                     elif cached is None and self._deoptless_promote(
                         state, function, this_value, args, key
                     ):
@@ -755,8 +743,6 @@ class Engine(object):
         """
         code = frame.code
         state = self._state(code)
-        if self.metrics is not None:
-            self.metrics.maybe_snapshot()
         if state.not_compilable:
             return None
         state.backedge_count += 1

@@ -172,7 +172,6 @@ def run_fleet(
     cache_root=None,
     shards=4,
     engine_kwargs=None,
-    dispatch_delay=None,
     queue_capacity=None,
 ):
     """Generate and serve one fleet schedule; returns the result dict.
@@ -205,7 +204,6 @@ def run_fleet(
         "cache_root": cache_root,
         "shards": shards,
         "engine_kwargs": dict(engine_kwargs or {}),
-        "dispatch_delay": dispatch_delay,
         "queue_capacity": queue_capacity,
     }
     jobs = min(jobs, profile.tenants)

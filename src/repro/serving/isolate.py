@@ -25,7 +25,7 @@ import os
 from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
 from repro.errors import ReproError
-from repro.serving.admission import AdmissionLane
+from repro.serving.admission import QUEUE_CAPACITY, AdmissionLane
 from repro.telemetry.metrics import MetricsRegistry
 
 from repro.serving.shards import ShardedDiskCache, TenantCacheView
@@ -39,7 +39,6 @@ class TenantIsolate(object):
         tenant,
         cache=None,
         engine_kwargs=None,
-        dispatch_delay=None,
         queue_capacity=None,
     ):
         self.tenant = tenant
@@ -48,12 +47,9 @@ class TenantIsolate(object):
         kwargs = dict(engine_kwargs or {})
         kwargs.setdefault("config", FULL_SPEC)
         self.engine = Engine(metrics=self.metrics, code_cache=cache, **kwargs)
-        lane_kwargs = {}
-        if dispatch_delay is not None:
-            lane_kwargs["dispatch_delay"] = dispatch_delay
-        if queue_capacity is not None:
-            lane_kwargs["capacity"] = queue_capacity
-        self.lane = AdmissionLane(**lane_kwargs)
+        self.lane = AdmissionLane(
+            capacity=QUEUE_CAPACITY if queue_capacity is None else queue_capacity
+        )
         #: program name -> (source, compiled toplevel CodeObject); reused
         #: across requests while the name keeps meaning the same source,
         #: so this tenant's feedback and spec caches warm up.
@@ -144,7 +140,7 @@ class TenantIsolate(object):
 
     def metrics_payload(self):
         """This tenant's metrics payload (full schema keys), collected now."""
-        self.metrics.collect()  # a guest that raised never reached ``finish``
+        self.engine.collect_metrics()  # a guest that raised never reached ``finish``
         return self.metrics.as_dict()
 
 
@@ -178,7 +174,6 @@ class TenantHost(object):
         cache_root=None,
         shards=4,
         engine_kwargs=None,
-        dispatch_delay=None,
         queue_capacity=None,
         catalog=None,
     ):
@@ -190,7 +185,6 @@ class TenantHost(object):
         self.cache_root = cache_root
         self.num_shards = shards
         self.engine_kwargs = dict(engine_kwargs or {})
-        self.dispatch_delay = dispatch_delay
         self.queue_capacity = queue_capacity
         #: program name -> guest source; requests may name a catalog
         #: program instead of shipping source.
@@ -216,7 +210,6 @@ class TenantHost(object):
                 tenant,
                 cache=cache,
                 engine_kwargs=self.engine_kwargs,
-                dispatch_delay=self.dispatch_delay,
                 queue_capacity=self.queue_capacity,
             )
             self.isolates[tenant] = isolate

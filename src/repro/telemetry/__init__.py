@@ -16,7 +16,6 @@ from repro.telemetry.metrics import (
     empty_payload,
     format_dashboard,
     merge_payloads,
-    snapshots_to_jsonl,
     to_prometheus,
     write_metrics_jsonl,
     write_prometheus,
@@ -44,7 +43,6 @@ __all__ = [
     "empty_payload",
     "format_dashboard",
     "merge_payloads",
-    "snapshots_to_jsonl",
     "to_prometheus",
     "write_metrics_jsonl",
     "write_prometheus",

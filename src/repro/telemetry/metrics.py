@@ -2,11 +2,11 @@
 the per-run :class:`~repro.engine.stats.EngineStats` ledger.
 
 `EngineStats` answers "what did this run cost"; this module answers the
-questions a production serving tier asks continuously — tier mix, deopt
-and invalidation rates, specialization-cache occupancy, compile cost,
-disk-cache hit rate — as a **time series** over the engine's
-deterministic cycle clock, mergeable across worker processes into one
-fleet view.
+questions a production serving tier asks — tier mix, deopt and
+invalidation rates, specialization-cache occupancy, compile cost,
+disk-cache hit rate — as end-of-run totals, mergeable across worker
+processes into one fleet view.  (When each fact happened is the
+tracer's to say: it stamps every engine event on the cycle clock.)
 
 Design rules (the same contract as the trace layer, docs/TRACING.md):
 
@@ -20,10 +20,11 @@ Design rules (the same contract as the trace layer, docs/TRACING.md):
   its fixed bucket bounds.  :class:`MetricsRegistry` rejects undeclared
   names, and ``docs/METRICS.md`` is schema-checked against the same
   table, exactly like the trace event schema.
-* **Deterministic snapshots.**  Snapshots are timestamped on the
-  engine's cycle clock (not wall time), taken when the clock crosses
-  fixed interval boundaries, so two runs of the same workload produce
-  bit-identical JSONL time series on every backend and every machine.
+* **A passive holder.**  A registry holds numbers and nothing else —
+  no clock, no callback into the engine.  The engine writes the
+  metrics it mirrors or computes in ``Engine.finish()`` (and
+  ``Engine.collect_metrics()``), so two runs of the same workload
+  export bit-identical payloads on every backend and every machine.
 * **Exact merge.**  Counters and histogram buckets are integers summed
   exactly; gauges fold by their declared policy (``sum`` for
   occupancies and cycle meters, ``max`` for high-water marks).  Folding
@@ -35,8 +36,8 @@ Two exporters turn a registry (or a merged payload) into artifacts:
 * :func:`to_prometheus` — Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` / samples, histograms with cumulative
   ``_bucket{le=...}`` rows);
-* :func:`write_metrics_jsonl` — one JSON object per snapshot, the
-  machine-readable time series.
+* :func:`write_metrics_jsonl` — the payload as one sorted-key JSON
+  record.
 
 See ``docs/METRICS.md`` for the full metric name registry, bucket
 schemes, exporter formats and merge semantics.
@@ -272,11 +273,6 @@ METRIC_SCHEMA = {
 METRIC_NAMES = tuple(METRIC_SCHEMA)
 
 
-def _zero_clock():
-    """Default clock for a registry not yet bound to an engine."""
-    return 0
-
-
 def _empty_histogram(spec):
     """A zeroed histogram cell for one schema declaration.
 
@@ -296,7 +292,7 @@ def empty_payload():
 
     The payload shape is what :meth:`MetricsRegistry.as_dict` returns
     and what :func:`merge_payloads` folds — every metric present, every
-    value zero, ``snapshots`` empty.
+    value zero.
     """
     counters = {}
     gauges = {}
@@ -309,51 +305,26 @@ def empty_payload():
             gauges[name] = 0
         else:
             histograms[name] = _empty_histogram(spec)
-    return {
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "snapshots": [],
-    }
+    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 class MetricsRegistry(object):
     """Holds every declared metric for one engine (or one merged fleet).
 
     All metrics exist from construction (zeroed), so exports and merges
-    always carry the full, stable key set.  ``snapshot_interval`` (in
-    model cycles) arms periodic snapshotting: the engine polls
-    :meth:`maybe_snapshot` at its safe points and a snapshot is taken
-    each time the cycle clock crosses an interval boundary.  ``0``
-    disables the time series; :meth:`finalize` always records one
-    closing snapshot — exactly one, however many runs a long-lived
-    engine finishes: a later ``finalize`` (or interval crossing)
-    replaces it, so the series is the one a single run over the same
-    span would have recorded.
+    always carry the full, stable key set.  The registry only holds
+    numbers: sites count into it as facts happen, and the engine writes
+    the metrics it mirrors or computes when a run finishes
+    (``Engine.finish``, ``Engine.collect_metrics``).  It keeps no clock
+    and no reference to the engine, so it reads the same after the
+    engine is gone.
     """
 
-    def __init__(self, snapshot_interval=0, clock=None):
-        self.snapshot_interval = snapshot_interval
-        self._clock = clock if clock is not None else _zero_clock
-        self._next_due = snapshot_interval if snapshot_interval else 0
+    def __init__(self):
         payload = empty_payload()
         self.counters = payload["counters"]
         self.gauges = payload["gauges"]
         self.histograms = payload["histograms"]
-        #: The cycle-stamped time series (list of snapshot dicts).
-        self.snapshots = []
-        #: True while the newest snapshot is ``finalize``'s closing one.
-        self._closed = False
-        #: 0-arg callables invoked before every snapshot so gauges and
-        #: folded counters reflect the instant of the snapshot (the
-        #: engine registers its collector here).
-        self.collectors = []
-
-    # -- wiring ---------------------------------------------------------------
-
-    def bind_clock(self, clock):
-        """Use ``clock`` (a 0-arg callable) to timestamp snapshots."""
-        self._clock = clock
 
     # -- recording ------------------------------------------------------------
 
@@ -368,10 +339,8 @@ class MetricsRegistry(object):
 
         For counters mirrored from an authoritative live ledger (the
         stats object, the disk cache) rather than counted at
-        instrumentation sites — the collector re-reads the source at
-        every snapshot, so the counter can only move forward.  Between
-        snapshots such a counter is stale: a reader calls
-        :meth:`collect` (or reads after :meth:`finalize`) first.
+        instrumentation sites.  The engine writes them when a run
+        finishes; during a run they hold the last finished run's value.
         """
         if name not in self.counters:
             self._reject(name, "counter")
@@ -405,17 +374,11 @@ class MetricsRegistry(object):
             "metric %r is a %s, not a %s" % (name, spec["type"], kind)
         )
 
-    # -- snapshots ------------------------------------------------------------
+    # -- export ---------------------------------------------------------------
 
-    def collect(self):
-        """Run every registered collector (refresh sampled metrics)."""
-        for collector in self.collectors:
-            collector()
-
-    def _snapshot_record(self, ts):
+    def as_dict(self):
+        """The full registry as a JSON-safe payload (stable key set), a copy."""
         return {
-            "ts": ts,
-            "seq": len(self.snapshots),
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "histograms": {
@@ -429,48 +392,6 @@ class MetricsRegistry(object):
             },
         }
 
-    def maybe_snapshot(self):
-        """Take a snapshot if the cycle clock crossed the next boundary.
-
-        Called from the engine's poll points; a no-op (one integer
-        compare) until the boundary, and at most one snapshot is taken
-        per crossing however far the clock jumped — so the series is a
-        deterministic function of the clock alone.
-        """
-        if not self.snapshot_interval:
-            return
-        now = self._clock()
-        if now < self._next_due:
-            return
-        self.collect()
-        self._append_snapshot(now)
-        self._next_due = (now // self.snapshot_interval + 1) * self.snapshot_interval
-
-    def finalize(self):
-        """Collect and record the closing snapshot (any interval)."""
-        self.collect()
-        self._append_snapshot(self._clock())
-        self._closed = True
-
-    def _append_snapshot(self, ts):
-        if self._closed:
-            # A previous run's closing snapshot: superseded.
-            self.snapshots.pop()
-            self._closed = False
-        self.snapshots.append(self._snapshot_record(ts))
-
-    # -- export ---------------------------------------------------------------
-
-    def as_dict(self):
-        """The full registry as a JSON-safe payload (stable key set)."""
-        payload = self._snapshot_record(self._clock())
-        return {
-            "counters": payload["counters"],
-            "gauges": payload["gauges"],
-            "histograms": payload["histograms"],
-            "snapshots": list(self.snapshots),
-        }
-
 
 # -- merge --------------------------------------------------------------------
 
@@ -481,9 +402,7 @@ def merge_payloads(payloads):
     Counters and histogram cells (integer buckets, sums, counts) are
     summed exactly; gauges fold by their declared ``merge`` policy
     (``sum`` for occupancies and cycle meters, ``max`` for high-water
-    marks).  Snapshots are per-process time series and are *not*
-    merged — the fleet payload carries an empty list.  Summing is
-    associative and commutative on integers, so the fold is
+    marks).  Summing is associative and commutative on integers, so the fold is
     order-independent: the per-worker registries of ``bench --jobs N``
     merge to exactly the single-process totals.
     """
@@ -558,68 +477,18 @@ def write_prometheus(source, path):
         handle.write(to_prometheus(source))
 
 
-def snapshots_to_jsonl(source):
-    """Render a payload's snapshots as JSON Lines (one per snapshot).
-
-    When the source recorded no periodic snapshots, a single line
-    holding the final aggregate state (``ts`` = final clock) is
-    emitted, so the output is never empty.  Keys are sorted, so two
-    identical runs produce bit-identical text.
-    """
-    payload = _coerce_payload(source)
-    snapshots = payload.get("snapshots") or []
-    if not snapshots:
-        record = {
-            "ts": payload.get("ts", 0),
-            "seq": 0,
-            "counters": payload["counters"],
-            "gauges": payload["gauges"],
-            "histograms": payload["histograms"],
-        }
-        snapshots = [record]
-    return "\n".join(json.dumps(snap, sort_keys=True) for snap in snapshots)
-
-
 def write_metrics_jsonl(source, path):
-    """Write :func:`snapshots_to_jsonl` output to ``path``."""
+    """Write a registry or payload to ``path`` as one JSON Lines record.
+
+    The record is the payload itself — ``counters``, ``gauges``,
+    ``histograms`` — with sorted keys, so two identical runs write
+    bit-identical text.
+    """
     with open(path, "w") as handle:
-        text = snapshots_to_jsonl(source)
-        if text:
-            handle.write(text + "\n")
+        handle.write(json.dumps(_coerce_payload(source), sort_keys=True) + "\n")
 
 
 # -- console dashboard (`repro top`) ------------------------------------------
-
-#: Eight-level bar glyphs for the dashboard sparklines.
-SPARK_GLYPHS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values, width=40):
-    """Render ``values`` as a fixed-width unicode sparkline.
-
-    Values are downsampled (bucket means) to ``width`` columns and
-    scaled against the series maximum; an empty or all-zero series
-    renders as spaces.  Deterministic — no wall-clock, no randomness.
-    """
-    if not values:
-        return " " * width
-    if len(values) > width:
-        step = len(values) / float(width)
-        sampled = []
-        for column in range(width):
-            lo = int(column * step)
-            hi = max(lo + 1, int((column + 1) * step))
-            chunk = values[lo:hi]
-            sampled.append(sum(chunk) / float(len(chunk)))
-        values = sampled
-    peak = max(values)
-    if peak <= 0:
-        return " " * width
-    glyphs = []
-    for value in values:
-        level = int(round((len(SPARK_GLYPHS) - 1) * (value / float(peak))))
-        glyphs.append(SPARK_GLYPHS[min(max(level, 0), len(SPARK_GLYPHS) - 1)])
-    return ("".join(glyphs)).ljust(width)
 
 
 def _rate(part, whole):
@@ -630,9 +499,7 @@ def format_dashboard(source, title="repro top"):
     """Render the ``repro top`` console health dashboard.
 
     A static, deterministic panel: tier mix, compile/deopt health,
-    specialization- and disk-cache hit rates and IC distribution, plus
-    a per-snapshot sparkline of the cycle clock when a time series was
-    recorded.
+    specialization- and disk-cache hit rates and IC distribution.
     """
     payload = _coerce_payload(source)
     c = payload["counters"]
@@ -713,14 +580,4 @@ def format_dashboard(source, title="repro top"):
             c["repro_engine_ic_transitions_total"],
         )
     )
-    snapshots = payload.get("snapshots") or []
-    if len(snapshots) > 1:
-        deltas = []
-        previous = 0
-        for snap in snapshots:
-            deltas.append(snap["gauges"]["repro_engine_total_cycles"] - previous)
-            previous = snap["gauges"]["repro_engine_total_cycles"]
-        lines.append(
-            "cycle rate %s (%d snapshots)" % (sparkline(deltas), len(snapshots))
-        )
     return "\n".join(lines)

@@ -11,8 +11,8 @@ Subcommands::
     python -m repro bench --suite sunspider [--configs PS,PS+CP,all] [--jobs N] [--metrics]
     python -m repro bench --cycles [--sections deoptless,serving] [--output BENCH_cycles.json]
     python -m repro bench --compare BENCH_cycles.json [--input NEW.json] [--sections S] [--json-out f] [--report-only]
-    python -m repro metrics workload [--interval N] [--prometheus f] [--jsonl f] [--json]
-    python -m repro top workload [--interval N]
+    python -m repro metrics workload [--prometheus f] [--jsonl f] [--json]
+    python -m repro top workload
     python -m repro fuzz [--seed 0] [--iterations 100] [--matrix jit,chaos] [--corpus-dir DIR]
     python -m repro cache stats|clear|evict [--dir DIR] [--max-bytes N] [--max-entries N]
     python -m repro configs
@@ -32,7 +32,7 @@ it instead measures the deterministic cycle sections and with
 ``--compare`` gates them against a stored baseline
 (docs/METRICS.md); ``metrics`` runs a workload with the
 deterministic metrics registry attached and exports Prometheus text
-or JSONL snapshots; ``top`` renders the same registry as a one-shot
+or a JSONL record; ``top`` renders the same registry as a one-shot
 console dashboard; ``fuzz`` runs the
 differential fuzzer — seeded program generation, the cross-engine
 oracle, chaos deopt and ddmin shrinking (docs/FUZZING.md); ``cache``
@@ -213,7 +213,7 @@ def _run_with_metrics(args):
     """
     from repro.telemetry.metrics import MetricsRegistry
 
-    registry = MetricsRegistry(snapshot_interval=args.interval)
+    registry = MetricsRegistry()
     engine = _engine_from_args(args, metrics=registry)
     engine.run_source(_resolve_workload(args.workload))
     return engine, registry
@@ -238,10 +238,7 @@ def cmd_metrics(args, out):
         wrote = True
     if args.jsonl:
         write_metrics_jsonl(payload, args.jsonl)
-        out.write(
-            "wrote %d snapshot(s) to %s\n"
-            % (len(payload["snapshots"]) or 1, args.jsonl)
-        )
+        out.write("wrote the metrics record to %s\n" % args.jsonl)
         wrote = True
     if args.json:
         out.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -943,20 +940,13 @@ def build_parser():
     )
     bench.set_defaults(handler=cmd_bench)
 
-    def _add_metrics_flags(subparser, default_interval):
+    def _add_metrics_flags(subparser):
         subparser.add_argument(
             "workload",
             help="script path, -, suite/benchmark, or a bare benchmark name",
         )
         subparser.add_argument(
             "--config", default="all", help="optimization config (see `configs`)"
-        )
-        subparser.add_argument(
-            "--interval",
-            type=int,
-            default=default_interval,
-            help="cycles between periodic snapshots (0: final snapshot only; "
-            "default %d)" % default_interval,
         )
         _add_executor_flag(subparser)
         _add_code_cache_flag(subparser)
@@ -965,7 +955,7 @@ def build_parser():
         "metrics",
         help="run a workload with the metrics registry on (docs/METRICS.md)",
     )
-    _add_metrics_flags(metrics, default_interval=0)
+    _add_metrics_flags(metrics)
     metrics.add_argument(
         "--prometheus",
         metavar="PATH",
@@ -973,7 +963,7 @@ def build_parser():
         "export flag is given: exposition on stdout)",
     )
     metrics.add_argument(
-        "--jsonl", metavar="PATH", help="write snapshot time series as JSON Lines"
+        "--jsonl", metavar="PATH", help="write the payload as one JSON Lines record"
     )
     metrics.add_argument(
         "--json", action="store_true", help="print the full payload dict as JSON"
@@ -983,7 +973,7 @@ def build_parser():
     top = sub.add_parser(
         "top", help="console health dashboard for one workload run"
     )
-    _add_metrics_flags(top, default_interval=10000)
+    _add_metrics_flags(top)
     top.set_defaults(handler=cmd_top)
 
     fuzz = sub.add_parser(

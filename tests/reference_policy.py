@@ -57,8 +57,6 @@ class ReferenceEngine(Engine):
         state.call_count += 1
         state.last_call = (function, this_value, args)
         metrics = self.metrics
-        if metrics is not None:
-            metrics.maybe_snapshot()
         tracer = self.tracer
         if (
             tracer is not None

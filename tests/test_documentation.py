@@ -329,7 +329,26 @@ def test_metrics_doc_collection_model_matches_the_engine_tables():
         name for name in METRIC_SCHEMA if not name.startswith("repro_serving_")
     }
     assert named == engine_metrics - tabled
-    assert "_collect_metrics" in section and "Engine._emit" in section
+    assert "Engine.collect_metrics" in section and "Engine._emit" in section
+
+
+def test_metrics_doc_jsonl_record_keys_are_the_written_keys(tmp_path):
+    """The JSONL record docs/METRICS.md shows has exactly the keys
+    ``write_metrics_jsonl`` writes."""
+    import json
+    import re
+
+    from repro.telemetry.metrics import MetricsRegistry, write_metrics_jsonl
+
+    text = _metrics_doc()
+    section = text[text.index("## Exporters") : text.index("## The bench")]
+    bullet = next(b for b in section.split("\n* ") if "write_metrics_jsonl" in b)
+    record = re.search(r"`(\{.*?\})`", bullet, re.DOTALL).group(1)
+    documented = re.findall(r'"(\w+)":', record)
+    path = tmp_path / "metrics.jsonl"
+    write_metrics_jsonl(MetricsRegistry(), str(path))
+    (line,) = path.read_text().splitlines()
+    assert documented == sorted(json.loads(line))
 
 
 def test_metrics_doc_names_the_contract_vocabulary():

@@ -161,31 +161,40 @@ class TestAFinishedPageFreesItself:
         must not own it back."""
         tracer = Tracer()
         profiler = CycleProfiler()
-        metrics = MetricsRegistry(snapshot_interval=5000)
         watched = run_and_watch(
-            PAGE,
-            executor_backend=backend,
-            tracer=tracer,
-            cycle_profiler=profiler,
-            metrics=metrics,
+            PAGE, executor_backend=backend, tracer=tracer, cycle_profiler=profiler
         )
-        assert tracer.events and metrics.snapshots
-        del tracer, profiler, metrics
+        assert tracer.events
+        del tracer, profiler
         assert_freed(watched)
 
-    def test_a_registry_reads_after_its_engine_is_gone(self):
-        """... and is handed on: a dead engine's clock stands still and
-        its collector refreshes nothing."""
-        metrics = MetricsRegistry(snapshot_interval=5000)
-        engine = Engine(config=FULL_SPEC, metrics=metrics)
+    @pytest.mark.parametrize("backend", ["simple", "whole"])
+    def test_a_registry_that_outlives_its_engine_holds_only_numbers(self, backend):
+        """A registry keeps no clock, callback or other way back to the
+        engine, and reads what ``finish()`` wrote once the engine is gone."""
+
+        def numbers_only(value):
+            if type(value) is dict:
+                return all(type(k) is str and numbers_only(v) for k, v in value.items())
+            if type(value) is list:
+                return all(numbers_only(item) for item in value)
+            return type(value) is int
+
+        metrics = MetricsRegistry()
+        engine = Engine(config=FULL_SPEC, executor_backend=backend, metrics=metrics)
         engine.run_source(PAGE)
-        left = metrics.as_dict()
+        stats = engine.stats
+        assert stats.compiles > 0
+        finished = metrics.as_dict()
+        dead = weakref.ref(engine)
         del engine
-        metrics.collect()
-        metrics.finalize()
-        assert metrics.as_dict() == left
-        Engine(config=FULL_SPEC, metrics=metrics).run_source(PAGE)
-        assert metrics.snapshots[-1]["ts"] > 0
+        assert dead() is None
+        assert engine_made(leftovers()) == []
+        assert numbers_only(vars(metrics)), sorted(vars(metrics))
+        assert metrics.as_dict() == finished
+        assert metrics.counters["repro_engine_compiles_total"] == stats.compiles
+        assert metrics.counters["repro_engine_calls_interp_total"] == stats.interp_calls
+        assert metrics.gauges["repro_engine_total_cycles"] == stats.total_cycles
 
 
 class TestACompilesTemporariesDieWhenItReturns:

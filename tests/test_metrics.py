@@ -5,9 +5,9 @@ Four contracts under test:
 * **closed schema** — the registry rejects undeclared names and kind
   mismatches at record time, and every payload partitions exactly into
   ``METRIC_SCHEMA``'s counters, gauges and histograms;
-* **deterministic snapshots** — the time series is a function of the
-  engine's cycle clock alone, so repeat runs export bit-identical
-  JSONL on every backend;
+* **a passive registry** — it holds numbers only (the engine writes
+  its mirrored and computed metrics when a run finishes), so repeat
+  runs export bit-identical payloads on every backend;
 * **zero cost when enabled** — attaching a registry cannot move any
   observable (output, stats, cycles, trace stream) on any of the three
   executor backends;
@@ -31,8 +31,8 @@ from repro.telemetry.metrics import (
     empty_payload,
     format_dashboard,
     merge_payloads,
-    snapshots_to_jsonl,
     to_prometheus,
+    write_metrics_jsonl,
 )
 from repro.telemetry.tracing import EVENT_SCHEMA, Tracer
 from repro.tools.cli import main as cli_main
@@ -67,9 +67,9 @@ class _Bench(object):
 SUITE = [_Bench("hot", HOT_LOOP), _Bench("shapy", SHAPY)]
 
 
-def run_metered(source, interval=0, **engine_kwargs):
+def run_metered(source, **engine_kwargs):
     """One engine pass with a fresh registry; returns (printed, engine, reg)."""
-    registry = MetricsRegistry(snapshot_interval=interval)
+    registry = MetricsRegistry()
     kwargs = dict(FAST)
     kwargs.update(engine_kwargs)
     engine = Engine(config=FULL_SPEC, metrics=registry, **kwargs)
@@ -125,61 +125,6 @@ class TestRegistrySchema:
         assert cell["sum"] == bounds[0] + bounds[0] + 1 + bounds[-1] + 1
 
 
-class TestSnapshotBoundaries:
-    def test_at_most_one_snapshot_per_crossing(self):
-        now = [0]
-        registry = MetricsRegistry(snapshot_interval=100, clock=lambda: now[0])
-        registry.maybe_snapshot()
-        assert registry.snapshots == []
-        now[0] = 99
-        registry.maybe_snapshot()
-        assert registry.snapshots == []
-        now[0] = 100
-        registry.maybe_snapshot()
-        registry.maybe_snapshot()  # same instant: no second snapshot
-        assert [snap["ts"] for snap in registry.snapshots] == [100]
-        now[0] = 550  # jumped 4 boundaries: still just one snapshot
-        registry.maybe_snapshot()
-        assert [snap["ts"] for snap in registry.snapshots] == [100, 550]
-        now[0] = 560  # inside the 500..600 window again: nothing
-        registry.maybe_snapshot()
-        assert len(registry.snapshots) == 2
-        registry.finalize()  # closing snapshot regardless of boundary
-        assert [snap["ts"] for snap in registry.snapshots] == [100, 550, 560]
-        assert [snap["seq"] for snap in registry.snapshots] == [0, 1, 2]
-
-    def test_interval_zero_disables_the_series(self):
-        now = [10 ** 9]
-        registry = MetricsRegistry(snapshot_interval=0, clock=lambda: now[0])
-        registry.maybe_snapshot()
-        assert registry.snapshots == []
-        registry.finalize()
-        assert len(registry.snapshots) == 1
-
-    def test_a_later_finalize_replaces_the_closing_snapshot(self):
-        now = [0]
-        registry = MetricsRegistry(snapshot_interval=100, clock=lambda: now[0])
-        now[0] = 150
-        registry.maybe_snapshot()
-        registry.finalize()
-        now[0] = 180
-        registry.finalize()  # same window: replaces, does not append
-        assert [snap["ts"] for snap in registry.snapshots] == [150, 180]
-        now[0] = 250  # an interval crossing supersedes it too
-        registry.maybe_snapshot()
-        registry.finalize()
-        assert [snap["ts"] for snap in registry.snapshots] == [150, 250, 250]
-        assert [snap["seq"] for snap in registry.snapshots] == [0, 1, 2]
-
-    def test_collectors_run_before_every_snapshot(self):
-        registry = MetricsRegistry()
-        registry.collectors.append(
-            lambda: registry.set_gauge("repro_engine_functions_hot", 7)
-        )
-        registry.finalize()
-        assert registry.snapshots[0]["gauges"]["repro_engine_functions_hot"] == 7
-
-
 class TestEngineIntegration:
     def test_counters_mirror_the_stats_ledger(self):
         printed, engine, registry = run_metered(HOT_LOOP)
@@ -229,18 +174,16 @@ class TestEngineIntegration:
         assert g["repro_engine_ic_sites_poly"] >= 1
         assert c["repro_engine_ic_transitions_total"] >= 2
 
-    def test_periodic_snapshots_are_deterministic(self):
-        _, _, first = run_metered(HOT_LOOP, interval=2000)
-        _, _, second = run_metered(HOT_LOOP, interval=2000)
-        assert len(first.snapshots) > 1
-        timestamps = [snap["ts"] for snap in first.snapshots]
-        assert timestamps == sorted(timestamps)
-        assert snapshots_to_jsonl(first.as_dict()) == snapshots_to_jsonl(
-            second.as_dict()
-        )
+    def test_repeat_runs_export_identical_payloads(self, tmp_path):
+        paths = []
+        for run in ("first", "second"):
+            _, _, registry = run_metered(HOT_LOOP)
+            paths.append(tmp_path / run)
+            write_metrics_jsonl(registry, str(paths[-1]))
+        assert paths[0].read_text() == paths[1].read_text()
 
 
-#: Sampled by ``Engine._collect_metrics`` from live state (no ledger
+#: Written by ``Engine.collect_metrics`` from live state (no ledger
 #: attribute holds them), and recorded in line where the fact is decided
 #: (``_note_bailout``, ``_produce``).
 COMPUTED_METRICS = {
@@ -405,9 +348,7 @@ class TestZeroCostWhenEnabled:
             return printed, engine, list(tracer.events)
 
         plain_printed, plain_engine, plain_events = run(None)
-        metered_printed, metered_engine, metered_events = run(
-            MetricsRegistry(snapshot_interval=1000)
-        )
+        metered_printed, metered_engine, metered_events = run(MetricsRegistry())
         assert metered_printed == plain_printed
         assert metered_engine.stats.total_cycles == plain_engine.stats.total_cycles
         assert metered_engine.stats.summary() == plain_engine.stats.summary()
@@ -436,7 +377,7 @@ class TestMergeExactness:
         assert cell["counts"][2] == 2  # two 300s in the (256, 1024] bucket
         assert cell["counts"][-1] == 1  # the outlier in +Inf
         assert cell["sum"] == 600 + 10 ** 9
-        assert merged["snapshots"] == []  # time series never merge
+        assert set(merged) == {"counters", "gauges", "histograms"}
 
     def test_merge_ignores_undeclared_names(self):
         payload = empty_payload()
@@ -509,29 +450,27 @@ class TestExporters:
             else:
                 assert name in samples
 
-    def test_jsonl_lines_are_sorted_json(self):
-        _, _, registry = run_metered(HOT_LOOP, interval=2000)
-        text = snapshots_to_jsonl(registry.as_dict())
-        lines = text.splitlines()
-        assert len(lines) == len(registry.snapshots) >= 1
-        for line in lines:
-            record = json.loads(line)
-            assert line == json.dumps(record, sort_keys=True)
-            assert set(record) == {"ts", "seq", "counters", "gauges", "histograms"}
+    def test_jsonl_is_the_payload_as_one_sorted_record(self, tmp_path):
+        _, _, registry = run_metered(HOT_LOOP)
+        path = tmp_path / "metrics.jsonl"
+        write_metrics_jsonl(registry, str(path))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert lines[0] == json.dumps(record, sort_keys=True)
+        assert record == registry.as_dict()
 
     def test_dashboard_renders_health_lines(self):
-        _, _, registry = run_metered(HOT_LOOP, interval=2000)
+        _, _, registry = run_metered(HOT_LOOP)
         panel = format_dashboard(registry.as_dict(), title="unit test")
         assert "== unit test ==" in panel
         assert "tier mix" in panel
         assert "spec cache" in panel
         assert "disk cache" in panel
         assert "IC sites" in panel
-        assert "cycle rate" in panel  # the snapshot sparkline section
 
     def test_dashboard_tolerates_the_empty_payload(self):
-        panel = format_dashboard(empty_payload())
-        assert "tier mix" in panel and "cycle rate" not in panel
+        assert "tier mix" in format_dashboard(empty_payload())
 
 
 class TestMetricsCLI:
@@ -559,8 +498,6 @@ class TestMetricsCLI:
             [
                 "metrics",
                 script,
-                "--interval",
-                "2000",
                 "--prometheus",
                 str(prom),
                 "--jsonl",
@@ -570,8 +507,9 @@ class TestMetricsCLI:
         assert code == 0
         assert "wrote Prometheus exposition" in output
         assert prom.read_text().startswith("# HELP ")
-        lines = jsonl.read_text().strip().splitlines()
-        assert lines and all(json.loads(line) for line in lines)
+        lines = jsonl.read_text().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"counters", "gauges", "histograms"}
 
     def test_metrics_json_dump(self, script):
         code, output = self.run_cli(["metrics", script, "--json"])
@@ -588,3 +526,8 @@ class TestMetricsCLI:
         assert code == 0
         assert "repro top" in output
         assert "tier mix" in output
+
+    @pytest.mark.parametrize("command", ["metrics", "top"])
+    def test_there_is_no_snapshot_interval(self, command, script):
+        with pytest.raises(SystemExit):
+            self.run_cli([command, script, "--interval", "2000"])

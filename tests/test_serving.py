@@ -25,6 +25,7 @@ import os
 
 import pytest
 
+from repro.errors import ReproError
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.runtime import Runtime
 from repro.serving.admission import DISPATCH_DELAY, AdmissionLane
@@ -259,14 +260,21 @@ class TestTenantIsolation:
         second = host.execute_request({"tenant": "a", "source": "print(2);"})
         assert (first["output"], second["output"]) == (["1"], ["2"])
 
-    def test_snapshot_count_does_not_grow_with_requests(self):
-        # snapshot_interval=0 (the isolate's registry default): each
-        # request's Engine.finish() finalizes the same registry.
+    def test_the_payload_reads_the_engine_even_after_a_guest_raised(self):
+        # Each request's Engine.finish() writes the engine's totals into
+        # the registry; a guest that raised never reached finish(), so
+        # metrics_payload() has the engine write them first.
         isolate = TenantIsolate("a", engine_kwargs=FAST)
         for _ in range(5):
             isolate.serve("xy", PROGRAM_XY)
-        assert isolate.metrics.snapshot_interval == 0
-        assert len(isolate.metrics_payload()["snapshots"]) == 1
+        engine = isolate.engine
+        assert isolate.metrics.gauges["repro_engine_total_cycles"] == engine.trace_clock()
+        with pytest.raises(ReproError):
+            isolate.serve("fault", GUEST_FAULT)
+        assert isolate.metrics.gauges["repro_engine_total_cycles"] < engine.trace_clock()
+        payload = isolate.metrics_payload()
+        assert payload["gauges"]["repro_engine_total_cycles"] == engine.trace_clock()
+        assert payload["counters"]["repro_serving_requests_total"] == 5
 
     def test_rejected_requests_execute_nothing(self):
         isolate = TenantIsolate("a", engine_kwargs=FAST, queue_capacity=1)
