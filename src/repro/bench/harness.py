@@ -12,6 +12,7 @@ import math
 
 from repro.engine.config import BASELINE, PAPER_CONFIGS
 from repro.engine.runtime_engine import Engine
+from repro.telemetry.metrics import metrics_payload
 from repro.telemetry.tracing import Tracer
 
 
@@ -37,7 +38,7 @@ class BenchmarkRun(object):
     )
 
     def __init__(
-        self, benchmark, config, engine, output, tracer=None, profiler=None, metrics=None
+        self, benchmark, config, engine, output, tracer=None, profiler=None, metrics=False
     ):
         stats = engine.stats
         self.benchmark = benchmark.name
@@ -56,11 +57,11 @@ class BenchmarkRun(object):
         self.trace_events = list(tracer.events) if tracer is not None else None
         #: The run's CycleProfiler (docs/PROFILING.md) when profiled.
         self.profile = profiler
-        #: Finalized metrics payload (docs/METRICS.md) when collected —
+        #: The engine's metrics payload (docs/METRICS.md) if ``metrics`` —
         #: a plain JSON-safe dict, so it pickles across ``--jobs``
         #: worker processes and merges exactly with
         #: ``repro.telemetry.metrics.merge_payloads``.
-        self.metrics = metrics.as_dict() if metrics is not None else None
+        self.metrics = metrics_payload(engine) if metrics else None
 
 
 def run_benchmark(
@@ -79,9 +80,9 @@ def run_benchmark(
     carries the event stream in ``trace_events`` — any Figure 9
     configuration can be traced this way.  With ``profile``, it runs
     with a fresh cycle-exact profiler (docs/PROFILING.md), returned in
-    ``run.profile``.  With ``collect_metrics``, it runs with a fresh
-    metrics registry (docs/METRICS.md) and the finished payload dict is
-    returned in ``run.metrics``.  None of these flags perturbs any
+    ``run.profile``.  With ``collect_metrics``, the engine's metrics
+    payload (docs/METRICS.md) at the end of the run is returned in
+    ``run.metrics``.  None of these flags perturbs any
     measured number.
     """
     tracer = Tracer(channels=trace_channels) if trace else None
@@ -90,16 +91,10 @@ def run_benchmark(
         from repro.telemetry.profiler import CycleProfiler
 
         profiler = CycleProfiler()
-    metrics = None
-    if collect_metrics:
-        from repro.telemetry.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
     engine = Engine(
         config=config,
         tracer=tracer,
         cycle_profiler=profiler,
-        metrics=metrics,
         **(engine_kwargs or {})
     )
     output = engine.run_source(benchmark.source)
@@ -110,7 +105,7 @@ def run_benchmark(
         output,
         tracer=tracer,
         profiler=profiler,
-        metrics=metrics,
+        metrics=collect_metrics,
     )
 
 

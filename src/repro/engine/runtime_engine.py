@@ -44,6 +44,7 @@ from repro.lir.executor import Bailout, NativeExecutor
 from repro.lir.native import FAULT_INJECTED
 from repro.lir.wholefn import WholeExecutor
 from repro.opts.loop_inversion import rotate_loops
+from repro.telemetry.metrics import metrics_payload
 
 #: Compile a function once it has been called this many times...
 HOT_CALL_THRESHOLD = 10
@@ -221,49 +222,6 @@ def _osr_key(args, locals_):
     return tuple(value_key(v) for v in args) + tuple(value_key(v) for v in locals_)
 
 
-#: Facts counted as well as traced: ``(channel, event)`` -> the counter
-#: :meth:`Engine._emit` bumps.  (A cache hit is also counted where no
-#: ``cache.hit`` event is due: the warm call, a respecialize dispatch.)
-_EVENT_COUNTERS = {
-    ("cache", "hit"): "repro_spec_cache_hits_total",
-    ("cache", "miss"): "repro_spec_cache_misses_total",
-    ("cache", "store"): "repro_spec_cache_stores_total",
-    ("osr", "enter"): "repro_engine_osr_enters_total",
-}
-
-#: Metrics mirrored from a live ledger, never counted at a site:
-#: ``(metric, Engine attribute holding the ledger, ledger attribute)``;
-#: ``Engine.collect_metrics`` writes every row when a run finishes.
-_MIRRORED_METRICS = (
-    ("repro_engine_calls_interp_total", "stats", "interp_calls"),
-    ("repro_engine_compiles_total", "stats", "compiles"),
-    ("repro_engine_osr_compiles_total", "stats", "osr_compiles"),
-    ("repro_engine_recompilations_total", "stats", "recompilations"),
-    ("repro_engine_bailouts_total", "stats", "bailouts"),
-    ("repro_engine_shape_guard_bailouts_total", "stats", "shape_guard_bailouts"),
-    ("repro_engine_invalidations_total", "stats", "invalidations"),
-    ("repro_engine_ic_transitions_total", "interpreter", "ic_transitions"),
-    ("repro_engine_retrain_noops_total", "stats", "retrain_noops"),
-    ("repro_deoptless_reentries_total", "stats", "deoptless_reentries"),
-    ("repro_deoptless_misses_total", "stats", "deoptless_misses"),
-    (
-        "repro_deoptless_generalized_compiles_total",
-        "stats",
-        "deoptless_generalized_compiles",
-    ),
-    ("repro_engine_native_cycles", "executor", "cycles"),
-    ("repro_engine_compile_cycles", "stats", "compile_cycles"),
-    ("repro_engine_bailout_cycles", "stats", "bailout_cycles"),
-    ("repro_engine_invalidation_cycles", "stats", "invalidation_cycles"),
-    ("repro_cache_disk_hits_total", "code_cache", "hits"),
-    ("repro_cache_disk_misses_total", "code_cache", "misses"),
-    ("repro_cache_disk_stores_total", "code_cache", "stores"),
-    ("repro_cache_disk_evictions_total", "code_cache", "evictions"),
-    ("repro_cache_disk_corrupt_total", "code_cache", "corrupt"),
-    ("repro_cache_disk_uncacheable_total", "code_cache", "uncacheable"),
-)
-
-
 def _unowned(method):
     """Bound ``method`` as a callable that does not own its object.
 
@@ -340,10 +298,6 @@ class Engine(object):
         self._unobserved = (
             tracer is None and cycle_profiler is None and fault_injector is None
         )
-        #: True when :meth:`_emit` has a sink — a tracer or a metrics
-        #: registry; tested in front of the facts the long call path
-        #: states on every call, so an unwatched engine makes no call.
-        self._watched = tracer is not None or metrics is not None
         self.states = {}
         self.hot_call_threshold = hot_call_threshold
         self.osr_backedge_threshold = osr_backedge_threshold
@@ -358,13 +312,10 @@ class Engine(object):
         #: MIR→LIR→codegen pipeline on the host — pure wall-clock; the
         #: simulated compile cycles are charged identically either way.
         self.code_cache = code_cache
-        #: Optional deterministic metrics registry
-        #: (``repro.telemetry.metrics.MetricsRegistry``).  None (the
-        #: default) means zero events and zero overhead — the same
-        #: contract as the tracer; attached, sites count into it as
-        #: facts happen and :meth:`finish` writes the rest
-        #: (:meth:`collect_metrics`, docs/METRICS.md).  The registry
-        #: holds no reference back to the engine.
+        #: Optional metrics registry
+        #: (``repro.telemetry.metrics.MetricsRegistry``) that
+        #: :meth:`finish` fills with ``metrics_payload(self)``; nothing
+        #: reads or writes it during a run (docs/METRICS.md).
         self.metrics = metrics
         #: Deoptless recovery (docs/DEOPTLESS.md): keep every compiled
         #: sibling in the per-function dispatch table and, on a guard
@@ -440,7 +391,7 @@ class Engine(object):
             self.stats.disk_corrupt = cache.corrupt
             self.stats.disk_evictions = cache.evictions
         if self.metrics is not None:
-            self.collect_metrics()
+            self.metrics.load(metrics_payload(self))
         if self.tracer is not None and self.cycle_profiler is not None:
             self.tracer.emit(
                 "profile",
@@ -469,16 +420,13 @@ class Engine(object):
     # -- the emit point: each engine fact is stated once ---------------------------
 
     def _emit(self, channel, event, code, **fields):
-        """State one fact about ``code``: its counter and its trace event.
+        """State one fact about ``code`` as a trace event, if a tracer listens.
 
         ``fn``/``code_id`` are stamped here, and a spec key in ``key``
-        becomes text (:func:`describe_key`) for a tracer only.  Reads only
-        its arguments and charges nothing, so a sink moves no observable.
+        becomes text (:func:`describe_key`).  Reads only its arguments
+        and charges nothing, so a tracer moves no observable; the fact's
+        count, where it has one, is the caller's ``stats`` entry.
         """
-        if self.metrics is not None:
-            counter = _EVENT_COUNTERS.get((channel, event))
-            if counter is not None:
-                self.metrics.inc(counter)
         if self.tracer is not None:
             if type(fields.get("key")) is tuple:
                 fields["key"] = describe_key(fields["key"])
@@ -504,52 +452,6 @@ class Engine(object):
         self.stats.record_invalidation()
         if self.cycle_profiler is not None:
             self.cycle_profiler.record_invalidation(code, CostModel.invalidation)
-
-    # -- metrics collection (docs/METRICS.md) --------------------------------------
-
-    def collect_metrics(self):
-        """Write the live engine state into the metrics registry.
-
-        :meth:`finish` calls it at the end of every run; an owner that
-        reads the registry after a guest raised (so ``finish`` never
-        ran) calls it first.  The ``_MIRRORED_METRICS`` rows are re-read
-        from their ledgers (stats, disk cache), occupancy gauges and the
-        clock-derived meters are recomputed.  Pure reads — never charges
-        a cycle, so attaching metrics cannot perturb any observable.
-        """
-        registry = self.metrics
-        stats = self.stats
-        total_calls = 0
-        spec_entries = 0
-        ic_sites = {"mono": 0, "poly": 0, "mega": 0}
-        for state in self.states.values():
-            total_calls += state.call_count
-            spec_entries += len(state.spec_cache)
-            feedback = state.code.feedback
-            if feedback is not None:
-                for pc in feedback.shape_ics:
-                    ic_sites[feedback.ic_state(pc)] += 1
-        for name, ledger, attribute in _MIRRORED_METRICS:
-            source = getattr(self, ledger)
-            if source is None:
-                continue
-            if name in registry.counters:
-                registry.set_counter(name, getattr(source, attribute))
-            else:
-                registry.set_gauge(name, getattr(source, attribute))
-        registry.set_counter(
-            "repro_engine_calls_native_total", total_calls - stats.interp_calls
-        )
-        registry.set_gauge("repro_engine_total_cycles", self.trace_clock())
-        registry.set_gauge(
-            "repro_engine_interp_cycles",
-            interp_cycles(self.interpreter.ops_executed, stats.interp_calls),
-        )
-        registry.set_gauge("repro_engine_functions_hot", len(self.states))
-        registry.set_gauge("repro_spec_cache_entries", spec_entries)
-        registry.set_gauge("repro_engine_ic_sites_mono", ic_sites["mono"])
-        registry.set_gauge("repro_engine_ic_sites_poly", ic_sites["poly"])
-        registry.set_gauge("repro_engine_ic_sites_mega", ic_sites["mega"])
 
     # -- state -------------------------------------------------------------------
 
@@ -604,8 +506,7 @@ class Engine(object):
                     if state.key_recorded is not feedback:
                         feedback.record_args(args, this_value)
                         state.key_recorded = feedback
-                    if self.metrics is not None:
-                        self.metrics.inc("repro_spec_cache_hits_total")
+                    self.stats.spec_cache_hits += 1
             elif steady and not self.deoptless:
                 warm = True
                 feedback.record_args(args, this_value)
@@ -629,10 +530,10 @@ class Engine(object):
         """Everything a call may need besides running a matching binary.
 
         Records feedback, consults the specialization cache and the
-        deoptless table, compiles — in that order, emitting every trace
-        event and metric of the call path.  ``hit`` is ``try_native_call``'s verdict that the call matches
-        the active specialized binary's key; the policy matches nothing
-        itself.  Returns True when ``state.native`` now accepts this call
+        deoptless table, compiles — in that order, counting and tracing
+        every fact of the call path.  ``hit`` is ``try_native_call``'s
+        verdict that the call matches the active specialized binary's
+        key; the policy matches nothing itself.  Returns True when ``state.native`` now accepts this call
         (the caller runs it), False when the call is to be interpreted.
         """
         code = state.code
@@ -646,15 +547,13 @@ class Engine(object):
             code.feedback = TypeFeedback(code.num_params)
         code.feedback.record_args(args, this_value)
 
-        watched = self._watched
+        stats = self.stats
         native = state.native
         if native is not None:
             if native.specialized:
                 if hit:
-                    if watched:
-                        self._emit(
-                            "cache", "hit", code, key=state.spec_key, primary=True
-                        )
+                    stats.spec_cache_hits += 1
+                    self._emit("cache", "hit", code, key=state.spec_key, primary=True)
                     return True
                 key = _spec_key(this_value, args)
                 cached = state.spec_cache.get(key)
@@ -662,13 +561,11 @@ class Engine(object):
                     # Cache hit on a previously specialized set (only
                     # possible with capacity > 1, the §6 extension).
                     state.install(cached[0], key, cached[1])
-                    if watched:
-                        self._emit("cache", "hit", code, key=key, primary=False)
+                    stats.spec_cache_hits += 1
+                    self._emit("cache", "hit", code, key=key, primary=False)
                     return True
-                if watched:
-                    self._emit(
-                        "cache", "miss", code, key=key, entries=len(state.spec_cache)
-                    )
+                stats.spec_cache_misses += 1
+                self._emit("cache", "miss", code, key=key, entries=len(state.spec_cache))
                 if not self.deoptless and len(state.spec_cache) < self.spec_cache_capacity:
                     # Room for another specialized binary (the §6
                     # eager extension; under deoptless, growth instead
@@ -700,8 +597,7 @@ class Engine(object):
                         self._dispatch_into(
                             state, cached[0], "respecialize", None, key, cached[1]
                         )
-                        if self.metrics is not None:
-                            self.metrics.inc("repro_spec_cache_hits_total")
+                        stats.spec_cache_hits += 1
                     elif cached is None and self._deoptless_promote(
                         state, function, this_value, args, key
                     ):
@@ -803,6 +699,7 @@ class Engine(object):
                 state, frame.function, frame.this_value, frame.args, osr_frame=(target_pc, frame)
             ):
                 return None
+        self.stats.osr_enters += 1
         self._emit("osr", "enter", code, osr_pc=target_pc, backedges=state.backedge_count)
         return self._run_osr(state, frame, target_pc)
 
@@ -1045,8 +942,6 @@ class Engine(object):
         )
         if self.cycle_profiler is not None:
             self.cycle_profiler.record_compile(code, native, compile_cycles)
-        if self.metrics is not None:
-            self.metrics.observe("repro_compile_cycles_per_compile", compile_cycles)
         self._emit(
             "compile",
             "finish",
@@ -1087,6 +982,7 @@ class Engine(object):
                 args=args,
                 osr=osr_state_key is not None,
             )
+            self.stats.spec_cache_stores += 1
             self._emit("cache", "store", code, key=spec_key, entries=len(state.spec_cache))
         elif self.config.param_spec:
             self._emit(
@@ -1239,8 +1135,7 @@ class Engine(object):
                 if state.spec_key is not None:
                     state.spec_cache.pop(state.spec_key, None)
                 state.install(None)
-                if self.metrics is not None:
-                    self.metrics.inc("repro_engine_retrains_total")
+                self.stats.retrains += 1
                 self._invalidate(code)
                 self._emit("deopt", "discard", code, reason="shape-retrain", dropped=1)
         feedback = code.feedback

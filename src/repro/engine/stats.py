@@ -9,7 +9,10 @@ compilation overhead; per-function native sizes feed Figure 10; the
 specialization counters feed the §4 policy paragraphs.
 """
 
+from bisect import bisect_left
+
 from repro.engine.config import CostModel, interp_cycles
+from repro.telemetry.metrics import COMPILE_COST_BUCKETS
 
 
 #: Ledger keys that count *host-side* disk-cache traffic rather than
@@ -55,6 +58,16 @@ class EngineStats(object):
         self.shape_guard_bailouts = 0
         #: code_id -> number of times that function was compiled.
         self.compiles_per_function = {}
+        #: Compiles per ``COMPILE_COST_BUCKETS`` bucket, overflow last.
+        self.compile_cost_buckets = [0] * (len(COMPILE_COST_BUCKETS) + 1)
+        #: Loop back edges that entered native code (on-stack replacement).
+        self.osr_enters = 0
+        #: Binaries dropped so a site's IC can learn a failing shape.
+        self.retrains = 0
+        #: Specialization-cache traffic (docs/STATS.md).
+        self.spec_cache_hits = 0
+        self.spec_cache_misses = 0
+        self.spec_cache_stores = 0
 
         # -- deoptless dispatch (docs/DEOPTLESS.md) -----------------------------
         #: Dispatched re-entries: a guard miss that would have
@@ -110,6 +123,7 @@ class EngineStats(object):
         cycles += codegen_stats["intervals"] * CostModel.compile_per_interval
         self.compile_cycles += cycles
         self.compiles += 1
+        self.compile_cost_buckets[bisect_left(COMPILE_COST_BUCKETS, cycles)] += 1
         if osr:
             self.osr_compiles += 1
         self.compiles_per_function[code.code_id] = (
@@ -191,6 +205,12 @@ class EngineStats(object):
             "deoptless_misses": self.deoptless_misses,
             "deoptless_generalized_compiles": self.deoptless_generalized_compiles,
             "retrain_noops": self.retrain_noops,
+            "retrains": self.retrains,
+            "osr_enters": self.osr_enters,
+            "spec_cache_hits": self.spec_cache_hits,
+            "spec_cache_misses": self.spec_cache_misses,
+            "spec_cache_stores": self.spec_cache_stores,
+            "compile_cost_buckets": list(self.compile_cost_buckets),
             "disk_hits": self.disk_hits,
             "disk_misses": self.disk_misses,
             "disk_stores": self.disk_stores,

@@ -21,6 +21,7 @@ from repro.jsvm.values import (
     NULL,
     UNDEFINED,
     NativeFunction,
+    format_number,
     is_number,
     normalize_number,
     to_js_string,
@@ -474,11 +475,17 @@ class Runtime(object):
 
     def _install_number_methods(self):
         def to_string(this, args):
+            if not is_number(this):
+                raise JSTypeError("Number.prototype.toString called on a non-number")
             radix = _int_arg(args, 0, 10)
-            if radix == 10:
-                return to_js_string(this)
+            if not 2 <= radix <= 36:
+                raise JSRangeError("toString() radix must be between 2 and 36")
+            if radix == 10 or not math.isfinite(this):
+                return format_number(this)
+            if this != int(this):  # a fraction's radix digits are not supported
+                raise JSRangeError("toString(%d) of a fractional number" % radix)
             digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-            n = int(to_number(this))
+            n = int(this)
             if n == 0:
                 return "0"
             sign = "-" if n < 0 else ""

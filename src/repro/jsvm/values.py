@@ -276,16 +276,35 @@ def to_number(value):
 
 
 def format_number(value):
-    """Render a guest number the way JS ``String(n)`` does."""
+    """Render a guest number the way JS ``String(n)`` does.
+
+    ECMAScript's Number::toString: the shortest digits that round-trip
+    (``repr``'s), in fixed notation — zero-padded up to 21 digits —
+    for 1e-7 <= |n| < 1e21, else as ``d.ddde±x``.
+    """
     if type(value) is int:
         return str(value)
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
-    if value.is_integer() and abs(value) < 1e21:
-        return str(int(value))
-    return repr(value)
+    if value.is_integer() and abs(value) < 2 ** 53:
+        return str(int(value))  # every digit significant; -0 reads "0"
+    mantissa, _, exponent = repr(abs(value)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    # The value is 0.<digits> x 10**point.
+    point = len(whole) + int(exponent or 0) - len(whole + fraction) + len(digits)
+    digits = digits.rstrip("0")
+    if len(digits) <= point <= 21:
+        text = digits + "0" * (point - len(digits))
+    elif 0 < point <= 21:
+        text = digits[:point] + "." + digits[point:]
+    elif -6 < point <= 0:
+        text = "0." + "0" * -point + digits
+    else:
+        text = (digits[0] + "." + digits[1:]).rstrip(".") + "e%+d" % (point - 1)
+    return "-" + text if value < 0 else text
 
 
 def to_js_string(value):

@@ -1,4 +1,4 @@
-"""Tenant isolates: one engine and one metrics registry per tenant.
+"""Tenant isolates: one engine and one serving-metrics registry per tenant.
 
 The isolation contract (docs/SERVING.md) is ownership: every piece of
 *speculation state* — the shape transition tree, inline caches, type
@@ -26,7 +26,7 @@ from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
 from repro.errors import ReproError
 from repro.serving.admission import QUEUE_CAPACITY, AdmissionLane
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, merge_payloads, metrics_payload
 
 from repro.serving.shards import ShardedDiskCache, TenantCacheView
 
@@ -43,10 +43,12 @@ class TenantIsolate(object):
     ):
         self.tenant = tenant
         self.cache = cache
-        self.metrics = MetricsRegistry()
+        #: The serving rows (requests, batches, lane); the engine's rows
+        #: are computed from the engine when a payload is asked for.
+        self.serving = MetricsRegistry()
         kwargs = dict(engine_kwargs or {})
         kwargs.setdefault("config", FULL_SPEC)
-        self.engine = Engine(metrics=self.metrics, code_cache=cache, **kwargs)
+        self.engine = Engine(code_cache=cache, **kwargs)
         self.lane = AdmissionLane(
             capacity=QUEUE_CAPACITY if queue_capacity is None else queue_capacity
         )
@@ -55,7 +57,7 @@ class TenantIsolate(object):
         #: so this tenant's feedback and spec caches warm up.
         self.programs = {}
         self.requests = 0
-        self.metrics.set_gauge("repro_serving_tenants", 1)
+        self.serving.set_gauge("repro_serving_tenants", 1)
 
     def execute(self, program, source):
         """Run one request; returns ``(output_lines, service_cycles)``.
@@ -101,7 +103,7 @@ class TenantIsolate(object):
             batch = ("auto", self.lane.admitted)
         new_batch = batch != self.lane.last_batch
         start = self.lane.admit(arrival, batch=batch)
-        registry = self.metrics
+        registry = self.serving
         if start is None:
             registry.inc("repro_serving_rejected_total")
             self._sample_lane()
@@ -134,14 +136,17 @@ class TenantIsolate(object):
         }
 
     def _sample_lane(self):
-        self.metrics.set_gauge(
+        self.serving.set_gauge(
             "repro_serving_queue_depth_high_water", self.lane.depth_high_water
         )
 
     def metrics_payload(self):
-        """This tenant's metrics payload (full schema keys), collected now."""
-        self.engine.collect_metrics()  # a guest that raised never reached ``finish``
-        return self.metrics.as_dict()
+        """This tenant's metrics payload (full schema keys), computed now.
+
+        The engine's rows and the serving rows are disjoint (each is zero
+        in the other's payload), so merging them is their union.
+        """
+        return merge_payloads([metrics_payload(self.engine), self.serving.as_dict()])
 
 
 def _error_response(tenant, program, message):

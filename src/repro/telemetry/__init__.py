@@ -10,7 +10,6 @@ from repro.telemetry.histograms import (
 )
 from repro.telemetry.codesize import CodeSizeReport
 from repro.telemetry.metrics import (
-    METRIC_NAMES,
     METRIC_SCHEMA,
     MetricsRegistry,
     empty_payload,
@@ -37,7 +36,6 @@ __all__ = [
     "percent_histogram",
     "type_distribution",
     "CodeSizeReport",
-    "METRIC_NAMES",
     "METRIC_SCHEMA",
     "MetricsRegistry",
     "empty_payload",

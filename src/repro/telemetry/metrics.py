@@ -10,10 +10,14 @@ tracer's to say: it stamps every engine event on the cycle clock.)
 
 Design rules (the same contract as the trace layer, docs/TRACING.md):
 
-* **Zero overhead when disabled.**  The engine holds ``metrics = None``
-  by default; its one emit point tests that once per stated fact, and
-  nothing here ever touches the cost model — enabling metrics cannot
-  change any observable (stats, cycles, output, traces).
+* **Read at the end, never written during a run.**  Every engine fact
+  is counted in the engine's own ledger (``EngineStats``, the executor,
+  the interpreter, the disk cache), unconditionally, like the cycles.
+  :func:`metrics_payload` computes the payload from that live state
+  when someone asks — ``Engine.finish()`` for an attached registry —
+  and writes nothing, so no registry is read or written while a guest
+  runs and a metrics reader cannot change any observable (stats,
+  cycles, output, traces).
 * **A closed name registry.**  Every metric the engine may record is
   declared in :data:`METRIC_SCHEMA` with its type (``counter`` /
   ``gauge`` / ``histogram``), its merge policy, and — for histograms —
@@ -21,10 +25,9 @@ Design rules (the same contract as the trace layer, docs/TRACING.md):
   names, and ``docs/METRICS.md`` is schema-checked against the same
   table, exactly like the trace event schema.
 * **A passive holder.**  A registry holds numbers and nothing else —
-  no clock, no callback into the engine.  The engine writes the
-  metrics it mirrors or computes in ``Engine.finish()`` (and
-  ``Engine.collect_metrics()``), so two runs of the same workload
-  export bit-identical payloads on every backend and every machine.
+  no clock, no callback into the engine — so two runs of the same
+  workload export bit-identical payloads on every backend and every
+  machine.  The serving tier counts its own request rows into one.
 * **Exact merge.**  Counters and histogram buckets are integers summed
   exactly; gauges fold by their declared policy (``sum`` for
   occupancies and cycle meters, ``max`` for high-water marks).  Folding
@@ -43,7 +46,11 @@ See ``docs/METRICS.md`` for the full metric name registry, bucket
 schemes, exporter formats and merge semantics.
 """
 
+import copy
 import json
+from bisect import bisect_left
+
+from repro.engine.config import interp_cycles
 
 #: Fixed bucket upper bounds (cycles) for the per-compilation cost
 #: histogram (the ``cycles`` field of ``compile.finish`` events).
@@ -269,9 +276,6 @@ METRIC_SCHEMA = {
     },
 }
 
-#: Metric names in registry (= documentation = export) order.
-METRIC_NAMES = tuple(METRIC_SCHEMA)
-
 
 def _empty_histogram(spec):
     """A zeroed histogram cell for one schema declaration.
@@ -313,11 +317,10 @@ class MetricsRegistry(object):
 
     All metrics exist from construction (zeroed), so exports and merges
     always carry the full, stable key set.  The registry only holds
-    numbers: sites count into it as facts happen, and the engine writes
-    the metrics it mirrors or computes when a run finishes
-    (``Engine.finish``, ``Engine.collect_metrics``).  It keeps no clock
-    and no reference to the engine, so it reads the same after the
-    engine is gone.
+    numbers: ``Engine.finish`` loads the engine's payload into it
+    (:meth:`load`), and the serving tier counts its request rows into
+    one.  It keeps no clock and no reference to the engine, so it reads
+    the same after the engine is gone.
     """
 
     def __init__(self):
@@ -334,18 +337,6 @@ class MetricsRegistry(object):
             self._reject(name, "counter")
         self.counters[name] += amount
 
-    def set_counter(self, name, value):
-        """Set a *collected* counter to its monotonic source value.
-
-        For counters mirrored from an authoritative live ledger (the
-        stats object, the disk cache) rather than counted at
-        instrumentation sites.  The engine writes them when a run
-        finishes; during a run they hold the last finished run's value.
-        """
-        if name not in self.counters:
-            self._reject(name, "counter")
-        self.counters[name] = value
-
     def set_gauge(self, name, value):
         """Set gauge ``name``; rejects undeclared names."""
         if name not in self.gauges:
@@ -357,14 +348,14 @@ class MetricsRegistry(object):
         cell = self.histograms.get(name)
         if cell is None:
             self._reject(name, "histogram")
-        index = 0
-        for bound in cell["buckets"]:
-            if value <= bound:
-                break
-            index += 1
-        cell["counts"][index] += 1
+        cell["counts"][bisect_left(cell["buckets"], value)] += 1
         cell["sum"] += value
         cell["count"] += 1
+
+    def load(self, payload):
+        """Take every value of a full-schema ``payload``, which it keeps."""
+        for kind in ("counters", "gauges", "histograms"):
+            getattr(self, kind).update(payload[kind])
 
     def _reject(self, name, kind):
         spec = METRIC_SCHEMA.get(name)
@@ -378,19 +369,91 @@ class MetricsRegistry(object):
 
     def as_dict(self):
         """The full registry as a JSON-safe payload (stable key set), a copy."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: {
-                    "buckets": list(cell["buckets"]),
-                    "counts": list(cell["counts"]),
-                    "sum": cell["sum"],
-                    "count": cell["count"],
-                }
-                for name, cell in self.histograms.items()
-            },
+        return copy.deepcopy(
+            {"counters": self.counters, "gauges": self.gauges, "histograms": self.histograms}
+        )
+
+
+# -- the engine's payload -----------------------------------------------------
+
+
+def metrics_payload(engine):
+    """The full-schema payload of ``engine``'s live state, computed now.
+
+    Reads ``stats``, ``executor``, ``interpreter``, ``code_cache`` and
+    ``states`` and writes nothing, so it is exact at any time, also after
+    a guest raised; the serving rows stay zero.  docs/METRICS.md
+    tabulates each metric's source.
+    """
+    stats = engine.stats
+    interpreter = engine.interpreter
+    total_calls = 0
+    spec_entries = 0
+    ic_sites = {"mono": 0, "poly": 0, "mega": 0}
+    for state in engine.states.values():
+        total_calls += state.call_count
+        spec_entries += len(state.spec_cache)
+        feedback = state.code.feedback
+        if feedback is not None:
+            for pc in feedback.shape_ics:
+                ic_sites[feedback.ic_state(pc)] += 1
+    payload = empty_payload()
+    payload["counters"].update(
+        {
+            "repro_engine_calls_interp_total": stats.interp_calls,
+            "repro_engine_calls_native_total": total_calls - stats.interp_calls,
+            "repro_engine_osr_enters_total": stats.osr_enters,
+            "repro_engine_compiles_total": stats.compiles,
+            "repro_engine_osr_compiles_total": stats.osr_compiles,
+            "repro_engine_recompilations_total": stats.recompilations,
+            "repro_engine_bailouts_total": stats.bailouts,
+            "repro_engine_shape_guard_bailouts_total": stats.shape_guard_bailouts,
+            "repro_engine_invalidations_total": stats.invalidations,
+            "repro_engine_retrains_total": stats.retrains,
+            "repro_engine_ic_transitions_total": interpreter.ic_transitions,
+            "repro_engine_retrain_noops_total": stats.retrain_noops,
+            "repro_deoptless_reentries_total": stats.deoptless_reentries,
+            "repro_deoptless_misses_total": stats.deoptless_misses,
+            "repro_deoptless_generalized_compiles_total": stats.deoptless_generalized_compiles,
+            "repro_spec_cache_hits_total": stats.spec_cache_hits,
+            "repro_spec_cache_misses_total": stats.spec_cache_misses,
+            "repro_spec_cache_stores_total": stats.spec_cache_stores,
         }
+    )
+    cache = engine.code_cache
+    if cache is not None:
+        payload["counters"].update(
+            {
+                "repro_cache_disk_hits_total": cache.hits,
+                "repro_cache_disk_misses_total": cache.misses,
+                "repro_cache_disk_stores_total": cache.stores,
+                "repro_cache_disk_evictions_total": cache.evictions,
+                "repro_cache_disk_corrupt_total": cache.corrupt,
+                "repro_cache_disk_uncacheable_total": cache.uncacheable,
+            }
+        )
+    payload["gauges"].update(
+        {
+            "repro_engine_total_cycles": engine.trace_clock(),
+            "repro_engine_interp_cycles": interp_cycles(
+                interpreter.ops_executed, stats.interp_calls
+            ),
+            "repro_engine_native_cycles": engine.executor.cycles,
+            "repro_engine_compile_cycles": stats.compile_cycles,
+            "repro_engine_bailout_cycles": stats.bailout_cycles,
+            "repro_engine_invalidation_cycles": stats.invalidation_cycles,
+            "repro_engine_functions_hot": len(engine.states),
+            "repro_spec_cache_entries": spec_entries,
+            "repro_engine_ic_sites_mono": ic_sites["mono"],
+            "repro_engine_ic_sites_poly": ic_sites["poly"],
+            "repro_engine_ic_sites_mega": ic_sites["mega"],
+        }
+    )
+    cost = payload["histograms"]["repro_compile_cycles_per_compile"]
+    cost["counts"] = list(stats.compile_cost_buckets)
+    cost["sum"] = stats.compile_cycles
+    cost["count"] = stats.compiles
+    return payload
 
 
 # -- merge --------------------------------------------------------------------

@@ -86,7 +86,7 @@ def _engine_from_args(args, **sinks):
     """The one way a subcommand builds its engine.
 
     ``sinks`` are the telemetry objects to attach (``tracer``,
-    ``metrics``, ``cycle_profiler``); a flag the subcommand does not
+    ``cycle_profiler``); a flag the subcommand does not
     define reads as the engine's default.  ``--code-cache`` absent
     (None) means no persistent cache, bare (empty) the default root
     (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), anything else an
@@ -206,17 +206,16 @@ def cmd_trace(args, out):
     return 0
 
 
-def _run_with_metrics(args):
-    """Run ``args.workload`` under an engine with a metrics registry.
+def _run_for_metrics(args):
+    """Run ``args.workload``; returns the engine's metrics payload.
 
-    Returns ``(engine, registry)``; shared by ``metrics`` and ``top``.
+    Shared by ``metrics`` and ``top``.
     """
-    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.metrics import metrics_payload
 
-    registry = MetricsRegistry()
-    engine = _engine_from_args(args, metrics=registry)
+    engine = _engine_from_args(args)
     engine.run_source(_resolve_workload(args.workload))
-    return engine, registry
+    return metrics_payload(engine)
 
 
 def cmd_metrics(args, out):
@@ -229,8 +228,7 @@ def cmd_metrics(args, out):
         write_prometheus,
     )
 
-    engine, registry = _run_with_metrics(args)
-    payload = registry.as_dict()
+    payload = _run_for_metrics(args)
     wrote = False
     if args.prometheus:
         write_prometheus(payload, args.prometheus)
@@ -252,11 +250,8 @@ def cmd_top(args, out):
     """``repro top``: one-shot console dashboard for a workload's run."""
     from repro.telemetry.metrics import format_dashboard
 
-    engine, registry = _run_with_metrics(args)
     out.write(
-        format_dashboard(
-            registry.as_dict(), title="repro top — %s" % args.workload
-        )
+        format_dashboard(_run_for_metrics(args), title="repro top — %s" % args.workload)
         + "\n"
     )
     return 0

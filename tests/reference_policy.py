@@ -56,7 +56,7 @@ class ReferenceEngine(Engine):
         state = self._state(code)
         state.call_count += 1
         state.last_call = (function, this_value, args)
-        metrics = self.metrics
+        stats = self.stats
         tracer = self.tracer
         if (
             tracer is not None
@@ -71,7 +71,7 @@ class ReferenceEngine(Engine):
                 calls=state.call_count,
             )
         if state.not_compilable:
-            self.stats.interp_calls += 1
+            stats.interp_calls += 1
             if self.cycle_profiler is not None:
                 self.cycle_profiler.interp_call()
             return False, None
@@ -83,8 +83,7 @@ class ReferenceEngine(Engine):
         if native is not None:
             if native.meta["specialized"]:
                 if _spec_key(this_value, args) == state.spec_key:
-                    if metrics is not None:
-                        metrics.inc("repro_spec_cache_hits_total")
+                    stats.spec_cache_hits += 1
                     if tracer is not None:
                         tracer.emit(
                             "cache",
@@ -102,8 +101,7 @@ class ReferenceEngine(Engine):
                     # possible with capacity > 1, the §6 extension).
                     state.native, state.osr_state_key = cached
                     state.spec_key = key
-                    if metrics is not None:
-                        metrics.inc("repro_spec_cache_hits_total")
+                    stats.spec_cache_hits += 1
                     if tracer is not None:
                         tracer.emit(
                             "cache",
@@ -114,8 +112,7 @@ class ReferenceEngine(Engine):
                             primary=False,
                         )
                     return True, self._run_call(state, function, this_value, args)
-                if metrics is not None:
-                    metrics.inc("repro_spec_cache_misses_total")
+                stats.spec_cache_misses += 1
                 if tracer is not None:
                     tracer.emit(
                         "cache",
@@ -157,11 +154,9 @@ class ReferenceEngine(Engine):
                         state.native, state.osr_state_key = cached
                         state.spec_key = key
                         self._charge_dispatch(state.native)
-                        self.stats.deoptless_reentries += 1
+                        stats.deoptless_reentries += 1
+                        stats.spec_cache_hits += 1
                         dispatched = True
-                        if metrics is not None:
-                            metrics.inc("repro_deoptless_reentries_total")
-                            metrics.inc("repro_spec_cache_hits_total")
                         if tracer is not None:
                             tracer.emit(
                                 "deoptless",
@@ -205,7 +200,7 @@ class ReferenceEngine(Engine):
             if self._compile(state, function, this_value, args, osr_frame=None):
                 return True, self._run_call(state, function, this_value, args)
 
-        self.stats.interp_calls += 1
+        stats.interp_calls += 1
         if self.cycle_profiler is not None:
             self.cycle_profiler.interp_call()
         return False, None

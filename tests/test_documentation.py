@@ -307,29 +307,47 @@ def test_metrics_doc_matches_metric_schema():
         )
 
 
-def test_metrics_doc_collection_model_matches_the_engine_tables():
-    """docs/METRICS.md's "Collection model" lists each engine metric
-    under the one source the code gives it: the emit point's event ->
-    counter table and the collector's mirror table row for row, the
-    computed and direct-site metrics by name."""
+def test_metrics_doc_collection_model_matches_the_engine_tables(tmp_path):
+    """docs/METRICS.md's "Collection model" table names exactly the
+    engine metrics of ``METRIC_SCHEMA``, each once, and every row whose
+    source is one attribute (``stats.compiles``) names the value
+    ``metrics_payload`` reports for it."""
     import re
 
-    from repro.engine.runtime_engine import _EVENT_COUNTERS, _MIRRORED_METRICS
-    from repro.telemetry.metrics import METRIC_SCHEMA
+    from repro import FULL_SPEC, Engine
+    from repro.cache import DiskCodeCache
+    from repro.telemetry.metrics import METRIC_SCHEMA, metrics_payload
 
     text = _metrics_doc()
     section = text[text.index("## Collection model") : text.index("## Metric registry")]
-    events = re.findall(r"^ *\| `(\w+)\.(\w+)` \| `(repro_\w+)` \|$", section, re.MULTILINE)
-    assert {(ch, ev): name for ch, ev, name in events} == _EVENT_COUNTERS
-    mirrors = re.findall(r"^ *\| `(repro_\w+)` \| `(\w+)\.(\w+)` \|$", section, re.MULTILINE)
-    assert mirrors == [tuple(row) for row in _MIRRORED_METRICS]
-    tabled = set(_EVENT_COUNTERS.values()) | {row[0] for row in _MIRRORED_METRICS}
-    named = set(re.findall(r"`(repro_\w+)`", section)) - tabled
-    engine_metrics = {
+    rows = re.findall(r"^\| `(repro_\w+)` \| (.+) \|$", section, re.MULTILINE)
+    names = [name for name, _ in rows]
+    assert len(names) == len(set(names)), "duplicate rows in the collection table"
+    assert set(names) == {
         name for name in METRIC_SCHEMA if not name.startswith("repro_serving_")
     }
-    assert named == engine_metrics - tabled
-    assert "Engine.collect_metrics" in section and "Engine._emit" in section
+    engine = Engine(
+        config=FULL_SPEC,
+        code_cache=DiskCodeCache(root=str(tmp_path)),
+        hot_call_threshold=3,
+        osr_backedge_threshold=10,
+    )
+    engine.run_source(
+        "function f(o) { return o.x; } var s = 0;"
+        " for (var i = 0; i < 40; i++) s += f(i % 2 ? {x: i} : {y: 1, x: 2});"
+        " print(s);"
+    )
+    payload = metrics_payload(engine)
+    values = dict(payload["counters"], **payload["gauges"])
+    attributes = 0
+    for name, source in rows:
+        match = re.fullmatch(r"`(\w+)\.(\w+)`", source)
+        if match:
+            ledger, attribute = match.groups()
+            assert values[name] == getattr(getattr(engine, ledger), attribute), name
+            attributes += 1
+    assert attributes >= 25
+    assert values["repro_engine_compiles_total"] > 0
 
 
 def test_metrics_doc_jsonl_record_keys_are_the_written_keys(tmp_path):

@@ -5,17 +5,18 @@ Four contracts under test:
 * **closed schema** — the registry rejects undeclared names and kind
   mismatches at record time, and every payload partitions exactly into
   ``METRIC_SCHEMA``'s counters, gauges and histograms;
-* **a passive registry** — it holds numbers only (the engine writes
-  its mirrored and computed metrics when a run finishes), so repeat
-  runs export bit-identical payloads on every backend;
+* **a passive registry** — it holds numbers only (``finish`` loads the
+  engine's payload into it), so repeat runs export bit-identical
+  payloads on every backend;
 * **zero cost when enabled** — attaching a registry cannot move any
   observable (output, stats, cycles, trace stream) on any of the three
   executor backends;
 * **exact merge** — folding the per-worker payloads of a ``--jobs N``
   sweep yields the same numbers as a single-process sweep.
 
-Plus the collection model: every engine metric has exactly one source
-(the emit point's event table, the collector, or a named direct site).
+Plus the one ledger: every engine fact is counted in ``EngineStats``
+whoever is watching, and ``metrics_payload`` computes the payload from
+the engine's live state without writing anything.
 """
 
 import io
@@ -24,17 +25,17 @@ import json
 import pytest
 
 from repro import FULL_SPEC, Engine
-from repro.engine.runtime_engine import _EVENT_COUNTERS, _MIRRORED_METRICS
 from repro.telemetry.metrics import (
     METRIC_SCHEMA,
     MetricsRegistry,
     empty_payload,
     format_dashboard,
     merge_payloads,
+    metrics_payload,
     to_prometheus,
     write_metrics_jsonl,
 )
-from repro.telemetry.tracing import EVENT_SCHEMA, Tracer
+from repro.telemetry.tracing import Tracer
 from repro.tools.cli import main as cli_main
 
 from tests.conftest import FAST
@@ -183,24 +184,6 @@ class TestEngineIntegration:
         assert paths[0].read_text() == paths[1].read_text()
 
 
-#: Written by ``Engine.collect_metrics`` from live state (no ledger
-#: attribute holds them), and recorded in line where the fact is decided
-#: (``_note_bailout``, ``_produce``).
-COMPUTED_METRICS = {
-    "repro_engine_calls_native_total",
-    "repro_engine_total_cycles",
-    "repro_engine_interp_cycles",
-    "repro_engine_functions_hot",
-    "repro_spec_cache_entries",
-    "repro_engine_ic_sites_mono",
-    "repro_engine_ic_sites_poly",
-    "repro_engine_ic_sites_mega",
-}
-DIRECT_METRICS = {
-    "repro_engine_retrains_total",
-    "repro_compile_cycles_per_compile",
-}
-
 CHURN = """
 function area(s) { return s.w * s.h; }
 function twice(n) { return n + n; }
@@ -211,94 +194,36 @@ print(s);
 """
 
 
-class _SourceRecorder(MetricsRegistry):
-    """A registry that remembers which API fed each metric."""
+#: Spec-cache hits, misses and stores, an OSR entry and (under the
+#: paper's policy) a shape retrain, all under ``FAST``.
+COUNTED = """
+function area(s) { return s.w * s.h; }
+function sq(n) { return n * n; }
+var shapes = [{w: 1, h: 2}, {h: 3, w: 4, d: 5}, {d: 1, w: 6, h: 7}];
+var s = 0;
+for (var i = 0; i < 90; i++) s += area(shapes[i % 3]) + sq(7);
+print(s);
+"""
 
-    def __init__(self):
-        MetricsRegistry.__init__(self)
-        self.counted = set()
-        self.collected = set()
-
-    def inc(self, name, amount=1):
-        self.counted.add(name)
-        MetricsRegistry.inc(self, name, amount)
-
-    def observe(self, name, value):
-        self.counted.add(name)
-        MetricsRegistry.observe(self, name, value)
-
-    def set_counter(self, name, value):
-        self.collected.add(name)
-        MetricsRegistry.set_counter(self, name, value)
-
-    def set_gauge(self, name, value):
-        self.collected.add(name)
-        MetricsRegistry.set_gauge(self, name, value)
+#: Each counted fact's trace event -> the ``EngineStats`` counter it bumps.
+COUNTED_EVENTS = {
+    ("cache", "hit"): "spec_cache_hits",
+    ("cache", "miss"): "spec_cache_misses",
+    ("cache", "store"): "spec_cache_stores",
+    ("osr", "enter"): "osr_enters",
+}
 
 
-class TestOneSourcePerMetric:
-    def test_event_counter_table_is_in_both_schemas(self):
-        for (channel, event), counter in _EVENT_COUNTERS.items():
-            assert event in EVENT_SCHEMA[channel]
-            assert METRIC_SCHEMA[counter]["type"] == "counter"
-
-    def test_mirror_table_names_live_ledger_attributes(self, tmp_path):
-        from repro.cache import DiskCodeCache
-
-        engine = Engine(code_cache=DiskCodeCache(root=str(tmp_path)))
-        for name, ledger, attribute in _MIRRORED_METRICS:
-            assert METRIC_SCHEMA[name]["type"] in ("counter", "gauge")
-            assert isinstance(getattr(getattr(engine, ledger), attribute), int)
-
-    def test_the_sources_partition_the_engine_metrics(self):
-        counted = set(_EVENT_COUNTERS.values())
-        mirrored = [name for name, _, _ in _MIRRORED_METRICS]
-        sources = [counted, set(mirrored), COMPUTED_METRICS, DIRECT_METRICS]
-        assert len(counted) == len(_EVENT_COUNTERS)
-        assert len(mirrored) == len(set(mirrored))
-        assert sum(len(source) for source in sources) == len(set().union(*sources))
-        assert set().union(*sources) == {
-            name for name in METRIC_SCHEMA if not name.startswith("repro_serving_")
-        }
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"deoptless": True},
-            {"spec_cache_capacity": 2},
-            {"deoptless": True, "spec_cache_capacity": 2},
-        ],
-    )
-    def test_no_metric_is_both_counted_and_collected(self, kwargs, tmp_path):
-        from repro.cache import DiskCodeCache
-
-        recorder = _SourceRecorder()
-        engine = Engine(
-            config=FULL_SPEC,
-            metrics=recorder,
-            code_cache=DiskCodeCache(root=str(tmp_path)),
-            **dict(FAST, **kwargs)
-        )
-        engine.run_source(CHURN)
-        assert not recorder.counted & recorder.collected
-        assert recorder.counted <= set(_EVENT_COUNTERS.values()) | DIRECT_METRICS
-        expected = {name for name, _, _ in _MIRRORED_METRICS} | COMPUTED_METRICS
-        assert recorder.collected == expected
-        if kwargs == {}:
-            assert "repro_engine_retrains_total" in recorder.counted
-        if kwargs.get("deoptless"):
-            assert engine.stats.deoptless_misses > 0
-
+class TestOneLedger:
     @pytest.mark.parametrize(
         "kwargs", [{}, {"spec_cache_capacity": 2}, {"executor_backend": "closure"}]
     )
     def test_counted_events_equal_their_counters(self, kwargs):
         """With a tracer on, every call takes the policy path, so each
-        counted fact is one event and one increment — by construction."""
+        counted fact is one event and one increment of its counter."""
         from repro.workloads import ALL_SUITES
 
-        totals = dict.fromkeys(_EVENT_COUNTERS.values(), 0)
+        totals = dict.fromkeys(COUNTED_EVENTS.values(), 0)
         picked = (
             "math-cordic",
             "string-base64",
@@ -311,22 +236,53 @@ class TestOneSourcePerMetric:
         assert len(benchmarks) == len(picked)
         for benchmark in benchmarks:
             tracer = Tracer(channels=("cache", "osr"))
-            registry = MetricsRegistry()
-            engine = Engine(
-                config=FULL_SPEC, tracer=tracer, metrics=registry, **kwargs
-            )
+            engine = Engine(config=FULL_SPEC, tracer=tracer, **kwargs)
             engine.run_source(benchmark.source)
+            ledger = engine.stats.as_dict()
             seen = {}
             for event in tracer.events:
                 key = (event["ch"], event["event"])
                 seen[key] = seen.get(key, 0) + 1
-            for key, counter in _EVENT_COUNTERS.items():
-                assert registry.counters[counter] == seen.get(key, 0), (
-                    benchmark.name,
-                    counter,
-                )
+            for key, counter in COUNTED_EVENTS.items():
+                assert ledger[counter] == seen.get(key, 0), (benchmark.name, counter)
                 totals[counter] += seen.get(key, 0)
         assert all(totals.values()), totals
+
+    @pytest.mark.parametrize("backend", ["simple", "whole"])
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"deoptless": True, "spec_cache_capacity": 2}]
+    )
+    def test_the_ledger_is_the_same_for_every_reader(self, backend, kwargs):
+        """Every fact is counted unconditionally: a tracer or a registry
+        attached changes no ``stats.as_dict()`` entry, the counters the
+        metrics are computed from included."""
+
+        def ledger(**sinks):
+            engine = Engine(
+                config=FULL_SPEC, executor_backend=backend, **dict(FAST, **kwargs, **sinks)
+            )
+            engine.run_source(COUNTED)
+            return engine.stats.as_dict()
+
+        plain = ledger()
+        assert plain == ledger(tracer=Tracer())
+        assert plain == ledger(metrics=MetricsRegistry())
+        assert plain == ledger(tracer=Tracer(), metrics=MetricsRegistry())
+        for counter in COUNTED_EVENTS.values():
+            assert plain[counter] > 0, counter
+        assert plain["retrains"] > 0 or kwargs
+        assert sum(plain["compile_cost_buckets"]) == plain["compiles"]
+
+    def test_the_payload_is_a_pure_read_of_the_engine(self):
+        """``metrics_payload`` writes nothing: asked twice it answers the
+        same, leaves the ledger alone, and is what ``finish`` loads into
+        an attached registry."""
+        _, engine, registry = run_metered(COUNTED)
+        ledger = engine.stats.as_dict()
+        first = metrics_payload(engine)
+        assert metrics_payload(engine) == first == registry.as_dict()
+        assert engine.stats.as_dict() == ledger
+        assert first["counters"]["repro_engine_retrains_total"] == ledger["retrains"]
 
 
 class TestZeroCostWhenEnabled:

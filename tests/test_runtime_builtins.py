@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import JSReferenceError, JSTypeError
+from repro.errors import JSRangeError, JSReferenceError, JSTypeError
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.runtime import Runtime
 
@@ -139,6 +139,46 @@ class TestNumberMethods:
 
     def test_to_fixed(self):
         assert run1("print((3.14159).toFixed(2));") == "3.14"
+
+    def test_to_string_radix_10_is_string_of_the_number(self):
+        assert run1("print((1e-9).toString(), (0.5).toString(10));") == "1e-9 0.5"
+
+    def test_to_string_radix_of_a_non_finite_number(self):
+        assert run1("print((0 / 0).toString(2), (-1 / 0).toString(16));") == (
+            "NaN -Infinity"
+        )
+
+    @pytest.mark.parametrize("radix", [0, 1, 37])
+    def test_to_string_radix_out_of_range_is_a_range_error(self, radix):
+        with pytest.raises(JSRangeError, match="radix"):
+            run1("print((10).toString(%d));" % radix)
+
+    def test_to_string_of_a_fraction_in_a_radix_is_a_range_error(self):
+        # node prints "0.1"; this subset refuses rather than print "0".
+        with pytest.raises(JSRangeError, match="fractional"):
+            run1("print((0.5).toString(2));")
+
+    @pytest.mark.parametrize("backend", ["simple", "whole"])
+    def test_a_compiled_fractional_radix_call_is_not_folded(self, backend):
+        """Specialized on its arguments, the call's receiver and radix are
+        constants under ``FULL_SPEC``.  Constant propagation folds a
+        foldable native by calling it with no receiver and keeps the call
+        when that raises; so it must raise, and the compiled call must
+        raise at run time rather than yield a folded string."""
+        from repro import FULL_SPEC, Engine
+
+        to_string = Runtime().number_methods["toString"]
+        assert to_string.foldable
+        for this in (None, 0.5):
+            with pytest.raises((JSRangeError, JSTypeError)):
+                to_string.fn(this, [2])
+        engine = Engine(config=FULL_SPEC, executor_backend=backend, hot_call_threshold=1)
+        with pytest.raises(JSRangeError, match="fractional"):
+            engine.run_source(
+                "function f(x, r) { var y = x * 1; return y.toString(r); }"
+                "print(f(0.5, 2));"
+            )
+        assert engine.stats.compiles == 1 and engine.stats.specialized_functions
 
 
 class TestParseFunctions:

@@ -211,8 +211,24 @@ class TestToString:
     def test_object(self):
         assert to_js_string(JSObject(ROOT)) == "[object Object]"
 
-    def test_format_number_fraction(self):
-        assert format_number(0.5) == "0.5"
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            # Expected strings are what node prints for String(value).
+            (2.0 ** 62, "4611686018427388000"),
+            (1e-9, "1e-9"),
+            (1.022999999999999e-06, "0.000001022999999999999"),
+            (123456789012345683968.0, "123456789012345680000"),
+            (1e21, "1e+21"),
+            (1e-7, "1e-7"),
+            (-0.0, "0"),
+            (100, "100"),
+            (100.0, "100"),
+            (0.5, "0.5"),
+        ],
+    )
+    def test_format_number_is_ecmascript_number_to_string(self, value, text):
+        assert format_number(value) == text
 
 
 class TestEquality:
