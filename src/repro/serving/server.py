@@ -19,12 +19,17 @@ routes requests to a :class:`~repro.serving.pool.WorkerPool`; with
 each tenant's isolate lives in exactly one worker process.  Request
 latency in replies is deterministic model cycles from the tenant's
 admission lane, never wall time.
+
+The server is one thread.  A request is submitted to the pool on the
+event loop, and :meth:`ServingServer._collect` resolves the waiting
+connections from the pool's replies — after every submit, and
+whenever ``loop.add_reader`` sees a worker connection readable.  An
+inline pool therefore runs one request at a time, on the loop.
 """
 
 import asyncio
 import json
 import queue as queue_module
-import threading
 
 from repro.serving.pool import WorkerPool
 from repro.telemetry.metrics import write_metrics_jsonl
@@ -73,8 +78,7 @@ class ServingServer(object):
         self._pending = {}
         self._draining = False
         self._closed = None
-        self._reader_stop = threading.Event()
-        self._reader = None
+        self._readers = set()
         self._served = 0
         self._rejected = 0
         self._errors = 0
@@ -83,12 +87,13 @@ class ServingServer(object):
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self):
-        """Bind the socket, start the pool and the response reader."""
+        """Bind the socket, start the pool and watch its connections."""
         self._loop = asyncio.get_event_loop()
         self._closed = asyncio.Event()
         self.pool.start()
-        self._reader = threading.Thread(target=self._read_responses, daemon=True)
-        self._reader.start()
+        for conn in self.pool.connections():
+            self._loop.add_reader(conn.fileno(), self._collect)
+            self._readers.add(conn.fileno())
         if self.socket_path:
             self._server = await asyncio.start_unix_server(
                 self._handle_connection, path=self.socket_path
@@ -111,13 +116,13 @@ class ServingServer(object):
 
     # -- response plumbing ---------------------------------------------------
 
-    def _read_responses(self):
-        """Reader thread: drain the pool outbox into pending futures."""
-        while not self._reader_stop.is_set():
+    def _collect(self):
+        """Resolve pending futures from every reply the pool has ready."""
+        while True:
             try:
-                kind, _index, payload = self.pool.next_response(timeout=0.1)
+                kind, _index, payload = self.pool.next_response(timeout=0)
             except queue_module.Empty:
-                continue
+                break
             if kind != "response":
                 continue
             status = payload.get("status")
@@ -129,10 +134,16 @@ class ServingServer(object):
             else:
                 self._errors += 1
             future = self._pending.pop(payload.get("seq"), None)
-            if future is not None:
-                self._loop.call_soon_threadsafe(
-                    lambda f=future, p=payload: f.done() or f.set_result(p)
-                )
+            if future is not None and not future.done():
+                future.set_result(payload)
+        live = {conn.fileno() for conn in self.pool.connections()}
+        self._unwatch(self._readers - live)
+
+    def _unwatch(self, fds):
+        """Stop watching worker connections (an exited worker's, or all)."""
+        for fd in fds:
+            self._loop.remove_reader(fd)
+        self._readers -= fds
 
     # -- protocol ------------------------------------------------------------
 
@@ -191,7 +202,8 @@ class ServingServer(object):
             job["source"] = request["source"]
         future = self._loop.create_future()
         self._pending[seq] = future
-        await self._loop.run_in_executor(None, self.pool.submit, job)
+        self.pool.submit(job)
+        self._collect()
         response = await future
         response = dict(response)
         response.pop("seq", None)
@@ -217,9 +229,8 @@ class ServingServer(object):
         self._server.close()
         while self._pending:
             await asyncio.sleep(0.01)
-        self._reader_stop.set()
-        self._reader.join(timeout=5)
-        self.summary = await self._loop.run_in_executor(None, self.pool.shutdown)
+        self._unwatch(set(self._readers))
+        self.summary = self.pool.shutdown()
         if self.metrics_out:
             write_metrics_jsonl(self.summary["metrics"], self.metrics_out)
         await self._server.wait_closed()

@@ -16,12 +16,17 @@ The tier's contract (docs/SERVING.md) in test form:
 * **fleet determinism** — same seed, same schedule bytes; merged
   metrics identical across ``--jobs`` counts and across repeat runs;
 * **serving front end** — the asyncio server round-trips JSON lines,
-  reports live stats, and drains gracefully into a metrics JSONL.
+  reports live stats, and drains gracefully into a metrics JSONL;
+* **transport** — a worker's replies equal an in-process replay,
+  inline requests never interleave, a schedule submitted before any
+  read all arrives, and a killed worker is a typed error, not a hang.
 """
 
 import asyncio
 import json
 import os
+import signal
+import sys
 
 import pytest
 
@@ -64,6 +69,19 @@ print(s);
 
 #: Prints a line, then calls a non-function.
 GUEST_FAULT = "print(1); var notfn = 3; notfn();"
+
+#: Forty lines per request: interleaved requests would tear them.
+PRINT_40 = "for (var i = 0; i < 40; i = i + 1) { print(i); }"
+
+#: Busy for a few tenths of a second, then a reply larger than a
+#: socket's send buffer (about 390 KB pickled).
+SPIN_THEN_PRINT_50K = (
+    "var s = 0; for (var j = 0; j < 300000; j = j + 1) { s = s + j; }"
+    " for (var i = 0; i < 50000; i = i + 1) { print(i); }"
+)
+
+#: A request line near the server's 64 KiB line limit.
+LARGE_SOURCE = "/*" + "x" * 60000 + "*/ print(1);"
 
 #: Small but JIT-exercising fleet profile (seconds, not minutes).
 SMALL_FLEET = {
@@ -508,6 +526,18 @@ class TestWorkerPool:
         assert response["output"] == ["2"]
         pool.shutdown()
 
+    def test_a_long_schedule_submitted_before_any_read_all_arrives(self):
+        # Without the in-flight window both directions of the pipe fill
+        # and the pool and its worker wait on each other forever.
+        pool = WorkerPool(workers=1, host_kwargs={"engine_kwargs": FAST})
+        pool.start()
+        for seq in range(3000):
+            pool.submit({"tenant": "a", "source": "print(1);", "seq": seq})
+        replies = [pool.next_response(timeout=30) for _ in range(3000)]
+        assert [r[2]["seq"] for r in replies] == list(range(3000))
+        assert all(r[2]["output"] == ["1"] for r in replies)
+        pool.shutdown()
+
 
 class TestServingServer:
     def _run(self, coroutine):
@@ -600,3 +630,153 @@ class TestServingServer:
 
     def test_guest_error_keeps_the_connection_and_drains(self, tmp_path):
         self._run(self._guest_fault(tmp_path))
+
+    async def _serve(self, tmp_path, test, workers):
+        socket_path = os.path.join(str(tmp_path), "serve.sock")
+        server = ServingServer(
+            socket_path=socket_path, workers=workers, engine_kwargs=FAST
+        )
+        await server.start()
+
+        async def connect():
+            # Room for a reply line of a few hundred thousand bytes.
+            return await asyncio.open_unix_connection(socket_path, limit=1 << 21)
+
+        await test(server, connect)
+        reader, writer = await connect()
+        await self._call(reader, writer, {"op": "shutdown"})
+        writer.close()
+        await asyncio.wait_for(server.wait_closed(), timeout=30)
+        return server
+
+    def test_inline_requests_run_one_at_a_time(self, tmp_path):
+        async def test(_server, connect):
+            async def client():
+                reader, writer = await connect()
+                outputs = []
+                for _ in range(25):
+                    reply = await self._call(
+                        reader, writer, {"tenant": "a", "source": PRINT_40}
+                    )
+                    outputs.append(reply["output"])
+                writer.close()
+                return outputs
+
+            replies = await asyncio.gather(client(), client())
+            expected = [str(i) for i in range(40)]
+            assert [o for outputs in replies for o in outputs] == [expected] * 50
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._run(self._serve(tmp_path, test, workers=0))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_worker_reply_equals_the_in_process_replay(self, tmp_path):
+        programs = [PROGRAM_XY, PROGRAM_YX, PROGRAM_XY, GUEST_FAULT, PROGRAM_XY]
+        served = {}
+
+        async def test(_server, connect):
+            async def client(tenant):
+                reader, writer = await connect()
+                served[tenant] = [
+                    await self._call(
+                        reader, writer, {"tenant": tenant, "source": source}
+                    )
+                    for source in programs
+                ]
+                writer.close()
+
+            await asyncio.gather(client("a"), client("b"))
+
+        self._run(self._serve(tmp_path, test, workers=1))
+        host = TenantHost(engine_kwargs=FAST)
+        fields = ("output", "service_cycles", "latency_cycles")
+        for tenant in ("a", "b"):
+            replay = [
+                host.execute_request({"tenant": tenant, "source": source})
+                for source in programs
+            ]
+            assert [[r.get(f) for f in fields] for r in served[tenant]] == [
+                [r.get(f) for f in fields] for r in replay
+            ]
+
+    def test_a_killed_worker_is_a_typed_error_not_a_hang(self, tmp_path):
+        async def test(server, connect):
+            reader, writer = await connect()
+            probe = await connect()
+            spin = {"tenant": "a", "source": "while (true) {}"}
+            writer.write(json.dumps(spin).encode() + b"\n")
+            await writer.drain()
+            while (await self._call(*probe, {"op": "stats"}))["pending"] != 1:
+                await asyncio.sleep(0.01)
+            os.kill(server.pool._processes[0].pid, signal.SIGKILL)
+            line = await asyncio.wait_for(reader.readline(), timeout=10)
+            reply = json.loads(line.decode())
+            assert reply["status"] == "error"
+            assert reply["error"].startswith("WorkerExited")
+            assert reply["tenant"] == "a"
+            assert (await self._call(*probe, {"op": "ping"}))["status"] == "ok"
+            later = await self._call(reader, writer, {"tenant": "a", "source": "1;"})
+            assert later["error"].startswith("WorkerExited")
+            writer.close()
+            probe[1].close()
+
+        async def bounded():
+            return await asyncio.wait_for(
+                self._serve(tmp_path, test, workers=1), timeout=60
+            )
+
+        server = self._run(bounded())
+        assert server.summary["tenants"] == []
+
+    def test_large_requests_beside_a_large_reply_do_not_block_the_loop(
+        self, tmp_path
+    ):
+        # Five ~60 KiB requests overfill the pool's send buffer while
+        # the worker writes a reply larger than its own.  A pool that
+        # sent them all would block the event loop in ``send``, and the
+        # loop is the only reader of the reply the worker is blocked
+        # writing.  ``asyncio.wait_for`` cannot fire on a blocked loop,
+        # so an alarm kills the worker instead: a hang then fails as
+        # ``WorkerExited`` replies.
+        async def test(server, connect):
+            reader, writer = await connect()
+            probe = await connect()
+            spin = {"tenant": "a", "source": SPIN_THEN_PRINT_50K}
+            writer.write(json.dumps(spin).encode() + b"\n")
+            await writer.drain()
+            while (await self._call(*probe, {"op": "stats"}))["pending"] != 1:
+                await asyncio.sleep(0.01)
+
+            async def client(tenant):
+                large = await connect()
+                reply = await self._call(
+                    *large, {"tenant": tenant, "source": LARGE_SOURCE}
+                )
+                large[1].close()
+                return reply
+
+            def kill_worker(_signum, _frame):
+                os.kill(server.pool._processes[0].pid, signal.SIGKILL)
+
+            previous = signal.signal(signal.SIGALRM, kill_worker)
+            signal.alarm(30)
+            try:
+                replies = await asyncio.gather(
+                    *[client("t%d" % n) for n in range(5)]
+                )
+                line = await asyncio.wait_for(reader.readline(), timeout=30)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            assert [r["output"] for r in replies] == [["1"]] * 5
+            assert json.loads(line.decode())["output"] == [
+                str(i) for i in range(50000)
+            ]
+            assert (await self._call(*probe, {"op": "ping"}))["status"] == "ok"
+            writer.close()
+            probe[1].close()
+
+        self._run(self._serve(tmp_path, test, workers=1))
