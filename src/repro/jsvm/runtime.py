@@ -21,9 +21,11 @@ from repro.jsvm.values import (
     NULL,
     UNDEFINED,
     NativeFunction,
+    fixed_number,
     format_number,
     is_number,
     normalize_number,
+    radix_string,
     to_js_string,
     to_number,
 )
@@ -482,23 +484,15 @@ class Runtime(object):
                 raise JSRangeError("toString() radix must be between 2 and 36")
             if radix == 10 or not math.isfinite(this):
                 return format_number(this)
-            if this != int(this):  # a fraction's radix digits are not supported
-                raise JSRangeError("toString(%d) of a fractional number" % radix)
-            digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-            n = int(this)
-            if n == 0:
-                return "0"
-            sign = "-" if n < 0 else ""
-            n = abs(n)
-            out = []
-            while n:
-                out.append(digits[n % radix])
-                n //= radix
-            return sign + "".join(reversed(out))
+            return radix_string(this, radix)
 
         def to_fixed(this, args):
-            precision = _int_arg(args, 0, 0)
-            return "%.*f" % (precision, float(to_number(this)))
+            digits = to_number(_arg(args, 0))
+            if digits != digits:
+                digits = 0
+            if not -1 < digits < 101:
+                raise JSRangeError("toFixed() digits argument must be between 0 and 100")
+            return fixed_number(float(to_number(this)), int(digits))
 
         self.number_methods["toString"] = self._native("toString", to_string, foldable=True)
         self.number_methods["toFixed"] = self._native("toFixed", to_fixed, foldable=True)

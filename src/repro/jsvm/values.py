@@ -307,6 +307,72 @@ def format_number(value):
     return "-" + text if value < 0 else text
 
 
+def fixed_number(value, digits):
+    """ECMAScript's ``Number.prototype.toFixed``, ``digits`` in 0..100.
+
+    The exact binary value is rounded to ``digits`` places, a tie away
+    from zero; a zero has no sign, and |value| >= 1e21 (or a NaN or an
+    infinity) prints as :func:`format_number`.
+    """
+    if not abs(value) < 1e21:
+        return format_number(value)
+    num, den = abs(value).as_integer_ratio()
+    text = str((2 * num * 10 ** digits + den) // (2 * den)).rjust(digits + 1, "0")
+    if digits:
+        text = text[:-digits] + "." + text[-digits:]
+    return "-" + text if value < 0 else text
+
+
+def radix_string(value, radix):
+    """V8's ``DoubleToRadixCString``: a finite ``value`` in base ``radix``.
+
+    The fraction gets the fewest digits that still identify the double:
+    digits are produced while the remainder exceeds half the gap to the
+    next double (scaled with it), rounding the last one half to even and
+    carrying into the digits already written.  Integer digits below the
+    double's precision print as zeros.
+    """
+    chars = "0123456789abcdefghijklmnopqrstuvwxyz"
+    negative = value < 0
+    value = abs(float(value))
+    integer = math.floor(value)
+    fraction = value - integer
+    delta = max(0.5 * (math.nextafter(value, math.inf) - value), 5e-324)
+    digits = []
+    if fraction >= delta:
+        while True:
+            fraction *= radix
+            delta *= radix
+            digit = int(fraction)
+            digits.append(digit)
+            fraction -= digit
+            if (fraction > 0.5 or (fraction == 0.5 and digit & 1)) and fraction + delta > 1:
+                # Round up, carrying through the digits already written.
+                while digits and digits[-1] + 1 == radix:
+                    digits.pop()
+                if digits:
+                    digits[-1] += 1
+                else:
+                    integer += 1
+                break
+            if fraction < delta:
+                break
+    head = []
+    while integer / radix >= 2.0 ** 53:
+        integer /= radix
+        head.append("0")
+    while True:
+        remainder = math.fmod(integer, radix)
+        head.append(chars[int(remainder)])
+        integer = (integer - remainder) / radix
+        if integer <= 0:
+            break
+    text = "".join(reversed(head))
+    if digits:
+        text += "." + "".join(chars[digit] for digit in digits)
+    return "-" + text if negative else text
+
+
 def to_js_string(value):
     """Implement JS ToString for the subset we support."""
     from repro.jsvm.objects import JSArray, JSObject

@@ -39,119 +39,30 @@ cycles, printed output and trace streams match).
 """
 
 from repro.errors import CompilerError
-from repro.jsvm import operations
-from repro.jsvm.bytecode import Op
 from repro.jsvm.interpreter import MAX_CALL_DEPTH
-from repro.jsvm.objects import JSArray, JSObject, common_slot_offset
-from repro.jsvm.values import (
-    INT32_MAX,
-    INT32_MIN,
-    UNDEFINED,
-    JSFunction,
-    normalize_number,
-    to_boolean,
-    type_of,
+from repro.jsvm.values import UNDEFINED
+from repro.lir.executor import Bailout, NativeExecutor, forced_bailout
+from repro.lir.hostcode import (
+    COMPARE_PY,
+    CTX_FAULT,
+    CTX_OSR_ARGS,
+    CTX_OSR_LOCALS,
+    CTX_RESULT,
+    PRIMITIVE_TYPE_FAILS,
+    TERMINATORS,
+    Binder,
+    ShapeGuardTracker,
+    accounting_tables,
+    base_namespace,
+    block_bodies,
 )
-from repro.lir.executor import Bailout, NativeExecutor, _compare, _matches, forced_bailout
 from repro.lir.native import GUARD_OPS
 from repro.lir.regalloc import NUM_REGS
 from repro.mir.types import MIRType
 
-#: Indices into the per-call ``ctx`` list every block closure receives.
-#: Kept as a plain list (not an object) so generated code pays a single
-#: C-level index instead of attribute lookups.  ``CTX_FAULT`` holds the
-#: in-block offset of the instruction that raised, published by the
-#: faulting block for the driver's exact partial accounting.
-(
-    CTX_THIS,
-    CTX_ARGS,
-    CTX_FUNCTION,
-    CTX_OSR_ARGS,
-    CTX_OSR_LOCALS,
-    CTX_RESULT,
-    CTX_FAULT,
-) = range(7)
-
 #: Sentinel pc returned by ``return`` blocks; the driver loop treats
 #: any negative pc as "frame finished, result in ``ctx[CTX_RESULT]``".
 RETURN_PC = -1
-
-#: Ops that terminate a basic block.
-_TERMINATORS = frozenset(["goto", "test", "return"])
-
-#: Comparison operators whose Python operator matches guest semantics
-#: exactly for every specialized ``compare`` kind (NaN compares false,
-#: ``!=`` true, under both).
-_COMPARE_PY = {
-    Op.LT: "<",
-    Op.LE: "<=",
-    Op.GT: ">",
-    Op.GE: ">=",
-    Op.EQ: "==",
-    Op.STRICTEQ: "==",
-    Op.NE: "!=",
-    Op.STRICTNE: "!=",
-}
-
-
-#: Where a bound object comes from, as a kind and an index: the
-#: snapshot or the ``extra`` of ``native.instructions[index]``, or
-#: ``native.immediates[index]`` (a negative pool location).  Everything
-#: codegen binds is one of the three, so a persisted module can have
-#: its names re-attached to another copy of the same binary.
-BIND_SNAPSHOT = "snapshot"
-BIND_EXTRA = "extra"
-BIND_IMMEDIATE = "immediate"
-
-
-def bound_value(native, kind, index):
-    """The object of ``native`` a binding of ``(kind, index)`` names."""
-    if kind == BIND_SNAPSHOT:
-        return native.instructions[index].snapshot
-    if kind == BIND_EXTRA:
-        return native.instructions[index].extra
-    if kind == BIND_IMMEDIATE:
-        return native.immediates[index]
-    return None
-
-
-class _Binder(object):
-    """Names runtime objects for the generated module's namespace.
-
-    Codegen inlines what it can as source literals; everything else
-    (snapshots, code objects, odd floats...) is bound to a fresh
-    ``_kN`` name resolved through the exec namespace — the moral
-    equivalent of a constant pool referenced rip-relative.  Given a
-    ``bindings`` list, every bind is also recorded there as ``(name,
-    kind, index)`` — the origin its caller states (:func:`bound_value`;
-    None when it states none).
-    """
-
-    def __init__(self, namespace, bindings=None):
-        self.namespace = namespace
-        self.bindings = bindings
-
-    def bind(self, value, kind=None, index=None):
-        """Bind ``value`` into the namespace; returns its name."""
-        name = "_k%d" % len(self.namespace)
-        self.namespace[name] = value
-        if self.bindings is not None:
-            self.bindings.append((name, kind, index))
-        return name
-
-    def lit(self, value, kind=None, index=None):
-        """Source text evaluating to ``value`` (literal when safe)."""
-        if value is None or value is True or value is False:
-            return repr(value)
-        host = type(value)
-        if host is int or host is str:
-            return repr(value)
-        if host is float:
-            # NaN/inf have no literal spelling; -0.0 and friends do.
-            if value != value or value in (float("inf"), float("-inf")):
-                return self.bind(value, kind, index)
-            return repr(value)
-        return self.bind(value, kind, index)
 
 
 def _emit(out, index, instruction, binder, inject=False, slot_offset=None):
@@ -171,7 +82,7 @@ def _emit(out, index, instruction, binder, inject=False, slot_offset=None):
 
     ``slot_offset`` (loadprop/storeprop only) is the constant slot
     index proven by a dominating ``guardshape`` in the same block
-    (:class:`_ShapeGuardTracker`): the access compiles to a direct
+    (:class:`~repro.lir.hostcode.ShapeGuardTracker`): the access compiles to a direct
     ``.slots[offset]`` read/write with no name lookup.
     """
     op = instruction.op
@@ -280,7 +191,7 @@ def _emit(out, index, instruction, binder, inject=False, slot_offset=None):
         out.append("%s = %s + %s" % (d(), v(srcs[0]), v(srcs[1])))
     elif op == "compare":
         cmp_op, kind = extra
-        py = _COMPARE_PY.get(cmp_op)
+        py = COMPARE_PY.get(cmp_op)
         if py is not None:
             # Python's operators agree with _compare for every kind,
             # including doubles: NaN makes <,<=,>,>=,== false and !=
@@ -301,23 +212,21 @@ def _emit(out, index, instruction, binder, inject=False, slot_offset=None):
         out.append("%s = not _to_boolean(%s)" % (d(), v(srcs[0])))
     elif op == "typeof":
         out.append("%s = _type_of(%s)" % (d(), v(srcs[0])))
-    elif op == "unbox":
+    elif op == "unbox" and extra == MIRType.DOUBLE:
         name = snap_name()
         out.append("_t = %s" % v(srcs[0]))
-        if extra == MIRType.DOUBLE:
-            out.append("_x = type(_t)")
-            out.append("if _x is not float and _x is not int:")
-            out.append("    _bail(_v, %s, 'type guard', 'unbox', _t)" % name)
-            out.append("%s = float(_t) if _x is int else _t" % d())
-        else:
-            _emit_type_check(out, extra, name, "type guard", "unbox", binder)
-            out.append("%s = _t" % d())
-    elif op == "typebarrier":
+        out.append("_x = type(_t)")
+        out.append("if _x is not float and _x is not int:")
+        out.append("    _bail(_v, %s, 'type guard', 'unbox', _t)" % name)
+        out.append("%s = float(_t) if _x is int else _t" % d())
+    elif op in ("unbox", "typebarrier"):
         out.append("_t = %s" % v(srcs[0]))
-        if extra != MIRType.VALUE:
-            _emit_type_check(
-                out, extra, snap_name(), "type barrier", "typebarrier", binder
-            )
+        if op == "unbox" or extra != MIRType.VALUE:
+            name = snap_name()
+            test = PRIMITIVE_TYPE_FAILS.get(extra) or "not _matches(_t, %s)" % binder.bind(extra)
+            reason = "type guard" if op == "unbox" else "type barrier"
+            out.append("if %s:" % test)
+            out.append("    _bail(_v, %s, %r, %r, _t)" % (name, reason, op))
         out.append("%s = _t" % d())
     elif op == "checkoverrecursed":
         out.append("if _interp.call_depth >= %d:" % MAX_CALL_DEPTH)
@@ -412,96 +321,6 @@ def _emit(out, index, instruction, binder, inject=False, slot_offset=None):
         raise CompilerError("closure backend: unknown op %r" % op)
 
 
-def _emit_type_check(out, expected, snap_ref, reason, guard_op, binder):
-    """Emit the guard test for unbox/typebarrier on scratch ``_t``.
-
-    Specializes the common primitive expectations to a single C-level
-    ``type`` identity test (matching :func:`_matches` exactly — note
-    ``bool`` is not int32); rarer object expectations fall back to the
-    shared :func:`_matches` predicate.
-    """
-    if expected == MIRType.INT32:
-        out.append("if type(_t) is not int:")
-    elif expected == MIRType.BOOLEAN:
-        out.append("if type(_t) is not bool:")
-    elif expected == MIRType.STRING:
-        out.append("if type(_t) is not str:")
-    elif expected == MIRType.DOUBLE:
-        out.append("if type(_t) is not float and type(_t) is not int:")
-    else:
-        out.append("if not _matches(_t, %s):" % binder.bind(expected))
-    out.append("    _bail(_v, %s, %r, %r, _t)" % (snap_ref, reason, guard_op))
-
-
-#: Ops that may mutate an object's shape out from under a prior
-#: ``guardshape`` without touching the guarded register: arbitrary
-#: guest code (calls) and generic property/element writes.  Any of
-#: these flushes the shape-guard tracker.
-_SHAPE_CLOBBERS = frozenset(["call", "new", "setprop_v", "setelem_v", "storeprop"])
-
-
-class _ShapeGuardTracker(object):
-    """Tracks which value locations are shape-guarded inside a block.
-
-    Codegen walks each block linearly; a ``guardshape`` proves its
-    receiver's shape is one of the guard's ids *from that point on*,
-    until the receiver location is overwritten or any instruction runs
-    that could transition a shape behind the register's back.  Both
-    executor backends consult this to compile guarded ``loadprop`` /
-    ``storeprop`` into constant-offset slot accesses
-    (:func:`repro.jsvm.objects.common_slot_offset`).
-    """
-
-    def __init__(self, tree, answers=None):
-        #: The executor runtime's ShapeTree — the id space the guards'
-        #: shape ids were recorded in.
-        self._tree = tree
-        self._guards = {}
-        #: ``(shape ids, name) -> offset or None`` for every question
-        #: put to the tree, when the caller keeps them (the whole
-        #: backend's link record: what was read of *this* runtime).
-        self._answers = answers
-
-    def reset(self):
-        self._guards.clear()
-
-    def slot_offset(self, instruction):
-        """Constant slot offset for a loadprop/storeprop, or None."""
-        shape_ids = self._guards.get(instruction.srcs[0])
-        if not shape_ids:
-            return None
-        offset = common_slot_offset(self._tree, shape_ids, instruction.extra)
-        if self._answers is not None:
-            self._answers[tuple(shape_ids), instruction.extra] = offset
-        return offset
-
-    def observe(self, instruction):
-        """Update tracking *after* codegen of ``instruction``."""
-        if instruction.op in _SHAPE_CLOBBERS:
-            self._guards.clear()
-            return
-        if instruction.op == "guardshape":
-            self._guards[instruction.srcs[0]] = instruction.extra
-        dest = instruction.dest
-        if dest is not None:
-            self._guards.pop(dest, None)
-
-
-def _block_leaders(native):
-    """Indices that start a basic block: entries, jump targets, and
-    the successor of every control-flow instruction."""
-    instructions = native.instructions
-    leaders = {native.entry_index}
-    if native.osr_index is not None:
-        leaders.add(native.osr_index)
-    for index, instruction in enumerate(instructions):
-        if instruction.targets is not None:
-            leaders.update(instruction.targets)
-        if instruction.op in _TERMINATORS and index + 1 < len(instructions):
-            leaders.add(index + 1)
-    return sorted(leader for leader in leaders if 0 <= leader < len(instructions))
-
-
 def compile_closures(native, executor):
     """Translate ``native`` into one pre-bound closure per basic block.
 
@@ -524,39 +343,12 @@ def compile_closures(native, executor):
     translated afresh, like a compiled one.
     """
     instructions = native.instructions
-    costs = native.cost_table()
-    interpreter = executor.interpreter
     runtime = executor.runtime
     injector = executor.fault_injector
 
-    namespace = {
-        "_UNDEF": UNDEFINED,
-        "_bail": executor._bail,
-        "_interp": interpreter,
-        "_runtime": runtime,
-        "_root": runtime.shapes.root,
-        "_normalize": normalize_number,
-        "_js_div": operations.js_div,
-        "_js_mod": operations.js_mod,
-        "_binary": operations.binary_op,
-        "_unary": operations.unary_op,
-        "_to_int32": operations.to_int32,
-        "_to_boolean": to_boolean,
-        "_type_of": type_of,
-        "_cmp": _compare,
-        "_matches": _matches,
-        "_get_element": operations.get_element,
-        "_set_element": operations.set_element,
-        "_get_property": interpreter.get_property,
-        "_set_property": operations.set_property,
-        "_get_global": runtime.get_global,
-        "_set_global": runtime.set_global,
-        "_call_value": interpreter.call_value,
-        "_construct": interpreter.construct,
-        "_JSArray": JSArray,
-        "_JSObject": JSObject,
-        "_JSFunction": JSFunction,
-    }
+    namespace = base_namespace(executor)
+    namespace["_bail"] = executor._bail
+    namespace["_set_global"] = runtime.set_global
     if injector is not None:
 
         def _fire(index, _injector=injector, _native=native):
@@ -567,32 +359,13 @@ def compile_closures(native, executor):
 
         namespace["_fire"] = _fire
         namespace["_forced"] = _forced
-    binder = _Binder(namespace)
+    binder = Binder(namespace)
 
-    leaders = _block_leaders(native)
-    leader_set = set(leaders)
-    size = len(instructions)
-    handlers = [None] * size
-    counts = [0] * size
-    sums = [0] * size
-    prefix = [None] * size
-
+    bodies = block_bodies(native)
     source = []
-    for leader in leaders:
-        body = []
-        index = leader
-        while True:
-            body.append(index)
-            if instructions[index].op in _TERMINATORS:
-                fallthrough = None
-                break
-            if index + 1 >= size or index + 1 in leader_set:
-                fallthrough = index + 1
-                break
-            index += 1
-
+    for leader, body in bodies.items():
         lines = ["def _b%d(_v, _c):" % leader, "    _i = 0", "    try:"]
-        shape_tracker = _ShapeGuardTracker(runtime.shapes)
+        shape_tracker = ShapeGuardTracker(runtime.shapes)
         for offset, instr_index in enumerate(body):
             if offset:
                 lines.append("        _i = %d" % offset)
@@ -611,8 +384,8 @@ def compile_closures(native, executor):
             )
             shape_tracker.observe(instruction)
             lines.extend("        " + stmt for stmt in stmts)
-        if fallthrough is not None:
-            lines.append("        return %d" % fallthrough)
+        if instructions[body[-1]].op not in TERMINATORS:
+            lines.append("        return %d" % (body[-1] + 1))
         # Publish how far the block got before re-raising: the driver
         # charges exactly through the faulting instruction, as the
         # reference backend does.
@@ -621,21 +394,13 @@ def compile_closures(native, executor):
         lines.append("        raise")
         source.append("\n".join(lines))
 
-        counts[leader] = len(body)
-        running = 0
-        block_prefix = []
-        for instr_index in body:
-            running += costs[instr_index]
-            block_prefix.append(running)
-        sums[leader] = running
-        prefix[leader] = block_prefix
-
     text = "\n\n".join(source)
     exec(compile(text, "<closure-backend %s>" % native.code.name, "exec"), namespace)
-    for leader in leaders:
+    handlers = [None] * len(instructions)
+    for leader in bodies:
         # Taken out of the module's globals: see ``compile_whole``.
         handlers[leader] = namespace.pop("_b%d" % leader)
-    return handlers, counts, sums, prefix
+    return (handlers,) + accounting_tables(native, bodies)
 
 
 class ClosureExecutor(NativeExecutor):
@@ -674,48 +439,12 @@ class ClosureExecutor(NativeExecutor):
             pc = native.entry_index
         ctx = [this_value, args, function, osr_args, osr_locals, None, 0]
 
+        # A cycle profiler also counts completed blocks per leader and,
+        # for a faulting block, its executed prefix per instruction (the
+        # faulting one included, matching its cycle charge), so its
+        # resolved per-instruction counts equal the reference backend's.
         profiler = self.cycle_profiler
-        if profiler is None:
-            cycles = 0
-            executed = 0
-            try:
-                while True:
-                    next_pc = handlers[pc](values, ctx)
-                    executed += counts[pc]
-                    cycles += sums[pc]
-                    if next_pc >= 0:
-                        pc = next_pc
-                    else:
-                        return ctx[CTX_RESULT]
-            except BaseException as exc:
-                # The faulting block published its progress in CTX_FAULT;
-                # charge exactly through the faulting instruction, whose
-                # absolute index is the block leader plus that offset.
-                fault = ctx[CTX_FAULT]
-                executed += fault + 1
-                cycles += prefix[pc][fault]
-                if isinstance(exc, Bailout) and exc.native_index is None:
-                    exc.native_index = pc + fault
-                raise
-            finally:
-                self.cycles += cycles
-                self.instructions_executed += executed
-        return self._run_profiled(
-            profiler, native, handlers, counts, sums, prefix, values, ctx, pc
-        )
-
-    def _run_profiled(self, profiler, native, handlers, counts, sums, prefix, values, ctx, pc):
-        """The driver loop with block-granular profiler attribution.
-
-        Identical charging to the fast loop — completed blocks bump
-        the binary's per-leader block counter, a faulting block's
-        executed prefix lands on the per-instruction counters (the
-        faulting instruction included, matching its cycle charge) —
-        so the profiler's resolved per-instruction counts equal the
-        reference backend's exactly.
-        """
-        record = profiler.native_profile(native)
-        block_counts = record.block_counts
+        record = None if profiler is None else profiler.native_profile(native)
         cycles = 0
         executed = 0
         try:
@@ -723,22 +452,27 @@ class ClosureExecutor(NativeExecutor):
                 next_pc = handlers[pc](values, ctx)
                 executed += counts[pc]
                 cycles += sums[pc]
-                block_counts[pc] += 1
+                if record is not None:
+                    record.block_counts[pc] += 1
                 if next_pc >= 0:
                     pc = next_pc
                 else:
                     return ctx[CTX_RESULT]
         except BaseException as exc:
+            # The faulting block published its progress in CTX_FAULT;
+            # charge exactly through the faulting instruction, whose
+            # absolute index is the block leader plus that offset.
             fault = ctx[CTX_FAULT]
             executed += fault + 1
             cycles += prefix[pc][fault]
-            instr_counts = record.instr_counts
-            for offset in range(fault + 1):
-                instr_counts[pc + offset] += 1
+            if record is not None:
+                for offset in range(fault + 1):
+                    record.instr_counts[pc + offset] += 1
             if isinstance(exc, Bailout) and exc.native_index is None:
                 exc.native_index = pc + fault
             raise
         finally:
             self.cycles += cycles
             self.instructions_executed += executed
-            profiler.charge_native(cycles, executed)
+            if profiler is not None:
+                profiler.charge_native(cycles, executed)

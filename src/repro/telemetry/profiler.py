@@ -51,7 +51,7 @@ See ``docs/PROFILING.md`` for a worked walkthrough.
 import weakref
 
 from repro.engine.config import interp_cycles
-from repro.lir.closures import _TERMINATORS, _block_leaders
+from repro.lir.hostcode import block_bodies
 
 #: Attribution tier names, in reporting order; their cycles sum to
 #: ``EngineStats.total_cycles``.
@@ -60,32 +60,6 @@ TIERS = ("interp", "native", "compile", "bailout", "invalidate")
 #: Pseudo-block label for the engine's per-entry transition charge
 #: (``CostModel.native_call_entry``), which belongs to no instruction.
 ENTRY_BLOCK = "entry"
-
-
-def block_bodies(native):
-    """Basic-block partition of ``native``: {leader index: [indices]}.
-
-    Uses the closure backend's leader computation so the partition is
-    identical to the one its per-block counters are kept at; the walk
-    from each leader matches ``compile_closures`` exactly (stop at a
-    terminator, the next leader, or the end of the stream).
-    """
-    instructions = native.instructions
-    leader_set = set(_block_leaders(native))
-    size = len(instructions)
-    bodies = {}
-    for leader in leader_set:
-        body = []
-        index = leader
-        while True:
-            body.append(index)
-            if instructions[index].op in _TERMINATORS:
-                break
-            if index + 1 >= size or index + 1 in leader_set:
-                break
-            index += 1
-        bodies[leader] = body
-    return bodies
 
 
 class ProfileNode(object):

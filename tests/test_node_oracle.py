@@ -4,7 +4,9 @@ Every other differential check compares the engine with this package's
 own interpreter, so a bug in the interpreter's semantics repeats
 faithfully on every backend and recovery path.  Here the same programs
 run under ``node`` as well: the ``tests/corpus/`` files and a fixed fuzz
-sample (``generate_program(0, i)``, i < 30).
+sample (``generate_program(0, i)``, i < 30), and in a second batch the
+programs of every benchmark suite and of the serving catalog (``-m
+nightly``).
 
 One ``node`` process runs the whole batch, each program in a fresh
 ``vm`` context whose ``print`` is ``console.log`` of the ``String`` of
@@ -24,6 +26,8 @@ from repro import FULL_SPEC, Engine
 from repro.errors import ReproError
 from repro.fuzz.corpus import corpus_files
 from repro.fuzz.generator import generate_program
+from repro.serving.fleet import FleetProfile, build_catalog
+from repro.workloads import ALL_SUITES
 
 NODE = shutil.which("node")
 
@@ -71,21 +75,37 @@ def _programs():
 
 PROGRAMS = _programs()
 
+#: Every benchmark of every suite, and the serving catalog's programs.
+WORKLOADS = [
+    ("%s/%s" % (suite, benchmark.name), benchmark.source)
+    for suite, benchmarks in ALL_SUITES.items()
+    for benchmark in benchmarks
+] + [("catalog/" + name, source) for name, source in sorted(build_catalog(FleetProfile()).items())]
 
-@pytest.fixture(scope="module")
-def node_results():
-    """``name -> {"lines", "threw"}`` for every program, from one node process."""
+
+def _node(programs):
+    """``name -> {"lines", "threw"}`` for ``programs``, from one node process."""
     completed = subprocess.run(
         [NODE, "-e", _RUNNER],
-        input=json.dumps([source for _, source in PROGRAMS]),
+        input=json.dumps([source for _, source in programs]),
         capture_output=True,
         text=True,
         check=True,
         timeout=300,
     )
     results = json.loads(completed.stdout)
-    assert len(results) == len(PROGRAMS)
-    return {name: result for (name, _), result in zip(PROGRAMS, results)}
+    assert len(results) == len(programs)
+    return {name: result for (name, _), result in zip(programs, results)}
+
+
+@pytest.fixture(scope="module")
+def node_results():
+    return _node(PROGRAMS)
+
+
+@pytest.fixture(scope="module")
+def node_workload_results():
+    return _node(WORKLOADS)
 
 
 def _ours(source):
@@ -103,11 +123,24 @@ def test_the_batch_is_the_corpus_and_the_fuzz_sample():
     assert sum(name.startswith("fuzz/") for name in names) == FUZZ_COUNT
 
 
-@pytest.mark.parametrize("name, source", PROGRAMS, ids=[name for name, _ in PROGRAMS])
-def test_printed_lines_agree_with_node(name, source, node_results):
-    theirs = node_results[name]
+def _agree(name, source, theirs):
     ours = _ours(source)
     if ours["threw"] or theirs["threw"]:
         assert ours["threw"] == theirs["threw"], (name, ours, theirs)
     else:
         assert ours["lines"] == theirs["lines"]
+
+
+@pytest.mark.parametrize("name, source", PROGRAMS, ids=[name for name, _ in PROGRAMS])
+def test_printed_lines_agree_with_node(name, source, node_results):
+    _agree(name, source, node_results[name])
+
+
+def test_the_workload_batch_is_every_suite_and_the_catalog():
+    assert len(WORKLOADS) == sum(len(suite) for suite in ALL_SUITES.values()) + 6 == 44
+
+
+@pytest.mark.nightly  # about 4 s: over tier-1's 3 s allowance for this arm
+@pytest.mark.parametrize("name, source", WORKLOADS, ids=[name for name, _ in WORKLOADS])
+def test_workload_lines_agree_with_node(name, source, node_workload_results):
+    _agree(name, source, node_workload_results[name])

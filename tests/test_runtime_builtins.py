@@ -153,10 +153,11 @@ class TestNumberMethods:
         with pytest.raises(JSRangeError, match="radix"):
             run1("print((10).toString(%d));" % radix)
 
-    def test_to_string_of_a_fraction_in_a_radix_is_a_range_error(self):
-        # node prints "0.1"; this subset refuses rather than print "0".
-        with pytest.raises(JSRangeError, match="fractional"):
-            run1("print((0.5).toString(2));")
+    def test_to_string_of_a_fraction_in_a_radix_prints_its_shortest_digits(self):
+        # V8's DoubleToRadixCString, as node prints them.
+        assert run1("print((0.5).toString(2), (0.1).toString(3), (-255.5).toString(16));") == (
+            "0.1 0.0022002200220022002200220022002201 -ff.8"
+        )
 
     @pytest.mark.parametrize("backend", ["simple", "whole"])
     def test_a_compiled_fractional_radix_call_is_not_folded(self, backend):
@@ -164,21 +165,41 @@ class TestNumberMethods:
         constants under ``FULL_SPEC``.  Constant propagation folds a
         foldable native by calling it with no receiver and keeps the call
         when that raises; so it must raise, and the compiled call must
-        raise at run time rather than yield a folded string."""
+        print what the interpreter does."""
         from repro import FULL_SPEC, Engine
 
         to_string = Runtime().number_methods["toString"]
         assert to_string.foldable
-        for this in (None, 0.5):
-            with pytest.raises((JSRangeError, JSTypeError)):
-                to_string.fn(this, [2])
+        with pytest.raises(JSTypeError):
+            to_string.fn(None, [2])
+        assert to_string.fn(0.5, [2]) == "0.1"
         engine = Engine(config=FULL_SPEC, executor_backend=backend, hot_call_threshold=1)
-        with pytest.raises(JSRangeError, match="fractional"):
-            engine.run_source(
-                "function f(x, r) { var y = x * 1; return y.toString(r); }"
-                "print(f(0.5, 2));"
-            )
+        printed = engine.run_source(
+            "function f(x, r) { var y = x * 1; return y.toString(r); }"
+            "print(f(0.5, 2));"
+        )
+        assert printed == ["0.1"]
         assert engine.stats.compiles == 1 and engine.stats.specialized_functions
+
+    def test_to_fixed_rounds_the_exact_value_a_tie_away_from_zero(self):
+        assert run1("print((0.5).toFixed(0), (2.5).toFixed(0), (1.25).toFixed(1), (1.005).toFixed(2));") == (
+            "1 3 1.3 1.00"
+        )
+
+    def test_to_fixed_signs_and_large_values(self):
+        assert run1("print((-0.5).toFixed(0), (-0).toFixed(2), (1e21).toFixed(0), (-0.0001).toFixed(2));") == (
+            "-1 0.00 1e+21 -0.00"
+        )
+
+    @pytest.mark.parametrize("digits", ["-1", "101", "1 / 0"])
+    def test_to_fixed_digits_out_of_range_is_a_range_error(self, digits):
+        with pytest.raises(JSRangeError, match="toFixed"):
+            run1("print((1.5).toFixed(%s));" % digits)
+
+    def test_to_fixed_digits_at_the_bounds(self):
+        assert run1("print((1.5).toFixed(100).length, (1.5).toFixed(-0.5), (1.5).toFixed(0 / 0));") == (
+            "102 2 2"
+        )
 
 
 class TestParseFunctions:

@@ -27,9 +27,9 @@ from repro.engine.jit import compile_function
 from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.jsvm.interpreter import MAX_CALL_DEPTH, Interpreter
-from repro.jsvm.objects import JSArray, JSObject
+from repro.jsvm.objects import JSArray, JSObject, common_slot_offset
 from repro.jsvm.values import UNDEFINED
-from repro.lir import wholefn
+from repro.lir import skeleton, wholefn
 from repro.lir.executor import Bailout
 from repro.lir.native import GUARD_OPS
 from repro.lir.wholefn import WholeExecutor, whole_artifact
@@ -100,7 +100,7 @@ class _EmitBesideEveryLink(object):
             self.refused += 1
             return None
         fn, counts, sums, prefix = linked
-        emitter = wholefn._WholeEmitter(native, executor, roots)
+        emitter = skeleton._WholeEmitter(native, executor, roots)
         source, e_counts, e_sums, e_prefix = emitter.generate()
         namespace = emitter.namespace
         exec(compile(source, fn.__code__.co_filename, "exec"), namespace)
@@ -266,7 +266,7 @@ def test_another_shape_numbering_refuses_the_link(tmp_path, monkeypatch):
     assert name == "get"
     [(ids, prop, offset)] = shapes
     assert (prop, offset) == ("y", 1)
-    assert wholefn.common_slot_offset(tree, ids, prop) == 0
+    assert common_slot_offset(tree, ids, prop) == 0
     reference, reference_printed = _run(PAGE_YX, **FAST)
     assert second_printed == reference_printed == ["80"]  # ``.slots[1]`` holds 1
     assert _clock(second) == _clock(reference)

@@ -22,17 +22,21 @@ import pytest
 
 from repro.cache import DiskCodeCache
 from repro.engine.bailout import GuardFaultInjector
-from repro.engine.config import FULL_SPEC
+from repro.engine.config import BASELINE, FULL_SPEC
 from repro.engine.jit import compile_function
 from repro.engine.runtime_engine import Engine
 from repro.engine.stats import DISK_TRAFFIC_KEYS
 from repro.errors import ReproError
 from repro.fuzz.oracle import CHAOS_BAILOUT_LIMIT
 from repro.jsvm.interpreter import Interpreter
+from repro.jsvm.bytecode import Op
 from repro.jsvm.values import UNDEFINED, NativeFunction
-from repro.lir import wholefn
+from repro.lir import regions, wholefn
+from repro.lir.hostcode import TERMINATORS
+from repro.lir.hostkinds import HostKinds
 from repro.lir.native import FAULT_INJECTED, guard_indices
 from repro.lir.wholefn import WholeExecutor, compile_whole, whole_artifact
+from repro.mir.types import MIRType, mirtype_of_value
 from repro.telemetry.profiler import CycleProfiler
 from repro.telemetry.tracing import Tracer
 from repro.workloads import ALL_SUITES
@@ -142,7 +146,7 @@ def _deep_loop_nest(depth):
 
 
 class TestDeepLoopNesting:
-    """Loop trees past _MAX_LOOP_DEPTH flatten instead of tripping
+    """Loop trees past MAX_LOOP_DEPTH flatten instead of tripping
     CPython's 20-block compiler limit."""
 
     def test_deeper_than_host_block_limit(self, monkeypatch):
@@ -163,7 +167,7 @@ class TestDeepLoopNesting:
                 assert indent <= previous + 1, line
                 previous = indent
                 deepest = max(deepest, indent)
-        assert 2 * wholefn._MAX_LOOP_DEPTH <= deepest < 4 * wholefn._MAX_LOOP_DEPTH
+        assert 2 * regions.MAX_LOOP_DEPTH <= deepest < 4 * regions.MAX_LOOP_DEPTH
 
     def test_global_reads_inside_the_deepest_loop(self):
         """A global read is a ``try`` of its own, one more nested block
@@ -252,7 +256,7 @@ class TestEntryRootedTranslation:
         labels = _translated(native)
         assert native.entry_index not in labels
         assert min(labels) == native.osr_index
-        assert len(labels) < len(wholefn._region_labels(native))
+        assert len(labels) < len(regions.region_labels(native))
 
         # Entering at ``entry`` anyway widens the translation and runs.
         ref_native = _script_native(reference)
@@ -801,3 +805,189 @@ def test_served_script_binaries_ask_nothing_about_literals(monkeypatch):
         # A ``test`` emits each of its branches once.
         tests = sum(1 for instruction in native.instructions if instruction.op == "test")
         assert text.count("_to_boolean(") <= tests
+
+
+# -- every check the host-type map elides is justified in its region --------------
+#
+# An ``unbox``/``typebarrier`` the emitter turns into a move must be
+# justified by an earlier instruction of the same region body.
+# Which checks are elided is asked of a ``HostKinds`` stepped over each
+# region, as the skeleton steps it; the justification is found by the
+# test's own backward scan over the LIR, which knows nothing of the map.
+
+#: The MIR type an op's result has whatever its operands (the test's own
+#: reading of the LIR op set).
+_RESULT_TYPE = dict(
+    [(op, MIRType.INT32) for op in ("add_i", "sub_i", "mul_i", "neg_i", "toint32")]
+    + [(op, MIRType.INT32) for op in ("arraylength", "stringlength")]
+    + [(op, MIRType.DOUBLE) for op in ("add_d", "sub_d", "mul_d", "div_d", "mod_d")]
+    + [("neg_d", MIRType.DOUBLE), ("todouble", MIRType.DOUBLE)]
+    + [("compare", MIRType.BOOLEAN), ("not", MIRType.BOOLEAN)]
+    + [("concat", MIRType.STRING), ("typeof", MIRType.STRING)]
+    + [("newarray", MIRType.ARRAY), ("newobject", MIRType.OBJECT)]
+    + [("lambda", MIRType.FUNCTION)]
+)
+
+#: The same for a generic ``binary_v``/``unary_v`` operator.
+_GENERIC_TYPE = dict(
+    [(op, MIRType.DOUBLE) for op in (Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.USHR)]
+    + [(op, MIRType.DOUBLE) for op in (Op.NEG, Op.POS, Op.TONUM)]
+    + [(op, MIRType.INT32) for op in (Op.BITAND, Op.BITOR, Op.BITXOR, Op.SHL, Op.SHR)]
+    + [(Op.BITNOT, MIRType.INT32)]
+    + [(op, MIRType.BOOLEAN) for op in (Op.EQ, Op.NE, Op.STRICTEQ, Op.STRICTNE)]
+    + [(op, MIRType.BOOLEAN) for op in (Op.LT, Op.LE, Op.GT, Op.GE, Op.IN, Op.NOT)]
+    + [(Op.TYPEOF, MIRType.STRING)]
+)
+
+
+def _passes(have, wanted):
+    """Whether a value of MIR type ``have`` passes a check of ``wanted``."""
+    return have == wanted or (wanted == MIRType.DOUBLE and have == MIRType.INT32)
+
+
+def _justified(native, body, position, loc, wanted):
+    """Whether the value ``body[position]`` reads from ``loc`` is proven
+    to be of MIR type ``wanted`` by ``body[:position]`` alone: the same
+    check on the location, or a definition of it that fixes the type,
+    possibly reached through moves, with no write to the location in
+    between."""
+    instructions = native.instructions
+    if loc < 0:
+        return _passes(mirtype_of_value(native.immediates[loc]), wanted)
+    for back in range(position - 1, -1, -1):
+        ins = instructions[body[back]]
+        checks = ins.op in ("unbox", "typebarrier")
+        if checks and ins.srcs[0] == loc and _passes(ins.extra, wanted):
+            return True  # the value still in the source passed it too
+        if ins.dest != loc:
+            continue
+        if ins.op == "move":
+            return _justified(native, body, back, ins.srcs[0], wanted)
+        if checks:
+            return _passes(ins.extra, wanted)
+        if ins.op == "const":
+            return _passes(mirtype_of_value(ins.extra), wanted)
+        if ins.op == "bitop_i":
+            unsigned = ins.extra == Op.USHR and ins.snapshot is None
+            return _passes(MIRType.DOUBLE if unsigned else MIRType.INT32, wanted)
+        if ins.op == "binary_v" and ins.extra == Op.ADD:
+            return wanted == MIRType.DOUBLE and all(
+                _justified(native, body, back, src, MIRType.DOUBLE) for src in ins.srcs
+            )
+        if ins.op == "unary_v" and ins.extra in (Op.POS, Op.TONUM):
+            if _justified(native, body, back, ins.srcs[0], MIRType.INT32):
+                return _passes(MIRType.INT32, wanted)
+        if ins.op in ("binary_v", "unary_v"):
+            have = _GENERIC_TYPE.get(ins.extra)
+        else:
+            have = _RESULT_TYPE.get(ins.op)
+        return have is not None and _passes(have, wanted)
+    return False
+
+
+def _elided_checks(native, translated, inject=False):
+    """``(body, position)`` of every non-trivial ``unbox``/``typebarrier``
+    of the translated regions that a ``HostKinds`` elides."""
+    kinds = HostKinds(native, inject)
+    elided = []
+    for body in translated.bodies.values():
+        kinds.enter_region()
+        for position, index in enumerate(body):
+            instruction = native.instructions[index]
+            if instruction.op in TERMINATORS:
+                break
+            if instruction.op in ("unbox", "typebarrier") and instruction.extra != MIRType.VALUE:
+                if kinds.elides(instruction):
+                    elided.append((body, position))
+            kinds.step(instruction)
+    return elided
+
+
+def _checks_in(native, translated):
+    return sum(
+        1
+        for body in translated.bodies.values()
+        for index in body
+        if native.instructions[index].op in ("unbox", "typebarrier")
+        and native.instructions[index].extra != MIRType.VALUE
+    )
+
+
+def _spy_emitters(monkeypatch):
+    """Record ``(native, emitter, source)`` of every ``compile_whole`` call."""
+    seen = []
+    real = wholefn.compile_whole
+
+    def spy(native, executor, profiled=False, capture=None, roots=None):
+        capture = {} if capture is None else capture
+        result = real(native, executor, profiled=profiled, capture=capture, roots=roots)
+        seen.append((native, capture["emitter"], capture["source"]))
+        return result
+
+    monkeypatch.setattr(wholefn, "compile_whole", spy)
+    return seen
+
+
+class TestElidedChecksAreJustifiedInTheirRegion:
+    @pytest.mark.parametrize("config", [FULL_SPEC, BASELINE], ids=["full_spec", "baseline"])
+    def test_every_suite_binary(self, config, monkeypatch):
+        translations = _spy_emitters(monkeypatch)
+        for suite in ALL_SUITES.values():
+            for benchmark in suite:
+                Engine(config=config, executor_backend="whole").run_source(benchmark.source)
+        assert len(translations) >= 150
+        elided_total = 0
+        for native, emitter, text in translations:
+            elided = _elided_checks(native, emitter.regions)
+            for body, position in elided:
+                check = native.instructions[body[position]]
+                assert _justified(native, body, position, check.srcs[0], check.extra), (
+                    native.code.name, body[position], check.op, check.extra
+                )
+            # The replay elides what the emission did: one bail per check left.
+            emitted = text.count("'type guard'") + text.count("'type barrier'")
+            assert emitted == _checks_in(native, emitter.regions) - len(elided)
+            elided_total += len(elided)
+        if config is FULL_SPEC:
+            assert elided_total >= 100, elided_total
+
+    def test_a_chaos_translation_elides_nothing(self, monkeypatch):
+        source = (
+            "function f(a, i) { var x = a[i]; return (x | 0) + (x % 3) + a[i] * 2; }\n"
+            "var arr = [1, 2, 3, 4]; var t = 0;\n"
+            "for (var k = 0; k < 80; k++) t += f(arr, k % 4);\nprint(t);"
+        )
+        translations = _spy_emitters(monkeypatch)
+        Engine(config=FULL_SPEC, executor_backend="whole", **FAST).run_source(source)
+        assert sum(len(_elided_checks(n, e.regions)) for n, e, _ in translations) > 0
+        del translations[:]
+        Engine(
+            config=FULL_SPEC,
+            executor_backend="whole",
+            fault_injector=GuardFaultInjector(),
+            bailout_limit=CHAOS_BAILOUT_LIMIT,
+            **FAST
+        ).run_source(source)
+        checks = 0
+        for native, emitter, text in translations:
+            assert _elided_checks(native, emitter.regions, inject=True) == []
+            emitted = text.count("'type guard'") + text.count("'type barrier'")
+            assert emitted == _checks_in(native, emitter.regions)
+            checks += emitted
+        assert checks > 0
+
+    def test_the_scan_rejects_an_unjustified_elision(self, monkeypatch):
+        """A mutation of the map — every check elided — fails the scan."""
+        translations = _spy_emitters(monkeypatch)
+        Engine(config=FULL_SPEC, executor_backend="whole").run_source(
+            _bench_source("sunspider", "access-nsieve")
+        )
+        unjustified = 0
+        for native, emitter, _text in translations:
+            for body in emitter.regions.bodies.values():
+                for position, index in enumerate(body):
+                    check = native.instructions[index]
+                    if check.op in ("unbox", "typebarrier") and check.extra != MIRType.VALUE:
+                        if not _justified(native, body, position, check.srcs[0], check.extra):
+                            unjustified += 1
+        assert unjustified > 0
