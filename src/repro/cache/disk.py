@@ -389,7 +389,8 @@ class DiskCodeCache(object):
         refuses, also counts ``corrupt`` — never an exception.
         """
         try:
-            with open(self._path(key), "rb") as handle:
+            # Unbuffered: the whole file is read at once, into one object.
+            with open(self._path(key), "rb", buffering=0) as handle:
                 blob = handle.read()
         except OSError:
             return None

@@ -13,7 +13,9 @@ the linked module code (which links only while the facts its emitter
 read still hold, see :func:`repro.lir.wholefn._link`).
 
 Guest values that appear in artifacts (immediates, specialized-args
-metadata, instruction extras) are encoded with a small tagged scheme.
+metadata, instruction extras) are encoded with a small scheme: a
+number, string, boolean or None stands for itself, and anything else is
+a tuple opening with its tag, so a load decodes only the tuples.
 A plain object or array among the compile's inputs
 (:func:`repro.cache.disk.compile_inputs`) is stored as a *relocatable
 slot* ``("r", p)``, its first position among them, and a load binds
@@ -73,7 +75,9 @@ class Uncacheable(Exception):
 #: v11: the link record has no ``prices`` (the emitter digest covers the
 #: native price list), and the closure backend's module (``"closure"``)
 #: is no longer stored — ``whole``'s link record is the one module format.
-FORMAT_VERSION = 11
+#: v12: a program entry carries each code object's fingerprint, and a
+#: primitive or None value is stored as itself, untagged.
+FORMAT_VERSION = 12
 
 #: The heap classes a cached compile's inputs may hold (exact classes):
 #: the key names one by position, the artifact relocates it.
@@ -91,15 +95,11 @@ def encode_value(value, code, positions=None):
     slot ``("r", position)``).  Raises :class:`Uncacheable` for anything
     else identity-based.
     """
-    if value is None:
-        return ("n",)
-    if value is True or value is False:
-        # Before int: bool is an int subtype and marshal keeps the
-        # distinction, but tagging explicitly keeps decode trivial.
-        return ("b", bool(value))
     kind = type(value)
-    if kind in (int, float, str):
-        return ("p", value)
+    if value is None or kind in _PRIMITIVES:
+        # Untagged: marshal keeps ``1``, ``1.0`` and ``True`` apart, and
+        # every tagged value is a tuple.
+        return value
     if value is UNDEFINED:
         return ("u",)
     if value is NULL:
@@ -135,13 +135,9 @@ def decode_value(encoded, code, inputs=()):
     slots were numbered; a slot naming a position they do not have, or
     one that does not hold a relocatable value, raises.
     """
+    if type(encoded) is not tuple:
+        return encoded
     tag = encoded[0]
-    if tag == "n":
-        return None
-    if tag == "b":
-        return encoded[1]
-    if tag == "p":
-        return encoded[1]
     if tag == "u":
         return UNDEFINED
     if tag == "z":
@@ -175,14 +171,6 @@ def _encode_snapshot(snapshot):
     )
 
 
-def _decode_snapshot(encoded):
-    pc, mode, num_args, num_locals, locations, snapshot_id = encoded
-    snapshot = Snapshot(pc, mode, num_args, num_locals, list(locations))
-    snapshot.locations = list(locations)
-    snapshot.snapshot_id = snapshot_id
-    return snapshot
-
-
 def _encode_instruction(instruction, code, positions):
     return (
         instruction.op,
@@ -194,16 +182,45 @@ def _encode_instruction(instruction, code, positions):
     )
 
 
-def _decode_instruction(encoded, code, inputs):
-    op, dest, srcs, extra, snapshot, targets = encoded
-    return LInstruction(
-        op,
-        dest=dest,
-        srcs=srcs,
-        extra=decode_value(extra, code, inputs),
-        snapshot=None if snapshot is None else _decode_snapshot(snapshot),
-        targets=None if targets is None else list(targets),
-    )
+def _thaw_stream(stream, code, inputs):
+    """The stored instructions as ``LInstruction`` objects, in one pass.
+
+    The objects skip their constructors (``LInstruction``'s copies
+    ``srcs``): each slot is set to the object marshal already built —
+    ``srcs``, ``targets`` and a snapshot's ``locations`` are taken over,
+    not copied — and only a tagged ``extra`` goes through
+    :func:`decode_value`.  A snapshot's virtual registers do not outlive
+    register allocation, so a thawed one's ``vregs`` is a copy of its
+    ``locations``.
+    """
+    new = object.__new__
+    instructions = []
+    append = instructions.append
+    for op, dest, srcs, extra, stored, targets in stream:
+        instruction = new(LInstruction)
+        instruction.op = op
+        instruction.dest = dest
+        instruction.srcs = srcs
+        if type(extra) is tuple:
+            extra = decode_value(extra, code, inputs)
+        instruction.extra = extra
+        if stored is None:
+            instruction.snapshot = None
+        else:
+            snapshot = instruction.snapshot = new(Snapshot)
+            (
+                snapshot.pc,
+                snapshot.mode,
+                snapshot.num_args,
+                snapshot.num_locals,
+                locations,
+                snapshot.snapshot_id,
+            ) = stored
+            snapshot.locations = locations
+            snapshot.vregs = locations[:]
+        instruction.targets = targets
+        append(instruction)
+    return instructions
 
 
 def freeze_result(result, code, inputs=()):
@@ -270,17 +287,17 @@ def thaw_result(artifact, code, inputs=()):
     from repro.engine.jit import CompileResult
 
     blob = artifact["native"]
-    instructions = [
-        _decode_instruction(encoded, code, inputs) for encoded in blob["instructions"]
-    ]
     native = NativeCode(
         code,
-        instructions,
+        _thaw_stream(blob["instructions"], code, inputs),
         entry_index=blob["entry_index"],
         osr_index=blob["osr_index"],
         num_slots=blob["num_slots"],
         meta=decode_value(blob["meta"], code, inputs),
-        immediates=[decode_value(value, code, inputs) for value in blob["immediates"]],
+        immediates=[
+            value if type(value) is not tuple else decode_value(value, code, inputs)
+            for value in blob["immediates"]
+        ],
     )
     whole = artifact.get("whole")
     if whole is not None:
@@ -305,7 +322,7 @@ _FROZEN_NULL = ("z",)
 def _freeze_code(code, base, seen):
     """One code object (and, recursively, its nested ones) as plain data."""
     offset = code.code_id - base
-    seen.append(offset)
+    seen.append(code)
     instructions = code.instructions
     args = [instr.arg for instr in instructions]
     if not {int, type(None)}.issuperset(map(type, args)):
@@ -346,15 +363,22 @@ def freeze_program(root):
 
     Code ids are stored as offsets from the root's, with their count:
     the compiler makes the root first and pools every object it makes,
-    so the tree's ids are the block the compile consumed.  Not stored:
-    ``feedback``, ``threaded`` and ``fingerprint`` — run-time state that
-    a freshly compiled tree does not have either.  Raises
+    so the tree's ids are the block the compile consumed.  Beside the
+    tree, ``fingerprints`` holds each object's cache digest
+    (:func:`repro.cache.disk._code_fingerprint`) by id offset, taken of
+    the tree as stored, so a warm run keys its compiles without walking
+    any bytecode.  Not stored: ``feedback`` and ``threaded`` — run-time
+    state that a freshly compiled tree does not have either.  Raises
     :class:`Uncacheable` for a tree the encoding would not bring back
     exactly (hand-built operands, ids that are not one block).
     """
+    from repro.cache.disk import _code_fingerprint
+
+    base = root.code_id
     seen = []
-    tree = _freeze_code(root, root.code_id, seen)
-    if sorted(seen) != list(range(len(seen))):
+    tree = _freeze_code(root, base, seen)
+    seen.sort(key=lambda code: code.code_id)
+    if [code.code_id - base for code in seen] != list(range(len(seen))):
         raise Uncacheable("code ids of %s are not one compile's" % root.name)
     # Deflated: the streams are one small object per instruction, which
     # marshal spells at 16 bytes each and zlib's fastest level at 2.
@@ -362,6 +386,7 @@ def freeze_program(root):
         "format": FORMAT_VERSION,
         "ids": len(seen),
         "code": zlib.compress(marshal.dumps(tree), 1),
+        "fingerprints": [_code_fingerprint(code) for code in seen],
     }
 
 
@@ -407,7 +432,7 @@ def _thaw_code(fields, base, seen):
     code.self_name = self_name
     code.loops_rotated = loops_rotated
     code.seal()
-    seen.append(offset)
+    seen.append(code)
     code.validate()
     return code
 
@@ -419,13 +444,23 @@ def thaw_program(artifact, ids):
     advances by the count the original compile consumed — only once the
     tree is accepted, so a refused entry leaves it where the fallback
     compile expects it.  Objects come from the constructor, so they have
-    the layout and defaults (``feedback``, ``threaded``, ``fingerprint``)
-    of compiled ones.
+    the layout and defaults (``feedback``, ``threaded``) of compiled
+    ones; each ``fingerprint`` is the stored digest, trusted as far as
+    the bytecode beside it (same frame, same writer) once the table has
+    the shape of one: a 64-character string per code object.
     """
     base = ids.next_id
     seen = []
     root = _thaw_code(marshal.loads(zlib.decompress(artifact["code"])), base, seen)
-    if sorted(seen) != list(range(artifact["ids"])):
+    if sorted(code.code_id - base for code in seen) != list(range(artifact["ids"])):
         raise ValueError("code ids are not one compile's")
+    fingerprints = artifact["fingerprints"]
+    if type(fingerprints) is not list or len(fingerprints) != len(seen):
+        raise ValueError("the fingerprint table does not fit the tree")
+    for code in seen:
+        fingerprint = fingerprints[code.code_id - base]
+        if type(fingerprint) is not str or len(fingerprint) != 64:
+            raise ValueError("fingerprint %r" % (fingerprint,))
+        code.fingerprint = fingerprint
     ids.next_id = base + len(seen)
     return root

@@ -24,6 +24,7 @@ import marshal
 import pytest
 
 from repro.cache import DiskCodeCache
+from repro.cache import disk as cache_disk
 from repro.cache.disk import (
     ENTRY_KINDS,
     _frame_entry,
@@ -31,7 +32,7 @@ from repro.cache.disk import (
     compile_inputs,
     content_key,
 )
-from repro.cache.serialize import RELOCATABLE, freeze_result
+from repro.cache.serialize import FORMAT_VERSION, RELOCATABLE, freeze_result, thaw_result
 from repro.engine import runtime_engine
 from repro.engine.config import BASELINE, FULL_SPEC
 from repro.engine.runtime_engine import Engine
@@ -217,6 +218,25 @@ class TestRoundTrip:
         assert warm_cache.hits == 0
         assert warm_printed == cold_printed
 
+    def test_previous_format_compile_entry_is_a_corrupt_miss(self, tmp_path):
+        """An intact compile artifact of the previous format under this
+        format's key is refused, recompiled and re-stored."""
+        cold_printed, _, cold_cache, _ = run_cached(HOT_LOOP, tmp_path)
+        rewritten = 0
+        for path in sorted((tmp_path / "code").rglob("*.bin")):
+            payload = _unframe_entry(path.read_bytes())
+            if payload[:1] != ENTRY_KINDS["compile"]:
+                continue
+            artifact = marshal.loads(payload[1:])
+            artifact["format"] = FORMAT_VERSION - 1
+            path.write_bytes(_frame_entry(ENTRY_KINDS["compile"] + marshal.dumps(artifact)))
+            rewritten += 1
+        assert rewritten == cold_cache.stores > 0
+        warm_printed, _, warm_cache, _ = run_cached(HOT_LOOP, tmp_path)
+        assert (warm_cache.hits, warm_cache.corrupt) == (0, rewritten)
+        assert warm_cache.misses == warm_cache.stores == rewritten
+        assert warm_printed == cold_printed
+
     def test_concurrent_writers_last_complete_frame_wins(self, tmp_path):
         """Two caches racing on one root never leave a torn entry.
 
@@ -264,6 +284,57 @@ var s = 0;
 for (var i = 0; i < 40; i++) s += apply(inc, i) + apply(Math.abs, -i);
 print(s);
 """
+
+
+@pytest.mark.parametrize("config", [FULL_SPEC, BASELINE], ids=lambda config: config.name)
+def test_a_thawed_stream_is_the_frozen_one(tmp_path, monkeypatch, config):
+    """Every binary the 38 suites store, through ``freeze_result``, marshal and
+    ``thaw_result``: the one-pass thaw rebuilds each field of the stream."""
+    binaries = []
+
+    def freezing(result, code, inputs=()):
+        artifact = freeze_result(result, code, inputs)
+        thawed = thaw_result(marshal.loads(marshal.dumps(artifact)), code, inputs)
+        binaries.append((result.native.instructions, thawed.native.instructions))
+        return artifact
+
+    monkeypatch.setattr(cache_disk, "freeze_result", freezing)
+    programs = _suite_programs()
+    assert len(programs) == 38
+    stored = 0
+    for name, source in programs:
+        cache = DiskCodeCache(root=str(tmp_path / name.replace("/", "_")))
+        Engine(config=config, code_cache=cache).run_source(source)
+        stored += cache.stores
+    # Every binary but the uncacheable few (no artifact exists to thaw).
+    assert len(binaries) == stored > 100
+    snapshots = 0
+    for original, thawed in binaries:
+        assert len(thawed) == len(original)
+        for before, after in zip(original, thawed):
+            assert (after.op, after.dest, after.srcs, after.targets) == (
+                before.op,
+                before.dest,
+                before.srcs,
+                before.targets,
+            )
+            # repr: ``1``, ``1.0`` and ``True`` stay apart, and a NaN equals itself.
+            assert repr(after.extra) == repr(before.extra)
+            if before.snapshot is None:
+                assert after.snapshot is None
+                continue
+            old, new = before.snapshot, after.snapshot
+            assert (new.pc, new.mode, new.num_args, new.num_locals) == (
+                old.pc,
+                old.mode,
+                old.num_args,
+                old.num_locals,
+            )
+            assert (new.locations, new.snapshot_id) == (old.locations, old.snapshot_id)
+            # Virtual registers end with allocation: a thawed snapshot's are its locations.
+            assert new.vregs == old.locations and new.vregs is not new.locations
+            snapshots += 1
+    assert snapshots > 100
 
 
 def _simulated(engine):
@@ -358,7 +429,11 @@ class TestReferenceKeys:
                 continue
             artifact = marshal.loads(payload[1:])
             immediates = artifact["native"]["immediates"]
-            slots = [index for index, value in enumerate(immediates) if value[0] == "r"]
+            slots = [
+                index
+                for index, value in enumerate(immediates)
+                if type(value) is tuple and value[0] == "r"
+            ]
             for index in slots:
                 immediates[index] = ("r", 99)
             if slots:

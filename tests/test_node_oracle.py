@@ -6,7 +6,8 @@ faithfully on every backend and recovery path.  Here the same programs
 run under ``node`` as well: the ``tests/corpus/`` files and a fixed fuzz
 sample (``generate_program(0, i)``, i < 30), and in a second batch the
 programs of every benchmark suite and of the serving catalog (``-m
-nightly``).
+nightly``), with the 48 pages ``hostbench`` loads (seeds 1, 2 and
+20130223).
 
 One ``node`` process runs the whole batch, each program in a fresh
 ``vm`` context whose ``print`` is ``console.log`` of the ``String`` of
@@ -82,6 +83,9 @@ WORKLOADS = [
     for benchmark in benchmarks
 ] + [("catalog/" + name, source) for name, source in sorted(build_catalog(FleetProfile()).items())]
 
+#: Seeds of the ``pageload-cold``/``pageload-warm`` pages in the nightly arm.
+PAGE_SEEDS = (1, 2, 20130223)
+
 
 def _node(programs):
     """``name -> {"lines", "threw"}`` for ``programs``, from one node process."""
@@ -123,12 +127,15 @@ def test_the_batch_is_the_corpus_and_the_fuzz_sample():
     assert sum(name.startswith("fuzz/") for name in names) == FUZZ_COUNT
 
 
+def _agrees(ours, theirs):
+    if ours["threw"] or theirs["threw"]:
+        return ours["threw"] == theirs["threw"]
+    return ours["lines"] == theirs["lines"]
+
+
 def _agree(name, source, theirs):
     ours = _ours(source)
-    if ours["threw"] or theirs["threw"]:
-        assert ours["threw"] == theirs["threw"], (name, ours, theirs)
-    else:
-        assert ours["lines"] == theirs["lines"]
+    assert _agrees(ours, theirs), (name, ours, theirs)
 
 
 @pytest.mark.parametrize("name, source", PROGRAMS, ids=[name for name, _ in PROGRAMS])
@@ -144,3 +151,18 @@ def test_the_workload_batch_is_every_suite_and_the_catalog():
 @pytest.mark.parametrize("name, source", WORKLOADS, ids=[name for name, _ in WORKLOADS])
 def test_workload_lines_agree_with_node(name, source, node_workload_results):
     _agree(name, source, node_workload_results[name])
+
+
+@pytest.mark.nightly  # about 7 s
+def test_hostbench_pages_agree_with_node():
+    from hostbench.workloads import page_operations
+
+    pages = [
+        ("page/%d/%s" % (seed, name), source)
+        for seed in PAGE_SEEDS
+        for name, source in page_operations(seed)
+    ]
+    assert len(pages) == 48
+    theirs = _node(pages)
+    differences = [name for name, source in pages if not _agrees(_ours(source), theirs[name])]
+    assert differences == []

@@ -83,6 +83,15 @@ def compiled(source, ids=None):
     return code
 
 
+def stored_and_recomputed_fingerprints(code):
+    """Each tree object's digest as stored, then as a fresh walk takes it after clearing it."""
+    tree = [code] + _nested(code)
+    stored = [each.fingerprint for each in tree]
+    for each in tree:
+        each.fingerprint = None
+    return stored, [cache_disk._code_fingerprint(each) for each in tree]
+
+
 def ids_from(base):
     """A runtime's code id counter after it issued ``base - 1`` ids."""
     ids = CodeIds()
@@ -102,7 +111,9 @@ def assert_round_trips(cache, name, source, base=1):
     assert thawed is not None, name
     assert ids.next_id == after_compile, name
     assert describe(thawed) == describe(code), name
-    assert thawed.fingerprint is None and thawed.threaded is None and thawed.feedback is None
+    stored, recomputed = stored_and_recomputed_fingerprints(thawed)
+    assert stored == recomputed, name
+    assert thawed.threaded is None and thawed.feedback is None
 
 
 # -- a thawed tree is the compiled tree ---------------------------------------------
@@ -117,6 +128,20 @@ def test_every_corpus_program_round_trips_field_by_field(tmp_path):
         assert_round_trips(cache, name, source, base=1 + 1000 * (index % 3))
     assert cache.program_loads == cache.program_stores == len(names)
     assert cache.corrupt == 0 and cache.hits == cache.misses == cache.stores == 0
+
+
+def test_hostbench_pages_round_trip_field_by_field(tmp_path):
+    """The pages ``pageload-warm`` loads (seed 1).  With the corpus and the
+    suites above, every fingerprint a warm run keys on is checked against
+    the digest a fresh walk of the thawed object takes."""
+    from hostbench import workloads
+
+    cache = DiskCodeCache(root=str(tmp_path))
+    pages = workloads.page_operations(1)
+    assert len(pages) == 16
+    for name, source in pages:
+        assert_round_trips(cache, name, source)
+    assert cache.program_loads == 16 and cache.corrupt == 0
 
 
 def test_pool_types_survive_exactly():
@@ -338,6 +363,29 @@ def wrong_id_count(artifact, tree):
     return tree
 
 
+def fingerprints_short(artifact, tree):
+    artifact["fingerprints"] = artifact["fingerprints"][:-1]
+    return tree
+
+
+def fingerprints_long(artifact, tree):
+    artifact["fingerprints"] = artifact["fingerprints"] + artifact["fingerprints"][:1]
+    return tree
+
+
+def fingerprint_not_a_string(artifact, tree):
+    artifact["fingerprints"][-1] = artifact["fingerprints"][-1].encode("ascii")
+    return tree
+
+
+#: Intact entries whose fingerprint table does not have the shape of one.
+MALFORMED_FINGERPRINTS = {
+    "fingerprints-short": fingerprints_short,
+    "fingerprints-long": fingerprints_long,
+    "fingerprint-not-a-string": fingerprint_not_a_string,
+}
+
+
 HOSTILE = {
     "empty": lambda blob: blob[:0],
     "header-only": lambda blob: blob[:_FRAME_HEADER_SIZE],
@@ -353,6 +401,7 @@ HOSTILE = {
     "ragged-streams": reframed(ragged_streams),
     "wrong-id-count": reframed(wrong_id_count),
 }
+HOSTILE.update((name, reframed(damage)) for name, damage in MALFORMED_FINGERPRINTS.items())
 
 
 @pytest.mark.parametrize("damage", sorted(HOSTILE))
@@ -382,6 +431,37 @@ def test_hostile_entry_is_a_miss_that_heals(tmp_path, damage):
     assert healed["trace"] == hurt["trace"]
     assert hurt["stats"].pop("disk_corrupt") == 1 and healed["stats"].pop("disk_corrupt") == 0
     assert healed["stats"] == hurt["stats"]
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_FINGERPRINTS))
+def test_malformed_fingerprint_table_falls_back_to_fresh_keys(tmp_path, monkeypatch, damage):
+    """No digest of a refused table is used: the fallback compile takes the
+    keys a run from source takes, so every compile artifact still hits."""
+    import os
+    import pathlib
+
+    keys = []
+    key_for = DiskCodeCache.key_for
+
+    def recording(cache, *args, **kwargs):
+        keys.append(key_for(cache, *args, **kwargs))
+        return keys[-1]
+
+    monkeypatch.setattr(DiskCodeCache, "key_for", recording)
+    observed_run(HOT, tmp_path, 1)
+    path = program_path(tmp_path, HOT)
+    os.unlink(path)
+    del keys[:]
+    observed_run(HOT, tmp_path, 1)
+    from_source = keys[:]
+    del keys[:]
+    rewrite(pathlib.Path(path), reframed(MALFORMED_FINGERPRINTS[damage]))
+
+    hurt, cache = observed_run(HOT, tmp_path, 1)
+    assert (cache.corrupt, cache.program_loads, cache.program_stores) == (1, 0, 1)
+    assert from_source and None not in from_source
+    assert keys == from_source
+    assert hurt["counters"]["misses"] == 0
 
 
 # The same for the link record a compile artifact carries (``whole``,

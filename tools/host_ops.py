@@ -31,7 +31,11 @@ once, in one called again but never compiled, in one before its first
 compile, or in one that had been compiled (a bailout's resume, a
 discarded binary).  The interpreter is the largest layer of a warm page;
 this is the table to read before changing it (docs/PERF.md, "What the
-interpreter runs on a warm page").
+interpreter runs on a warm page").  The same pass counts what its cache
+hits cost in decoding: code-object digests computed
+(``_code_fingerprint`` walks; a program entry carries its tree's, so a
+warm pass takes none) and ``decode_value`` calls per hit (docs/PERF.md,
+"A warm hit decodes once").
 
 Usage::
 
@@ -44,10 +48,13 @@ seed and request count only) and exits 1 when any count is above its
 budget, a warm call takes more frames than budgeted, or fewer calls of
 a binary kind take the warm path than its floor (a specialized call
 that goes the long way through ``Engine._call_policy`` is not warm).
+It then runs the ``--interp-ops`` pass of the default page seed and
+holds its warm-page decode counts to their budgets as well.
 """
 
 import argparse
 import collections
+import contextlib
 import json
 import os
 import shutil
@@ -248,6 +255,30 @@ class InterpOpCounter(object):
         return totals
 
 
+@contextlib.contextmanager
+def counting_decodes():
+    """While open, count code-object digests computed and ``decode_value`` calls."""
+    from repro.cache import disk, serialize
+
+    counts = {"digests": 0, "decodes": 0}
+    fingerprint, decode = disk._code_fingerprint, serialize.decode_value
+
+    def counted_fingerprint(code):
+        counts["digests"] += code.fingerprint is None
+        return fingerprint(code)
+
+    def counted_decode(*args):
+        counts["decodes"] += 1
+        return decode(*args)
+
+    # Both recurse through their module global, so nested calls count too.
+    disk._code_fingerprint, serialize.decode_value = counted_fingerprint, counted_decode
+    try:
+        yield counts
+    finally:
+        disk._code_fingerprint, serialize.decode_value = fingerprint, decode
+
+
 def interp_ops(seed):
     """Count the interpreter's ops over one warm page-load pass of ``seed``."""
     sys.path.insert(0, REPO_ROOT)
@@ -273,11 +304,14 @@ def interp_ops(seed):
             Engine(config=FULL_SPEC, code_cache=DiskCodeCache(root=root)).run_source(source)
         Interpreter._run = lambda self, frame, pc, stack: counter.run(self, frame, pc, stack)
         EngineStats.record_compile = recording
-        executed = 0
-        for _name, source in pages:
-            engine = Engine(config=FULL_SPEC, code_cache=DiskCodeCache(root=root))
-            engine.run_source(source)
-            executed += engine.interpreter.ops_executed
+        executed = hits = 0
+        with counting_decodes() as decoding:
+            for _name, source in pages:
+                cache = DiskCodeCache(root=root)
+                engine = Engine(config=FULL_SPEC, code_cache=cache)
+                engine.run_source(source)
+                executed += engine.interpreter.ops_executed
+                hits += cache.hits
     finally:
         Interpreter._run, EngineStats.record_compile = run, record_compile
         shutil.rmtree(root, ignore_errors=True)
@@ -291,6 +325,12 @@ def interp_ops(seed):
         "places": counter.places(),
         "opcodes": dict(counter.opcodes.most_common()),
         "pairs": [[first, second, count] for (first, second), count in counter.pairs.most_common()],
+        "warm_page": {
+            "cache_hits": hits,
+            "fingerprint_digests": decoding["digests"],
+            "decode_value_calls": decoding["decodes"],
+            "decode_value_per_hit": round(decoding["decodes"] / hits, 2) if hits else None,
+        },
     }
 
 
@@ -310,6 +350,16 @@ def print_interp_ops(report, top=20):
     print("\nadjacent pairs (top %d of %d)" % (top, len(report["pairs"])))
     for first, second, count in report["pairs"][:top]:
         print("  %-28s %8d  %5.1f%%" % (first + " " + second, count, 100.0 * count / total))
+    print_warm_page(report["warm_page"])
+
+
+def print_warm_page(row):
+    print("\ncache hits of the pass: %d" % row["cache_hits"])
+    print("  %-28s %8d" % ("fingerprint digests", row["fingerprint_digests"]))
+    print(
+        "  %-28s %8d  (%s per hit)"
+        % ("decode_value calls", row["decode_value_calls"], row["decode_value_per_hit"])
+    )
 
 
 def summarize(counter):
@@ -344,6 +394,10 @@ def check(report, budget):
         seen = report["frames_per_call"].get(kind, {}).get("warm_share")
         if seen is None or seen < floor:
             problems.append("%s warm share: %r, floor %r" % (kind, seen, floor))
+    for label, limit in sorted(budget["warm_page"].items()):
+        seen = report["warm_page"][label]  # None: the pass had no cache hit
+        if seen is None or seen > limit:
+            problems.append("warm page %s: %r, budget %r" % (label, seen, limit))
     return problems
 
 
@@ -376,6 +430,8 @@ def main(argv=None):
         parser.error("--check is defined for the default seed and request count")
 
     report = summarize(replay(args.seed, args.requests))
+    if args.check:
+        report["warm_page"] = interp_ops(PAGE_SEED)["warm_page"]
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -393,6 +449,8 @@ def main(argv=None):
             )
         for label, count in sorted(report["helper_calls"].items()):
             print("%-24s %9d" % (label, count))
+        if args.check:
+            print_warm_page(report["warm_page"])
     if args.check:
         with open(BUDGET_PATH) as handle:
             budget = json.load(handle)
