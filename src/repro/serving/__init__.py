@@ -4,11 +4,9 @@ Layers, bottom up:
 
 - :mod:`repro.serving.shards` — sharded shared disk code cache plus
   per-tenant counter views.
-- :mod:`repro.serving.admission` — deterministic per-tenant
-  admission/queueing lanes (``max(arrival + delay, lane_cycle)``,
-  model cycles).
 - :mod:`repro.serving.isolate` — one engine (which owns its shape
-  tree) + metrics registry per tenant; the tenant-isolation boundary.
+  tree) per tenant; the tenant-isolation boundary.  A served request
+  is measured by the model cycles its tenant's engine ran.
 - :mod:`repro.serving.fleet` — seeded power-law fleet-traffic driver
   (`repro fleet`).
 - :mod:`repro.serving.pool` — tenant isolates spread over worker
@@ -17,7 +15,6 @@ Layers, bottom up:
   (`repro serve`).
 """
 
-from repro.serving.admission import AdmissionLane
 from repro.serving.fleet import FleetProfile, generate_schedule, run_fleet
 from repro.serving.isolate import TenantHost, TenantIsolate
 from repro.serving.pool import WorkerPool
@@ -25,7 +22,6 @@ from repro.serving.server import ServingServer
 from repro.serving.shards import ShardedDiskCache, TenantCacheView
 
 __all__ = [
-    "AdmissionLane",
     "FleetProfile",
     "generate_schedule",
     "run_fleet",

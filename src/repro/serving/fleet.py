@@ -12,13 +12,10 @@ artifact store pay off.
 
 Everything is driven by one seeded RNG over *integer* weight tables
 (no float accumulation), so a schedule is a pure function of the
-profile: same seed → byte-identical JSONL schedule, and — because
-request latency is measured in deterministic model cycles on
-per-tenant admission lanes — identical merged metrics payloads
-whatever the worker-process count (``--jobs``).  Batch ids are
-precomputed on the global schedule (a batch is a run of consecutive
-same-tenant requests, capped at ``batch_limit``), so batch boundaries
-cannot depend on how tenants are partitioned across workers.
+profile: same seed → byte-identical JSONL schedule, and — because a
+request is measured by the deterministic model cycles its tenant's
+engine ran — identical merged metrics payloads whatever the
+worker-process count (``--jobs``).
 """
 
 import json
@@ -43,16 +40,12 @@ class FleetProfile(object):
         programs=6,
         seed=0,
         functions_per_program=10,
-        mean_gap=2048,
-        batch_limit=8,
     ):
         self.tenants = tenants
         self.requests = requests
         self.programs = programs
         self.seed = seed
         self.functions_per_program = functions_per_program
-        self.mean_gap = mean_gap
-        self.batch_limit = batch_limit
 
     def as_dict(self):
         return {
@@ -61,8 +54,6 @@ class FleetProfile(object):
             "programs": self.programs,
             "seed": self.seed,
             "functions_per_program": self.functions_per_program,
-            "mean_gap": self.mean_gap,
-            "batch_limit": self.batch_limit,
         }
 
 
@@ -113,9 +104,7 @@ def generate_schedule(profile):
     """The fleet's request schedule as a list of plain dicts.
 
     Each record: ``seq`` (global order), ``tenant`` (``t<NN>``),
-    ``program`` (catalog name), ``arrival`` (cycles on the tenant's
-    admission clock), ``batch`` (global batch id).  Pure function of
-    the profile.
+    ``program`` (catalog name).  Pure function of the profile.
     """
     rng = random.Random(profile.seed * FLEET_SEED_STRIDE + 1)
     tenant_bounds, tenant_total = _cumulative(_power_law_weights(profile.tenants))
@@ -123,28 +112,13 @@ def generate_schedule(profile):
         _power_law_weights(profile.programs, quadratic=True)
     )
     records = []
-    arrival = 0
-    batch_id = -1
-    last_tenant = None
-    run_length = 0
     for seq in range(profile.requests):
-        arrival += rng.randrange(1, 2 * profile.mean_gap)
+        # Drawn and dropped (it was an arrival gap): each seed keeps its stream.
+        rng.randrange(1, 4096)
         tenant = _weighted_pick(rng, tenant_bounds, tenant_total)
         program = _weighted_pick(rng, program_bounds, program_total)
-        if tenant == last_tenant and run_length < profile.batch_limit:
-            run_length += 1
-        else:
-            batch_id += 1
-            run_length = 1
-            last_tenant = tenant
         records.append(
-            {
-                "seq": seq,
-                "tenant": "t%02d" % tenant,
-                "program": "app-%02d" % program,
-                "arrival": arrival,
-                "batch": batch_id,
-            }
+            {"seq": seq, "tenant": "t%02d" % tenant, "program": "app-%02d" % program}
         )
     return records
 
@@ -172,17 +146,17 @@ def run_fleet(
     cache_root=None,
     shards=4,
     engine_kwargs=None,
-    queue_capacity=None,
 ):
     """Generate and serve one fleet schedule; returns the result dict.
 
     The schedule goes through a :class:`~repro.serving.pool.WorkerPool`
     of ``jobs`` worker processes (``jobs=1``: one in-process host), the
     pool ``repro serve`` runs on.  It routes whole tenants, in schedule
-    order, so per-tenant lanes and caches see the exact same request
-    stream at any job count; metrics are per-tenant and latency is
-    virtual-clock cycles, so responses, cycles and the merged payload
-    are identical across job counts and across runs with the same seed.
+    order, so per-tenant engines and caches see the exact same request
+    stream at any job count; metrics are per-tenant and a request is
+    measured in model cycles, so responses, cycles and the merged
+    payload are identical across job counts and across runs with the
+    same seed.  ``errors`` counts the replies whose status is not ``ok``.
     One exception: with ``cache_mode="shared"`` and ``jobs > 1`` the
     workers share one store, and which process stores an artifact first
     decides which tenants count disk hits — the disk-hit counters move,
@@ -204,7 +178,6 @@ def run_fleet(
         "cache_root": cache_root,
         "shards": shards,
         "engine_kwargs": dict(engine_kwargs or {}),
-        "queue_capacity": queue_capacity,
     }
     jobs = min(jobs, profile.tenants)
     pool = WorkerPool(
@@ -223,9 +196,7 @@ def run_fleet(
 
     responses.sort(key=lambda r: r["seq"])
     merged = summary["metrics"]
-    latencies = [
-        r["latency_cycles"] for r in responses if r["status"] == "ok"
-    ]
+    service = [r["service_cycles"] for r in responses if r["status"] == "ok"]
     counters = merged["counters"]
     disk_probes = (
         counters["repro_cache_disk_hits_total"]
@@ -236,12 +207,11 @@ def run_fleet(
         "responses": responses,
         "metrics": merged,
         "requests": counters["repro_serving_requests_total"],
-        "rejected": counters["repro_serving_rejected_total"],
-        "batches": counters["repro_serving_batches_total"],
+        "errors": len(responses) - len(service),
         "tenants": merged["gauges"]["repro_serving_tenants"],
-        "p50_latency_cycles": percentile(latencies, 0.50),
-        "p99_latency_cycles": percentile(latencies, 0.99),
-        "total_latency_cycles": sum(latencies),
+        "p50_service_cycles": percentile(service, 0.50),
+        "p99_service_cycles": percentile(service, 0.99),
+        "total_service_cycles": sum(service),
         "warm_hit_rate": (
             counters["repro_cache_disk_hits_total"] / disk_probes
             if disk_probes

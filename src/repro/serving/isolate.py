@@ -1,4 +1,4 @@
-"""Tenant isolates: one engine and one serving-metrics registry per tenant.
+"""Tenant isolates: one engine per tenant.
 
 The isolation contract (docs/SERVING.md) is ownership: every piece of
 *speculation state* — the shape transition tree, inline caches, type
@@ -25,39 +25,25 @@ import os
 from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
 from repro.errors import ReproError
-from repro.serving.admission import QUEUE_CAPACITY, AdmissionLane
-from repro.telemetry.metrics import MetricsRegistry, merge_payloads, metrics_payload
+from repro.telemetry.metrics import metrics_payload
 
 from repro.serving.shards import ShardedDiskCache, TenantCacheView
 
 
 class TenantIsolate(object):
-    """One tenant's engine, programs, lane and metrics."""
+    """One tenant's engine and programs."""
 
-    def __init__(
-        self,
-        tenant,
-        cache=None,
-        engine_kwargs=None,
-        queue_capacity=None,
-    ):
+    def __init__(self, tenant, cache=None, engine_kwargs=None):
         self.tenant = tenant
         self.cache = cache
-        #: The serving rows (requests, batches, lane); the engine's rows
-        #: are computed from the engine when a payload is asked for.
-        self.serving = MetricsRegistry()
         kwargs = dict(engine_kwargs or {})
         kwargs.setdefault("config", FULL_SPEC)
         self.engine = Engine(code_cache=cache, **kwargs)
-        self.lane = AdmissionLane(
-            capacity=QUEUE_CAPACITY if queue_capacity is None else queue_capacity
-        )
         #: program name -> (source, compiled toplevel CodeObject); reused
         #: across requests while the name keeps meaning the same source,
         #: so this tenant's feedback and spec caches warm up.
         self.programs = {}
         self.requests = 0
-        self.serving.set_gauge("repro_serving_tenants", 1)
 
     def execute(self, program, source):
         """Run one request; returns ``(output_lines, service_cycles)``.
@@ -85,68 +71,28 @@ class TenantIsolate(object):
         self.requests += 1
         return output, service_cycles
 
-    def serve(self, program, source, arrival=None, batch=None):
-        """Admit and execute one request; returns a response dict.
+    def serve(self, program, source):
+        """Execute one request; returns a response dict.
 
-        ``arrival`` is a cycle on this tenant's admission clock; None
-        (serve mode) means "now", i.e. the current lane cycle.  The
-        response carries status, output, and the deterministic
-        latency/wait/service cycle counts; a rejected request executes
-        nothing.
+        A request is measured by the engine cycles it ran:
+        ``service_cycles``, the cycle-clock delta of :meth:`execute`.
         """
-        if arrival is None:
-            arrival = self.lane.lane_cycle
-        if batch is None:
-            # Serve mode ships no batch ids: every request is its own
-            # batch (pays the dispatch delay), deterministically keyed
-            # off the lane's admission count.
-            batch = ("auto", self.lane.admitted)
-        new_batch = batch != self.lane.last_batch
-        start = self.lane.admit(arrival, batch=batch)
-        registry = self.serving
-        if start is None:
-            registry.inc("repro_serving_rejected_total")
-            self._sample_lane()
-            return {
-                "tenant": self.tenant,
-                "program": program,
-                "status": "rejected",
-                "output": [],
-                "arrival": arrival,
-            }
-        if new_batch:
-            registry.inc("repro_serving_batches_total")
         output, service_cycles = self.execute(program, source)
-        done = self.lane.complete(start, service_cycles)
-        registry.inc("repro_serving_requests_total")
-        registry.observe("repro_serving_request_latency_cycles", done - arrival)
-        registry.observe("repro_serving_queue_wait_cycles", start - arrival)
-        self._sample_lane()
         return {
             "tenant": self.tenant,
             "program": program,
             "status": "ok",
             "output": output,
-            "arrival": arrival,
-            "dispatch": start,
-            "done": done,
-            "latency_cycles": done - arrival,
-            "wait_cycles": start - arrival,
             "service_cycles": service_cycles,
         }
 
-    def _sample_lane(self):
-        self.serving.set_gauge(
-            "repro_serving_queue_depth_high_water", self.lane.depth_high_water
-        )
-
     def metrics_payload(self):
-        """This tenant's metrics payload (full schema keys), computed now.
-
-        The engine's rows and the serving rows are disjoint (each is zero
-        in the other's payload), so merging them is their union.
-        """
-        return merge_payloads([metrics_payload(self.engine), self.serving.as_dict()])
+        """This tenant's metrics payload (full schema keys), computed now:
+        the engine's rows, plus its request count and one tenant."""
+        payload = metrics_payload(self.engine)
+        payload["counters"]["repro_serving_requests_total"] = self.requests
+        payload["gauges"]["repro_serving_tenants"] = 1
+        return payload
 
 
 def _error_response(tenant, program, message):
@@ -179,7 +125,6 @@ class TenantHost(object):
         cache_root=None,
         shards=4,
         engine_kwargs=None,
-        queue_capacity=None,
         catalog=None,
     ):
         if cache_mode not in ("off", "tenant", "shared"):
@@ -190,7 +135,6 @@ class TenantHost(object):
         self.cache_root = cache_root
         self.num_shards = shards
         self.engine_kwargs = dict(engine_kwargs or {})
-        self.queue_capacity = queue_capacity
         #: program name -> guest source; requests may name a catalog
         #: program instead of shipping source.
         self.catalog = dict(catalog or {})
@@ -212,10 +156,7 @@ class TenantHost(object):
             else:
                 cache = None
             isolate = TenantIsolate(
-                tenant,
-                cache=cache,
-                engine_kwargs=self.engine_kwargs,
-                queue_capacity=self.queue_capacity,
+                tenant, cache=cache, engine_kwargs=self.engine_kwargs
             )
             self.isolates[tenant] = isolate
         return isolate
@@ -225,8 +166,8 @@ class TenantHost(object):
 
         Request fields: ``tenant`` (required), ``program`` (catalog
         name) or ``source`` (inline guest code; cached under
-        ``program``'s name if both are given), optional ``arrival``
-        and ``batch`` (virtual-clock mode), optional ``seq`` (echoed).
+        ``program``'s name if both are given), optional ``seq``
+        (echoed).
         A guest that fails (syntax error, uncaught runtime error) gets
         a ``status: "error"`` response naming the error class — the
         same reply from an inline pool and from a worker process.
@@ -242,12 +183,7 @@ class TenantHost(object):
             )
         isolate = self.isolate(tenant)
         try:
-            response = isolate.serve(
-                program,
-                source,
-                arrival=request.get("arrival"),
-                batch=request.get("batch"),
-            )
+            response = isolate.serve(program, source)
         except ReproError as exc:
             response = _error_response(
                 tenant, program, "%s: %s" % (type(exc).__name__, exc)
@@ -259,13 +195,8 @@ class TenantHost(object):
     # -- aggregation ---------------------------------------------------------
 
     def metrics_payloads(self):
-        """Per-tenant finalized payloads, in sorted tenant order."""
-        payloads = []
-        for tenant in sorted(self.isolates):
-            isolate = self.isolates[tenant]
-            isolate._sample_lane()
-            payloads.append(isolate.metrics_payload())
-        return payloads
+        """Per-tenant payloads, computed now, in sorted tenant order."""
+        return [self.isolates[t].metrics_payload() for t in sorted(self.isolates)]
 
     def store_stats(self):
         if self.store is not None:

@@ -6,7 +6,7 @@ Protocol — one JSON object per line, one JSON reply per line:
   (``op`` defaults to ``run``; ``source`` optional when ``program``
   names a catalog entry; an optional client ``id`` is echoed back)
 - ``{"op": "ping"}`` — liveness probe.
-- ``{"op": "stats"}`` — live counters: requests served/rejected,
+- ``{"op": "stats"}`` — live counters: requests served, errors,
   pending, tenants seen.
 - ``{"op": "shutdown"}`` — graceful stop: the reply is sent, new runs
   are refused, in-flight requests drain, workers retire and report
@@ -16,9 +16,9 @@ Protocol — one JSON object per line, one JSON reply per line:
 The server binds a unix socket (``socket_path``) or a TCP port and
 routes requests to a :class:`~repro.serving.pool.WorkerPool`; with
 ``workers=0`` the pool runs inline (no child processes), with N > 0
-each tenant's isolate lives in exactly one worker process.  Request
-latency in replies is deterministic model cycles from the tenant's
-admission lane, never wall time.
+each tenant's isolate lives in exactly one worker process.  A reply's
+``service_cycles`` are the model cycles the tenant's engine ran for
+it, never wall time.
 
 The server is one thread.  A request is submitted to the pool on the
 event loop, and :meth:`ServingServer._collect` resolves the waiting
@@ -39,8 +39,8 @@ class ServingServer(object):
     """Asyncio JSON-line front end over a :class:`WorkerPool`.
 
     Owns the socket, the request sequence numbers, and the graceful
-    shutdown protocol; execution, isolation and admission live in the
-    pool's tenant isolates (docs/SERVING.md).
+    shutdown protocol; execution and isolation live in the pool's
+    tenant isolates (docs/SERVING.md).
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class ServingServer(object):
         self._closed = None
         self._readers = set()
         self._served = 0
-        self._rejected = 0
         self._errors = 0
         self._tenants = set()
 
@@ -125,12 +124,9 @@ class ServingServer(object):
                 break
             if kind != "response":
                 continue
-            status = payload.get("status")
-            if status == "ok":
+            if payload.get("status") == "ok":
                 self._served += 1
                 self._tenants.add(payload.get("tenant"))
-            elif status == "rejected":
-                self._rejected += 1
             else:
                 self._errors += 1
             future = self._pending.pop(payload.get("seq"), None)
@@ -216,7 +212,6 @@ class ServingServer(object):
             "status": "ok",
             "op": "stats",
             "requests": self._served,
-            "rejected": self._rejected,
             "errors": self._errors,
             "pending": len(self._pending),
             "tenants": len(self._tenants),

@@ -20,19 +20,19 @@ Design rules (the same contract as the trace layer, docs/TRACING.md):
   cycles, output, traces).
 * **A closed name registry.**  Every metric the engine may record is
   declared in :data:`METRIC_SCHEMA` with its type (``counter`` /
-  ``gauge`` / ``histogram``), its merge policy, and — for histograms —
-  its fixed bucket bounds.  :class:`MetricsRegistry` rejects undeclared
-  names, and ``docs/METRICS.md`` is schema-checked against the same
-  table, exactly like the trace event schema.
+  ``gauge`` / ``histogram``) and — for histograms — its fixed bucket
+  bounds.  A payload carries exactly these names, and
+  ``docs/METRICS.md`` is schema-checked against the same table,
+  exactly like the trace event schema.
 * **A passive holder.**  A registry holds numbers and nothing else —
   no clock, no callback into the engine — so two runs of the same
   workload export bit-identical payloads on every backend and every
-  machine.  The serving tier counts its own request rows into one.
-* **Exact merge.**  Counters and histogram buckets are integers summed
-  exactly; gauges fold by their declared policy (``sum`` for
-  occupancies and cycle meters, ``max`` for high-water marks).  Folding
-  the per-worker registries of ``bench --jobs N`` therefore yields the
-  *same numbers* as a single-process run — tested, not hoped.
+  machine.  The serving tier computes its request rows from its
+  isolates the same way (``TenantIsolate.metrics_payload``).
+* **Exact merge.**  Counters, gauges and histogram buckets are
+  integers summed exactly.  Folding the per-worker payloads of
+  ``bench --jobs N`` therefore yields the *same numbers* as a
+  single-process run — tested, not hoped.
 
 Two exporters turn a registry (or a merged payload) into artifacts:
 
@@ -48,7 +48,6 @@ schemes, exporter formats and merge semantics.
 
 import copy
 import json
-from bisect import bisect_left
 
 from repro.engine.config import interp_cycles
 
@@ -56,25 +55,13 @@ from repro.engine.config import interp_cycles
 #: histogram (the ``cycles`` field of ``compile.finish`` events).
 COMPILE_COST_BUCKETS = (1024, 2048, 4096, 8192, 16384, 32768, 65536)
 
-#: Fixed bucket upper bounds (model cycles) for the serving tier's
-#: request-latency histogram: arrival-to-completion on the admission
-#: lane's deterministic clock (docs/SERVING.md).  Powers of four from
-#: "tiny cached request" through "cold compile storm".
-REQUEST_LATENCY_BUCKETS = (4096, 16384, 65536, 262144, 1048576, 4194304)
-
-#: Fixed bucket upper bounds (model cycles) for the serving tier's
-#: queueing-delay histogram (arrival to dispatch).
-QUEUE_WAIT_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
-
 #: Every metric the engine may record: name -> declaration.  Each
 #: declaration carries ``type`` (``counter`` | ``gauge`` |
-#: ``histogram``), ``help`` (the Prometheus HELP string), ``merge``
-#: (how multi-process folding combines values: ``sum`` or ``max``;
-#: counters and histograms always sum), and for histograms the fixed
-#: ``buckets`` bounds.  This registry is the single source of truth:
-#: :class:`MetricsRegistry` validates every record against it and
-#: ``tests/test_documentation.py`` checks ``docs/METRICS.md`` covers
-#: exactly these names.
+#: ``histogram``), ``help`` (the Prometheus HELP string), and for
+#: histograms the fixed ``buckets`` bounds.  Every value merges by sum.
+#: This registry is the single source of truth: :func:`empty_payload`
+#: builds its key set from it and ``tests/test_documentation.py``
+#: checks ``docs/METRICS.md`` covers exactly these names.
 METRIC_SCHEMA = {
     # -- tier mix ---------------------------------------------------------
     "repro_engine_calls_interp_total": {
@@ -181,58 +168,47 @@ METRIC_SCHEMA = {
     # -- cycle meters (gauges: monotonically sampled from the clock) ------
     "repro_engine_total_cycles": {
         "type": "gauge",
-        "merge": "sum",
         "help": "the deterministic cycle clock (interp + native + compile + penalties)",
     },
     "repro_engine_interp_cycles": {
         "type": "gauge",
-        "merge": "sum",
         "help": "cycles spent interpreting (ops + call setup)",
     },
     "repro_engine_native_cycles": {
         "type": "gauge",
-        "merge": "sum",
         "help": "cycles spent in compiled code",
     },
     "repro_engine_compile_cycles": {
         "type": "gauge",
-        "merge": "sum",
         "help": "cycles spent compiling (the program waits for every compile)",
     },
     "repro_engine_bailout_cycles": {
         "type": "gauge",
-        "merge": "sum",
         "help": "cycles paid in bailout penalties",
     },
     "repro_engine_invalidation_cycles": {
         "type": "gauge",
-        "merge": "sum",
         "help": "cycles paid in invalidation penalties",
     },
     # -- occupancy gauges -------------------------------------------------
     "repro_engine_functions_hot": {
         "type": "gauge",
-        "merge": "sum",
         "help": "functions the engine tracks JIT state for",
     },
     "repro_spec_cache_entries": {
         "type": "gauge",
-        "merge": "sum",
         "help": "specialized binaries currently cached across all functions",
     },
     "repro_engine_ic_sites_mono": {
         "type": "gauge",
-        "merge": "sum",
         "help": "property sites whose inline cache holds one shape",
     },
     "repro_engine_ic_sites_poly": {
         "type": "gauge",
-        "merge": "sum",
         "help": "property sites whose inline cache holds several shapes",
     },
     "repro_engine_ic_sites_mega": {
         "type": "gauge",
-        "merge": "sum",
         "help": "property sites degraded to megamorphic",
     },
     # -- histograms -------------------------------------------------------
@@ -244,35 +220,11 @@ METRIC_SCHEMA = {
     # -- serving tier (repro.serving, docs/SERVING.md) --------------------
     "repro_serving_requests_total": {
         "type": "counter",
-        "help": "requests admitted and executed to completion",
-    },
-    "repro_serving_rejected_total": {
-        "type": "counter",
-        "help": "requests rejected by admission (tenant queue at capacity)",
-    },
-    "repro_serving_batches_total": {
-        "type": "counter",
-        "help": "request batches dispatched to tenant isolates",
+        "help": "requests executed to completion",
     },
     "repro_serving_tenants": {
         "type": "gauge",
-        "merge": "sum",
         "help": "tenant isolates hosted",
-    },
-    "repro_serving_queue_depth_high_water": {
-        "type": "gauge",
-        "merge": "max",
-        "help": "deepest any tenant's admission queue has ever been",
-    },
-    "repro_serving_request_latency_cycles": {
-        "type": "histogram",
-        "help": "arrival-to-completion request latency on the admission clock",
-        "buckets": REQUEST_LATENCY_BUCKETS,
-    },
-    "repro_serving_queue_wait_cycles": {
-        "type": "histogram",
-        "help": "arrival-to-dispatch queueing delay on the admission clock",
-        "buckets": QUEUE_WAIT_BUCKETS,
     },
 }
 
@@ -318,9 +270,8 @@ class MetricsRegistry(object):
     All metrics exist from construction (zeroed), so exports and merges
     always carry the full, stable key set.  The registry only holds
     numbers: ``Engine.finish`` loads the engine's payload into it
-    (:meth:`load`), and the serving tier counts its request rows into
-    one.  It keeps no clock and no reference to the engine, so it reads
-    the same after the engine is gone.
+    (:meth:`load`).  It keeps no clock and no reference to the engine,
+    so it reads the same after the engine is gone.
     """
 
     def __init__(self):
@@ -329,41 +280,10 @@ class MetricsRegistry(object):
         self.gauges = payload["gauges"]
         self.histograms = payload["histograms"]
 
-    # -- recording ------------------------------------------------------------
-
-    def inc(self, name, amount=1):
-        """Add ``amount`` to counter ``name``; rejects undeclared names."""
-        if name not in self.counters:
-            self._reject(name, "counter")
-        self.counters[name] += amount
-
-    def set_gauge(self, name, value):
-        """Set gauge ``name``; rejects undeclared names."""
-        if name not in self.gauges:
-            self._reject(name, "gauge")
-        self.gauges[name] = value
-
-    def observe(self, name, value):
-        """Record ``value`` into histogram ``name``'s fixed buckets."""
-        cell = self.histograms.get(name)
-        if cell is None:
-            self._reject(name, "histogram")
-        cell["counts"][bisect_left(cell["buckets"], value)] += 1
-        cell["sum"] += value
-        cell["count"] += 1
-
     def load(self, payload):
         """Take every value of a full-schema ``payload``, which it keeps."""
         for kind in ("counters", "gauges", "histograms"):
             getattr(self, kind).update(payload[kind])
-
-    def _reject(self, name, kind):
-        spec = METRIC_SCHEMA.get(name)
-        if spec is None:
-            raise ValueError("unknown metric %r (see METRIC_SCHEMA)" % name)
-        raise ValueError(
-            "metric %r is a %s, not a %s" % (name, spec["type"], kind)
-        )
 
     # -- export ---------------------------------------------------------------
 
@@ -462,12 +382,11 @@ def metrics_payload(engine):
 def merge_payloads(payloads):
     """Fold per-process metric payloads into one exact fleet view.
 
-    Counters and histogram cells (integer buckets, sums, counts) are
-    summed exactly; gauges fold by their declared ``merge`` policy
-    (``sum`` for occupancies and cycle meters, ``max`` for high-water
-    marks).  Summing is associative and commutative on integers, so the fold is
-    order-independent: the per-worker registries of ``bench --jobs N``
-    merge to exactly the single-process totals.
+    Counters, gauges and histogram cells (integer buckets, sums,
+    counts) are summed exactly.  Summing is associative and commutative
+    on integers, so the fold is order-independent: the per-worker
+    payloads of ``bench --jobs N`` merge to exactly the single-process
+    totals.
     """
     merged = empty_payload()
     for payload in payloads:
@@ -475,12 +394,7 @@ def merge_payloads(payloads):
             if name in merged["counters"]:
                 merged["counters"][name] += value
         for name, value in payload.get("gauges", {}).items():
-            if name not in merged["gauges"]:
-                continue
-            if METRIC_SCHEMA[name].get("merge") == "max":
-                if value > merged["gauges"][name]:
-                    merged["gauges"][name] = value
-            else:
+            if name in merged["gauges"]:
                 merged["gauges"][name] += value
         for name, cell in payload.get("histograms", {}).items():
             target = merged["histograms"].get(name)

@@ -564,12 +564,11 @@ def cmd_fleet(args, out):
         % (result["requests"], result["tenants"], args.seed, args.jobs, args.cache)
     )
     out.write(
-        "latency p50 %s / p99 %s cycles; %d batches, %d rejected\n"
+        "service p50 %s / p99 %s cycles; %d errors\n"
         % (
-            "{:,}".format(result["p50_latency_cycles"]),
-            "{:,}".format(result["p99_latency_cycles"]),
-            result["batches"],
-            result["rejected"],
+            "{:,}".format(result["p50_service_cycles"]),
+            "{:,}".format(result["p99_service_cycles"]),
+            result["errors"],
         )
     )
     out.write(
@@ -584,6 +583,10 @@ def cmd_fleet(args, out):
             json.dump(result, handle, indent=2, sort_keys=True)
             handle.write("\n")
         out.write("full result written: %s\n" % args.json)
+    if result["errors"]:
+        first = next(r for r in result["responses"] if r["status"] != "ok")
+        out.write("fleet: seq %d failed: %s\n" % (first["seq"], first["error"]))
+        return 1
     return 0
 
 
@@ -752,6 +755,14 @@ def cmd_configs(args, out):
 
 
 # -- entry point --------------------------------------------------------------
+
+
+def _at_least_one(text):
+    """An argparse ``type``: an int of at least 1 (a count of things)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _add_executor_flag(subparser, prefix=""):
@@ -1051,7 +1062,7 @@ def build_parser():
         )
         subparser.add_argument(
             "--shards",
-            type=int,
+            type=_at_least_one,
             default=4,
             help="disk-cache shard count (default 4)",
         )
@@ -1060,15 +1071,15 @@ def build_parser():
         "fleet",
         help="run reproducible multi-tenant fleet traffic (docs/SERVING.md)",
     )
-    fleet.add_argument("--tenants", type=int, default=8, help="tenant count")
+    fleet.add_argument("--tenants", type=_at_least_one, default=8, help="tenant count")
     fleet.add_argument("--requests", type=int, default=200, help="request count")
     fleet.add_argument(
-        "--programs", type=int, default=6, help="catalog size (distinct programs)"
+        "--programs", type=_at_least_one, default=6, help="catalog size (distinct programs)"
     )
     fleet.add_argument("--seed", type=int, default=0, help="schedule/catalog seed")
     fleet.add_argument(
         "--functions",
-        type=int,
+        type=_at_least_one,
         default=10,
         help="guest functions per catalog program (default 10)",
     )

@@ -1,5 +1,7 @@
 """Shared utilities for JIT-level tests."""
 
+import os
+
 from repro.jsvm.bytecode import Op
 from repro.jsvm.bytecompiler import compile_source
 from repro.jsvm.feedback import TypeFeedback
@@ -67,3 +69,22 @@ def count(graph, cls):
 
 def instrs(graph, cls):
     return [i for i in graph.all_instructions() if isinstance(i, cls)]
+
+
+def nightly_shard(items):
+    """Filter a nightly sweep to this CI shard (``REPRO_NIGHTLY_SHARD=k/n``).
+
+    A nightly sweep (every benchmark under chaos, thousands of fuzz
+    programs under ``node``) takes minutes to tens of minutes in one
+    process, so CI shards it across a job matrix: shard ``k`` of ``n``
+    takes the items whose index is congruent to ``k`` modulo ``n``, a
+    deterministic partition that stays balanced as the list grows and
+    covers every item exactly once across the matrix.  Unset (local
+    runs), the whole list is kept.
+    """
+    spec = os.environ.get("REPRO_NIGHTLY_SHARD")
+    if not spec:
+        return items
+    shard, _, count = spec.partition("/")
+    shard, count = int(shard), int(count)
+    return [item for index, item in enumerate(items) if index % count == shard]

@@ -50,12 +50,10 @@ def make_results():
         },
         "serving": {
             "requests": 160,
-            "rejected": 0,
-            "batches": 40,
             "tenants": 6,
-            "p50_latency_cycles": 650000,
-            "p99_latency_cycles": 2600000,
-            "total_latency_cycles": 120000000,
+            "p50_service_cycles": 43000,
+            "p99_service_cycles": 190000,
+            "total_service_cycles": 8400000,
             "cold_hit_rate": 0.58,
             "warm_hit_rate": 1.0,
             "cycles_identical": True,
@@ -167,7 +165,6 @@ class TestCheckedInBaseline:
             ("deoptless", "invalidation_ratio", 0.4),
             ("deoptless", "on_invalidations", 18),
             ("serving", "warm_hit_rate", 0.89),
-            ("serving", "rejected", 7),
             ("deoptless", "benchmarks", None),
         ],
     )
@@ -238,10 +235,10 @@ class TestClassification:
 
     def test_metric_missing_from_current_is_a_regression(self):
         current = make_results()
-        del current["serving"]["total_latency_cycles"]
+        del current["serving"]["total_service_cycles"]
         report = compare_results(current, make_results())
         assert report["status"] == "fail"
-        (delta,) = by_metric(report, "total_latency_cycles")
+        (delta,) = by_metric(report, "total_service_cycles")
         assert delta["status"] == "missing" and delta["current"] is None
 
     def test_missing_suite_fails_loudly(self):
@@ -272,18 +269,18 @@ class TestClassification:
             ("serving", "warm_hit_rate", "regressed"),
         ]
 
-    def test_planted_serving_latency_regression_is_flagged(self):
+    def test_planted_serving_service_regression_is_flagged(self):
         current = make_results()
-        current["serving"]["p99_latency_cycles"] = int(
-            current["serving"]["p99_latency_cycles"] * 1.05
+        current["serving"]["p99_service_cycles"] = int(
+            current["serving"]["p99_service_cycles"] * 1.05
         )
         report = compare_results(current, make_results())
-        assert failing(report) == [("serving", "p99_latency_cycles", "regressed")]
-        assert by_metric(report, "p99_latency_cycles")[0]["kind"] == "cycles"
+        assert failing(report) == [("serving", "p99_service_cycles", "regressed")]
+        assert by_metric(report, "p99_service_cycles")[0]["kind"] == "cycles"
 
-    def test_serving_latencies_have_zero_tolerance(self):
+    def test_serving_service_cycles_have_zero_tolerance(self):
         current = make_results()
-        current["serving"]["p50_latency_cycles"] += 1
+        current["serving"]["p50_service_cycles"] += 1
         assert compare_results(current, make_results())["status"] == "fail"
 
     def test_serving_hit_rate_drop_is_a_ratio_regression(self):
@@ -301,10 +298,10 @@ class TestClassification:
 
     def test_serving_request_counts_are_report_only(self):
         current = make_results()
-        current["serving"]["batches"] += 3
+        current["serving"]["requests"] += 3
         report = compare_results(current, make_results())
         assert report["status"] == "pass"
-        (delta,) = by_metric(report, "batches")
+        (delta,) = by_metric(report, "requests")
         assert delta["status"] == "changed"
 
     def test_sections_narrow_the_comparison(self):
@@ -334,8 +331,8 @@ class TestFormatting:
         report = compare_results(current, make_results())
         table = format_compare(report)
         assert "FAIL" in table and "benchmarks.spec-churn.on_cycles" in table
-        assert "p50_latency_cycles" not in table  # ok rows hidden by default
-        assert "p50_latency_cycles" in format_compare(report, verbose=True)
+        assert "p50_service_cycles" not in table  # ok rows hidden by default
+        assert "p50_service_cycles" in format_compare(report, verbose=True)
 
     def test_format_clean_report(self):
         table = format_compare(compare_results(make_results(), make_results()))

@@ -158,8 +158,7 @@ def _serve(monkeypatch, engine_class, engine_kwargs):
     host = serving_isolate.TenantHost(
         catalog=build_catalog(profile), engine_kwargs=engine_kwargs
     )
-    # Serve mode, as the socket front end sends them: no virtual arrival
-    # time, so the admission lane queues nothing and rejects nothing.
+    # Requests as the socket front end sends them: tenant and program only.
     responses = [
         host.execute_request({"tenant": record["tenant"], "program": record["program"]})
         for record in generate_schedule(profile)

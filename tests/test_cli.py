@@ -267,6 +267,23 @@ class TestFleet:
             merged = json.loads(handle.readline())
         assert merged["counters"]["repro_serving_requests_total"] == 12
 
+    def test_the_report_line_reads_the_service_cycles(self, tmp_path):
+        import json
+
+        path = str(tmp_path / "result.json")
+        code, output = run_cli(self.FLAGS + ["--json", path])
+        assert code == 0
+        with open(path) as handle:
+            result = json.load(handle)
+        line = "service p50 {:,} / p99 {:,} cycles; 0 errors\n".format(
+            result["p50_service_cycles"], result["p99_service_cycles"]
+        )
+        assert line in output
+        assert 0 < result["p50_service_cycles"] <= result["p99_service_cycles"]
+        assert result["total_service_cycles"] == sum(
+            r["service_cycles"] for r in result["responses"]
+        )
+
     def test_fleet_is_reproducible_across_invocations(self, tmp_path):
         first = str(tmp_path / "a.jsonl")
         second = str(tmp_path / "b.jsonl")
@@ -277,6 +294,48 @@ class TestFleet:
         with open(second) as handle:
             two = handle.read()
         assert one == two
+
+    def test_a_failed_request_fails_the_run_and_names_its_error(self, monkeypatch):
+        from repro.serving import fleet
+
+        # Every catalog program throws: each reply is a guest error.
+        monkeypatch.setattr(
+            fleet, "build_catalog", lambda profile: {"app-00": "null.x;", "app-01": "null.x;"}
+        )
+        code, output = run_cli(self.FLAGS)
+        assert code == 1
+        assert "0 requests over 3 tenants" in output
+        assert "12 errors" in output
+        assert "fleet: seq 0 failed: JSTypeError" in output
+
+    def test_the_result_counts_errors(self):
+        from repro.serving.fleet import FleetProfile, run_fleet
+
+        result = run_fleet(
+            FleetProfile(tenants=2, requests=4, programs=1, functions_per_program=2),
+            cache_mode="off",
+        )
+        assert result["errors"] == 0 and result["requests"] == 4
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--tenants", "0"],
+            ["fleet", "--programs", "0"],
+            ["fleet", "--functions", "0"],
+            ["fleet", "--shards", "0"],
+            ["fleet", "--shards", "-3"],
+            ["serve", "--shards", "0", "--cache", "shared", "--cache-dir", "unused"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_a_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(argv)
+        assert exited.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestServe:

@@ -50,6 +50,7 @@ from repro.tools.cli import main as cli_main
 from repro.workloads import ALL_SUITES
 
 from tests.conftest import FAST
+from tests.helpers import nightly_shard
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -331,32 +332,12 @@ ALL_BENCHMARKS = [
 ]
 
 
-def _nightly_shard(benchmarks):
-    """Filter the sweep to this CI shard (``REPRO_NIGHTLY_SHARD=k/n``).
-
-    The nightly chaos sweep covers every benchmark — tens of minutes
-    in one process — so CI shards it across a job matrix: shard ``k``
-    of ``n`` takes the benchmarks whose index is congruent to ``k``
-    modulo ``n``, a deterministic partition that stays balanced as
-    suites grow and covers every benchmark exactly once across the
-    matrix.  Unset (local runs), the whole list is kept.
-    """
-    spec = os.environ.get("REPRO_NIGHTLY_SHARD")
-    if not spec:
-        return benchmarks
-    shard, _, count = spec.partition("/")
-    shard, count = int(shard), int(count)
-    return [
-        item for index, item in enumerate(benchmarks) if index % count == shard
-    ]
-
-
 @pytest.mark.nightly
 class TestChaosFullSweep:
     """Exhaustive chaos sweep over every benchmark (nightly CI only,
     shardable via ``REPRO_NIGHTLY_SHARD``)."""
 
-    @pytest.mark.parametrize("suite_name,bench_name", _nightly_shard(ALL_BENCHMARKS))
+    @pytest.mark.parametrize("suite_name,bench_name", nightly_shard(ALL_BENCHMARKS))
     def test_chaos_run_matches_plain_run(self, suite_name, bench_name):
         bench = suite_bench(suite_name, bench_name)
         expect, got, injector, profiler = run_chaos(bench.source)

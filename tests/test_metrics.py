@@ -2,9 +2,9 @@
 
 Four contracts under test:
 
-* **closed schema** — the registry rejects undeclared names and kind
-  mismatches at record time, and every payload partitions exactly into
-  ``METRIC_SCHEMA``'s counters, gauges and histograms;
+* **closed schema** — every payload partitions exactly into
+  ``METRIC_SCHEMA``'s counters, gauges and histograms, and a merge
+  drops undeclared names;
 * **a passive registry** — it holds numbers only (``finish`` loads the
   engine's payload into it), so repeat runs export bit-identical
   payloads on every backend;
@@ -21,10 +21,13 @@ the engine's live state without writing anything.
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro import FULL_SPEC, Engine
+from repro.engine.config import CostModel
+from repro.engine.stats import EngineStats
 from repro.telemetry.metrics import (
     METRIC_SCHEMA,
     MetricsRegistry,
@@ -79,24 +82,6 @@ def run_metered(source, **engine_kwargs):
 
 
 class TestRegistrySchema:
-    def test_unknown_names_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="unknown metric"):
-            registry.inc("repro_engine_nope_total")
-        with pytest.raises(ValueError, match="unknown metric"):
-            registry.set_gauge("bogus", 1)
-        with pytest.raises(ValueError, match="unknown metric"):
-            registry.observe("bogus_histogram", 5)
-
-    def test_kind_mismatch_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="is a gauge, not a counter"):
-            registry.inc("repro_engine_total_cycles")
-        with pytest.raises(ValueError, match="is a counter, not a gauge"):
-            registry.set_gauge("repro_engine_compiles_total", 1)
-        with pytest.raises(ValueError, match="is a counter, not a histogram"):
-            registry.observe("repro_engine_compiles_total", 1)
-
     def test_payload_partitions_the_schema(self):
         payload = empty_payload()
         counters = set(payload["counters"])
@@ -111,19 +96,23 @@ class TestRegistrySchema:
                 METRIC_SCHEMA[name]["buckets"]
             )
 
-    def test_observe_bucket_boundaries(self):
-        registry = MetricsRegistry()
-        name = "repro_compile_cycles_per_compile"
-        bounds = METRIC_SCHEMA[name]["buckets"]
-        registry.observe(name, bounds[0])  # on the bound: first bucket
-        registry.observe(name, bounds[0] + 1)  # past it: second bucket
-        registry.observe(name, bounds[-1] + 1)  # past the last: +Inf slot
-        cell = registry.histograms[name]
-        assert cell["counts"][0] == 1
-        assert cell["counts"][1] == 1
-        assert cell["counts"][-1] == 1
-        assert cell["count"] == 3
-        assert cell["sum"] == bounds[0] + bounds[0] + 1 + bounds[-1] + 1
+    def test_compile_cost_bucket_boundaries(self):
+        # The ledger buckets each compile's cost as Prometheus does: a
+        # cost on a bound counts in that bound's bucket.
+        stats = EngineStats()
+        bounds = METRIC_SCHEMA["repro_compile_cycles_per_compile"]["buckets"]
+        sizes = {"lir_instructions": 0, "intervals": 0}
+        for cycles in (bounds[0], bounds[0] + 1, bounds[-1] + 1):
+            stats.record_compile(
+                SimpleNamespace(code_id=1, name="f"),
+                SimpleNamespace(size=1),
+                cycles - CostModel.compile_base,
+                sizes,
+                osr=False,
+            )
+        counts = stats.compile_cost_buckets
+        assert (counts[0], counts[1], counts[-1], sum(counts)) == (1, 1, 1, 3)
+        assert stats.compile_cycles == bounds[0] * 2 + 1 + bounds[-1] + 1
 
 
 class TestEngineIntegration:
@@ -313,26 +302,24 @@ class TestZeroCostWhenEnabled:
 
 class TestMergeExactness:
     def test_merge_sums_counters_and_folds_gauges(self):
-        left = MetricsRegistry()
-        right = MetricsRegistry()
-        left.inc("repro_engine_compiles_total", 3)
-        right.inc("repro_engine_compiles_total", 4)
-        left.set_gauge("repro_spec_cache_entries", 5)  # merge: sum
-        right.set_gauge("repro_spec_cache_entries", 2)
-        left.set_gauge("repro_serving_queue_depth_high_water", 3)  # merge: max
-        right.set_gauge("repro_serving_queue_depth_high_water", 9)
-        left.observe("repro_serving_queue_wait_cycles", 300)
-        right.observe("repro_serving_queue_wait_cycles", 300)
-        right.observe("repro_serving_queue_wait_cycles", 10 ** 9)
-        merged = merge_payloads([left.as_dict(), right.as_dict()])
+        left = empty_payload()
+        right = empty_payload()
+        left["counters"]["repro_engine_compiles_total"] = 3
+        right["counters"]["repro_engine_compiles_total"] = 4
+        left["gauges"]["repro_spec_cache_entries"] = 5
+        right["gauges"]["repro_spec_cache_entries"] = 2
+        left["gauges"]["repro_serving_tenants"] = 1
+        right["gauges"]["repro_serving_tenants"] = 1
+        name = "repro_compile_cycles_per_compile"
+        left["histograms"][name].update(counts=[2, 0, 0, 0, 0, 0, 0, 0], sum=1500, count=2)
+        right["histograms"][name].update(counts=[0, 0, 0, 0, 0, 0, 0, 1], sum=10 ** 9, count=1)
+        merged = merge_payloads([left, right])
         assert merged["counters"]["repro_engine_compiles_total"] == 7
         assert merged["gauges"]["repro_spec_cache_entries"] == 7
-        assert merged["gauges"]["repro_serving_queue_depth_high_water"] == 9
-        cell = merged["histograms"]["repro_serving_queue_wait_cycles"]
-        assert cell["count"] == 3
-        assert cell["counts"][2] == 2  # two 300s in the (256, 1024] bucket
-        assert cell["counts"][-1] == 1  # the outlier in +Inf
-        assert cell["sum"] == 600 + 10 ** 9
+        assert merged["gauges"]["repro_serving_tenants"] == 2
+        cell = merged["histograms"][name]
+        assert cell["counts"] == [2, 0, 0, 0, 0, 0, 0, 1]
+        assert (cell["count"], cell["sum"]) == (3, 1500 + 10 ** 9)
         assert set(merged) == {"counters", "gauges", "histograms"}
 
     def test_merge_ignores_undeclared_names(self):
@@ -344,10 +331,10 @@ class TestMergeExactness:
     def test_merge_is_order_independent(self):
         payloads = []
         for seed in (1, 2, 3):
-            registry = MetricsRegistry()
-            registry.inc("repro_spec_cache_hits_total", seed)
-            registry.set_gauge("repro_serving_queue_depth_high_water", seed * 100)
-            payloads.append(registry.as_dict())
+            payload = empty_payload()
+            payload["counters"]["repro_spec_cache_hits_total"] = seed
+            payload["gauges"]["repro_engine_total_cycles"] = seed * 100
+            payloads.append(payload)
         forward = merge_payloads(payloads)
         backward = merge_payloads(list(reversed(payloads)))
         assert forward == backward

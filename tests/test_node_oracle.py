@@ -4,12 +4,13 @@ Every other differential check compares the engine with this package's
 own interpreter, so a bug in the interpreter's semantics repeats
 faithfully on every backend and recovery path.  Here the same programs
 run under ``node`` as well: the ``tests/corpus/`` files and a fixed fuzz
-sample (``generate_program(0, i)``, i < 30), and in a second batch the
-programs of every benchmark suite and of the serving catalog (``-m
-nightly``), with the 48 pages ``hostbench`` loads (seeds 1, 2 and
-20130223).
+sample (``generate_program(0, i)``, i < 30), and in ``-m nightly``
+batches the programs of every benchmark suite and of the serving
+catalog, the 48 pages ``hostbench`` loads (seeds 1, 2 and 20130223),
+and 3,000 fuzz programs (``generate_program(seed, i)``, seeds 0–2,
+i < 1,000; split across CI shards by ``REPRO_NIGHTLY_SHARD``).
 
-One ``node`` process runs the whole batch, each program in a fresh
+One ``node`` process runs a whole batch, each program in a fresh
 ``vm`` context whose ``print`` is ``console.log`` of the ``String`` of
 each argument, joined by spaces.  The printed lines are compared; when
 a program throws on either side, only that both sides threw.  Skipped
@@ -29,6 +30,8 @@ from repro.fuzz.corpus import corpus_files
 from repro.fuzz.generator import generate_program
 from repro.serving.fleet import FleetProfile, build_catalog
 from repro.workloads import ALL_SUITES
+
+from tests.helpers import nightly_shard
 
 NODE = shutil.which("node")
 
@@ -85,6 +88,10 @@ WORKLOADS = [
 
 #: Seeds of the ``pageload-cold``/``pageload-warm`` pages in the nightly arm.
 PAGE_SEEDS = (1, 2, 20130223)
+
+#: The nightly fuzz arm: ``generate_program(seed, i)``, i < NIGHTLY_FUZZ_COUNT.
+NIGHTLY_FUZZ_SEEDS = (0, 1, 2)
+NIGHTLY_FUZZ_COUNT = 1000
 
 
 def _node(programs):
@@ -165,4 +172,20 @@ def test_hostbench_pages_agree_with_node():
     assert len(pages) == 48
     theirs = _node(pages)
     differences = [name for name, source in pages if not _agrees(_ours(source), theirs[name])]
+    assert differences == []
+
+
+@pytest.mark.nightly  # the engine takes about 9 min for all 3,000, node 13 s
+def test_fuzz_programs_agree_with_node():
+    pairs = nightly_shard(
+        [(seed, index) for seed in NIGHTLY_FUZZ_SEEDS for index in range(NIGHTLY_FUZZ_COUNT)]
+    )
+    programs = [
+        ("fuzz/%d-%d" % (seed, index), generate_program(seed, index))
+        for seed, index in pairs
+    ]
+    theirs = _node(programs)
+    differences = [
+        name for name, source in programs if not _agrees(_ours(source), theirs[name])
+    ]
     assert differences == []

@@ -769,7 +769,7 @@ def test_stats_by_kind_through_selective_loss(tmp_path, make):
 def test_stats_schemas_did_not_grow():
     from repro.telemetry.metrics import METRIC_SCHEMA
 
-    assert len(METRIC_SCHEMA) == 43
+    assert len(METRIC_SCHEMA) == 38
     assert not [key for key in Engine(config=FULL_SPEC).stats.as_dict() if "program" in key]
 
 

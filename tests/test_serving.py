@@ -1,20 +1,21 @@
-"""The multi-tenant serving tier: isolation, admission, shards, fleet.
+"""The multi-tenant serving tier: isolation, shards, fleet, transport.
 
 The tier's contract (docs/SERVING.md) in test form:
 
 * **isolation** — a tenant served from a multi-tenant host is
-  bit-identical (outputs, latencies, metrics payload, shape
+  bit-identical (outputs, service cycles, metrics payload, shape
   numbering) to the same request stream served by a dedicated
   single-tenant engine, whatever ran in the process before or beside
   it — including a builtin (``Math``) and a guest object whose shapes
   would collide in a shared id space;
-* **admission** — per-tenant lanes are deterministic virtual
-  timelines: batching amortizes the dispatch delay, capacity bounds
-  in-flight depth, rejections execute nothing;
+* **measure** — a reply carries the engine cycles its request ran and
+  nothing else on a clock, and the serving rows of a payload are
+  computed from the isolates;
 * **sharding** — the shared artifact store routes by content key,
   keeps per-tenant counters exact, and prunes per shard;
-* **fleet determinism** — same seed, same schedule bytes; merged
-  metrics identical across ``--jobs`` counts and across repeat runs;
+* **fleet determinism** — same seed, same schedule bytes (each seed's
+  request stream pinned by digest); merged metrics identical across
+  ``--jobs`` counts and across repeat runs;
 * **serving front end** — the asyncio server round-trips JSON lines,
   reports live stats, and drains gracefully into a metrics JSONL;
 * **transport** — a worker's replies equal an in-process replay,
@@ -23,6 +24,7 @@ The tier's contract (docs/SERVING.md) in test form:
 """
 
 import asyncio
+import hashlib
 import json
 import os
 import signal
@@ -33,7 +35,6 @@ import pytest
 from repro.errors import ReproError
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.runtime import Runtime
-from repro.serving.admission import DISPATCH_DELAY, AdmissionLane
 from repro.serving.fleet import (
     FleetProfile,
     build_catalog,
@@ -46,6 +47,7 @@ from repro.serving.isolate import TenantHost, TenantIsolate
 from repro.serving.pool import WorkerPool, tenant_worker
 from repro.serving.server import ServingServer
 from repro.serving.shards import ShardedDiskCache, TenantCacheView
+from repro.telemetry.metrics import merge_payloads
 from repro.telemetry.tracing import Tracer
 
 from tests.conftest import FAST
@@ -101,82 +103,6 @@ def _strip_responses(responses):
         response.pop("seq", None)
         cleaned.append(response)
     return cleaned
-
-
-class TestAdmissionLane:
-    def test_first_request_pays_dispatch_delay(self):
-        lane = AdmissionLane()
-        start = lane.admit(100, batch=0)
-        assert start == 100 + DISPATCH_DELAY
-        assert lane.complete(start, 500) == start + 500
-        assert lane.lane_cycle == start + 500
-
-    def test_batch_followers_skip_the_delay_but_queue_behind_the_lane(self):
-        lane = AdmissionLane(dispatch_delay=30)
-        first = lane.admit(0, batch=7)
-        lane.complete(first, 1000)
-        # Same batch, arrives while the lane is busy: no delay, but
-        # dispatch waits for the lane clock.
-        follower = lane.admit(10, batch=7)
-        assert follower == 1030
-        lane.complete(follower, 50)
-        # New batch id: the delay is charged again.
-        fresh = lane.admit(2000, batch=8)
-        assert fresh == 2030
-
-    def test_busy_lane_absorbs_a_new_batchs_dispatch_delay(self):
-        lane = AdmissionLane(dispatch_delay=30)
-        lane.complete(lane.admit(0, batch=1), 1000)
-        # start = max(100 + 30, 1030): the delay runs while the lane is
-        # busy, so it is not added on top of the wait.
-        assert lane.admit(100, batch=2) == 1030
-
-    def test_idle_lane_restarts_from_the_arrival_not_its_stale_clock(self):
-        lane = AdmissionLane(dispatch_delay=30)
-        lane.complete(lane.admit(50, batch=1), 10)
-        assert lane.lane_cycle == 90
-        assert lane.admit(5000, batch=2) == 5000 + 30
-
-    def test_a_request_done_at_the_arrival_is_no_longer_in_flight(self):
-        lane = AdmissionLane(dispatch_delay=0, capacity=1)
-        lane.complete(lane.admit(0, batch=0), 100)
-        assert lane.admit(99, batch=0) is None
-        assert lane.admit(100, batch=0) == 100
-
-    def test_a_rejection_moves_neither_the_clock_nor_the_batch(self):
-        lane = AdmissionLane(dispatch_delay=30, capacity=1)
-        lane.complete(lane.admit(0, batch=1), 500)
-        assert lane.admit(10, batch=2) is None
-        assert lane.lane_cycle == 530 and lane.admitted == 1
-        # Batch 2 never dispatched, so its first admitted request still
-        # pays the delay.
-        assert lane.admit(600, batch=2) == 630
-
-    def test_capacity_rejections_and_high_water(self):
-        lane = AdmissionLane(dispatch_delay=0, capacity=2)
-        for _ in range(2):
-            start = lane.admit(0, batch=0)
-            lane.complete(start, 10_000)  # both still in flight at t=1
-        assert lane.admit(1, batch=0) is None
-        assert lane.rejected == 1
-        assert lane.depth_high_water == 2
-        # Once the in-flight work completes, admission resumes.
-        assert lane.admit(50_000, batch=1) is not None
-
-    def test_lane_timeline_is_deterministic(self):
-        def drive():
-            lane = AdmissionLane()
-            marks = []
-            for arrival, batch in ((0, 0), (5, 0), (5, 1), (900, 1), (300, 2)):
-                start = lane.admit(arrival, batch=batch)
-                marks.append(lane.complete(start, 100))
-            return marks
-
-        marks = drive()
-        assert marks == drive()
-        # The last request arrives at 300, behind the lane clock (1000):
-        # it starts at the clock, so time never runs backwards.
-        assert marks == sorted(marks) and marks[-1] == 1000 + 100
 
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -278,16 +204,54 @@ class TestTenantIsolation:
         second = host.execute_request({"tenant": "a", "source": "print(2);"})
         assert (first["output"], second["output"]) == (["1"], ["2"])
 
+    def test_a_served_reply_is_engine_cycles_only(self):
+        host = TenantHost(engine_kwargs=FAST)
+        replies = [
+            host.execute_request(
+                {"tenant": tenant, "program": "xy", "source": PROGRAM_XY, "seq": seq}
+            )
+            for seq, tenant in enumerate("aba")
+        ]
+        assert set(replies[0]) == {
+            "tenant",
+            "program",
+            "status",
+            "output",
+            "service_cycles",
+            "seq",
+        }
+        payloads = host.metrics_payloads()
+        for payload in payloads:
+            assert list(payload["histograms"]) == ["repro_compile_cycles_per_compile"]
+        merged = merge_payloads(payloads)
+        assert merged["counters"]["repro_serving_requests_total"] == sum(
+            i.requests for i in host.isolates.values()
+        ) == 3
+        assert merged["gauges"]["repro_serving_tenants"] == len(host.isolates) == 2
+        tenant_a = host.isolates["a"].metrics_payload()
+        assert tenant_a["counters"]["repro_serving_requests_total"] == 2
+        # Computed, not accumulated: asking again reads the same.
+        assert host.metrics_payloads() == payloads
+
+    def test_every_engine_cycle_is_some_replys_service_cycles(self):
+        # No clock beside the engine's: a tenant's replies account for
+        # its engine's whole cycle clock, compiles and cold loads included.
+        isolate = TenantIsolate("a", engine_kwargs=FAST)
+        replies = self._serve_stream(isolate, "xy", PROGRAM_XY, 6)
+        replies += self._serve_stream(isolate, "yx", PROGRAM_YX, 2)
+        assert all(r["service_cycles"] > 0 for r in replies)
+        assert sum(r["service_cycles"] for r in replies) == (
+            isolate.engine.trace_clock()
+        )
+
     def test_the_payload_reads_the_engine_even_after_a_guest_raised(self):
         # The payload is computed from the engine when asked for, so a
-        # guest that raised (and never reached finish()) is counted too;
-        # the isolate's own registry holds only the serving rows.
+        # guest that raised (and never reached finish()) is counted too.
         isolate = TenantIsolate("a", engine_kwargs=FAST)
         for _ in range(5):
             isolate.serve("xy", PROGRAM_XY)
         engine = isolate.engine
         assert engine.metrics is None
-        assert isolate.serving.gauges["repro_engine_total_cycles"] == 0
         before = engine.trace_clock()
         with pytest.raises(ReproError):
             isolate.serve("fault", GUEST_FAULT)
@@ -295,20 +259,6 @@ class TestTenantIsolation:
         payload = isolate.metrics_payload()
         assert payload["gauges"]["repro_engine_total_cycles"] == engine.trace_clock()
         assert payload["counters"]["repro_serving_requests_total"] == 5
-
-    def test_rejected_requests_execute_nothing(self):
-        isolate = TenantIsolate("a", engine_kwargs=FAST, queue_capacity=1)
-        # Pin an in-flight completion far in the future, then arrive
-        # before it: capacity 1 means rejection.
-        start = isolate.lane.admit(0, batch=0)
-        isolate.lane.complete(start, 10_000_000)
-        response = isolate.serve("xy", PROGRAM_XY, arrival=5)
-        assert response["status"] == "rejected"
-        assert response["output"] == []
-        assert isolate.requests == 0
-        payload = isolate.metrics_payload()
-        assert payload["counters"]["repro_serving_rejected_total"] == 1
-        assert payload["counters"]["repro_serving_requests_total"] == 0
 
     def test_unknown_catalog_program_is_an_error_response(self):
         host = TenantHost()
@@ -320,8 +270,6 @@ class TestTenantIsolation:
 class TestShardedCache:
     def test_routing_is_pure_key_arithmetic(self, tmp_path):
         store = ShardedDiskCache(root=str(tmp_path), shards=4)
-        import hashlib
-
         keys = [
             hashlib.sha256(b"key-%d" % value).hexdigest() for value in range(30)
         ]
@@ -401,15 +349,53 @@ class TestFleetDeterminism:
             generate_schedule(FleetProfile(**moved))
         )
 
-    def test_batches_cap_at_the_limit_and_follow_tenant_runs(self):
-        profile = FleetProfile(**dict(SMALL_FLEET, requests=60, batch_limit=3))
-        schedule = generate_schedule(profile)
-        by_batch = {}
+    def test_the_schedule_stream_is_pinned(self):
+        # Every seed's (seq, tenant, program) stream, as generated before
+        # the schedule lost its arrival and batch fields: the draws that
+        # made them are still taken, so hostbench's serve-mixed traffic
+        # and the cycle bench's serving profile do not move.
+        from hostbench import workloads
+
+        from repro.bench.cycles import SERVING_PROFILE
+
+        def digest(schedule):
+            text = "".join(
+                "%d %s %s\n" % (r["seq"], r["tenant"], r["program"]) for r in schedule
+            )
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(generate_schedule(FleetProfile(**SERVING_PROFILE))) == (
+            "4176f177a75b6a79f8b78965be9193312bb7f1e17d8d28ba02d12864339a08f3"
+        )
+        pinned = {
+            1: "a52d6806fdd682c8eddd63fb4abd77c56ec2e3b54558020bba6b7a4142297a41",
+            2: "04a42fa39b2228efb23784a8219debd5ab25eebc50e75adac70c43f35a6f76af",
+            20130223: "32e629e3ee30fbd662c5632401ba743322a27e7e75abe46ffd0a4cea6b8a44a9",
+        }
+        for seed, expected in pinned.items():
+            assert digest(workloads.fleet(seed)[2]) == expected, seed
+
+    def test_a_schedule_record_is_order_tenant_and_program(self):
+        schedule = generate_schedule(FleetProfile(**SMALL_FLEET))
+        assert [r["seq"] for r in schedule] == list(
+            range(SMALL_FLEET["requests"])
+        )
         for record in schedule:
-            by_batch.setdefault(record["batch"], []).append(record["tenant"])
-        for tenants in by_batch.values():
-            assert len(set(tenants)) == 1  # a batch never mixes tenants
-            assert len(tenants) <= 3
+            assert set(record) == {"seq", "tenant", "program"}
+
+    def test_the_service_total_is_the_fleets_engine_clock(self):
+        # The gated service rows read the engines' own clocks: summed
+        # over every reply, they equal the merged total-cycles gauge.
+        result = run_fleet(
+            FleetProfile(**SMALL_FLEET), cache_mode="off", engine_kwargs=FAST
+        )
+        assert result["errors"] == 0
+        assert result["total_service_cycles"] == sum(
+            r["service_cycles"] for r in result["responses"]
+        )
+        assert result["total_service_cycles"] == (
+            result["metrics"]["gauges"]["repro_engine_total_cycles"]
+        )
 
     def test_repeat_runs_merge_to_identical_metrics(self):
         profile = FleetProfile(**SMALL_FLEET)
@@ -425,7 +411,8 @@ class TestFleetDeterminism:
         fanned = run_fleet(profile, jobs=3, cache_mode="tenant", engine_kwargs=FAST)
         assert serial["metrics"] == fanned["metrics"]
         assert serial["responses"] == fanned["responses"]
-        assert serial["p99_latency_cycles"] == fanned["p99_latency_cycles"]
+        assert serial["p99_service_cycles"] == fanned["p99_service_cycles"]
+        assert serial["errors"] == fanned["errors"] == 0
 
     def test_warm_shared_root_hits_and_keeps_cycles_identical(self, tmp_path):
         profile = FleetProfile(**SMALL_FLEET)
@@ -436,9 +423,9 @@ class TestFleetDeterminism:
         warm = run_fleet(profile, **kwargs)
         assert warm["warm_hit_rate"] == 1.0
         assert warm["disk_misses"] == 0
-        # The cache is a host-time optimization: the simulated
-        # timeline must not move between cold and warm runs.
-        assert warm["total_latency_cycles"] == cold["total_latency_cycles"]
+        # The cache is a host-time optimization: the model cycles must
+        # not move between cold and warm runs.
+        assert warm["total_service_cycles"] == cold["total_service_cycles"]
         assert [r["output"] for r in warm["responses"]] == [
             r["output"] for r in cold["responses"]
         ]
@@ -568,7 +555,7 @@ class TestServingServer:
         assert ran["status"] == "ok"
         assert ran["id"] == "req-1"
         assert len(ran["output"]) == 1
-        assert ran["latency_cycles"] > 0
+        assert ran["service_cycles"] > 0
         inline = await self._call(
             reader, writer, {"tenant": "b", "source": "print(41 + 1);"}
         )
@@ -692,7 +679,7 @@ class TestServingServer:
 
         self._run(self._serve(tmp_path, test, workers=1))
         host = TenantHost(engine_kwargs=FAST)
-        fields = ("output", "service_cycles", "latency_cycles")
+        fields = ("status", "output", "service_cycles")
         for tenant in ("a", "b"):
             replay = [
                 host.execute_request({"tenant": tenant, "source": source})

@@ -7,8 +7,9 @@ drives a fixed request mix over the JSON-line protocol — 200 ``run``
 requests spread across 8 tenants by default — then asserts the
 contract the serving tier documents (docs/SERVING.md):
 
-- every request gets a reply with a sane status (``ok``/``rejected``),
-  and every ``ok`` reply echoes its client ``id``;
+- every request gets an ``ok`` reply that echoes its client ``id``
+  and carries its ``service_cycles``, the model cycles its tenant's
+  engine ran for it;
 - the ``stats`` op agrees with what the client observed (requests
   served, tenants seen);
 - ``shutdown`` drains gracefully: the server exits 0 and writes the
@@ -164,7 +165,6 @@ def main(argv=None):
 
     failures = []
     served = 0
-    rejected = 0
     phase = "start"
     try:
         client = wait_until_serving(socket_path, proc)
@@ -181,15 +181,12 @@ def main(argv=None):
                     "id": "req-%04d" % index,
                 }
             )
-            status = reply.get("status")
-            if status == "ok":
-                served += 1
-                if reply.get("id") != "req-%04d" % index:
-                    failures.append("request %d: id not echoed: %r" % (index, reply))
-            elif status == "rejected":
-                rejected += 1
-            else:
+            if reply.get("status") != "ok" or type(reply.get("service_cycles")) is not int:
                 failures.append("request %d: bad reply %r" % (index, reply))
+                continue
+            served += 1
+            if reply.get("id") != "req-%04d" % index:
+                failures.append("request %d: id not echoed: %r" % (index, reply))
 
         stats = client.request({"op": "stats"})
         if stats.get("status") != "ok":
@@ -243,9 +240,8 @@ def main(argv=None):
         print("server output:\n" + output)
         return 1
     print(
-        "serving smoke OK: %d served, %d rejected over %d tenants; "
-        "clean exit; metrics at %s"
-        % (served, rejected, args.tenants, metrics_path)
+        "serving smoke OK: %d served over %d tenants; clean exit; metrics at %s"
+        % (served, args.tenants, metrics_path)
     )
     return 0
 
