@@ -127,7 +127,7 @@ def forced_recovery_value(op, extra, srcvals):
 def forced_bailout(executor, instruction, values):
     """Raise the fault-injected :class:`Bailout` for a guard.
 
-    Called by the array-based backends when the armed
+    Called by the reference backend's decode loop when the armed
     :class:`~repro.engine.bailout.GuardFaultInjector` selects a guard,
     *instead of* executing the guard's arm.  Resuming the interpreter
     from the produced state is bit-identical to never having run the

@@ -15,6 +15,8 @@ Subcommands::
     python -m repro top workload
     python -m repro fuzz [--seed 0] [--iterations 100] [--matrix jit,chaos] [--corpus-dir DIR]
     python -m repro cache stats|clear|evict [--dir DIR] [--max-bytes N] [--max-entries N]
+    python -m repro fleet [--tenants 8] [--requests 200] [--jobs N] [--cache off|tenant|shared]
+    python -m repro serve [--socket PATH | --port N] [--workers N] [--catalog-programs N]
     python -m repro configs
 
 ``run`` executes a guest script under the JIT; ``trace`` runs a script
@@ -37,8 +39,10 @@ console dashboard; ``fuzz`` runs the
 differential fuzzer — seeded program generation, the cross-engine
 oracle, chaos deopt and ddmin shrinking (docs/FUZZING.md); ``cache``
 inspects or clears the persistent cross-run code cache
-(docs/COMPILE_PIPELINE.md); ``configs`` lists the available
-optimization configurations.
+(docs/COMPILE_PIPELINE.md); ``fleet`` runs reproducible multi-tenant
+traffic and ``serve`` answers JSON-line requests over a local socket
+(docs/SERVING.md); ``configs`` lists the available optimization
+configurations.
 
 ``run``, ``trace``, ``metrics`` and ``top`` accept ``--code-cache [DIR]``
 to compile through the persistent code cache.
@@ -489,10 +493,6 @@ def cmd_bench(args, out):
 
     if not args.suite:
         raise SystemExit("--suite is required (or use --cycles / --compare)")
-    if args.suite not in ALL_SUITES:
-        raise SystemExit(
-            "unknown suite %r; available: %s" % (args.suite, ", ".join(sorted(ALL_SUITES)))
-        )
     if args.configs:
         configs = [_resolve_config(name) for name in args.configs.split(",")]
     else:
@@ -757,12 +757,21 @@ def cmd_configs(args, out):
 # -- entry point --------------------------------------------------------------
 
 
-def _at_least_one(text):
-    """An argparse ``type``: an int of at least 1 (a count of things)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _at_least(minimum, maximum=None):
+    """An argparse ``type``: an int of at least ``minimum`` and, when
+    given, at most ``maximum`` (a count, a size, a port)."""
+
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (minimum, value))
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d" % (maximum, value))
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_executor_flag(subparser, prefix=""):
@@ -791,6 +800,10 @@ def _add_code_cache_flag(subparser):
 
 def build_parser():
     """Construct the argparse command tree."""
+    from repro.fuzz.oracle import VARIANT_NAMES
+    from repro.telemetry.tracing import CHANNELS
+    from repro.workloads import ALL_SUITES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Just-in-Time Value Specialization (CGO 2013) reproduction",
@@ -802,7 +815,10 @@ def build_parser():
     run.add_argument("--config", default="all", help="optimization config (see `configs`)")
     run.add_argument("--stats", action="store_true", help="print engine statistics")
     run.add_argument(
-        "--cache-capacity", type=int, default=1, help="specialized binaries kept per function"
+        "--cache-capacity",
+        type=_at_least(1),
+        default=1,
+        help="specialized binaries kept per function",
     )
     _add_executor_flag(run)
     _add_code_cache_flag(run)
@@ -817,8 +833,6 @@ def build_parser():
         "or a bare benchmark name",
     )
     trace.add_argument("--config", default="all", help="optimization config (see `configs`)")
-    from repro.telemetry.tracing import CHANNELS
-
     trace.add_argument(
         "--channels",
         help="comma-separated channel subset (default: all): %s"
@@ -832,7 +846,7 @@ def build_parser():
         "--no-timeline", action="store_true", help="skip the stdout timeline"
     )
     trace.add_argument(
-        "--limit", type=int, default=None, help="max timeline rows per function"
+        "--limit", type=_at_least(1), default=None, help="max timeline rows per function"
     )
     _add_code_cache_flag(trace)
     trace.set_defaults(handler=cmd_trace)
@@ -845,7 +859,7 @@ def build_parser():
         "script",
         help="script path, -, suite/benchmark, or a bare benchmark name",
     )
-    profile.add_argument("--top", type=int, default=20, help="rows to display")
+    profile.add_argument("--top", type=_at_least(1), default=20, help="rows to display")
     profile.add_argument(
         "--cycles",
         action="store_true",
@@ -889,8 +903,11 @@ def build_parser():
         help="run a suite sweep (Figure 9 row), or the --cycles sections "
         "and the --compare gate",
     )
-    bench.add_argument("--suite", help="suite sweep: sunspider | v8 | kraken | objects | churn")
-    bench.add_argument("--configs", help="comma-separated config names (default: all 11)")
+    bench.add_argument("--suite", choices=sorted(ALL_SUITES), help="suite sweep")
+    bench.add_argument(
+        "--configs",
+        help="comma-separated config names (default: all %d)" % len(PAPER_CONFIGS),
+    )
     bench.add_argument(
         "--cycles",
         action="store_true",
@@ -904,7 +921,7 @@ def build_parser():
     )
     bench.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="suite sweep: parallel worker processes (wall-clock only; "
         "results are order-preserving and identical to --jobs 1)",
@@ -988,13 +1005,11 @@ def build_parser():
     )
     fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
     fuzz.add_argument(
-        "--iterations", type=int, default=100, help="programs to generate and check"
+        "--iterations", type=_at_least(1), default=100, help="programs to generate and check"
     )
     fuzz.add_argument(
         "--matrix",
-        help="comma-separated variant subset (default: all): interp,jit,jit-simple,"
-        "whole,nospec,cache-cold,cache-warm,chaos,chaos-simple,chaos-whole,"
-        "chaos-sched,deoptless,deoptless-simple,deoptless-whole",
+        help="comma-separated variant subset (default: all): %s" % ",".join(VARIANT_NAMES),
     )
     fuzz.add_argument(
         "--shrink",
@@ -1034,13 +1049,13 @@ def build_parser():
     )
     cache.add_argument(
         "--max-bytes",
-        type=int,
+        type=_at_least(0),
         default=None,
         help="evict: prune oldest artifacts until total size fits",
     )
     cache.add_argument(
         "--max-entries",
-        type=int,
+        type=_at_least(0),
         default=None,
         help="evict: prune oldest artifacts until this many remain",
     )
@@ -1062,7 +1077,7 @@ def build_parser():
         )
         subparser.add_argument(
             "--shards",
-            type=_at_least_one,
+            type=_at_least(1),
             default=4,
             help="disk-cache shard count (default 4)",
         )
@@ -1071,21 +1086,21 @@ def build_parser():
         "fleet",
         help="run reproducible multi-tenant fleet traffic (docs/SERVING.md)",
     )
-    fleet.add_argument("--tenants", type=_at_least_one, default=8, help="tenant count")
-    fleet.add_argument("--requests", type=int, default=200, help="request count")
+    fleet.add_argument("--tenants", type=_at_least(1), default=8, help="tenant count")
+    fleet.add_argument("--requests", type=_at_least(1), default=200, help="request count")
     fleet.add_argument(
-        "--programs", type=_at_least_one, default=6, help="catalog size (distinct programs)"
+        "--programs", type=_at_least(1), default=6, help="catalog size (distinct programs)"
     )
     fleet.add_argument("--seed", type=int, default=0, help="schedule/catalog seed")
     fleet.add_argument(
         "--functions",
-        type=_at_least_one,
+        type=_at_least(1),
         default=10,
         help="guest functions per catalog program (default 10)",
     )
     fleet.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="worker processes (whole tenants routed as `repro serve` routes "
         "them; cycles and outputs are identical at any job count)",
@@ -1122,11 +1137,11 @@ def build_parser():
         "--host", default="127.0.0.1", help="TCP bind host (when no --socket)"
     )
     serve.add_argument(
-        "--port", type=int, default=0, help="TCP bind port (0: ephemeral)"
+        "--port", type=_at_least(0, 65535), default=0, help="TCP bind port (0: ephemeral)"
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(0),
         default=0,
         help="engine worker processes (0: in-process)",
     )
@@ -1138,7 +1153,7 @@ def build_parser():
     )
     serve.add_argument(
         "--catalog-programs",
-        type=int,
+        type=_at_least(0),
         default=0,
         help="preload a fleet catalog of N programs (0: none; requests "
         "must then ship source)",
@@ -1148,7 +1163,7 @@ def build_parser():
     )
     serve.add_argument(
         "--catalog-functions",
-        type=int,
+        type=_at_least(1),
         default=10,
         help="guest functions per catalog program",
     )

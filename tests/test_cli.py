@@ -337,6 +337,68 @@ class TestCountFlags:
         assert exited.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    # ``serve`` cases carry ``--cache shared`` without ``--cache-dir``, so
+    # a value that got past the parser would stop in ``cmd_serve`` (not
+    # a usage error) instead of starting a server.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fleet", "--requests", "-1"], "must be at least 1"),
+            (["fleet", "--requests", "1", "--jobs", "0"], "must be at least 1"),
+            (["bench", "--jobs", "0"], "must be at least 1"),
+            (["fuzz", "--iterations", "-3"], "must be at least 1"),
+            (["profile", "{script}", "--top", "-1"], "must be at least 1"),
+            (["trace", "{script}", "--limit", "-1"], "must be at least 1"),
+            (["run", "{script}", "--cache-capacity", "-2"], "must be at least 1"),
+            (["serve", "--catalog-functions", "0", "--cache", "shared"], "must be at least 1"),
+            (["serve", "--workers", "-1", "--cache", "shared"], "must be at least 0"),
+            (["serve", "--catalog-programs", "-1", "--cache", "shared"], "must be at least 0"),
+            (["cache", "evict", "--dir", "{dir}", "--max-bytes", "-5"], "must be at least 0"),
+            (["cache", "evict", "--dir", "{dir}", "--max-entries", "-1"], "must be at least 0"),
+            (["serve", "--port", "-1", "--cache", "shared"], "must be at least 0"),
+            (["serve", "--port", "65536", "--cache", "shared"], "must be at most 65535"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_an_int_out_of_range_is_a_usage_error(
+        self, argv, message, script, tmp_path, capsys
+    ):
+        argv = [arg.format(script=script, dir=str(tmp_path)) for arg in argv]
+        with pytest.raises(SystemExit) as exited:
+            run_cli(argv)
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def _subcommands():
+    """``{name: subparser}`` of the ``repro`` parser."""
+    from repro.tools.cli import build_parser
+
+    (subparsers,) = [
+        action for action in build_parser()._actions if action.dest == "command"
+    ]
+    return subparsers.choices
+
+
+class TestHelpNamesWhatItOwns:
+    def test_the_docstring_shows_every_subcommand(self):
+        from repro.tools import cli
+
+        for name in _subcommands():
+            assert "python -m repro %s" % name in cli.__doc__, name
+
+    def test_lists_come_from_their_owners(self):
+        from repro.engine.config import PAPER_CONFIGS
+        from repro.fuzz.oracle import VARIANT_NAMES
+        from repro.workloads import ALL_SUITES
+
+        subcommands = _subcommands()
+        bench = {action.dest: action for action in subcommands["bench"]._actions}
+        assert bench["suite"].choices == sorted(ALL_SUITES)
+        assert "all %d)" % len(PAPER_CONFIGS) in bench["configs"].help
+        fuzz = {action.dest: action for action in subcommands["fuzz"]._actions}
+        assert fuzz["matrix"].help.endswith(",".join(VARIANT_NAMES))
+
 
 class TestServe:
     def test_serve_cache_requires_cache_dir(self):
