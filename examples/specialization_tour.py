@@ -72,7 +72,7 @@ def main():
 
     def recording(function, this_value, args):
         if function.code.feedback is not None:
-            function.code.feedback.record_args(args, this_value)
+            function.code.feedback.record_args(args)
         return original(function, this_value, args)
 
     interpreter.call_function = recording

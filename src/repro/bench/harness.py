@@ -151,7 +151,6 @@ def run_suite_sweep(
     suite,
     configs=None,
     engine_kwargs=None,
-    verify=True,
     trace=False,
     trace_channels=None,
     jobs=1,
@@ -159,8 +158,8 @@ def run_suite_sweep(
 ):
     """Run every benchmark under baseline + every configuration.
 
-    With ``verify``, every configuration's printed output must equal
-    the baseline's (the correctness oracle built into the harness).
+    Every configuration's printed output must equal the baseline's
+    (the correctness oracle built into the harness).
     With ``trace``, every run records its JIT event stream on
     ``BenchmarkRun.trace_events``.  With ``collect_metrics``, every
     run carries its metrics payload in ``run.metrics`` (fold them
@@ -193,7 +192,7 @@ def run_suite_sweep(
         baseline_runs[run.benchmark] = run
         sweep.add(run)
     for run in runs[len(suite) :]:
-        if verify and run.output != baseline_runs[run.benchmark].output:
+        if run.output != baseline_runs[run.benchmark].output:
             raise AssertionError(
                 "%s under %s printed %r, baseline printed %r"
                 % (run.benchmark, run.config, run.output, baseline_runs[run.benchmark].output)

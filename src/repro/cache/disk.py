@@ -219,7 +219,6 @@ def _feedback_fingerprint(feedback):
         return None
     return (
         tuple(tuple(sorted(tags)) for tags in feedback.arg_tags),
-        tuple(sorted(feedback.this_tags)),
         tuple(sorted((pc, tuple(sorted(tags))) for pc, tags in feedback.site_tags.items())),
         tuple(sorted((pc, tuple(sorted(tags))) for pc, tags in feedback.recv_tags.items())),
         _shape_ic_fingerprint(feedback.shape_ics),
@@ -573,15 +572,13 @@ class DiskCodeCache(object):
         (unbounded); with both None this is a no-op.  Returns the
         number of entries removed and adds it to ``evictions``.
 
-        Safe against a concurrent writer racing the prune: the victim
-        is first renamed aside to a ``.evict`` tombstone (atomic, and
-        excluded from ``_entries``/``stats`` by the ``.bin`` filter),
-        then unlinked.  A writer re-publishing the same key via
-        ``store``'s ``os.replace`` either lands before the rename — its
+        Safe against a concurrent writer racing the prune: the unlink
+        is atomic, and a writer re-publishing the same key via
+        ``store``'s ``os.replace`` either lands before it — its
         complete frame becomes the victim, which is correct LRU
         behaviour and never tears the file — or after it, in which case
         the fresh artifact survives untouched under the final name.  An
-        entry that vanished between the directory walk and the rename
+        entry that vanished between the directory walk and the unlink
         (another evictor, a ``clear``) is skipped without being
         counted.
         """
@@ -596,9 +593,8 @@ class DiskCodeCache(object):
             over_entries = max_entries is not None and total_entries > max_entries
             if not over_bytes and not over_entries:
                 break
-            tombstone = path + ".evict"
             try:
-                os.replace(path, tombstone)
+                os.unlink(path)
             except FileNotFoundError:
                 # Gone already (concurrent evictor or clear): it no
                 # longer occupies the store, so drop it from the
@@ -608,33 +604,11 @@ class DiskCodeCache(object):
                 continue
             except OSError:
                 continue
-            try:
-                os.unlink(tombstone)
-            except OSError:
-                # A crash here merely leaks a tombstone; the next
-                # evict pass sweeps it (below) and readers never look
-                # at non-``.bin`` names.
-                pass
             removed += 1
             total_bytes -= size
             total_entries -= 1
         self.evictions += removed
-        self._sweep_tombstones()
         return removed
-
-    def _sweep_tombstones(self):
-        """Remove ``.evict`` tombstones left by an interrupted prune."""
-        code_root = os.path.join(self.root, "code")
-        if not os.path.isdir(code_root):
-            return
-        for dirpath, _dirnames, filenames in os.walk(code_root):
-            for filename in filenames:
-                if not filename.endswith(".evict"):
-                    continue
-                try:
-                    os.unlink(os.path.join(dirpath, filename))
-                except OSError:
-                    pass
 
     def clear(self):
         """Delete every stored artifact; returns the number removed."""

@@ -19,7 +19,6 @@ type-feedback updates, and a repeated-bailout escape hatch that
 recompiles without type speculation.
 """
 
-import os
 import weakref
 
 from repro.cache.disk import program_key
@@ -71,22 +70,17 @@ EXECUTOR_BACKENDS = {
     "whole": WholeExecutor,
 }
 
-#: Environment override for the executor backend (``REPRO_EXECUTOR=simple``
-#: is the escape hatch if a code-generating backend ever misbehaves).
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
-#: Backend used when neither the constructor argument nor the
-#: environment variable picks one.
+#: Backend used when the constructor argument picks none.
 DEFAULT_EXECUTOR_BACKEND = "whole"
 
 
 def resolve_executor_backend(name=None):
-    """Pick the executor backend: explicit arg > $REPRO_EXECUTOR > default.
+    """Pick the executor backend: the explicit argument, else the default.
 
     Returns the backend name; raises ``ValueError`` for unknown names.
     """
     if name is None:
-        name = os.environ.get(EXECUTOR_ENV_VAR) or DEFAULT_EXECUTOR_BACKEND
+        name = DEFAULT_EXECUTOR_BACKEND
     if name not in EXECUTOR_BACKENDS:
         raise ValueError(
             "unknown executor backend %r; available: %s"
@@ -124,7 +118,6 @@ class FunctionState(object):
         "generalized_osr",
         "deoptless_misses",
         "miss_keys",
-        "last_call",
         "__weakref__",
     )
 
@@ -166,13 +159,6 @@ class FunctionState(object):
         #: (docs/DEOPTLESS.md); bounded — cleared at
         #: ``_MISS_KEY_BOUND`` so churning identities cannot grow it.
         self.miss_keys = {}
-        #: Most recent call's ``(function, this_value, args)``, kept
-        #: only on an engine with a fault injector — the chaos harness
-        #: ``repro.engine.bailout.exercise_entry_guards`` replays it.
-        #: Never recorded otherwise: it would cost a tuple per call and
-        #: pin every function's last receiver and arguments for the
-        #: engine's life.
-        self.last_call = None
 
     def install(self, native, spec_key=None, osr_state_key=None):
         """Make ``native`` (None: nothing) the active binary, under its keys."""
@@ -504,12 +490,12 @@ class Engine(object):
                 if hit and steady:
                     warm = True
                     if state.key_recorded is not feedback:
-                        feedback.record_args(args, this_value)
+                        feedback.record_args(args)
                         state.key_recorded = feedback
                     self.stats.spec_cache_hits += 1
             elif steady and not self.deoptless:
                 warm = True
-                feedback.record_args(args, this_value)
+                feedback.record_args(args)
         if not warm:
             if not self._call_policy(state, function, this_value, args, hit):
                 return False, None
@@ -537,15 +523,13 @@ class Engine(object):
         (the caller runs it), False when the call is to be interpreted.
         """
         code = state.code
-        if self.fault_injector is not None:
-            state.last_call = (function, this_value, args)
         if state.call_count == self.hot_call_threshold and not state.not_compilable:
             self._emit("interp", "hot_call", code, calls=state.call_count)
         if state.not_compilable:
             return self._interpret_call()
         if code.feedback is None:
             code.feedback = TypeFeedback(code.num_params)
-        code.feedback.record_args(args, this_value)
+        code.feedback.record_args(args)
 
         stats = self.stats
         native = state.native
@@ -1006,7 +990,7 @@ class Engine(object):
     # -- native execution -----------------------------------------------------------------------
 
     def _handle_call_bailout(self, state, function, this_value, args, bail):
-        self._note_bailout(state, bail, this_value)
+        self._note_bailout(state, bail)
         if (
             self.deoptless
             and state.generalized is None
@@ -1041,7 +1025,7 @@ class Engine(object):
             )
             return ("return", value)
         except Bailout as bail:
-            self._note_bailout(state, bail, frame.this_value)
+            self._note_bailout(state, bail)
             frame.args[:] = bail.frame_args
             frame.locals[:] = bail.frame_locals
             pc = bail.pc + 1 if bail.mode == "after" else bail.pc
@@ -1067,7 +1051,7 @@ class Engine(object):
             shape_ic_fingerprint(feedback.shape_ics)
         )
 
-    def _note_bailout(self, state, bail, this_value):
+    def _note_bailout(self, state, bail):
         """Account a bailout and feed the observation back into typing."""
         code = state.code
         self.stats.record_bailout()
@@ -1143,7 +1127,7 @@ class Engine(object):
             if bail.mode == "after":
                 feedback.record_site(bail.pc, bail.actual)
             elif bail.pc == 0:
-                feedback.record_args(bail.frame_args, this_value)
+                feedback.record_args(bail.frame_args)
         if state.bailout_count > self.bailout_limit and state.native is not None:
             # Too speculative for this function: drop to generic code.
             # The generalized sibling is stale too — it kept type

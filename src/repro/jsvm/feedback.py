@@ -7,8 +7,7 @@ call-site recording done by the interpreter once the engine attaches a
 
 * argument type tags per parameter slot,
 * result type tags per bytecode site (element/property/global loads
-  and calls),
-* ``this`` type tags.
+  and calls).
 
 The MIR builder turns monomorphic observations into typed unbox guards;
 polymorphic sites stay boxed and generic.  Bailouts feed the observed
@@ -29,9 +28,9 @@ MAX_IC_SHAPES = MAX_TAGS_PER_SITE
 #: site is megamorphic and records (and speculates on) nothing further.
 MEGAMORPHIC = "megamorphic"
 
-#: Distinct call shapes (exact Python types of ``this`` and of each
-#: argument) one :class:`TypeFeedback` remembers having recorded; past
-#: it, calls of new shapes simply take the full walk every time.
+#: Distinct call shapes (the exact Python type of each argument) one
+#: :class:`TypeFeedback` remembers having recorded; past it, calls of
+#: new shapes simply take the full walk every time.
 MAX_SEEN_CALL_SHAPES = 16
 
 #: Key marking "a recorded call shape ends here" in the seen-shapes trie
@@ -64,7 +63,6 @@ class TypeFeedback(object):
 
     __slots__ = (
         "arg_tags",
-        "this_tags",
         "site_tags",
         "recv_tags",
         "shape_ics",
@@ -75,7 +73,6 @@ class TypeFeedback(object):
 
     def __init__(self, num_params):
         self.arg_tags = [set() for _ in range(num_params)]
-        self.this_tags = set()
         self.site_tags = {}
         #: Receiver types observed at element/property access sites.
         self.recv_tags = {}
@@ -83,15 +80,15 @@ class TypeFeedback(object):
         #: ids (mono/poly), or :data:`MEGAMORPHIC` once overflowed.
         self.shape_ics = {}
         #: Call shapes :meth:`record_args` has already walked, as a trie
-        #: of exact types: ``type(this)`` → ``type(args[0])`` → … →
+        #: of exact types: ``type(args[0])`` → ``type(args[1])`` → … →
         #: ``_SHAPE_END``.
         self._seen_calls = {}
         self._seen_count = 0
 
     # -- recording (called from the interpreter's hot loop) -----------------
 
-    def record_args(self, args, this_value):
-        """Record one call's argument and ``this`` tags.
+    def record_args(self, args):
+        """Record one call's argument tags.
 
         Runs for every guest call for the function's whole lifetime, and
         almost every call repeats a shape already recorded.  Tag sets
@@ -102,21 +99,20 @@ class TypeFeedback(object):
         arguments establishes that and returns.  Anything else takes
         :meth:`_walk_args`.
         """
-        node = self._seen_calls.get(type(this_value))
-        if node is not None:
-            for value in args:
-                kind = type(value)
-                if kind is int and not -2147483648 <= value <= 2147483647:
-                    break
-                node = node.get(kind)
-                if node is None:
-                    break
-            else:
-                if _SHAPE_END in node:
-                    return
-        self._walk_args(args, this_value)
+        node = self._seen_calls
+        for value in args:
+            kind = type(value)
+            if kind is int and not -2147483648 <= value <= 2147483647:
+                break
+            node = node.get(kind)
+            if node is None:
+                break
+        else:
+            if _SHAPE_END in node:
+                return
+        self._walk_args(args)
 
-    def _walk_args(self, args, this_value):
+    def _walk_args(self, args):
         """The full recording walk; remembers the call's shape after it."""
         nargs = len(args)
         tag = type_tag
@@ -139,11 +135,8 @@ class TypeFeedback(object):
                 else:
                     slot.add("undefined")
             index += 1
-        this_tags = self.this_tags
-        if len(this_tags) < MAX_TAGS_PER_SITE:
-            this_tags.add(tag(this_value))
         if self._seen_count < MAX_SEEN_CALL_SHAPES:
-            node = self._seen_calls.setdefault(type(this_value), {})
+            node = self._seen_calls
             for value in args:
                 kind = type(value)
                 if kind is int and not -2147483648 <= value <= 2147483647:
@@ -237,9 +230,6 @@ class TypeFeedback(object):
         if index >= len(self.arg_tags):
             return None
         return self._monomorphic(self.arg_tags[index])
-
-    def this_speculation(self):
-        return self._monomorphic(self.this_tags)
 
     def site_speculation(self, pc):
         tags = self.site_tags.get(pc)

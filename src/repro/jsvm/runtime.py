@@ -514,6 +514,3 @@ class Runtime(object):
 
     def set_global(self, name, value):
         self.globals[name] = value
-
-    def has_global(self, name):
-        return name in self.globals

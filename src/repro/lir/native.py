@@ -50,9 +50,8 @@ def guard_indices(native):
     """Indices of every guard instruction in ``native``'s stream.
 
     A guard is an op in :data:`GUARD_OPS` carrying a snapshot; the
-    returned list is in stream order, so the fault injector's "Nth
-    guard of this binary" selector is stable across identical
-    compilations (like snapshot ids).
+    returned list is in stream order, so the fault injector's coverage
+    report is stable across identical compilations (like snapshot ids).
     """
     return [
         index

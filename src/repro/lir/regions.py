@@ -61,8 +61,7 @@ def translation_roots(native, executor):
     reachable from ``entry_index`` alone (the script's whole
     straight-line prologue) is dead.  Function binaries keep both
     entries; so does any chaos-instrumented translation, whose injector
-    addresses instructions by index and whose harness replays call
-    entries (``exercise_entry_guards``).
+    addresses instructions by index.
 
     The store path (:func:`~repro.lir.wholefn.whole_artifact`) and the
     run path (:meth:`~repro.lir.wholefn.WholeExecutor.run`) both get

@@ -92,12 +92,6 @@ class DominatorTree(object):
 
     # -- queries ---------------------------------------------------------------
 
-    def immediate_dominator(self, block):
-        dominator = self.idom.get(id(block))
-        if dominator is self.root:
-            return None
-        return dominator
-
     def dominates(self, a, b):
         """True if block ``a`` dominates block ``b``."""
         node = b

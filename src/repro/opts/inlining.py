@@ -45,20 +45,13 @@ MAX_CALLEE_SIZE = 60
 MAX_TOTAL_GROWTH = 240
 
 
-def run_inlining(graph, build_callee=None):
+def run_inlining(graph):
     """Inline eligible constant-callee calls; returns number inlined.
 
-    ``build_callee`` builds a fresh callee MIR graph from a code object
-    (dependency-injected to avoid an import cycle with the builder; the
-    default uses :func:`repro.mir.builder.build_mir` with the callee's
-    own type feedback).
+    Each callee's MIR graph is built fresh by
+    :func:`repro.mir.builder.build_mir` with the callee's own type
+    feedback (imported here: the builder imports this module's package).
     """
-    if build_callee is None:
-        from repro.mir.builder import build_mir
-
-        def build_callee(code):
-            return build_mir(code, feedback=code.feedback)
-
     inlined = 0
     growth = 0
     # Snapshot candidates first: splicing invalidates iteration order.
@@ -72,7 +65,7 @@ def run_inlining(graph, build_callee=None):
             continue  # removed by an earlier splice
         if growth >= MAX_TOTAL_GROWTH:
             break
-        size = _try_inline(graph, call, build_callee)
+        size = _try_inline(graph, call)
         if size:
             inlined += 1
             growth += size
@@ -96,16 +89,17 @@ def _body_is_reexecutable(sub):
     return True
 
 
-def _try_inline(graph, call, build_callee):
+def _try_inline(graph, call):
     """Attempt one inline; returns the spliced size or 0."""
     from repro.errors import NotCompilable
+    from repro.mir.builder import build_mir
 
     function = call.callee.value
     code = function.code
     if code.has_frees or code.has_cells:
         return 0
     try:
-        sub = build_callee(code)
+        sub = build_mir(code, feedback=code.feedback)
     except NotCompilable:
         return 0
     graph.callee_graphs.append(sub)

@@ -32,9 +32,9 @@ per-instruction execution counts, cycle shares and guard failures;
 runs a suite sweep and prints its Figure 9 row — with ``--cycles``
 it instead measures the deterministic cycle sections and with
 ``--compare`` gates them against a stored baseline
-(docs/METRICS.md); ``metrics`` runs a workload with the
-deterministic metrics registry attached and exports Prometheus text
-or a JSONL record; ``top`` renders the same registry as a one-shot
+(docs/METRICS.md); ``metrics`` runs a workload and exports the
+metrics payload computed from its engine's stats ledger as Prometheus
+text or a JSONL record; ``top`` renders the same payload as a one-shot
 console dashboard; ``fuzz`` runs the
 differential fuzzer — seeded program generation, the cross-engine
 oracle, chaos deopt and ddmin shrinking (docs/FUZZING.md); ``cache``
@@ -52,12 +52,18 @@ import argparse
 import sys
 
 from repro.engine.config import BASELINE, EXTENDED, FULL_SPEC, PAPER_CONFIGS
+from repro.errors import JSRangeError, JSReferenceError, JSSyntaxError, JSTypeError
 from repro.engine.runtime_engine import (
     DEFAULT_EXECUTOR_BACKEND,
     EXECUTOR_BACKENDS,
-    EXECUTOR_ENV_VAR,
     Engine,
 )
+
+
+#: Errors of the guest program.  A subcommand that meets one exits 1
+#: with the error on one stderr line; any other exception (a
+#: ``CompilerError`` is a VM bug) keeps its traceback.
+GUEST_ERRORS = (JSSyntaxError, JSTypeError, JSReferenceError, JSRangeError)
 
 
 def _config_registry():
@@ -114,9 +120,13 @@ def _engine_from_args(args, **sinks):
 def cmd_run(args, out):
     """``repro run``: execute a guest script under the JIT."""
     engine = _engine_from_args(args)
-    printed = engine.run_source(_read_source(args.script))
-    for line in printed:
-        out.write(line + "\n")
+    printed = engine.interpreter.runtime.printed
+    try:
+        engine.run_source(_read_source(args.script))
+    finally:
+        # What the guest printed before an uncaught error is still output.
+        for line in printed:
+            out.write(line + "\n")
     if args.stats:
         out.write("\n-- engine stats (%s) --\n" % engine.config.describe())
         for key, value in sorted(engine.stats.summary().items()):
@@ -418,7 +428,7 @@ def cmd_disasm(args, out):
 
     def recording(function, this_value, call_args):
         if function.code.feedback is not None:
-            function.code.feedback.record_args(call_args, this_value)
+            function.code.feedback.record_args(call_args)
         if function.code is target and "args" not in recorded:
             recorded["args"] = list(call_args)
             recorded["this"] = this_value
@@ -780,8 +790,7 @@ def _add_executor_flag(subparser, prefix=""):
         "--executor",
         choices=list(EXECUTOR_BACKENDS),
         default=None,
-        help="%sexecutor backend (default: %s, or $%s)"
-        % (prefix, DEFAULT_EXECUTOR_BACKEND, EXECUTOR_ENV_VAR),
+        help="%sexecutor backend (default: %s)" % (prefix, DEFAULT_EXECUTOR_BACKEND),
     )
 
 
@@ -976,7 +985,7 @@ def build_parser():
 
     metrics = sub.add_parser(
         "metrics",
-        help="run a workload with the metrics registry on (docs/METRICS.md)",
+        help="run a workload and export its engine's metrics (docs/METRICS.md)",
     )
     _add_metrics_flags(metrics)
     metrics.add_argument(
@@ -1179,7 +1188,11 @@ def main(argv=None, out=None):
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, out if out is not None else sys.stdout)
+    try:
+        return args.handler(args, out if out is not None else sys.stdout)
+    except GUEST_ERRORS as error:
+        sys.stderr.write("Uncaught %s: %s\n" % (type(error).__name__, error))
+        return 1
 
 
 if __name__ == "__main__":

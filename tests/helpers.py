@@ -45,7 +45,7 @@ def compile_and_profile(source, name=None):
 
     def recording_call(function, this_value, args):
         if function.code.feedback is not None:
-            function.code.feedback.record_args(args, this_value)
+            function.code.feedback.record_args(args)
         return original_call(function, this_value, args)
 
     interp.call_function = recording_call

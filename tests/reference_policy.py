@@ -16,7 +16,7 @@ from repro.jsvm.values import describe_key, type_tag
 from repro.lir.executor import Bailout
 
 
-def record_args(feedback, args, this_value):
+def record_args(feedback, args):
     nargs = len(args)
     tag = type_tag
     index = 0
@@ -39,9 +39,6 @@ def record_args(feedback, args, this_value):
             else:
                 slot.add("undefined")
         index += 1
-    this_tags = feedback.this_tags
-    if len(this_tags) < MAX_TAGS_PER_SITE:
-        this_tags.add(tag(this_value))
 
 
 class ReferenceEngine(Engine):
@@ -55,7 +52,6 @@ class ReferenceEngine(Engine):
         code = function.code
         state = self._state(code)
         state.call_count += 1
-        state.last_call = (function, this_value, args)
         stats = self.stats
         tracer = self.tracer
         if (
@@ -77,7 +73,7 @@ class ReferenceEngine(Engine):
             return False, None
         if code.feedback is None:
             code.feedback = TypeFeedback(code.num_params)
-        record_args(code.feedback, args, this_value)
+        record_args(code.feedback, args)
 
         native = state.native
         if native is not None:

@@ -60,8 +60,8 @@ class TestDominators:
         graph = graph_of(NESTED)
         tree = DominatorTree(graph)
         for block in graph.blocks:
-            idom = tree.immediate_dominator(block)
-            if idom is not None:
+            idom = tree.idom.get(id(block))
+            if idom is not None and idom is not tree.root:
                 assert idom is not block
                 assert tree.dominates(idom, block)
 

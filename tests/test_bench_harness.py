@@ -68,13 +68,20 @@ class TestSweep:
         base = sweep.run_for("baseline", "tiny-kernel").output
         assert sweep.run_for("all", "tiny-kernel").output == base
 
-    def test_verification_catches_mismatch(self):
-        # A config whose output differed would raise.
-        bad = [
-            Benchmark("ok", "print(1);"),
-        ]
-        sweep = run_suite_sweep("x", bad, configs=CONFIGS)
-        assert sweep.run_for("baseline", "ok").output == ["1"]
+    def test_verification_catches_mismatch(self, monkeypatch):
+        from repro.bench import harness
+
+        real_job = harness._run_benchmark_job
+
+        def skewed_job(job):
+            run = real_job(job)
+            if run.config != "baseline":
+                run.output = run.output + ["extra"]
+            return run
+
+        monkeypatch.setattr(harness, "_run_benchmark_job", skewed_job)
+        with pytest.raises(AssertionError, match="baseline printed"):
+            run_suite_sweep("x", [Benchmark("ok", "print(1);")], configs=CONFIGS)
 
     def test_speedup_rows(self, sweep):
         rows = speedup_rows(sweep, CONFIGS)

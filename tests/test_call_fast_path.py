@@ -66,7 +66,6 @@ def _feedback_table(code):
         return None
     return {
         "arg_tags": [sorted(tags) for tags in feedback.arg_tags],
-        "this_tags": sorted(feedback.this_tags),
         "site_tags": dict((pc, sorted(tags)) for pc, tags in feedback.site_tags.items()),
         "recv_tags": dict((pc, sorted(tags)) for pc, tags in feedback.recv_tags.items()),
         "shape_ics": dict(
@@ -304,14 +303,13 @@ def test_wide_int_first_then_narrow_int_of_the_same_shape():
     from repro.jsvm.feedback import TypeFeedback
 
     feedback = TypeFeedback(1)
-    feedback.record_args([1 << 40], UNDEFINED)
+    feedback.record_args([1 << 40])
     assert feedback.arg_tags == [{"double"}]
-    feedback.record_args([5], UNDEFINED)
+    feedback.record_args([5])
     assert feedback.arg_tags == [{"double", "int"}]
-    feedback.record_args([1 << 41], UNDEFINED)
-    feedback.record_args([6], UNDEFINED)
+    feedback.record_args([1 << 41])
+    feedback.record_args([6])
     assert feedback.arg_tags == [{"double", "int"}]
-    assert feedback.this_tags == {"undefined"}
 
 
 # -- the one matcher ---------------------------------------------------------------
@@ -483,17 +481,3 @@ def test_a_warm_generic_call_is_at_most_five_frames_from_its_body():
 def test_a_metrics_registry_costs_no_frame():
     engine, function = warm_engine(generic=False, metrics=MetricsRegistry())
     assert frames_to_callee(engine, function, [3, 4]) == (7, [4])
-
-
-def test_last_call_is_recorded_for_chaos_runs_only():
-    from repro.engine.bailout import GuardFaultInjector, exercise_entry_guards
-
-    engine, _function = warm_engine(generic=False)
-    assert all(state.last_call is None for state in engine.states.values())
-    with pytest.raises(ValueError, match="fault_injector"):
-        exercise_entry_guards(engine)
-    chaotic, _function = warm_engine(
-        generic=False, fault_injector=GuardFaultInjector(), bailout_limit=10 ** 6
-    )
-    assert any(state.last_call is not None for state in chaotic.states.values())
-    assert exercise_entry_guards(chaotic) >= 1

@@ -51,6 +51,41 @@ class TestRun:
         assert code == 0
 
 
+class TestGuestErrors:
+    """A guest error ends a script-running subcommand with exit 1 and
+    one stderr line, not a host traceback."""
+
+    @pytest.fixture
+    def failing(self, tmp_path):
+        path = tmp_path / "fails.js"
+        path.write_text('print("before"); x.y;\n')
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["trace"], ["metrics"], ["profile", "--cycles"]],
+        ids=" ".join,
+    )
+    def test_one_stderr_line_and_exit_1(self, argv, failing, capsys):
+        code, _output = run_cli(argv[:1] + [failing] + argv[1:])
+        assert code == 1
+        assert capsys.readouterr().err == "Uncaught JSReferenceError: x is not defined\n"
+
+    def test_run_prints_what_the_guest_printed_first(self, failing, capsys):
+        assert run_cli(["run", failing]) == (1, "before\n")
+        assert capsys.readouterr().err.startswith("Uncaught JSReferenceError")
+
+    def test_a_vm_bug_keeps_its_traceback(self, script, monkeypatch):
+        from repro.errors import CompilerError
+
+        def broken(self, source):
+            raise CompilerError("broken")
+
+        monkeypatch.setattr("repro.engine.runtime_engine.Engine.run_source", broken)
+        with pytest.raises(CompilerError):
+            run_cli(["run", script])
+
+
 class TestProfile:
     def test_profile_output(self, script):
         _code, output = run_cli(["profile", script])

@@ -559,9 +559,7 @@ class TestKeySensitivity:
         code = self._code()
         empty = TypeFeedback(1)
         seen_int = TypeFeedback(1)
-        from repro.jsvm.values import UNDEFINED
-
-        seen_int.record_args([3], UNDEFINED)
+        seen_int.record_args([3])
         assert cache.key_for(code, FULL_SPEC, feedback=empty) != cache.key_for(
             code, FULL_SPEC, feedback=seen_int
         )
@@ -680,13 +678,12 @@ class TestEviction:
 
 
 class TestEvictionConcurrency:
-    """``evict`` racing writers and other evictors (docs/CACHE.md).
+    """``evict`` racing writers and other evictors (docs/COMPILE_PIPELINE.md).
 
-    The prune renames each victim aside to a ``.evict`` tombstone
-    before unlinking, so a concurrent ``store`` republishing the same
-    key either becomes the (complete) victim or survives under the
-    final name — never a torn read — and an entry another evictor
-    already removed is skipped without being counted.
+    The prune unlinks each victim, so a concurrent ``store``
+    republishing the same key either becomes the (complete) victim or
+    survives under the final name — never a torn read — and an entry
+    another evictor already removed is skipped without being counted.
     """
 
     def test_vanished_victim_is_skipped_uncounted(self, tmp_path, monkeypatch):
@@ -696,22 +693,56 @@ class TestEvictionConcurrency:
         cache = DiskCodeCache(root=str(tmp_path))
         entries = cache.stats()["entries"]
         assert entries >= 2
-        real_replace = os.replace
+        real_unlink = os.unlink
         stolen = []
 
-        def racing_replace(src, dst):
+        def racing_unlink(path, *args, **kwargs):
             # A concurrent evictor wins the race for the first victim.
-            if not stolen and dst.endswith(".evict"):
-                stolen.append(src)
-                os.unlink(src)
-            return real_replace(src, dst)
+            if not stolen:
+                stolen.append(path)
+                real_unlink(path)
+            return real_unlink(path, *args, **kwargs)
 
-        monkeypatch.setattr("repro.cache.disk.os.replace", racing_replace)
+        monkeypatch.setattr("repro.cache.disk.os.unlink", racing_unlink)
         removed = cache.evict(max_entries=0)
         assert len(stolen) == 1
         assert removed == entries - 1  # the stolen entry is not ours
         assert cache.evictions == removed
         assert cache.stats()["entries"] == 0
+
+    def test_a_victim_that_cannot_be_unlinked_stays_whole(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        cold_printed, _, _, _ = run_cached(TWO_FUNCS, tmp_path)
+        cache = DiskCodeCache(root=str(tmp_path))
+        entries = cache.stats()["entries"]
+        assert entries >= 2
+        frames = {
+            str(path): path.read_bytes() for path in (tmp_path / "code").rglob("*.bin")
+        }
+        real_unlink = os.unlink
+        refused = []
+
+        def refusing_unlink(path, *args, **kwargs):
+            # The first victim cannot be removed (a permission error).
+            if not refused:
+                refused.append(path)
+                raise PermissionError(path)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr("repro.cache.disk.os.unlink", refusing_unlink)
+        removed = cache.evict(max_entries=0)
+        monkeypatch.undo()
+        assert removed == entries - 1  # the refused entry is not counted
+        assert cache.evictions == removed
+        left = [path for path in (tmp_path / "code").rglob("*") if path.is_file()]
+        assert [str(path) for path in left] == refused
+        assert left[0].read_bytes() == frames[refused[0]]  # untouched, whole
+        warm_printed, _, warm_cache, _ = run_cached(TWO_FUNCS, tmp_path)
+        assert warm_printed == cold_printed
+        assert warm_cache.corrupt == 0
 
     def test_concurrent_writer_never_tears_an_entry(self, tmp_path):
         import threading
@@ -754,21 +785,6 @@ class TestEvictionConcurrency:
             os.path.join(str(tmp_path), "code", "**", "*.evict"), recursive=True
         )
         assert leftovers == []
-
-    def test_interrupted_prune_tombstones_are_swept_and_invisible(self, tmp_path):
-        import os
-
-        run_cached(TWO_FUNCS, tmp_path)
-        cache = DiskCodeCache(root=str(tmp_path))
-        entries = cache.stats()["entries"]
-        stored = sorted((tmp_path / "code").rglob("*.bin"))
-        # Simulate a prune that died between rename and unlink.
-        os.replace(str(stored[0]), str(stored[0]) + ".evict")
-        assert cache.stats()["entries"] == entries - 1  # not an entry
-        cache.evict(max_entries=10_000)  # bound satisfied: no victims
-        assert cache.evictions == 0
-        leftovers = list((tmp_path / "code").rglob("*.evict"))
-        assert leftovers == []  # ...but the sweep still ran
 
 
 class TestEngineStatsSurface:

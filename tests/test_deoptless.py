@@ -15,19 +15,15 @@ hold.  Four layers of coverage:
   bit-identical across all three executor backends and across a
   cold-then-warm code cache;
 * the chaos-injector upgrades that exercise the same regime from the
-  fault side — the seeded random schedule and the post-run entry-guard
-  replay.
+  fault side — the seeded random schedule, and the entry guards of a
+  function first entered through OSR.
 """
 
 import pytest
 
 from repro import FULL_SPEC, Engine
 from repro.cache import DiskCodeCache
-from repro.engine.bailout import (
-    SCHEDULE_WINDOW,
-    GuardFaultInjector,
-    exercise_entry_guards,
-)
+from repro.engine.bailout import SCHEDULE_WINDOW, GuardFaultInjector
 from repro.engine.runtime_engine import (
     DEOPTLESS_MISS_THRESHOLD,
     _key_recurrable,
@@ -272,7 +268,7 @@ class TestRetrainNoop:
     def test_noop_branch_keeps_the_binary_and_counts(self):
         engine, state, pc, shape_id = shape_guarded_state()
         invalidations = engine.stats.invalidations
-        engine._note_bailout(state, shape_bail(pc, shape_id), None)
+        engine._note_bailout(state, shape_bail(pc, shape_id))
         assert engine.stats.retrain_noops == 1
         assert state.native is not None
         assert engine.stats.invalidations == invalidations
@@ -286,7 +282,7 @@ class TestRetrainNoop:
     def test_novel_shape_still_retrains(self):
         engine, state, pc, shape_id = shape_guarded_state()
         invalidations = engine.stats.invalidations
-        engine._note_bailout(state, shape_bail(pc, shape_id + 999), None)
+        engine._note_bailout(state, shape_bail(pc, shape_id + 999))
         assert state.native is None
         assert engine.stats.invalidations == invalidations + 1
         assert engine.stats.retrain_noops == 0
@@ -294,7 +290,7 @@ class TestRetrainNoop:
     def test_deoptless_mode_routes_shape_misses_to_the_table(self):
         engine, state, pc, shape_id = shape_guarded_state(deoptless=True)
         misses = engine.stats.deoptless_misses
-        engine._note_bailout(state, shape_bail(pc, shape_id + 999), None)
+        engine._note_bailout(state, shape_bail(pc, shape_id + 999))
         # Deoptless never discards on a shape miss: the binary stays
         # in the table and the miss ledger advances instead.
         assert state.native is not None
@@ -374,7 +370,7 @@ print(total);
 """
 
 #: A function whose only invocation tiers up via OSR: its entry-path
-#: guards stay cold until the post-run replay exercises them.
+#: guards stay cold.
 OSR_ONLY = """
 function walk() {
     var acc = 0;
@@ -383,6 +379,10 @@ function walk() {
 }
 print(walk());
 """
+
+#: The same function called again: the second call enters its binary
+#: through the call path, so the entry-path guards execute.
+OSR_THEN_CALLED = OSR_ONLY + "print(walk());\n"
 
 
 def run_chaos(source, injector, **kwargs):
@@ -404,7 +404,7 @@ def firing_schedule(injector):
 
 
 class TestChaosUpgrades:
-    """Scheduled guard firing, and the entry-guard replay."""
+    """Scheduled guard firing, and the entry guards of an OSR-only function."""
 
     def test_schedule_is_deterministic_and_seed_sensitive(self):
         _, baseline = run_chaos(CHAOS_KERNEL, None)
@@ -426,14 +426,13 @@ class TestChaosUpgrades:
         assert firing_schedule(other) != firing_schedule(first)
         assert printed_other == baseline
 
-    def test_entry_guard_replay_reaches_osr_only_functions(self):
-        injector = GuardFaultInjector()
-        engine, printed = run_chaos(OSR_ONLY, injector)
-        _, baseline = run_chaos(OSR_ONLY, None)
+    def test_a_second_call_reaches_osr_only_entry_guards(self):
+        once = GuardFaultInjector()
+        run_chaos(OSR_ONLY, once)
+        twice = GuardFaultInjector()
+        _, printed = run_chaos(OSR_THEN_CALLED, twice)
+        _, baseline = run_chaos(OSR_THEN_CALLED, None)
         assert printed == baseline
-        fired_before = len(injector.fired)
-        reentered = exercise_entry_guards(engine)
-        # The OSR-only function re-enters through the call path and
-        # its cold entry guards finally execute (and get hijacked).
-        assert reentered >= 1
-        assert len(injector.fired) > fired_before
+        # The second call enters the OSR-compiled function through the
+        # call path, and its cold entry guards execute (and get hijacked).
+        assert len(twice.fired) > len(once.fired)

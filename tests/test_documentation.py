@@ -464,7 +464,6 @@ def test_deoptless_doc_names_the_contract_vocabulary():
     assert "%.1f" % DEOPTLESS_DISCARD_CEILING in text
     assert "measure_deoptless_cycles" in text
     assert "shape-retrain" in text  # the discard reason the no-op skips
-    assert "exercise_entry_guards" in text
     assert "schedule_seed" in text
 
 

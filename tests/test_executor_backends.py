@@ -16,7 +16,6 @@ from repro.engine.jit import compile_function
 from repro.engine.runtime_engine import (
     DEFAULT_EXECUTOR_BACKEND,
     EXECUTOR_BACKENDS,
-    EXECUTOR_ENV_VAR,
     Engine,
     resolve_executor_backend,
 )
@@ -249,41 +248,24 @@ class TestClosureExecutorDirect:
 
 
 class TestBackendSelection:
-    """Engine backend registry, constructor arg and env var."""
+    """Engine backend registry and constructor arg."""
 
-    def test_default_is_whole_and_overrides_in_order(self, monkeypatch):
-        """explicit argument > $REPRO_EXECUTOR > the default, ``whole``."""
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+    def test_default_is_whole_and_the_argument_overrides_it(self, monkeypatch):
+        """The explicit argument, else the default, ``whole``; the
+        environment picks nothing."""
+        monkeypatch.setenv("REPRO_EXECUTOR", "simple")
         engine = Engine(config=FULL_SPEC)
         assert engine.executor_backend == DEFAULT_EXECUTOR_BACKEND == "whole"
         assert isinstance(engine.executor, WholeExecutor)
         assert resolve_executor_backend() == "whole"
-
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "closure")
-        assert Engine(config=FULL_SPEC).executor_backend == "closure"
-        assert isinstance(Engine(config=FULL_SPEC).executor, ClosureExecutor)
-        explicit = Engine(config=FULL_SPEC, executor_backend="simple")
-        assert explicit.executor_backend == "simple"
-
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "turbofan")
-        with pytest.raises(ValueError):
-            Engine(config=FULL_SPEC)
-        assert Engine(config=FULL_SPEC, executor_backend="whole").executor_backend == "whole"
+        explicit = Engine(config=FULL_SPEC, executor_backend="closure")
+        assert explicit.executor_backend == "closure"
+        assert isinstance(explicit.executor, ClosureExecutor)
 
     def test_explicit_simple(self):
         engine = Engine(config=FULL_SPEC, executor_backend="simple")
         assert engine.executor_backend == "simple"
         assert type(engine.executor) is NativeExecutor
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "simple")
-        engine = Engine(config=FULL_SPEC)
-        assert engine.executor_backend == "simple"
-
-    def test_explicit_arg_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "simple")
-        engine = Engine(config=FULL_SPEC, executor_backend="closure")
-        assert engine.executor_backend == "closure"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ def profiled_code(source, name=None):
 
     def recording_call(function, this_value, args):
         if function.code is target:
-            target.feedback.record_args(args, this_value)
+            target.feedback.record_args(args)
         return original_call(function, this_value, args)
 
     interp.call_function = recording_call

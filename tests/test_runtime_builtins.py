@@ -20,8 +20,8 @@ class TestGlobals:
         runtime = Runtime()
         runtime.set_global("x", 42)
         assert runtime.get_global("x") == 42
-        assert runtime.has_global("x")
-        assert not runtime.has_global("y")
+        assert "x" in runtime.globals
+        assert "y" not in runtime.globals
 
     def test_missing_global_raises(self):
         with pytest.raises(JSReferenceError):
