@@ -284,6 +284,21 @@ def main():
     w("  right tradeoff (high-diversity workloads see no benefit at any\n")
     w("  capacity).\n")
 
+    # ---- Host time (not an experiment) ----------------------------------------------------------
+    w("\n## Host time: not an experiment of this file\n\n")
+    w("How fast the *simulator* runs on the host is not a paper experiment\n")
+    w("and is not recorded here: host seconds are measured by `hostbench/`\n")
+    w("alone (BENCHMARK.json; docs/PERF.md, \"Host time is hostbench's\").\n")
+    w("All executor backends are bit-identical in every deterministic\n")
+    w("observable (stats, cycles, printed output, trace streams — enforced by\n")
+    w("`tests/test_executor_backends.py`), so all paper numbers above are\n")
+    w("backend-independent.  The deterministic extensions' cycle sections\n")
+    w("(deoptless dispatch, serving SLO) are checked in as\n")
+    w("`BENCH_cycles.json`; refresh with\n")
+    w("`python -m repro bench --cycles --output BENCH_cycles.json`, gate with\n")
+    w("`python -m repro bench --compare BENCH_cycles.json` (zero tolerance;\n")
+    w("tier-1 runs the same comparison).\n")
+
     text = out.getvalue()
     path = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
     with open(path, "w") as f:

@@ -73,7 +73,6 @@ def main():
     print("bailouts taken: %d" % (engine.stats.bailouts - bailouts_before))
 
     stage("summary")
-    engine.finish()
     for key, value in sorted(engine.stats.summary().items()):
         print("  %-16s %s" % (key, value))
 

@@ -40,7 +40,6 @@ def main():
     interpreter.call_function(scale, UNDEFINED, [10, 10])
     # 4. a type guard fails inside the generic-typed code: bailout.
     interpreter.call_function(scale, UNDEFINED, ["oops", 3])
-    engine.finish()
 
     print("-- per-function timeline " + "-" * 40)
     print(format_timeline(tracer.events))

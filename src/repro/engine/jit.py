@@ -7,7 +7,6 @@ sitting on the interpreter's stack.
 """
 
 from repro.errors import NotCompilable
-from repro.jsvm.feedback import shape_ic_fingerprint
 from repro.lir.native import generate_native
 from repro.mir.builder import build_mir
 from repro.opts.pass_manager import optimize
@@ -77,14 +76,6 @@ def compile_function(
         # freed by reference count instead of waiting for a collection.
         if not keep_graph:
             graph.release()
-    # Stamp the IC snapshot the compile consumed: the engine compares
-    # it against the live IC on a shape-retrain to detect recompiles
-    # that would reproduce the binary bit-identically (retrain_noop,
-    # docs/DEOPTLESS.md).  repr() keeps meta marshal-safe for the
-    # persistent code cache.
-    native.meta["ic_fingerprint"] = repr(
-        shape_ic_fingerprint(feedback.shape_ics) if feedback is not None else ()
-    )
     return CompileResult(
         native,
         work,

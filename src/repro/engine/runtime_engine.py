@@ -23,13 +23,13 @@ import weakref
 
 from repro.cache.disk import program_key
 from repro.engine.bailout import describe_bailout
-from repro.engine.config import BASELINE, CostModel, interp_cycles
+from repro.engine.config import BASELINE, CostModel
 from repro.engine.jit import compile_function
 from repro.engine.stats import EngineStats
 from repro.errors import NotCompilable
 from repro.jsvm.bytecode import CodeObject
 from repro.jsvm.bytecompiler import compile_source
-from repro.jsvm.feedback import TypeFeedback, shape_ic_fingerprint
+from repro.jsvm.feedback import TypeFeedback
 from repro.jsvm.interpreter import Frame, Interpreter
 from repro.jsvm.values import (
     _key_matcher,
@@ -208,21 +208,22 @@ def _osr_key(args, locals_):
     return tuple(value_key(v) for v in args) + tuple(value_key(v) for v in locals_)
 
 
-def _unowned(method):
-    """Bound ``method`` as a callable that does not own its object.
+def _unowned_clock(stats):
+    """``stats.total_cycles`` as a 0-arg clock that does not own ``stats``.
 
     A tracer is handed to the engine and outlives it in its owner's
-    hands; given ``engine.trace_clock`` itself it would own the engine
-    back, and neither would be freed without a collection.  Once the
-    engine is gone a call is its last answer: the clock stands still.
+    hands, and the interpreter (which ``stats`` holds) owns it too;
+    given the stats itself the clock would close a cycle, and nothing
+    would be freed without a collection.  Once the stats are gone a
+    call is its last answer: the clock stands still.
     """
-    method = weakref.WeakMethod(method)
+    stats = weakref.ref(stats)
     last = [0]
 
     def call():
-        bound = method()
-        if bound is not None:
-            last[0] = bound()
+        live = stats()
+        if live is not None:
+            last[0] = live.total_cycles
         return last[0]
 
     return call
@@ -247,7 +248,6 @@ class Engine(object):
         deoptless=False,
     ):
         self.config = config
-        self.stats = EngineStats()
         #: Optional structured event tracer (repro.telemetry.tracing);
         #: None (the default) means no events and zero overhead.
         self.tracer = tracer
@@ -275,8 +275,11 @@ class Engine(object):
         self.fault_injector = fault_injector
         if fault_injector is not None:
             self.executor.fault_injector = fault_injector
+        #: The ledger: the engine's own counts, plus the interpreter's,
+        #: executor's and code cache's read live (docs/STATS.md).
+        self.stats = EngineStats(self.interpreter, self.executor, code_cache)
         if tracer is not None:
-            tracer.bind_clock(_unowned(self.trace_clock))
+            tracer.bind_clock(_unowned_clock(self.stats))
         #: True when nothing watches the call path — no tracer, cycle
         #: profiler or fault injector (all fixed at construction) — so a
         #: warm call may go straight from ``try_native_call`` to the
@@ -358,24 +361,13 @@ class Engine(object):
         return self.interpreter.runtime.printed
 
     def finish(self):
-        """Fold the live counters into the stats ledger.
+        """End a run: load an attached metrics registry.
 
         When both a tracer and a cycle profiler are attached, a single
         ``profile.summary`` event is appended here — after every other
         event of the run, so the preceding stream (sequence numbers
         included) is exactly what an unprofiled run would record.
         """
-        self.stats.interp_ops = self.interpreter.ops_executed
-        self.stats.ic_transitions = self.interpreter.ic_transitions
-        self.stats.native_cycles = self.executor.cycles
-        self.stats.native_instructions = self.executor.instructions_executed
-        cache = self.code_cache
-        if cache is not None:
-            self.stats.disk_hits = cache.hits
-            self.stats.disk_misses = cache.misses
-            self.stats.disk_stores = cache.stores
-            self.stats.disk_corrupt = cache.corrupt
-            self.stats.disk_evictions = cache.evictions
         if self.metrics is not None:
             self.metrics.load(metrics_payload(self))
         if self.tracer is not None and self.cycle_profiler is not None:
@@ -385,23 +377,6 @@ class Engine(object):
                 total_cycles=self.stats.total_cycles,
                 **self.cycle_profiler.summary()
             )
-
-    def trace_clock(self):
-        """The deterministic cycle clock trace events are stamped with.
-
-        Same composition as ``EngineStats.total_cycles`` but computed
-        from the live counters (``finish`` only folds them in at the
-        end of a run), so it is monotonically non-decreasing over the
-        whole execution.
-        """
-        stats = self.stats
-        return (
-            interp_cycles(self.interpreter.ops_executed, stats.interp_calls)
-            + self.executor.cycles
-            + stats.compile_cycles
-            + stats.bailout_cycles
-            + stats.invalidation_cycles
-        )
 
     # -- the emit point: each engine fact is stated once ---------------------------
 
@@ -1031,26 +1006,6 @@ class Engine(object):
             pc = bail.pc + 1 if bail.mode == "after" else bail.pc
             return ("resume", (pc, list(bail.frame_stack)))
 
-    def _retrain_noop(self, state, bail):
-        """Whether a shape-retrain recompile would be bit-identical.
-
-        True when recording the failing shape would not change the IC
-        (it is already cached at the site, or the site is megamorphic)
-        *and* the live IC still matches the fingerprint the binary was
-        compiled from — the recompile would reproduce the same content
-        key, so the discard is skipped (``retrain_noops`` in
-        docs/STATS.md).
-        """
-        feedback = state.code.feedback
-        if feedback is None or bail.actual is None:
-            return False
-        if feedback.shape_record_would_change(bail.pc, bail.actual):
-            return False
-        fingerprint = state.native.meta.get("ic_fingerprint")
-        return fingerprint is not None and fingerprint == repr(
-            shape_ic_fingerprint(feedback.shape_ics)
-        )
-
     def _note_bailout(self, state, bail):
         """Account a bailout and feed the observation back into typing."""
         code = state.code
@@ -1097,15 +1052,6 @@ class Engine(object):
                 # site's IC, and the dispatch table recovers at the
                 # next back edge or call (docs/DEOPTLESS.md).
                 self._deoptless_miss(state, "shape-guard")
-            elif self._retrain_noop(state, bail):
-                # Recording this shape would not change the IC, and
-                # the live IC still matches the fingerprint the binary
-                # was compiled from: a retrain recompile would land on
-                # the same content key.  Keep the binary.
-                self.stats.retrain_noops += 1
-                self._emit(
-                    "deopt", "retrain_noop", code, resume_pc=bail.pc, shape=bail.actual
-                )
             else:
                 # Retrain rather than re-bail: the resumed interpreter is
                 # about to record the unexpected shape into the site's IC,

@@ -2,7 +2,10 @@
 
 The stats object is the single ledger for the deterministic cost
 model: interpreted bytecode ops, native cycles, compilation cycles,
-bailout/invalidation penalties.  ``total_cycles`` is the "runtime"
+bailout/invalidation penalties.  The engine counts its own facts in
+it; what the interpreter, the executor and the code cache count is
+read from them live, so the ledger is exact at any moment — mid-run,
+and after a guest raised.  ``total_cycles`` is the "runtime"
 of Figure 9 (interpretation + compilation + native execution, as the
 paper measures); ``compile_cycles`` alone is the Figure 9(c,d)
 compilation overhead; per-function native sizes feed Figure 10; the
@@ -29,15 +32,26 @@ DISK_TRAFFIC_KEYS = (
 )
 
 
-class EngineStats(object):
-    """Counters for one engine run."""
+def _cache_counter(counter):
+    """A ledger field read live from the attached code cache (0 without one)."""
+    return property(
+        lambda self: 0 if self._cache is None else getattr(self._cache, counter)
+    )
 
-    def __init__(self):
+
+class EngineStats(object):
+    """Counters for one engine run.
+
+    Holds the engine's interpreter, executor and code cache (never the
+    engine itself) to read their counters.
+    """
+
+    def __init__(self, interpreter, executor, cache):
+        self._interpreter = interpreter
+        self._executor = executor
+        self._cache = cache
         # -- time components (cycles) ------------------------------------
-        self.interp_ops = 0
         self.interp_calls = 0
-        self.native_cycles = 0
-        self.native_instructions = 0
         #: Cycles spent compiling; the program waits for every compile.
         self.compile_cycles = 0
         self.bailout_cycles = 0
@@ -48,10 +62,6 @@ class EngineStats(object):
         self.osr_compiles = 0
         self.bailouts = 0
         self.invalidations = 0
-        #: Inline-cache transitions: property sites learning a new
-        #: receiver shape (folded from the interpreter at finish, so
-        #: the count is backend-invariant).
-        self.ic_transitions = 0
         #: Bailouts whose failing guard was a ``guardshape`` (a
         #: receiver arrived with a shape the site's IC had not seen
         #: when the binary was compiled).
@@ -82,10 +92,6 @@ class EngineStats(object):
         #: Generalized siblings compiled after repeated table misses
         #: (guards widened so the table converges).
         self.deoptless_generalized_compiles = 0
-        #: Shape-retrain discards skipped because the enriched IC
-        #: would have produced a bit-identical binary (same content
-        #: fingerprint); the existing binary was kept instead.
-        self.retrain_noops = 0
 
         # -- specialization policy (§4) ---------------------------------------
         #: code ids ever compiled with parameter specialization.
@@ -98,18 +104,6 @@ class EngineStats(object):
         self.code_sizes = {}
         #: code_id -> function name (for reports).
         self.function_names = {}
-
-        # -- persistent disk code cache (folded at finish) --------------------
-        #: Mirrors of the attached ``DiskCodeCache`` counters (all zero
-        #: when the engine runs without one): warm-start hit-rate
-        #: telemetry in the same ledger as everything else, so bench
-        #: rows and ``--stats`` summaries carry it without consulting
-        #: the cache object.
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.disk_stores = 0
-        self.disk_corrupt = 0
-        self.disk_evictions = 0
 
         # -- misc -------------------------------------------------------------------
         self.not_compilable = set()
@@ -143,6 +137,35 @@ class EngineStats(object):
     def record_invalidation(self):
         self.invalidations += 1
         self.invalidation_cycles += CostModel.invalidation
+
+    # -- read live from the interpreter, executor and cache ------------------
+
+    @property
+    def interp_ops(self):
+        return self._interpreter.ops_executed
+
+    @property
+    def ic_transitions(self):
+        """Inline-cache transitions: property sites learning a new
+        receiver shape (counted by the interpreter, so the count is
+        backend-invariant)."""
+        return self._interpreter.ic_transitions
+
+    @property
+    def native_cycles(self):
+        return self._executor.cycles
+
+    @property
+    def native_instructions(self):
+        return self._executor.instructions_executed
+
+    #: The attached ``DiskCodeCache``'s counters: warm-start hit-rate
+    #: telemetry in the same ledger as everything else.
+    disk_hits = _cache_counter("hits")
+    disk_misses = _cache_counter("misses")
+    disk_stores = _cache_counter("stores")
+    disk_corrupt = _cache_counter("corrupt")
+    disk_evictions = _cache_counter("evictions")
 
     # -- reporting --------------------------------------------------------------
 
@@ -204,7 +227,6 @@ class EngineStats(object):
             "deoptless_reentries": self.deoptless_reentries,
             "deoptless_misses": self.deoptless_misses,
             "deoptless_generalized_compiles": self.deoptless_generalized_compiles,
-            "retrain_noops": self.retrain_noops,
             "retrains": self.retrains,
             "osr_enters": self.osr_enters,
             "spec_cache_hits": self.spec_cache_hits,
@@ -239,7 +261,6 @@ class EngineStats(object):
             "shape_guard_bailouts": self.shape_guard_bailouts,
             "deoptless_reentries": self.deoptless_reentries,
             "deoptless_misses": self.deoptless_misses,
-            "retrain_noops": self.retrain_noops,
             "disk_hits": self.disk_hits,
             "disk_misses": self.disk_misses,
             "specialized": len(self.specialized_functions),

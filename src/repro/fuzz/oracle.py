@@ -115,11 +115,8 @@ def _observe_interp(source):
 
 
 def _observe_engine(source, **engine_kwargs):
-    """One engine run as an :class:`Observation`.
-
-    Folds the live counters in (``Engine.finish``) even when the guest
-    dies mid-run.
-    """
+    """One engine run as an :class:`Observation` (the ledger is live, so
+    its stats are exact also when the guest dies mid-run)."""
     tracer = Tracer(channels=_COMPARED_CHANNELS)
     engine = Engine(
         tracer=tracer,
@@ -134,7 +131,6 @@ def _observe_engine(source, **engine_kwargs):
         if isinstance(exc, CompilerError):
             raise
         error = type(exc).__name__
-        engine.finish()
         printed = list(engine.interpreter.runtime.printed)
     return Observation(
         printed,

@@ -45,10 +45,8 @@ def shape_ic_fingerprint(shape_ics):
     recording order — the builder bakes the ids into ``guardshape``
     extras in exactly that order, so two ICs holding the same shapes
     in a different order are different compiles.  A megamorphic site
-    fingerprints as its sentinel string.  This is both a component of
-    the disk-cache content key (``cache/disk.py``) and, stamped into
-    ``native.meta["ic_fingerprint"]``, the engine's retrain-noop
-    detector (docs/DEOPTLESS.md).
+    fingerprints as its sentinel string.  This is a component of the
+    disk-cache content key (``cache/disk.py``).
     """
     return tuple(
         sorted(
@@ -188,25 +186,6 @@ class TypeFeedback(object):
             return "transition"
         self.shape_ics[pc] = MEGAMORPHIC
         return "transition"
-
-    def shape_record_would_change(self, pc, shape_id):
-        """Whether :meth:`record_shape` at ``pc`` would alter the IC.
-
-        False only when the recording is provably a no-op: the site is
-        already megamorphic, or ``shape_id`` is already cached there.
-        Unknown sites and an unknown shape (``None``) conservatively
-        report True.  The engine's shape-retrain path uses this to
-        skip discarding a binary the enriched IC would reproduce
-        bit-identically (``retrain_noops`` in docs/STATS.md).
-        """
-        if shape_id is None:
-            return True
-        entries = self.shape_ics.get(pc)
-        if entries is None:
-            return True
-        if entries is MEGAMORPHIC:
-            return False
-        return shape_id not in entries
 
     # -- queries (used by the MIR builder) ------------------------------------
 

@@ -117,7 +117,7 @@ class Interpreter(object):
         self.ops_executed = 0
         #: Count of inline-cache transitions (a property site learning
         #: a new receiver shape, including the tip into megamorphic).
-        #: Folded into EngineStats at finish, like ``ops_executed``.
+        #: ``EngineStats`` reads it live, like ``ops_executed``.
         self.ic_transitions = 0
 
     # -- entry points ---------------------------------------------------------
@@ -552,8 +552,8 @@ def _op_newobject(ctx, pc, count):
 def _record_ic(ctx, site, feedback, receiver, name):
     """Feed ``receiver``'s shape into the property site's inline cache.
 
-    Counts transitions on the interpreter (folded into EngineStats at
-    finish) and emits the matching ``ic.*`` trace event when the
+    Counts transitions on the interpreter (``EngineStats`` reads the
+    count live) and emits the matching ``ic.*`` trace event when the
     ``ic`` channel is subscribed.
     """
     shape_id = receiver.shape.shape_id

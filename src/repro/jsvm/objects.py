@@ -194,11 +194,6 @@ class JSObject(object):
             for name, value in properties.items():
                 self.set(name, value)
 
-    @property
-    def properties(self):
-        """The property map as a dict (diagnostics / generic callers)."""
-        return dict(zip(self.shape.names, self.slots))
-
     def get(self, name):
         """Read property ``name``; missing properties read as undefined."""
         # Inlined Shape.offset_of — property reads are the hottest

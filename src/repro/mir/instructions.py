@@ -304,9 +304,6 @@ class MTypeBarrier(MDefinition):
         super().__init__((value,), MIRType.VALUE)
         self.expected = expected_mirtype
 
-    def congruence_extra(self):
-        return self.expected
-
     def congruence_key(self):
         return (self.opcode, self.expected, tuple(operand.id for operand in self.operands))
 
@@ -371,9 +368,6 @@ class MBinaryArithI(MDefinition):
     def congruence_key(self):
         return (self.opcode, self.op, tuple(operand.id for operand in self.operands))
 
-    def congruence_extra(self):
-        return self.op
-
     def __repr__(self):
         return "v%d = %s_i v%d, v%d" % (
             self.id,
@@ -419,9 +413,6 @@ class MBitOpI(MDefinition):
         super().__init__((lhs, rhs), MIRType.INT32)
         self.op = op
         self.is_guard = is_guard
-
-    def congruence_extra(self):
-        return self.op
 
     def congruence_key(self):
         return (self.opcode, self.op, tuple(operand.id for operand in self.operands))
@@ -703,9 +694,6 @@ class MLoadProperty(MDefinition):
         super().__init__((obj,), MIRType.VALUE)
         self.name = name
 
-    def congruence_extra(self):
-        return self.name
-
     def __repr__(self):
         return "v%d = loadprop v%d, %r" % (self.id, self.operands[0].id, self.name)
 
@@ -743,9 +731,6 @@ class MGetPropV(MDefinition):
         super().__init__((obj,), MIRType.VALUE)
         self.name = name
 
-    def congruence_extra(self):
-        return self.name
-
 
 class MSetPropV(MDefinition):
     """Generic property write (any receiver)."""
@@ -771,9 +756,6 @@ class MLoadGlobal(MDefinition):
     def __init__(self, name):
         super().__init__((), MIRType.VALUE)
         self.name = name
-
-    def congruence_extra(self):
-        return self.name
 
     def __repr__(self):
         return "v%d = loadglobal %r" % (self.id, self.name)

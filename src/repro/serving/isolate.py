@@ -61,13 +61,13 @@ class TenantIsolate(object):
         code = cached[1]
         runtime = self.engine.interpreter.runtime
         printed_before = len(runtime.printed)
-        cycles_before = self.engine.trace_clock()
+        cycles_before = self.engine.stats.total_cycles
         try:
             self.engine.run_code(code)
             output = list(runtime.printed[printed_before:])
         finally:
             del runtime.printed[printed_before:]
-        service_cycles = self.engine.trace_clock() - cycles_before
+        service_cycles = self.engine.stats.total_cycles - cycles_before
         self.requests += 1
         return output, service_cycles
 

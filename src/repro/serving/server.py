@@ -109,10 +109,6 @@ class ServingServer(object):
     async def wait_closed(self):
         await self._closed.wait()
 
-    async def run(self):
-        await self.start()
-        await self.wait_closed()
-
     # -- response plumbing ---------------------------------------------------
 
     def _collect(self):

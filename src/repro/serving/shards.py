@@ -2,9 +2,8 @@
 
 A :class:`ShardedDiskCache` spreads the content-key space over N
 independent :class:`~repro.cache.disk.DiskCodeCache` shards (one
-subdirectory each), so per-shard LRU eviction and maintenance stay
-O(shard) instead of O(store) and concurrent workers mostly touch
-disjoint directories.  Routing is pure key arithmetic — the first
+subdirectory each), so concurrent workers mostly touch disjoint
+directories.  Routing is pure key arithmetic — the first
 eight hex digits of the SHA-256 content key modulo the shard count —
 so every process sharing the root agrees on placement with no
 coordination.
@@ -34,10 +33,9 @@ class ShardedDiskCache(object):
 
     Drop-in for the engine's ``code_cache`` slot: ``key_for``, ``load``,
     ``store``, ``load_program`` and ``store_program`` have the same
-    signatures, and the counter attributes
-    the engine mirrors into its stats (``hits``/``misses``/``stores``/
-    ``uncacheable``/``corrupt``/``evictions``) are live sums over the
-    shards.
+    signatures, and the counter attributes the engine's stats read
+    (``hits``/``misses``/``stores``/``corrupt``/``evictions``) are live
+    sums over the shards.
     """
 
     def __init__(self, root=None, shards=4):
@@ -104,31 +102,7 @@ class ShardedDiskCache(object):
     def evictions(self):
         return sum(shard.evictions for shard in self.shards)
 
-    # -- maintenance ---------------------------------------------------------
-
-    def evict(self, max_bytes=None, max_entries=None):
-        """Per-shard LRU prune; budgets are divided evenly over shards.
-
-        Dividing (rather than pruning globally) keeps eviction local
-        and deterministic per shard.  Budgets round *down* so the
-        global bound always holds (``sum(bound // n) * n <= bound``);
-        a tight budget therefore over-prunes rather than leaving the
-        store over its limit, and ``max_entries=0`` clears every shard
-        exactly like the single-cache ``evict``.
-        """
-        count = len(self.shards)
-        shard_bytes = None if max_bytes is None else max_bytes // count
-        shard_entries = None if max_entries is None else max_entries // count
-        removed = 0
-        for shard in self.shards:
-            removed += shard.evict(max_bytes=shard_bytes, max_entries=shard_entries)
-        return removed
-
-    def clear(self):
-        removed = 0
-        for shard in self.shards:
-            removed += shard.clear()
-        return removed
+    # -- reporting -----------------------------------------------------------
 
     def stats(self):
         """Aggregate stats dict plus a ``shards`` list of per-shard stats."""
@@ -163,10 +137,9 @@ class ShardedDiskCache(object):
 class TenantCacheView(object):
     """Per-tenant counter façade over a shared :class:`ShardedDiskCache`.
 
-    The engine reads ``cache.hits`` (etc.) when folding stats and
-    metrics, so tenants sharing one store must not share counters —
-    otherwise every isolate would mirror the *global* numbers and a
-    fleet merge would multiply them by the tenant count.  The view
+    The engine's stats read ``cache.hits`` (etc.) live, so tenants
+    sharing one store must not share counters — otherwise every
+    isolate would mirror the *global* numbers and a fleet merge would multiply them by the tenant count.  The view
     keeps private counters and delegates storage; counter deltas are
     attributed by snapshotting the target shard's counters around each
     delegated call (isolates execute requests serially within a

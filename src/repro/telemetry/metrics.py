@@ -11,10 +11,11 @@ tracer's to say: it stamps every engine event on the cycle clock.)
 Design rules (the same contract as the trace layer, docs/TRACING.md):
 
 * **Read at the end, never written during a run.**  Every engine fact
-  is counted in the engine's own ledger (``EngineStats``, the executor,
-  the interpreter, the disk cache), unconditionally, like the cycles.
-  :func:`metrics_payload` computes the payload from that live state
-  when someone asks — ``Engine.finish()`` for an attached registry —
+  is counted in the engine's own ledger (``EngineStats``, which reads
+  the executor's, the interpreter's and the disk cache's counters
+  live), unconditionally, like the cycles.  :func:`metrics_payload`
+  computes the payload from that live state when someone asks —
+  ``Engine.finish()`` for an attached registry —
   and writes nothing, so no registry is read or written while a guest
   runs and a metrics reader cannot change any observable (stats,
   cycles, output, traces).
@@ -48,8 +49,6 @@ schemes, exporter formats and merge semantics.
 
 import copy
 import json
-
-from repro.engine.config import interp_cycles
 
 #: Fixed bucket upper bounds (cycles) for the per-compilation cost
 #: histogram (the ``cycles`` field of ``compile.finish`` events).
@@ -109,10 +108,6 @@ METRIC_SCHEMA = {
     "repro_engine_ic_transitions_total": {
         "type": "counter",
         "help": "property-site inline caches learning a new receiver shape",
-    },
-    "repro_engine_retrain_noops_total": {
-        "type": "counter",
-        "help": "shape-retrain discards skipped (enriched IC reproduces the binary)",
     },
     # -- deoptless dispatch table (docs/DEOPTLESS.md) ---------------------
     "repro_deoptless_reentries_total": {
@@ -300,13 +295,14 @@ class MetricsRegistry(object):
 def metrics_payload(engine):
     """The full-schema payload of ``engine``'s live state, computed now.
 
-    Reads ``stats``, ``executor``, ``interpreter``, ``code_cache`` and
-    ``states`` and writes nothing, so it is exact at any time, also after
-    a guest raised; the serving rows stay zero.  docs/METRICS.md
-    tabulates each metric's source.
+    Every number the ledger holds comes from ``stats``, which reads the
+    interpreter, executor and cache live; only call counts, spec-cache
+    entries and IC-site states (``states``) and ``cache.uncacheable``
+    come from elsewhere.  Writes nothing, so it is exact at any time,
+    also after a guest raised; the serving rows stay zero.
+    docs/METRICS.md tabulates each metric's source.
     """
     stats = engine.stats
-    interpreter = engine.interpreter
     total_calls = 0
     spec_entries = 0
     ic_sites = {"mono": 0, "poly": 0, "mega": 0}
@@ -330,35 +326,28 @@ def metrics_payload(engine):
             "repro_engine_shape_guard_bailouts_total": stats.shape_guard_bailouts,
             "repro_engine_invalidations_total": stats.invalidations,
             "repro_engine_retrains_total": stats.retrains,
-            "repro_engine_ic_transitions_total": interpreter.ic_transitions,
-            "repro_engine_retrain_noops_total": stats.retrain_noops,
+            "repro_engine_ic_transitions_total": stats.ic_transitions,
             "repro_deoptless_reentries_total": stats.deoptless_reentries,
             "repro_deoptless_misses_total": stats.deoptless_misses,
             "repro_deoptless_generalized_compiles_total": stats.deoptless_generalized_compiles,
             "repro_spec_cache_hits_total": stats.spec_cache_hits,
             "repro_spec_cache_misses_total": stats.spec_cache_misses,
             "repro_spec_cache_stores_total": stats.spec_cache_stores,
+            "repro_cache_disk_hits_total": stats.disk_hits,
+            "repro_cache_disk_misses_total": stats.disk_misses,
+            "repro_cache_disk_stores_total": stats.disk_stores,
+            "repro_cache_disk_evictions_total": stats.disk_evictions,
+            "repro_cache_disk_corrupt_total": stats.disk_corrupt,
         }
     )
     cache = engine.code_cache
     if cache is not None:
-        payload["counters"].update(
-            {
-                "repro_cache_disk_hits_total": cache.hits,
-                "repro_cache_disk_misses_total": cache.misses,
-                "repro_cache_disk_stores_total": cache.stores,
-                "repro_cache_disk_evictions_total": cache.evictions,
-                "repro_cache_disk_corrupt_total": cache.corrupt,
-                "repro_cache_disk_uncacheable_total": cache.uncacheable,
-            }
-        )
+        payload["counters"]["repro_cache_disk_uncacheable_total"] = cache.uncacheable
     payload["gauges"].update(
         {
-            "repro_engine_total_cycles": engine.trace_clock(),
-            "repro_engine_interp_cycles": interp_cycles(
-                interpreter.ops_executed, stats.interp_calls
-            ),
-            "repro_engine_native_cycles": engine.executor.cycles,
+            "repro_engine_total_cycles": stats.total_cycles,
+            "repro_engine_interp_cycles": stats.interp_cycles,
+            "repro_engine_native_cycles": stats.native_cycles,
             "repro_engine_compile_cycles": stats.compile_cycles,
             "repro_engine_bailout_cycles": stats.bailout_cycles,
             "repro_engine_invalidation_cycles": stats.invalidation_cycles,

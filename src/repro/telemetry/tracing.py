@@ -67,7 +67,6 @@ EVENT_SCHEMA = {
     "deopt": {
         "discard": ("fn", "code_id", "reason", "dropped"),
         "force_generic": ("fn", "code_id", "bailouts"),
-        "retrain_noop": ("fn", "code_id", "resume_pc", "shape"),
     },
     "deoptless": {
         "dispatch": ("fn", "code_id", "kind", "osr_pc", "misses"),

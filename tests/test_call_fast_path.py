@@ -34,7 +34,7 @@ from repro.jsvm.values import (
 )
 from repro.serving import isolate as serving_isolate
 from repro.serving.fleet import FleetProfile, build_catalog, generate_schedule
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, metrics_payload
 from repro.telemetry.tracing import Tracer
 from repro.workloads import ALL_SUITES
 from tests.helpers import ROOT, all_function_codes
@@ -104,20 +104,19 @@ def observables(engine, toplevels):
         "ops": engine.interpreter.ops_executed,
         "states": states,
         "feedback": [(code.name, _feedback_table(code)) for code in codes],
-        "metrics": None if engine.metrics is None else engine.metrics.as_dict(),
+        "metrics": metrics_payload(engine),
     }
 
 
 def run_under(engine_class, source, error=None, **kwargs):
     """Run ``source`` on a fresh ``engine_class``; returns its observables."""
-    engine = engine_class(config=FULL_SPEC, metrics=MetricsRegistry(), **kwargs)
+    engine = engine_class(config=FULL_SPEC, **kwargs)
     code = engine.load_source(source)
     if error is None:
         engine.run_code(code)
     else:
         with pytest.raises(error):
             engine.run_code(code)
-        engine.finish()
     return engine, observables(engine, [code])
 
 
@@ -164,7 +163,6 @@ def _serve(monkeypatch, engine_class, engine_kwargs):
     ]
     tenants = {}
     for tenant, isolate in sorted(host.isolates.items()):
-        isolate.engine.finish()
         toplevels = [code for _source, code in isolate.programs.values()]
         tenants[tenant] = observables(isolate.engine, toplevels)
     return responses, tenants, host.metrics_payloads()

@@ -781,9 +781,9 @@ class TestEvictionConcurrency:
         import glob
         import os
 
-        leftovers = glob.glob(
-            os.path.join(str(tmp_path), "code", "**", "*.evict"), recursive=True
-        )
+        # Every publish renamed or removed its temp file: none is left
+        # under the store once the writers are done.
+        leftovers = glob.glob(os.path.join(str(tmp_path), "**", "*.tmp"), recursive=True)
         assert leftovers == []
 
 

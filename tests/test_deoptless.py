@@ -8,8 +8,8 @@ hold.  Four layers of coverage:
 * the dispatch flows in isolation — respecialize, generalize after
   repeated misses, OSR-entry dispatch, table-fill promotion, and the
   identity-key gate that keeps one-allocation regimes out of the table;
-* the retrain no-op detector (`deopt.retrain_noop`) that keeps a
-  shape-guarded binary whose retrain recompile would be bit-identical;
+* a shape-guard miss: the §4 policy retrains (drops the binary so the
+  site's IC can learn the shape), deoptless routes it to the table;
 * the differential contract over the churn suite: deoptless prints
   exactly what §4 prints, strictly cheaper, with fewer invalidations,
   bit-identical across all three executor backends and across a
@@ -143,7 +143,6 @@ class TestDispatchTable:
         assert deoptless_events(events, kind="respecialize")
         assert engine.stats.deoptless_reentries > 0
         assert engine.stats.invalidations == 0
-        assert engine.stats.retrain_noops == 0
 
     def test_generalize_after_repeated_misses(self):
         engine, printed, events = run(DRIFTING_REGIMES, trace=True, deoptless=True)
@@ -212,7 +211,6 @@ class TestDispatchTable:
             "deoptless_reentries",
             "deoptless_misses",
             "deoptless_generalized_compiles",
-            "retrain_noops",
         ):
             assert key in snapshot
         assert snapshot["deoptless_reentries"] == engine.stats.deoptless_reentries
@@ -220,7 +218,7 @@ class TestDispatchTable:
 
 #: A mono-shape accessor: compiles with a shape guard whose baked id
 #: set equals the site's inline cache, the precondition for the
-#: retrain-noop scenarios below.
+#: shape-miss scenarios below.
 MONO_ACCESSOR = """
 function get(o) { return o.a + o.b; }
 var p = {a: 1, b: 2};
@@ -243,41 +241,13 @@ def shape_bail(pc, shape_id):
     return Bailout(None, [], [], [], pc, "at", "shape-miss", "guardshape", actual=shape_id)
 
 
-class TestRetrainNoop:
-    """deopt.retrain_noop: skip the discard a recompile would undo.
+class TestShapeRetrain:
+    """A guardshape miss under each policy.
 
-    A genuine organic trigger needs a binary whose guard set lags the
-    live IC while the fingerprint still matches — the guard bakes the
-    full IC, so these tests drive the engine's bailout accounting
-    directly with a hand-built guardshape Bailout.
+    The guard bakes the site's full IC, so these tests drive the
+    engine's bailout accounting directly with a hand-built guardshape
+    Bailout carrying a shape the IC has not seen.
     """
-
-    def test_predicate_accepts_only_cached_shapes_at_a_live_fingerprint(self):
-        engine, state, pc, shape_id = shape_guarded_state()
-        assert engine._retrain_noop(state, shape_bail(pc, shape_id))
-        # A shape the IC has not seen: recording it would change the
-        # IC, so the retrain is real.
-        assert not engine._retrain_noop(state, shape_bail(pc, shape_id + 999))
-        # An unknown failing shape is conservatively a real retrain.
-        assert not engine._retrain_noop(state, shape_bail(pc, None))
-        # A stale fingerprint means the IC moved since this binary
-        # compiled: the recompile would differ, so no skip.
-        state.native.meta["ic_fingerprint"] = "stale"
-        assert not engine._retrain_noop(state, shape_bail(pc, shape_id))
-
-    def test_noop_branch_keeps_the_binary_and_counts(self):
-        engine, state, pc, shape_id = shape_guarded_state()
-        invalidations = engine.stats.invalidations
-        engine._note_bailout(state, shape_bail(pc, shape_id))
-        assert engine.stats.retrain_noops == 1
-        assert state.native is not None
-        assert engine.stats.invalidations == invalidations
-        noop_events = [
-            e for e in engine.tracer.events if e["event"] == "retrain_noop"
-        ]
-        assert len(noop_events) == 1
-        assert noop_events[0]["resume_pc"] == pc
-        assert noop_events[0]["shape"] == shape_id
 
     def test_novel_shape_still_retrains(self):
         engine, state, pc, shape_id = shape_guarded_state()
@@ -285,7 +255,6 @@ class TestRetrainNoop:
         engine._note_bailout(state, shape_bail(pc, shape_id + 999))
         assert state.native is None
         assert engine.stats.invalidations == invalidations + 1
-        assert engine.stats.retrain_noops == 0
 
     def test_deoptless_mode_routes_shape_misses_to_the_table(self):
         engine, state, pc, shape_id = shape_guarded_state(deoptless=True)

@@ -131,7 +131,7 @@ def test_stats_doc_matches_as_dict_keys():
     import os
     import re
 
-    from repro.engine.stats import EngineStats
+    from repro import Engine
 
     path = os.path.join(
         os.path.dirname(repro.__file__), "..", "..", "docs", "STATS.md"
@@ -141,7 +141,7 @@ def test_stats_doc_matches_as_dict_keys():
     match = re.search(r"^Keys: (.+?)(?:\n\n|\Z)", text, re.MULTILINE | re.DOTALL)
     assert match, "docs/STATS.md must carry a parseable 'Keys: ...' paragraph"
     documented = set(re.findall(r"`(\w+)`", match.group(1)))
-    actual = set(EngineStats().as_dict())
+    actual = set(Engine().stats.as_dict())
     assert documented == actual, (
         "keys documented but not returned: %s; returned but undocumented: %s"
         % (sorted(documented - actual), sorted(actual - documented))
@@ -153,7 +153,7 @@ def test_stats_doc_matches_summary_keys():
     import os
     import re
 
-    from repro.engine.stats import EngineStats
+    from repro import Engine
 
     path = os.path.join(
         os.path.dirname(repro.__file__), "..", "..", "docs", "STATS.md"
@@ -165,7 +165,7 @@ def test_stats_doc_matches_summary_keys():
     )
     assert match, "docs/STATS.md must carry a parseable 'Summary keys: ...' paragraph"
     documented = set(re.findall(r"`(\w+)`", match.group(1)))
-    actual = set(EngineStats().summary())
+    actual = set(Engine().stats.summary())
     assert documented == actual, (
         "keys documented but not returned: %s; returned but undocumented: %s"
         % (sorted(documented - actual), sorted(actual - documented))
@@ -443,7 +443,7 @@ def test_deoptless_doc_names_the_contract_vocabulary():
         DEOPTLESS_CYCLE_CEILING,
         DEOPTLESS_DISCARD_CEILING,
     )
-    from repro.engine.stats import EngineStats
+    from repro import Engine
     from repro.workloads import ALL_SUITES
 
     text = _deoptless_doc()
@@ -451,19 +451,18 @@ def test_deoptless_doc_names_the_contract_vocabulary():
         assert "``%s``" % benchmark.name in text, (
             "churn kernel %r undocumented" % benchmark.name
         )
-    ledger = EngineStats().as_dict()
+    ledger = Engine().stats.as_dict()
     for counter in (
         "deoptless_reentries",
         "deoptless_misses",
         "deoptless_generalized_compiles",
-        "retrain_noops",
     ):
         assert counter in ledger
         assert "``%s``" % counter in text, "counter %r undocumented" % counter
     assert "%.1f" % DEOPTLESS_CYCLE_CEILING in text
     assert "%.1f" % DEOPTLESS_DISCARD_CEILING in text
     assert "measure_deoptless_cycles" in text
-    assert "shape-retrain" in text  # the discard reason the no-op skips
+    assert "shape-retrain" in text  # the discard a shape miss takes without deoptless
     assert "schedule_seed" in text
 
 

@@ -12,6 +12,7 @@ from repro import BASELINE, FULL_SPEC, Engine
 from repro.errors import JSRangeError, JSReferenceError, JSSyntaxError, JSTypeError
 from repro.jsvm.interpreter import Interpreter
 from repro.jsvm.parser import parse
+from repro.telemetry.metrics import metrics_payload
 
 from tests.conftest import FAST
 
@@ -118,9 +119,27 @@ class TestEngineSurvivesErrors:
                 f(null);
                 """
             )
-        e.finish()
         summary = e.stats.summary()
         assert summary["total_cycles"] > 0
+
+    def test_the_ledger_is_live_after_a_guest_error(self):
+        # A hot function runs natively, then the guest throws before
+        # the run can end; the ledger reads the interpreter's and the
+        # executor's counters where they are kept, so it is still exact.
+        engine = Engine(config=FULL_SPEC)
+        with pytest.raises(JSReferenceError):
+            engine.run_source(
+                "function f(n) { var s = 0; for (var i = 0; i < n; i++) s += i; return s; }\n"
+                "var t = 0; for (var k = 0; k < 50; k++) t += f(200);\n"
+                "print(t);\n"
+                "missingGlobal();\n"
+            )
+        assert engine.interpreter.runtime.printed == ["995000"]
+        stats = engine.stats
+        payload = metrics_payload(engine)
+        assert stats.total_cycles == payload["gauges"]["repro_engine_total_cycles"]
+        assert stats.interp_ops == engine.interpreter.ops_executed
+        assert stats.native_cycles == engine.executor.cycles > 0
 
 
 def syntax_error_at(source):

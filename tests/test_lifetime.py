@@ -168,6 +168,22 @@ class TestAFinishedPageFreesItself:
         del tracer, profiler
         assert_freed(watched)
 
+    def test_a_tracer_clock_does_not_own_the_ledger(self):
+        """The tracer's clock reads ``stats.total_cycles`` through a weak
+        reference: the ledger dies with its engine, and the clock then
+        stands still at its last answer."""
+        tracer = Tracer()
+        engine = Engine(config=FULL_SPEC, tracer=tracer)
+        engine.run_source(PAGE)
+        total = engine.stats.total_cycles
+        assert total > 0 and tracer._clock() == total
+        ledger = weakref.ref(engine.stats)
+        interpreter = weakref.ref(engine.interpreter)
+        del engine
+        assert ledger() is None and interpreter() is None
+        assert tracer._clock() == total
+        assert engine_made(leftovers()) == []
+
     @pytest.mark.parametrize("backend", ["simple", "whole"])
     def test_a_registry_that_outlives_its_engine_holds_only_numbers(self, backend):
         """A registry keeps no clock, callback or other way back to the

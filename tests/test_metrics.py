@@ -27,7 +27,6 @@ import pytest
 
 from repro import FULL_SPEC, Engine
 from repro.engine.config import CostModel
-from repro.engine.stats import EngineStats
 from repro.telemetry.metrics import (
     METRIC_SCHEMA,
     MetricsRegistry,
@@ -99,7 +98,7 @@ class TestRegistrySchema:
     def test_compile_cost_bucket_boundaries(self):
         # The ledger buckets each compile's cost as Prometheus does: a
         # cost on a bound counts in that bound's bucket.
-        stats = EngineStats()
+        stats = Engine().stats
         bounds = METRIC_SCHEMA["repro_compile_cycles_per_compile"]["buckets"]
         sizes = {"lir_instructions": 0, "intervals": 0}
         for cycles in (bounds[0], bounds[0] + 1, bounds[-1] + 1):

@@ -657,7 +657,6 @@ class TestGlobalsAsSubscripts:
             engine.run_source(source)
         except ReproError as exc:
             error = (type(exc).__name__, str(exc))
-            engine.finish()
         return {
             "error": error,
             "printed": list(engine.interpreter.runtime.printed),
