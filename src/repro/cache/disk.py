@@ -540,6 +540,21 @@ class DiskCodeCache(object):
             "program_stores": self.program_stores,
         }
 
+    def _code_roots(self):
+        """Every ``code`` directory at or below the root.
+
+        A serving store is several stores in subdirectories of its root
+        (``shard-NN/``, ``tenant-T/shard-NN/``), so maintenance — stats,
+        eviction, clearing — reaches every one of them.
+        """
+        found = []
+        for dirpath, dirnames, _filenames in os.walk(self.root):
+            if "code" in dirnames:
+                dirnames.remove("code")
+                found.append(os.path.join(dirpath, "code"))
+        found.sort()
+        return found
+
     def _entries(self):
         """Every stored artifact as ``(mtime, path, size)``, sorted.
 
@@ -547,19 +562,17 @@ class DiskCodeCache(object):
         deterministic for a given directory state.
         """
         found = []
-        code_root = os.path.join(self.root, "code")
-        if not os.path.isdir(code_root):
-            return found
-        for dirpath, _dirnames, filenames in os.walk(code_root):
-            for filename in filenames:
-                if not filename.endswith(".bin"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                try:
-                    status = os.stat(path)
-                except OSError:
-                    continue
-                found.append((status.st_mtime, path, status.st_size))
+        for code_root in self._code_roots():
+            for dirpath, _dirnames, filenames in os.walk(code_root):
+                for filename in filenames:
+                    if not filename.endswith(".bin"):
+                        continue
+                    path = os.path.join(dirpath, filename)
+                    try:
+                        status = os.stat(path)
+                    except OSError:
+                        continue
+                    found.append((status.st_mtime, path, status.st_size))
         found.sort()
         return found
 
@@ -613,19 +626,17 @@ class DiskCodeCache(object):
     def clear(self):
         """Delete every stored artifact; returns the number removed."""
         removed = 0
-        code_root = os.path.join(self.root, "code")
-        if not os.path.isdir(code_root):
-            return removed
-        for dirpath, _dirnames, filenames in os.walk(code_root, topdown=False):
-            for filename in filenames:
+        for code_root in self._code_roots():
+            for dirpath, _dirnames, filenames in os.walk(code_root, topdown=False):
+                for filename in filenames:
+                    try:
+                        os.unlink(os.path.join(dirpath, filename))
+                        if filename.endswith(".bin"):
+                            removed += 1
+                    except OSError:
+                        pass
                 try:
-                    os.unlink(os.path.join(dirpath, filename))
-                    if filename.endswith(".bin"):
-                        removed += 1
+                    os.rmdir(dirpath)
                 except OSError:
                     pass
-            try:
-                os.rmdir(dirpath)
-            except OSError:
-                pass
         return removed

@@ -177,8 +177,9 @@ class FunctionState(object):
 
         ``key_match``
             the key pre-digested for the one comparison every call on a
-            specialized binary makes, in ``try_native_call``
-            (:func:`_key_matcher`); None only while no key is installed;
+            specialized binary makes, in ``try_native_call`` and
+            ``WholeExecutor.call`` (:func:`_key_matcher`); None only while
+            no key is installed;
         ``key_recorded``
             the ``TypeFeedback`` on which the key's own values are known
             to be recorded, or None.  While that is the code object's
@@ -283,10 +284,19 @@ class Engine(object):
         #: True when nothing watches the call path — no tracer, cycle
         #: profiler or fault injector (all fixed at construction) — so a
         #: warm call may go straight from ``try_native_call`` to the
-        #: executor.
+        #: executor, and a call from ``whole`` code straight to the
+        #: callee's translation (``WholeExecutor.call``).
         self._unobserved = (
             tracer is None and cycle_profiler is None and fault_injector is None
         )
+        #: Where ``Interpreter.call_function`` sends a guest call: the
+        #: ``whole`` executor's warm entry (``WholeExecutor.call``, which
+        #: generated code calls too) when nothing observes, else None
+        #: (``try_native_call``).
+        self.warm_entry = None
+        if self._unobserved and isinstance(self.executor, WholeExecutor):
+            self.executor.engine = weakref.ref(self)
+            self.warm_entry = self.executor.call
         self.states = {}
         self.hot_call_threshold = hot_call_threshold
         self.osr_backedge_threshold = osr_backedge_threshold
@@ -356,12 +366,15 @@ class Engine(object):
     def run_code(self, code):
         if self.config.loop_inversion:
             rotate_loops(code)
-        self.interpreter.run_code(code)
-        self.finish()
+        try:
+            self.interpreter.run_code(code)
+        finally:
+            self.finish()
         return self.interpreter.runtime.printed
 
     def finish(self):
-        """End a run: load an attached metrics registry.
+        """End a run, clean or ended by a guest error: load an attached
+        metrics registry.
 
         When both a tracer and a cycle profiler are attached, a single
         ``profile.summary`` event is appended here — after every other
@@ -450,7 +463,8 @@ class Engine(object):
             steady = self._unobserved and feedback is not None and not state.not_compilable
             if native.specialized:
                 # The primary key, compared in line: the one matcher of the
-                # specialization cache (a specialized binary always has a key).
+                # specialization cache (a specialized binary always has a key;
+                # ``WholeExecutor.call`` makes the same test for the whole backend).
                 this_kind, this_stored, kinds, stored_args = state.key_match
                 if (
                     type(this_value) is this_kind

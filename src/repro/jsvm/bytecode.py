@@ -38,7 +38,6 @@ class Op(object):
     # Stack shuffling
     POP = "POP"  # [v] -> []
     DUP = "DUP"  # [v] -> [v, v]
-    SWAP = "SWAP"  # [a, b] -> [b, a]
 
     # Arithmetic / logic (all pop operands, push result)
     ADD = "ADD"

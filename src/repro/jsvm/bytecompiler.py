@@ -15,7 +15,7 @@ Calls use an explicit ``this`` slot on the stack (``CALL`` pops
 uniform for both the interpreter and the MIR builder.
 """
 
-from repro.errors import CompilerError
+from repro.errors import CompilerError, JSSyntaxError
 from repro.jsvm import ast_nodes as ast
 from repro.jsvm.bytecode import CodeIds, CodeObject, Op
 from repro.jsvm.parser import parse
@@ -641,5 +641,13 @@ def compile_program(program, ids=None):
 
 
 def compile_source(source, ids=None):
-    """Parse and compile JavaScript-subset source text (ids: :func:`compile_program`)."""
-    return compile_program(parse(source), ids)
+    """Parse and compile JavaScript-subset source text (ids: :func:`compile_program`).
+
+    The parser and the compiler recurse once per level of nesting, so a
+    source nested past the host's stack is a guest ``SyntaxError``, not
+    a host ``RecursionError``.
+    """
+    try:
+        return compile_program(parse(source), ids)
+    except RecursionError:
+        raise JSSyntaxError("too much nesting") from None

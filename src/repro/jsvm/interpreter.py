@@ -157,12 +157,16 @@ class Interpreter(object):
         raise JSTypeError("%s is not a function" % to_js_string(callee))
 
     def call_function(self, function, this_value, args):
-        """Call a guest function, giving the JIT first refusal."""
+        """Call a guest function, giving the JIT first refusal (through
+        the engine's warm entry when it has one)."""
         if not self._plain_calls:
             return self._call_function_hooked(function, this_value, args)
         engine = self._engine()
         if engine is None:
             raise OwnerDropped("Engine", "Interpreter")
+        warm_entry = engine.warm_entry
+        if warm_entry is not None:
+            return warm_entry(function, this_value, args)
         handled, result = engine.try_native_call(function, this_value, args)
         if handled:
             return result
@@ -450,12 +454,6 @@ def _op_dup(ctx, pc, arg):
     return pc
 
 
-def _op_swap(ctx, pc, arg):
-    stack = ctx.stack
-    stack[-1], stack[-2] = stack[-2], stack[-1]
-    return pc
-
-
 def _take_backedge(ctx, pc, target):
     """Shared backward-jump tail for JUMP/IFFALSE/IFTRUE handlers.
 
@@ -717,7 +715,6 @@ _HANDLERS = {
     Op.UNDEF: (_op_undef, "raw"),
     Op.POP: (_op_pop, "raw"),
     Op.DUP: (_op_dup, "raw"),
-    Op.SWAP: (_op_swap, "raw"),
     Op.JUMP: (_op_jump, "raw"),
     Op.IFFALSE: (_op_iffalse, "raw"),
     Op.IFTRUE: (_op_iftrue, "raw"),

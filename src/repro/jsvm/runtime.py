@@ -290,11 +290,18 @@ class Runtime(object):
         root = self.shapes.root
 
         def char_at(this, args):
+            if type(this) is str and args and type(args[0]) is int:
+                # Hot path: a string and an int32 index.
+                i = args[0]
+                return this[i] if 0 <= i < len(this) else ""
             s = _check_string_this(this, "charAt")
             i = _int_arg(args, 0)
             return s[i] if 0 <= i < len(s) else ""
 
         def char_code_at(this, args):
+            if type(this) is str and args and type(args[0]) is int:
+                i = args[0]
+                return ord(this[i]) if 0 <= i < len(this) else float("nan")
             s = _check_string_this(this, "charCodeAt")
             i = _int_arg(args, 0)
             return ord(s[i]) if 0 <= i < len(s) else float("nan")

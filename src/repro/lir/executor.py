@@ -163,6 +163,10 @@ class NativeExecutor(object):
         #: default) costs one hoisted None-check per run.
         self.fault_injector = None
 
+    def call_entry(self):
+        """What the emitted ``_call`` of this executor's modules is bound to."""
+        return self.interpreter.call_value
+
     # -- frame reconstruction on bailout -------------------------------------------
 
     def _bail(self, values, snapshot, reason, op, actual=None):

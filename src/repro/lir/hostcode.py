@@ -14,7 +14,14 @@ backend.
 from repro.jsvm import operations
 from repro.jsvm.bytecode import Op
 from repro.jsvm.objects import JSArray, JSObject, common_slot_offset
-from repro.jsvm.values import UNDEFINED, JSFunction, normalize_number, to_boolean, type_of
+from repro.jsvm.values import (
+    UNDEFINED,
+    JSFunction,
+    NativeFunction,
+    normalize_number,
+    to_boolean,
+    type_of,
+)
 from repro.lir.executor import _compare, _matches
 from repro.mir.types import MIRType
 
@@ -146,11 +153,13 @@ def base_namespace(executor):
         "_get_property": interpreter.get_property,
         "_set_property": operations.set_property,
         "_get_global": runtime.get_global,
-        "_call_value": interpreter.call_value,
+        "_str_method": runtime.string_methods.get,
+        "_call": executor.call_entry(),
         "_construct": interpreter.construct,
         "_JSArray": JSArray,
         "_JSObject": JSObject,
         "_JSFunction": JSFunction,
+        "_NativeFunction": NativeFunction,
     }
 
 

@@ -88,13 +88,12 @@ def _bad_pc(pc):
 def whole_namespace(native, executor):
     """The globals a generated module of ``native`` resolves, emitted or
     linked: :func:`~repro.lir.hostcode.base_namespace`, the whole
-    backend's own five, and a chaos translation's two injector hooks.
+    backend's own four, and a chaos translation's two injector hooks.
     Bound afresh per translation; the ``_kN`` constants of one binary
     are numbered on from ``len()`` of it."""
     namespace = base_namespace(executor)
     namespace["_bw"] = publish_bailout
     namespace["_G"] = executor.runtime.globals
-    namespace["_call_function"] = executor.interpreter.call_function
     namespace["_FUNCS"] = (JSFunction, NativeFunction)
     namespace["_badpc"] = _bad_pc
     injector = executor.fault_injector

@@ -54,9 +54,10 @@ from collections import OrderedDict
 from types import CodeType
 
 from repro.engine.config import CostModel
-from repro.errors import CompilerError
+from repro.errors import CompilerError, OwnerDropped
 from repro.jsvm.interpreter import MAX_CALL_DEPTH
 from repro.jsvm.objects import common_slot_offset
+from repro.jsvm.values import JSFunction
 from repro.lir.executor import Bailout, NativeExecutor
 from repro.lir.hostcode import (
     BIND_EXTRA,
@@ -370,6 +371,93 @@ class WholeExecutor(NativeExecutor):
         #: tests; no ledger reads them, so cold and warm stats agree.
         self.modules_linked = 0
         self.modules_emitted = 0
+        #: A weak reference to the engine whose steady calls :meth:`call`
+        #: enters in line, set by an engine nothing observes; None binds
+        #: the emitted ``_call`` to ``call_value`` (:meth:`call_entry`).
+        self.engine = None
+
+    def call_entry(self):
+        """What the emitted ``_call`` of this executor's modules is bound to."""
+        if self.engine is None:
+            return self.interpreter.call_value
+        return self.call
+
+    def call(self, callee, this_value, args):
+        """Call ``callee`` on an engine nothing observes: the warm entry.
+
+        Generated code calls it for every callee but a builtin (the call
+        template runs those itself), and ``Interpreter.call_function``
+        for every guest function.  A steady call is entered here, with
+        ``Engine.try_native_call``'s warm-path bookkeeping done in line,
+        so this is the one frame between the call and the callee's
+        ``_w``.  Steady means what that warm path tests: a live binary
+        translated here with a call entry, feedback present, the
+        function compilable, and then either a specialized binary whose
+        key matches in line with its values already recorded on that
+        feedback, or a generic binary outside deoptless.  Any other call
+        is decided before anything is counted, and takes
+        ``try_native_call`` as the interpreter would.
+        """
+        interpreter = self.interpreter
+        if type(callee) is not JSFunction:
+            return interpreter.call_value(callee, this_value, args)
+        engine = self.engine()
+        if engine is None:
+            raise OwnerDropped("Engine", "WholeExecutor")
+        code = callee.code
+        state = engine.states.get(code.code_id)
+        native = None if state is None else state.native
+        cache = None if native is None else native.whole_cache
+        feedback = code.feedback
+        warm = False
+        if (
+            cache is not None
+            and cache[0] is self
+            and cache[7] is not None
+            and feedback is not None
+            and not state.not_compilable
+        ):
+            if native.specialized:
+                this_kind, this_stored, kinds, stored_args = state.key_match
+                if (
+                    state.key_recorded is feedback
+                    and type(this_value) is this_kind
+                    and (this_stored is this_value or this_stored == this_value)
+                    and len(args) == len(kinds)
+                ):
+                    for kind, stored, value in zip(kinds, stored_args, args):
+                        if type(value) is not kind or (stored is not value and stored != value):
+                            break
+                    else:
+                        warm = True
+                        state.call_count += 1
+                        engine.stats.spec_cache_hits += 1
+            elif not engine.deoptless:
+                warm = True
+                state.call_count += 1
+                feedback.record_args(args)
+        if not warm:
+            handled, result = engine.try_native_call(callee, this_value, args)
+            if handled:
+                return result
+            return interpreter.execute(interpreter.build_frame(callee, this_value, args))
+        interpreter.call_depth += 1
+        self.cycles += CostModel.native_call_entry
+        ctx = [this_value, args, callee, None, None, None, 0, 0, 0]
+        try:
+            cache[3](ctx, cache[7])
+        except Bailout as bail:
+            self._charge_fault(native, cache, ctx, bail)
+            return engine._handle_call_bailout(state, callee, this_value, args, bail)
+        except BaseException as exc:
+            self._charge_fault(native, cache, ctx, exc)
+            raise
+        finally:
+            interpreter.call_depth -= 1
+        acc = ctx[CTX_ACC]
+        self.cycles += acc >> _ACC_SHIFT
+        self.instructions_executed += acc & _ACC_MASK
+        return ctx[CTX_RESULT]
 
     def _translate(self, native, roots=None, capture=None):
         """Translate ``native`` for this executor and install the result.

@@ -30,7 +30,7 @@ from repro.lir.hostcode import (
     PRIMITIVE_TYPE_FAILS,
     Binder,
 )
-from repro.lir.hostkinds import BOOL, FLOAT, INT, NUMBER, NUMERIC, OBJECT
+from repro.lir.hostkinds import BOOL, FLOAT, INT, NUMBER, NUMERIC, OBJECT, STR
 from repro.lir.native import GUARD_OPS
 from repro.lir.regalloc import NUM_REGS
 from repro.mir.types import MIRType
@@ -100,6 +100,8 @@ class OpTemplates(object):
         self.bindings = []
         self.shape_answers = {}
         self.binder = Binder(namespace, self.bindings)
+        #: The names a string answers besides ``length``.
+        self.string_methods = namespace["_runtime"].string_methods
         # Per-region emission state (:meth:`enter_region`).
         self.cur_index = 0
         self.cur_offset = 0
@@ -231,6 +233,16 @@ class OpTemplates(object):
         """The value of an int immediate, else None."""
         value = self._literal(loc)
         return value if type(value) is int else None
+
+    def _string_name(self, name):
+        """Whether ``name`` is a property a string answers."""
+        return name == "length" or name in self.string_methods
+
+    def _string_read(self, a, name):
+        """Text of ``operations.get_property`` on a string ``a``."""
+        if name == "length":
+            return "len(%s)" % a
+        return "_str_method(%s, _UNDEF)" % self.binder.lit(name)
 
     def _dense_index_test(self, array, index):
         """Test for the dense-array arm of ``getelem_v``/``setelem_v``:
@@ -607,14 +619,24 @@ class OpTemplates(object):
                 out.append("%s.set(%s, %s)" % (v(srcs[0]), binder.lit(extra), v(srcs[1])))
         elif op == "getprop_v":
             # A plain object (exact type: arrays and functions fall to
-            # the helper) reads straight off its shape, skipping the
-            # interpreter's receiver dispatch.
+            # the helper) reads straight off its shape, and a string
+            # reads what ``operations.get_property`` would, skipping the
+            # interpreter's receiver dispatch.  An unknown receiver is
+            # tested for the one of the two the name suggests.
             a, name = v(srcs[0]), binder.lit(extra)
-            if self.kinds.kind(srcs[0]) in (None, OBJECT):
+            kind = self.kinds.kind(srcs[0])
+            if kind is None and self._string_name(extra):
+                out.append(
+                    "%s = %s if type(%s) is str else _get_property(%s, %s)"
+                    % (d(), self._string_read(a, extra), a, a, name)
+                )
+            elif kind in (None, OBJECT):
                 out.append(
                     "%s = %s.get(%s) if type(%s) is _JSObject else _get_property(%s, %s)"
                     % (d(), a, name, a, a, name)
                 )
+            elif kind == STR:
+                out.append("%s = %s" % (d(), self._string_read(a, extra)))
             else:
                 out.append("%s = _get_property(%s, %s)" % (d(), a, name))
         elif op == "setprop_v":
@@ -647,17 +669,16 @@ class OpTemplates(object):
         elif op == "lambda":
             out.append("%s = _JSFunction(%s, ())" % (d(), binder.bind(extra, BIND_EXTRA, self.cur_index)))
         elif op == "call":
-            # Calling a guest function is by far the common case:
-            # dispatch straight to call_function (what call_value does
-            # after its two isinstance checks) and keep call_value for
-            # native functions and the not-callable error.
-            callee = v(srcs[0])
+            # A builtin runs its host function in line (exactly
+            # ``call_value``'s fast path); every other callee goes to the
+            # executor's ``call_entry``, which enters a steady guest
+            # call's binary itself and hands the rest to the interpreter.
             this = v(srcs[1])
             arg_list = ", ".join(v(loc) for loc in srcs[2:])
-            out.append("_t = %s" % callee)
+            out.append("_t = %s" % v(srcs[0]))
             out.append(
-                "%s = _call_function(_t, %s, [%s]) if type(_t) is _JSFunction "
-                "else _call_value(_t, %s, [%s])" % (d(), this, arg_list, this, arg_list)
+                "%s = _t.fn(%s, [%s]) if type(_t) is _NativeFunction else _call(_t, %s, [%s])"
+                % (d(), this, arg_list, this, arg_list)
             )
         elif op == "new":
             out.append(

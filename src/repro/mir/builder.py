@@ -460,8 +460,6 @@ class MIRBuilder(object):
             stack.pop()
         elif op == Op.DUP:
             stack.append(stack[-1])
-        elif op == Op.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
         elif op == Op.NOT:
             stack.append(self.emit(MNot(stack.pop())))
         elif op == Op.TYPEOF:

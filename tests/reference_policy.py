@@ -14,6 +14,7 @@ from repro.engine.runtime_engine import Engine, _spec_key
 from repro.jsvm.feedback import MAX_TAGS_PER_SITE, TypeFeedback
 from repro.jsvm.values import describe_key, type_tag
 from repro.lir.executor import Bailout
+from repro.lir.wholefn import WholeExecutor
 
 
 def record_args(feedback, args):
@@ -43,6 +44,14 @@ def record_args(feedback, args):
 
 class ReferenceEngine(Engine):
     """``Engine`` with the pre-fast-path call policy."""
+
+    def __init__(self, *args, **kwargs):
+        super(ReferenceEngine, self).__init__(*args, **kwargs)
+        # Every call walks the policy: no warm entry for the interpreter
+        # or for generated code (``WholeExecutor.call``).
+        self.warm_entry = None
+        if isinstance(self.executor, WholeExecutor):
+            self.executor.engine = None
 
     def try_native_call(self, function, this_value, args):
         """Count the call; maybe compile; maybe execute natively.

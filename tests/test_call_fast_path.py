@@ -21,6 +21,7 @@ from repro.engine.config import FULL_SPEC
 from repro.engine.runtime_engine import Engine
 from repro.errors import JSRangeError
 from repro.jsvm.bytecompiler import compile_source
+from repro.jsvm.feedback import TypeFeedback
 from repro.jsvm.interpreter import MAX_CALL_DEPTH, Interpreter
 from repro.jsvm.objects import JSArray, JSObject
 from repro.jsvm.values import (
@@ -32,6 +33,7 @@ from repro.jsvm.values import (
     NativeFunction,
     _spec_key,
 )
+from repro.lir.hostcode import CTX_RESULT
 from repro.serving import isolate as serving_isolate
 from repro.serving.fleet import FleetProfile, build_catalog, generate_schedule
 from repro.telemetry.metrics import MetricsRegistry, metrics_payload
@@ -334,12 +336,9 @@ def key_forms():
     ]
 
 
-def test_the_warm_key_test_accepts_exactly_the_equal_keys(monkeypatch):
-    """``try_native_call``'s inline test is the only spec-key matcher.  Over
-    every component form, in the ``this`` slot and in each argument slot,
-    it passes a call exactly when the call's own key equals the stored one
-    (read from the ``hit`` it hands ``_call_policy``: a tracer sends every
-    call there)."""
+def policy_matcher(monkeypatch):
+    """``accepts(key_this, key_args, this, args)`` read from ``try_native_call``:
+    the ``hit`` it hands ``_call_policy`` (a tracer sends every call there)."""
     verdicts = []
     monkeypatch.setattr(
         Engine, "_call_policy", lambda self, state, function, this, args, hit: verdicts.append(hit)
@@ -354,6 +353,40 @@ def test_the_warm_key_test_accepts_exactly_the_equal_keys(monkeypatch):
         assert engine.try_native_call(function, this_value, args) == (False, None)
         return verdicts.pop()
 
+    return accepts, state
+
+
+def entry_matcher(monkeypatch):
+    """The same, read from the ``whole`` warm entry (``WholeExecutor.call``):
+    whether it enters the binary itself or hands the call on."""
+    monkeypatch.setattr(Engine, "try_native_call", lambda self, function, this, args: (True, "on"))
+    engine = Engine(config=FULL_SPEC)
+    function = JSFunction(compile_source("function g(a, b) { return a; }").constants[0])
+    function.code.feedback = TypeFeedback(2)
+    state = engine._state(function.code)
+
+    def entered(ctx, pc):
+        ctx[CTX_RESULT] = "entered"
+
+    translation = (engine.executor, None, False, entered, None, None, None, 0, None)
+    specialized = types.SimpleNamespace(specialized=True, whole_cache=translation)
+
+    def accepts(key_this, key_args, this_value, args):
+        state.install(specialized, _spec_key(key_this, key_args))
+        state.key_recorded = function.code.feedback
+        return engine.warm_entry(function, this_value, args) == "entered"
+
+    return accepts, state
+
+
+@pytest.mark.parametrize("matcher", [policy_matcher, entry_matcher], ids=["policy", "entry"])
+def test_the_warm_key_test_accepts_exactly_the_equal_keys(matcher, monkeypatch):
+    """The inline key test — ``try_native_call``'s, and its copy in the
+    ``whole`` warm entry, which skips ``try_native_call`` — is the only
+    spec-key matcher.  Over every component form, in the ``this`` slot and
+    in each argument slot, it passes a call exactly when the call's own key
+    equals the stored one."""
+    accepts, state = matcher(monkeypatch)
     forms = key_forms()
     outcomes = set()
     for stored in forms:
@@ -422,10 +455,15 @@ def test_a_call_specialized_on_an_object_takes_the_warm_path(monkeypatch):
 # -- the frame budget ----------------------------------------------------------------
 
 
-def frames_to_callee(engine, function, args):
-    """Python ``call`` events from ``call_function`` to the callee's ``_w``,
-    both counted, for one call from a generated call site's position."""
-    call_function = Interpreter.call_function.__code__
+def frames_to_callee(engine, function, args, site="generated"):
+    """Python ``call`` events from the call's entry to the callee's ``_w``,
+    both counted, for one call from a generated call site (whose entry
+    is the emitted ``_call``) or an interpreted one (``call_function``)."""
+    entry = Interpreter.call_function.__code__
+    call = engine.interpreter.call_function
+    if site == "generated":
+        call = engine.executor.call_entry()
+        entry = call.__code__
     seen = []
     state = {"open": False, "depth": 0}
 
@@ -433,7 +471,7 @@ def frames_to_callee(engine, function, args):
         if event != "call":
             return
         code = frame.f_code
-        if code is call_function:
+        if code is entry:
             state["open"] = True
             state["depth"] = 1
         elif state["open"]:
@@ -442,7 +480,6 @@ def frames_to_callee(engine, function, args):
                 seen.append(state["depth"])
                 state["open"] = False
 
-    call = engine.interpreter.call_function
     sys.setprofile(profile)
     try:
         result = call(function, UNDEFINED, args)
@@ -463,19 +500,20 @@ def warm_engine(generic, **kwargs):
     return engine, function
 
 
-def test_a_warm_specialized_call_is_four_frames_from_its_body():
+def test_a_warm_specialized_call_is_two_frames_from_its_body():
     engine, function = warm_engine(generic=False)
-    # call_function, try_native_call, run, _w.
-    assert frames_to_callee(engine, function, [3, 4]) == (7, [4])
+    # WholeExecutor.call, _w.
+    assert frames_to_callee(engine, function, [3, 4]) == (7, [2])
+    # An interpreted call site adds call_function in front.
+    assert frames_to_callee(engine, function, [3, 4], site="interpreted") == (7, [3])
 
 
-def test_a_warm_generic_call_is_at_most_five_frames_from_its_body():
+def test_a_warm_generic_call_is_three_frames_from_its_body():
     engine, function = warm_engine(generic=True)
     # ... plus record_args, which finds the call's shape already recorded.
-    result, seen = frames_to_callee(engine, function, [3, 4])
-    assert result == 7 and len(seen) == 1 and seen[0] <= 5
+    assert frames_to_callee(engine, function, [3, 4]) == (7, [3])
 
 
 def test_a_metrics_registry_costs_no_frame():
     engine, function = warm_engine(generic=False, metrics=MetricsRegistry())
-    assert frames_to_callee(engine, function, [3, 4]) == (7, [4])
+    assert frames_to_callee(engine, function, [3, 4]) == (7, [2])

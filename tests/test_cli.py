@@ -75,6 +75,20 @@ class TestGuestErrors:
         assert run_cli(["run", failing]) == (1, "before\n")
         assert capsys.readouterr().err.startswith("Uncaught JSReferenceError")
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "print(" + "(" * 3000 + "1" + ")" * 3000 + ");\n",
+            "var a = " + "[" * 3000 + "]" * 3000 + ";\n",
+        ],
+        ids=["parentheses", "array-literals"],
+    )
+    def test_nesting_past_the_host_stack_is_a_guest_syntax_error(self, source, tmp_path, capsys):
+        path = tmp_path / "deep.js"
+        path.write_text(source)
+        assert run_cli(["run", str(path)]) == (1, "")
+        assert capsys.readouterr().err == "Uncaught JSSyntaxError: too much nesting\n"
+
     def test_a_vm_bug_keeps_its_traceback(self, script, monkeypatch):
         from repro.errors import CompilerError
 

@@ -833,6 +833,32 @@ class TestEvictionCLI:
         with pytest.raises(SystemExit, match="need --max-bytes"):
             self.run_cli(["cache", "evict", "--dir", str(tmp_path)])
 
+    def test_the_subcommand_reaches_a_serving_store(self, tmp_path):
+        # A served request stores under shard-NN/code; the command must
+        # count, evict and clear those entries as it does a plain store's.
+        from repro.serving.isolate import TenantHost
+
+        root = tmp_path / "serving"
+        host = TenantHost(
+            cache_mode="shared", cache_root=str(root), shards=4, catalog={"p": HOT_LOOP}
+        )
+        assert host.execute_request({"tenant": "t", "program": "p"})["status"] == "ok"
+        stored = sorted(root.glob("shard-*/code/*/*.bin"))
+        assert len(stored) >= 2
+        code, output = self.run_cli(["cache", "stats", "--dir", str(root)])
+        assert code == 0
+        assert "entries:    %d\n" % len(stored) in output
+        code, output = self.run_cli(
+            ["cache", "evict", "--dir", str(root), "--max-entries", "1"]
+        )
+        assert code == 0
+        assert "evicted %d artifact(s)" % (len(stored) - 1) in output
+        assert len(list(root.glob("shard-*/code/*/*.bin"))) == 1
+        code, output = self.run_cli(["cache", "clear", "--dir", str(root)])
+        assert code == 0
+        assert "removed 1 cached artifact(s)" in output
+        assert list(root.glob("shard-*/code/*/*.bin")) == []
+
 
 # -- the invariance sweep: nothing of a constant but its key is read -------------
 

@@ -27,6 +27,7 @@ import pytest
 
 from repro import FULL_SPEC, Engine
 from repro.engine.config import CostModel
+from repro.errors import JSReferenceError
 from repro.telemetry.metrics import (
     METRIC_SCHEMA,
     MetricsRegistry,
@@ -126,6 +127,16 @@ class TestEngineIntegration:
         assert c["repro_engine_calls_interp_total"] == stats.interp_calls
         assert c["repro_engine_calls_native_total"] > 0
         assert registry.gauges["repro_engine_total_cycles"] == stats.total_cycles
+
+    def test_a_run_ended_by_a_guest_error_still_loads_the_registry(self):
+        registry = MetricsRegistry()
+        engine = Engine(config=FULL_SPEC, metrics=registry)
+        with pytest.raises(JSReferenceError):
+            engine.run_source("function f(a) { return a + 1; }\nprint(f(1));\nx.y;\n")
+        assert engine.interpreter.runtime.printed == ["2"]
+        total = engine.stats.total_cycles
+        assert total > 0
+        assert registry.gauges["repro_engine_total_cycles"] == total
 
     @pytest.mark.parametrize("backend", ["simple", "closure", "whole"])
     def test_every_compile_is_charged_to_total_cycles(self, backend):

@@ -5,9 +5,12 @@ Replays a seeded fleet schedule over the serving catalog (both built by
 ``repro.serving.fleet``) through ``TenantHost.execute_request`` in this
 process, under ``sys.setprofile``, and prints exact counts:
 
-* **frames per native call** — Python ``call`` events from
-  ``Interpreter.call_function`` down to the callee's generated ``_w``,
-  both inclusive, as a histogram split by specialized / generic binary.
+* **frames per native call** — Python ``call`` events from the call's
+  entry down to the callee's generated ``_w``, both inclusive, as a
+  histogram split by specialized / generic binary.  The entry is the
+  warm one, ``WholeExecutor.call``, which generated code calls and
+  ``Interpreter.call_function`` hands each guest call to (the count
+  starts again there), or ``call_function`` on an engine without one.
   The mode is the warm path; the tail is first calls and compiles.
 * **helper calls** — Python calls into the generic operator and coercion
   helpers that host-typed ``whole`` code is meant to keep in line
@@ -107,13 +110,15 @@ class CallCounter(object):
 
     def __init__(self):
         from repro.jsvm.interpreter import Interpreter
+        from repro.lir.wholefn import WholeExecutor
 
         self.labels = dict((code, label) for label, code in counted_functions().items())
         self.counts = dict.fromkeys(self.labels.values(), 0)
         self.counts.update((label + "_from_native", 0) for label in NATIVE_SPLIT)
         self.call_function = Interpreter.call_function.__code__
+        self.call = WholeExecutor.call.__code__
         self.execute = Interpreter.execute.__code__
-        #: frames from call_function to ``_w`` -> activations, per binary kind
+        #: frames from the call's entry to ``_w`` -> activations, per binary kind
         self.frames = {
             "specialized": collections.Counter(),
             "generic": collections.Counter(),
@@ -130,7 +135,9 @@ class CallCounter(object):
             self.counts[label] += 1
             if label in NATIVE_SPLIT and frame.f_back.f_code.co_name == "_w":
                 self.counts[label + "_from_native"] += 1
-        if code is self.call_function:
+        if code is self.call or code is self.call_function:
+            # An entry: the warm one, or the interpreter's, which hands
+            # a guest call on to the warm one when there is one.
             self.open = True
             self.depth = 1
         elif self.open:
